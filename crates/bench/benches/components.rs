@@ -14,7 +14,7 @@ use ia_core::{
     PeerContext, PeerId, ProtocolKind, RxMeta, UserProfile,
 };
 use ia_des::{EventQueue, SimDuration, SimRng, SimTime};
-use ia_geo::{Circle, FlatGrid, Point, UniformGrid, Vector};
+use ia_geo::{Circle, FlatGrid, Point, Vector};
 use ia_mobility::{Fleet, MobilityModel, RandomWaypoint};
 use ia_radio::{BroadcastOutcome, Medium, RadioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -252,27 +252,12 @@ fn bench_queue_churn(c: &mut Criterion) {
 
 fn bench_grid(c: &mut Criterion) {
     let mut rng = SimRng::from_master(1);
-    let pts: Vec<(u32, Point)> = (0..1000)
-        .map(|i| {
-            (
-                i,
-                Point::new(rng.range_f64(0.0, 5000.0), rng.range_f64(0.0, 5000.0)),
-            )
-        })
+    // CSR index over 1000 points: queries hit id-sorted packed runs (no
+    // per-query sort), rebuilds are two counting-sort passes into
+    // recycled buffers.
+    let positions: Vec<Point> = (0..1000)
+        .map(|_| Point::new(rng.range_f64(0.0, 5000.0), rng.range_f64(0.0, 5000.0)))
         .collect();
-    let grid = UniformGrid::build(250.0, pts.clone());
-    c.bench_function("geo_grid_disk_query_1000pts", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            grid.query_disk_into(black_box(Point::new(2500.0, 2500.0)), 250.0, &mut out);
-            out.len()
-        })
-    });
-
-    // The CSR replacement, same workload: queries hit id-sorted packed
-    // runs (no per-query sort), rebuilds are two counting-sort passes
-    // into recycled buffers.
-    let positions: Vec<Point> = pts.iter().map(|&(_, p)| p).collect();
     let mut flat = FlatGrid::new();
     flat.rebuild(250.0, &positions);
     c.bench_function("geo_flat_grid_disk_query_1000pts", |b| {
@@ -353,10 +338,13 @@ fn bench_radio(c: &mut Criterion) {
     c.bench_function("radio_broadcast_1000_nodes", |b| {
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(4);
+        let mut out = BroadcastOutcome::default();
+        let t = SimTime::from_secs(100.0);
         let mut src = 0u32;
         b.iter(|| {
             src = (src + 1) % 1000;
-            medium.broadcast(&fleet, SimTime::from_secs(100.0), src, 300, &mut rng)
+            medium.broadcast_into(&fleet, t, src, 300, &mut rng, &mut out);
+            out.deliveries.len()
         })
     });
 

@@ -73,50 +73,11 @@ impl Gossip {
         }
     }
 
-    /// Forwarding probability of `ad` for a peer at `pos` at time `now`.
-    ///
-    /// Uses formula (1) against the age-shrunk radius `R_t`; with
-    /// mechanism (1) active and the ad past its outward-spread warm-up,
-    /// formula (3) (with the same shrunk radius) applies instead.
-    fn probability(&self, ad: &Advertisement, now: SimTime, pos: Point) -> f64 {
-        let d = pos.distance(ad.issue_pos);
-        let r_t = ad.radius_at(now, &self.params);
-        if self.annular && ad.age(now) > self.params.opt1_warmup {
-            prob::annular_probability(
-                self.params.alpha,
-                d,
-                r_t,
-                self.params.dis,
-                self.params.prob_unit,
-                self.params.outside_unit,
-                self.params.interior_unit,
-            )
-        } else {
-            prob::forwarding_probability(
-                self.params.alpha,
-                d,
-                r_t,
-                self.params.prob_unit,
-                self.params.outside_unit,
-            )
-        }
-    }
-
     fn refresh_all(&mut self, now: SimTime, pos: Point) {
         self.cache.prune_expired(now);
-        // Work around the borrow: compute probabilities per entry.
-        let params_snapshot = (self.annular, now, pos);
-        let _ = params_snapshot;
-        let probs: Vec<(AdId, f64)> = self
-            .cache
-            .iter()
-            .map(|e| (e.ad.id, self.probability(&e.ad, now, pos)))
-            .collect();
-        for (id, p) in probs {
-            if let Some(e) = self.cache.get_mut(id) {
-                e.probability = p;
-            }
-        }
+        let (params, annular) = (&self.params, self.annular);
+        self.cache
+            .refresh_probabilities(|ad| probability(params, annular, ad, now, pos));
     }
 
     /// Store a new advertisement (already interest-processed), pushing
@@ -133,7 +94,7 @@ impl Gossip {
         if announce_accept {
             out.push(Action::Accepted { ad: ad.id });
         }
-        let probability = self.probability(&ad, now, pos);
+        let probability = probability(&self.params, self.annular, &ad, now, pos);
         // Algorithm 1: refresh all probabilities before an eviction
         // decision.
         self.refresh_all(now, pos);
@@ -157,6 +118,35 @@ impl Gossip {
                 at: next_time,
             });
         }
+    }
+}
+
+/// Forwarding probability of `ad` for a peer at `pos` at time `now`.
+///
+/// Uses formula (1) against the age-shrunk radius `R_t`; with mechanism
+/// (1) (`annular`) active and the ad past its outward-spread warm-up,
+/// formula (3) (with the same shrunk radius) applies instead.
+fn probability(
+    params: &GossipParams,
+    annular: bool,
+    ad: &Advertisement,
+    now: SimTime,
+    pos: Point,
+) -> f64 {
+    let d = pos.distance(ad.issue_pos);
+    let r_t = ad.radius_at(now, params);
+    if annular && ad.age(now) > params.opt1_warmup {
+        prob::annular_probability(
+            params.alpha,
+            d,
+            r_t,
+            params.dis,
+            params.prob_unit,
+            params.outside_unit,
+            params.interior_unit,
+        )
+    } else {
+        prob::forwarding_probability(params.alpha, d, r_t, params.prob_unit, params.outside_unit)
     }
 }
 
@@ -273,7 +263,7 @@ impl Protocol for Gossip {
             self.cache.remove(ad);
             return;
         }
-        let probability = self.probability(&entry.ad, now, pos);
+        let probability = probability(&self.params, self.annular, &entry.ad, now, pos);
         let message = AdMessage::gossip(entry.ad.clone());
         let entry = self.cache.get_mut(ad).expect("entry vanished");
         entry.probability = probability;
@@ -444,15 +434,16 @@ mod tests {
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = ctx(&mut rng, 20.0, centre);
         ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(centre), out));
+        let p_at =
+            |secs, pos| probability(&g.params, g.annular, &msg.ad, SimTime::from_secs(secs), pos);
         // During warm-up (age <= 40 s) the interior still gossips.
-        let p_young = g.probability(&msg.ad, SimTime::from_secs(30.0), centre);
+        let p_young = p_at(30.0, centre);
         assert!(p_young > 0.9, "warm-up probability {p_young}");
         // After warm-up the interior is suppressed...
-        let p_old = g.probability(&msg.ad, SimTime::from_secs(100.0), centre);
+        let p_old = p_at(100.0, centre);
         assert!(p_old < 0.02, "interior probability {p_old}");
         // ...but the annulus is not.
-        let rim = Point::new(2500.0 + 900.0, 2500.0);
-        let p_rim = g.probability(&msg.ad, SimTime::from_secs(100.0), rim);
+        let p_rim = p_at(100.0, Point::new(2500.0 + 900.0, 2500.0));
         assert!(p_rim > 0.7, "annulus probability {p_rim}");
     }
 

@@ -16,6 +16,7 @@
 use crate::tracker::DeliveryTracker;
 use ia_core::{AdId, AdMessage, RxMeta};
 use ia_des::{SimDuration, SimTime};
+use ia_radio::DropCounts;
 use std::any::Any;
 use std::cell::RefCell;
 use std::io::Write;
@@ -28,12 +29,8 @@ pub struct BroadcastInfo {
     pub bytes: usize,
     /// Successful receptions scheduled for this frame.
     pub receivers: usize,
-    /// Copies lost to the loss model (incl. burst-channel loss).
-    pub dropped: u64,
-    /// Copies lost inside active jamming zones.
-    pub jammed: u64,
-    /// Copies lost to channel contention.
-    pub collisions: u64,
+    /// Copies lost, by cause.
+    pub drops: DropCounts,
 }
 
 /// Why a frame copy addressed to a receiver never reached its protocol.
@@ -617,7 +614,7 @@ impl SimObserver for JsonlTrace {
     fn on_broadcast(&mut self, now: SimTime, node: u32, msg: &AdMessage, info: &BroadcastInfo) {
         self.line(format_args!(
             "{{\"t\":{},\"ev\":\"broadcast\",\"node\":{},\"ad\":\"{}\",\"bytes\":{},\"receivers\":{},\"dropped\":{},\"jammed\":{},\"collisions\":{}}}\n",
-            now.as_secs(), node, msg.ad.id, info.bytes, info.receivers, info.dropped, info.jammed, info.collisions
+            now.as_secs(), node, msg.ad.id, info.bytes, info.receivers, info.drops.lost, info.drops.jammed, info.drops.collided
         ));
     }
 
@@ -698,12 +695,14 @@ mod tests {
     }
 
     fn info(bytes: usize, receivers: usize, collisions: u64) -> BroadcastInfo {
+        let drops = DropCounts {
+            collided: collisions,
+            ..DropCounts::default()
+        };
         BroadcastInfo {
             bytes,
             receivers,
-            dropped: 0,
-            jammed: 0,
-            collisions,
+            drops,
         }
     }
 

@@ -23,6 +23,7 @@ use ia_mobility::{
 };
 use ia_radio::{BroadcastOutcome, DropReason, Medium};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Events driving one run.
 enum Event {
@@ -326,21 +327,25 @@ impl World {
 
     /// Drive the run to the horizon.
     pub fn run(&mut self) {
-        if self.profile.is_some() {
-            loop {
-                let t0 = std::time::Instant::now();
-                let ev = self.sched.pop();
-                let dt = t0.elapsed().as_nanos() as u64;
-                if let Some(p) = self.profile.as_deref_mut() {
-                    p.queue_ns += dt;
-                }
-                let Some(ev) = ev else { break };
-                self.handle(ev);
-            }
-        } else {
-            while let Some(ev) = self.sched.pop() {
-                self.handle(ev);
-            }
+        loop {
+            let t0 = self.phase_start();
+            let ev = self.sched.pop();
+            self.phase_end(t0, |p| &mut p.queue_ns);
+            let Some(ev) = ev else { break };
+            self.handle(ev);
+        }
+    }
+
+    /// Start timing a phase: the current instant while profiling, else
+    /// `None` (no clock read).
+    fn phase_start(&self) -> Option<Instant> {
+        self.profile.as_ref().map(|_| Instant::now())
+    }
+
+    /// Charge the time since `t0` to the profile bucket `bucket` picks.
+    fn phase_end(&mut self, t0: Option<Instant>, bucket: fn(&mut PhaseProfile) -> &mut u64) {
+        if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
+            *bucket(p) += t0.elapsed().as_nanos() as u64;
         }
     }
 
@@ -490,11 +495,9 @@ impl World {
         f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink),
     ) {
         let mut sink = std::mem::take(&mut self.sink);
-        let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
+        let t0 = self.phase_start();
         self.with_ctx(node, now, |peer, ctx| f(peer, ctx, &mut sink));
-        if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
-            p.protocol_ns += t0.elapsed().as_nanos() as u64;
-        }
+        self.phase_end(t0, |p| &mut p.protocol_ns);
         self.apply(node, now, &mut sink);
         self.sink = sink;
     }
@@ -543,7 +546,7 @@ impl World {
                     // Take/restore the outcome buffer (like `sink`) so the
                     // scheduler below can borrow the rest of `self`.
                     let mut outcome = std::mem::take(&mut self.outcome);
-                    let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
+                    let t0 = self.phase_start();
                     self.medium.broadcast_into(
                         &self.fleet,
                         now,
@@ -552,26 +555,14 @@ impl World {
                         &mut self.radio_rng,
                         &mut outcome,
                     );
-                    if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
-                        p.grid_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    let (mut dropped, mut jammed, mut collisions) = (0, 0, 0);
-                    for d in &outcome.drops {
-                        match d.reason {
-                            DropReason::Loss => dropped += 1,
-                            DropReason::Jam => jammed += 1,
-                            DropReason::Collision => collisions += 1,
-                        }
-                    }
+                    self.phase_end(t0, |p| &mut p.grid_ns);
                     let info = BroadcastInfo {
                         bytes,
                         receivers: outcome.deliveries.len(),
-                        dropped,
-                        jammed,
-                        collisions,
+                        drops: outcome.drop_counts(),
                     };
                     let shared = Arc::new(msg);
-                    let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
+                    let t0 = self.phase_start();
                     self.bus.broadcast(now, node, &shared, &info);
                     for d in &outcome.drops {
                         let reason = match d.reason {
@@ -581,9 +572,7 @@ impl World {
                         };
                         self.bus.suppress(now, d.to, &shared, reason);
                     }
-                    if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
-                        p.observer_ns += t0.elapsed().as_nanos() as u64;
-                    }
+                    self.phase_end(t0, |p| &mut p.observer_ns);
                     for d in outcome.deliveries.drain(..) {
                         self.sched.schedule_at(
                             d.arrival,

@@ -1,10 +1,7 @@
 //! A flat CSR-layout spatial index for disk queries over dense-id points.
 //!
-//! [`UniformGrid`](crate::UniformGrid) buckets points into a
-//! `HashMap<(i32,i32), Vec<_>>`: every rebuild reallocates buckets, every
-//! cell probe pays SipHash, and every query re-sorts its result.
-//! [`FlatGrid`] stores the same cells in compressed-sparse-row form over a
-//! bounded cell rectangle:
+//! [`FlatGrid`] buckets points into square cells stored in
+//! compressed-sparse-row form over a bounded cell rectangle:
 //!
 //! ```text
 //! cell_start: [0, 2, 2, 5, ...]          one offset per cell, +1 sentinel
@@ -18,9 +15,8 @@
 //! come out id-sorted and a query merges the ≤9 cells overlapping the
 //! disk with a tiny k-way id merge — no per-call sort. Ids are the dense
 //! indices `0..n` of the position slice, matching the fleet's node ids,
-//! which makes query output bit-for-bit identical to
-//! `UniformGrid::query_disk_into` over the same points (pinned by the
-//! property tests below).
+//! and query output is bit-for-bit a brute-force linear scan's (pinned by
+//! the property tests below).
 
 use crate::point::Point;
 
@@ -170,7 +166,7 @@ impl FlatGrid {
     }
 
     /// Collect all `(id, position)` entries within `radius` of `center`
-    /// (inclusive boundary, same `EPS` slack as `UniformGrid`) into
+    /// (inclusive boundary, with `EPS` slack) into
     /// `out`, cleared first, in ascending id order.
     pub fn query_disk_into(&self, center: Point, radius: f64, out: &mut Vec<(u32, Point)>) {
         out.clear();
@@ -371,15 +367,12 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use crate::grid::UniformGrid;
     use proptest::prelude::*;
 
     proptest! {
-        /// FlatGrid agrees bitwise with both `UniformGrid` and the
-        /// brute-force linear scan (same generator ranges as
-        /// `grid.rs::prop_tests`).
+        /// FlatGrid agrees bitwise with a brute-force linear scan.
         #[test]
-        fn matches_uniform_grid_and_brute_force(
+        fn matches_brute_force(
             pts in proptest::collection::vec((-500.0..500.0f64, -500.0..500.0f64), 0..200),
             qx in -500.0..500.0f64,
             qy in -500.0..500.0f64,
@@ -388,14 +381,8 @@ mod prop_tests {
         ) {
             let positions: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
             let flat = FlatGrid::build(cell, &positions);
-            let hash = UniformGrid::build(
-                cell,
-                positions.iter().enumerate().map(|(i, &p)| (i as u32, p)),
-            );
             let center = Point::new(qx, qy);
             let got = flat.query_disk(center, r);
-            let via_hash = hash.query_disk(center, r);
-            prop_assert_eq!(&got, &via_hash);
             let want: Vec<(u32, Point)> = positions
                 .iter()
                 .enumerate()

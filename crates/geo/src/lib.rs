@@ -12,7 +12,6 @@
 //!   two-circle *lens* overlap area needed by the paper's Optimized
 //!   Gossiping-2 postponement rule (formula 4).
 //! * [`Rect`] — the rectangular simulation field.
-//! * [`UniformGrid`] — a spatial hash over points for fast disk queries.
 //! * [`FlatGrid`] — a flat CSR-layout spatial index over dense-id points
 //!   with in-place (allocation-free) rebuilds and sort-free id-ordered
 //!   queries; the neighbour lookup behind every wireless broadcast.
@@ -20,7 +19,6 @@
 pub mod angle;
 pub mod circle;
 pub mod flat_grid;
-pub mod grid;
 pub mod point;
 pub mod rect;
 pub mod segment;
@@ -28,7 +26,6 @@ pub mod segment;
 pub use angle::{angle_between, normalize_angle};
 pub use circle::Circle;
 pub use flat_grid::FlatGrid;
-pub use grid::UniformGrid;
 pub use point::{Point, Vector};
 pub use rect::Rect;
 pub use segment::Segment;

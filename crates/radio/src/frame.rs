@@ -44,6 +44,17 @@ pub struct FrameDrop {
     pub reason: DropReason,
 }
 
+/// Per-cause drop counts of one broadcast.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DropCounts {
+    /// Copies lost to the loss model (incl. burst-channel loss).
+    pub lost: u64,
+    /// Copies lost inside active jamming zones.
+    pub jammed: u64,
+    /// Copies lost to channel contention.
+    pub collided: u64,
+}
+
 /// Channel outcome of one broadcast: who hears the frame and who loses it
 /// (both in deterministic node-id order).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -52,6 +63,8 @@ pub struct BroadcastOutcome {
     pub deliveries: Vec<Delivery>,
     /// Receiver-side losses, tagged by cause.
     pub drops: Vec<FrameDrop>,
+    /// `drops` tallied by cause, kept in step by [`Self::drop_frame`].
+    drop_counts: DropCounts,
 }
 
 impl BroadcastOutcome {
@@ -61,6 +74,23 @@ impl BroadcastOutcome {
     pub fn clear(&mut self) {
         self.deliveries.clear();
         self.drops.clear();
+        self.drop_counts = DropCounts::default();
+    }
+
+    /// `drops` tallied by cause.
+    pub fn drop_counts(&self) -> DropCounts {
+        self.drop_counts
+    }
+
+    /// Record that `to` missed the frame for `reason`.
+    pub fn drop_frame(&mut self, to: u32, reason: DropReason) {
+        self.drops.push(FrameDrop { to, reason });
+        let count = match reason {
+            DropReason::Loss => &mut self.drop_counts.lost,
+            DropReason::Jam => &mut self.drop_counts.jammed,
+            DropReason::Collision => &mut self.drop_counts.collided,
+        };
+        *count += 1;
     }
 }
 

@@ -26,7 +26,7 @@ pub mod stats;
 
 pub use config::RadioConfig;
 pub use contention::Contention;
-pub use frame::{BroadcastOutcome, Delivery, DropReason, FrameDrop};
+pub use frame::{BroadcastOutcome, Delivery, DropCounts, DropReason, FrameDrop};
 pub use loss::{GilbertElliott, LossModel};
 pub use medium::{JamZone, Medium};
 pub use stats::TrafficStats;

@@ -2,7 +2,7 @@
 
 use crate::config::RadioConfig;
 use crate::contention::{airtime, Contention, TxLog};
-use crate::frame::{BroadcastOutcome, Delivery, DropReason, FrameDrop};
+use crate::frame::{BroadcastOutcome, Delivery, DropReason};
 use crate::loss::GilbertElliott;
 use crate::stats::TrafficStats;
 use ia_des::{SimRng, SimTime};
@@ -75,9 +75,9 @@ impl JamZone {
 /// A shared wireless channel over a [`Fleet`] of mobile nodes.
 ///
 /// The medium owns the traffic statistics and a lazily rebuilt spatial
-/// grid; the simulation world calls [`Medium::broadcast`] and schedules
-/// the returned [`Delivery`] records as receive events, surfacing the
-/// accompanying [`FrameDrop`]s through its suppression hook.
+/// grid; the simulation world calls [`Medium::broadcast_into`] and
+/// schedules the resulting [`Delivery`] records as receive events,
+/// surfacing the accompanying drops through its suppression hook.
 pub struct Medium {
     config: RadioConfig,
     stats: TrafficStats,
@@ -91,7 +91,9 @@ pub struct Medium {
     /// the grid is built from it, and exact-position filtering reuses it
     /// whenever the query time equals the snapshot time.
     snapshot: Vec<Point>,
-    scratch: Vec<(u32, ia_geo::Point)>,
+    /// Result buffer of [`Medium::query_range`]: `(id, exact position)`
+    /// of every node in range of the last query's centre.
+    in_range: Vec<(u32, Point)>,
     /// Leg-cursor cache for position lookups. Every query the medium
     /// issues is at the current (monotone) simulation time, so lookups
     /// are O(1) amortized.
@@ -124,7 +126,7 @@ impl Medium {
             grid: FlatGrid::new(),
             grid_built_at: None,
             snapshot: Vec::new(),
-            scratch: Vec::new(),
+            in_range: Vec::new(),
             cursor: FleetCursor::new(),
             fleet_speed_bound: None,
             tx_log: TxLog::new(),
@@ -255,34 +257,53 @@ impl Medium {
         self.grid_built_at.unwrap()
     }
 
-    /// Broadcast a frame of `bytes` bytes from `src` at time `now`.
+    /// Fill `in_range` with `(id, exact position)` of every node other
+    /// than `center` within radio range of it at `now`, in id order, and
+    /// return `center`'s exact position. Candidates come from the
+    /// (possibly stale) grid with a widened radius, then are filtered
+    /// against exact positions at `now` — so fresh and stale grids give
+    /// identical results.
+    fn query_range(&mut self, fleet: &Fleet, now: SimTime, center: u32) -> Point {
+        let built_at = self.refresh_grid(fleet, now);
+        let fresh = built_at == now;
+        // Both the centre and the candidates may have moved since the
+        // snapshot, so widen by twice the covered distance.
+        let margin = 2.0 * self.widening_speed() * now.since(built_at).as_secs();
+        // When the snapshot was sampled at `now`, snapshot positions ARE
+        // the exact positions (bitwise: same cursor evaluation), so the
+        // per-candidate cursor re-query collapses to an array read.
+        let center_pos = if fresh {
+            self.snapshot[center as usize]
+        } else {
+            self.cursor.position(fleet, center, now)
+        };
+        self.grid
+            .query_disk_into(center_pos, self.config.range + margin, &mut self.in_range);
+        let (cursor, range) = (&mut self.cursor, self.config.range);
+        self.in_range.retain_mut(|(id, pos)| {
+            if *id == center {
+                return false;
+            }
+            if !fresh {
+                *pos = cursor.position(fleet, *id, now);
+            }
+            center_pos.distance(*pos) <= range
+        });
+        center_pos
+    }
+
+    /// Broadcast a frame of `bytes` bytes from `src` at time `now` into a
+    /// caller-recycled outcome buffer (cleared on entry, capacity
+    /// retained).
     ///
-    /// Returns one [`Delivery`] per receiver that actually hears the frame
-    /// plus one [`FrameDrop`] per receiver the channel silenced (both in
+    /// The outcome holds one [`Delivery`] per receiver that actually hears
+    /// the frame plus one drop per receiver the channel silenced (both in
     /// deterministic node-id order), with independent arrival jitter on
-    /// the deliveries. The sender never receives its own frame. Exactness:
-    /// candidates come from the (possibly stale) grid with a widened
-    /// radius, then are filtered against exact positions at `now`.
+    /// the deliveries. The sender never receives its own frame.
     ///
     /// Per-receiver checks run in a fixed order — collision, jamming,
     /// burst channel, loss model — so RNG consumption is identical for
-    /// identical scenarios.
-    pub fn broadcast(
-        &mut self,
-        fleet: &Fleet,
-        now: SimTime,
-        src: u32,
-        bytes: usize,
-        rng: &mut SimRng,
-    ) -> BroadcastOutcome {
-        let mut out = BroadcastOutcome::default();
-        self.broadcast_into(fleet, now, src, bytes, rng, &mut out);
-        out
-    }
-
-    /// [`Self::broadcast`] writing into a caller-recycled outcome buffer
-    /// (cleared on entry, capacity retained). This is the zero-alloc
-    /// steady-state primitive: repeat broadcasts — including the periodic
+    /// identical scenarios. Repeat broadcasts — including the periodic
     /// in-place grid rebuilds — allocate nothing once the buffers have
     /// warmed up (proven by the counting-allocator bench).
     pub fn broadcast_into(
@@ -295,47 +316,19 @@ impl Medium {
         out: &mut BroadcastOutcome,
     ) {
         out.clear();
-        let built_at = self.refresh_grid(fleet, now);
-        let fresh = built_at == now;
-        let staleness = now.since(built_at).as_secs();
-        // Both the sender and the candidates may have moved since the
-        // snapshot, so widen by twice the covered distance.
-        let margin = 2.0 * self.widening_speed() * staleness;
-        // When the snapshot was sampled at `now`, snapshot positions ARE
-        // the exact positions (bitwise: same cursor evaluation), so the
-        // per-candidate cursor re-query collapses to an array read.
-        let sender_pos = if fresh {
-            self.snapshot[src as usize]
-        } else {
-            self.cursor.position(fleet, src, now)
-        };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.grid
-            .query_disk_into(sender_pos, self.config.range + margin, &mut scratch);
-
+        let sender_pos = self.query_range(fleet, now, src);
         let frame_airtime = airtime(bytes, self.config.bitrate_bps);
         let burst_active =
             matches!(&self.burst, Some((from, until, _)) if now >= *from && now < *until);
-        for &(id, snap_pos) in scratch.iter() {
-            if id == src {
-                continue;
-            }
-            let true_pos = if fresh {
-                snap_pos
-            } else {
-                self.cursor.position(fleet, id, now)
-            };
-            let distance = sender_pos.distance(true_pos);
-            if distance > self.config.range {
-                continue;
-            }
+        for &(id, pos) in &self.in_range {
+            let distance = sender_pos.distance(pos);
             let reason = if self.config.contention == Contention::Aloha
                 && self
                     .tx_log
-                    .collides(now, sender_pos, true_pos, self.config.range, frame_airtime)
+                    .collides(now, sender_pos, pos, self.config.range, frame_airtime)
             {
                 Some(DropReason::Collision)
-            } else if self.jam_zones.iter().any(|z| z.covers(now, true_pos)) {
+            } else if self.jam_zones.iter().any(|z| z.covers(now, pos)) {
                 Some(DropReason::Jam)
             } else if (burst_active
                 && self
@@ -354,7 +347,7 @@ impl Medium {
                 None
             };
             if let Some(reason) = reason {
-                out.drops.push(FrameDrop { to: id, reason });
+                out.drop_frame(id, reason);
                 continue;
             }
             let jitter_micros = rng.range_u64(
@@ -369,69 +362,47 @@ impl Medium {
                 distance,
             });
         }
-        self.scratch = scratch;
         if self.config.contention == Contention::Aloha {
             self.tx_log.prune(now);
             self.tx_log.record(now, sender_pos);
         }
-        let (mut lost, mut jammed, mut collided) = (0, 0, 0);
-        for d in &out.drops {
-            match d.reason {
-                DropReason::Loss => lost += 1,
-                DropReason::Jam => jammed += 1,
-                DropReason::Collision => collided += 1,
-            }
-        }
         self.stats
-            .record_broadcast(bytes, out.deliveries.len(), lost, jammed, collided);
+            .record_broadcast(bytes, out.deliveries.len(), out.drop_counts());
     }
 
     /// Nodes currently within range of `node` (excluding itself), in id
-    /// order — a helper for diagnostics and density measurements.
-    pub fn neighbors(&mut self, fleet: &Fleet, now: SimTime, node: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.neighbors_into(fleet, now, node, &mut out);
-        out
-    }
-
-    /// [`Self::neighbors`] writing into a caller-recycled buffer (cleared
-    /// on entry) — density sweeps and diagnostics probe every node every
-    /// sample tick, so the per-call `Vec` is worth recycling.
+    /// order, written into a caller-recycled buffer (cleared on entry) —
+    /// a helper for diagnostics and density measurements.
     pub fn neighbors_into(&mut self, fleet: &Fleet, now: SimTime, node: u32, out: &mut Vec<u32>) {
+        self.query_range(fleet, now, node);
         out.clear();
-        let built_at = self.refresh_grid(fleet, now);
-        let fresh = built_at == now;
-        let staleness = now.since(built_at).as_secs();
-        let margin = 2.0 * self.widening_speed() * staleness;
-        let pos = if fresh {
-            self.snapshot[node as usize]
-        } else {
-            self.cursor.position(fleet, node, now)
-        };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.grid
-            .query_disk_into(pos, self.config.range + margin, &mut scratch);
-        for &(id, snap_pos) in scratch.iter() {
-            let true_pos = if fresh {
-                snap_pos
-            } else {
-                self.cursor.position(fleet, id, now)
-            };
-            if id != node && true_pos.distance(pos) <= self.config.range {
-                out.push(id);
-            }
-        }
-        self.scratch = scratch;
+        out.extend(self.in_range.iter().map(|&(id, _)| id));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{DropCounts, FrameDrop};
     use crate::loss::LossModel;
     use ia_des::SimDuration;
     use ia_geo::Point;
     use ia_mobility::Trajectory;
+
+    /// One broadcast at `secs` into a fresh outcome buffer.
+    fn send(
+        medium: &mut Medium,
+        fleet: &Fleet,
+        secs: f64,
+        src: u32,
+        bytes: usize,
+        rng: &mut SimRng,
+    ) -> BroadcastOutcome {
+        let mut out = BroadcastOutcome::default();
+        let now = SimTime::from_secs(secs);
+        medium.broadcast_into(fleet, now, src, bytes, rng, &mut out);
+        out
+    }
 
     fn static_fleet(points: &[(f64, f64)]) -> Fleet {
         let end = SimTime::from_secs(1000.0);
@@ -448,7 +419,7 @@ mod tests {
         let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0), (249.0, 0.0), (251.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(1);
-        let out = medium.broadcast(&fleet, SimTime::from_secs(1.0), 0, 100, &mut rng);
+        let out = send(&mut medium, &fleet, 1.0, 0, 100, &mut rng);
         let to: Vec<u32> = out.deliveries.iter().map(|d| d.to).collect();
         assert_eq!(to, vec![1, 2]);
         assert!(out.drops.is_empty());
@@ -462,7 +433,7 @@ mod tests {
         let fleet = static_fleet(&[(0.0, 0.0), (1.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(2);
-        let out = medium.broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng);
+        let out = send(&mut medium, &fleet, 0.0, 0, 10, &mut rng);
         assert!(out.deliveries.iter().all(|d| d.to != 0));
     }
 
@@ -473,7 +444,7 @@ mod tests {
         let mut rng = SimRng::from_master(3);
         let now = SimTime::from_secs(5.0);
         for _ in 0..100 {
-            let out = medium.broadcast(&fleet, now, 0, 10, &mut rng);
+            let out = send(&mut medium, &fleet, 5.0, 0, 10, &mut rng);
             let d = out.deliveries[0];
             assert!(d.arrival >= now + SimDuration::from_millis(1));
             assert!(d.arrival <= now + SimDuration::from_millis(10));
@@ -485,7 +456,7 @@ mod tests {
         let fleet = static_fleet(&[(0.0, 0.0), (30.0, 40.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(4);
-        let out = medium.broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng);
+        let out = send(&mut medium, &fleet, 0.0, 0, 10, &mut rng);
         assert_eq!(out.deliveries[0].from, 0);
         assert_eq!(out.deliveries[0].sender_pos, Point::new(0.0, 0.0));
         assert!((out.deliveries[0].distance - 50.0).abs() < 1e-9);
@@ -496,7 +467,7 @@ mod tests {
         let fleet = static_fleet(&[(0.0, 0.0), (5000.0, 5000.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(5);
-        let out = medium.broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng);
+        let out = send(&mut medium, &fleet, 0.0, 0, 10, &mut rng);
         assert!(out.deliveries.is_empty());
         assert_eq!(medium.stats().dead_air, 1);
     }
@@ -507,7 +478,7 @@ mod tests {
         let cfg = RadioConfig::paper().with_loss(LossModel::Bernoulli(1.0));
         let mut medium = Medium::new(cfg);
         let mut rng = SimRng::from_master(6);
-        let out = medium.broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng);
+        let out = send(&mut medium, &fleet, 0.0, 0, 10, &mut rng);
         assert!(out.deliveries.is_empty());
         assert_eq!(
             out.drops,
@@ -537,7 +508,7 @@ mod tests {
             SimTime::from_secs(10.0),
         ));
         let mut rng = SimRng::from_master(7);
-        let out = medium.broadcast(&fleet, SimTime::from_secs(1.0), 0, 10, &mut rng);
+        let out = send(&mut medium, &fleet, 1.0, 0, 10, &mut rng);
         assert_eq!(
             out.deliveries.iter().map(|d| d.to).collect::<Vec<_>>(),
             vec![2]
@@ -551,9 +522,66 @@ mod tests {
         );
         assert_eq!(medium.stats().jammed, 1);
         // After the window the zone is inert.
-        let out = medium.broadcast(&fleet, SimTime::from_secs(11.0), 0, 10, &mut rng);
+        let out = send(&mut medium, &fleet, 11.0, 0, 10, &mut rng);
         assert_eq!(out.deliveries.len(), 2);
         assert!(out.drops.is_empty());
+    }
+
+    #[test]
+    fn faulted_channel_tallies_each_drop_once() {
+        // ALOHA contention, a jam zone and a lossy burst channel at once:
+        // each outcome's per-cause counts must equal its drops grouped by
+        // reason and the broadcast's `TrafficStats` delta.
+        let fleet = static_fleet(&[
+            (0.0, 0.0),
+            (50.0, 0.0),
+            (100.0, 0.0),
+            (150.0, 0.0),
+            (0.0, 120.0),
+            (60.0, 90.0),
+        ]);
+        let mut medium = Medium::new(RadioConfig::paper().with_contention(Contention::Aloha));
+        let window = (SimTime::ZERO, SimTime::from_secs(10.0));
+        medium.add_jam_zone(JamZone::stationary(
+            Point::new(150.0, 0.0),
+            20.0,
+            window.0,
+            window.1,
+        ));
+        medium.set_burst_loss(window.0, window.1, GilbertElliott::new(0.3, 0.3, 0.1, 0.6));
+        let mut rng = SimRng::from_master(14);
+        let mut out = BroadcastOutcome::default();
+        let mut total = DropCounts::default();
+        for step in 0..60u64 {
+            // Two senders per instant: the second frame collides with the
+            // first wherever both are audible.
+            let t = SimTime::from_millis(step / 2 * 100);
+            let before = medium.stats().clone();
+            medium.broadcast_into(&fleet, t, (step % 6) as u32, 300, &mut rng, &mut out);
+            let mut grouped = DropCounts::default();
+            for d in &out.drops {
+                match d.reason {
+                    DropReason::Loss => grouped.lost += 1,
+                    DropReason::Jam => grouped.jammed += 1,
+                    DropReason::Collision => grouped.collided += 1,
+                }
+            }
+            assert_eq!(out.drop_counts(), grouped);
+            let after = medium.stats();
+            let delta = DropCounts {
+                lost: after.drops - before.drops,
+                jammed: after.jammed - before.jammed,
+                collided: after.collisions - before.collisions,
+            };
+            assert_eq!(out.drop_counts(), delta);
+            total.lost += grouped.lost;
+            total.jammed += grouped.jammed;
+            total.collided += grouped.collided;
+        }
+        assert!(
+            total.lost > 0 && total.jammed > 0 && total.collided > 0,
+            "every drop cause exercised: {total:?}"
+        );
     }
 
     #[test]
@@ -583,12 +611,12 @@ mod tests {
             GilbertElliott::new(1.0, 1e-9, 0.0, 1.0),
         );
         let mut rng = SimRng::from_master(8);
-        let before = medium.broadcast(&fleet, SimTime::from_secs(5.0), 0, 10, &mut rng);
+        let before = send(&mut medium, &fleet, 5.0, 0, 10, &mut rng);
         assert_eq!(before.deliveries.len(), 1);
-        let during = medium.broadcast(&fleet, SimTime::from_secs(15.0), 0, 10, &mut rng);
+        let during = send(&mut medium, &fleet, 15.0, 0, 10, &mut rng);
         assert!(during.deliveries.is_empty());
         assert_eq!(during.drops[0].reason, DropReason::Loss);
-        let after = medium.broadcast(&fleet, SimTime::from_secs(25.0), 0, 10, &mut rng);
+        let after = send(&mut medium, &fleet, 25.0, 0, 10, &mut rng);
         assert_eq!(after.deliveries.len(), 1);
         assert_eq!(medium.stats().drops, 1);
     }
@@ -613,16 +641,14 @@ mod tests {
         let mut rng = SimRng::from_master(7);
         // t=0: in range (240 m).
         assert_eq!(
-            medium
-                .broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng)
+            send(&mut medium, &fleet, 0.0, 0, 10, &mut rng)
                 .deliveries
                 .len(),
             1
         );
         // t=0.9: 258 m, out of range, but the grid snapshot is from t=0.
         assert_eq!(
-            medium
-                .broadcast(&fleet, SimTime::from_secs(0.9), 0, 10, &mut rng)
+            send(&mut medium, &fleet, 0.9, 0, 10, &mut rng)
                 .deliveries
                 .len(),
             0
@@ -649,16 +675,14 @@ mod tests {
         let mut rng = SimRng::from_master(8);
         // Build the grid at t=0 (node 1 at 270 m, out of range).
         assert_eq!(
-            medium
-                .broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng)
+            send(&mut medium, &fleet, 0.0, 0, 10, &mut rng)
                 .deliveries
                 .len(),
             0
         );
         // t=0.9 s: node 1 is at 243 m — in range; grid is still the t=0 one.
         assert_eq!(
-            medium
-                .broadcast(&fleet, SimTime::from_secs(0.9), 0, 10, &mut rng)
+            send(&mut medium, &fleet, 0.9, 0, 10, &mut rng)
                 .deliveries
                 .len(),
             1
@@ -697,8 +721,8 @@ mod tests {
             let mut rng = SimRng::from_master(11);
             let mut log = Vec::new();
             for step in 0..40 {
-                let t = SimTime::from_secs(step as f64 * 0.23);
-                let out = medium.broadcast(&fleet, t, 0, 50, &mut rng);
+                let t = step as f64 * 0.23;
+                let out = send(&mut medium, &fleet, t, 0, 50, &mut rng);
                 log.push(out.deliveries.iter().map(|d| d.to).collect::<Vec<_>>());
             }
             (log, medium.stats().clone())
@@ -730,8 +754,7 @@ mod tests {
         let mut rng = SimRng::from_master(12);
         // Grid built at t=0 (node 1 at 258 m, out of range).
         assert_eq!(
-            medium
-                .broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng)
+            send(&mut medium, &fleet, 0.0, 0, 10, &mut rng)
                 .deliveries
                 .len(),
             0
@@ -740,15 +763,13 @@ mod tests {
         // 250 m — in range; whether the adaptive policy rebuilds or keeps
         // serving the widened t=0 snapshot, the exact check must find it.
         assert_eq!(
-            medium
-                .broadcast(&fleet, SimTime::from_secs(0.9), 0, 10, &mut rng)
+            send(&mut medium, &fleet, 0.9, 0, 10, &mut rng)
                 .deliveries
                 .len(),
             0
         );
         assert_eq!(
-            medium
-                .broadcast(&fleet, SimTime::from_secs(1.6), 0, 10, &mut rng)
+            send(&mut medium, &fleet, 1.6, 0, 10, &mut rng)
                 .deliveries
                 .len(),
             1
@@ -761,13 +782,13 @@ mod tests {
         let mut medium = Medium::new(RadioConfig::paper());
         assert!(medium.position_snapshot().is_none());
         let mut rng = SimRng::from_master(13);
-        medium.broadcast(&fleet, SimTime::from_secs(2.0), 0, 10, &mut rng);
+        send(&mut medium, &fleet, 2.0, 0, 10, &mut rng);
         let (at, snap) = medium.position_snapshot().expect("grid built");
         assert_eq!(at, SimTime::from_secs(2.0));
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[1], Point::new(100.0, 0.0));
         // Within the refresh window the snapshot is reused ...
-        medium.broadcast(&fleet, SimTime::from_secs(2.5), 0, 10, &mut rng);
+        send(&mut medium, &fleet, 2.5, 0, 10, &mut rng);
         assert_eq!(
             medium.position_snapshot().unwrap().0,
             SimTime::from_secs(2.0)
@@ -775,7 +796,7 @@ mod tests {
         // ... and invalidation forces a resample at the next broadcast.
         medium.invalidate_grid();
         assert!(medium.position_snapshot().is_none());
-        medium.broadcast(&fleet, SimTime::from_secs(2.6), 0, 10, &mut rng);
+        send(&mut medium, &fleet, 2.6, 0, 10, &mut rng);
         assert_eq!(
             medium.position_snapshot().unwrap().0,
             SimTime::from_secs(2.6)
@@ -816,8 +837,8 @@ mod tests {
                 if rebuild_every_time {
                     medium.invalidate_grid();
                 }
-                let t = SimTime::from_secs(step as f64 * 0.31);
-                let out = medium.broadcast(&fleet, t, 0, 50, &mut rng);
+                let t = step as f64 * 0.31;
+                let out = send(&mut medium, &fleet, t, 0, 50, &mut rng);
                 log.push(out);
             }
             (log, medium.stats().clone())
@@ -846,8 +867,8 @@ mod tests {
         let mut rng = SimRng::from_master(22);
         for step in 0..20 {
             // One broadcast every 2 s: cadence (1 s) elapses every time.
-            let t = SimTime::from_secs(step as f64 * 2.0);
-            let out = medium.broadcast(&fleet, t, 0, 10, &mut rng);
+            let t = step as f64 * 2.0;
+            let out = send(&mut medium, &fleet, t, 0, 10, &mut rng);
             assert_eq!(out.deliveries.len(), 1, "results stay exact");
         }
         assert_eq!(medium.grid_queries(), 20);
@@ -866,14 +887,14 @@ mod tests {
         let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(23);
-        medium.broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng);
-        medium.broadcast(&fleet, SimTime::from_secs(2.0), 0, 10, &mut rng);
+        send(&mut medium, &fleet, 0.0, 0, 10, &mut rng);
+        send(&mut medium, &fleet, 2.0, 0, 10, &mut rng);
         assert_eq!(
             medium.grid_rebuilds(),
             1,
             "margin 160 m: still stale-served"
         );
-        medium.broadcast(&fleet, SimTime::from_secs(4.0), 0, 10, &mut rng);
+        send(&mut medium, &fleet, 4.0, 0, 10, &mut rng);
         assert_eq!(medium.grid_rebuilds(), 2, "margin 320 m > range: rebuilt");
     }
 
@@ -881,11 +902,11 @@ mod tests {
     fn neighbors_matches_broadcast_reach() {
         let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0), (500.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
-        assert_eq!(medium.neighbors(&fleet, SimTime::ZERO, 0), vec![1]);
-        assert_eq!(
-            medium.neighbors(&fleet, SimTime::ZERO, 2),
-            Vec::<u32>::new()
-        );
+        let mut out = Vec::new();
+        medium.neighbors_into(&fleet, SimTime::ZERO, 0, &mut out);
+        assert_eq!(out, vec![1]);
+        medium.neighbors_into(&fleet, SimTime::ZERO, 2, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -893,7 +914,7 @@ mod tests {
         let fleet = static_fleet(&[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(9);
-        let out = medium.broadcast(&fleet, SimTime::ZERO, 2, 10, &mut rng);
+        let out = send(&mut medium, &fleet, 0.0, 2, 10, &mut rng);
         let to: Vec<u32> = out.deliveries.iter().map(|d| d.to).collect();
         assert_eq!(to, vec![0, 1, 3]);
     }

@@ -4,7 +4,7 @@ use instant_ads::core::{postpone, prob};
 use instant_ads::des::{SimDuration, SimRng, SimTime};
 use instant_ads::geo::{Circle, Point, Vector};
 use instant_ads::mobility::{Fleet, MobilityModel, RandomWaypoint};
-use instant_ads::radio::{Medium, RadioConfig};
+use instant_ads::radio::{BroadcastOutcome, Medium, RadioConfig};
 use instant_ads::sketch::FmBundle;
 use proptest::prelude::*;
 
@@ -27,8 +27,11 @@ proptest! {
         ]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(seed);
-        let a_hits_b = !medium.broadcast(&fleet, SimTime::ZERO, 0, 10, &mut rng).deliveries.is_empty();
-        let b_hits_a = !medium.broadcast(&fleet, SimTime::ZERO, 1, 10, &mut rng).deliveries.is_empty();
+        let mut out = BroadcastOutcome::default();
+        medium.broadcast_into(&fleet, SimTime::ZERO, 0, 10, &mut rng, &mut out);
+        let a_hits_b = !out.deliveries.is_empty();
+        medium.broadcast_into(&fleet, SimTime::ZERO, 1, 10, &mut rng, &mut out);
+        let b_hits_a = !out.deliveries.is_empty();
         prop_assert_eq!(a_hits_b, b_hits_a);
     }
 
@@ -116,24 +119,38 @@ proptest! {
 }
 
 /// Deterministic cross-crate check kept outside proptest: the medium's
-/// neighbour lists agree with brute-force geometry over a moving fleet.
-/// Goes through the reusable-buffer variant, which also proves a single
-/// scratch vector stays correct across interleaved nodes and times.
+/// neighbour lists agree with brute-force geometry over a moving fleet,
+/// and a broadcast at the same instant reaches exactly those neighbours.
+/// Each 10 s step forces a grid rebuild; the sub-second instants after it
+/// are served from the stale, widened grid, so both query paths are
+/// checked. Goes through the reusable-buffer variants, which also proves
+/// one buffer stays correct across interleaved nodes and times.
 #[test]
 fn medium_agrees_with_geometry_over_time() {
     let model = RandomWaypoint::paper(instant_ads::geo::Rect::with_size(2000.0, 2000.0), 10.0, 5.0);
     let fleet = Fleet::generate(&model, 40, 77, SimTime::ZERO, SimTime::from_secs(300.0));
     let mut medium = Medium::new(RadioConfig::paper());
+    let mut rng = SimRng::from_master(77);
     let mut got = Vec::new();
+    let mut outcome = BroadcastOutcome::default();
     for k in 0..30 {
-        let t = SimTime::from_secs(k as f64 * 10.0);
-        for node in 0..40u32 {
-            medium.neighbors_into(&fleet, t, node, &mut got);
-            let pos = fleet.position(node, t);
-            let want: Vec<u32> = (0..40u32)
-                .filter(|&o| o != node && fleet.position(o, t).distance(pos) <= 250.0)
-                .collect();
-            assert_eq!(got, want, "node {node} at {t}");
+        for offset in [0.0, 0.3, 0.7] {
+            let t = SimTime::from_secs(k as f64 * 10.0 + offset);
+            for node in 0..40u32 {
+                medium.neighbors_into(&fleet, t, node, &mut got);
+                let pos = fleet.position(node, t);
+                let want: Vec<u32> = (0..40u32)
+                    .filter(|&o| o != node && fleet.position(o, t).distance(pos) <= 250.0)
+                    .collect();
+                assert_eq!(got, want, "node {node} at {t}");
+                medium.broadcast_into(&fleet, t, node, 10, &mut rng, &mut outcome);
+                let mut reached: Vec<u32> = outcome.deliveries.iter().map(|d| d.to).collect();
+                reached.extend(outcome.drops.iter().map(|d| d.to));
+                reached.sort_unstable();
+                assert_eq!(reached, want, "broadcast from {node} at {t}");
+            }
         }
     }
+    // One rebuild per 10 s step; every sub-second query reused it.
+    assert_eq!(medium.grid_rebuilds(), 30);
 }
