@@ -361,17 +361,7 @@ fn bench_radio(c: &mut Criterion) {
         params.clone(),
         UserProfile::indifferent(1),
     );
-    let ad = Advertisement::new(
-        AdId::new(PeerId(7), 0),
-        Point::new(2500.0, 2500.0),
-        SimTime::from_secs(10.0),
-        1000.0,
-        SimDuration::from_secs(1800.0),
-        vec![1],
-        200,
-        &params,
-    );
-    let msg = AdMessage::gossip(ad);
+    let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0)));
     let mut medium = Medium::new(RadioConfig::paper());
     let mut rng = SimRng::from_master(4);
     let mut out = BroadcastOutcome::default();
@@ -527,17 +517,7 @@ fn bench_sink_dispatch(c: &mut Criterion) {
         UserProfile::indifferent(1),
     );
     let mut rng = SimRng::from_master(5);
-    let ad = Advertisement::new(
-        AdId::new(PeerId(7), 0),
-        Point::new(2500.0, 2500.0),
-        SimTime::from_secs(10.0),
-        1000.0,
-        SimDuration::from_secs(1800.0),
-        vec![1],
-        200,
-        &params,
-    );
-    let msg = AdMessage::gossip(ad);
+    let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0)));
     let meta = RxMeta {
         sender_pos: Point::new(2550.0, 2500.0),
         from: 3,
@@ -604,9 +584,92 @@ fn bench_sink_dispatch(c: &mut Criterion) {
     });
 }
 
+/// The paper's ad (`R = 1000 m`, topic 1) from issuer 7, issued at 10 s
+/// at the centre of the 5 x 5 km field.
+fn paper_ad(params: &GossipParams, duration: SimDuration) -> Advertisement {
+    Advertisement::new(
+        AdId::new(PeerId(7), 0),
+        Point::new(2500.0, 2500.0),
+        SimTime::from_secs(10.0),
+        1000.0,
+        duration,
+        vec![1],
+        200,
+        params,
+    )
+}
+
+/// The common Optimized Gossiping event: a due entry wake-up at an
+/// interior peer, past the mechanism (1) warm-up, that loses its draw
+/// (formula 3 gives ~1e-9 at the centre). Deciding not to forward must
+/// not allocate: the ad is copied only to be sent.
+fn bench_entry_tick(c: &mut Criterion) {
+    let params = GossipParams::paper();
+    let mut peer = build_protocol(
+        ProtocolKind::OptGossip,
+        params.clone(),
+        UserProfile::indifferent(1),
+    );
+    // Long-lived, so the timed loop below never reaches expiry.
+    let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1.0e9)));
+    let centre = msg.ad.issue_pos;
+    let mut rng = SimRng::from_master(6);
+    let mut sink = ActionSink::new();
+    // Tick `k` runs at 20 s + k rounds and counts the broadcasts it
+    // pushed. Tick 0 is the first receipt; it schedules the entry for
+    // tick 1, and every tick after that finds the entry due.
+    let tick = |peer: &mut dyn ia_core::Protocol, rng: &mut SimRng, sink: &mut ActionSink, k| {
+        let mut ctx = PeerContext {
+            now: SimTime::from_secs(20.0 + 5.0 * k as f64),
+            position: centre,
+            velocity: Vector::ZERO,
+            rng,
+        };
+        if k == 0 {
+            let meta = RxMeta {
+                sender_pos: centre,
+                from: 3,
+                distance: 0.0,
+            };
+            peer.on_receive(&mut ctx, &msg, &meta, sink);
+        } else {
+            peer.on_entry_timer(&mut ctx, msg.ad.id, sink);
+        }
+        let broadcasts = sink
+            .drain()
+            .filter(|a| matches!(a, ia_core::Action::Broadcast(_)));
+        broadcasts.count()
+    };
+    // Warm-up past the 40 s mechanism (1) warm-up age.
+    for k in 0..10 {
+        tick(peer.as_mut(), &mut rng, &mut sink, k);
+    }
+    const TICKS: u64 = 256;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let broadcasts: usize = (10..10 + TICKS)
+        .map(|k| tick(peer.as_mut(), &mut rng, &mut sink, k))
+        .sum();
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(broadcasts, 0, "an interior entry tick forwarded");
+    assert_eq!(
+        allocated, 0,
+        "non-forwarding entry tick allocated {allocated} times over {TICKS} ticks"
+    );
+    println!("protocol_entry_tick_no_forward: 0 allocations over {TICKS} ticks (verified)");
+
+    let mut k = 10 + TICKS;
+    c.bench_function("protocol_entry_tick_no_forward", |b| {
+        b.iter(|| {
+            k += 1;
+            tick(peer.as_mut(), &mut rng, &mut sink, k)
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_sink_dispatch,
+    bench_entry_tick,
     bench_event_queue,
     bench_queue_churn,
     bench_grid,

@@ -29,11 +29,10 @@
 
 use crate::ad::Advertisement;
 use crate::ids::{AdId, PeerId};
-use crate::params::GossipParams;
 use crate::protocol::{AdMessage, FloodInfo};
 use ia_des::{SimDuration, SimTime};
 use ia_geo::Point;
-use ia_sketch::{FmBundle, FmSketch};
+use ia_sketch::FmBundle;
 use std::fmt;
 
 /// Wire-format magic number.
@@ -175,18 +174,18 @@ pub fn encode(msg: &AdMessage) -> Vec<u8> {
     for &t in &ad.topics {
         w.u32(t);
     }
-    let sketches = ad.sketches.sketches();
-    let l = sketches.first().map_or(16, |s| s.len());
+    let bitmaps = ad.sketches.bitmaps();
+    let l = ad.sketches.sketch_len();
     // The packing accumulator below holds < 8 leftover bits plus one
     // sketch, so L must fit in 56 bits (protocol sketches are 8-32).
     assert!(l <= 56, "sketch length {l} exceeds the wire format's limit");
-    w.u8(sketches.len() as u8);
+    w.u8(bitmaps.len() as u8);
     w.u8(l);
     // Bit-pack the F sketches of L bits each.
     let mut acc: u64 = 0;
     let mut acc_bits: u32 = 0;
-    for s in sketches {
-        acc |= s.bits() << acc_bits;
+    for &bits in bitmaps {
+        acc |= bits << acc_bits;
         acc_bits += l as u32;
         while acc_bits >= 8 {
             w.u8((acc & 0xFF) as u8);
@@ -271,33 +270,22 @@ pub fn decode(bytes: &[u8]) -> Result<AdMessage, CodecError> {
         None
     };
 
-    // Rebuild the ad through the normal constructor (validations), then
-    // restore the wire state.
-    let params = GossipParams {
-        sketch_f: f,
-        sketch_l: l,
-        sketch_seed: family_seed,
-        ..GossipParams::paper()
-    };
-    let mut ad = Advertisement::new(
-        AdId::new(issuer, seq),
+    // The wire state, field for field; the checks above stand in for
+    // `Advertisement::new`'s, and topics are normalised as it does.
+    topics.sort_unstable();
+    topics.dedup();
+    let ad = Advertisement {
+        id: AdId::new(issuer, seq),
         issue_pos,
         issue_time,
         initial_radius,
         initial_duration,
+        radius,
+        duration,
         topics,
         payload_bytes,
-        &params,
-    );
-    ad.radius = radius;
-    ad.duration = duration;
-    ad.sketches = FmBundle::from_parts(
-        family_seed,
-        bitmaps
-            .into_iter()
-            .map(|bits| FmSketch::from_bits(bits, l))
-            .collect(),
-    );
+        sketches: FmBundle::from_parts(family_seed, l, bitmaps),
+    };
     Ok(AdMessage { ad, flood })
 }
 
@@ -360,6 +348,7 @@ pub fn message_encoded_len(msg: &AdMessage) -> usize {
 mod tests {
     use super::*;
     use crate::interest::UserProfile;
+    use crate::params::GossipParams;
     use crate::rank;
 
     fn sample_ad() -> Advertisement {
@@ -456,6 +445,26 @@ mod tests {
         assert_eq!(decode_frame(&frame).expect("decode"), msg);
     }
 
+    /// Known answer: the exact frame of an interest-processed ad, frozen
+    /// from the build before the FM bundle kept its bitmaps as plain
+    /// `u64`s. Pins the bit-packed sketch bytes and the family seed on
+    /// the wire.
+    #[test]
+    fn frame_bytes_match_reference() {
+        let frame = encode_frame(&AdMessage::flood(sample_ad(), 2, 700.0));
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        // Header, topics, sketches, family seed and payload length...
+        let head = concat!(
+            "5ead010300000007000000000000000088a34000000000004a93408096980000",
+            "0000000000000000408f4000d2496b000000001db5246817b49740f746c2a200",
+            "000000030002000000040000000900000010101700070007061f007f000f000f",
+            "003f007f002f001f007f003f000f008f001f01d0eee50ddc1a0000c8000000",
+        );
+        // ...then 200 zero content bytes, flood info and the CRC trailer.
+        let tail = "020000000000000000e08540490548c4";
+        assert_eq!(hex, format!("{head}{}{tail}", "00".repeat(200)));
+    }
+
     #[test]
     fn every_single_bit_flip_is_caught() {
         let msg = AdMessage::gossip(sample_ad());
@@ -510,6 +519,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::params::GossipParams;
     use proptest::prelude::*;
 
     proptest! {

@@ -18,8 +18,9 @@
 //! * Relays forward immediately on receipt (flooding has no
 //!   store-&-forward), which is exactly why it collapses in sparse,
 //!   partitioned networks (Figure 7a).
-//! * Interest processing (Algorithm 5) still runs on first receipt so the
-//!   popularity machinery is comparable across protocols.
+//! * Interest processing (Algorithm 5) still runs on the copy a peer
+//!   relays on first receipt, so the popularity machinery is comparable
+//!   across protocols; a receipt that is not relayed copies nothing.
 
 use super::{Action, ActionSink, AdMessage, PeerContext, Protocol, ProtocolKind, RxMeta};
 use crate::ad::Advertisement;
@@ -27,7 +28,7 @@ use crate::ids::AdId;
 use crate::interest::UserProfile;
 use crate::params::GossipParams;
 use crate::rank;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Per-issued-ad issuer state.
 #[derive(Debug, Clone)]
@@ -45,7 +46,7 @@ pub struct RestrictedFlooding {
     /// Highest wave relayed per ad (receiver role).
     relayed: HashMap<AdId, u32>,
     /// Ads ever received (for first-receipt detection).
-    received: HashMap<AdId, ()>,
+    received: HashSet<AdId>,
     /// Whether the periodic issuer round is currently scheduled.
     round_scheduled: bool,
 }
@@ -58,7 +59,7 @@ impl RestrictedFlooding {
             profile,
             issued: Vec::new(),
             relayed: HashMap::new(),
-            received: HashMap::new(),
+            received: HashSet::new(),
             round_scheduled: false,
         }
     }
@@ -93,7 +94,7 @@ impl Protocol for RestrictedFlooding {
     }
 
     fn issue(&mut self, ctx: &mut PeerContext<'_>, ad: Advertisement, out: &mut ActionSink) {
-        self.received.insert(ad.id, ());
+        self.received.insert(ad.id);
         self.issued.push(Issued { ad, next_wave: 0 });
         let idx = self.issued.len() - 1;
         if let Some(msg) = self.broadcast_wave(idx, ctx.now) {
@@ -137,21 +138,25 @@ impl Protocol for RestrictedFlooding {
         if msg.ad.expired(ctx.now) {
             return;
         }
-        let first_time = self.received.insert(msg.ad.id, ()).is_none();
-        let mut ad = msg.ad.clone();
+        let id = msg.ad.id;
+        let first_time = self.received.insert(id);
         if first_time {
-            // Interest processing on first receipt (Algorithm 5).
-            rank::process_interest(&mut ad, &self.profile, &self.params);
-            out.push(Action::Accepted { ad: ad.id });
+            out.push(Action::Accepted { ad: id });
         }
         // Relay the wave if it is new to us and we are inside the stamped
         // advertising radius.
-        let newest = self.relayed.get(&ad.id).copied();
+        let newest = self.relayed.get(&id).copied();
         let wave_is_new = newest.is_none_or(|w| flood.wave > w);
-        let inside = ctx.position.distance(ad.issue_pos) <= flood.radius;
+        let inside = ctx.position.distance(msg.ad.issue_pos) <= flood.radius;
         if wave_is_new {
-            self.relayed.insert(ad.id, flood.wave);
+            self.relayed.insert(id, flood.wave);
             if inside {
+                // Copy the ad only to relay it; on first receipt the relayed
+                // copy carries this peer's interest processing (Algorithm 5).
+                let mut ad = msg.ad.clone();
+                if first_time {
+                    rank::process_interest(&mut ad, &self.profile, &self.params);
+                }
                 out.push(Action::Broadcast(AdMessage::flood(
                     ad,
                     flood.wave,
@@ -166,7 +171,7 @@ impl Protocol for RestrictedFlooding {
     }
 
     fn holds(&self, ad: AdId) -> bool {
-        self.received.contains_key(&ad)
+        self.received.contains(&ad)
     }
 
     fn cached_ad(&self, ad: AdId) -> Option<&Advertisement> {

@@ -253,7 +253,7 @@ impl Protocol for Gossip {
         // scheduled time is still in the future, and does nothing.
         let now = ctx.now;
         let pos = ctx.position;
-        let Some(entry) = self.cache.get(ad) else {
+        let Some(entry) = self.cache.get_mut(ad) else {
             return; // evicted or expired meanwhile
         };
         if entry.next_time > now {
@@ -263,16 +263,16 @@ impl Protocol for Gossip {
             self.cache.remove(ad);
             return;
         }
-        let probability = probability(&self.params, self.annular, &entry.ad, now, pos);
-        let message = AdMessage::gossip(entry.ad.clone());
-        let entry = self.cache.get_mut(ad).expect("entry vanished");
-        entry.probability = probability;
+        entry.probability = probability(&self.params, self.annular, &entry.ad, now, pos);
         entry.next_time = now + self.params.round_time;
-        let at = entry.next_time;
-        if ctx.rng.chance(probability) {
-            out.push(Action::Broadcast(message));
+        // Most wake-ups lose the draw: copy the ad only to send it.
+        if ctx.rng.chance(entry.probability) {
+            out.push(Action::Broadcast(AdMessage::gossip(entry.ad.clone())));
         }
-        out.push(Action::ScheduleEntry { ad, at });
+        out.push(Action::ScheduleEntry {
+            ad,
+            at: entry.next_time,
+        });
     }
 
     fn holds(&self, ad: AdId) -> bool {

@@ -19,6 +19,19 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// What `world` reports (after [`World::run`]: the run's outcome).
+    pub fn of(world: &World) -> Self {
+        let ads = world.tracker().outcomes();
+        let delivery_time_dist = (0..ads.len())
+            .map(|i| world.tracker().delivery_time_distribution(i))
+            .collect();
+        RunResult {
+            ads,
+            delivery_time_dist,
+            traffic: world.medium().stats().clone(),
+        }
+    }
+
     /// Delivery rate (%), averaged over ads (single-ad runs: that ad's).
     pub fn delivery_rate(&self) -> f64 {
         if self.ads.is_empty() {
@@ -46,15 +59,7 @@ impl RunResult {
 pub fn run_scenario(scenario: &Scenario) -> RunResult {
     let mut world = World::new(scenario.clone());
     world.run();
-    let ads = world.tracker().outcomes();
-    let delivery_time_dist = (0..ads.len())
-        .map(|i| world.tracker().delivery_time_distribution(i))
-        .collect();
-    RunResult {
-        ads,
-        delivery_time_dist,
-        traffic: world.medium().stats().clone(),
-    }
+    RunResult::of(&world)
 }
 
 /// Execute the scenario once per seed, in parallel, with the worker count

@@ -431,6 +431,14 @@ impl Scenario {
         assert!(!self.ads.is_empty(), "need at least one advertisement");
         assert!(!self.sim_time.is_zero(), "zero sim time");
         self.params.validate();
+        // Optimized Gossiping-2 computes the overlap `p` from `tx_range`;
+        // the medium delivers within `radio.range`. One radio, one range.
+        assert!(
+            self.params.tx_range == self.radio.range,
+            "params.tx_range ({}) must equal radio.range ({})",
+            self.params.tx_range,
+            self.radio.range
+        );
         self.faults.validate();
         for ad in &self.ads {
             assert!(
@@ -467,6 +475,14 @@ mod tests {
         assert!(
             (Scenario::paper(ProtocolKind::Gossip, 1000).density_per_km2() - 40.0).abs() < 1e-9
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "must equal radio.range")]
+    fn mismatched_radio_range_rejected() {
+        let mut s = Scenario::paper(ProtocolKind::OptGossip2, 100);
+        s.radio = s.radio.clone().with_range(300.0);
+        s.validate();
     }
 
     #[test]

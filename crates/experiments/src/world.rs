@@ -111,34 +111,24 @@ impl World {
         let start = SimTime::ZERO;
         let end = start + scenario.sim_time;
 
-        // Mobile peers.
-        let mut trajectories = Vec::with_capacity(scenario.n_nodes());
-        match scenario.mobility {
-            MobilityKind::RandomWaypoint => {
-                let model =
-                    RandomWaypoint::paper(scenario.area, scenario.speed_mean, scenario.speed_delta)
-                        .with_pause(0.0, scenario.pause_max);
-                for i in 0..scenario.n_peers {
-                    let mut rng = SimRng::derive(scenario.seed, stream::MOBILITY | i as u64);
-                    trajectories.push(model.trajectory(&mut rng, start, end));
-                }
-            }
-            MobilityKind::Manhattan => {
-                let model =
-                    Manhattan::paper(scenario.area, scenario.speed_mean, scenario.speed_delta);
-                for i in 0..scenario.n_peers {
-                    let mut rng = SimRng::derive(scenario.seed, stream::MOBILITY | i as u64);
-                    trajectories.push(model.trajectory(&mut rng, start, end));
-                }
-            }
-        }
-        // Issuer nodes: stationary at the issue positions.
-        for spec in &scenario.ads {
-            let model = Stationary::at(spec.issue_pos);
+        // Mobile peers, then one stationary issuer per ad at its issue
+        // position.
+        let model: Box<dyn MobilityModel> = match scenario.mobility {
+            MobilityKind::RandomWaypoint => Box::new(
+                RandomWaypoint::paper(scenario.area, scenario.speed_mean, scenario.speed_delta)
+                    .with_pause(0.0, scenario.pause_max),
+            ),
+            MobilityKind::Manhattan => Box::new(Manhattan::paper(
+                scenario.area,
+                scenario.speed_mean,
+                scenario.speed_delta,
+            )),
+        };
+        let mut fleet = Fleet::generate(&model, scenario.n_peers, scenario.seed, start, end);
+        fleet.extend(scenario.ads.iter().map(|spec| {
             let mut rng = SimRng::derive(scenario.seed, stream::PLACEMENT);
-            trajectories.push(model.trajectory(&mut rng, start, end));
-        }
-        let fleet = Fleet::from_trajectories(trajectories);
+            Stationary::at(spec.issue_pos).trajectory(&mut rng, start, end)
+        }));
 
         // Per-peer protocol instances and RNG streams.
         let mut peers: Vec<Box<dyn Protocol>> = Vec::with_capacity(scenario.n_nodes());

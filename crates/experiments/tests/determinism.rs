@@ -6,6 +6,7 @@
 
 use ia_core::ProtocolKind;
 use ia_des::{SimDuration, SimTime};
+use ia_experiments::scenario::InterestWorkload;
 use ia_experiments::{
     run_scenario, run_seeds_with_threads, BurstLossSpec, CorruptionSpec, FaultLedger, FaultPlan,
     JsonlTrace, PartitionWave, RunResult, Scenario, SimObserver, World,
@@ -23,44 +24,10 @@ fn scenario() -> Scenario {
 /// A scenario exercising every fault class at once: jamming, burst loss,
 /// frame corruption, a partition wave, and a GPS degradation ramp.
 fn chaotic_scenario() -> Scenario {
-    let faults = FaultPlan::none()
-        .with_jam_zone(
-            JamZone::stationary(
-                Point::new(2200.0, 2500.0),
-                700.0,
-                SimTime::from_secs(30.0),
-                SimTime::from_secs(200.0),
-            )
-            .moving(ia_geo::Vector::new(3.0, 0.0)),
-        )
-        .with_burst_loss(BurstLossSpec {
-            from: SimTime::from_secs(20.0),
-            until: SimTime::from_secs(220.0),
-            p_enter_bad: 0.08,
-            p_exit_bad: 0.25,
-            loss_good: 0.01,
-            loss_bad: 0.6,
-        })
-        .with_corruption(CorruptionSpec {
-            from: SimTime::from_secs(15.0),
-            until: SimTime::from_secs(230.0),
-            p_corrupt: 0.15,
-            max_flips: 6,
-        })
-        .with_partition_wave(PartitionWave {
-            at: SimTime::from_secs(90.0),
-            fraction: 0.3,
-            down_for: SimDuration::from_secs(45.0),
-        })
-        .with_gps_ramp(NoiseRamp::new(
-            SimTime::from_secs(40.0),
-            SimTime::from_secs(210.0),
-            120.0,
-        ));
     Scenario::paper(ProtocolKind::Gossip, 90)
         .with_seed(909)
         .with_life_cycle(SimDuration::from_secs(250.0))
-        .with_faults(faults)
+        .with_faults(golden_faults())
 }
 
 /// Exact equality of everything a run reports, including the float
@@ -74,8 +41,8 @@ fn assert_identical(a: &RunResult, b: &RunResult, what: &str) {
     assert_eq!(a.traffic, b.traffic, "{what}: traffic differs");
 }
 
-/// The fault plan of the frozen reference runs below (every fault class
-/// at once, like [`chaotic_scenario`], at the pinned parameters).
+/// The fault plan of [`chaotic_scenario`] and of the frozen reference
+/// runs below: every fault class at once, at pinned parameters.
 fn golden_faults() -> FaultPlan {
     FaultPlan::none()
         .with_jam_zone(
@@ -199,6 +166,40 @@ fn run_results_match_pre_optimization_reference_builds() {
     }
 }
 
+/// Full [`RunResult`]s with half the peers interested in the ad's topic,
+/// so Algorithm 5 hashes user ids into the FM sketches and enlarges R
+/// and D on every rank increase. The reference runs above all use
+/// indifferent peers and never touch a sketch; these pin the sketch
+/// hashing, merge and enlargement paths. Frozen from the build before
+/// the FM bundle kept its bitmaps as plain `u64`s.
+const INTEREST_PINS: [(ProtocolKind, &str); 2] = [
+    (
+        ProtocolKind::Gossip,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 32, passages: 46, delivered_passages: 33, delivery_rate: 71.73913043478261, mean_delivery_time: 43.642595333333325 }], delivery_time_dist: [Distribution { count: 33, mean: 43.642595333333325, p50: 46.09321, p90: 86.2308146, p99: 125.80214523999999, max: 136.753719 }], traffic: TrafficStats { messages: 539, receptions: 736, drops: 0, jammed: 0, bytes_sent: 171941, dead_air: 95, collisions: 0 } }"#,
+    ),
+    (
+        ProtocolKind::OptGossip,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 8, passages: 46, delivered_passages: 9, delivery_rate: 19.565217391304348, mean_delivery_time: 24.113037777777777 }], delivery_time_dist: [Distribution { count: 9, mean: 24.113037777777777, p50: 23.262426, p90: 59.2863904, p99: 74.96230024, max: 76.704068 }], traffic: TrafficStats { messages: 47, receptions: 51, drops: 0, jammed: 0, bytes_sent: 14993, dead_air: 12, collisions: 0 } }"#,
+    ),
+];
+
+#[test]
+fn interest_run_results_match_reference_builds() {
+    for (kind, expected) in INTEREST_PINS {
+        let mut s = golden_scenario(kind, false);
+        s.interests = InterestWorkload::Uniform {
+            universe: 2,
+            p_interested: 0.5,
+        };
+        let r = run_scenario(&s);
+        assert_eq!(
+            format!("{r:?}"),
+            expected,
+            "{kind:?}: interest-driven results drifted from the frozen reference"
+        );
+    }
+}
+
 #[test]
 fn run_result_is_identical_across_thread_counts() {
     let s = scenario();
@@ -247,15 +248,7 @@ fn run_result_is_identical_with_and_without_extra_observers() {
     w.attach_observer(Box::new(trace));
     w.attach_observer(Box::new(NoisyObserver::default()));
     w.run();
-    let ads = w.tracker().outcomes();
-    let delivery_time_dist = (0..ads.len())
-        .map(|i| w.tracker().delivery_time_distribution(i))
-        .collect();
-    let observed = RunResult {
-        ads,
-        delivery_time_dist,
-        traffic: w.medium().stats().clone(),
-    };
+    let observed = RunResult::of(&w);
     assert_identical(&baseline, &observed, "observer set");
 
     // The extra observers did observe a real run.
@@ -300,15 +293,7 @@ fn fault_ledger_does_not_perturb_a_fault_injected_run() {
     w.attach_observer(Box::new(FaultLedger::new(s.params.round_time)));
     w.attach_observer(Box::new(NoisyObserver::default()));
     w.run();
-    let ads = w.tracker().outcomes();
-    let delivery_time_dist = (0..ads.len())
-        .map(|i| w.tracker().delivery_time_distribution(i))
-        .collect();
-    let observed = RunResult {
-        ads,
-        delivery_time_dist,
-        traffic: w.medium().stats().clone(),
-    };
+    let observed = RunResult::of(&w);
     assert_identical(&baseline, &observed, "fault ledger attach");
 
     let ledger = w.observer::<FaultLedger>().expect("ledger attached");

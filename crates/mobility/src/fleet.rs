@@ -14,6 +14,14 @@ pub struct Fleet {
     trajectories: Vec<Trajectory>,
 }
 
+/// Append nodes (e.g. stationary issuers after the mobile peers); their
+/// ids continue from the current [`Fleet::len`].
+impl Extend<Trajectory> for Fleet {
+    fn extend<I: IntoIterator<Item = Trajectory>>(&mut self, nodes: I) {
+        self.trajectories.extend(nodes);
+    }
+}
+
 impl Fleet {
     /// Build a fleet of `n` nodes from `model`, deriving one independent
     /// RNG stream per node from `master_seed` (so fleets are reproducible

@@ -1,10 +1,8 @@
 //! A bundle of `F` FM sketches with the averaged estimator (formula 6).
 
-use crate::fm::FmSketch;
-use crate::hash::HashFamily;
-use crate::PHI;
+use crate::{fm, hash, PHI};
 
-/// `F` FM sketches of `L` bits each, plus the shared hash family.
+/// `F` FM bitmaps of `L` bits each, hashed with the family `seed`.
 ///
 /// This is the structure piggybacked on every advertisement message; its
 /// wire size is `F * L` bits (the paper's example budget is 256 bits).
@@ -15,38 +13,28 @@ use crate::PHI;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FmBundle {
-    sketches: Vec<FmSketch>,
-    family: HashFamily,
-    family_seed: u64,
+    /// The shared family seed (a protocol constant).
+    seed: u64,
+    /// Sketch length `L`, `1..=64`.
+    len: u8,
+    /// One bitmap per hash function; bits at or above `len` are zero.
+    bitmaps: Vec<u64>,
 }
 
 impl FmBundle {
     /// An empty bundle of `f` sketches of `l` bits, hashed with the family
-    /// derived from `family_seed`. All peers in a deployment must use the
-    /// same seed (a protocol constant).
+    /// `family_seed`. All peers in a deployment must use the same seed (a
+    /// protocol constant).
     pub fn new(family_seed: u64, f: usize, l: u8) -> Self {
-        assert!(f > 0, "need at least one sketch");
-        FmBundle {
-            sketches: vec![FmSketch::new(l); f],
-            family: HashFamily::new(family_seed, f),
-            family_seed,
-        }
-    }
-
-    /// The paper's example configuration: 32 sketches x 8 bits = 256 bits.
-    /// (8-bit sketches saturate around ~100 distinct items; the default
-    /// protocol configuration in `ia-core` uses 16x16 for more headroom at
-    /// the same 256-bit budget.)
-    pub fn paper_example(family_seed: u64) -> Self {
-        FmBundle::new(family_seed, 32, 8)
+        FmBundle::from_parts(family_seed, l, vec![0; f])
     }
 
     pub fn num_sketches(&self) -> usize {
-        self.sketches.len()
+        self.bitmaps.len()
     }
 
     pub fn sketch_len(&self) -> u8 {
-        self.sketches[0].len()
+        self.len
     }
 
     /// Wire size in bits.
@@ -54,22 +42,21 @@ impl FmBundle {
         self.num_sketches() * self.sketch_len() as usize
     }
 
-    /// Wire size in whole bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.size_bits().div_ceil(8)
-    }
-
     /// Record `item` (e.g. a user id) in every sketch. Duplicate inserts
     /// are no-ops by construction.
     pub fn insert(&mut self, item: u64) {
-        for (i, s) in self.sketches.iter_mut().enumerate() {
-            s.insert_rho(self.family.rho(i, item));
+        for (i, bits) in self.bitmaps.iter_mut().enumerate() {
+            fm::insert_rho(bits, self.len, hash::rho(self.seed, i, item));
         }
     }
 
     /// Formula 6: the estimated number of distinct items inserted.
     pub fn estimate(&self) -> f64 {
-        let sum: u32 = self.sketches.iter().map(|s| s.min_zero_bit() as u32).sum();
+        let sum: u32 = self
+            .bitmaps
+            .iter()
+            .map(|&bits| fm::min_zero_bit(bits, self.len) as u32)
+            .sum();
         let mean = sum as f64 / self.num_sketches() as f64;
         2f64.powf(mean) / PHI
     }
@@ -83,27 +70,18 @@ impl FmBundle {
     /// Duplicate-insensitive merge (bitwise OR per sketch).
     ///
     /// # Panics
-    /// Panics if the bundles have different shapes or hash families.
+    /// Panics if the bundles have different hash families or shapes.
     pub fn merge(&mut self, other: &FmBundle) {
         assert_eq!(
-            self.family, other.family,
+            self.seed, other.seed,
             "merging bundles from different hash families"
         );
-        for (a, b) in self.sketches.iter_mut().zip(other.sketches.iter()) {
-            a.merge(b);
-        }
-    }
-
-    /// Would merging `other` change this bundle? The paper's Algorithm 5
-    /// uses rank-before vs rank-after to detect "already processed"; this
-    /// predicate answers it exactly at the bit level.
-    pub fn covers(&self, other: &FmBundle) -> bool {
-        self.family == other.family
-            && self
-                .sketches
-                .iter()
-                .zip(other.sketches.iter())
-                .all(|(a, b)| a.covers(b))
+        assert_eq!(
+            (self.len, self.bitmaps.len()),
+            (other.len, other.bitmaps.len()),
+            "merging bundles of different sizes"
+        );
+        fm::merge(&mut self.bitmaps, &other.bitmaps);
     }
 
     /// Standard error of the FM estimator, roughly `0.78 / sqrt(F)`
@@ -122,33 +100,36 @@ impl FmBundle {
         (l.ceil() as u8).clamp(4, 64)
     }
 
-    /// Access the raw sketches (e.g. for wire encoding).
-    pub fn sketches(&self) -> &[FmSketch] {
-        &self.sketches
+    /// The raw bitmaps, low bit = position 0 (e.g. for wire encoding).
+    pub fn bitmaps(&self) -> &[u64] {
+        &self.bitmaps
     }
 
     /// The family seed this bundle hashes with (for wire encoding; all
     /// peers share it as a protocol constant).
     pub fn family_seed(&self) -> u64 {
-        self.family_seed
+        self.seed
     }
 
-    /// Rebuild a bundle from decoded wire parts.
+    /// Rebuild a bundle from decoded wire parts: the family seed, the
+    /// sketch length `l`, and one bitmap per sketch. Bits at or above `l`
+    /// are masked off.
     ///
     /// # Panics
-    /// Panics on an empty sketch list or mixed sketch lengths.
-    pub fn from_parts(family_seed: u64, sketches: Vec<FmSketch>) -> Self {
-        assert!(!sketches.is_empty(), "need at least one sketch");
-        let l = sketches[0].len();
+    /// Panics on an empty bitmap list or `l` outside `1..=64`.
+    pub fn from_parts(family_seed: u64, l: u8, mut bitmaps: Vec<u64>) -> Self {
         assert!(
-            sketches.iter().all(|s| s.len() == l),
-            "mixed sketch lengths"
+            !bitmaps.is_empty(),
+            "empty hash family: need at least one sketch"
         );
-        let family = HashFamily::new(family_seed, sketches.len());
+        assert!((1..=64).contains(&l), "sketch length must be 1..=64");
+        for bits in &mut bitmaps {
+            *bits &= fm::mask(l);
+        }
         FmBundle {
-            sketches,
-            family,
-            family_seed,
+            seed: family_seed,
+            len: l,
+            bitmaps,
         }
     }
 }
@@ -166,11 +147,11 @@ mod tests {
 
     #[test]
     fn sizes_reported_correctly() {
-        let b = FmBundle::paper_example(1);
+        // The paper's example shape: 32 sketches x 8 bits = 256 bits.
+        let b = FmBundle::new(1, 32, 8);
         assert_eq!(b.num_sketches(), 32);
         assert_eq!(b.sketch_len(), 8);
         assert_eq!(b.size_bits(), 256);
-        assert_eq!(b.size_bytes(), 32);
     }
 
     #[test]
@@ -220,20 +201,20 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, union);
-        assert!(a.covers(&b));
     }
 
     #[test]
-    fn covers_detects_new_information() {
+    fn merge_absorbs_new_information() {
         let mut a = FmBundle::new(5, 16, 16);
         let mut b = a.clone();
-        assert!(a.covers(&b));
         b.insert(42);
         // With 16 sketches it is (overwhelmingly) likely that inserting a
         // fresh item sets at least one new bit somewhere.
-        assert!(!a.covers(&b));
+        assert_ne!(a, b);
         a.merge(&b);
-        assert!(a.covers(&b));
+        assert_eq!(a, b);
+        a.merge(&b); // merging a subset changes nothing
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -269,6 +250,27 @@ mod tests {
         // The ia-core default (16 bits) must suffice for the paper's
         // 1000-peer scenarios at delta = 0.25.
         assert!(FmBundle::required_bits(1000, 16, 0.25) <= 16);
+    }
+
+    /// Known answer: the bitmaps of the protocol's default 16x16 shape and
+    /// family seed after a fixed id set, frozen from the build that still
+    /// kept a per-bundle seed vector. Any change to the hash derivation
+    /// or the rho clamp moves a bit here.
+    #[test]
+    fn bitmaps_match_reference() {
+        let mut b = FmBundle::new(0x1ADC_0DE5_EED0, 16, 16);
+        for id in [0u64, 1, 2, 3, 42, 1000, 0xDEAD_BEEF, u64::MAX] {
+            b.insert(id);
+        }
+        assert_eq!(
+            b.bitmaps(),
+            [11, 15, 39, 23, 7, 7, 15, 15, 87, 23, 27, 19, 3, 3, 7, 3]
+        );
+        let mut narrow = FmBundle::new(7, 4, 3);
+        for id in 0..5u64 {
+            narrow.insert(id);
+        }
+        assert_eq!(narrow.bitmaps(), [5, 7, 7, 7]);
     }
 
     #[test]

@@ -1,57 +1,32 @@
-//! A family of independent 64-bit hash functions.
+//! The shared hash family: `F` independent 64-bit hash functions.
 //!
-//! The paper requires "F independently generated hash functions"; this
-//! module derives them from a family seed with SplitMix64-style mixing.
-//! All peers must share the family seed (it is a protocol constant
-//! carried implicitly by the advertisement format), so hashing the same
-//! user id on different peers sets the same sketch bits.
+//! The paper requires "F independently generated hash functions"; hash
+//! function `i` is a pure function of the family seed and `i`, derived
+//! with SplitMix64-style mixing. All peers must share the family seed (it
+//! is a protocol constant carried by the advertisement format), so hashing
+//! the same user id on different peers sets the same sketch bits.
 
-/// SplitMix64 finalizer.
+/// SplitMix64 finalizer — the one mixing function of this crate.
 #[inline]
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
 }
 
-/// `F` independent hash functions `u64 -> u64`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HashFamily {
-    seeds: Vec<u64>,
+/// Hash function `i` of the family `family_seed`, applied to `x`.
+#[inline]
+pub(crate) fn hash(family_seed: u64, i: usize, x: u64) -> u64 {
+    let seed = mix(mix(family_seed) ^ mix((i as u64).wrapping_mul(0xA24BAED4963EE407)));
+    mix(seed ^ mix(x))
 }
 
-impl HashFamily {
-    /// Create a family of `f` functions from a family seed.
-    pub fn new(family_seed: u64, f: usize) -> Self {
-        assert!(f > 0, "empty hash family");
-        let seeds = (0..f as u64)
-            .map(|i| mix(mix(family_seed) ^ mix(i.wrapping_mul(0xA24BAED4963EE407))))
-            .collect();
-        HashFamily { seeds }
-    }
-
-    /// Number of functions in the family.
-    pub fn len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
-    }
-
-    /// Apply function `i` to `x`.
-    #[inline]
-    pub fn hash(&self, i: usize, x: u64) -> u64 {
-        mix(self.seeds[i] ^ mix(x))
-    }
-
-    /// FM's `rho` statistic for function `i`: the number of trailing zero
-    /// bits of the hash — geometrically distributed, `P(rho >= k) = 2^-k`.
-    #[inline]
-    pub fn rho(&self, i: usize, x: u64) -> u32 {
-        self.hash(i, x).trailing_zeros()
-    }
+/// FM's `rho` statistic for function `i`: the number of trailing zero
+/// bits of the hash — geometrically distributed, `P(rho >= k) = 2^-k`.
+#[inline]
+pub(crate) fn rho(family_seed: u64, i: usize, x: u64) -> u32 {
+    hash(family_seed, i, x).trailing_zeros()
 }
 
 #[cfg(test)]
@@ -60,20 +35,16 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = HashFamily::new(42, 8);
-        let b = HashFamily::new(42, 8);
         for i in 0..8 {
-            assert_eq!(a.hash(i, 12345), b.hash(i, 12345));
+            assert_eq!(hash(42, i, 12345), hash(42, i, 12345));
         }
-        let c = HashFamily::new(43, 8);
-        assert_ne!(a.hash(0, 12345), c.hash(0, 12345));
+        assert_ne!(hash(42, 0, 12345), hash(43, 0, 12345));
     }
 
     #[test]
     fn functions_are_distinct() {
-        let fam = HashFamily::new(7, 16);
         let x = 999u64;
-        let mut outs: Vec<u64> = (0..16).map(|i| fam.hash(i, x)).collect();
+        let mut outs: Vec<u64> = (0..16).map(|i| hash(7, i, x)).collect();
         outs.sort_unstable();
         outs.dedup();
         assert_eq!(outs.len(), 16, "hash functions collide on a fixed input");
@@ -82,11 +53,10 @@ mod tests {
     #[test]
     fn rho_is_geometric() {
         // Over many inputs, P(rho = 0) ~ 1/2, P(rho = 1) ~ 1/4, ...
-        let fam = HashFamily::new(1, 1);
         let n = 100_000u64;
         let mut counts = [0u64; 4];
         for x in 0..n {
-            let r = fam.rho(0, x);
+            let r = rho(1, 0, x);
             if (r as usize) < counts.len() {
                 counts[r as usize] += 1;
             }
@@ -100,11 +70,10 @@ mod tests {
 
     #[test]
     fn avalanche_on_input_bit_flips() {
-        let fam = HashFamily::new(3, 1);
-        let base = fam.hash(0, 0);
+        let base = hash(3, 0, 0);
         let mut total = 0;
         for bit in 0..64 {
-            total += (base ^ fam.hash(0, 1u64 << bit)).count_ones();
+            total += (base ^ hash(3, 0, 1u64 << bit)).count_ones();
         }
         let avg = total as f64 / 64.0;
         assert!((avg - 32.0).abs() < 6.0, "poor avalanche: {avg}");
@@ -113,6 +82,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty hash family")]
     fn zero_functions_rejected() {
-        let _ = HashFamily::new(1, 0);
+        let _ = crate::FmBundle::new(1, 0, 16);
     }
 }

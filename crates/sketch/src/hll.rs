@@ -13,20 +13,13 @@
 //! `6m` bits on the wire, so the paper's 256-bit budget buys `m = 42`
 //! registers (~16 % standard error) versus FM's 16x16 layout (~19.5 %).
 
+use crate::hash::mix;
+
 /// A HyperLogLog sketch with `m` six-bit registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HyperLogLog {
     registers: Vec<u8>,
     seed: u64,
-}
-
-/// SplitMix64 finalizer (same mixing quality as the FM hash family).
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl HyperLogLog {
@@ -43,10 +36,6 @@ impl HyperLogLog {
     /// The largest register count fitting `bits` wire bits.
     pub fn registers_for_budget(bits: usize) -> usize {
         (bits / 6).max(8)
-    }
-
-    pub fn num_registers(&self) -> usize {
-        self.registers.len()
     }
 
     /// Wire size in bits (6 per register).

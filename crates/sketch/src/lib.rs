@@ -5,22 +5,22 @@
 //! counting by piggybacking a fixed-size bundle of FM bitmap sketches on
 //! the advertisement message (§III-E). This crate implements:
 //!
-//! * [`HashFamily`] — `F` independently seeded 64-bit hash functions;
-//! * [`FmSketch`] — a single `L`-bit FM bitmap with the classic
-//!   `rho`/`min`-statistic estimator;
-//! * [`FmBundle`] — `F` sketches with the averaged estimator of
-//!   formula 6, `E = 2^(sum min_i / F) / phi`, `phi ≈ 0.77351`;
+//! * [`FmBundle`] — plain data: the family seed, the sketch length `L`,
+//!   and `F` bitmaps of `L` bits, one per hash function. Hash function
+//!   `i` is a pure function of `(seed, i)`; each bitmap keeps the classic
+//!   FM `rho`/`min` statistic, and the bundle averages them into the
+//!   estimator of formula 6, `E = 2^(sum min_i / F) / phi`,
+//!   `phi ≈ 0.77351`;
 //! * merge (bitwise OR — the duplicate-insensitivity the paper relies on)
-//!   and the `(epsilon, delta)` sizing rule quoted in the paper.
+//!   and the `(epsilon, delta)` sizing rule quoted in the paper;
+//! * [`HyperLogLog`] — the modern alternative, for comparison.
 
 pub mod bundle;
-pub mod fm;
-pub mod hash;
+mod fm;
+mod hash;
 pub mod hll;
 
 pub use bundle::FmBundle;
-pub use fm::FmSketch;
-pub use hash::HashFamily;
 pub use hll::HyperLogLog;
 
 /// Flajolet–Martin's magic constant `phi`: the expected bias factor of
