@@ -228,6 +228,13 @@ pub fn run(opts: &Options) -> Vec<Table> {
 mod tests {
     use super::*;
 
+    /// FNV-1a over `text`, to pin long outputs in one hex literal.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// Row layout: 3 protocols per level in `PROTOCOLS` order, levels in
     /// `levels()` order. Columns: 2 = delivery rate, 3 = messages,
     /// 4 = faulted, 5 = survival.
@@ -256,6 +263,20 @@ mod tests {
                 .skip(1)
                 .any(|l| l.split(',').nth(3).is_some_and(|f| f != "0")),
             "severe gossiping rounds ledgered no faults:\n{severe}"
+        );
+        // Pinned outputs, frozen before the observer bus went empty by
+        // default: the rendered quick-mode table and the severe-gossiping
+        // ledger timeline must not move while observers are removed.
+        assert_eq!(
+            format!("{:016x}", fnv1a(&severe)),
+            "b539d4d4c83ba4f5",
+            "severe gossiping ledger CSV drifted:\n{severe}"
+        );
+        let rendered = t.render();
+        assert_eq!(
+            format!("{:016x}", fnv1a(&rendered)),
+            "311bb6066464b29b",
+            "chaos table drifted:\n{rendered}"
         );
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(t.n_rows(), 9);

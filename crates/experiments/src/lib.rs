@@ -12,9 +12,8 @@
 //!   Time, Number of Messages), with exact area-entry times computed from
 //!   trajectory/circle intersections;
 //! * [`observer`] — the [`observer::SimObserver`] hook trait and
-//!   [`observer::ObserverBus`]: pluggable per-event instrumentation
-//!   (delivery tracking, traffic timelines, structured traces) kept out
-//!   of the event loop itself;
+//!   [`observer::ObserverBus`]: opt-in per-event instrumentation (fault
+//!   ledgers, structured traces) kept out of the event loop itself;
 //! * [`runner`] — multi-seed execution (parallel via a shared atomic
 //!   work-queue over scoped threads) and summary statistics;
 //! * [`report`] — fixed-width table / CSV output shared by the figure
@@ -34,8 +33,8 @@ pub mod tracker;
 pub mod world;
 
 pub use observer::{
-    BroadcastInfo, FaultLedger, JsonlTrace, LedgerRound, ObserverBus, RoundTraffic, SimObserver,
-    SuppressReason, TraceBuffer, TrafficTimeline,
+    BroadcastInfo, FaultLedger, JsonlTrace, LedgerRound, ObserverBus, SimObserver, SuppressReason,
+    TraceBuffer,
 };
 pub use runner::{run_scenario, run_seeds, run_seeds_with_threads, summarize, RunResult, Summary};
 pub use scenario::{

@@ -2,18 +2,20 @@
 //!
 //! The event loop in [`crate::world`] is deliberately thin: it routes
 //! scheduler events into protocol callbacks and applies the resulting
-//! [`ia_core::Action`]s. Everything *about* a run — delivery metrics,
-//! traffic timelines, structured traces — is instrumentation, and lives
-//! behind the [`SimObserver`] hook trait so new measurements never touch
-//! the loop itself. The [`ObserverBus`] fans each hook out to every
-//! attached observer in attachment order.
+//! [`ia_core::Action`]s. The paper's metrics come from the world's own
+//! [`crate::tracker::DeliveryTracker`] and the medium's traffic counters;
+//! everything else *about* a run — fault ledgers, structured traces — is
+//! opt-in instrumentation behind the [`SimObserver`] hook trait, so new
+//! measurements never touch the loop itself. The [`ObserverBus`] fans
+//! each hook out to every attached observer in attachment order, and is
+//! empty unless a caller attaches one (or the scenario sets a trace
+//! path).
 //!
 //! Observers are strictly passive: they receive references, never touch
 //! an RNG stream, and cannot reorder events — attaching or removing
 //! observers therefore cannot change a run's outcome (a property pinned
 //! by the determinism tests).
 
-use crate::tracker::DeliveryTracker;
 use ia_core::{AdId, AdMessage, RxMeta};
 use ia_des::{SimDuration, SimTime};
 use ia_radio::DropCounts;
@@ -37,8 +39,7 @@ pub struct BroadcastInfo {
 ///
 /// Every drop cause in the system flows through
 /// [`SimObserver::on_suppress`] tagged with one of these, so observers
-/// can bin degradation by cause (the [`TrafficTimeline`]) or ledger
-/// injected-vs-survived faults (the [`FaultLedger`]).
+/// can ledger injected-vs-survived faults by cause (the [`FaultLedger`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuppressReason {
     /// The receiver was off-line (churn, issuer departure, partition).
@@ -116,7 +117,7 @@ pub trait SimObserver: Any {
 
 /// Fans [`SimObserver`] hooks out to every attached observer, in
 /// attachment order, and supports typed retrieval of a concrete observer
-/// (e.g. pulling the [`DeliveryTracker`] back out after a run).
+/// (e.g. pulling a [`FaultLedger`] back out after a run).
 #[derive(Default)]
 pub struct ObserverBus {
     observers: Vec<Box<dyn SimObserver>>,
@@ -145,13 +146,6 @@ impl ObserverBus {
         self.observers
             .iter()
             .find_map(|o| (o.as_ref() as &dyn Any).downcast_ref::<T>())
-    }
-
-    /// Mutable variant of [`ObserverBus::get`].
-    pub fn get_mut<T: SimObserver>(&mut self) -> Option<&mut T> {
-        self.observers
-            .iter_mut()
-            .find_map(|o| (o.as_mut() as &mut dyn Any).downcast_mut::<T>())
     }
 
     pub fn broadcast(&mut self, now: SimTime, node: u32, msg: &AdMessage, info: &BroadcastInfo) {
@@ -208,148 +202,6 @@ impl std::fmt::Debug for ObserverBus {
         f.debug_struct("ObserverBus")
             .field("observers", &self.observers.len())
             .finish()
-    }
-}
-
-/// The delivery tracker is itself an observer: it consumes acceptance
-/// hooks only, never the world's internals.
-impl SimObserver for DeliveryTracker {
-    fn on_accept(&mut self, now: SimTime, node: u32, ad: AdId) {
-        self.record_receipt(node, ad, now);
-    }
-}
-
-/// Traffic aggregated over one timeline bucket (one protocol round by
-/// default).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundTraffic {
-    /// Broadcast transmissions started in this bucket.
-    pub messages: u64,
-    /// Payload bytes of those transmissions.
-    pub bytes: u64,
-    /// Successful receptions they produced.
-    pub receptions: u64,
-    /// Copies lost to collisions.
-    pub collisions: u64,
-    /// Copies lost to the loss model or burst channel.
-    pub lost: u64,
-    /// Copies lost inside jamming zones.
-    pub jammed: u64,
-    /// Copies dropped on checksum failure.
-    pub corrupted: u64,
-    /// Copies addressed to off-line peers.
-    pub offline: u64,
-}
-
-impl RoundTraffic {
-    /// Total copies dropped in this bucket, over every cause.
-    pub fn dropped(&self) -> u64 {
-        self.collisions + self.lost + self.jammed + self.corrupted + self.offline
-    }
-}
-
-/// Per-round traffic timeline: bins every broadcast into fixed-width time
-/// buckets, giving the message/byte/collision profile over an
-/// advertisement's life cycle (the paper reports only the end-of-run
-/// total; the timeline shows *when* each protocol spends its messages).
-#[derive(Debug, Clone)]
-pub struct TrafficTimeline {
-    bucket: SimDuration,
-    rounds: Vec<RoundTraffic>,
-}
-
-impl TrafficTimeline {
-    /// Bin into buckets of width `bucket` (commonly the protocol round
-    /// time).
-    pub fn new(bucket: SimDuration) -> Self {
-        assert!(!bucket.is_zero(), "zero timeline bucket");
-        TrafficTimeline {
-            bucket,
-            rounds: Vec::new(),
-        }
-    }
-
-    fn slot(&mut self, now: SimTime) -> &mut RoundTraffic {
-        let idx = (now.since(SimTime::ZERO).as_secs() / self.bucket.as_secs()).floor() as usize;
-        if idx >= self.rounds.len() {
-            self.rounds.resize(idx + 1, RoundTraffic::default());
-        }
-        &mut self.rounds[idx]
-    }
-
-    /// Bucket width.
-    pub fn bucket(&self) -> SimDuration {
-        self.bucket
-    }
-
-    /// One entry per bucket from t = 0 to the last observed broadcast.
-    pub fn rounds(&self) -> &[RoundTraffic] {
-        &self.rounds
-    }
-
-    /// Sum of per-bucket message counts (equals the medium's total).
-    pub fn total_messages(&self) -> u64 {
-        self.rounds.iter().map(|r| r.messages).sum()
-    }
-
-    /// Sum of per-bucket payload bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.rounds.iter().map(|r| r.bytes).sum()
-    }
-
-    /// The busiest bucket: `(index, traffic)`, ties to the earliest.
-    pub fn peak(&self) -> Option<(usize, RoundTraffic)> {
-        self.rounds
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.messages.cmp(&b.1.messages).then(b.0.cmp(&a.0)))
-            .map(|(i, r)| (i, *r))
-    }
-
-    /// CSV dump (one row per bucket, every drop cause in its own column)
-    /// for figure scripts.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "round,t_start_s,messages,bytes,receptions,collisions,lost,jammed,corrupted,offline\n",
-        );
-        for (i, r) in self.rounds.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{}\n",
-                i,
-                i as f64 * self.bucket.as_secs(),
-                r.messages,
-                r.bytes,
-                r.receptions,
-                r.collisions,
-                r.lost,
-                r.jammed,
-                r.corrupted,
-                r.offline
-            ));
-        }
-        out
-    }
-}
-
-impl SimObserver for TrafficTimeline {
-    fn on_broadcast(&mut self, now: SimTime, _node: u32, _msg: &AdMessage, info: &BroadcastInfo) {
-        let slot = self.slot(now);
-        slot.messages += 1;
-        slot.bytes += info.bytes as u64;
-        slot.receptions += info.receivers as u64;
-    }
-
-    // Every drop cause flows through the suppress hook (tagged), so the
-    // timeline bins degradation by cause — collisions included.
-    fn on_suppress(&mut self, now: SimTime, _to: u32, _msg: &AdMessage, reason: SuppressReason) {
-        let slot = self.slot(now);
-        match reason {
-            SuppressReason::Offline => slot.offline += 1,
-            SuppressReason::ChannelLoss => slot.lost += 1,
-            SuppressReason::Jammed => slot.jammed += 1,
-            SuppressReason::Collision => slot.collisions += 1,
-            SuppressReason::Corrupted => slot.corrupted += 1,
-        }
     }
 }
 
@@ -694,15 +546,11 @@ mod tests {
         AdMessage::gossip(ad)
     }
 
-    fn info(bytes: usize, receivers: usize, collisions: u64) -> BroadcastInfo {
-        let drops = DropCounts {
-            collided: collisions,
-            ..DropCounts::default()
-        };
+    fn info(bytes: usize, receivers: usize) -> BroadcastInfo {
         BroadcastInfo {
             bytes,
             receivers,
-            drops,
+            drops: DropCounts::default(),
         }
     }
 
@@ -750,7 +598,7 @@ mod tests {
     fn bus_fans_out_every_hook_and_supports_typed_retrieval() {
         let mut bus = ObserverBus::new();
         bus.attach(Box::new(Counter::default()));
-        bus.attach(Box::new(TrafficTimeline::new(SimDuration::from_secs(5.0))));
+        bus.attach(Box::new(FaultLedger::new(SimDuration::from_secs(5.0))));
         assert_eq!(bus.len(), 2);
 
         let m = msg();
@@ -760,7 +608,7 @@ mod tests {
             from: 1,
             distance: 10.0,
         };
-        bus.broadcast(t, 1, &m, &info(50, 2, 0));
+        bus.broadcast(t, 1, &m, &info(50, 2));
         bus.deliver(t, 2, &m, &meta);
         bus.accept(t, 2, m.ad.id);
         bus.suppress(t, 3, &m, SuppressReason::Offline);
@@ -775,52 +623,11 @@ mod tests {
             (1, 1, 1, 1)
         );
         assert_eq!((c.evicts, c.rounds, c.departs, c.rejoins), (1, 1, 1, 1));
-        let tl = bus.get::<TrafficTimeline>().expect("timeline attached");
-        assert_eq!(tl.total_messages(), 1);
+        let ledger = bus.get::<FaultLedger>().expect("ledger attached");
+        assert_eq!(ledger.delivered(), 1);
+        assert_eq!(ledger.count(SuppressReason::Offline), 1);
+        assert_eq!((ledger.departs(), ledger.rejoins()), (1, 1));
         assert!(bus.get::<JsonlTrace>().is_none());
-    }
-
-    #[test]
-    fn timeline_bins_by_bucket_and_sums() {
-        let mut tl = TrafficTimeline::new(SimDuration::from_secs(5.0));
-        let m = msg();
-        tl.on_broadcast(SimTime::from_secs(0.0), 0, &m, &info(100, 1, 0));
-        tl.on_broadcast(SimTime::from_secs(4.9), 1, &m, &info(100, 0, 2));
-        tl.on_suppress(SimTime::from_secs(4.9), 5, &m, SuppressReason::Collision);
-        tl.on_suppress(SimTime::from_secs(4.9), 6, &m, SuppressReason::Collision);
-        tl.on_broadcast(SimTime::from_secs(17.0), 2, &m, &info(60, 3, 0));
-        assert_eq!(tl.rounds().len(), 4); // buckets 0..=3
-        assert_eq!(tl.rounds()[0].messages, 2);
-        assert_eq!(tl.rounds()[0].bytes, 200);
-        assert_eq!(tl.rounds()[0].collisions, 2);
-        assert_eq!(tl.rounds()[1].messages, 0);
-        assert_eq!(tl.rounds()[3].receptions, 3);
-        assert_eq!(tl.total_messages(), 3);
-        assert_eq!(tl.total_bytes(), 260);
-        assert_eq!(tl.peak().expect("nonempty").0, 0);
-        let csv = tl.to_csv();
-        assert!(csv.starts_with("round,t_start_s,"));
-        assert_eq!(csv.lines().count(), 5); // header + 4 buckets
-        assert!(csv.contains("\n3,15,1,60,3,0,0,0,0,0\n"));
-    }
-
-    #[test]
-    fn timeline_bins_every_drop_cause_separately() {
-        let mut tl = TrafficTimeline::new(SimDuration::from_secs(5.0));
-        let m = msg();
-        let t = SimTime::from_secs(1.0);
-        tl.on_suppress(t, 1, &m, SuppressReason::ChannelLoss);
-        tl.on_suppress(t, 2, &m, SuppressReason::Jammed);
-        tl.on_suppress(t, 3, &m, SuppressReason::Jammed);
-        tl.on_suppress(t, 4, &m, SuppressReason::Corrupted);
-        tl.on_suppress(t, 5, &m, SuppressReason::Offline);
-        tl.on_suppress(t, 6, &m, SuppressReason::Collision);
-        let r = tl.rounds()[0];
-        assert_eq!(
-            (r.lost, r.jammed, r.corrupted, r.offline, r.collisions),
-            (1, 2, 1, 1, 1)
-        );
-        assert_eq!(r.dropped(), 6);
     }
 
     #[test]
@@ -877,7 +684,7 @@ mod tests {
     fn jsonl_trace_writes_one_parseable_line_per_hook() {
         let (mut trace, buffer) = JsonlTrace::in_memory();
         let m = msg();
-        trace.on_broadcast(SimTime::from_secs(2.5), 7, &m, &info(50, 1, 0));
+        trace.on_broadcast(SimTime::from_secs(2.5), 7, &m, &info(50, 1));
         trace.on_accept(SimTime::from_secs(3.0), 8, m.ad.id);
         trace.on_suppress(SimTime::from_secs(3.5), 8, &m, SuppressReason::Jammed);
         trace.on_depart(SimTime::from_secs(4.0), 9);
@@ -895,18 +702,5 @@ mod tests {
             "{\"t\":3.5,\"ev\":\"suppress\",\"node\":8,\"ad\":\"ad9.0\",\"reason\":\"jam\"}"
         );
         assert!(lines[3].contains("\"ev\":\"depart\""));
-    }
-
-    #[test]
-    fn delivery_tracker_listens_on_accept() {
-        use crate::scenario::AdSpec;
-        use ia_mobility::{Fleet, Trajectory};
-        let end = SimTime::from_secs(600.0);
-        let inside = Trajectory::stationary(Point::new(2500.0, 2500.0), SimTime::ZERO, end);
-        let fleet = Fleet::from_trajectories(vec![inside]);
-        let id = AdId::new(PeerId(1), 0);
-        let mut tracker = DeliveryTracker::new(&fleet, 1, &[(id, AdSpec::paper())]);
-        tracker.on_accept(SimTime::from_secs(20.0), 0, id);
-        assert!(tracker.has_received(0, id));
     }
 }

@@ -67,11 +67,17 @@ pub struct ChurnSpec {
 
 impl ChurnSpec {
     pub fn new(mean_up: SimDuration, mean_down: SimDuration) -> Self {
+        let churn = ChurnSpec { mean_up, mean_down };
+        churn.validate();
+        churn
+    }
+
+    /// A zero period would never advance a peer's up/down timeline.
+    pub fn validate(&self) {
         assert!(
-            !mean_up.is_zero() && !mean_down.is_zero(),
+            !self.mean_up.is_zero() && !self.mean_down.is_zero(),
             "zero churn period"
         );
-        ChurnSpec { mean_up, mean_down }
     }
 
     /// Long-run fraction of time a peer is on-line.
@@ -313,7 +319,7 @@ impl Scenario {
             speed_delta: 5.0,
             pause_max: 10.0,
             mobility: MobilityKind::RandomWaypoint,
-            radio: RadioConfig::paper().with_max_speed(15.0),
+            radio: RadioConfig::paper(),
             params: GossipParams::paper(),
             sim_time,
             ads: vec![ad],
@@ -332,10 +338,8 @@ impl Scenario {
     }
 
     pub fn with_speed(mut self, mean: f64, delta: f64) -> Self {
-        assert!(mean > delta && delta >= 0.0, "invalid speed spec");
         self.speed_mean = mean;
         self.speed_delta = delta;
-        self.radio = self.radio.clone().with_max_speed(mean + delta);
         self
     }
 
@@ -426,10 +430,18 @@ impl Scenario {
         self.n_peers as f64 / (self.area.area() / 1.0e6)
     }
 
+    /// Panics, naming the fault, on any scenario [`crate::World::new`]
+    /// could not build or run to completion.
     pub fn validate(&self) {
         assert!(self.n_peers >= 1, "need at least one mobile peer");
         assert!(!self.ads.is_empty(), "need at least one advertisement");
         assert!(!self.sim_time.is_zero(), "zero sim time");
+        assert!(
+            self.speed_mean > self.speed_delta && self.speed_delta >= 0.0,
+            "invalid speed spec"
+        );
+        assert!(self.pause_max >= 0.0, "negative pause time");
+        self.radio.validate();
         self.params.validate();
         // Optimized Gossiping-2 computes the overlap `p` from `tx_range`;
         // the medium delivers within `radio.range`. One radio, one range.
@@ -440,11 +452,16 @@ impl Scenario {
             self.radio.range
         );
         self.faults.validate();
+        if let Some(churn) = &self.churn {
+            churn.validate();
+        }
         for ad in &self.ads {
             assert!(
                 self.area.contains(ad.issue_pos),
                 "issue position outside the field"
             );
+            assert!(ad.radius > 0.0, "non-positive advertising radius");
+            assert!(!ad.duration.is_zero(), "zero advertising duration");
         }
     }
 }
@@ -486,9 +503,43 @@ mod tests {
     }
 
     #[test]
-    fn with_speed_updates_radio_bound() {
-        let s = Scenario::paper(ProtocolKind::Gossip, 100).with_speed(30.0, 5.0);
-        assert_eq!(s.radio.max_speed, 35.0);
+    fn validate_rejects_scenarios_that_would_hang_or_panic() {
+        // Each breaker yields a scenario `World::new` would loop on
+        // forever (zero churn period) or panic on, at build time or
+        // mid-run; `validate` must reject it first, naming the fault.
+        type Breaker = fn(&mut Scenario);
+        let cases: [(&str, Breaker); 6] = [
+            ("zero churn period", |s| {
+                s.churn = Some(ChurnSpec {
+                    mean_up: SimDuration::ZERO,
+                    mean_down: SimDuration::ZERO,
+                })
+            }),
+            ("delay_max < delay_min", |s| {
+                s.radio.delay_max = SimDuration::ZERO
+            }),
+            ("non-positive advertising radius", |s| s.ads[0].radius = 0.0),
+            ("zero advertising duration", |s| {
+                s.ads[0].duration = SimDuration::ZERO
+            }),
+            ("invalid speed spec", |s| {
+                s.speed_mean = 0.0;
+                s.speed_delta = 0.0;
+            }),
+            ("negative pause time", |s| s.pause_max = -1.0),
+        ];
+        for (expected, breaker) in cases {
+            let mut s = Scenario::paper(ProtocolKind::Gossip, 100);
+            breaker(&mut s);
+            let err = std::panic::catch_unwind(|| s.validate())
+                .expect_err(&format!("{expected}: validate accepted"));
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(expected), "{expected}: panicked with {msg:?}");
+        }
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! The world is a thin orchestrator: it routes scheduler events into
 //! protocol callbacks through a single reused [`ActionSink`] (so the
 //! steady-state dispatch path allocates nothing), applies the resulting
-//! actions, and fans every observable moment out to the
-//! [`ObserverBus`]. All measurement — delivery metrics, traffic
-//! timelines, traces — lives in [`crate::observer`] implementations, not
-//! here.
+//! actions, feeds every acceptance to its [`DeliveryTracker`] (the
+//! paper's metrics), and fans every observable moment out to the
+//! [`ObserverBus`]. The bus is empty unless a caller attaches an
+//! observer or the scenario sets a trace path; all optional measurement
+//! — fault ledgers, traces — lives in [`crate::observer`]
+//! implementations, not here.
 
-use crate::observer::{
-    BroadcastInfo, JsonlTrace, ObserverBus, SimObserver, SuppressReason, TrafficTimeline,
-};
+use crate::observer::{BroadcastInfo, JsonlTrace, ObserverBus, SimObserver, SuppressReason};
 use crate::scenario::{InterestWorkload, MobilityKind, Scenario};
 use crate::tracker::DeliveryTracker;
 use ia_core::{
@@ -64,6 +64,8 @@ pub struct World {
     /// Per-node GPS-noise streams (fault injection); consumed only while
     /// a noise ramp is active.
     gps_rngs: Vec<SimRng>,
+    /// The paper's delivery metrics, fed on every `Action::Accepted`.
+    tracker: DeliveryTracker,
     bus: ObserverBus,
     /// The one action buffer every protocol callback pushes into; drained
     /// by `apply` and reused, so dispatch never allocates at steady state.
@@ -147,11 +149,9 @@ impl World {
         }
 
         let mut medium = Medium::new(scenario.radio.clone());
-        // Cap the stale-grid widening at the fleet's actual top speed:
-        // `scenario.radio.max_speed` is a worst-case bound, while e.g. a
-        // stationary or slow-trace fleet moves far slower. Derived once —
-        // trajectories are immutable — and purely a performance knob (the
-        // medium exact-checks every candidate).
+        // Stale-grid queries widen by the fleet's top speed. Derived once
+        // here — trajectories are immutable — so the medium need not scan
+        // the fleet itself.
         medium.set_fleet_speed_bound(fleet.max_speed());
         for zone in &scenario.faults.jam_zones {
             medium.add_jam_zone(*zone);
@@ -224,13 +224,8 @@ impl World {
             .copied()
             .zip(scenario.ads.iter().cloned())
             .collect();
+        let tracker = DeliveryTracker::new(&fleet, scenario.n_peers, &specs);
         let mut bus = ObserverBus::new();
-        bus.attach(Box::new(DeliveryTracker::new(
-            &fleet,
-            scenario.n_peers,
-            &specs,
-        )));
-        bus.attach(Box::new(TrafficTimeline::new(scenario.params.round_time)));
         if let Some(path) = scenario.trace_file() {
             let trace = JsonlTrace::to_file(&path)
                 .unwrap_or_else(|e| panic!("cannot open trace file {}: {e}", path.display()));
@@ -257,6 +252,7 @@ impl World {
             sched,
             peers,
             rngs,
+            tracker,
             bus,
             sink: ActionSink::new(),
             outcome: BroadcastOutcome::default(),
@@ -276,7 +272,7 @@ impl World {
     }
 
     /// Typed access to an attached observer (e.g.
-    /// `world.observer::<TrafficTimeline>()`).
+    /// `world.observer::<FaultLedger>()`).
     pub fn observer<T: SimObserver>(&self) -> Option<&T> {
         self.bus.get::<T>()
     }
@@ -586,6 +582,7 @@ impl World {
                     self.sched.schedule_at(at.max(now), Event::Entry(node, ad));
                 }
                 Action::Accepted { ad } => {
+                    self.tracker.record_receipt(node, ad, now);
                     self.bus.accept(now, node, ad);
                 }
                 Action::CacheEvicted { ad } => {
@@ -595,18 +592,9 @@ impl World {
         }
     }
 
-    /// Accessors for the runner.
+    /// The paper's Delivery Rate / Delivery Time bookkeeping.
     pub fn tracker(&self) -> &DeliveryTracker {
-        self.bus
-            .get::<DeliveryTracker>()
-            .expect("delivery tracker is always attached")
-    }
-
-    /// The default per-round traffic timeline observer.
-    pub fn timeline(&self) -> &TrafficTimeline {
-        self.bus
-            .get::<TrafficTimeline>()
-            .expect("traffic timeline is always attached")
+        &self.tracker
     }
 
     pub fn medium(&self) -> &Medium {
@@ -665,6 +653,7 @@ mod tests {
             let mut w = World::new(tiny(kind, 50, 1));
             w.run();
             assert!(w.medium().stats().messages > 0, "{kind}: no traffic at all");
+            assert!(w.bus.is_empty(), "untraced runs attach no observer");
         }
     }
 
@@ -816,21 +805,6 @@ mod tests {
         assert!(snap.iter().all(|(p, _, _)| area.contains(*p)));
     }
 
-    #[test]
-    fn timeline_observer_agrees_with_medium_totals() {
-        let mut w = World::new(tiny(ProtocolKind::Gossip, 80, 31));
-        w.run();
-        let tl = w.timeline();
-        assert_eq!(tl.bucket(), w.scenario().params.round_time);
-        assert_eq!(tl.total_messages(), w.medium().stats().messages);
-        assert_eq!(tl.total_bytes(), w.medium().stats().bytes_sent);
-        assert!(tl.rounds().len() > 1, "traffic should span many rounds");
-        // The issue instant (t = 10 s, bucket 2 at a 5 s round time) is
-        // the first bucket with any traffic.
-        let first_active = tl.rounds().iter().position(|r| r.messages > 0);
-        assert_eq!(first_active, Some(2));
-    }
-
     /// Counts hook invocations; used to probe the world's fan-out.
     #[derive(Default)]
     struct HookCounter {
@@ -952,12 +926,90 @@ mod tests {
         let resolved = s.trace_file().expect("trace configured");
         assert!(resolved.to_string_lossy().ends_with("trace-35.jsonl"));
         let mut w = World::new(s);
+        assert_eq!(w.bus.len(), 1, "the trace is the only observer");
         w.run();
         drop(w); // flush the buffered trace writer
         let text = std::fs::read_to_string(&resolved).expect("trace file written");
         assert!(text.lines().count() > 10);
         assert!(text.contains("\"ev\":\"accept\""));
         std::fs::remove_file(&resolved).ok();
+    }
+
+    /// Logs `(time, sender, receivers + drops)` for every broadcast.
+    #[derive(Default)]
+    struct ReachLog(Vec<(SimTime, u32, u64)>);
+
+    impl crate::observer::SimObserver for ReachLog {
+        fn on_broadcast(
+            &mut self,
+            now: SimTime,
+            node: u32,
+            _: &AdMessage,
+            info: &crate::observer::BroadcastInfo,
+        ) {
+            let d = info.drops;
+            self.0.push((
+                now,
+                node,
+                info.receivers as u64 + d.lost + d.jammed + d.collided,
+            ));
+        }
+    }
+
+    /// Records every `(node, ad)` acceptance the bus sees.
+    #[derive(Default)]
+    struct AcceptLog(std::collections::HashSet<(u32, AdId)>);
+
+    impl crate::observer::SimObserver for AcceptLog {
+        fn on_accept(&mut self, _: SimTime, node: u32, ad: AdId) {
+            self.0.insert((node, ad));
+        }
+    }
+
+    #[test]
+    fn delivery_tracker_records_exactly_the_accepted_ads() {
+        let mut w = World::new(tiny(ProtocolKind::Gossip, 80, 36));
+        w.attach_observer(Box::new(AcceptLog::default()));
+        w.run();
+        let ad = w.ad_ids()[0];
+        let accepted = &w.observer::<AcceptLog>().expect("log attached").0;
+        assert!(accepted.len() > 10, "only {} acceptances", accepted.len());
+        for node in 0..w.scenario().n_nodes() as u32 {
+            assert_eq!(
+                w.tracker().has_received(node, ad),
+                accepted.contains(&(node, ad)),
+                "node {node}"
+            );
+        }
+    }
+
+    #[test]
+    fn speed_fields_set_directly_still_bound_stale_grid_queries() {
+        // `speed_mean`/`speed_delta` are public: setting them directly
+        // (not through `with_speed`) must still widen stale-grid queries
+        // by the fleet's real top speed, so every broadcast reaches
+        // exactly the nodes a brute-force range check finds.
+        let mut s = tiny(ProtocolKind::Gossip, 300, 3);
+        s.speed_mean = 30.0;
+        s.speed_delta = 5.0;
+        let mut w = World::new(s);
+        w.attach_observer(Box::new(ReachLog::default()));
+        w.run();
+        let fleet = w.fleet();
+        let range = w.scenario().radio.range;
+        let log = &w.observer::<ReachLog>().expect("log attached").0;
+        assert!(log.len() > 1000, "only {} broadcasts", log.len());
+        let wrong = log
+            .iter()
+            .filter(|&&(t, src, reached)| {
+                let at = fleet.position(src, t);
+                let in_range = (0..fleet.len() as u32)
+                    .filter(|&n| n != src && at.distance(fleet.position(n, t)) <= range)
+                    .count() as u64;
+                reached != in_range
+            })
+            .count();
+        assert_eq!(wrong, 0, "{wrong} of {} broadcasts missed", log.len());
     }
 
     #[test]
@@ -1024,11 +1076,15 @@ mod tests {
         });
         let s = tiny(ProtocolKind::Gossip, 150, 42).with_faults(faults);
         let mut w = World::new(s);
+        w.attach_observer(Box::new(FaultLedger::new(SimDuration::from_secs(5.0))));
         w.run();
         assert!(w.medium().stats().drops > 0, "burst window never dropped");
-        let tl = w.timeline();
-        let lost: u64 = tl.rounds().iter().map(|r| r.lost).sum();
-        assert_eq!(lost, w.medium().stats().drops, "timeline must bin losses");
+        let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+        assert_eq!(
+            ledger.count(SuppressReason::ChannelLoss),
+            w.medium().stats().drops,
+            "every loss must surface as a suppression"
+        );
     }
 
     #[test]

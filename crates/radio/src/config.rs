@@ -19,12 +19,10 @@ pub struct RadioConfig {
     /// Packet-loss model applied per (broadcast, receiver) pair.
     pub loss: LossModel,
     /// Maximum staleness tolerated for the neighbour-lookup grid before it
-    /// is rebuilt. Candidate sets are widened by the distance nodes can
-    /// cover in this window and then exact-checked, so this is purely a
-    /// performance knob — results do not depend on it.
+    /// is rebuilt. Candidate sets are widened by the distance the fleet's
+    /// fastest node can cover in this window and then exact-checked, so
+    /// this is purely a performance knob — results do not depend on it.
     pub grid_refresh: SimDuration,
-    /// Upper bound on node speed (m/s), used to widen stale-grid queries.
-    pub max_speed: f64,
     /// Channel bitrate, bits per second (sets frame airtime for the
     /// contention model). Default 1 Mb/s (802.11 basic rate).
     pub bitrate_bps: f64,
@@ -41,7 +39,6 @@ impl RadioConfig {
             delay_max: SimDuration::from_millis(10),
             loss: LossModel::None,
             grid_refresh: SimDuration::from_secs(1.0),
-            max_speed: 40.0,
             bitrate_bps: 1_000_000.0,
             contention: Contention::None,
         }
@@ -63,16 +60,11 @@ impl RadioConfig {
         self
     }
 
-    pub fn with_max_speed(mut self, v: f64) -> Self {
-        assert!(v >= 0.0, "negative max speed");
-        self.max_speed = v;
-        self
-    }
-
-    pub(crate) fn validate(&self) {
+    /// Panics (naming the field) on a configuration [`crate::Medium::new`]
+    /// cannot run.
+    pub fn validate(&self) {
         assert!(self.range > 0.0, "non-positive range");
         assert!(self.delay_max >= self.delay_min, "delay_max < delay_min");
-        assert!(self.max_speed >= 0.0, "negative max speed");
         assert!(self.bitrate_bps > 0.0, "non-positive bitrate");
     }
 }
@@ -106,11 +98,9 @@ mod tests {
     fn builders_apply() {
         let c = RadioConfig::paper()
             .with_range(100.0)
-            .with_loss(LossModel::Bernoulli(0.1))
-            .with_max_speed(30.0);
+            .with_loss(LossModel::Bernoulli(0.1));
         assert_eq!(c.range, 100.0);
         assert_eq!(c.loss, LossModel::Bernoulli(0.1));
-        assert_eq!(c.max_speed, 30.0);
     }
 
     #[test]

@@ -98,10 +98,9 @@ pub struct Medium {
     /// issues is at the current (monotone) simulation time, so lookups
     /// are O(1) amortized.
     cursor: FleetCursor,
-    /// Actual top speed of the fleet being simulated, if the caller
-    /// derived one (see [`Medium::set_fleet_speed_bound`]). Stale-grid
-    /// queries widen by `min(config.max_speed, this)` — a stationary or
-    /// slow trace then stops scanning cells of false candidates.
+    /// Top speed of the fleet being simulated, by which stale-grid
+    /// queries widen: set by [`Medium::set_fleet_speed_bound`], or
+    /// computed from the fleet at the first grid refresh.
     fleet_speed_bound: Option<f64>,
     tx_log: TxLog,
     /// Active jamming zones (fault injection).
@@ -171,29 +170,18 @@ impl Medium {
         self.burst = Some((from, until, channel));
     }
 
-    /// Cap the stale-grid widening speed at the fleet's actual top speed
-    /// (e.g. `Fleet::max_speed`). `config.max_speed` is a worst-case
-    /// scenario bound; when the fleet provably moves slower — stationary
-    /// or ns-2 trace fleets especially — the effective bound
-    /// `min(config, fleet)` keeps stale queries from scanning cells of
-    /// false candidates. Purely a performance knob: candidates are still
-    /// exact-checked, so results do not depend on it as long as the bound
-    /// really covers the fleet.
+    /// Set the speed stale-grid queries widen by: the fleet's top speed
+    /// (`Fleet::max_speed`), which a caller that already knows it passes
+    /// here so the medium need not scan the fleet at its first grid
+    /// refresh. Candidates are still exact-checked, so results do not
+    /// depend on the bound as long as it really covers the fleet; a
+    /// tighter one only scans fewer false candidates.
     pub fn set_fleet_speed_bound(&mut self, max_speed: f64) {
         assert!(
             max_speed >= 0.0 && max_speed.is_finite(),
             "invalid fleet speed bound"
         );
         self.fleet_speed_bound = Some(max_speed);
-    }
-
-    /// The speed used to widen stale-grid queries.
-    #[inline]
-    fn widening_speed(&self) -> f64 {
-        match self.fleet_speed_bound {
-            Some(v) => v.min(self.config.max_speed),
-            None => self.config.max_speed,
-        }
     }
 
     /// The current position snapshot and its sample time, if a grid has
@@ -231,14 +219,19 @@ impl Medium {
     ///
     /// The snapshot is sampled in one cursor pass and the CSR grid is
     /// rebuilt in place over it — a warm rebuild allocates nothing.
-    fn refresh_grid(&mut self, fleet: &Fleet, now: SimTime) -> SimTime {
+    ///
+    /// Returns the snapshot time and the fleet speed bound.
+    fn refresh_grid(&mut self, fleet: &Fleet, now: SimTime) -> (SimTime, f64) {
         self.grid_queries += 1;
+        let speed = *self
+            .fleet_speed_bound
+            .get_or_insert_with(|| fleet.max_speed());
         let needs_rebuild = match self.grid_built_at {
             Some(built_at) => {
                 let staleness = now.since(built_at);
                 staleness > self.config.grid_refresh && {
                     let demand = (self.snapshot.len() as u32 / 64).max(8);
-                    let margin = 2.0 * self.widening_speed() * staleness.as_secs();
+                    let margin = 2.0 * speed * staleness.as_secs();
                     self.queries_since_rebuild >= demand || margin > self.config.range
                 }
             }
@@ -254,7 +247,7 @@ impl Medium {
         } else {
             self.queries_since_rebuild += 1;
         }
-        self.grid_built_at.unwrap()
+        (self.grid_built_at.unwrap(), speed)
     }
 
     /// Fill `in_range` with `(id, exact position)` of every node other
@@ -264,11 +257,11 @@ impl Medium {
     /// against exact positions at `now` — so fresh and stale grids give
     /// identical results.
     fn query_range(&mut self, fleet: &Fleet, now: SimTime, center: u32) -> Point {
-        let built_at = self.refresh_grid(fleet, now);
+        let (built_at, speed) = self.refresh_grid(fleet, now);
         let fresh = built_at == now;
         // Both the centre and the candidates may have moved since the
         // snapshot, so widen by twice the covered distance.
-        let margin = 2.0 * self.widening_speed() * now.since(built_at).as_secs();
+        let margin = 2.0 * speed * now.since(built_at).as_secs();
         // When the snapshot was sampled at `now`, snapshot positions ARE
         // the exact positions (bitwise: same cursor evaluation), so the
         // per-candidate cursor re-query collapses to an array read.
@@ -636,8 +629,7 @@ mod tests {
             Trajectory::stationary(Point::ORIGIN, SimTime::ZERO, end),
             moving,
         ]);
-        let cfg = RadioConfig::paper().with_max_speed(20.0);
-        let mut medium = Medium::new(cfg);
+        let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(7);
         // t=0: in range (240 m).
         assert_eq!(
@@ -670,8 +662,7 @@ mod tests {
             Trajectory::stationary(Point::ORIGIN, SimTime::ZERO, end),
             moving,
         ]);
-        let cfg = RadioConfig::paper().with_max_speed(30.0);
-        let mut medium = Medium::new(cfg);
+        let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(8);
         // Build the grid at t=0 (node 1 at 270 m, out of range).
         assert_eq!(
@@ -691,9 +682,9 @@ mod tests {
 
     #[test]
     fn fleet_speed_bound_preserves_results_exactly() {
-        // A slow fleet (5 m/s) under a config bound of 40 m/s: capping the
-        // widening speed at the fleet's true maximum must not change a
-        // single delivery, across fresh and stale grids.
+        // A slow fleet (5 m/s): widening by its true maximum instead of a
+        // generous 40 m/s bound must not change a single delivery, across
+        // fresh and stale grids.
         let end = SimTime::from_secs(100.0);
         let mk_fleet = || {
             let legs = |x0: f64, v: f64| {
@@ -712,12 +703,9 @@ mod tests {
             ])
         };
         let fleet = mk_fleet();
-        let cfg = RadioConfig::paper().with_max_speed(40.0);
-        let run = |bounded: bool| {
-            let mut medium = Medium::new(cfg.clone());
-            if bounded {
-                medium.set_fleet_speed_bound(fleet.max_speed());
-            }
+        let run = |bound: f64| {
+            let mut medium = Medium::new(RadioConfig::paper());
+            medium.set_fleet_speed_bound(bound);
             let mut rng = SimRng::from_master(11);
             let mut log = Vec::new();
             for step in 0..40 {
@@ -728,15 +716,15 @@ mod tests {
             (log, medium.stats().clone())
         };
         assert!(fleet.max_speed() <= 5.0 + 1e-9);
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(40.0), run(fleet.max_speed()));
     }
 
     #[test]
     fn stale_grid_with_fleet_bound_still_finds_incoming_nodes() {
         // Same shape as `stale_grid_finds_nodes_that_moved_into_range`,
-        // but the widening comes from the fleet bound (5 m/s), not the
-        // generous config bound: a node 8 m out of range closing at
-        // 5 m/s must be caught by the widened stale query.
+        // but with a slow fleet (5 m/s) and so a small widening: a node
+        // 8 m out of range closing at 5 m/s must be caught by the widened
+        // stale query.
         let end = SimTime::from_secs(100.0);
         let moving = Trajectory::new(vec![ia_mobility::Leg::new(
             SimTime::ZERO,
@@ -748,8 +736,7 @@ mod tests {
             Trajectory::stationary(Point::ORIGIN, SimTime::ZERO, end),
             moving,
         ]);
-        let cfg = RadioConfig::paper().with_max_speed(40.0);
-        let mut medium = Medium::new(cfg);
+        let mut medium = Medium::new(RadioConfig::paper());
         medium.set_fleet_speed_bound(fleet.max_speed());
         let mut rng = SimRng::from_master(12);
         // Grid built at t=0 (node 1 at 258 m, out of range).
@@ -826,9 +813,7 @@ mod tests {
             legs(80.0, 2.0),
             legs(-200.0, 1.5),
         ]);
-        let cfg = RadioConfig::paper()
-            .with_max_speed(40.0)
-            .with_loss(LossModel::Bernoulli(0.25));
+        let cfg = RadioConfig::paper().with_loss(LossModel::Bernoulli(0.25));
         let run = |rebuild_every_time: bool| {
             let mut medium = Medium::new(cfg.clone());
             let mut rng = SimRng::from_master(21);
@@ -881,11 +866,12 @@ mod tests {
 
     #[test]
     fn adaptive_refresh_caps_margin_growth() {
-        // With the default 40 m/s worst-case bound the widening margin
-        // passes the 250 m range at ~3.1 s staleness; the cap must then
-        // rebuild even though demand is low.
+        // With a generous 40 m/s bound the widening margin passes the
+        // 250 m range at ~3.1 s staleness; the cap must then rebuild even
+        // though demand is low.
         let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
+        medium.set_fleet_speed_bound(40.0);
         let mut rng = SimRng::from_master(23);
         send(&mut medium, &fleet, 0.0, 0, 10, &mut rng);
         send(&mut medium, &fleet, 2.0, 0, 10, &mut rng);
