@@ -21,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// System allocator wrapper that counts every allocation, so benchmarks
 /// can assert allocation-freedom rather than eyeball it.
@@ -355,10 +356,10 @@ fn bench_radio(c: &mut Criterion) {
     // state may allocate — grid rebuilds *included* (the CSR index and
     // the position snapshot rebuild into recycled buffers; a second
     // assertion below forces a rebuild before every broadcast).
-    let params = GossipParams::paper();
+    let params = Arc::new(GossipParams::paper());
     let mut peer = build_protocol(
         ProtocolKind::OptGossip,
-        params.clone(),
+        Arc::clone(&params),
         UserProfile::indifferent(1),
     );
     let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0)));
@@ -383,8 +384,8 @@ fn bench_radio(c: &mut Criterion) {
             let mut ctx = PeerContext {
                 now: t,
                 position: d.sender_pos,
-                velocity: Vector::new(-10.0, 0.0),
                 rng,
+                velocity_source: &mut Vector::new(-10.0, 0.0),
             };
             peer.on_receive(&mut ctx, &msg, &meta, sink);
             for action in sink.drain() {
@@ -510,10 +511,10 @@ fn bench_formulas(c: &mut Criterion) {
 }
 
 fn bench_sink_dispatch(c: &mut Criterion) {
-    let params = GossipParams::paper();
+    let params = Arc::new(GossipParams::paper());
     let mut peer = build_protocol(
         ProtocolKind::OptGossip,
-        params.clone(),
+        Arc::clone(&params),
         UserProfile::indifferent(1),
     );
     let mut rng = SimRng::from_master(5);
@@ -534,8 +535,8 @@ fn bench_sink_dispatch(c: &mut Criterion) {
             let mut ctx = PeerContext {
                 now: SimTime::from_secs(10.0 + i as f64 * 1e-3),
                 position,
-                velocity,
                 rng,
+                velocity_source: &mut { velocity },
             };
             // Duplicate receipt: the per-event hot path (absorb + postpone).
             peer.on_receive(&mut ctx, &msg, &meta, sink);
@@ -575,8 +576,8 @@ fn bench_sink_dispatch(c: &mut Criterion) {
             let mut ctx = PeerContext {
                 now: SimTime::from_secs(10.0 + n as f64 * 1e-3),
                 position,
-                velocity,
                 rng: &mut rng,
+                velocity_source: &mut { velocity },
             };
             let actions = ActionSink::collect(|out| peer.on_receive(&mut ctx, &msg, &meta, out));
             black_box(actions.len())
@@ -604,10 +605,10 @@ fn paper_ad(params: &GossipParams, duration: SimDuration) -> Advertisement {
 /// (formula 3 gives ~1e-9 at the centre). Deciding not to forward must
 /// not allocate: the ad is copied only to be sent.
 fn bench_entry_tick(c: &mut Criterion) {
-    let params = GossipParams::paper();
+    let params = Arc::new(GossipParams::paper());
     let mut peer = build_protocol(
         ProtocolKind::OptGossip,
-        params.clone(),
+        Arc::clone(&params),
         UserProfile::indifferent(1),
     );
     // Long-lived, so the timed loop below never reaches expiry.
@@ -622,8 +623,8 @@ fn bench_entry_tick(c: &mut Criterion) {
         let mut ctx = PeerContext {
             now: SimTime::from_secs(20.0 + 5.0 * k as f64),
             position: centre,
-            velocity: Vector::ZERO,
             rng,
+            velocity_source: &mut Vector::new(0.0, 0.0),
         };
         if k == 0 {
             let meta = RxMeta {

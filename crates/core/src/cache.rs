@@ -6,7 +6,9 @@
 //!
 //! Capacity `k` is small (the paper suggests 10), so entries live in a
 //! `Vec` with linear lookup — simpler and faster than a map at this size,
-//! and iteration order is deterministic.
+//! and iteration order is deterministic. The `Vec` grows on demand: a new
+//! cache allocates nothing, and most peers hold one or two ads, so
+//! reserving `k + 1` entries up front would mostly reserve idle memory.
 
 use crate::ad::Advertisement;
 use crate::ids::AdId;
@@ -34,7 +36,7 @@ impl AdCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be >= 1");
         AdCache {
-            entries: Vec::with_capacity(capacity + 1),
+            entries: Vec::new(),
             capacity,
         }
     }

@@ -73,22 +73,40 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Reflected CRC-32 (IEEE 802.3) polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Byte-at-a-time CRC-32 table, built at compile time: entry `i` is the
+/// remainder of the 8-bit value `i` shifted through the polynomial.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
 ///
-/// Hand-rolled bitwise form — no lookup table. Frames here are a few
-/// hundred bytes at most and the checksum runs once per injected
-/// corruption check, so clarity beats throughput.
+/// Table-driven, one lookup per byte: fault-injected runs compute it
+/// twice for every frame they corrupt (on encode, then in the receiver's
+/// check). The codec tests pin it against the bitwise form.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb != 0 {
-                crc ^= 0xEDB8_8320;
-            }
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -522,6 +540,23 @@ mod prop_tests {
     use crate::params::GossipParams;
     use proptest::prelude::*;
 
+    /// The bitwise CRC-32: eight shift-and-conditional-xor steps per
+    /// byte. The oracle for the table-driven [`crc32`].
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let lsb = crc & 1;
+                crc >>= 1;
+                if lsb != 0 {
+                    crc ^= CRC32_POLY;
+                }
+            }
+        }
+        !crc
+    }
+
     proptest! {
         /// Arbitrary (valid) messages round-trip exactly.
         #[test]
@@ -558,6 +593,12 @@ mod prop_tests {
             };
             let back = decode(&encode(&msg)).expect("decode");
             prop_assert_eq!(back, msg);
+        }
+
+        /// The table-driven CRC-32 equals the bitwise definition.
+        #[test]
+        fn crc32_table_matches_bitwise(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
         }
 
         /// Random garbage never panics the decoder.

@@ -46,4 +46,5 @@ pub use interest::UserProfile;
 pub use params::GossipParams;
 pub use protocol::{
     build_protocol, Action, ActionSink, AdMessage, PeerContext, Protocol, ProtocolKind, RxMeta,
+    VelocitySource,
 };

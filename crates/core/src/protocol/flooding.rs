@@ -29,6 +29,7 @@ use crate::interest::UserProfile;
 use crate::params::GossipParams;
 use crate::rank;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Per-issued-ad issuer state.
 #[derive(Debug, Clone)]
@@ -39,7 +40,8 @@ struct Issued {
 
 /// Restricted Flooding protocol state for one peer.
 pub struct RestrictedFlooding {
-    params: GossipParams,
+    /// The run's parameters, shared by every peer.
+    params: Arc<GossipParams>,
     profile: UserProfile,
     /// Ads this peer issued (it keeps re-broadcasting them).
     issued: Vec<Issued>,
@@ -52,7 +54,7 @@ pub struct RestrictedFlooding {
 }
 
 impl RestrictedFlooding {
-    pub fn new(params: GossipParams, profile: UserProfile) -> Self {
+    pub fn new(params: Arc<GossipParams>, profile: UserProfile) -> Self {
         params.validate();
         RestrictedFlooding {
             params,
@@ -186,8 +188,8 @@ mod tests {
     use ia_des::{SimDuration, SimRng, SimTime};
     use ia_geo::{Point, Vector};
 
-    fn params() -> GossipParams {
-        GossipParams::paper()
+    fn params() -> Arc<GossipParams> {
+        Arc::new(GossipParams::paper())
     }
 
     fn mk_ad(seq: u32) -> Advertisement {
@@ -203,12 +205,27 @@ mod tests {
         )
     }
 
-    fn ctx<'a>(rng: &'a mut SimRng, now: f64, pos: Point) -> PeerContext<'a> {
-        PeerContext {
-            now: SimTime::from_secs(now),
-            position: pos,
-            velocity: Vector::ZERO,
-            rng,
+    /// A test peer's RNG stream and the fixed velocity it reports.
+    struct Env {
+        rng: SimRng,
+        velocity: Vector,
+    }
+
+    impl Env {
+        fn new(seed: u64) -> Self {
+            Env {
+                rng: SimRng::from_master(seed),
+                velocity: Vector::ZERO,
+            }
+        }
+
+        fn ctx(&mut self, now: f64, pos: Point) -> PeerContext<'_> {
+            PeerContext {
+                now: SimTime::from_secs(now),
+                position: pos,
+                rng: &mut self.rng,
+                velocity_source: &mut self.velocity,
+            }
         }
     }
 
@@ -223,8 +240,8 @@ mod tests {
     #[test]
     fn issuer_broadcasts_and_schedules_rounds() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(1));
-        let mut rng = SimRng::from_master(1);
-        let mut c = ctx(&mut rng, 10.0, Point::new(2500.0, 2500.0));
+        let mut env = Env::new(1);
+        let mut c = env.ctx(10.0, Point::new(2500.0, 2500.0));
         let actions = ActionSink::collect(|out| p.issue(&mut c, mk_ad(0), out));
         assert!(matches!(actions[0], Action::Broadcast(_)));
         assert!(matches!(actions[1], Action::ScheduleRound(t) if t == SimTime::from_secs(15.0)));
@@ -234,10 +251,10 @@ mod tests {
     #[test]
     fn issuer_round_rebroadcasts_with_wave_numbers() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(1));
-        let mut rng = SimRng::from_master(1);
-        let mut c = ctx(&mut rng, 10.0, Point::new(2500.0, 2500.0));
+        let mut env = Env::new(1);
+        let mut c = env.ctx(10.0, Point::new(2500.0, 2500.0));
         ActionSink::collect(|out| p.issue(&mut c, mk_ad(0), out));
-        let mut c2 = ctx(&mut rng, 15.0, Point::new(2500.0, 2500.0));
+        let mut c2 = env.ctx(15.0, Point::new(2500.0, 2500.0));
         let actions = ActionSink::collect(|out| p.on_round(&mut c2, out));
         let waves: Vec<u32> = actions
             .iter()
@@ -252,11 +269,11 @@ mod tests {
     #[test]
     fn issuer_stops_after_expiry() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(1));
-        let mut rng = SimRng::from_master(1);
-        let mut c = ctx(&mut rng, 10.0, Point::new(2500.0, 2500.0));
+        let mut env = Env::new(1);
+        let mut c = env.ctx(10.0, Point::new(2500.0, 2500.0));
         ActionSink::collect(|out| p.issue(&mut c, mk_ad(0), out));
         // Way past expiry (issue 10 + duration 1800).
-        let mut c2 = ctx(&mut rng, 2000.0, Point::new(2500.0, 2500.0));
+        let mut c2 = env.ctx(2000.0, Point::new(2500.0, 2500.0));
         let actions = ActionSink::collect(|out| p.on_round(&mut c2, out));
         assert!(
             actions.is_empty(),
@@ -267,10 +284,10 @@ mod tests {
     #[test]
     fn receiver_relays_new_wave_inside_radius_once() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(2));
-        let mut rng = SimRng::from_master(2);
+        let mut env = Env::new(2);
         let msg = AdMessage::flood(mk_ad(0), 3, 1000.0);
         let inside = Point::new(2600.0, 2500.0);
-        let mut c = ctx(&mut rng, 20.0, inside);
+        let mut c = env.ctx(20.0, inside);
         let actions = ActionSink::collect(|out| {
             p.on_receive(&mut c, &msg, &meta(5, Point::new(2550.0, 2500.0)), out)
         });
@@ -279,7 +296,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, Action::Broadcast(m) if m.flood.unwrap().wave == 3)));
         // Duplicate wave: no relay, no accept.
-        let mut c2 = ctx(&mut rng, 21.0, inside);
+        let mut c2 = env.ctx(21.0, inside);
         let again = ActionSink::collect(|out| {
             p.on_receive(&mut c2, &msg, &meta(6, Point::new(2550.0, 2500.0)), out)
         });
@@ -289,10 +306,10 @@ mod tests {
     #[test]
     fn receiver_outside_radius_accepts_but_does_not_relay() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(2));
-        let mut rng = SimRng::from_master(3);
+        let mut env = Env::new(3);
         let msg = AdMessage::flood(mk_ad(0), 0, 1000.0);
         let outside = Point::new(4000.0, 2500.0); // 1500 m from centre
-        let mut c = ctx(&mut rng, 20.0, outside);
+        let mut c = env.ctx(20.0, outside);
         let actions = ActionSink::collect(|out| {
             p.on_receive(&mut c, &msg, &meta(5, Point::new(3800.0, 2500.0)), out)
         });
@@ -303,25 +320,25 @@ mod tests {
     #[test]
     fn later_waves_are_relayed_earlier_ones_ignored() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(2));
-        let mut rng = SimRng::from_master(4);
+        let mut env = Env::new(4);
         let inside = Point::new(2600.0, 2500.0);
         let m3 = AdMessage::flood(mk_ad(0), 3, 1000.0);
         let m2 = AdMessage::flood(mk_ad(0), 2, 1000.0);
         let m4 = AdMessage::flood(mk_ad(0), 4, 1000.0);
         let sender = meta(5, Point::new(2550.0, 2500.0));
-        let mut c = ctx(&mut rng, 20.0, inside);
+        let mut c = env.ctx(20.0, inside);
         assert!(
             ActionSink::collect(|out| p.on_receive(&mut c, &m3, &sender, out))
                 .iter()
                 .any(|a| matches!(a, Action::Broadcast(_)))
         );
-        let mut c = ctx(&mut rng, 21.0, inside);
+        let mut c = env.ctx(21.0, inside);
         assert!(
             !ActionSink::collect(|out| p.on_receive(&mut c, &m2, &sender, out))
                 .iter()
                 .any(|a| matches!(a, Action::Broadcast(_)))
         );
-        let mut c = ctx(&mut rng, 22.0, inside);
+        let mut c = env.ctx(22.0, inside);
         assert!(
             ActionSink::collect(|out| p.on_receive(&mut c, &m4, &sender, out))
                 .iter()
@@ -332,9 +349,9 @@ mod tests {
     #[test]
     fn expired_messages_ignored() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(2));
-        let mut rng = SimRng::from_master(5);
+        let mut env = Env::new(5);
         let msg = AdMessage::flood(mk_ad(0), 0, 1000.0);
-        let mut c = ctx(&mut rng, 5000.0, Point::new(2500.0, 2500.0));
+        let mut c = env.ctx(5000.0, Point::new(2500.0, 2500.0));
         assert!(ActionSink::collect(|out| p.on_receive(
             &mut c,
             &msg,
@@ -347,9 +364,9 @@ mod tests {
     #[test]
     fn gossip_traffic_is_ignored() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(2));
-        let mut rng = SimRng::from_master(6);
+        let mut env = Env::new(6);
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 20.0, Point::new(2500.0, 2500.0));
+        let mut c = env.ctx(20.0, Point::new(2500.0, 2500.0));
         assert!(ActionSink::collect(|out| p.on_receive(
             &mut c,
             &msg,
@@ -362,9 +379,9 @@ mod tests {
     #[test]
     fn interested_receiver_ranks_the_ad() {
         let mut p = RestrictedFlooding::new(params(), UserProfile::new(7, vec![1]));
-        let mut rng = SimRng::from_master(7);
+        let mut env = Env::new(7);
         let msg = AdMessage::flood(mk_ad(0), 0, 1000.0);
-        let mut c = ctx(&mut rng, 20.0, Point::new(2600.0, 2500.0));
+        let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         let actions = ActionSink::collect(|out| {
             p.on_receive(&mut c, &msg, &meta(5, Point::new(2550.0, 2500.0)), out)
         });

@@ -23,10 +23,12 @@ use crate::prob;
 use crate::rank;
 use ia_des::SimTime;
 use ia_geo::Point;
+use std::sync::Arc;
 
 /// The gossip family: pure, optimized-1, optimized-2, or both.
 pub struct Gossip {
-    params: GossipParams,
+    /// The run's parameters, shared by every peer.
+    params: Arc<GossipParams>,
     profile: UserProfile,
     cache: AdCache,
     /// Mechanism (1): annular probability.
@@ -37,27 +39,27 @@ pub struct Gossip {
 
 impl Gossip {
     /// Pure Opportunistic Gossiping (Algorithms 1–2).
-    pub fn pure(params: GossipParams, profile: UserProfile) -> Self {
+    pub fn pure(params: Arc<GossipParams>, profile: UserProfile) -> Self {
         Self::with_flags(params, profile, false, false)
     }
 
     /// Gossiping + mechanism (1).
-    pub fn optimized_1(params: GossipParams, profile: UserProfile) -> Self {
+    pub fn optimized_1(params: Arc<GossipParams>, profile: UserProfile) -> Self {
         Self::with_flags(params, profile, true, false)
     }
 
     /// Gossiping + mechanism (2) (Algorithms 3–4).
-    pub fn optimized_2(params: GossipParams, profile: UserProfile) -> Self {
+    pub fn optimized_2(params: Arc<GossipParams>, profile: UserProfile) -> Self {
         Self::with_flags(params, profile, false, true)
     }
 
     /// Optimized Gossiping: both mechanisms.
-    pub fn optimized(params: GossipParams, profile: UserProfile) -> Self {
+    pub fn optimized(params: Arc<GossipParams>, profile: UserProfile) -> Self {
         Self::with_flags(params, profile, true, true)
     }
 
     fn with_flags(
-        params: GossipParams,
+        params: Arc<GossipParams>,
         profile: UserProfile,
         annular: bool,
         postpone: bool,
@@ -212,7 +214,7 @@ impl Protocol for Gossip {
                 let interval = postpone::postponement(
                     self.params.round_time,
                     ctx.position,
-                    ctx.velocity,
+                    ctx.velocity(),
                     meta.sender_pos,
                     self.params.tx_range,
                 );
@@ -291,8 +293,8 @@ mod tests {
     use ia_des::{SimDuration, SimRng};
     use ia_geo::Vector;
 
-    fn params() -> GossipParams {
-        GossipParams::paper()
+    fn params() -> Arc<GossipParams> {
+        Arc::new(GossipParams::paper())
     }
 
     fn mk_ad(seq: u32) -> Advertisement {
@@ -308,12 +310,27 @@ mod tests {
         )
     }
 
-    fn ctx<'a>(rng: &'a mut SimRng, now: f64, pos: Point) -> PeerContext<'a> {
-        PeerContext {
-            now: SimTime::from_secs(now),
-            position: pos,
-            velocity: Vector::new(5.0, 0.0),
-            rng,
+    /// A test peer's RNG stream and the fixed velocity it reports.
+    struct Env {
+        rng: SimRng,
+        velocity: Vector,
+    }
+
+    impl Env {
+        fn new(seed: u64) -> Self {
+            Env {
+                rng: SimRng::from_master(seed),
+                velocity: Vector::new(5.0, 0.0),
+            }
+        }
+
+        fn ctx(&mut self, now: f64, pos: Point) -> PeerContext<'_> {
+            PeerContext {
+                now: SimTime::from_secs(now),
+                position: pos,
+                rng: &mut self.rng,
+                velocity_source: &mut self.velocity,
+            }
         }
     }
 
@@ -327,9 +344,9 @@ mod tests {
 
     #[test]
     fn pure_gossip_schedules_desynchronised_round_on_start() {
-        let mut rng = SimRng::from_master(1);
+        let mut env = Env::new(1);
         let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
-        let mut c = ctx(&mut rng, 0.0, Point::ORIGIN);
+        let mut c = env.ctx(0.0, Point::ORIGIN);
         let a = ActionSink::collect(|out| g.on_start(&mut c, out));
         assert_eq!(a.len(), 1);
         match a[0] {
@@ -342,19 +359,19 @@ mod tests {
 
     #[test]
     fn opt2_has_no_global_round() {
-        let mut rng = SimRng::from_master(1);
+        let mut env = Env::new(1);
         let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
-        let mut c = ctx(&mut rng, 0.0, Point::ORIGIN);
+        let mut c = env.ctx(0.0, Point::ORIGIN);
         assert!(ActionSink::collect(|out| g.on_start(&mut c, out)).is_empty());
-        let mut c2 = ctx(&mut rng, 5.0, Point::ORIGIN);
+        let mut c2 = env.ctx(5.0, Point::ORIGIN);
         assert!(ActionSink::collect(|out| g.on_round(&mut c2, out)).is_empty());
     }
 
     #[test]
     fn issue_broadcasts_immediately_and_caches() {
-        let mut rng = SimRng::from_master(2);
+        let mut env = Env::new(2);
         let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
-        let mut c = ctx(&mut rng, 10.0, Point::new(2500.0, 2500.0));
+        let mut c = env.ctx(10.0, Point::new(2500.0, 2500.0));
         let actions = ActionSink::collect(|out| g.issue(&mut c, mk_ad(0), out));
         assert!(matches!(actions[0], Action::Broadcast(_)));
         assert!(g.holds(AdId::new(PeerId(0), 0)));
@@ -362,17 +379,17 @@ mod tests {
 
     #[test]
     fn new_ad_is_accepted_and_cached() {
-        let mut rng = SimRng::from_master(3);
+        let mut env = Env::new(3);
         let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 20.0, Point::new(2600.0, 2500.0));
+        let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         let actions = ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(2550.0, 2500.0)), out)
         });
         assert!(actions.iter().any(|a| matches!(a, Action::Accepted { .. })));
         assert!(g.holds(msg.ad.id));
         // Duplicate in pure mode: silently absorbed.
-        let mut c2 = ctx(&mut rng, 21.0, Point::new(2600.0, 2500.0));
+        let mut c2 = env.ctx(21.0, Point::new(2600.0, 2500.0));
         assert!(ActionSink::collect(|out| g.on_receive(
             &mut c2,
             &msg,
@@ -384,17 +401,17 @@ mod tests {
 
     #[test]
     fn round_broadcasts_cached_ads_with_high_probability_inside_area() {
-        let mut rng = SimRng::from_master(4);
+        let mut env = Env::new(4);
         let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
         let pos = Point::new(2550.0, 2500.0); // 50 m from centre: P ~ 1
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 20.0, pos);
+        let mut c = env.ctx(20.0, pos);
         ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(2500.0, 2500.0)), out)
         });
         let mut broadcasts = 0;
         for k in 0..20 {
-            let mut cr = ctx(&mut rng, 25.0 + k as f64 * 5.0, pos);
+            let mut cr = env.ctx(25.0 + k as f64 * 5.0, pos);
             let actions = ActionSink::collect(|out| g.on_round(&mut cr, out));
             assert!(matches!(actions.last(), Some(Action::ScheduleRound(_))));
             broadcasts += actions
@@ -407,17 +424,17 @@ mod tests {
 
     #[test]
     fn round_rarely_broadcasts_far_outside_area() {
-        let mut rng = SimRng::from_master(5);
+        let mut env = Env::new(5);
         let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
         let pos = Point::new(4500.0, 2500.0); // 2000 m out: P ~ 0.5*0.5^10
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 20.0, pos);
+        let mut c = env.ctx(20.0, pos);
         ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(4400.0, 2500.0)), out)
         });
         let mut broadcasts = 0;
         for k in 0..50 {
-            let mut cr = ctx(&mut rng, 25.0 + k as f64 * 5.0, pos);
+            let mut cr = env.ctx(25.0 + k as f64 * 5.0, pos);
             broadcasts += ActionSink::collect(|out| g.on_round(&mut cr, out))
                 .iter()
                 .filter(|a| matches!(a, Action::Broadcast(_)))
@@ -428,11 +445,11 @@ mod tests {
 
     #[test]
     fn opt1_suppresses_interior_after_warmup() {
-        let mut rng = SimRng::from_master(6);
+        let mut env = Env::new(6);
         let mut g = Gossip::optimized_1(params(), UserProfile::indifferent(1));
         let centre = Point::new(2500.0, 2500.0);
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 20.0, centre);
+        let mut c = env.ctx(20.0, centre);
         ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(centre), out));
         let p_at =
             |secs, pos| probability(&g.params, g.annular, &msg.ad, SimTime::from_secs(secs), pos);
@@ -449,10 +466,10 @@ mod tests {
 
     #[test]
     fn opt2_insert_schedules_entry_timer() {
-        let mut rng = SimRng::from_master(7);
+        let mut env = Env::new(7);
         let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 20.0, Point::new(2600.0, 2500.0));
+        let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         let actions = ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(2550.0, 2500.0)), out)
         });
@@ -463,17 +480,17 @@ mod tests {
 
     #[test]
     fn opt2_duplicate_postpones_entry() {
-        let mut rng = SimRng::from_master(8);
+        let mut env = Env::new(8);
         let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
-        let mut c = ctx(&mut rng, 20.0, pos);
+        let mut c = env.ctx(20.0, pos);
         ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(2550.0, 2500.0)), out)
         });
         let before = g.cache.get(msg.ad.id).unwrap().next_time;
         // Overhear a very close neighbour broadcasting the same ad.
-        let mut c2 = ctx(&mut rng, 21.0, pos);
+        let mut c2 = env.ctx(21.0, pos);
         let actions = ActionSink::collect(|out| {
             g.on_receive(&mut c2, &msg, &meta_at(Point::new(2601.0, 2500.0)), out)
         });
@@ -488,14 +505,14 @@ mod tests {
     fn opt2_closer_sender_postpones_more() {
         let pos = Point::new(2600.0, 2500.0);
         let run = |sender: Point| -> SimTime {
-            let mut rng = SimRng::from_master(9);
+            let mut env = Env::new(9);
             let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
             let msg = AdMessage::gossip(mk_ad(0));
-            let mut c = ctx(&mut rng, 20.0, pos);
+            let mut c = env.ctx(20.0, pos);
             ActionSink::collect(|out| {
                 g.on_receive(&mut c, &msg, &meta_at(Point::new(2550.0, 2500.0)), out)
             });
-            let mut c2 = ctx(&mut rng, 21.0, pos);
+            let mut c2 = env.ctx(21.0, pos);
             ActionSink::collect(|out| g.on_receive(&mut c2, &msg, &meta_at(sender), out));
             g.cache.get(msg.ad.id).unwrap().next_time
         };
@@ -506,30 +523,30 @@ mod tests {
 
     #[test]
     fn opt2_stale_timer_is_ignored_fresh_timer_fires() {
-        let mut rng = SimRng::from_master(10);
+        let mut env = Env::new(10);
         let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
-        let mut c = ctx(&mut rng, 20.0, pos);
+        let mut c = env.ctx(20.0, pos);
         ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(2550.0, 2500.0)), out)
         });
         // Postpone: next_time moves past 25 s.
-        let mut c2 = ctx(&mut rng, 21.0, pos);
+        let mut c2 = env.ctx(21.0, pos);
         ActionSink::collect(|out| {
             g.on_receive(&mut c2, &msg, &meta_at(Point::new(2601.0, 2500.0)), out)
         });
         let scheduled = g.cache.get(msg.ad.id).unwrap().next_time;
         // The original 25 s wake-up is now stale.
-        let mut c3 = ctx(&mut rng, 25.0, pos);
+        let mut c3 = env.ctx(25.0, pos);
         assert!(ActionSink::collect(|out| g.on_entry_timer(&mut c3, msg.ad.id, out)).is_empty());
         // The postponed wake-up fires and reschedules.
         let mut rng2 = SimRng::from_master(11);
         let mut c4 = PeerContext {
             now: scheduled,
             position: pos,
-            velocity: Vector::ZERO,
             rng: &mut rng2,
+            velocity_source: &mut Vector::new(0.0, 0.0),
         };
         let actions = ActionSink::collect(|out| g.on_entry_timer(&mut c4, msg.ad.id, out));
         assert!(actions
@@ -539,31 +556,31 @@ mod tests {
 
     #[test]
     fn opt2_expired_entry_is_dropped_on_timer() {
-        let mut rng = SimRng::from_master(12);
+        let mut env = Env::new(12);
         let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
-        let mut c = ctx(&mut rng, 20.0, pos);
+        let mut c = env.ctx(20.0, pos);
         ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(2550.0, 2500.0)), out)
         });
         // Force the entry's schedule into the deep future then fire after
         // expiry.
         g.cache.get_mut(msg.ad.id).unwrap().next_time = SimTime::from_secs(3000.0);
-        let mut c2 = ctx(&mut rng, 3000.0, pos);
+        let mut c2 = env.ctx(3000.0, pos);
         assert!(ActionSink::collect(|out| g.on_entry_timer(&mut c2, msg.ad.id, out)).is_empty());
         assert!(!g.holds(msg.ad.id));
     }
 
     #[test]
     fn cache_eviction_respects_capacity() {
-        let mut rng = SimRng::from_master(13);
-        let p = params().with_cache_capacity(3);
+        let mut env = Env::new(13);
+        let p = Arc::new(GossipParams::paper().with_cache_capacity(3));
         let mut g = Gossip::pure(p, UserProfile::indifferent(1));
         let pos = Point::new(2500.0, 2500.0);
         for seq in 0..5 {
             let msg = AdMessage::gossip(mk_ad(seq));
-            let mut c = ctx(&mut rng, 20.0 + seq as f64, pos);
+            let mut c = env.ctx(20.0 + seq as f64, pos);
             ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(pos), out));
         }
         assert_eq!(g.cache.len(), 3);
@@ -571,10 +588,10 @@ mod tests {
 
     #[test]
     fn expired_gossip_is_ignored() {
-        let mut rng = SimRng::from_master(14);
+        let mut env = Env::new(14);
         let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 5000.0, Point::new(2500.0, 2500.0));
+        let mut c = env.ctx(5000.0, Point::new(2500.0, 2500.0));
         assert!(ActionSink::collect(|out| g.on_receive(
             &mut c,
             &msg,
@@ -587,10 +604,10 @@ mod tests {
 
     #[test]
     fn interested_receiver_enlarges_popular_ad() {
-        let mut rng = SimRng::from_master(15);
+        let mut env = Env::new(15);
         let mut g = Gossip::pure(params(), UserProfile::new(7, vec![1]));
         let msg = AdMessage::gossip(mk_ad(0));
-        let mut c = ctx(&mut rng, 20.0, Point::new(2600.0, 2500.0));
+        let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         ActionSink::collect(|out| {
             g.on_receive(&mut c, &msg, &meta_at(Point::new(2550.0, 2500.0)), out)
         });

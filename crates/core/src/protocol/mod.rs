@@ -2,7 +2,7 @@
 //!
 //! Protocols are pure state machines: the simulation world calls
 //! [`Protocol::on_receive`], [`Protocol::on_round`], and
-//! [`Protocol::on_entry_timer`] with a [`PeerContext`] snapshot of the
+//! [`Protocol::on_entry_timer`] with a [`PeerContext`] view of the
 //! peer's kinematic state, and the protocol answers with [`Action`]s
 //! (broadcasts to transmit, wake-ups to schedule) pushed into the
 //! caller-owned [`ActionSink`]. The sink is a reusable buffer: the event
@@ -21,6 +21,7 @@ use crate::interest::UserProfile;
 use crate::params::GossipParams;
 use ia_des::{SimRng, SimTime};
 use ia_geo::{Point, Vector};
+use std::sync::Arc;
 
 pub use flooding::RestrictedFlooding;
 pub use gossip::Gossip;
@@ -72,16 +73,44 @@ impl std::fmt::Display for ProtocolKind {
 
 /// The kinematic state a protocol sees when handling an event, plus its
 /// RNG stream.
+///
+/// Position is sampled for every callback. Velocity is not: most
+/// callbacks never read it (only mechanism (2)'s duplicate handling
+/// does), so the context carries a [`VelocitySource`] and estimates the
+/// velocity only when a protocol calls [`PeerContext::velocity`].
 pub struct PeerContext<'a> {
     /// Current simulation time.
     pub now: SimTime,
     /// The peer's own (GPS) position.
     pub position: Point,
-    /// The peer's velocity, as derived from consecutive position fixes
-    /// (the paper's §III-D derivation).
-    pub velocity: Vector,
     /// This peer's protocol RNG stream.
     pub rng: &'a mut SimRng,
+    /// Where [`PeerContext::velocity`] gets its value.
+    pub velocity_source: &'a mut dyn VelocitySource,
+}
+
+impl PeerContext<'_> {
+    /// The peer's velocity, as derived from consecutive position fixes
+    /// (the paper's §III-D derivation). Each call asks the source again.
+    #[inline]
+    pub fn velocity(&mut self) -> Vector {
+        self.velocity_source.velocity()
+    }
+}
+
+/// The peer's velocity at the callback's instant, computed on request.
+///
+/// The simulation world implements it over its trajectory cursor; a
+/// fixed [`Vector`] is a source that always reports itself.
+pub trait VelocitySource {
+    fn velocity(&mut self) -> Vector;
+}
+
+impl VelocitySource for Vector {
+    #[inline]
+    fn velocity(&mut self) -> Vector {
+        *self
+    }
 }
 
 /// Per-delivery metadata from the radio (who sent, from where).
@@ -263,13 +292,13 @@ pub trait Protocol {
     }
 }
 
-/// Construct the protocol instance for one peer.
+/// Construct the protocol instance for one peer. Every peer of a run
+/// shares the one `params` allocation.
 pub fn build_protocol(
     kind: ProtocolKind,
-    params: GossipParams,
+    params: Arc<GossipParams>,
     profile: UserProfile,
 ) -> Box<dyn Protocol> {
-    params.validate();
     match kind {
         ProtocolKind::Flooding => Box::new(RestrictedFlooding::new(params, profile)),
         ProtocolKind::Gossip => Box::new(Gossip::pure(params, profile)),
@@ -333,8 +362,9 @@ mod tests {
 
     #[test]
     fn build_constructs_every_kind() {
+        let params = Arc::new(GossipParams::paper());
         for kind in ProtocolKind::ALL {
-            let p = build_protocol(kind, GossipParams::paper(), UserProfile::indifferent(1));
+            let p = build_protocol(kind, Arc::clone(&params), UserProfile::indifferent(1));
             assert_eq!(p.kind(), kind);
         }
     }

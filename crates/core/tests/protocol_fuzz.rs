@@ -16,6 +16,7 @@ use ia_des::{SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Vector};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// One fuzz step.
 #[derive(Debug, Clone)]
@@ -118,7 +119,7 @@ fn check_actions(
 }
 
 fn run_fuzz(kind: ProtocolKind, ops: &[Op], seed: u64) {
-    let params = GossipParams::paper();
+    let params = Arc::new(GossipParams::paper());
     let pool = ad_pool(&params);
     let mut protocol = build_protocol(kind, params, UserProfile::new(seed, vec![0, 1]));
     let mut rng = SimRng::from_master(seed);
@@ -133,8 +134,8 @@ fn run_fuzz(kind: ProtocolKind, ops: &[Op], seed: u64) {
         let mut ctx = PeerContext {
             now,
             position: pos,
-            velocity: Vector::new(5.0, 0.0),
             rng: &mut rng,
+            velocity_source: &mut Vector::new(5.0, 0.0),
         };
         protocol.on_start(&mut ctx, &mut sink);
         check_actions(kind, now, sink.as_slice(), &mut accepted);
@@ -159,8 +160,8 @@ fn run_fuzz(kind: ProtocolKind, ops: &[Op], seed: u64) {
         let mut ctx = PeerContext {
             now,
             position: pos,
-            velocity: Vector::new(5.0, 1.0),
             rng: &mut rng,
+            velocity_source: &mut Vector::new(5.0, 1.0),
         };
         match op {
             Op::Receive {

@@ -1,0 +1,134 @@
+//! Velocity is estimated on demand: a protocol callback that does not
+//! need the peer's velocity must not ask the context for it.
+//!
+//! Only mechanism (2)'s duplicate handling reads it (formula 4's
+//! approach angle), so Flooding, Gossiping and Optimized Gossiping-1
+//! never read it, and Optimized Gossiping-2 / Optimized Gossiping read
+//! it at most once per delivered duplicate.
+
+use ia_core::{
+    build_protocol, ActionSink, AdId, AdMessage, Advertisement, GossipParams, PeerContext, PeerId,
+    Protocol, ProtocolKind, RxMeta, UserProfile, VelocitySource,
+};
+use ia_des::{SimDuration, SimRng, SimTime};
+use ia_geo::{Point, Vector};
+use std::sync::Arc;
+
+/// A velocity source that counts how often it is asked.
+struct CountingVelocity {
+    reads: u32,
+}
+
+impl VelocitySource for CountingVelocity {
+    fn velocity(&mut self) -> Vector {
+        self.reads += 1;
+        Vector::new(-3.0, 4.0)
+    }
+}
+
+/// One peer under test, with its RNG stream and the counting source.
+struct Harness {
+    peer: Box<dyn Protocol>,
+    rng: SimRng,
+    source: CountingVelocity,
+    sink: ActionSink,
+    pos: Point,
+}
+
+impl Harness {
+    fn call(
+        &mut self,
+        secs: f64,
+        f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink),
+    ) {
+        let mut ctx = PeerContext {
+            now: SimTime::from_secs(secs),
+            position: self.pos,
+            rng: &mut self.rng,
+            velocity_source: &mut self.source,
+        };
+        f(self.peer.as_mut(), &mut ctx, &mut self.sink);
+        self.sink.clear();
+    }
+}
+
+fn ad(params: &GossipParams, issuer: u32, issued_at: f64) -> Advertisement {
+    Advertisement::new(
+        AdId::new(PeerId(issuer), 0),
+        Point::new(2500.0, 2500.0),
+        SimTime::from_secs(issued_at),
+        1000.0,
+        SimDuration::from_secs(1800.0),
+        vec![1],
+        100,
+        params,
+    )
+}
+
+/// Drive `kind` through start, issue, new and duplicate receipts, rounds
+/// and entry ticks; return (velocity reads, duplicates delivered).
+fn drive(kind: ProtocolKind) -> (u32, u32) {
+    let params = Arc::new(GossipParams::paper());
+    let mut h = Harness {
+        peer: build_protocol(kind, Arc::clone(&params), UserProfile::new(1, vec![1])),
+        rng: SimRng::from_master(42),
+        source: CountingVelocity { reads: 0 },
+        sink: ActionSink::new(),
+        pos: Point::new(2600.0, 2500.0),
+    };
+    let own = ad(&params, 1, 10.0);
+    let heard = ad(&params, 9, 5.0);
+    let own_id = own.id;
+    let heard_id = heard.id;
+    let msg = |wave: u32| match kind {
+        ProtocolKind::Flooding => AdMessage::flood(heard.clone(), wave, 1000.0),
+        _ => AdMessage::gossip(heard.clone()),
+    };
+    let meta = RxMeta {
+        sender_pos: Point::new(2610.0, 2500.0),
+        from: 9,
+        distance: 10.0,
+    };
+
+    h.call(0.0, |p, ctx, out| p.on_start(ctx, out));
+    h.call(10.0, |p, ctx, out| p.issue(ctx, own, out));
+    // First receipt, then three overheard duplicates.
+    let mut duplicates = 0;
+    for (k, secs) in [20.0, 21.0, 22.0, 23.0].into_iter().enumerate() {
+        let m = msg(k as u32);
+        h.call(secs, |p, ctx, out| p.on_receive(ctx, &m, &meta, out));
+        if k > 0 {
+            duplicates += 1;
+        }
+    }
+    assert!(h.peer.holds(heard_id), "{kind}: the heard ad must be held");
+    for k in 0..40 {
+        let secs = 25.0 + 5.0 * k as f64;
+        h.call(secs, |p, ctx, out| p.on_round(ctx, out));
+        for id in [own_id, heard_id] {
+            h.call(secs, |p, ctx, out| p.on_entry_timer(ctx, id, out));
+        }
+    }
+    (h.source.reads, duplicates)
+}
+
+#[test]
+fn only_mechanism_2_duplicates_read_velocity() {
+    for kind in ProtocolKind::ALL {
+        let (reads, duplicates) = drive(kind);
+        match kind {
+            ProtocolKind::Flooding | ProtocolKind::Gossip | ProtocolKind::OptGossip1 => {
+                assert_eq!(reads, 0, "{kind} read the velocity {reads} times");
+            }
+            ProtocolKind::OptGossip2 | ProtocolKind::OptGossip => {
+                assert!(
+                    reads <= duplicates,
+                    "{kind}: {reads} velocity reads for {duplicates} duplicates"
+                );
+                // The postponement path really runs, so the bound is not
+                // vacuous.
+                assert!(reads > 0, "{kind}: no duplicate reached formula 4");
+            }
+        }
+    }
+}

@@ -2,9 +2,11 @@
 //! paper-scale fig-7 presets, the ext-6 chaos preset, and (with `--city`)
 //! two city-scale presets that stress the flat CSR spatial index.
 //!
-//! Every run writes a JSON report (default `BENCH_5.json`) so future PRs
-//! have a trajectory to beat; `--check FILE` turns the binary into a CI
-//! regression gate against a checked-in baseline. Reports carry a
+//! Every run produces a JSON report — printed to stdout, or written to
+//! the file `--out` names — so later changes have a trajectory to beat;
+//! `--check FILE` turns the binary into a CI regression gate against a
+//! checked-in baseline. Without `--out` nothing is written, so a bare run
+//! never overwrites a checked-in baseline. Reports carry a
 //! `meta` provenance block (rustc version, CPU model, git commit) so
 //! checked-in baselines are auditable, per-preset operation counters
 //! (queue pushes/pops/cancels/cascades, grid rebuilds/queries — all
@@ -26,7 +28,7 @@
 //! * `--runs N`     repeat each preset N times, keep the fastest (default 1;
 //!   timings are min-of-N, event counts are per run and identical across
 //!   repeats by determinism).
-//! * `--out FILE`   where to write the JSON report (default `BENCH_5.json`).
+//! * `--out FILE`   write the JSON report to FILE instead of printing it.
 //! * `--check FILE` read a previous report and fail (exit 1) if any preset
 //!   regressed by more than 20 % in ns/event (presets absent from the
 //!   baseline are skipped).
@@ -346,7 +348,7 @@ fn main() {
     let mut quick = false;
     let mut city = false;
     let mut runs = 1usize;
-    let mut out_path = String::from("BENCH_5.json");
+    let mut out_path: Option<String> = None;
     let mut check: Option<String> = None;
     let mut reference: Option<String> = None;
     let mut it = args.iter();
@@ -360,7 +362,7 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--runs needs a number");
             }
-            "--out" => out_path = it.next().expect("--out needs a path").clone(),
+            "--out" => out_path = Some(it.next().expect("--out needs a path").clone()),
             "--check" => check = Some(it.next().expect("--check needs a path").clone()),
             "--reference" => reference = Some(it.next().expect("--reference needs a path").clone()),
             other => panic!("unknown argument: {other}"),
@@ -422,8 +424,13 @@ fn main() {
     });
 
     let json = render_json(&measurements, quick, ref_block.as_deref());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    match &out_path {
+        Some(path) => {
+            std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            println!("\nwrote {path}");
+        }
+        None => print!("\n{json}"),
+    }
 
     // Regression gate: >20 % slower (ns/event) than the checked-in
     // baseline on any preset fails the run.

@@ -15,9 +15,10 @@ use crate::scenario::{InterestWorkload, MobilityKind, Scenario};
 use crate::tracker::DeliveryTracker;
 use ia_core::{
     build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, PeerContext, PeerId,
-    Protocol, RxMeta, UserProfile,
+    Protocol, RxMeta, UserProfile, VelocitySource,
 };
 use ia_des::{rng::stream, Scheduler, SimDuration, SimRng, SimTime};
+use ia_geo::Vector;
 use ia_mobility::{
     Fleet, FleetCursor, GpsNoise, Manhattan, MobilityModel, RandomWaypoint, Stationary,
 };
@@ -73,8 +74,8 @@ pub struct World {
     /// The one broadcast-outcome buffer `apply` recycles across
     /// transmissions (same take/restore discipline as `sink`).
     outcome: BroadcastOutcome,
-    /// Leg-cursor cache for the context builder's position/velocity
-    /// lookups; the medium keeps its own.
+    /// Leg-cursor cache for the context's position lookup and on-demand
+    /// velocity estimate; the medium keeps its own.
     cursor: FleetCursor,
     ad_ids: Vec<AdId>,
     /// Per-node online flag; departed nodes are radio-silent and ignore
@@ -104,6 +105,22 @@ pub struct PhaseProfile {
 /// locations" heading derivation.
 const VELOCITY_FIX_WINDOW: SimDuration = SimDuration::from_millis(1000);
 
+/// A peer's velocity at one callback instant, estimated through the
+/// world's leg cursor only when the protocol asks for it.
+struct FleetVelocity<'a> {
+    cursor: &'a mut FleetCursor,
+    fleet: &'a Fleet,
+    node: u32,
+    now: SimTime,
+}
+
+impl VelocitySource for FleetVelocity<'_> {
+    fn velocity(&mut self) -> Vector {
+        self.cursor
+            .estimated_velocity(self.fleet, self.node, self.now, VELOCITY_FIX_WINDOW)
+    }
+}
+
 impl World {
     /// Build the world: generate the fleet (mobile peers + one stationary
     /// issuer per ad), instantiate per-peer protocol state, and schedule
@@ -132,14 +149,16 @@ impl World {
             Stationary::at(spec.issue_pos).trajectory(&mut rng, start, end)
         }));
 
-        // Per-peer protocol instances and RNG streams.
+        // Per-peer protocol instances and RNG streams; every peer shares
+        // one copy of the parameters.
+        let params = Arc::new(scenario.params.clone());
         let mut peers: Vec<Box<dyn Protocol>> = Vec::with_capacity(scenario.n_nodes());
         let mut rngs = Vec::with_capacity(scenario.n_nodes());
         for node in 0..scenario.n_nodes() as u32 {
             let profile = Self::profile_for(&scenario, node);
             peers.push(build_protocol(
                 scenario.protocol,
-                scenario.params.clone(),
+                Arc::clone(&params),
                 profile,
             ));
             rngs.push(SimRng::derive(
@@ -512,14 +531,16 @@ impl World {
                     GpsNoise::new(sigma2.sqrt()).apply(position, &mut self.gps_rngs[node as usize]);
             }
         }
-        let velocity = self
-            .cursor
-            .estimated_velocity(&self.fleet, node, now, VELOCITY_FIX_WINDOW);
         let mut ctx = PeerContext {
             now,
             position,
-            velocity,
             rng: &mut self.rngs[node as usize],
+            velocity_source: &mut FleetVelocity {
+                cursor: &mut self.cursor,
+                fleet: &self.fleet,
+                node,
+                now,
+            },
         };
         f(self.peers[node as usize].as_mut(), &mut ctx)
     }

@@ -10,21 +10,15 @@
 //! ```
 //!
 //! Rebuilds are a two-pass counting sort (count, scatter) into recycled
-//! buffers, so a warm rebuild allocates nothing; the scatter walks ids in
-//! ascending order and counting sort is stable, so each cell's entries
-//! come out id-sorted and a query merges the ≤9 cells overlapping the
-//! disk with a tiny k-way id merge — no per-call sort. Ids are the dense
-//! indices `0..n` of the position slice, matching the fleet's node ids,
-//! and query output is bit-for-bit a brute-force linear scan's (pinned by
-//! the property tests below).
+//! buffers, so a warm rebuild allocates nothing. Cells are row-major, so
+//! the cells a disk overlaps in one grid row form one packed range; a
+//! query scans those ranges, keeps the entries inside the disk and sorts
+//! the (short) result by id. Ids are the dense indices `0..n` of the
+//! position slice, matching the fleet's node ids, and query output is
+//! bit-for-bit a brute-force linear scan's (pinned by the property tests
+//! below).
 
 use crate::point::Point;
-
-/// Cells the k-way query merge handles before falling back to the
-/// collect-and-sort path. The radio medium queries a disk of radius
-/// `range + margin < 2 * cell`, which spans at most 3x3 = 9 cells;
-/// 16 leaves slack for other callers.
-const MAX_MERGE_RUNS: usize = 16;
 
 /// A dense CSR grid over points with ids `0..n` (slice index = id).
 #[derive(Debug, Clone, Default)]
@@ -185,69 +179,19 @@ impl FlatGrid {
         if cx0 > cx1 || cy0 > cy1 {
             return;
         }
-        // Gather the non-empty packed runs overlapping the disk.
-        let mut runs = [(0u32, 0u32); MAX_MERGE_RUNS];
-        let mut nruns = 0usize;
+        // Collect the in-disk entries of every overlapping cell, then sort
+        // by id: ids are unique, so the order is total and the output
+        // matches a linear scan's.
         for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = self.cell_index(cx, cy);
-                let (s, e) = (self.cell_start[c], self.cell_start[c + 1]);
-                if s == e {
-                    continue;
-                }
-                if nruns == MAX_MERGE_RUNS {
-                    // Disk spans more cells than the merge window: fall
-                    // back to collect + sort (same output — ids are
-                    // unique, so the id sort is a total order).
-                    return self.query_sorted_fallback(center, r_sq, (cx0, cx1), (cy0, cy1), out);
-                }
-                runs[nruns] = (s, e);
-                nruns += 1;
-            }
-        }
-        // K-way merge by id: each run is id-sorted, runs are disjoint.
-        loop {
-            let mut best: Option<usize> = None;
-            let mut best_id = 0u32;
-            for (k, &(s, e)) in runs[..nruns].iter().enumerate() {
-                if s < e {
-                    let id = self.ids[s as usize];
-                    if best.is_none() || id < best_id {
-                        best_id = id;
-                        best = Some(k);
-                    }
-                }
-            }
-            let Some(k) = best else { break };
-            let at = runs[k].0 as usize;
-            runs[k].0 += 1;
-            let p = self.pos[at];
-            if center.distance_sq(p) <= r_sq + crate::EPS {
-                out.push((self.ids[at], p));
-            }
-        }
-    }
-
-    /// Rare-path query for disks spanning more than [`MAX_MERGE_RUNS`]
-    /// occupied cells: push every in-disk entry, then sort by id.
-    fn query_sorted_fallback(
-        &self,
-        center: Point,
-        r_sq: f64,
-        (cx0, cx1): (i32, i32),
-        (cy0, cy1): (i32, i32),
-        out: &mut Vec<(u32, Point)>,
-    ) {
-        out.clear();
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = self.cell_index(cx, cy);
-                let (s, e) = (self.cell_start[c] as usize, self.cell_start[c + 1] as usize);
-                for i in s..e {
-                    let p = self.pos[i];
-                    if center.distance_sq(p) <= r_sq + crate::EPS {
-                        out.push((self.ids[i], p));
-                    }
+            let row = self.cell_index(cx0, cy);
+            let (s, e) = (
+                self.cell_start[row] as usize,
+                self.cell_start[row + (cx1 - cx0) as usize + 1] as usize,
+            );
+            for i in s..e {
+                let p = self.pos[i];
+                if center.distance_sq(p) <= r_sq + crate::EPS {
+                    out.push((self.ids[i], p));
                 }
             }
         }
@@ -343,10 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn query_wider_than_merge_window_falls_back_to_sort() {
-        // 1.0 m cells over a 100 m spread: a big disk overlaps hundreds of
-        // cells, forcing the sort fallback; output must stay id-sorted and
-        // complete.
+    fn query_spanning_many_occupied_cells_is_sorted_and_complete() {
+        // 1.0 m cells over a 100 m spread: the disk covers all 100
+        // occupied cells, spread over 10 grid rows; output must stay
+        // id-sorted and complete.
         let pts: Vec<Point> = (0..100)
             .map(|i| Point::new((i % 10) as f64 * 10.0, (i / 10) as f64 * 10.0))
             .collect();
@@ -355,6 +299,9 @@ mod tests {
         assert_eq!(hits.len(), 100);
         let ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        for &(id, p) in &hits {
+            assert_eq!(p, pts[id as usize]);
+        }
     }
 
     #[test]

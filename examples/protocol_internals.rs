@@ -16,6 +16,7 @@ use instant_ads::core::{
 };
 use instant_ads::des::{SimDuration, SimRng, SimTime};
 use instant_ads::geo::{Point, Vector};
+use std::sync::Arc;
 
 fn show(step: &str, sink: &mut ActionSink) {
     println!("{step}:");
@@ -43,9 +44,9 @@ fn show(step: &str, sink: &mut ActionSink) {
 }
 
 fn main() {
-    let params = GossipParams::paper();
+    let params = Arc::new(GossipParams::paper());
     // This peer is interested in topic 1 — it will rank the ad up.
-    let mut peer = Gossip::optimized(params.clone(), UserProfile::new(4242, vec![1]));
+    let mut peer = Gossip::optimized(Arc::clone(&params), UserProfile::new(4242, vec![1]));
     let mut rng = SimRng::from_master(1);
 
     let ad = Advertisement::new(
@@ -68,20 +69,28 @@ fn main() {
 
     // The peer sits 600 m from the issuing location, heading towards it.
     let my_pos = Point::new(3100.0, 2500.0);
-    let my_vel = Vector::new(-10.0, 0.0);
-    fn ctx_at(now: f64, pos: Point, vel: Vector, rng: &mut SimRng) -> PeerContext<'_> {
+    // A fixed `Vector` is a velocity source that always reports itself;
+    // the simulator estimates velocity from the trajectory instead, and
+    // only when the protocol asks.
+    let mut my_vel = Vector::new(-10.0, 0.0);
+    fn ctx_at<'a>(
+        now: f64,
+        pos: Point,
+        vel: &'a mut Vector,
+        rng: &'a mut SimRng,
+    ) -> PeerContext<'a> {
         PeerContext {
             now: SimTime::from_secs(now),
             position: pos,
-            velocity: vel,
             rng,
+            velocity_source: vel,
         }
     }
 
     // 1. Coming online: Optimized Gossiping uses per-entry timers, so no
     //    global round is scheduled.
     let mut sink = ActionSink::new();
-    peer.on_start(&mut ctx_at(100.0, my_pos, my_vel, &mut rng), &mut sink);
+    peer.on_start(&mut ctx_at(100.0, my_pos, &mut my_vel, &mut rng), &mut sink);
     show("on_start (600 m inside the area)", &mut sink);
 
     // 2. First receipt: accept, rank (topic matches), schedule the
@@ -93,7 +102,7 @@ fn main() {
         distance: 50.0,
     };
     peer.on_receive(
-        &mut ctx_at(105.0, my_pos, my_vel, &mut rng),
+        &mut ctx_at(105.0, my_pos, &mut my_vel, &mut rng),
         &msg,
         &meta,
         &mut sink,
@@ -109,7 +118,7 @@ fn main() {
         distance: 2.0,
     };
     peer.on_receive(
-        &mut ctx_at(106.0, my_pos, my_vel, &mut rng),
+        &mut ctx_at(106.0, my_pos, &mut my_vel, &mut rng),
         &msg,
         &close,
         &mut sink,
@@ -118,7 +127,7 @@ fn main() {
 
     // 4. The original timer fires but has been postponed: stale, no-op.
     peer.on_entry_timer(
-        &mut ctx_at(110.0, my_pos, my_vel, &mut rng),
+        &mut ctx_at(110.0, my_pos, &mut my_vel, &mut rng),
         ad.id,
         &mut sink,
     );
@@ -130,7 +139,7 @@ fn main() {
     // 5. The postponed timer fires: the entry gossips with the formula-1/3
     //    probability at this distance and reschedules itself.
     peer.on_entry_timer(
-        &mut ctx_at(125.0, my_pos, my_vel, &mut rng),
+        &mut ctx_at(125.0, my_pos, &mut my_vel, &mut rng),
         ad.id,
         &mut sink,
     );
