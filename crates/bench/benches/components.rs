@@ -18,8 +18,6 @@ use ia_geo::{Circle, FlatGrid, Point, Vector};
 use ia_mobility::{Fleet, MobilityModel, RandomWaypoint};
 use ia_radio::{BroadcastOutcome, Medium, RadioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,62 +66,11 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// The pre-wheel `EventQueue` design, ported here so the churn benchmark
-/// can compare against it: a `BinaryHeap` ordered on `(time, seq)` plus a
-/// tombstone set consulted on pop. `cancel` was an O(1) hash insert, but
-/// every cancelled entry still paid two `log n` heap sifts (push + the
-/// eventual tombstone skip) and a hash probe per pop — the cost the
-/// timing wheel's slot invalidation removes.
-struct HeapQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    tombstones: HashSet<u64>,
-    next_seq: u64,
-    /// Last delivered time — cancels below it are already-fired no-ops,
-    /// exactly as the original watermark heuristic treated them.
-    watermark: u64,
-}
-
-impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            tombstones: HashSet::new(),
-            next_seq: 0,
-            watermark: 0,
-        }
-    }
-
-    fn push(&mut self, t: u64, payload: usize) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((t, seq, payload)));
-        seq
-    }
-
-    fn cancel(&mut self, t: u64, seq: u64) {
-        if t >= self.watermark {
-            self.tombstones.insert(seq);
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, usize)> {
-        while let Some(Reverse((t, seq, payload))) = self.heap.pop() {
-            self.watermark = t;
-            if self.tombstones.remove(&seq) {
-                continue;
-            }
-            return Some((t, payload));
-        }
-        None
-    }
-}
-
-/// Cancel-heavy churn modelled on Optimized Gossiping-2 postponement:
-/// every peer keeps one pending broadcast timer, and each arriving copy
-/// cancels it and reschedules it later. The workload is therefore one
-/// cancel + one push per round with a pop every fifth round, then a full
-/// drain — the pattern that made the tombstone heap degrade (dead
-/// entries pile up and every one is heap-sifted twice).
+/// Postponement churn modelled on Optimized Gossiping-2 as the world
+/// runs it: every peer keeps one pending broadcast timer, and each
+/// arriving copy pushes a later one, leaving the stale timer queued to
+/// pop and be ignored. The workload is therefore one push per round with
+/// a pop every fifth round, then a full drain.
 const CHURN_PEERS: usize = 32;
 const CHURN_ROUNDS: usize = 512;
 
@@ -136,13 +83,11 @@ const CHURN_ROUNDS: usize = 512;
 const CHURN_BLOCK: u64 = 1 << 36;
 
 fn bench_queue_churn(c: &mut Criterion) {
-    // Both sides run the identical op sequence from the same PRNG seed.
     fn churn_wheel(q: &mut EventQueue<usize>, start: u64) -> u64 {
-        let mut timers = [None; CHURN_PEERS];
-        let mut now = start;
-        for (peer, slot) in timers.iter_mut().enumerate() {
-            *slot = Some(q.push(SimTime::from_micros(now + 1_000 + 37 * peer as u64), peer));
+        for peer in 0..CHURN_PEERS {
+            q.push(SimTime::from_micros(start + 1_000 + 37 * peer as u64), peer);
         }
+        let mut now = start;
         let mut x: u64 = 0xDEADBEEFCAFE;
         let mut rand = move || {
             x ^= x << 13;
@@ -153,11 +98,8 @@ fn bench_queue_churn(c: &mut Criterion) {
         let mut delivered = 0u64;
         for round in 0..CHURN_ROUNDS {
             let peer = (rand() % CHURN_PEERS as u64) as usize;
-            if let Some(id) = timers[peer].take() {
-                q.cancel(id);
-            }
             let t2 = now + 500 + rand() % 50_000;
-            timers[peer] = Some(q.push(SimTime::from_micros(t2), peer));
+            q.push(SimTime::from_micros(t2), peer);
             if round % 5 == 0 {
                 if let Some((t, _)) = q.pop() {
                     now = t.as_micros();
@@ -171,42 +113,7 @@ fn bench_queue_churn(c: &mut Criterion) {
         delivered
     }
 
-    fn churn_heap(q: &mut HeapQueue, start: u64) -> u64 {
-        let mut timers = [None; CHURN_PEERS];
-        let mut now = start;
-        for (peer, slot) in timers.iter_mut().enumerate() {
-            let t = now + 1_000 + 37 * peer as u64;
-            *slot = Some((q.push(t, peer), t));
-        }
-        let mut x: u64 = 0xDEADBEEFCAFE;
-        let mut rand = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut delivered = 0u64;
-        for round in 0..CHURN_ROUNDS {
-            let peer = (rand() % CHURN_PEERS as u64) as usize;
-            if let Some((seq, t)) = timers[peer].take() {
-                q.cancel(t, seq);
-            }
-            let t2 = now + 500 + rand() % 50_000;
-            timers[peer] = Some((q.push(t2, peer), t2));
-            if round % 5 == 0 {
-                if let Some((t, _)) = q.pop() {
-                    now = t;
-                    delivered += 1;
-                }
-            }
-        }
-        while q.pop().is_some() {
-            delivered += 1;
-        }
-        delivered
-    }
-
-    // Zero-alloc proof: a warm wheel's schedule/pop/cancel churn must not
+    // Zero-alloc proof: a warm wheel's schedule/pop churn must not
     // touch the allocator. The first passes size the slab arena, the due
     // batch, and the slot chains; later block-aligned passes are
     // structurally identical and must recycle every one of them.
@@ -223,28 +130,16 @@ fn bench_queue_churn(c: &mut Criterion) {
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocated, 0,
-        "wheel schedule/pop/cancel churn allocated {allocated} times over {CHURN_ROUNDS} rounds"
+        "wheel schedule/pop churn allocated {allocated} times over {CHURN_ROUNDS} rounds"
     );
     // Every pass replays the same PRNG sequence, so the delivery count
     // must be identical pass to pass.
     assert_eq!(delivered, warm_delivered);
-    println!(
-        "des_queue_churn_wheel: 0 allocations over {CHURN_ROUNDS} cancel+reschedule rounds (verified)"
-    );
+    println!("des_queue_churn_wheel: 0 allocations over {CHURN_ROUNDS} postpone rounds (verified)");
 
     c.bench_function("des_queue_churn_wheel", |b| {
         b.iter(|| {
             let delivered = black_box(churn_wheel(&mut q, pass * CHURN_BLOCK));
-            pass += 1;
-            delivered
-        })
-    });
-
-    let mut heap = HeapQueue::new();
-    let mut pass = 1u64;
-    c.bench_function("des_queue_churn_heap", |b| {
-        b.iter(|| {
-            let delivered = black_box(churn_heap(&mut heap, pass * CHURN_BLOCK));
             pass += 1;
             delivered
         })

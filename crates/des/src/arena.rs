@@ -1,23 +1,18 @@
 //! A recycled slab arena for pending-event payloads.
 //!
 //! The timing wheel (see [`crate::wheel`]) moves only compact
-//! `(time, seq, slot)` keys; the payloads — which for the simulation
-//! include `Arc<AdMessage>` clones — live here and never move between
-//! schedule and fire. Each slab slot also stores the intrusive `next`
-//! link that threads it into a wheel-slot list or the arena's own free
-//! list, so one contiguous allocation backs both the payload store and
-//! the wheel's chains.
+//! `(time, seq, slot)` keys; the payloads live here and never move
+//! between schedule and fire. Each slab slot also stores the intrusive
+//! `next` link that threads it into a wheel-slot list or the arena's own
+//! free list, so one contiguous allocation backs both the payload store
+//! and the wheel's chains.
 //!
 //! Lifetime rules:
 //! * `insert` pops the free list (or grows the slab once, at warm-up).
-//! * `cancel` is an O(1) *invalidation*: it drops the payload in place
-//!   but leaves the slot threaded wherever the wheel put it — a singly
-//!   linked chain cannot unlink an interior node in O(1). The slot is
-//!   reclaimed (pushed onto the free list) when the wheel next walks the
-//!   chain: on cascade or on delivery.
-//! * Slot reuse is made safe by the occupant's `seq`, which is unique
-//!   for the queue's lifetime and doubles as a generation tag: a stale
-//!   handle aimed at a recycled slot fails the `seq` comparison.
+//! * `take_and_free` hands the payload back on delivery and pushes the
+//!   slot onto the free list. Every occupied slot is threaded into
+//!   exactly one wheel chain, the due batch, or the overflow ring until
+//!   then.
 
 use crate::time::SimTime;
 
@@ -27,13 +22,12 @@ pub(crate) const NIL: u32 = u32::MAX;
 pub(crate) struct SlabEntry<E> {
     /// Scheduled fire time of the current occupant.
     pub time: SimTime,
-    /// Occupant sequence number; unique forever, so it doubles as the
-    /// generation tag for stale-handle detection.
+    /// Occupant sequence number, the FIFO tie-breaker.
     pub seq: u64,
     /// Next slot in whatever chain this slot is threaded into: a wheel
     /// slot list, the due batch (unused there), or the free list.
     pub next: u32,
-    /// `None` once the event fired or was cancelled.
+    /// `None` once the event was delivered and the slot freed.
     pub payload: Option<E>,
 }
 
@@ -76,35 +70,15 @@ impl<E> EventArena<E> {
         }
     }
 
-    /// Drop the payload of `slot` if it is still the live occupant for
-    /// `seq`. Returns `true` exactly when the event was pending. The slot
-    /// itself stays threaded in its wheel chain (see module docs).
-    pub fn invalidate(&mut self, slot: u32, seq: u64) -> bool {
-        match self.entries.get_mut(slot as usize) {
-            Some(e) if e.seq == seq && e.payload.is_some() => {
-                e.payload = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Take the payload out of a live slot and reclaim the slot. Returns
-    /// `None` for dead (cancelled or superseded) slots, which are
-    /// reclaimed all the same.
-    pub fn take_and_free(&mut self, slot: u32) -> Option<E> {
-        let payload = self.entries[slot as usize].payload.take();
-        self.free(slot);
-        payload
-    }
-
-    /// Push `slot` onto the free list. The caller must have unthreaded it
-    /// from any wheel chain first.
-    pub fn free(&mut self, slot: u32) {
+    /// Take the payload out of an occupied slot and push the slot onto
+    /// the free list. The caller must have unthreaded it from any wheel
+    /// chain first.
+    pub fn take_and_free(&mut self, slot: u32) -> E {
         let e = &mut self.entries[slot as usize];
-        debug_assert!(e.payload.is_none(), "freeing a live slot");
+        let payload = e.payload.take().expect("freeing an empty slot");
         e.next = self.free_head;
         self.free_head = slot;
+        payload
     }
 
     #[inline]
@@ -115,14 +89,6 @@ impl<E> EventArena<E> {
     #[inline]
     pub fn entry_mut(&mut self, slot: u32) -> &mut SlabEntry<E> {
         &mut self.entries[slot as usize]
-    }
-
-    /// Is `slot` occupied by a live (uncancelled) `seq` event?
-    #[inline]
-    pub fn is_live(&self, slot: u32, seq: u64) -> bool {
-        self.entries
-            .get(slot as usize)
-            .is_some_and(|e| e.seq == seq && e.payload.is_some())
     }
 
     /// Drop everything and reset the free list. Capacity is retained.
@@ -144,9 +110,9 @@ mod tests {
     fn insert_take_roundtrip() {
         let mut a = EventArena::new();
         let s = a.insert(t(5), 0, "x");
-        assert!(a.is_live(s, 0));
-        assert_eq!(a.take_and_free(s), Some("x"));
-        assert!(!a.is_live(s, 0));
+        assert_eq!(a.entry(s).seq, 0);
+        assert_eq!(a.take_and_free(s), "x");
+        assert!(a.entry(s).payload.is_none());
     }
 
     #[test]
@@ -159,27 +125,5 @@ mod tests {
         // LIFO: the last freed slot comes back first.
         assert_eq!(a.insert(t(3), 2, 12), s1);
         assert_eq!(a.insert(t(4), 3, 13), s0);
-    }
-
-    #[test]
-    fn invalidate_is_generation_checked() {
-        let mut a = EventArena::new();
-        let s = a.insert(t(1), 7, 10);
-        assert!(!a.invalidate(s, 8), "wrong generation must not cancel");
-        assert!(a.invalidate(s, 7));
-        assert!(!a.invalidate(s, 7), "double cancel reports false");
-        // Dead slot reclaimed on walk; reuse bumps the generation.
-        assert_eq!(a.take_and_free(s), None);
-        let s2 = a.insert(t(2), 8, 11);
-        assert_eq!(s2, s);
-        assert!(!a.invalidate(s, 7), "stale handle on recycled slot");
-        assert!(a.is_live(s, 8));
-    }
-
-    #[test]
-    fn out_of_bounds_slot_is_dead() {
-        let mut a: EventArena<u8> = EventArena::new();
-        assert!(!a.invalidate(3, 0));
-        assert!(!a.is_live(3, 0));
     }
 }

@@ -5,10 +5,11 @@
 //! * [`SimTime`] / [`SimDuration`] — an integer microsecond clock, so that
 //!   event ordering is exact and runs are bit-for-bit reproducible.
 //! * [`EventQueue`] — a stable priority queue: events at equal timestamps
-//!   fire in scheduling order, and scheduled events can be cancelled in
-//!   O(1). Internally a hierarchical timing wheel over a recycled slab
-//!   arena (see the `wheel` and `arena` modules), so the hot
-//!   push/pop/cancel path is allocation-free at steady state.
+//!   fire in scheduling order. Internally a hierarchical timing wheel
+//!   over a recycled slab arena (see the `wheel` and `arena` modules), so
+//!   the hot push/pop path is allocation-free at steady state. There is
+//!   no cancel: a component that reschedules a timer pushes the new one
+//!   and ignores the stale one when it fires.
 //! * [`Scheduler`] — the simulation clock plus the queue; the world object
 //!   drains it in a simple `while let Some(...)` loop, keeping borrows
 //!   trivial and the engine free of callbacks.
@@ -17,13 +18,11 @@
 //!   component never perturbs another.
 
 mod arena;
-pub mod event;
 pub mod queue;
 pub mod rng;
 pub mod time;
 mod wheel;
 
-pub use event::EventId;
 pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_seed, SimRng};
 pub use time::{SimDuration, SimTime};
@@ -93,12 +92,12 @@ impl<E> Scheduler<E> {
         self.processed
     }
 
-    /// Number of live (non-cancelled) events still pending.
+    /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// Lifetime queue operation counters (pushes/pops/cancels/cascades).
+    /// Lifetime queue operation counters (pushes/pops/cascades).
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
@@ -108,7 +107,7 @@ impl<E> Scheduler<E> {
     /// # Panics
     /// Panics if `t` is before the current time — scheduling into the past
     /// is always a logic error in a DES.
-    pub fn schedule_at(&mut self, t: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, t: SimTime, event: E) {
         assert!(
             t >= self.now,
             "scheduled into the past: {} < {}",
@@ -119,20 +118,14 @@ impl<E> Scheduler<E> {
     }
 
     /// Schedule `event` after the given delay.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
     /// Schedule `event` to fire immediately (at the current time, after any
     /// events already queued for this instant).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
+    pub fn schedule_now(&mut self, event: E) {
         self.schedule_at(self.now, event)
-    }
-
-    /// Cancel a scheduled event. Returns `true` if the event was still
-    /// pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Advance the clock to the next event and return its payload, or
@@ -215,17 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_delivery() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        let id1 = s.schedule_at(SimTime::from_secs(1.0), 1);
-        s.schedule_at(SimTime::from_secs(2.0), 2);
-        assert!(s.cancel(id1));
-        assert!(!s.cancel(id1), "double cancel must report false");
-        let got: Vec<u32> = std::iter::from_fn(|| s.pop()).collect();
-        assert_eq!(got, vec![2]);
-    }
-
-    #[test]
     fn horizon_stops_delivery_and_clamps_clock() {
         let mut s: Scheduler<u32> = Scheduler::new().with_horizon(SimTime::from_secs(10.0));
         s.schedule_at(SimTime::from_secs(5.0), 1);
@@ -268,15 +250,5 @@ mod tests {
         }
         assert_eq!(fired, 5);
         assert_eq!(s.now(), SimTime::from_secs(5.0));
-    }
-
-    #[test]
-    fn cancelled_events_do_not_count_as_processed() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        let a = s.schedule_at(SimTime::from_secs(1.0), 1);
-        s.schedule_at(SimTime::from_secs(2.0), 2);
-        s.cancel(a);
-        while s.pop().is_some() {}
-        assert_eq!(s.events_processed(), 1);
     }
 }

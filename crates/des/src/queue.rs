@@ -1,60 +1,55 @@
-//! The pending-event set: a stable, cancellable priority queue.
+//! The pending-event set: a stable priority queue.
 //!
-//! Since PR 5 the queue is a hierarchical timing wheel
-//! ([`crate::wheel`]) over a recycled slab arena ([`crate::arena`]),
-//! replacing the earlier `BinaryHeap` + tombstone-`HashSet` design whose
-//! `O(log n)` pushes/pops became the city-scale bottleneck. The wheel
-//! moves only compact `(time, seq, slot)` keys; payloads stay put in the
-//! slab from schedule to fire, and at steady state every slot is
-//! recycled, so push/pop/cancel allocate nothing (pinned by the
-//! counting-allocator benches in `crates/bench`).
+//! The queue is a hierarchical timing wheel ([`crate::wheel`]) over a
+//! recycled slab arena ([`crate::arena`]). The wheel moves only compact
+//! `(time, seq, slot)` keys; payloads stay put in the slab from schedule
+//! to fire, and at steady state every slot is recycled, so push and pop
+//! allocate nothing (pinned by the counting-allocator benches in
+//! `crates/bench`).
 //!
-//! The contract is unchanged from the heap:
-//! * pops come out in `(time, seq)` order — events at equal timestamps
-//!   fire in insertion order (NS-2 calendar queues make the same
-//!   guarantee, and several protocol behaviours — e.g. "receive before
-//!   your own round timer at the same instant" — depend on a stable
-//!   order). The equivalence is pinned by a wheel-vs-heap proptest in
-//!   `crates/des/tests/wheel_vs_heap.rs`.
-//! * `cancel` returns `true` exactly once per pending event. It is now
-//!   a true O(1) operation: the [`EventId`] carries the slab slot, and
-//!   the occupant's forever-unique `seq` doubles as a generation tag, so
-//!   fired/cancelled/cleared handles all fail the same liveness check —
-//!   no tombstone set, no watermark bookkeeping.
+//! Pops come out in `(time, seq)` order: events at equal timestamps fire
+//! in insertion order (NS-2 calendar queues make the same guarantee, and
+//! several protocol behaviours — e.g. "receive before your own round
+//! timer at the same instant" — depend on a stable order). The
+//! equivalence with a stable binary heap is pinned by a wheel-vs-heap
+//! proptest in `crates/des/tests/wheel_vs_heap.rs`.
+//!
+//! There is no cancel. A component that postpones a timer pushes the new
+//! one and leaves the stale one queued; the handler recognises the stale
+//! timer when it fires and ignores it.
 //!
 //! Scheduling at or below the last popped time is best-effort (such
 //! events still pop, first), but the [`crate::Scheduler`] layer rejects
 //! past scheduling outright.
 
 use crate::arena::EventArena;
-use crate::event::EventId;
 use crate::time::SimTime;
 use crate::wheel::TimingWheel;
 
 /// Operation counters, cheap enough to maintain unconditionally.
-/// Consumed by the `perfstat` harness for per-phase breakdowns.
+/// Consumed by the `simbench` harness for its per-layer report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events pushed over the queue's lifetime.
     pub pushes: u64,
-    /// Live events delivered by `pop`.
+    /// Events delivered by `pop`.
     pub pops: u64,
-    /// Successful cancellations.
+    /// Always 0: the queue has no cancel. The field stays only because
+    /// the `simbench` harness still reads it.
     pub cancels: u64,
     /// Timing-wheel cascade moves (node re-placements on level descent).
     pub cascades: u64,
 }
 
-/// A time-ordered, FIFO-stable, cancellable event queue.
+/// A time-ordered, FIFO-stable event queue.
 pub struct EventQueue<E> {
     wheel: TimingWheel,
     arena: EventArena<E>,
-    /// Count of pending (non-cancelled) events.
-    live: usize,
+    /// Count of pending events.
+    len: usize,
     next_seq: u64,
     pushes: u64,
     pops: u64,
-    cancels: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -68,21 +63,20 @@ impl<E> EventQueue<E> {
         EventQueue {
             wheel: TimingWheel::new(),
             arena: EventArena::new(),
-            live: 0,
+            len: 0,
             next_seq: 0,
             pushes: 0,
             pops: 0,
-            cancels: 0,
         }
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
     /// Lifetime operation counters.
@@ -90,57 +84,43 @@ impl<E> EventQueue<E> {
         QueueStats {
             pushes: self.pushes,
             pops: self.pops,
-            cancels: self.cancels,
+            cancels: 0,
             cascades: self.wheel.cascades(),
         }
     }
 
-    /// Enqueue `event` at time `t` and return a cancellable handle.
-    pub fn push(&mut self, t: SimTime, event: E) -> EventId {
+    /// Enqueue `event` at time `t`.
+    pub fn push(&mut self, t: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live += 1;
+        self.len += 1;
         self.pushes += 1;
         let slot = self.arena.insert(t, seq, event);
         self.wheel.schedule(&mut self.arena, t, seq, slot);
-        EventId { time: t, seq, slot }
     }
 
-    /// Cancel a pending event. Returns `false` if the event already fired
-    /// or was already cancelled. O(1): the payload is dropped in place and
-    /// the slab slot reclaimed when the wheel next walks its chain.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.arena.invalidate(id.slot, id.seq) {
-            self.live -= 1;
-            self.cancels += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pop the earliest live event.
+    /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (t, _seq, event) = self.wheel.pop(&mut self.arena)?;
-        self.live -= 1;
+        self.len -= 1;
         self.pops += 1;
         Some((t, event))
     }
 
-    /// Timestamp of the earliest live event, or `None` when empty.
+    /// Timestamp of the earliest event, or `None` when empty.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // Read-only wheel scan; cheap at the front (the common case) and
-        // never worse than the O(n) heap scan it replaced. Only used by
-        // stepped drivers (`run_until`), never in the hot pop loop.
+        // Read-only wheel scan; cheap at the front (the common case).
+        // Only used by stepped drivers (`run_until`), never in the hot
+        // pop loop.
         self.wheel.peek(&self.arena).map(|(t, _)| t)
     }
 
-    /// Drop every pending event. Sequence numbers keep counting, so
-    /// handles issued before the clear stay dead forever.
+    /// Drop every pending event. Sequence numbers keep counting, so the
+    /// FIFO order of later pushes is unaffected.
     pub fn clear(&mut self) {
         self.wheel.clear();
         self.arena.clear();
-        self.live = 0;
+        self.len = 0;
     }
 }
 
@@ -165,12 +145,12 @@ mod tests {
     }
 
     #[test]
-    fn len_tracks_cancellations() {
+    fn len_tracks_pushes_and_pops() {
         let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 1);
+        q.push(t(1.0), 1);
         q.push(t(2.0), 2);
         assert_eq!(q.len(), 2);
-        assert!(q.cancel(a));
+        assert_eq!(q.pop(), Some((t(1.0), 1)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         assert_eq!(q.pop(), Some((t(2.0), 2)));
@@ -178,60 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_unknown_or_fired_returns_false() {
+    fn peek_time_matches_next_pop() {
         let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 1);
-        let unknown = EventId {
-            time: t(9.0),
-            seq: 99,
-            slot: 99,
-        };
-        assert!(!q.cancel(unknown));
-        q.pop();
-        assert!(!q.cancel(a), "cancelling a fired event must be a no-op");
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn cancel_after_slot_reuse_is_false() {
-        // A fired event's slab slot is recycled for a new event; the old
-        // handle must fail the generation check, not cancel the newcomer.
-        let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 1);
-        assert_eq!(q.pop(), Some((t(1.0), 1)));
-        let b = q.push(t(2.0), 2);
-        assert!(!q.cancel(a), "stale handle on a recycled slot");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(b));
-    }
-
-    #[test]
-    fn cancel_after_clear_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(5.0), 1);
-        q.clear();
-        assert!(!q.cancel(a), "cleared events are not cancellable");
-        // Ids issued after the clear behave normally.
-        let b = q.push(t(1.0), 2);
-        assert!(q.cancel(b));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn double_cancel_reports_false() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 1);
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 1);
         q.push(t(2.0), 2);
-        q.cancel(a);
+        q.push(t(1.0), 1);
+        assert_eq!(q.peek_time(), Some(t(1.0)));
+        q.pop();
         assert_eq!(q.peek_time(), Some(t(2.0)));
     }
 
@@ -245,11 +177,13 @@ mod tests {
     fn clear_empties_everything() {
         let mut q = EventQueue::new();
         q.push(t(1.0), 1);
-        let b = q.push(t(2.0), 2);
-        q.cancel(b);
+        q.push(t(2.0), 2);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+        // Pushes after the clear behave normally.
+        q.push(t(3.0), 3);
+        assert_eq!(q.pop(), Some((t(3.0), 3)));
     }
 
     #[test]
@@ -274,28 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_interleaved_with_pops() {
-        let mut q = EventQueue::new();
-        let ids: Vec<EventId> = (0..10).map(|i| q.push(t(i as f64), i)).collect();
-        // Cancel the odd ones.
-        for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 1 {
-                assert!(q.cancel(*id));
-            }
-        }
-        let got: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(got, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
     fn stats_count_operations() {
         let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 1);
+        q.push(t(1.0), 1);
         q.push(t(2.0), 2);
-        q.cancel(a);
         q.pop();
         let s = q.stats();
-        assert_eq!((s.pushes, s.pops, s.cancels), (2, 1, 1));
+        assert_eq!((s.pushes, s.pops, s.cancels), (2, 1, 0));
     }
 }
 
@@ -305,26 +224,17 @@ mod prop_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Regardless of the push order and cancellation pattern, pops are
-        /// time-ordered and exactly the non-cancelled events come out.
+        /// Regardless of the push order, pops are `(time, seq)`-ordered
+        /// and every pushed event comes out exactly once.
         #[test]
         fn pop_order_and_membership(
             times in proptest::collection::vec(0u64..1_000, 1..100),
-            cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
         ) {
             let mut q = EventQueue::new();
-            let ids: Vec<(EventId, u64, usize)> = times
-                .iter()
-                .enumerate()
-                .map(|(i, &tt)| (q.push(SimTime::from_micros(tt), i), tt, i))
-                .collect();
             let mut expect: Vec<(u64, usize)> = Vec::new();
-            for (k, (id, tt, i)) in ids.iter().enumerate() {
-                if *cancel_mask.get(k).unwrap_or(&false) {
-                    prop_assert!(q.cancel(*id));
-                } else {
-                    expect.push((*tt, *i));
-                }
+            for (i, &tt) in times.iter().enumerate() {
+                q.push(SimTime::from_micros(tt), i);
+                expect.push((tt, i));
             }
             expect.sort_unstable();
             let mut got = Vec::new();

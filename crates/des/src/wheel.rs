@@ -3,9 +3,9 @@
 //! The wheel replaces the `BinaryHeap` inside [`crate::EventQueue`]. It
 //! holds only compact keys — slab slot indices into the
 //! [`crate::arena::EventArena`], threaded into per-slot chains through
-//! the arena's intrusive `next` links — so schedule, cancel, and the
-//! amortized per-event cascade work all touch O(1) memory, independent
-//! of how many events are pending.
+//! the arena's intrusive `next` links — so schedule and the amortized
+//! per-event cascade work both touch O(1) memory, independent of how
+//! many events are pending.
 //!
 //! # Layout
 //!
@@ -24,16 +24,15 @@
 //! level 0 from the cursor's digit upward (a single `u64` occupancy
 //! bitmap per level makes that a `trailing_zeros`), and when the current
 //! level-0 window is empty it finds the next occupied slot of the lowest
-//! occupied higher level, moves `cur` to that slot's start, and lazily
-//! redistributes the slot's chain to lower levels (dead — cancelled —
-//! nodes are reclaimed right there instead of being re-placed). An event
+//! occupied higher level, moves `cur` to that slot's earliest event, and
+//! lazily redistributes the slot's chain to lower levels. An event
 //! scheduled `d` µs ahead therefore pays at most `log64 d` O(1) moves
 //! over its lifetime, amortized constant for the simulator's workloads.
 //!
 //! # Exact total order
 //!
 //! Chains are unordered (pushes prepend), so when a level-0 slot comes
-//! due its live events are staged into a small recycled `due` batch and
+//! due its events are staged into a small recycled `due` batch and
 //! sorted by `(time, seq)` — one exact timestamp per slot means the sort
 //! almost always sees 0 or 1 elements. Pops drain the batch before
 //! touching the wheel again; events pushed *at* the popped instant land
@@ -70,7 +69,7 @@ pub(crate) struct TimingWheel {
     occupied: [u64; LEVELS],
     /// Chain heads per level/slot (`NIL` = empty).
     heads: [[u32; SLOTS]; LEVELS],
-    /// Wheel cursor, µs: every live event is at or after `cur`, except
+    /// Wheel cursor, µs: every pending event is at or after `cur`, except
     /// best-effort past pushes which are clamped into the due batch.
     cur: u64,
     /// The staged level-0 slot, sorted ascending by `(time, seq)`;
@@ -100,6 +99,14 @@ impl TimingWheel {
     /// Cascade moves performed so far (diagnostics/perf counters).
     pub fn cascades(&self) -> u64 {
         self.cascades
+    }
+
+    /// Occupancy bitmap of `level` restricted to slots at or after the
+    /// cursor's digit there.
+    #[inline]
+    fn pending_from_cursor(&self, level: usize) -> u64 {
+        let dk = digit(self.cur, level);
+        (self.occupied[level] >> dk) << dk
     }
 
     /// Thread `slot` (already holding `(t, seq)` in the arena) into the
@@ -140,16 +147,15 @@ impl TimingWheel {
         self.occupied[level] |= 1 << s;
     }
 
-    /// Deliver the earliest live event: `(time, seq, payload)`.
+    /// Deliver the earliest event: `(time, seq, payload)`.
     pub fn pop<E>(&mut self, arena: &mut EventArena<E>) -> Option<(SimTime, u64, E)> {
         loop {
-            while self.due_pos < self.due.len() {
+            if self.due_pos < self.due.len() {
                 let (tm, seq, slot) = self.due[self.due_pos];
                 self.due_pos += 1;
                 debug_assert!(arena.entry(slot).seq == seq, "due slot was recycled");
-                if let Some(payload) = arena.take_and_free(slot) {
-                    return Some((SimTime::from_micros(tm), seq, payload));
-                }
+                let payload = arena.take_and_free(slot);
+                return Some((SimTime::from_micros(tm), seq, payload));
             }
             self.due.clear();
             self.due_pos = 0;
@@ -163,12 +169,11 @@ impl TimingWheel {
     }
 
     /// Advance the cursor to the next occupied level-0 slot (cascading
-    /// higher levels as needed) and stage its live chain into `due`.
+    /// higher levels as needed) and stage its chain into `due`.
     /// Returns `false` when every wheel is empty.
     fn stage_next<E>(&mut self, arena: &mut EventArena<E>) -> bool {
         'search: loop {
-            let d0 = digit(self.cur, 0);
-            let m = (self.occupied[0] >> d0) << d0;
+            let m = self.pending_from_cursor(0);
             if m != 0 {
                 let s = m.trailing_zeros() as usize;
                 self.occupied[0] &= !(1 << s);
@@ -179,16 +184,8 @@ impl TimingWheel {
                 self.cur = (self.cur & !(SLOTS as u64 - 1)) | s as u64;
                 while node != NIL {
                     let e = arena.entry(node);
-                    let next = e.next;
-                    if e.payload.is_some() {
-                        self.due.push((e.time.as_micros(), e.seq, node));
-                    } else {
-                        arena.free(node);
-                    }
-                    node = next;
-                }
-                if self.due.is_empty() {
-                    continue; // all dead; keep searching
+                    self.due.push((e.time.as_micros(), e.seq, node));
+                    node = e.next;
                 }
                 if self.due.len() > 1 {
                     self.due.sort_unstable();
@@ -196,8 +193,7 @@ impl TimingWheel {
                 return true;
             }
             for level in 1..LEVELS {
-                let dk = digit(self.cur, level);
-                let m = (self.occupied[level] >> dk) << dk;
+                let m = self.pending_from_cursor(level);
                 if m == 0 {
                     continue;
                 }
@@ -206,39 +202,26 @@ impl TimingWheel {
                 let head = self.heads[level][s];
                 self.heads[level][s] = NIL;
                 // This chain is the earliest pending region, so the
-                // cursor can jump straight to its earliest live time
-                // (every other event is beyond this slot's range): the
-                // minimum then re-places at level 0 directly and the rest
-                // land strictly below `level`, skipping the intermediate
+                // cursor can jump straight to its earliest time (every
+                // other event is beyond this slot's range): the minimum
+                // then re-places at level 0 directly and the rest land
+                // strictly below `level`, skipping the intermediate
                 // cascade hops and empty low-level rescans a slot-start
-                // cursor would pay. All-dead chains fall back to the
-                // slot's start.
-                let mut min_live = u64::MAX;
+                // cursor would pay.
+                let mut min_tm = u64::MAX;
                 let mut node = head;
                 while node != NIL {
                     let e = arena.entry(node);
-                    if e.payload.is_some() {
-                        min_live = min_live.min(e.time.as_micros());
-                    }
+                    min_tm = min_tm.min(e.time.as_micros());
                     node = e.next;
                 }
-                let width = 1u64 << (DIGIT_BITS * level as u32);
-                self.cur = if min_live == u64::MAX {
-                    (self.cur & !(width * SLOTS as u64 - 1)) | (s as u64 * width)
-                } else {
-                    min_live
-                };
+                self.cur = min_tm;
                 let mut node = head;
                 while node != NIL {
                     let e = arena.entry(node);
-                    let next = e.next;
-                    if e.payload.is_some() {
-                        let (tm, seq) = (e.time.as_micros(), e.seq);
-                        self.place(arena, tm, seq, node);
-                        self.cascades += 1;
-                    } else {
-                        arena.free(node);
-                    }
+                    let (tm, seq, next) = (e.time.as_micros(), e.seq, e.next);
+                    self.place(arena, tm, seq, node);
+                    self.cascades += 1;
                     node = next;
                 }
                 continue 'search;
@@ -248,28 +231,15 @@ impl TimingWheel {
     }
 
     /// Fold far-future overflow events back into the wheel once it has
-    /// drained: jump the cursor to the earliest live overflow time and
+    /// drained: jump the cursor to the earliest overflow time and
     /// re-place whatever now fits (the rest stays parked).
     fn rebase<E>(&mut self, arena: &mut EventArena<E>) {
-        let mut min_tm = u64::MAX;
-        for &(tm, seq, slot) in &self.overflow {
-            if arena.is_live(slot, seq) {
-                min_tm = min_tm.min(tm);
-            }
-        }
-        let items = std::mem::take(&mut self.overflow);
-        if min_tm == u64::MAX {
-            // Everything parked out there was cancelled.
-            for (_, _, slot) in items {
-                arena.free(slot);
-            }
-            return;
-        }
-        self.cur = self.cur.max(min_tm);
-        for (tm, seq, slot) in items {
-            if !arena.is_live(slot, seq) {
-                arena.free(slot);
-            } else if (tm ^ self.cur) >> (DIGIT_BITS * LEVELS as u32) == 0 {
+        let min_tm = self.overflow.iter().map(|&(tm, _, _)| tm).min();
+        self.cur = self
+            .cur
+            .max(min_tm.expect("rebase of an empty overflow ring"));
+        for (tm, seq, slot) in std::mem::take(&mut self.overflow) {
+            if (tm ^ self.cur) >> (DIGIT_BITS * LEVELS as u32) == 0 {
                 self.place(arena, tm, seq, slot);
             } else {
                 self.overflow.push((tm, seq, slot));
@@ -277,50 +247,27 @@ impl TimingWheel {
         }
     }
 
-    /// `(time, seq)` of the earliest live event without delivering it.
-    /// Read-only, so it scans chains instead of cascading; the scan is
-    /// bounded by the occupancy of the first non-dead slot it meets.
+    /// `(time, seq)` of the earliest event without delivering it.
+    /// Read-only, so it scans a chain instead of cascading: the earliest
+    /// event sits in the first occupied slot of the lowest occupied
+    /// level, so only that slot's chain is read.
     pub fn peek<E>(&self, arena: &EventArena<E>) -> Option<(SimTime, u64)> {
-        for &(tm, seq, slot) in &self.due[self.due_pos..] {
-            if arena.is_live(slot, seq) {
-                return Some((SimTime::from_micros(tm), seq));
+        let earliest = if let Some(&(tm, seq, _)) = self.due.get(self.due_pos) {
+            Some((tm, seq))
+        } else if let Some(level) = (0..LEVELS).find(|&k| self.pending_from_cursor(k) != 0) {
+            let s = self.pending_from_cursor(level).trailing_zeros() as usize;
+            let mut best = (u64::MAX, u64::MAX);
+            let mut node = self.heads[level][s];
+            while node != NIL {
+                let e = arena.entry(node);
+                best = best.min((e.time.as_micros(), e.seq));
+                node = e.next;
             }
-        }
-        for level in 0..LEVELS {
-            let dk = digit(self.cur, level);
-            let mut m = (self.occupied[level] >> dk) << dk;
-            while m != 0 {
-                let s = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let mut best: Option<(u64, u64)> = None;
-                let mut node = self.heads[level][s];
-                while node != NIL {
-                    let e = arena.entry(node);
-                    if e.payload.is_some() {
-                        let key = (e.time.as_micros(), e.seq);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
-                    node = e.next;
-                }
-                if let Some((tm, seq)) = best {
-                    return Some((SimTime::from_micros(tm), seq));
-                }
-                // All-dead slot: the next slot of the same level is still
-                // earlier than anything at higher levels.
-            }
-        }
-        let mut best: Option<(u64, u64)> = None;
-        for &(tm, seq, slot) in &self.overflow {
-            if arena.is_live(slot, seq) {
-                let key = (tm, seq);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(tm, seq)| (SimTime::from_micros(tm), seq))
+            Some(best)
+        } else {
+            self.overflow.iter().map(|&(tm, seq, _)| (tm, seq)).min()
+        };
+        earliest.map(|(tm, seq)| (SimTime::from_micros(tm), seq))
     }
 
     /// Forget every chain. The arena is cleared by the caller; capacities
@@ -360,12 +307,11 @@ mod tests {
             }
         }
 
-        fn push(&mut self, micros: u64) -> (u64, u32) {
+        fn push(&mut self, micros: u64) {
             let seq = self.seq;
             self.seq += 1;
             let slot = self.arena.insert(t(micros), seq, micros);
             self.wheel.schedule(&mut self.arena, t(micros), seq, slot);
-            (seq, slot)
         }
 
         fn pop(&mut self) -> Option<u64> {
@@ -415,17 +361,17 @@ mod tests {
     }
 
     #[test]
-    fn cascade_counts_and_reclaims_dead_nodes() {
+    fn cascade_jumps_to_the_earliest_event() {
         let mut r = Rig::new();
-        let far = 64 * 64 + 5; // level 2: two cascade moves to level 0
-        let (seq, slot) = r.push(far);
+        let far = 64 * 64 + 5; // level 2
         r.push(far + 1);
-        assert!(r.arena.invalidate(slot, seq));
+        r.push(far);
+        assert_eq!(r.pop(), Some(far));
         assert_eq!(r.pop(), Some(far + 1));
         assert_eq!(r.pop(), None);
-        // The live event cascaded 2→1→0; the dead one was reclaimed at
-        // the first cascade instead of travelling further.
-        assert!(r.wheel.cascades() >= 1);
+        // The cursor jumps straight to `far`: one move each out of
+        // level 2, both landing at level 0, no intermediate hop.
+        assert_eq!(r.wheel.cascades(), 2);
     }
 
     #[test]
@@ -441,15 +387,17 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_dead_and_matches_pop() {
+    fn peek_matches_pop() {
         let mut r = Rig::new();
-        let (s1, sl1) = r.push(10);
-        r.push(900);
-        assert_eq!(r.wheel.peek(&r.arena), Some((t(10), s1)));
-        assert!(r.arena.invalidate(sl1, s1));
-        assert_eq!(r.wheel.peek(&r.arena), Some((t(900), 1)));
-        assert_eq!(r.pop(), Some(900));
-        assert_eq!(r.wheel.peek(&r.arena), None);
+        let span = 64u64.pow(8);
+        for tm in [900, 10, 64 * 64 + 3, 900, span + 1] {
+            r.push(tm);
+        }
+        while let Some(peeked) = r.wheel.peek(&r.arena) {
+            let (tm, seq, _) = r.wheel.pop(&mut r.arena).expect("peek saw an event");
+            assert_eq!(peeked, (tm, seq));
+        }
+        assert_eq!(r.pop(), None);
     }
 
     #[test]

@@ -1,29 +1,21 @@
 //! Wheel-vs-heap equivalence: the timing-wheel `EventQueue` must be
-//! observationally identical to the `BinaryHeap` + tombstone design it
-//! replaced. A reference implementation of the old queue lives in this
-//! file, and proptest drives both side-by-side through random
-//! schedule/cancel/pop interleavings — including deltas spanning every
-//! wheel level and the far-future overflow ring — plus a deterministic
-//! model of the Optimized Gossiping-2 postpone storm (the cancel-heavy
-//! pattern the O(1) invalidation exists for). Every pop and every
-//! `cancel` return value must match exactly.
+//! observationally identical to a stable `BinaryHeap` keyed on
+//! `(time, seq)`. A reference heap lives in this file, and proptest
+//! drives both side by side through random push/pop/peek interleavings —
+//! including deltas spanning every wheel level and the far-future
+//! overflow ring — plus a deterministic model of the Optimized
+//! Gossiping-2 postpone storm, where every postponement pushes a new
+//! timer and leaves the stale one queued. Every pop, peek and length
+//! must match exactly.
 
-use ia_des::{EventId, EventQueue, SimTime};
+use ia_des::{EventQueue, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-/// The pre-wheel queue: stable `(time, seq)` heap keys with a tombstone
-/// set, plus an explicit live-id set standing in for the old watermark
-/// heuristic. (The heap's watermark could misreport a cancel as "already
-/// fired" after pushing below a skipped tombstone's key — a corner its
-/// own docs called unsupported; the wheel's generation check gets it
-/// right, so the reference models the ideal contract: `cancel` is `true`
-/// exactly when the event is genuinely pending.)
+/// The reference queue: a binary heap on stable `(time, seq)` keys.
 struct RefQueue<E> {
     heap: BinaryHeap<Reverse<(u64, u64, ValueCell<E>)>>,
-    live: HashSet<u64>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -51,49 +43,40 @@ impl<E> RefQueue<E> {
     fn new() -> Self {
         RefQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
         }
     }
 
-    /// Returns this push's sequence number as the cancellation handle.
-    fn push(&mut self, t: u64, event: E) -> u64 {
+    fn push(&mut self, t: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(Reverse((t, seq, ValueCell(event))));
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        if self.live.remove(&seq) {
-            self.cancelled.insert(seq);
-            true
-        } else {
-            false
-        }
     }
 
     fn pop(&mut self) -> Option<(u64, E)> {
-        while let Some(Reverse((t, seq, cell))) = self.heap.pop() {
-            if self.cancelled.remove(&seq) {
-                continue;
-            }
-            self.live.remove(&seq);
-            return Some((t, cell.0));
-        }
-        None
+        self.heap.pop().map(|Reverse((t, _, cell))| (t, cell.0))
     }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    }
+}
+
+/// Pop both queues once and check they agree.
+fn pop_both(wheel: &mut EventQueue<usize>, heap: &mut RefQueue<usize>) -> Option<(u64, usize)> {
+    let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
+    let want = heap.pop();
+    assert_eq!(got, want, "pop diverged");
+    assert_eq!(wheel.len(), heap.heap.len(), "len diverged");
+    got
 }
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Schedule at `last popped time + delta` with the next payload id.
     Push(u64),
-    /// Cancel the `i % issued`-th handle ever issued (may be long dead).
-    Cancel(usize),
     Pop,
+    Peek,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -108,8 +91,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..100_000).prop_map(Op::Push),
         (0u64..4_000_000_000).prop_map(Op::Push),
         (1u64 << 47..1 << 52).prop_map(Op::Push),
-        any::<usize>().prop_map(Op::Cancel),
-        any::<usize>().prop_map(Op::Cancel),
+        Just(Op::Peek),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -121,8 +103,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn drive(ops: &[Op]) {
     let mut wheel: EventQueue<usize> = EventQueue::new();
     let mut heap: RefQueue<usize> = RefQueue::new();
-    // (wheel handle, time, ref seq) per issued id, for cancels.
-    let mut issued: Vec<(EventId, u64, u64)> = Vec::new();
     let mut now = 0u64;
     let mut payload = 0usize;
 
@@ -130,40 +110,23 @@ fn drive(ops: &[Op]) {
         match op {
             Op::Push(delta) => {
                 let t = now.saturating_add(*delta);
-                let id = wheel.push(SimTime::from_micros(t), payload);
-                let seq = heap.push(t, payload);
-                issued.push((id, t, seq));
+                wheel.push(SimTime::from_micros(t), payload);
+                heap.push(t, payload);
                 payload += 1;
             }
-            Op::Cancel(i) => {
-                if issued.is_empty() {
-                    continue;
-                }
-                let (id, _t, seq) = issued[i % issued.len()];
-                let got = wheel.cancel(id);
-                let want = heap.cancel(seq);
-                prop_assert_eq!(got, want, "cancel of seq {} diverged; ops={:?}", seq, ops);
-            }
             Op::Pop => {
-                let got = wheel.pop();
-                let want = heap.pop();
-                let got = got.map(|(t, p)| (t.as_micros(), p));
-                prop_assert_eq!(got, want, "pop diverged at now={}", now);
-                if let Some((t, _)) = got {
+                if let Some((t, _)) = pop_both(&mut wheel, &mut heap) {
                     now = t;
                 }
+            }
+            Op::Peek => {
+                let got = wheel.peek_time().map(|t| t.as_micros());
+                prop_assert_eq!(got, heap.peek_time(), "peek diverged at now={}", now);
             }
         }
     }
     // Drain both to the end: full pop order must agree.
-    loop {
-        let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
-        let want = heap.pop();
-        prop_assert_eq!(got, want, "drain diverged");
-        if got.is_none() {
-            break;
-        }
-    }
+    while pop_both(&mut wheel, &mut heap).is_some() {}
 }
 
 proptest! {
@@ -175,22 +138,30 @@ proptest! {
     }
 }
 
-/// The Optimized Gossiping-2 pattern: each received copy cancels the
-/// pending broadcast timer and reschedules it later, so one delivery can
-/// produce dozens of cancel+push pairs. Model 32 peers postponing across
-/// interleaved pops and check the final delivery order agrees.
+/// The Optimized Gossiping-2 pattern as the simulation world runs it:
+/// each received copy postpones the peer's pending broadcast timer by
+/// pushing a new one, and the stale one stays queued until it pops and
+/// is ignored. One delivery can produce dozens of such pushes. Model 32
+/// peers postponing across interleaved pops and check every pop agrees.
 #[test]
 fn postpone_storm_matches_heap() {
+    const PEERS: usize = 32;
     let mut wheel: EventQueue<usize> = EventQueue::new();
     let mut heap: RefQueue<usize> = RefQueue::new();
-    let mut timers: Vec<(EventId, u64, u64)> = Vec::new(); // per peer
+    // Payload `id * PEERS + peer`; `current[peer]` is the live timer.
+    let mut current = [0usize; PEERS];
+    let mut next_id = 0usize;
+    let mut arm = |wheel: &mut EventQueue<usize>, heap: &mut RefQueue<usize>, peer, t| {
+        let payload = next_id * PEERS + peer;
+        next_id += 1;
+        wheel.push(SimTime::from_micros(t), payload);
+        heap.push(t, payload);
+        payload
+    };
 
     // Every peer arms an initial timer.
-    for peer in 0..32usize {
-        let t = 1_000 + 37 * peer as u64;
-        let id = wheel.push(SimTime::from_micros(t), peer);
-        let seq = heap.push(t, peer);
-        timers.push((id, t, seq));
+    for (peer, slot) in current.iter_mut().enumerate() {
+        *slot = arm(&mut wheel, &mut heap, peer, 1_000 + 37 * peer as u64);
     }
 
     let mut x: u64 = 0xDEADBEEFCAFE;
@@ -202,34 +173,23 @@ fn postpone_storm_matches_heap() {
     };
 
     let mut now = 0u64;
+    let mut stale = 0;
     for round in 0..2_000 {
         // A "copy arrives" at a pseudo-random peer: postpone its timer.
-        let peer = (rand() % 32) as usize;
-        let (id, _t, seq) = timers[peer];
-        let a = wheel.cancel(id);
-        let b = heap.cancel(seq);
-        assert_eq!(a, b, "postpone cancel diverged for peer {peer}");
+        let peer = (rand() % PEERS as u64) as usize;
         let t2 = now + 500 + rand() % 50_000;
-        let id2 = wheel.push(SimTime::from_micros(t2), peer);
-        let seq2 = heap.push(t2, peer);
-        timers[peer] = (id2, t2, seq2);
+        current[peer] = arm(&mut wheel, &mut heap, peer, t2);
 
         // Occasionally let time advance.
         if round % 5 == 0 {
-            let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
-            let want = heap.pop();
-            assert_eq!(got, want, "pop diverged in round {round}");
-            if let Some((t, _)) = got {
+            if let Some((t, payload)) = pop_both(&mut wheel, &mut heap) {
                 now = t;
+                if current[payload % PEERS] != payload {
+                    stale += 1;
+                }
             }
         }
     }
-    loop {
-        let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
-        let want = heap.pop();
-        assert_eq!(got, want, "drain diverged");
-        if got.is_none() {
-            break;
-        }
-    }
+    while pop_both(&mut wheel, &mut heap).is_some() {}
+    assert!(stale > 0, "the storm never popped a stale timer");
 }

@@ -1,8 +1,7 @@
 //! One module per reproduced figure/table of the paper's evaluation.
 //!
 //! Every module exposes a `run(&Options) -> Vec<Table>` entry point used
-//! both by the `ia-experiments` binaries (full scale) and the `ia-bench`
-//! Criterion benches (reduced scale). `Options::quick()` shrinks the
+//! by the `ia-experiments` binaries. `Options::quick()` shrinks the
 //! sweeps so a full reproduction pass stays laptop-sized.
 
 pub mod beta_sweep;

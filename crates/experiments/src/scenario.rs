@@ -3,7 +3,7 @@
 use ia_core::{GossipParams, ProtocolKind};
 use ia_des::{SimDuration, SimTime};
 use ia_geo::{Point, Rect};
-use ia_mobility::NoiseRamp;
+use ia_mobility::{Manhattan, NoiseRamp, MIN_SPEED};
 use ia_radio::{GilbertElliott, JamZone, RadioConfig};
 
 /// Which mobility model drives the mobile peers.
@@ -436,10 +436,25 @@ impl Scenario {
         assert!(self.n_peers >= 1, "need at least one mobile peer");
         assert!(!self.ads.is_empty(), "need at least one advertisement");
         assert!(!self.sim_time.is_zero(), "zero sim time");
+        // The mobility models clamp the slowest speed up to `MIN_SPEED`,
+        // so the fastest must reach it.
         assert!(
-            self.speed_mean > self.speed_delta && self.speed_delta >= 0.0,
+            self.speed_mean > self.speed_delta
+                && self.speed_delta >= 0.0
+                && self.speed_mean + self.speed_delta >= MIN_SPEED,
             "invalid speed spec"
         );
+        assert!(
+            self.area.width() > 0.0 && self.area.height() > 0.0,
+            "degenerate field"
+        );
+        if self.mobility == MobilityKind::Manhattan {
+            let block = Manhattan::paper(self.area, self.speed_mean, self.speed_delta).block;
+            assert!(
+                self.area.width() >= block && self.area.height() >= block,
+                "field smaller than one Manhattan block"
+            );
+        }
         assert!(self.pause_max >= 0.0, "negative pause time");
         self.radio.validate();
         self.params.validate();
@@ -508,7 +523,7 @@ mod tests {
         // forever (zero churn period) or panic on, at build time or
         // mid-run; `validate` must reject it first, naming the fault.
         type Breaker = fn(&mut Scenario);
-        let cases: [(&str, Breaker); 6] = [
+        let cases: [(&str, Breaker); 10] = [
             ("zero churn period", |s| {
                 s.churn = Some(ChurnSpec {
                     mean_up: SimDuration::ZERO,
@@ -527,6 +542,22 @@ mod tests {
                 s.speed_delta = 0.0;
             }),
             ("negative pause time", |s| s.pause_max = -1.0),
+            ("invalid speed spec", |s| {
+                s.speed_mean = 0.05;
+                s.speed_delta = 0.0;
+            }),
+            ("non-finite range", |s| {
+                s.radio.range = f64::INFINITY;
+                s.params.tx_range = f64::INFINITY;
+            }),
+            ("degenerate field", |s| {
+                s.area = Rect::with_size(5000.0, 0.0)
+            }),
+            ("field smaller than one Manhattan block", |s| {
+                s.mobility = MobilityKind::Manhattan;
+                s.area = Rect::with_size(100.0, 5000.0);
+                s.ads[0].issue_pos = s.area.center();
+            }),
         ];
         for (expected, breaker) in cases {
             let mut s = Scenario::paper(ProtocolKind::Gossip, 100);

@@ -38,7 +38,7 @@ pub use cursor::FleetCursor;
 pub use density::DensityMap;
 pub use fleet::Fleet;
 pub use manhattan::Manhattan;
-pub use model::MobilityModel;
+pub use model::{MobilityModel, MIN_SPEED};
 pub use noise::{GpsNoise, NoiseRamp};
 pub use random_waypoint::RandomWaypoint;
 pub use stationary::Stationary;

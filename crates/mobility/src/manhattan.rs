@@ -13,7 +13,7 @@
 //! otherwise turns left or right with equal probability (U-turns only at
 //! the field boundary when no other street continues).
 
-use crate::model::MobilityModel;
+use crate::model::{MobilityModel, MIN_SPEED};
 use crate::trajectory::{Leg, Trajectory};
 use ia_des::{SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Rect};
@@ -41,7 +41,7 @@ impl Manhattan {
         Manhattan {
             area,
             block: 250.0,
-            speed_min: (speed_mean - speed_delta).max(0.1),
+            speed_min: (speed_mean - speed_delta).max(MIN_SPEED),
             speed_max: speed_mean + speed_delta,
             p_straight: 0.5,
             pause_min: 0.0,

@@ -3,6 +3,10 @@
 use crate::trajectory::Trajectory;
 use ia_des::{SimRng, SimTime};
 
+/// Slowest speed a mobility model draws, m/s. The paper's models clamp
+/// `mean - delta` up to it, so a node never stalls on a leg.
+pub const MIN_SPEED: f64 = 0.1;
+
 /// A generator of node movement plans.
 ///
 /// Implementations must be deterministic functions of the RNG stream they

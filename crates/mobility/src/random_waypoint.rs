@@ -4,7 +4,7 @@
 //! line to another random position, where it pauses for a while and then
 //! moves again to another random position; and so on."
 
-use crate::model::MobilityModel;
+use crate::model::{MobilityModel, MIN_SPEED};
 use crate::trajectory::{Leg, Trajectory};
 use ia_des::{SimDuration, SimRng, SimTime};
 use ia_geo::Rect;
@@ -28,7 +28,7 @@ impl RandomWaypoint {
     /// The paper's configuration: uniform speed in
     /// `[mean - delta, mean + delta]` and a short uniform pause.
     pub fn paper(area: Rect, speed_mean: f64, speed_delta: f64) -> Self {
-        let speed_min = (speed_mean - speed_delta).max(0.1);
+        let speed_min = (speed_mean - speed_delta).max(MIN_SPEED);
         RandomWaypoint {
             area,
             speed_min,

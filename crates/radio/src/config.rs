@@ -64,6 +64,8 @@ impl RadioConfig {
     /// cannot run.
     pub fn validate(&self) {
         assert!(self.range > 0.0, "non-positive range");
+        // The spatial grid's cell size is the range.
+        assert!(self.range.is_finite(), "non-finite range");
         assert!(self.delay_max >= self.delay_min, "delay_max < delay_min");
         assert!(self.bitrate_bps > 0.0, "non-positive bitrate");
     }
