@@ -37,10 +37,6 @@ impl UserProfile {
         &self.interests
     }
 
-    pub fn is_interested_in_topic(&self, topic: u32) -> bool {
-        self.interests.binary_search(&topic).is_ok()
-    }
-
     /// The paper's `Match(ad, I_i)` summed over this user's interests:
     /// how many of the user's interest keywords the ad matches.
     pub fn match_count(&self, ad: &Advertisement) -> usize {
@@ -82,8 +78,6 @@ mod tests {
     fn interests_sorted_deduped() {
         let u = UserProfile::new(1, vec![5, 2, 5, 9]);
         assert_eq!(u.interests(), &[2, 5, 9]);
-        assert!(u.is_interested_in_topic(5));
-        assert!(!u.is_interested_in_topic(3));
     }
 
     #[test]

@@ -138,6 +138,11 @@ impl GossipParams {
         assert!(self.interior_unit > 0.0, "interior_unit must be positive");
         assert!(!self.age_unit.is_zero(), "age_unit must be positive");
         assert!(self.tx_range > 0.0, "tx_range must be positive");
+        // Formula (4) takes the lens of two transmission disks.
+        assert!(
+            self.tx_range <= ia_geo::circle::max_lens_radius(),
+            "tx_range too large for formula (4)"
+        );
         assert!(
             self.enlarge_frac >= 0.0,
             "enlarge_frac must be non-negative"

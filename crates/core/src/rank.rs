@@ -100,12 +100,6 @@ pub fn expiry_bound_rounds(
     (d0.as_secs() * max_enlarge_factor / round_time.as_secs()).ceil() as u64 + 1
 }
 
-/// The paper's uncapped series `sum_{rank=1..k} 1/log2(rank+1)`, exposed
-/// so tests and documentation can examine its (sub)linearity directly.
-pub fn enlargement_series(k: u64) -> f64 {
-    (1..=k).map(|r| 1.0 / ((r + 1) as f64).log2()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,15 +220,5 @@ mod tests {
         let k = expiry_bound_rounds(a.initial_duration, p.round_time, p.max_enlarge_factor);
         let t_bound = SimTime::ZERO + p.round_time * k;
         assert!(a.expired(t_bound), "ad still alive at the expiry bound");
-    }
-
-    #[test]
-    fn enlargement_series_is_sublinear() {
-        // The paper's asymptotic argument: S(k)/k decreases.
-        let s100 = enlargement_series(100) / 100.0;
-        let s1000 = enlargement_series(1000) / 1000.0;
-        let s10000 = enlargement_series(10_000) / 10_000.0;
-        assert!(s1000 < s100);
-        assert!(s10000 < s1000);
     }
 }

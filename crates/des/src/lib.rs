@@ -40,8 +40,8 @@ use std::fmt;
 /// enum Ev { Tick(u32) }
 ///
 /// let mut sched = Scheduler::new();
-/// sched.schedule_after(SimDuration::from_secs(5.0), Ev::Tick(1));
-/// sched.schedule_after(SimDuration::from_secs(1.0), Ev::Tick(2));
+/// sched.schedule_at(SimTime::from_secs(5.0), Ev::Tick(1));
+/// sched.schedule_at(SimTime::from_secs(1.0), Ev::Tick(2));
 ///
 /// let mut order = Vec::new();
 /// while let Some(ev) = sched.pop() {
@@ -117,17 +117,6 @@ impl<E> Scheduler<E> {
         self.queue.push(t, event)
     }
 
-    /// Schedule `event` after the given delay.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event)
-    }
-
-    /// Schedule `event` to fire immediately (at the current time, after any
-    /// events already queued for this instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_at(self.now, event)
-    }
-
     /// Advance the clock to the next event and return its payload, or
     /// `None` when the queue is exhausted or the horizon reached.
     pub fn pop(&mut self) -> Option<E> {
@@ -192,7 +181,7 @@ mod tests {
     #[test]
     fn clock_advances_to_event_time() {
         let mut s: Scheduler<&str> = Scheduler::new();
-        s.schedule_after(SimDuration::from_secs(2.5), "a");
+        s.schedule_at(SimTime::from_secs(2.5), "a");
         assert_eq!(s.now(), SimTime::ZERO);
         s.pop();
         assert_eq!(s.now(), SimTime::from_secs(2.5));
@@ -220,15 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_fires_after_existing_same_instant_events() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.schedule_at(SimTime::ZERO, 1);
-        s.schedule_now(2);
-        let got: Vec<u32> = std::iter::from_fn(|| s.pop()).collect();
-        assert_eq!(got, vec![1, 2]);
-    }
-
-    #[test]
     fn peek_time_sees_next_event() {
         let mut s: Scheduler<u32> = Scheduler::new();
         assert_eq!(s.peek_time(), None);
@@ -245,7 +225,7 @@ mod tests {
         while let Some(n) = s.pop() {
             fired += 1;
             if n < 4 {
-                s.schedule_after(SimDuration::from_secs(1.0), n + 1);
+                s.schedule_at(s.now() + SimDuration::from_secs(1.0), n + 1);
             }
         }
         assert_eq!(fired, 5);

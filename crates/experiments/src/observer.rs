@@ -321,14 +321,6 @@ impl FaultLedger {
         &self.rounds
     }
 
-    /// The worst per-round degradation observed (0.0 on an idle run).
-    pub fn peak_degradation(&self) -> f64 {
-        self.rounds
-            .iter()
-            .map(|r| r.degradation())
-            .fold(0.0, f64::max)
-    }
-
     /// CSV dump of the per-round delivered/faulted/degradation timeline
     /// (one row per bucket from t = 0) so figure scripts can plot
     /// collapse-vs-heal curves instead of endpoint aggregates.
@@ -660,7 +652,6 @@ mod tests {
         assert_eq!(ledger.rounds().len(), 2);
         assert!((ledger.rounds()[0].degradation() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(ledger.rounds()[1].degradation(), 1.0);
-        assert_eq!(ledger.peak_degradation(), 1.0);
         let s = ledger.summary();
         assert!(
             s.contains("delivered=2") && s.contains("survival=50.0%"),
@@ -676,7 +667,7 @@ mod tests {
     fn fault_ledger_is_neutral_on_an_idle_run() {
         let ledger = FaultLedger::new(SimDuration::from_secs(5.0));
         assert_eq!(ledger.survival_rate(), 1.0);
-        assert_eq!(ledger.peak_degradation(), 0.0);
+        assert!(ledger.rounds().is_empty());
         assert_eq!(ledger.faulted(), 0);
     }
 

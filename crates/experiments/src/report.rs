@@ -31,10 +31,6 @@ impl Table {
         self.rows.len()
     }
 
-    pub fn n_cols(&self) -> usize {
-        self.headers.len()
-    }
-
     /// Append a row; must match the header arity.
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(
@@ -176,7 +172,6 @@ mod tests {
         assert_eq!(t.cell_f64(1, 1), 99.90);
         assert_eq!(t.column_f64(0), vec![100.0, 1000.0]);
         assert_eq!(t.n_rows(), 2);
-        assert_eq!(t.n_cols(), 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use ia_core::{GossipParams, ProtocolKind};
 use ia_des::{SimDuration, SimTime};
-use ia_geo::{Point, Rect};
+use ia_geo::{Point, Rect, MAX_GRID_CELLS};
 use ia_mobility::{Manhattan, NoiseRamp, MIN_SPEED};
 use ia_radio::{GilbertElliott, JamZone, RadioConfig};
 
@@ -343,16 +343,6 @@ impl Scenario {
         self
     }
 
-    pub fn with_params(mut self, params: GossipParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    pub fn with_protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
     pub fn with_mobility(mut self, mobility: MobilityKind) -> Self {
         self.mobility = mobility;
         self
@@ -457,6 +447,13 @@ impl Scenario {
         }
         assert!(self.pause_max >= 0.0, "negative pause time");
         self.radio.validate();
+        // Every node stays on the field, so the medium's neighbour grid
+        // spans at most this many cells per side.
+        let cells = |side: f64| (side / self.radio.grid_cell()).ceil() + 1.0;
+        assert!(
+            cells(self.area.width()) * cells(self.area.height()) <= MAX_GRID_CELLS as f64,
+            "field too large for the radio range"
+        );
         self.params.validate();
         // Optimized Gossiping-2 computes the overlap `p` from `tx_range`;
         // the medium delivers within `radio.range`. One radio, one range.
@@ -523,7 +520,7 @@ mod tests {
         // forever (zero churn period) or panic on, at build time or
         // mid-run; `validate` must reject it first, naming the fault.
         type Breaker = fn(&mut Scenario);
-        let cases: [(&str, Breaker); 10] = [
+        let cases: [(&str, Breaker); 12] = [
             ("zero churn period", |s| {
                 s.churn = Some(ChurnSpec {
                     mean_up: SimDuration::ZERO,
@@ -557,6 +554,17 @@ mod tests {
                 s.mobility = MobilityKind::Manhattan;
                 s.area = Rect::with_size(100.0, 5000.0);
                 s.ads[0].issue_pos = s.area.center();
+            }),
+            ("field too large for the radio range", |s| {
+                s.area = Rect::with_size(1375.0, 6.4e11);
+                s.ads[0].issue_pos = s.area.center();
+                s.radio.range = 976.0;
+                s.params.tx_range = 976.0;
+            }),
+            ("tx_range too large for formula (4)", |s| {
+                s.protocol = ProtocolKind::OptGossip2;
+                s.radio.range = f64::MAX / 4.0;
+                s.params.tx_range = f64::MAX / 4.0;
             }),
         ];
         for (expected, breaker) in cases {

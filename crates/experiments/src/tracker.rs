@@ -67,17 +67,6 @@ pub struct AdOutcome {
     pub mean_delivery_time: f64,
 }
 
-impl AdOutcome {
-    /// Peer-level delivery rate in percent (secondary metric).
-    pub fn peer_delivery_rate(&self) -> f64 {
-        if self.passed == 0 {
-            100.0
-        } else {
-            100.0 * self.delivered as f64 / self.passed as f64
-        }
-    }
-}
-
 /// Tracks deliveries for every advertisement in a run.
 #[derive(Debug, Clone)]
 pub struct DeliveryTracker {

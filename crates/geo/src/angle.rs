@@ -1,24 +1,11 @@
-//! Angle helpers.
+//! The angle between two directions.
 //!
 //! The paper's Optimized Gossiping-2 rule (formula 4) needs the angle
 //! `theta in [0, pi]` between a peer's motion direction and the line from
-//! the peer to the broadcaster it overheard. These helpers keep that
+//! the peer to the broadcaster it overheard. This module keeps that
 //! computation in one well-tested place.
 
 use crate::point::Vector;
-
-/// Normalize an angle into `(-pi, pi]`.
-pub fn normalize_angle(theta: f64) -> f64 {
-    use std::f64::consts::PI;
-    let two_pi = 2.0 * PI;
-    let mut a = theta % two_pi;
-    if a <= -PI {
-        a += two_pi;
-    } else if a > PI {
-        a -= two_pi;
-    }
-    a
-}
 
 /// Unsigned angle between two vectors, in `[0, pi]`.
 ///
@@ -39,25 +26,6 @@ pub fn angle_between(a: Vector, b: Vector) -> f64 {
 mod tests {
     use super::*;
     use std::f64::consts::{FRAC_PI_2, PI};
-
-    #[test]
-    fn normalize_keeps_range() {
-        for k in -10..=10 {
-            let theta = k as f64 * 1.3;
-            let n = normalize_angle(theta);
-            assert!(n > -PI - 1e-12 && n <= PI + 1e-12, "theta={theta} -> {n}");
-            // Same direction after normalisation.
-            assert!((n.sin() - theta.sin()).abs() < 1e-9);
-            assert!((n.cos() - theta.cos()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn normalize_boundary() {
-        assert!((normalize_angle(PI) - PI).abs() < 1e-12);
-        assert!((normalize_angle(-PI) - PI).abs() < 1e-12);
-        assert!((normalize_angle(3.0 * PI) - PI).abs() < 1e-9);
-    }
 
     #[test]
     fn angle_between_basic_cases() {

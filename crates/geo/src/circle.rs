@@ -34,19 +34,6 @@ impl Circle {
         self.center.distance_sq(p) <= self.radius * self.radius + crate::EPS
     }
 
-    /// Signed distance from `p` to the circle boundary
-    /// (negative inside, positive outside).
-    #[inline]
-    pub fn boundary_distance(&self, p: Point) -> f64 {
-        self.center.distance(p) - self.radius
-    }
-
-    /// True when the two disks intersect (including tangency).
-    pub fn intersects(&self, other: &Circle) -> bool {
-        let rsum = self.radius + other.radius;
-        self.center.distance_sq(other.center) <= rsum * rsum + crate::EPS
-    }
-
     /// Area of the intersection (lens) of two disks.
     ///
     /// Handles the disjoint case (0), the nested case (area of the smaller
@@ -98,12 +85,12 @@ impl Circle {
     }
 }
 
-/// The paper's lower bound on the overlap fraction of two equal-radius
-/// transmission disks whose centres are within range of each other:
-/// at the maximum separation `d = r`, the lens area is
-/// `(2*pi/3 - sqrt(3)/2) * r^2`, i.e. a fraction `2/3 - sqrt(3)/(2*pi)`.
-pub fn min_equal_radius_overlap_fraction() -> f64 {
-    2.0 / 3.0 - 3.0_f64.sqrt() / (2.0 * std::f64::consts::PI)
+/// The largest radius at which [`Circle::lens_area`] of two equal disks
+/// stays finite at every centre distance. Its first step to overflow is
+/// the triangle term's radicand, which peaks at `4 r^4` (at `d = sqrt(2) r`),
+/// so the bound is `(f64::MAX / 4)^(1/4)`, about 8.2e76.
+pub fn max_lens_radius() -> f64 {
+    (f64::MAX / 4.0).sqrt().sqrt()
 }
 
 #[cfg(test)]
@@ -120,15 +107,12 @@ mod tests {
         assert!(k.contains(Point::new(3.0, 4.0))); // on boundary
         assert!(k.contains(Point::new(1.0, 1.0)));
         assert!(!k.contains(Point::new(4.0, 4.0)));
-        assert!((k.boundary_distance(Point::new(0.0, 7.0)) - 2.0).abs() < 1e-12);
-        assert!((k.boundary_distance(Point::new(0.0, 3.0)) + 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn disjoint_circles_have_zero_lens() {
         let a = c(0.0, 0.0, 1.0);
         let b = c(5.0, 0.0, 1.0);
-        assert!(!a.intersects(&b));
         assert_eq!(a.lens_area(&b), 0.0);
         assert_eq!(a.overlap_fraction(&b), 0.0);
     }
@@ -165,7 +149,8 @@ mod tests {
         let expect = (2.0 * std::f64::consts::PI / 3.0 - 3.0_f64.sqrt() / 2.0) * r * r;
         assert!((a.lens_area(&b) - expect).abs() / expect < 1e-12);
         let frac = a.overlap_fraction(&b);
-        assert!((frac - min_equal_radius_overlap_fraction()).abs() < 1e-12);
+        let paper_bound = 2.0 / 3.0 - 3.0_f64.sqrt() / (2.0 * std::f64::consts::PI);
+        assert!((frac - paper_bound).abs() < 1e-12);
         // ~0.391, as the paper states.
         assert!((frac - 0.391).abs() < 1e-3);
     }
@@ -200,6 +185,24 @@ mod tests {
         assert_eq!(pt_in.overlap_fraction(&k), 1.0);
         assert_eq!(pt_out.overlap_fraction(&k), 0.0);
         assert_eq!(k.lens_area(&pt_in), 0.0);
+    }
+
+    #[test]
+    fn lens_stays_finite_up_to_max_lens_radius() {
+        let r = max_lens_radius();
+        let a = c(0.0, 0.0, r);
+        for k in 1..=400 {
+            let b = c(r * k as f64 / 200.0, 0.0, r);
+            let f = a.overlap_fraction(&b);
+            assert!(
+                a.lens_area(&b).is_finite() && (0.0..=1.0).contains(&f),
+                "k={k}"
+            );
+        }
+        // One step further the radicand overflows and the lens is lost.
+        let r = r * 1.001;
+        let b = c(r * std::f64::consts::SQRT_2, 0.0, r);
+        assert!(!c(0.0, 0.0, r).lens_area(&b).is_finite());
     }
 
     #[test]

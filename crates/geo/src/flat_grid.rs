@@ -20,6 +20,11 @@
 
 use crate::point::Point;
 
+/// The most cells a [`FlatGrid`]'s bounding cell rectangle may span; a
+/// rebuild over a wider spread panics rather than allocate the offset
+/// table. Callers that pick the cell size check their extent against it.
+pub const MAX_GRID_CELLS: usize = 1 << 28;
+
 /// A dense CSR grid over points with ids `0..n` (slice index = id).
 #[derive(Debug, Clone, Default)]
 pub struct FlatGrid {
@@ -85,8 +90,7 @@ impl FlatGrid {
     /// it, then scatter ids/positions into the packed arrays. All buffers
     /// retain capacity, so steady-state rebuilds over a stable point cloud
     /// perform **zero allocations** (asserted by the counting-allocator
-    /// test in `tests/flat_grid_alloc.rs` and the `grid_rebuild_query`
-    /// bench case).
+    /// tests in `crates/experiments/tests/zero_alloc.rs`).
     pub fn rebuild(&mut self, cell: f64, positions: &[Point]) {
         assert!(cell > 0.0 && cell.is_finite(), "grid cell must be positive");
         self.cell = cell;
@@ -116,7 +120,7 @@ impl FlatGrid {
         let ncy = (max_cy - min_cy) as usize + 1;
         let ncells = ncx
             .checked_mul(ncy)
-            .filter(|&c| c <= (1 << 28))
+            .filter(|&c| c <= MAX_GRID_CELLS)
             .expect("cell rectangle too large; choose a coarser cell");
         self.min_cx = min_cx;
         self.min_cy = min_cy;
@@ -197,25 +201,25 @@ impl FlatGrid {
         }
         out.sort_unstable_by_key(|&(id, _)| id);
     }
-
-    /// Convenience wrapper around [`Self::query_disk_into`].
-    pub fn query_disk(&self, center: Point, radius: f64) -> Vec<(u32, Point)> {
-        let mut out = Vec::new();
-        self.query_disk_into(center, radius, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// [`FlatGrid::query_disk_into`] into a fresh buffer.
+    pub(super) fn query(g: &FlatGrid, center: Point, radius: f64) -> Vec<(u32, Point)> {
+        let mut out = Vec::new();
+        g.query_disk_into(center, radius, &mut out);
+        out
+    }
+
     #[test]
     fn empty_grid_returns_nothing() {
         let g = FlatGrid::build(10.0, &[]);
         assert!(g.is_empty());
         assert_eq!(g.len(), 0);
-        assert!(g.query_disk(Point::new(0.0, 0.0), 100.0).is_empty());
+        assert!(query(&g, Point::new(0.0, 0.0), 100.0).is_empty());
     }
 
     #[test]
@@ -230,8 +234,7 @@ mod tests {
             ],
         );
         assert_eq!(g.len(), 4);
-        let hits: Vec<u32> = g
-            .query_disk(Point::new(0.0, 0.0), 10.0)
+        let hits: Vec<u32> = query(&g, Point::new(0.0, 0.0), 10.0)
             .into_iter()
             .map(|(id, _)| id)
             .collect();
@@ -241,7 +244,7 @@ mod tests {
     #[test]
     fn boundary_is_inclusive() {
         let g = FlatGrid::build(5.0, &[Point::new(10.0, 0.0)]);
-        let hits = g.query_disk(Point::new(0.0, 0.0), 10.0);
+        let hits = query(&g, Point::new(0.0, 0.0), 10.0);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0], (0, Point::new(10.0, 0.0)));
     }
@@ -249,7 +252,7 @@ mod tests {
     #[test]
     fn negative_coordinates_work() {
         let g = FlatGrid::build(7.0, &[Point::new(-3.0, -4.0), Point::new(-100.0, -100.0)]);
-        let hits = g.query_disk(Point::ORIGIN, 5.0);
+        let hits = query(&g, Point::ORIGIN, 5.0);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 0);
     }
@@ -262,7 +265,7 @@ mod tests {
             .map(|i| Point::new(((49 - i) as f64) * 9.7, ((i * 7) % 23) as f64 * 9.7))
             .collect();
         let g = FlatGrid::build(25.0, &pts);
-        let hits = g.query_disk(Point::new(240.0, 110.0), 400.0);
+        let hits = query(&g, Point::new(240.0, 110.0), 400.0);
         let ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -273,7 +276,7 @@ mod tests {
     #[test]
     fn negative_radius_yields_nothing() {
         let g = FlatGrid::build(10.0, &[Point::ORIGIN]);
-        assert!(g.query_disk(Point::ORIGIN, -1.0).is_empty());
+        assert!(query(&g, Point::ORIGIN, -1.0).is_empty());
     }
 
     #[test]
@@ -282,8 +285,8 @@ mod tests {
         assert_eq!(g.len(), 2);
         g.rebuild(10.0, &[Point::new(100.0, 100.0)]);
         assert_eq!(g.len(), 1);
-        assert!(g.query_disk(Point::ORIGIN, 10.0).is_empty());
-        assert_eq!(g.query_disk(Point::new(100.0, 100.0), 1.0).len(), 1);
+        assert!(query(&g, Point::ORIGIN, 10.0).is_empty());
+        assert_eq!(query(&g, Point::new(100.0, 100.0), 1.0).len(), 1);
     }
 
     #[test]
@@ -295,7 +298,7 @@ mod tests {
             .map(|i| Point::new((i % 10) as f64 * 10.0, (i / 10) as f64 * 10.0))
             .collect();
         let g = FlatGrid::build(1.0, &pts);
-        let hits = g.query_disk(Point::new(45.0, 45.0), 200.0);
+        let hits = query(&g, Point::new(45.0, 45.0), 200.0);
         assert_eq!(hits.len(), 100);
         let ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
@@ -313,6 +316,7 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::query;
     use super::*;
     use proptest::prelude::*;
 
@@ -329,7 +333,7 @@ mod prop_tests {
             let positions: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
             let flat = FlatGrid::build(cell, &positions);
             let center = Point::new(qx, qy);
-            let got = flat.query_disk(center, r);
+            let got = query(&flat, center, r);
             let want: Vec<(u32, Point)> = positions
                 .iter()
                 .enumerate()
@@ -353,8 +357,8 @@ mod prop_tests {
             recycled.rebuild(cell, &pb);
             let fresh = FlatGrid::build(cell, &pb);
             prop_assert_eq!(
-                recycled.query_disk(Point::new(0.0, 0.0), r),
-                fresh.query_disk(Point::new(0.0, 0.0), r)
+                query(&recycled, Point::new(0.0, 0.0), r),
+                query(&fresh, Point::new(0.0, 0.0), r)
             );
         }
     }

@@ -23,9 +23,9 @@ pub mod point;
 pub mod rect;
 pub mod segment;
 
-pub use angle::{angle_between, normalize_angle};
+pub use angle::angle_between;
 pub use circle::Circle;
-pub use flat_grid::FlatGrid;
+pub use flat_grid::{FlatGrid, MAX_GRID_CELLS};
 pub use point::{Point, Vector};
 pub use rect::Rect;
 pub use segment::Segment;

@@ -129,23 +129,6 @@ impl Vector {
         self.y.atan2(self.x)
     }
 
-    /// Rotate by `theta` radians counter-clockwise.
-    pub fn rotated(&self, theta: f64) -> Vector {
-        let (s, c) = theta.sin_cos();
-        Vector {
-            x: self.x * c - self.y * s,
-            y: self.x * s + self.y * c,
-        }
-    }
-
-    /// Scale to the given length; zero vectors stay zero.
-    pub fn with_norm(&self, len: f64) -> Vector {
-        match self.unit() {
-            Some(u) => u * len,
-            None => Vector::ZERO,
-        }
-    }
-
     #[inline]
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
@@ -302,14 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn with_norm_scales_and_handles_zero() {
-        let v = Vector::new(0.0, 2.0);
-        let w = v.with_norm(7.0);
-        assert!((w.norm() - 7.0).abs() < 1e-12);
-        assert_eq!(Vector::ZERO.with_norm(3.0), Vector::ZERO);
-    }
-
-    #[test]
     fn dot_and_cross_products() {
         let x = Vector::new(1.0, 0.0);
         let y = Vector::new(0.0, 1.0);
@@ -326,15 +301,6 @@ mod tests {
             assert!((v.angle() - theta).abs() < 1e-12, "theta={theta}");
             assert!((v.norm() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn rotation_preserves_norm_and_quarter_turn() {
-        let v = Vector::new(2.0, 0.0);
-        let r = v.rotated(std::f64::consts::FRAC_PI_2);
-        assert!((r.x).abs() < 1e-12);
-        assert!((r.y - 2.0).abs() < 1e-12);
-        assert!((r.norm() - v.norm()).abs() < 1e-12);
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub struct Segment {
 pub enum DiskTransit {
     /// Entirely outside the disk.
     Outside,
-    /// Entirely inside the disk.
-    Inside,
     /// Inside the disk for the parameter interval `[enter, exit] ⊆ [0,1]`.
     Crossing { enter: f64, exit: f64 },
 }
@@ -40,28 +38,6 @@ impl Segment {
     #[inline]
     pub fn direction(&self) -> Vector {
         self.b - self.a
-    }
-
-    /// Point at parameter `t` (0 = `a`, 1 = `b`).
-    #[inline]
-    pub fn point_at(&self, t: f64) -> Point {
-        self.a.lerp(self.b, t)
-    }
-
-    /// Closest point on the segment to `p` (clamped to the endpoints),
-    /// returned as the parameter `t in [0, 1]`.
-    pub fn closest_param(&self, p: Point) -> f64 {
-        let d = self.direction();
-        let len_sq = d.norm_sq();
-        if len_sq < crate::EPS * crate::EPS {
-            return 0.0;
-        }
-        ((p - self.a).dot(d) / len_sq).clamp(0.0, 1.0)
-    }
-
-    /// Minimum distance from `p` to the segment.
-    pub fn distance_to_point(&self, p: Point) -> f64 {
-        self.point_at(self.closest_param(p)).distance(p)
     }
 
     /// Parameters `t in [0, 1]` where the segment crosses the circle
@@ -104,14 +80,8 @@ impl Segment {
         let b_in = circle.contains(self.b);
         let crossings = self.circle_crossings(circle);
         match (a_in, b_in, crossings.len()) {
-            (true, true, _) if crossings.len() < 2 => {
-                // Both endpoints inside; with < 2 crossings the chord never
-                // leaves the disk.
-                DiskTransit::Crossing {
-                    enter: 0.0,
-                    exit: 1.0,
-                }
-            }
+            // Both endpoints inside: a disk is convex, so the chord
+            // never leaves it.
             (true, true, _) => DiskTransit::Crossing {
                 enter: 0.0,
                 exit: 1.0,
@@ -129,16 +99,6 @@ impl Segment {
                 exit: crossings[1],
             },
             (false, false, _) => DiskTransit::Outside,
-        }
-    }
-
-    /// First parameter at which the moving point is inside the disk, or
-    /// `None` if it never is. A start inside the disk returns `Some(0.0)`.
-    pub fn disk_entry(&self, circle: &Circle) -> Option<f64> {
-        match self.disk_transit(circle) {
-            DiskTransit::Outside => None,
-            DiskTransit::Inside => Some(0.0),
-            DiskTransit::Crossing { enter, .. } => Some(enter),
         }
     }
 }
@@ -159,22 +119,12 @@ mod tests {
     fn length_and_point_at() {
         let s = seg(0.0, 0.0, 3.0, 4.0);
         assert_eq!(s.length(), 5.0);
-        assert_eq!(s.point_at(0.5), Point::new(1.5, 2.0));
+        assert_eq!(s.a.lerp(s.b, 0.5), Point::new(1.5, 2.0));
     }
 
     #[test]
-    fn closest_point_clamps_to_endpoints() {
-        let s = seg(0.0, 0.0, 10.0, 0.0);
-        assert_eq!(s.closest_param(Point::new(-5.0, 3.0)), 0.0);
-        assert_eq!(s.closest_param(Point::new(15.0, 3.0)), 1.0);
-        assert_eq!(s.closest_param(Point::new(4.0, 3.0)), 0.4);
-        assert!((s.distance_to_point(Point::new(4.0, 3.0)) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_segment_closest_param_is_zero() {
+    fn degenerate_segment_never_crosses() {
         let s = seg(2.0, 2.0, 2.0, 2.0);
-        assert_eq!(s.closest_param(Point::new(0.0, 0.0)), 0.0);
         assert!(s.circle_crossings(&unit_circle()).is_empty());
     }
 
@@ -192,7 +142,6 @@ mod tests {
                 exit: 0.75
             }
         );
-        assert_eq!(s.disk_entry(&unit_circle()), Some(0.25));
     }
 
     #[test]
@@ -200,7 +149,6 @@ mod tests {
         let s = seg(-2.0, 2.0, 2.0, 2.0);
         assert!(s.circle_crossings(&unit_circle()).is_empty());
         assert_eq!(s.disk_transit(&unit_circle()), DiskTransit::Outside);
-        assert_eq!(s.disk_entry(&unit_circle()), None);
     }
 
     #[test]
@@ -221,7 +169,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.disk_entry(&unit_circle()), Some(0.0));
     }
 
     #[test]
@@ -246,15 +193,16 @@ mod tests {
                 exit: 1.0
             }
         );
-        assert_eq!(s.disk_entry(&unit_circle()), Some(0.0));
     }
 
     #[test]
     fn entry_point_lies_on_boundary() {
         let s = seg(-3.0, 0.4, 4.0, 0.4);
         let c = unit_circle();
-        let t = s.disk_entry(&c).unwrap();
-        let p = s.point_at(t);
+        let DiskTransit::Crossing { enter, .. } = s.disk_transit(&c) else {
+            panic!("segment misses the disk");
+        };
+        let p = s.a.lerp(s.b, enter);
         assert!((p.distance(c.center) - c.radius).abs() < 1e-9);
     }
 }
@@ -277,7 +225,7 @@ mod prop_tests {
             let s = Segment::new(a, b);
             let c = Circle::new(Point::new(cx, cy), r);
             for t in s.circle_crossings(&c) {
-                let p = s.point_at(t);
+                let p = s.a.lerp(s.b, t);
                 prop_assert!((p.distance(c.center) - r).abs() < 1e-6);
                 prop_assert!((0.0..=1.0).contains(&t));
             }
@@ -292,7 +240,7 @@ mod prop_tests {
             let c = Circle::new(Point::ORIGIN, r);
             if let DiskTransit::Crossing { enter, exit } = s.disk_transit(&c) {
                 prop_assert!(enter <= exit + 1e-9);
-                let mid = s.point_at((enter + exit) / 2.0);
+                let mid = s.a.lerp(s.b, (enter + exit) / 2.0);
                 prop_assert!(c.center.distance(mid) <= r + 1e-6);
             }
         }
@@ -303,9 +251,9 @@ mod prop_tests {
         fn entry_is_first(a in arb_point(), b in arb_point(), r in 0.5..80.0f64) {
             let s = Segment::new(a, b);
             let c = Circle::new(Point::ORIGIN, r);
-            if let Some(t) = s.disk_entry(&c) {
+            if let DiskTransit::Crossing { enter: t, .. } = s.disk_transit(&c) {
                 if t > 1e-6 {
-                    let before = s.point_at(t - 1e-6);
+                    let before = s.a.lerp(s.b, t - 1e-6);
                     prop_assert!(c.center.distance(before) >= r - 1e-3);
                 }
             }

@@ -83,14 +83,6 @@ impl Fleet {
         self.trajectory(node).estimated_velocity(t, dt)
     }
 
-    /// Snapshot of every node's position at `t` (index = node id).
-    pub fn positions_at(&self, t: SimTime) -> Vec<Point> {
-        self.trajectories
-            .iter()
-            .map(|tr| tr.position_at(t))
-            .collect()
-    }
-
     /// Maximum speed over all moving legs in the fleet — the `V_max`
     /// feeding the paper's `DIS = V_max * round_time` constraint.
     pub fn max_speed(&self) -> f64 {
@@ -119,7 +111,6 @@ mod tests {
         let f = fleet(20, 1);
         assert_eq!(f.len(), 20);
         assert!(!f.is_empty());
-        assert_eq!(f.positions_at(SimTime::from_secs(50.0)).len(), 20);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! zero displacement). Positions and velocities at *any* instant are then
 //! exact closed-form evaluations, and the experiment harness can compute
 //! the exact moment a node enters an advertising area by intersecting legs
-//! with the area circle (see `ia_geo::Segment::disk_entry`).
+//! with the area circle (see `ia_geo::Segment::disk_transit`).
 //!
 //! Models provided:
 //!
@@ -17,14 +17,13 @@
 //!   closer to the urban scenario the paper motivates.
 //! * [`Stationary`] — fixed nodes (e.g. the supermarket issuer).
 //!
-//! [`Fleet`] bundles one trajectory per node and offers bulk position
-//! snapshots plus the paper's two-fix velocity estimate. [`FleetCursor`]
+//! [`Fleet`] bundles one trajectory per node and offers position lookups
+//! plus the paper's two-fix velocity estimate. [`FleetCursor`]
 //! is a per-holder leg-index cache that turns those lookups into O(1)
 //! amortized scans under the simulator's monotone clock without changing
 //! any returned value.
 
 pub mod cursor;
-pub mod density;
 pub mod fleet;
 pub mod manhattan;
 pub mod model;
@@ -35,7 +34,6 @@ pub mod stationary;
 pub mod trajectory;
 
 pub use cursor::FleetCursor;
-pub use density::DensityMap;
 pub use fleet::Fleet;
 pub use manhattan::Manhattan;
 pub use model::{MobilityModel, MIN_SPEED};

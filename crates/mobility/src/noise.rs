@@ -86,11 +86,6 @@ impl NoiseRamp {
         let tri = 1.0 - (2.0 * x - 1.0).abs(); // 0 → 1 → 0
         self.sigma_peak * tri
     }
-
-    /// The instantaneous [`GpsNoise`] view at `t`.
-    pub fn noise_at(&self, t: SimTime) -> GpsNoise {
-        GpsNoise::new(self.sigma_at(t))
-    }
 }
 
 #[cfg(test)]
@@ -149,20 +144,6 @@ mod tests {
         assert!((ramp.sigma_at(SimTime::from_secs(175.0)) - 4.0).abs() < 1e-9);
         assert_eq!(ramp.sigma_at(SimTime::from_secs(200.0)), 0.0);
         assert_eq!(ramp.sigma_at(SimTime::from_secs(999.0)), 0.0);
-    }
-
-    #[test]
-    fn ramp_noise_view_applies_current_sigma() {
-        let ramp = NoiseRamp::new(SimTime::ZERO, SimTime::from_secs(10.0), 5.0);
-        // Outside the window the view is exact.
-        let mut rng = SimRng::from_master(4);
-        let p = Point::new(3.0, 4.0);
-        assert_eq!(
-            ramp.noise_at(SimTime::from_secs(20.0)).apply(p, &mut rng),
-            p
-        );
-        // At the peak it perturbs.
-        assert_ne!(ramp.noise_at(SimTime::from_secs(5.0)).apply(p, &mut rng), p);
     }
 
     #[test]

@@ -122,10 +122,6 @@ impl Trajectory {
         self.legs.first().unwrap().from
     }
 
-    pub fn end_position(&self) -> Point {
-        self.legs.last().unwrap().to
-    }
-
     /// Index of the leg active at `t` (clamped to the first/last leg):
     /// the last leg starting at or before `t`.
     pub(crate) fn leg_index_at(&self, t: SimTime) -> usize {
@@ -183,11 +179,6 @@ impl Trajectory {
         (cur - prev) / secs
     }
 
-    /// Total path length (sum of leg displacements).
-    pub fn path_length(&self) -> f64 {
-        self.legs.iter().map(|l| l.segment().length()).sum()
-    }
-
     /// All intervals `[enter, exit]` (absolute times) during which the
     /// node is inside `circle`, restricted to `[from, to]`, merged when
     /// adjacent legs keep the node inside.
@@ -211,7 +202,6 @@ impl Trajectory {
             } else {
                 match leg.segment().disk_transit(circle) {
                     ia_geo::segment::DiskTransit::Outside => None,
-                    ia_geo::segment::DiskTransit::Inside => Some((leg.start_time, leg.end_time)),
                     ia_geo::segment::DiskTransit::Crossing { enter, exit } => {
                         let dur = leg.duration();
                         Some((
@@ -308,12 +298,6 @@ mod tests {
             tr.estimated_velocity(t(5.0), SimDuration::ZERO),
             Vector::ZERO
         );
-    }
-
-    #[test]
-    fn path_length_sums_legs() {
-        let tr = straight_line();
-        assert_eq!(tr.path_length(), 100.0);
     }
 
     #[test]

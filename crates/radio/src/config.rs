@@ -18,11 +18,6 @@ pub struct RadioConfig {
     pub delay_max: SimDuration,
     /// Packet-loss model applied per (broadcast, receiver) pair.
     pub loss: LossModel,
-    /// Maximum staleness tolerated for the neighbour-lookup grid before it
-    /// is rebuilt. Candidate sets are widened by the distance the fleet's
-    /// fastest node can cover in this window and then exact-checked, so
-    /// this is purely a performance knob — results do not depend on it.
-    pub grid_refresh: SimDuration,
     /// Channel bitrate, bits per second (sets frame airtime for the
     /// contention model). Default 1 Mb/s (802.11 basic rate).
     pub bitrate_bps: f64,
@@ -38,7 +33,6 @@ impl RadioConfig {
             delay_min: SimDuration::from_millis(1),
             delay_max: SimDuration::from_millis(10),
             loss: LossModel::None,
-            grid_refresh: SimDuration::from_secs(1.0),
             bitrate_bps: 1_000_000.0,
             contention: Contention::None,
         }
@@ -58,6 +52,13 @@ impl RadioConfig {
     pub fn with_loss(mut self, loss: LossModel) -> Self {
         self.loss = loss;
         self
+    }
+
+    /// Cell side of the medium's neighbour grid: the range, at least 1 m.
+    /// A field spanning more than [`ia_geo::MAX_GRID_CELLS`] such cells
+    /// cannot be indexed.
+    pub fn grid_cell(&self) -> f64 {
+        self.range.max(1.0)
     }
 
     /// Panics (naming the field) on a configuration [`crate::Medium::new`]

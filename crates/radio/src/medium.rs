@@ -5,7 +5,7 @@ use crate::contention::{airtime, Contention, TxLog};
 use crate::frame::{BroadcastOutcome, Delivery, DropReason};
 use crate::loss::GilbertElliott;
 use crate::stats::TrafficStats;
-use ia_des::{SimRng, SimTime};
+use ia_des::{SimDuration, SimRng, SimTime};
 use ia_geo::{FlatGrid, Point};
 use ia_mobility::{Fleet, FleetCursor};
 
@@ -71,6 +71,12 @@ impl JamZone {
         self.center_at(t).distance(p) <= self.radius
     }
 }
+
+/// Maximum staleness tolerated for the neighbour-lookup grid before a
+/// rebuild is armed (see [`Medium::refresh_grid`]). Candidate sets are
+/// widened by the distance the fleet's fastest node can cover since the
+/// last rebuild and then exact-checked, so results do not depend on it.
+const GRID_REFRESH: SimDuration = SimDuration::from_millis(1000);
 
 /// A shared wireless channel over a [`Fleet`] of mobile nodes.
 ///
@@ -148,10 +154,6 @@ impl Medium {
         self.grid_queries
     }
 
-    pub fn config(&self) -> &RadioConfig {
-        &self.config
-    }
-
     pub fn stats(&self) -> &TrafficStats {
         &self.stats
     }
@@ -184,13 +186,6 @@ impl Medium {
         self.fleet_speed_bound = Some(max_speed);
     }
 
-    /// The current position snapshot and its sample time, if a grid has
-    /// been built. Positions are exact at the returned instant; index is
-    /// the node id.
-    pub fn position_snapshot(&self) -> Option<(SimTime, &[Point])> {
-        self.grid_built_at.map(|t| (t, self.snapshot.as_slice()))
-    }
-
     /// Drop the grid/snapshot pair so the next query rebuilds it — a
     /// hook for benchmarks that need to exercise the rebuild path on
     /// every broadcast (the buffers keep their capacity).
@@ -199,14 +194,14 @@ impl Medium {
     }
 
     /// Refresh the neighbour grid snapshot, adaptively: the base
-    /// `config.grid_refresh` cadence only *arms* a rebuild; it actually
+    /// [`GRID_REFRESH`] cadence only *arms* a rebuild; it actually
     /// happens once enough queries have been served from the stale
     /// snapshot to amortize the O(n) resample (`max(8, n/64)` — until
     /// then the stale-widened path is cheaper in total), or when the
     /// widening margin outgrows the radio range (at which point stale
     /// queries scan ~4× the disk area and a rebuild pays for itself).
     /// Idle stretches thus cost one rebuild per `max(8, n/64)` queries
-    /// instead of one per `grid_refresh` interval; busy stretches keep
+    /// instead of one per `GRID_REFRESH` interval; busy stretches keep
     /// the old per-interval cadence.
     ///
     /// Skipping a rebuild is bitwise-safe, not an approximation: stale
@@ -229,7 +224,7 @@ impl Medium {
         let needs_rebuild = match self.grid_built_at {
             Some(built_at) => {
                 let staleness = now.since(built_at);
-                staleness > self.config.grid_refresh && {
+                staleness > GRID_REFRESH && {
                     let demand = (self.snapshot.len() as u32 / 64).max(8);
                     let margin = 2.0 * speed * staleness.as_secs();
                     self.queries_since_rebuild >= demand || margin > self.config.range
@@ -239,8 +234,7 @@ impl Medium {
         };
         if needs_rebuild {
             self.cursor.positions_into(fleet, now, &mut self.snapshot);
-            self.grid
-                .rebuild(self.config.range.max(1.0), &self.snapshot);
+            self.grid.rebuild(self.config.grid_cell(), &self.snapshot);
             self.grid_built_at = Some(now);
             self.grid_rebuilds += 1;
             self.queries_since_rebuild = 0;
@@ -767,27 +761,20 @@ mod tests {
     fn position_snapshot_tracks_grid_refresh() {
         let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
-        assert!(medium.position_snapshot().is_none());
         let mut rng = SimRng::from_master(13);
-        send(&mut medium, &fleet, 2.0, 0, 10, &mut rng);
-        let (at, snap) = medium.position_snapshot().expect("grid built");
-        assert_eq!(at, SimTime::from_secs(2.0));
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[1], Point::new(100.0, 0.0));
-        // Within the refresh window the snapshot is reused ...
+        // The first broadcast samples the snapshot ...
+        let out = send(&mut medium, &fleet, 2.0, 0, 10, &mut rng);
+        assert_eq!(out.deliveries[0].to, 1);
+        assert_eq!(out.deliveries[0].distance, 100.0);
+        assert_eq!(medium.grid_rebuilds(), 1);
+        // ... within the refresh window it is reused ...
         send(&mut medium, &fleet, 2.5, 0, 10, &mut rng);
-        assert_eq!(
-            medium.position_snapshot().unwrap().0,
-            SimTime::from_secs(2.0)
-        );
+        assert_eq!(medium.grid_rebuilds(), 1);
         // ... and invalidation forces a resample at the next broadcast.
         medium.invalidate_grid();
-        assert!(medium.position_snapshot().is_none());
         send(&mut medium, &fleet, 2.6, 0, 10, &mut rng);
-        assert_eq!(
-            medium.position_snapshot().unwrap().0,
-            SimTime::from_secs(2.6)
-        );
+        assert_eq!(medium.grid_rebuilds(), 2);
+        assert_eq!(medium.grid_queries(), 3);
     }
 
     #[test]

@@ -90,16 +90,6 @@ impl FmBundle {
         0.78 / (self.num_sketches() as f64).sqrt()
     }
 
-    /// The paper's sizing rule: with `L = O(log n + log F + log(1/delta))`
-    /// bits, `|estimate - n| < epsilon * n` with probability `>= 1 - delta`,
-    /// `epsilon = O(sqrt(log(1/delta) / F))`. This helper returns the
-    /// minimum `L` for a target population `n` with a safety margin.
-    pub fn required_bits(n_max: u64, f: usize, delta: f64) -> u8 {
-        assert!(f > 0 && (0.0..1.0).contains(&delta));
-        let l = (n_max.max(2) as f64).log2() + (f.max(2) as f64).log2() + (1.0 / delta).log2();
-        (l.ceil() as u8).clamp(4, 64)
-    }
-
     /// The raw bitmaps, low bit = position 0 (e.g. for wire encoding).
     pub fn bitmaps(&self) -> &[u64] {
         &self.bitmaps
@@ -239,17 +229,6 @@ mod tests {
         let large = FmBundle::new(1, 64, 16);
         assert!(large.standard_error() < small.standard_error());
         assert!((large.standard_error() - 0.78 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn required_bits_grows_with_population() {
-        let small = FmBundle::required_bits(100, 16, 0.05);
-        let large = FmBundle::required_bits(1_000_000, 16, 0.05);
-        assert!(large > small);
-        assert!(large <= 64);
-        // The ia-core default (16 bits) must suffice for the paper's
-        // 1000-peer scenarios at delta = 0.25.
-        assert!(FmBundle::required_bits(1000, 16, 0.25) <= 16);
     }
 
     /// Known answer: the bitmaps of the protocol's default 16x16 shape and
