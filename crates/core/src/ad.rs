@@ -1,7 +1,7 @@
 //! The advertisement object.
 
 use crate::ids::AdId;
-use crate::params::GossipParams;
+use crate::params::{GossipParams, AGE_UNIT};
 use crate::prob;
 use ia_des::{SimDuration, SimTime};
 use ia_geo::Point;
@@ -92,7 +92,7 @@ impl Advertisement {
             self.radius,
             self.age(now),
             self.duration,
-            params.age_unit,
+            AGE_UNIT,
         )
     }
 

@@ -383,7 +383,7 @@ mod tests {
         );
         // Populate sketches and enlargement so non-default state survives.
         for uid in 0..25u64 {
-            rank::process_interest(&mut ad, &UserProfile::new(uid, vec![2]), &params);
+            rank::process_interest(&mut ad, &UserProfile::new(uid, vec![2]));
         }
         ad
     }

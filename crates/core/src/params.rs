@@ -2,11 +2,56 @@
 
 use ia_des::SimDuration;
 
+/// Distance normalisation unit for the exponents in formulas (1) and
+/// (3), metres. The paper's Figure 2 is drawn with `R = 10` units; we
+/// use `R / 10 = 100 m` per unit so the published probability shapes
+/// are reproduced at field scale (see DESIGN.md §2).
+pub const PROB_UNIT: f64 = 100.0;
+
+/// Decay unit for the *outside* tail of formulas (1) and (3), metres.
+/// Small (25 m) so the forwarding probability "approximates to 0"
+/// beyond the advertising area, keeping the distribution outside
+/// genuinely sparse.
+pub const OUTSIDE_UNIT: f64 = 25.0;
+
+/// Decay unit for the *interior* branch of formula (3), metres. The
+/// paper's formula, read with literal metre exponents, suppresses
+/// interior gossip almost completely; a small unit (25 m) realises that
+/// while keeping the function continuous.
+pub const INTERIOR_UNIT: f64 = 25.0;
+
+/// Age normalisation unit for formula (2). Unlike [`PROB_UNIT`], this
+/// must be *small* relative to `D`: the paper reports that beta has
+/// negligible impact on the end-to-end metrics (§IV-C), which holds only
+/// if `R_t ≈ R` for almost the whole lifetime and the collapse is
+/// confined to the last few rounds. One paper round time (5 s) confines
+/// even the beta = 0.9 collapse to the final ~30 s of an 1800 s
+/// lifetime. It stays 5 s when a run changes its round time.
+pub const AGE_UNIT: SimDuration = SimDuration::from_millis(5_000);
+
+/// Optimized Gossiping-1 suppresses interior gossiping only after this
+/// warm-up age; "except for the first time that an advertisement spreads
+/// from the issuing location outwards" (§III-D). The time for the ad to
+/// traverse the paper's area hop by hop, with 2x margin
+/// (`2 * ceil(R / range) * round_time = 40 s` at `R = 1000 m`, a 250 m
+/// range and 5 s rounds). It stays 40 s when a run changes any of them.
+pub const OPT1_WARMUP: SimDuration = SimDuration::from_millis(40_000);
+
+/// Popularity enlargement fraction (formula 7): each rank increase adds
+/// `ENLARGE_FRAC * R0 / log2(rank + 1)` to `R` (and likewise for `D`).
+/// The paper's worked example uses 0.1.
+pub const ENLARGE_FRAC: f64 = 0.1;
+
+/// Hard cap on enlargement, as a multiple of the initial value — "these
+/// two parameters can not be increased infinitely" (§III-E).
+pub const MAX_ENLARGE_FACTOR: f64 = 2.0;
+
 /// Everything the gossiping protocols are tuned by.
 ///
 /// Defaults come from the paper's Table II (see `DESIGN.md §3` for the
 /// OCR reconstruction): `alpha = beta = 0.5`, round time 5 s,
-/// `DIS = R/4 = 250 m`, cache `k = 10`, transmission range 250 m.
+/// `DIS = R/4 = 250 m`, cache `k = 10`. The transmission range is the
+/// radio's; the values no experiment varies are the constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipParams {
     /// Formula (1)/(3) decay parameter, in `(0, 1)`. Higher alpha means
@@ -22,45 +67,6 @@ pub struct GossipParams {
     pub dis: f64,
     /// Cache capacity `k`: ads kept per peer, sorted by probability.
     pub cache_capacity: usize,
-    /// Distance normalisation unit for the exponents in formulas (1) and
-    /// (3), metres. The paper's Figure 2 is drawn with `R = 10` units; we
-    /// default to `R / 10 = 100 m` per unit so the published probability
-    /// shapes are reproduced at field scale (see DESIGN.md §2).
-    pub prob_unit: f64,
-    /// Decay unit for the *outside* tail of formulas (1) and (3),
-    /// metres. Small (default 25 m) so the forwarding probability
-    /// "approximates to 0" beyond the advertising area, keeping the
-    /// distribution outside genuinely sparse.
-    pub outside_unit: f64,
-    /// Decay unit for the *interior* branch of formula (3), metres. The
-    /// paper's formula, read with literal metre exponents, suppresses
-    /// interior gossip almost completely; a small unit (default 25 m)
-    /// realises that while keeping the function continuous.
-    pub interior_unit: f64,
-    /// Age normalisation unit for formula (2). Unlike `prob_unit`, this
-    /// must be *small* relative to `D`: the paper reports that beta has
-    /// negligible impact on the end-to-end metrics (§IV-C), which holds
-    /// only if `R_t ≈ R` for almost the whole lifetime and the collapse
-    /// is confined to the last few rounds. Default: one round time (5 s),
-    /// confining even the beta = 0.9 collapse to the final ~30 s of an
-    /// 1800 s lifetime.
-    pub age_unit: SimDuration,
-    /// Radio transmission range, metres — needed by Optimized Gossiping-2
-    /// to compute the transmission-area overlap fraction `p`.
-    pub tx_range: f64,
-    /// Optimized Gossiping-1 suppresses interior gossiping only after this
-    /// warm-up age; "except for the first time that an advertisement
-    /// spreads from the issuing location outwards" (§III-D). Default: the
-    /// time for the ad to traverse the area hop by hop, with 2x margin
-    /// (`2 * ceil(R / tx_range) * round_time = 40 s`).
-    pub opt1_warmup: SimDuration,
-    /// Popularity enlargement fraction (formula 7): each rank increase
-    /// adds `enlarge_frac * R0 / log2(rank + 1)` to `R` (and likewise for
-    /// `D`). The paper's worked example uses 0.1.
-    pub enlarge_frac: f64,
-    /// Hard cap on enlargement, as a multiple of the initial value —
-    /// "these two parameters can not be increased infinitely" (§III-E).
-    pub max_enlarge_factor: f64,
     /// FM sketch bundle shape: `sketch_f` sketches of `sketch_l` bits.
     /// Default 16x16 = 256 bits, the paper's example budget.
     pub sketch_f: usize,
@@ -79,14 +85,6 @@ impl GossipParams {
             round_time: SimDuration::from_secs(5.0),
             dis: 250.0,
             cache_capacity: 10,
-            prob_unit: 100.0,
-            outside_unit: 25.0,
-            interior_unit: 25.0,
-            age_unit: SimDuration::from_secs(5.0),
-            tx_range: 250.0,
-            opt1_warmup: SimDuration::from_secs(40.0),
-            enlarge_frac: 0.1,
-            max_enlarge_factor: 2.0,
             sketch_f: 16,
             sketch_l: 16,
             sketch_seed: 0x1ADC_0DE5_EED0_u64,
@@ -133,24 +131,6 @@ impl GossipParams {
         assert!(!self.round_time.is_zero(), "round_time must be positive");
         assert!(self.dis >= 0.0, "DIS must be non-negative");
         assert!(self.cache_capacity >= 1, "cache capacity must be >= 1");
-        assert!(self.prob_unit > 0.0, "prob_unit must be positive");
-        assert!(self.outside_unit > 0.0, "outside_unit must be positive");
-        assert!(self.interior_unit > 0.0, "interior_unit must be positive");
-        assert!(!self.age_unit.is_zero(), "age_unit must be positive");
-        assert!(self.tx_range > 0.0, "tx_range must be positive");
-        // Formula (4) takes the lens of two transmission disks.
-        assert!(
-            self.tx_range <= ia_geo::circle::max_lens_radius(),
-            "tx_range too large for formula (4)"
-        );
-        assert!(
-            self.enlarge_frac >= 0.0,
-            "enlarge_frac must be non-negative"
-        );
-        assert!(
-            self.max_enlarge_factor >= 1.0,
-            "max_enlarge_factor must be >= 1"
-        );
         assert!(self.sketch_f > 0 && (1..=64).contains(&self.sketch_l));
     }
 }
@@ -175,6 +155,8 @@ mod tests {
         assert_eq!(p.dis, 250.0);
         assert_eq!(p.cache_capacity, 10);
         assert_eq!(p.sketch_f * p.sketch_l as usize, 256);
+        assert_eq!(AGE_UNIT, SimDuration::from_secs(5.0));
+        assert_eq!(OPT1_WARMUP, SimDuration::from_secs(40.0));
     }
 
     #[test]

@@ -45,6 +45,17 @@ pub fn postpone_interval(round_time: SimDuration, p: f64, theta: f64) -> SimDura
     round_time.mul_f64(exponent.exp())
 }
 
+/// Panics unless formula (4) can run at transmission range `tx_range`:
+/// the range must be positive, and the lens of two disks of that radius
+/// must stay finite (see [`ia_geo::circle::max_lens_radius`]).
+pub fn validate_range(tx_range: f64) {
+    assert!(tx_range > 0.0, "tx_range must be positive");
+    assert!(
+        tx_range <= ia_geo::circle::max_lens_radius(),
+        "tx_range too large for formula (4)"
+    );
+}
+
 /// Convenience: the full formula-(4) pipeline from raw positions.
 pub fn postponement(
     round_time: SimDuration,

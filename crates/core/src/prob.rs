@@ -13,9 +13,10 @@
 //!   formula-(1) probability; the interior decays geometrically moving
 //!   inward, continuously at `d = R - DIS`.
 //!
-//! Distances/ages are normalised by a unit scale (`prob_unit`,
-//! `age_unit`) so that the exponent magnitudes match the paper's figures,
-//! which are drawn with `R = 10` and `D = 5` *units*.
+//! Distances/ages are normalised by a unit scale (the protocols pass
+//! [`crate::params::PROB_UNIT`] and [`crate::params::AGE_UNIT`]) so that
+//! the exponent magnitudes match the paper's figures, which are drawn
+//! with `R = 10` and `D = 5` *units*.
 
 use ia_des::SimDuration;
 

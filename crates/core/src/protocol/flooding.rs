@@ -157,7 +157,7 @@ impl Protocol for RestrictedFlooding {
                 // copy carries this peer's interest processing (Algorithm 5).
                 let mut ad = msg.ad.clone();
                 if first_time {
-                    rank::process_interest(&mut ad, &self.profile, &self.params);
+                    rank::process_interest(&mut ad, &self.profile);
                 }
                 out.push(Action::Broadcast(AdMessage::flood(
                     ad,

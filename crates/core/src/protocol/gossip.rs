@@ -17,7 +17,7 @@ use crate::ad::Advertisement;
 use crate::cache::{AdCache, CacheEntry};
 use crate::ids::AdId;
 use crate::interest::UserProfile;
-use crate::params::GossipParams;
+use crate::params::{GossipParams, INTERIOR_UNIT, OPT1_WARMUP, OUTSIDE_UNIT, PROB_UNIT};
 use crate::postpone;
 use crate::prob;
 use crate::rank;
@@ -29,6 +29,8 @@ use std::sync::Arc;
 pub struct Gossip {
     /// The run's parameters, shared by every peer.
     params: Arc<GossipParams>,
+    /// The radio's transmission range, metres (formula 4).
+    range: f64,
     profile: UserProfile,
     cache: AdCache,
     /// Mechanism (1): annular probability.
@@ -39,35 +41,38 @@ pub struct Gossip {
 
 impl Gossip {
     /// Pure Opportunistic Gossiping (Algorithms 1–2).
-    pub fn pure(params: Arc<GossipParams>, profile: UserProfile) -> Self {
-        Self::with_flags(params, profile, false, false)
+    pub fn pure(params: Arc<GossipParams>, range: f64, profile: UserProfile) -> Self {
+        Self::with_flags(params, range, profile, false, false)
     }
 
     /// Gossiping + mechanism (1).
-    pub fn optimized_1(params: Arc<GossipParams>, profile: UserProfile) -> Self {
-        Self::with_flags(params, profile, true, false)
+    pub fn optimized_1(params: Arc<GossipParams>, range: f64, profile: UserProfile) -> Self {
+        Self::with_flags(params, range, profile, true, false)
     }
 
     /// Gossiping + mechanism (2) (Algorithms 3–4).
-    pub fn optimized_2(params: Arc<GossipParams>, profile: UserProfile) -> Self {
-        Self::with_flags(params, profile, false, true)
+    pub fn optimized_2(params: Arc<GossipParams>, range: f64, profile: UserProfile) -> Self {
+        Self::with_flags(params, range, profile, false, true)
     }
 
     /// Optimized Gossiping: both mechanisms.
-    pub fn optimized(params: Arc<GossipParams>, profile: UserProfile) -> Self {
-        Self::with_flags(params, profile, true, true)
+    pub fn optimized(params: Arc<GossipParams>, range: f64, profile: UserProfile) -> Self {
+        Self::with_flags(params, range, profile, true, true)
     }
 
     fn with_flags(
         params: Arc<GossipParams>,
+        range: f64,
         profile: UserProfile,
         annular: bool,
         postpone: bool,
     ) -> Self {
         params.validate();
+        postpone::validate_range(range);
         let cache = AdCache::new(params.cache_capacity);
         Gossip {
             params,
+            range,
             profile,
             cache,
             annular,
@@ -137,18 +142,18 @@ fn probability(
 ) -> f64 {
     let d = pos.distance(ad.issue_pos);
     let r_t = ad.radius_at(now, params);
-    if annular && ad.age(now) > params.opt1_warmup {
+    if annular && ad.age(now) > OPT1_WARMUP {
         prob::annular_probability(
             params.alpha,
             d,
             r_t,
             params.dis,
-            params.prob_unit,
-            params.outside_unit,
-            params.interior_unit,
+            PROB_UNIT,
+            OUTSIDE_UNIT,
+            INTERIOR_UNIT,
         )
     } else {
-        prob::forwarding_probability(params.alpha, d, r_t, params.prob_unit, params.outside_unit)
+        prob::forwarding_probability(params.alpha, d, r_t, PROB_UNIT, OUTSIDE_UNIT)
     }
 }
 
@@ -188,7 +193,7 @@ impl Protocol for Gossip {
 
     fn issue(&mut self, ctx: &mut PeerContext<'_>, mut ad: Advertisement, out: &mut ActionSink) {
         // The issuer counts as an interested/served user of its own ad.
-        rank::process_interest(&mut ad, &self.profile, &self.params);
+        rank::process_interest(&mut ad, &self.profile);
         // Issue is accompanied by an immediate broadcast so neighbours
         // learn of the ad even if the issuer then goes off-line (§III-C).
         out.push(Action::Broadcast(AdMessage::gossip(ad.clone())));
@@ -216,7 +221,7 @@ impl Protocol for Gossip {
                     ctx.position,
                     ctx.velocity(),
                     meta.sender_pos,
-                    self.params.tx_range,
+                    self.range,
                 );
                 entry.next_time = entry.next_time.max(ctx.now) + interval;
                 let at = entry.next_time;
@@ -227,7 +232,7 @@ impl Protocol for Gossip {
         // New advertisement: interest processing (Algorithm 5), then
         // Algorithm 1 insertion.
         let mut ad = msg.ad.clone();
-        rank::process_interest(&mut ad, &self.profile, &self.params);
+        rank::process_interest(&mut ad, &self.profile);
         self.admit(ad, ctx.now, ctx.position, true, out);
     }
 
@@ -293,6 +298,9 @@ mod tests {
     use ia_des::{SimDuration, SimRng};
     use ia_geo::Vector;
 
+    /// The paper's radio range, metres.
+    const RANGE: f64 = 250.0;
+
     fn params() -> Arc<GossipParams> {
         Arc::new(GossipParams::paper())
     }
@@ -345,7 +353,7 @@ mod tests {
     #[test]
     fn pure_gossip_schedules_desynchronised_round_on_start() {
         let mut env = Env::new(1);
-        let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1));
         let mut c = env.ctx(0.0, Point::ORIGIN);
         let a = ActionSink::collect(|out| g.on_start(&mut c, out));
         assert_eq!(a.len(), 1);
@@ -360,7 +368,7 @@ mod tests {
     #[test]
     fn opt2_has_no_global_round() {
         let mut env = Env::new(1);
-        let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1));
         let mut c = env.ctx(0.0, Point::ORIGIN);
         assert!(ActionSink::collect(|out| g.on_start(&mut c, out)).is_empty());
         let mut c2 = env.ctx(5.0, Point::ORIGIN);
@@ -370,7 +378,7 @@ mod tests {
     #[test]
     fn issue_broadcasts_immediately_and_caches() {
         let mut env = Env::new(2);
-        let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1));
         let mut c = env.ctx(10.0, Point::new(2500.0, 2500.0));
         let actions = ActionSink::collect(|out| g.issue(&mut c, mk_ad(0), out));
         assert!(matches!(actions[0], Action::Broadcast(_)));
@@ -380,7 +388,7 @@ mod tests {
     #[test]
     fn new_ad_is_accepted_and_cached() {
         let mut env = Env::new(3);
-        let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         let actions = ActionSink::collect(|out| {
@@ -402,7 +410,7 @@ mod tests {
     #[test]
     fn round_broadcasts_cached_ads_with_high_probability_inside_area() {
         let mut env = Env::new(4);
-        let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1));
         let pos = Point::new(2550.0, 2500.0); // 50 m from centre: P ~ 1
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, pos);
@@ -425,7 +433,7 @@ mod tests {
     #[test]
     fn round_rarely_broadcasts_far_outside_area() {
         let mut env = Env::new(5);
-        let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1));
         let pos = Point::new(4500.0, 2500.0); // 2000 m out: P ~ 0.5*0.5^10
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, pos);
@@ -446,7 +454,7 @@ mod tests {
     #[test]
     fn opt1_suppresses_interior_after_warmup() {
         let mut env = Env::new(6);
-        let mut g = Gossip::optimized_1(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::optimized_1(params(), RANGE, UserProfile::indifferent(1));
         let centre = Point::new(2500.0, 2500.0);
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, centre);
@@ -467,7 +475,7 @@ mod tests {
     #[test]
     fn opt2_insert_schedules_entry_timer() {
         let mut env = Env::new(7);
-        let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         let actions = ActionSink::collect(|out| {
@@ -481,7 +489,7 @@ mod tests {
     #[test]
     fn opt2_duplicate_postpones_entry() {
         let mut env = Env::new(8);
-        let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
         let mut c = env.ctx(20.0, pos);
@@ -506,7 +514,7 @@ mod tests {
         let pos = Point::new(2600.0, 2500.0);
         let run = |sender: Point| -> SimTime {
             let mut env = Env::new(9);
-            let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
+            let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1));
             let msg = AdMessage::gossip(mk_ad(0));
             let mut c = env.ctx(20.0, pos);
             ActionSink::collect(|out| {
@@ -521,10 +529,35 @@ mod tests {
         assert!(near > far);
     }
 
+    /// Formula (4) reads the range the peer was built with: the same
+    /// duplicate receipt postpones by `postponement(.., range)` under a
+    /// 250 m and a 300 m radio, and the two differ.
+    #[test]
+    fn opt2_postponement_uses_the_radio_range() {
+        let pos = Point::new(2600.0, 2500.0);
+        let sender = Point::new(2700.0, 2500.0);
+        let postponed = |range: f64| {
+            let mut env = Env::new(13);
+            let mut g = Gossip::optimized_2(params(), range, UserProfile::indifferent(1));
+            let msg = AdMessage::gossip(mk_ad(0));
+            let mut c = env.ctx(20.0, pos);
+            ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(sender), out));
+            let before = g.cache.get(msg.ad.id).unwrap().next_time;
+            let mut c2 = env.ctx(21.0, pos);
+            ActionSink::collect(|out| g.on_receive(&mut c2, &msg, &meta_at(sender), out));
+            let after = g.cache.get(msg.ad.id).unwrap().next_time;
+            let interval =
+                postpone::postponement(params().round_time, pos, env.velocity, sender, range);
+            assert_eq!(after, before + interval, "range {range}");
+            interval
+        };
+        assert_ne!(postponed(250.0), postponed(300.0));
+    }
+
     #[test]
     fn opt2_stale_timer_is_ignored_fresh_timer_fires() {
         let mut env = Env::new(10);
-        let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
         let mut c = env.ctx(20.0, pos);
@@ -557,7 +590,7 @@ mod tests {
     #[test]
     fn opt2_expired_entry_is_dropped_on_timer() {
         let mut env = Env::new(12);
-        let mut g = Gossip::optimized_2(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
         let mut c = env.ctx(20.0, pos);
@@ -576,7 +609,7 @@ mod tests {
     fn cache_eviction_respects_capacity() {
         let mut env = Env::new(13);
         let p = Arc::new(GossipParams::paper().with_cache_capacity(3));
-        let mut g = Gossip::pure(p, UserProfile::indifferent(1));
+        let mut g = Gossip::pure(p, RANGE, UserProfile::indifferent(1));
         let pos = Point::new(2500.0, 2500.0);
         for seq in 0..5 {
             let msg = AdMessage::gossip(mk_ad(seq));
@@ -589,7 +622,7 @@ mod tests {
     #[test]
     fn expired_gossip_is_ignored() {
         let mut env = Env::new(14);
-        let mut g = Gossip::pure(params(), UserProfile::indifferent(1));
+        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1));
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(5000.0, Point::new(2500.0, 2500.0));
         assert!(ActionSink::collect(|out| g.on_receive(
@@ -605,7 +638,7 @@ mod tests {
     #[test]
     fn interested_receiver_enlarges_popular_ad() {
         let mut env = Env::new(15);
-        let mut g = Gossip::pure(params(), UserProfile::new(7, vec![1]));
+        let mut g = Gossip::pure(params(), RANGE, UserProfile::new(7, vec![1]));
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         ActionSink::collect(|out| {
@@ -619,17 +652,20 @@ mod tests {
     #[test]
     fn kind_reflects_flags() {
         let u = || UserProfile::indifferent(0);
-        assert_eq!(Gossip::pure(params(), u()).kind(), ProtocolKind::Gossip);
         assert_eq!(
-            Gossip::optimized_1(params(), u()).kind(),
+            Gossip::pure(params(), RANGE, u()).kind(),
+            ProtocolKind::Gossip
+        );
+        assert_eq!(
+            Gossip::optimized_1(params(), RANGE, u()).kind(),
             ProtocolKind::OptGossip1
         );
         assert_eq!(
-            Gossip::optimized_2(params(), u()).kind(),
+            Gossip::optimized_2(params(), RANGE, u()).kind(),
             ProtocolKind::OptGossip2
         );
         assert_eq!(
-            Gossip::optimized(params(), u()).kind(),
+            Gossip::optimized(params(), RANGE, u()).kind(),
             ProtocolKind::OptGossip
         );
     }

@@ -293,18 +293,20 @@ pub trait Protocol {
 }
 
 /// Construct the protocol instance for one peer. Every peer of a run
-/// shares the one `params` allocation.
+/// shares the one `params` allocation; `range` is the radio's
+/// transmission range, metres, which formula (4) needs.
 pub fn build_protocol(
     kind: ProtocolKind,
     params: Arc<GossipParams>,
+    range: f64,
     profile: UserProfile,
 ) -> Box<dyn Protocol> {
     match kind {
         ProtocolKind::Flooding => Box::new(RestrictedFlooding::new(params, profile)),
-        ProtocolKind::Gossip => Box::new(Gossip::pure(params, profile)),
-        ProtocolKind::OptGossip1 => Box::new(Gossip::optimized_1(params, profile)),
-        ProtocolKind::OptGossip2 => Box::new(Gossip::optimized_2(params, profile)),
-        ProtocolKind::OptGossip => Box::new(Gossip::optimized(params, profile)),
+        ProtocolKind::Gossip => Box::new(Gossip::pure(params, range, profile)),
+        ProtocolKind::OptGossip1 => Box::new(Gossip::optimized_1(params, range, profile)),
+        ProtocolKind::OptGossip2 => Box::new(Gossip::optimized_2(params, range, profile)),
+        ProtocolKind::OptGossip => Box::new(Gossip::optimized(params, range, profile)),
     }
 }
 
@@ -364,7 +366,12 @@ mod tests {
     fn build_constructs_every_kind() {
         let params = Arc::new(GossipParams::paper());
         for kind in ProtocolKind::ALL {
-            let p = build_protocol(kind, Arc::clone(&params), UserProfile::indifferent(1));
+            let p = build_protocol(
+                kind,
+                Arc::clone(&params),
+                250.0,
+                UserProfile::indifferent(1),
+            );
             assert_eq!(p.kind(), kind);
         }
     }

@@ -5,12 +5,12 @@
 //! message. When a peer whose interests match receives the ad, it hashes
 //! its user id into the sketches; if the estimated rank increased, the
 //! ad's radius `R` and duration `D` are enlarged by a log-damped step
-//! (formula 7), capped by `max_enlarge_factor` so spatial/temporal
+//! (formula 7), capped by [`MAX_ENLARGE_FACTOR`] so spatial/temporal
 //! constraints survive arbitrary popularity.
 
 use crate::ad::Advertisement;
 use crate::interest::UserProfile;
-use crate::params::GossipParams;
+use crate::params::{ENLARGE_FRAC, MAX_ENLARGE_FACTOR};
 use ia_des::SimDuration;
 
 /// What Algorithm 5 did for one received advertisement.
@@ -42,13 +42,9 @@ pub fn enlargement_step(initial: f64, rank: u64, frac: f64) -> f64 {
 ///
 /// If the ad matches at least one interest, the user's id is hashed into
 /// the sketches; if the rank estimate rose, `R` and `D` are enlarged per
-/// formula (7), clamped to `params.max_enlarge_factor` times the initial
+/// formula (7), clamped to [`MAX_ENLARGE_FACTOR`] times the initial
 /// values. Returns `None` when the ad does not match (nothing happens).
-pub fn process_interest(
-    ad: &mut Advertisement,
-    profile: &UserProfile,
-    params: &GossipParams,
-) -> Option<RankOutcome> {
+pub fn process_interest(ad: &mut Advertisement, profile: &UserProfile) -> Option<RankOutcome> {
     if !profile.matches(ad) {
         return None;
     }
@@ -57,14 +53,10 @@ pub fn process_interest(
     let rank_after = ad.sketches.rank();
     let mut enlarged = false;
     if rank_after > rank_before {
-        let r_step = enlargement_step(ad.initial_radius, rank_after, params.enlarge_frac);
-        let d_step = enlargement_step(
-            ad.initial_duration.as_secs(),
-            rank_after,
-            params.enlarge_frac,
-        );
-        let r_cap = ad.initial_radius * params.max_enlarge_factor;
-        let d_cap = ad.initial_duration.as_secs() * params.max_enlarge_factor;
+        let r_step = enlargement_step(ad.initial_radius, rank_after, ENLARGE_FRAC);
+        let d_step = enlargement_step(ad.initial_duration.as_secs(), rank_after, ENLARGE_FRAC);
+        let r_cap = ad.initial_radius * MAX_ENLARGE_FACTOR;
+        let d_cap = ad.initial_duration.as_secs() * MAX_ENLARGE_FACTOR;
         let new_r = (ad.radius + r_step).min(r_cap);
         let new_d = (ad.duration.as_secs() + d_step).min(d_cap);
         enlarged = new_r > ad.radius || new_d > ad.duration.as_secs();
@@ -86,24 +78,20 @@ pub fn process_interest(
 /// correct but the crossover round is astronomically large at the
 /// paper's parameter magnitudes (the `1/log2` damping shrinks very
 /// slowly). Our implementation therefore enforces the explicit cap
-/// `duration <= max_enlarge_factor * D0`, which yields the hard bound
+/// `duration <= MAX_ENLARGE_FACTOR * D0`, which yields the hard bound
 /// returned here: the advertisement is guaranteed expired after
-/// `ceil(max_enlarge_factor * D0 / round_time)` rounds, no matter how
+/// `ceil(MAX_ENLARGE_FACTOR * D0 / round_time)` rounds, no matter how
 /// popular it becomes.
-pub fn expiry_bound_rounds(
-    d0: SimDuration,
-    round_time: SimDuration,
-    max_enlarge_factor: f64,
-) -> u64 {
+pub fn expiry_bound_rounds(d0: SimDuration, round_time: SimDuration) -> u64 {
     assert!(!round_time.is_zero(), "zero round time");
-    assert!(max_enlarge_factor >= 1.0, "cap must be >= 1");
-    (d0.as_secs() * max_enlarge_factor / round_time.as_secs()).ceil() as u64 + 1
+    (d0.as_secs() * MAX_ENLARGE_FACTOR / round_time.as_secs()).ceil() as u64 + 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{AdId, PeerId};
+    use crate::params::GossipParams;
     use ia_des::SimTime;
     use ia_geo::Point;
 
@@ -125,16 +113,15 @@ mod tests {
         let mut a = ad();
         let before = a.clone();
         let u = UserProfile::new(42, vec![99]);
-        assert_eq!(process_interest(&mut a, &u, &GossipParams::paper()), None);
+        assert_eq!(process_interest(&mut a, &u), None);
         assert_eq!(a, before);
     }
 
     #[test]
     fn matching_user_raises_rank_and_enlarges() {
         let mut a = ad();
-        let p = GossipParams::paper();
         let u = UserProfile::new(42, vec![1]);
-        let out = process_interest(&mut a, &u, &p).unwrap();
+        let out = process_interest(&mut a, &u).unwrap();
         assert!(out.rank_after >= out.rank_before);
         if out.rank_after > out.rank_before {
             assert!(out.enlarged);
@@ -148,11 +135,10 @@ mod tests {
         // The same user processing the same ad twice must not enlarge
         // twice — the FM sketches make the second pass rank-neutral.
         let mut a = ad();
-        let p = GossipParams::paper();
         let u = UserProfile::new(42, vec![1]);
-        process_interest(&mut a, &u, &p);
+        process_interest(&mut a, &u);
         let snapshot = a.clone();
-        let out = process_interest(&mut a, &u, &p).unwrap();
+        let out = process_interest(&mut a, &u).unwrap();
         assert_eq!(out.rank_before, out.rank_after);
         assert!(!out.enlarged);
         assert_eq!(a, snapshot);
@@ -161,13 +147,12 @@ mod tests {
     #[test]
     fn many_users_enlarge_up_to_cap_only() {
         let mut a = ad();
-        let p = GossipParams::paper();
         for uid in 0..5000u64 {
             let u = UserProfile::new(uid, vec![1]);
-            process_interest(&mut a, &u, &p);
+            process_interest(&mut a, &u);
         }
-        assert!(a.radius <= 1000.0 * p.max_enlarge_factor + 1e-9);
-        assert!(a.duration.as_secs() <= 1800.0 * p.max_enlarge_factor + 1e-6);
+        assert!(a.radius <= 1000.0 * MAX_ENLARGE_FACTOR + 1e-9);
+        assert!(a.duration.as_secs() <= 1800.0 * MAX_ENLARGE_FACTOR + 1e-6);
         assert!(a.radius > 1000.0, "popular ad should have grown");
         // Rank should be in the right ballpark for 5000 distinct users.
         let rank = a.sketches.rank();
@@ -193,20 +178,19 @@ mod tests {
     fn expiry_bound_exists_and_exceeds_base_lifetime() {
         let d0 = SimDuration::from_secs(1800.0);
         let dt = SimDuration::from_secs(5.0);
-        let k = expiry_bound_rounds(d0, dt, 2.0);
+        let k = expiry_bound_rounds(d0, dt);
         // Must exceed the no-enlargement bound D0/dt = 360 rounds...
         assert!(k > 360);
         // ...and equal the capped lifetime: 2 * 1800 / 5 + 1.
         assert_eq!(k, 721);
-        // With no enlargement allowed the bound is the base lifetime.
-        assert_eq!(expiry_bound_rounds(d0, dt, 1.0), 361);
     }
 
     #[test]
-    fn expiry_bound_grows_with_cap() {
-        let d0 = SimDuration::from_secs(1800.0);
+    fn expiry_bound_grows_with_lifetime() {
         let dt = SimDuration::from_secs(5.0);
-        assert!(expiry_bound_rounds(d0, dt, 3.0) > expiry_bound_rounds(d0, dt, 1.5));
+        let bound = |d0| expiry_bound_rounds(SimDuration::from_secs(d0), dt);
+        assert!(bound(3600.0) > bound(1800.0));
+        assert_eq!(bound(3600.0), 1441);
     }
 
     #[test]
@@ -215,9 +199,9 @@ mod tests {
         let mut a = ad();
         let p = GossipParams::paper();
         for uid in 0..10_000u64 {
-            process_interest(&mut a, &UserProfile::new(uid, vec![1]), &p);
+            process_interest(&mut a, &UserProfile::new(uid, vec![1]));
         }
-        let k = expiry_bound_rounds(a.initial_duration, p.round_time, p.max_enlarge_factor);
+        let k = expiry_bound_rounds(a.initial_duration, p.round_time);
         let t_bound = SimTime::ZERO + p.round_time * k;
         assert!(a.expired(t_bound), "ad still alive at the expiry bound");
     }

@@ -121,7 +121,7 @@ fn check_actions(
 fn run_fuzz(kind: ProtocolKind, ops: &[Op], seed: u64) {
     let params = Arc::new(GossipParams::paper());
     let pool = ad_pool(&params);
-    let mut protocol = build_protocol(kind, params, UserProfile::new(seed, vec![0, 1]));
+    let mut protocol = build_protocol(kind, params, 250.0, UserProfile::new(seed, vec![0, 1]));
     let mut rng = SimRng::from_master(seed);
     let mut now = SimTime::ZERO;
     let mut pos = Point::new(2500.0, 2500.0);

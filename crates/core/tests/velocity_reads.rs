@@ -70,7 +70,12 @@ fn ad(params: &GossipParams, issuer: u32, issued_at: f64) -> Advertisement {
 fn drive(kind: ProtocolKind) -> (u32, u32) {
     let params = Arc::new(GossipParams::paper());
     let mut h = Harness {
-        peer: build_protocol(kind, Arc::clone(&params), UserProfile::new(1, vec![1])),
+        peer: build_protocol(
+            kind,
+            Arc::clone(&params),
+            250.0,
+            UserProfile::new(1, vec![1]),
+        ),
         rng: SimRng::from_master(42),
         source: CountingVelocity { reads: 0 },
         sink: ActionSink::new(),

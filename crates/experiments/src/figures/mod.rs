@@ -1,8 +1,9 @@
 //! One module per reproduced figure/table of the paper's evaluation.
 //!
-//! Every module exposes a `run(&Options) -> Vec<Table>` entry point used
-//! by the `ia-experiments` binaries. `Options::quick()` shrinks the
-//! sweeps so a full reproduction pass stays laptop-sized.
+//! Every module exposes a `run` entry point returning its `Table`s;
+//! [`run`] maps each of [`NAMES`] to it for the `figures` binary.
+//! `Options::quick()` shrinks the sweeps so a full reproduction pass
+//! stays laptop-sized.
 
 pub mod beta_sweep;
 pub mod cache_ablation;
@@ -16,6 +17,7 @@ pub mod fig9;
 pub mod issuer_offline;
 pub mod popularity;
 pub mod robustness;
+pub mod tables;
 
 use crate::report::Table;
 use crate::runner::{run_seeds, summarize, Summary};
@@ -50,33 +52,40 @@ impl Options {
         }
     }
 
-    /// Parse command-line arguments shared by the figure binaries:
-    /// `--quick`, `--seeds N`, `--csv DIR`. Unrecognised args are
-    /// returned for binary-specific handling.
-    pub fn from_args(args: &[String]) -> (Self, Vec<String>) {
-        let mut opts = Options::full();
+    /// Parse the shared command-line options: `--quick`, `--seeds N`
+    /// (N >= 1; seeds 1..=N, whatever the order of `--quick`),
+    /// `--csv DIR`. Other arguments are returned in order.
+    pub fn from_args(args: &[String]) -> Result<(Self, Vec<String>), String> {
+        let mut quick = false;
+        let mut seeds = None;
+        let mut csv_dir = None;
         let mut rest = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--quick" => {
-                    opts.quick = true;
-                    opts.seeds = vec![1];
-                }
-                "--seeds" => {
-                    let n: u64 = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seeds needs a number");
-                    opts.seeds = (1..=n).collect();
-                }
+                "--quick" => quick = true,
+                "--seeds" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
+                    Some(n) if n >= 1 => seeds = Some((1..=n).collect()),
+                    _ => return Err("--seeds needs a positive number".into()),
+                },
                 "--csv" => {
-                    opts.csv_dir = Some(it.next().expect("--csv needs a directory").clone());
+                    let dir = it.next().ok_or("--csv needs a directory")?;
+                    csv_dir = Some(dir.clone());
                 }
                 other => rest.push(other.to_string()),
             }
         }
-        (opts, rest)
+        let defaults = if quick {
+            Options::quick()
+        } else {
+            Options::full()
+        };
+        let opts = Options {
+            seeds: seeds.unwrap_or(defaults.seeds),
+            quick,
+            csv_dir,
+        };
+        Ok((opts, rest))
     }
 
     /// Apply quick-mode scaling to a scenario (shorter life cycle).
@@ -87,6 +96,48 @@ impl Options {
             scenario
         }
     }
+}
+
+/// Every figure [`run`] knows, in the order `figures all` runs them.
+pub const NAMES: [&str; 13] = [
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "beta_sweep",
+    "popularity",
+    "issuer_offline",
+    "cache_ablation",
+    "contention",
+    "churn",
+    "robustness",
+    "chaos",
+    "tables",
+];
+
+/// The tables of figure `name` (one of [`NAMES`]). `selectors` picks
+/// Figure 10's sweeps (`alpha`, `round`, `dis`; all when empty) and must
+/// be empty for every other figure.
+pub fn run(name: &str, opts: &Options, selectors: &[String]) -> Result<Vec<Table>, String> {
+    if name != "fig10" && !selectors.is_empty() {
+        return Err(format!("unexpected arguments for {name}: {selectors:?}"));
+    }
+    Ok(match name {
+        "fig7" => fig7::run(opts),
+        "fig8" => fig8::run(opts),
+        "fig9" => fig9::run(opts),
+        "fig10" => fig10::run(opts, selectors),
+        "beta_sweep" => beta_sweep::run(opts),
+        "popularity" => popularity::run(opts),
+        "issuer_offline" => issuer_offline::run(opts),
+        "cache_ablation" => cache_ablation::run(opts),
+        "contention" => contention::run(opts),
+        "churn" => churn::run(opts),
+        "robustness" => robustness::run(opts),
+        "chaos" => chaos::run(opts),
+        "tables" => tables::run(),
+        other => return Err(format!("unknown figure '{other}'")),
+    })
 }
 
 /// Run one scenario over the option's seeds and summarise.
@@ -125,20 +176,56 @@ pub fn emit(opts: &Options, tables: &[Table]) {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
     fn arg_parsing() {
-        let (o, rest) = Options::from_args(&[
-            "--quick".into(),
-            "--seeds".into(),
-            "5".into(),
-            "alpha".into(),
-            "--csv".into(),
-            "/tmp/x".into(),
-        ]);
+        let (o, rest) = Options::from_args(&args(&[
+            "--quick", "--seeds", "5", "alpha", "--csv", "/tmp/x",
+        ]))
+        .unwrap();
         assert!(o.quick);
         assert_eq!(o.seeds, vec![1, 2, 3, 4, 5]);
         assert_eq!(o.csv_dir.as_deref(), Some("/tmp/x"));
         assert_eq!(rest, vec!["alpha".to_string()]);
+    }
+
+    #[test]
+    fn zero_or_missing_seeds_rejected() {
+        for bad in [&["--seeds", "0"][..], &["--seeds"], &["--seeds", "x"]] {
+            let err = Options::from_args(&args(bad)).unwrap_err();
+            assert!(err.contains("--seeds"), "{bad:?}: {err}");
+        }
+        assert!(Options::from_args(&args(&["--csv"])).is_err());
+    }
+
+    #[test]
+    fn quick_keeps_explicit_seeds_in_either_order() {
+        for order in [
+            &["--seeds", "4", "--quick"][..],
+            &["--quick", "--seeds", "4"],
+        ] {
+            let (o, _) = Options::from_args(&args(order)).unwrap();
+            assert!(o.quick);
+            assert_eq!(o.seeds, vec![1, 2, 3, 4], "{order:?}");
+        }
+        let (o, _) = Options::from_args(&args(&["--quick"])).unwrap();
+        assert_eq!(o, Options::quick());
+        let (o, _) = Options::from_args(&[]).unwrap();
+        assert_eq!(o, Options::full());
+    }
+
+    #[test]
+    fn unknown_names_and_stray_selectors_rejected() {
+        let opts = Options::quick();
+        assert_eq!(run("tables", &opts, &[]).unwrap().len(), 3);
+        assert!(run("fig11", &opts, &[]).unwrap_err().contains("unknown"));
+        assert!(run("fig9", &opts, &args(&["alpha"])).is_err());
+        for (i, name) in NAMES.iter().enumerate() {
+            assert!(!NAMES[..i].contains(name), "{name} listed twice");
+        }
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //!   ledgers, structured traces) kept out of the event loop itself;
 //! * [`runner`] — multi-seed execution (parallel via a shared atomic
 //!   work-queue over scoped threads) and summary statistics;
-//! * [`report`] — fixed-width table / CSV output shared by the figure
-//!   binaries;
+//! * [`report`] — fixed-width table / CSV output for the `figures`
+//!   binary;
 //! * [`figures`] — one module per reproduced figure: 7 (network size),
 //!   8 (speed), 9 (mechanism message reduction), 10 (alpha / round time /
-//!   DIS tuning), the beta sweep (§IV-C), and the popularity/FM study
-//!   (§III-E).
+//!   DIS tuning), the beta sweep (§IV-C), the popularity/FM study
+//!   (§III-E), the parameter tables, and the extension experiments, each
+//!   run by name through [`figures::run`].
 
 pub mod figures;
 pub mod observer;

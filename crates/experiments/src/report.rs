@@ -1,4 +1,4 @@
-//! Fixed-width table and CSV output for the figure binaries.
+//! Fixed-width table and CSV output for the `figures` binary.
 //!
 //! Each experiment binary prints the series the corresponding paper
 //! figure plots, one row per x-value, plus an optional CSV dump for

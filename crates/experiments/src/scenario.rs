@@ -274,8 +274,6 @@ pub struct Scenario {
     pub speed_mean: f64,
     /// Half-width of the uniform speed distribution, m/s.
     pub speed_delta: f64,
-    /// Maximum pause time at waypoints, seconds.
-    pub pause_max: f64,
     pub mobility: MobilityKind,
     pub radio: RadioConfig,
     pub params: GossipParams,
@@ -317,7 +315,6 @@ impl Scenario {
             area: Rect::with_size(5000.0, 5000.0),
             speed_mean: 10.0,
             speed_delta: 5.0,
-            pause_max: 10.0,
             mobility: MobilityKind::RandomWaypoint,
             radio: RadioConfig::paper(),
             params: GossipParams::paper(),
@@ -445,7 +442,6 @@ impl Scenario {
                 "field smaller than one Manhattan block"
             );
         }
-        assert!(self.pause_max >= 0.0, "negative pause time");
         self.radio.validate();
         // Every node stays on the field, so the medium's neighbour grid
         // spans at most this many cells per side.
@@ -455,14 +451,8 @@ impl Scenario {
             "field too large for the radio range"
         );
         self.params.validate();
-        // Optimized Gossiping-2 computes the overlap `p` from `tx_range`;
-        // the medium delivers within `radio.range`. One radio, one range.
-        assert!(
-            self.params.tx_range == self.radio.range,
-            "params.tx_range ({}) must equal radio.range ({})",
-            self.params.tx_range,
-            self.radio.range
-        );
+        // The gossip protocols compute formula (4) at the radio's range.
+        ia_core::postpone::validate_range(self.radio.range);
         self.faults.validate();
         if let Some(churn) = &self.churn {
             churn.validate();
@@ -507,28 +497,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must equal radio.range")]
-    fn mismatched_radio_range_rejected() {
-        let mut s = Scenario::paper(ProtocolKind::OptGossip2, 100);
-        s.radio = s.radio.clone().with_range(300.0);
-        s.validate();
-    }
-
-    #[test]
     fn validate_rejects_scenarios_that_would_hang_or_panic() {
         // Each breaker yields a scenario `World::new` would loop on
         // forever (zero churn period) or panic on, at build time or
         // mid-run; `validate` must reject it first, naming the fault.
         type Breaker = fn(&mut Scenario);
-        let cases: [(&str, Breaker); 12] = [
+        let cases: [(&str, Breaker); 10] = [
             ("zero churn period", |s| {
                 s.churn = Some(ChurnSpec {
                     mean_up: SimDuration::ZERO,
                     mean_down: SimDuration::ZERO,
                 })
-            }),
-            ("delay_max < delay_min", |s| {
-                s.radio.delay_max = SimDuration::ZERO
             }),
             ("non-positive advertising radius", |s| s.ads[0].radius = 0.0),
             ("zero advertising duration", |s| {
@@ -538,15 +517,11 @@ mod tests {
                 s.speed_mean = 0.0;
                 s.speed_delta = 0.0;
             }),
-            ("negative pause time", |s| s.pause_max = -1.0),
             ("invalid speed spec", |s| {
                 s.speed_mean = 0.05;
                 s.speed_delta = 0.0;
             }),
-            ("non-finite range", |s| {
-                s.radio.range = f64::INFINITY;
-                s.params.tx_range = f64::INFINITY;
-            }),
+            ("non-finite range", |s| s.radio.range = f64::INFINITY),
             ("degenerate field", |s| {
                 s.area = Rect::with_size(5000.0, 0.0)
             }),
@@ -559,12 +534,10 @@ mod tests {
                 s.area = Rect::with_size(1375.0, 6.4e11);
                 s.ads[0].issue_pos = s.area.center();
                 s.radio.range = 976.0;
-                s.params.tx_range = 976.0;
             }),
             ("tx_range too large for formula (4)", |s| {
                 s.protocol = ProtocolKind::OptGossip2;
                 s.radio.range = f64::MAX / 4.0;
-                s.params.tx_range = f64::MAX / 4.0;
             }),
         ];
         for (expected, breaker) in cases {

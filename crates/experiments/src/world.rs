@@ -133,10 +133,11 @@ impl World {
         // Mobile peers, then one stationary issuer per ad at its issue
         // position.
         let model: Box<dyn MobilityModel> = match scenario.mobility {
-            MobilityKind::RandomWaypoint => Box::new(
-                RandomWaypoint::paper(scenario.area, scenario.speed_mean, scenario.speed_delta)
-                    .with_pause(0.0, scenario.pause_max),
-            ),
+            MobilityKind::RandomWaypoint => Box::new(RandomWaypoint::paper(
+                scenario.area,
+                scenario.speed_mean,
+                scenario.speed_delta,
+            )),
             MobilityKind::Manhattan => Box::new(Manhattan::paper(
                 scenario.area,
                 scenario.speed_mean,
@@ -159,6 +160,7 @@ impl World {
             peers.push(build_protocol(
                 scenario.protocol,
                 Arc::clone(&params),
+                scenario.radio.range,
                 profile,
             ));
             rngs.push(SimRng::derive(

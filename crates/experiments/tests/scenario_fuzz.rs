@@ -46,7 +46,7 @@ fn speed() -> impl Strategy<Value = (f64, f64)> {
         .prop_map(|(mean, delta_frac)| (mean, mean * delta_frac))
 }
 
-/// Radio range, metres (also the protocols' `tx_range`).
+/// Radio range, metres (the medium's and formula (4)'s).
 fn range() -> impl Strategy<Value = f64> {
     mostly(
         50.0..2000.0f64,
@@ -146,7 +146,6 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 // hold the issuer.
                 s.ads[0].issue_pos = s.area.center();
                 s.radio.range = range;
-                s.params.tx_range = range;
                 s.churn = churn.map(|(up, down)| ChurnSpec {
                     mean_up: SimDuration::from_secs(up),
                     mean_down: SimDuration::from_secs(down),

@@ -235,6 +235,7 @@ fn opt_gossip_peer(params: &Arc<GossipParams>) -> Box<dyn Protocol> {
     build_protocol(
         ProtocolKind::OptGossip,
         Arc::clone(params),
+        RadioConfig::paper().range,
         UserProfile::indifferent(1),
     )
 }

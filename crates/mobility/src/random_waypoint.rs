@@ -38,17 +38,6 @@ impl RandomWaypoint {
         }
     }
 
-    /// Set the pause-time bounds (builder style).
-    pub fn with_pause(mut self, pause_min: f64, pause_max: f64) -> Self {
-        assert!(
-            (0.0..=pause_max).contains(&pause_min),
-            "invalid pause bounds"
-        );
-        self.pause_min = pause_min;
-        self.pause_max = pause_max;
-        self
-    }
-
     fn validate(&self) {
         assert!(
             self.speed_min > 0.0 && self.speed_max >= self.speed_min,
@@ -57,6 +46,10 @@ impl RandomWaypoint {
             self.speed_max
         );
         assert!(self.area.area() > 0.0, "degenerate field");
+        assert!(
+            (0.0..=self.pause_max).contains(&self.pause_min),
+            "invalid pause bounds"
+        );
     }
 }
 
@@ -198,7 +191,11 @@ mod tests {
 
     #[test]
     fn pause_bounds_respected() {
-        let model = RandomWaypoint::paper(field(), 10.0, 5.0).with_pause(2.0, 4.0);
+        let model = RandomWaypoint {
+            pause_min: 2.0,
+            pause_max: 4.0,
+            ..RandomWaypoint::paper(field(), 10.0, 5.0)
+        };
         let mut rng = SimRng::from_master(1);
         let tr = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(500.0));
         for leg in tr.legs() {

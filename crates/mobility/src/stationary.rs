@@ -21,10 +21,6 @@ impl Stationary {
     pub fn at(p: Point) -> Self {
         Stationary::At(p)
     }
-
-    pub fn uniform_in(area: Rect) -> Self {
-        Stationary::UniformIn(area)
-    }
 }
 
 impl MobilityModel for Stationary {
@@ -67,7 +63,7 @@ mod tests {
     #[test]
     fn uniform_placement_is_inside_and_seed_dependent() {
         let area = Rect::with_size(100.0, 100.0);
-        let m = Stationary::uniform_in(area);
+        let m = Stationary::UniformIn(area);
         let mut r1 = SimRng::from_master(1);
         let mut r2 = SimRng::from_master(2);
         let p1 = m

@@ -4,23 +4,27 @@ use crate::contention::Contention;
 use crate::loss::LossModel;
 use ia_des::SimDuration;
 
+/// Minimum per-receiver delivery delay (propagation + MAC access).
+pub const DELAY_MIN: SimDuration = SimDuration::from_millis(1);
+
+/// Maximum per-receiver delivery delay. Jitter is uniform in
+/// `[DELAY_MIN, DELAY_MAX]` and drawn independently per receiver, which
+/// also breaks event-ordering ties the way contention would.
+pub const DELAY_MAX: SimDuration = SimDuration::from_millis(10);
+
+/// Channel bitrate, bits per second (sets frame airtime for the
+/// contention model): 1 Mb/s, the 802.11 basic rate.
+pub const BITRATE_BPS: f64 = 1_000_000.0;
+
 /// Parameters of the broadcast channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
     /// Transmission range in metres. The paper uses 250 m (the standard
-    /// NS-2 802.11 outdoor range).
+    /// NS-2 802.11 outdoor range). The gossip protocols' formula (4)
+    /// reads the same range.
     pub range: f64,
-    /// Minimum per-receiver delivery delay (propagation + MAC access).
-    pub delay_min: SimDuration,
-    /// Maximum per-receiver delivery delay. Jitter is uniform in
-    /// `[delay_min, delay_max]` and drawn independently per receiver,
-    /// which also breaks event-ordering ties the way contention would.
-    pub delay_max: SimDuration,
     /// Packet-loss model applied per (broadcast, receiver) pair.
     pub loss: LossModel,
-    /// Channel bitrate, bits per second (sets frame airtime for the
-    /// contention model). Default 1 Mb/s (802.11 basic rate).
-    pub bitrate_bps: f64,
     /// Collision model (default: none, the paper-shape configuration).
     pub contention: Contention,
 }
@@ -30,10 +34,7 @@ impl RadioConfig {
     pub fn paper() -> Self {
         RadioConfig {
             range: 250.0,
-            delay_min: SimDuration::from_millis(1),
-            delay_max: SimDuration::from_millis(10),
             loss: LossModel::None,
-            bitrate_bps: 1_000_000.0,
             contention: Contention::None,
         }
     }
@@ -67,8 +68,6 @@ impl RadioConfig {
         assert!(self.range > 0.0, "non-positive range");
         // The spatial grid's cell size is the range.
         assert!(self.range.is_finite(), "non-finite range");
-        assert!(self.delay_max >= self.delay_min, "delay_max < delay_min");
-        assert!(self.bitrate_bps > 0.0, "non-positive bitrate");
     }
 }
 
@@ -87,7 +86,7 @@ mod tests {
         let c = RadioConfig::paper();
         assert_eq!(c.range, 250.0);
         assert_eq!(c.loss, LossModel::None);
-        assert!(c.delay_min <= c.delay_max);
+        assert!(DELAY_MIN <= DELAY_MAX);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! regardless. The approximation keeps the simulator single-pass (no
 //! retro-cancellation of scheduled deliveries).
 
+use crate::config::BITRATE_BPS;
 use ia_des::{SimDuration, SimTime};
 use ia_geo::Point;
 
@@ -86,10 +87,9 @@ impl TxLog {
     }
 }
 
-/// Airtime of a frame of `bytes` at `bitrate_bps`.
-pub fn airtime(bytes: usize, bitrate_bps: f64) -> SimDuration {
-    assert!(bitrate_bps > 0.0, "non-positive bitrate");
-    SimDuration::from_secs(bytes as f64 * 8.0 / bitrate_bps)
+/// Airtime of a frame of `bytes` at the channel's [`BITRATE_BPS`].
+pub fn airtime(bytes: usize) -> SimDuration {
+    SimDuration::from_secs(bytes as f64 * 8.0 / BITRATE_BPS)
 }
 
 #[cfg(test)]
@@ -103,15 +103,15 @@ mod tests {
     #[test]
     fn airtime_math() {
         // 250 bytes at 1 Mb/s = 2 ms.
-        assert_eq!(airtime(250, 1_000_000.0), SimDuration::from_millis(2));
-        assert_eq!(airtime(0, 1_000_000.0), SimDuration::ZERO);
+        assert_eq!(airtime(250), SimDuration::from_millis(2));
+        assert_eq!(airtime(0), SimDuration::ZERO);
     }
 
     #[test]
     fn overlapping_nearby_transmission_collides() {
         let mut log = TxLog::new();
         log.record(t(100), Point::new(0.0, 0.0));
-        let a = airtime(250, 1_000_000.0);
+        let a = airtime(250);
         // A second sender 400 m away transmits 1 ms later; a receiver
         // between them hears both -> collision.
         let rx = Point::new(200.0, 0.0);
@@ -122,7 +122,7 @@ mod tests {
     fn non_overlapping_times_do_not_collide() {
         let mut log = TxLog::new();
         log.record(t(100), Point::new(0.0, 0.0));
-        let a = airtime(250, 1_000_000.0);
+        let a = airtime(250);
         let rx = Point::new(200.0, 0.0);
         // 5 ms later: the first frame is long gone.
         assert!(!log.collides(t(105), Point::new(400.0, 0.0), rx, 250.0, a));
@@ -132,7 +132,7 @@ mod tests {
     fn distant_transmission_does_not_collide() {
         let mut log = TxLog::new();
         log.record(t(100), Point::new(5000.0, 5000.0));
-        let a = airtime(250, 1_000_000.0);
+        let a = airtime(250);
         let rx = Point::new(200.0, 0.0);
         assert!(!log.collides(t(100), Point::new(400.0, 0.0), rx, 250.0, a));
     }
@@ -142,7 +142,7 @@ mod tests {
         let mut log = TxLog::new();
         let me = Point::new(0.0, 0.0);
         log.record(t(100), me);
-        let a = airtime(250, 1_000_000.0);
+        let a = airtime(250);
         assert!(!log.collides(t(100), me, Point::new(100.0, 0.0), 250.0, a));
     }
 

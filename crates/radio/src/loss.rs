@@ -91,11 +91,6 @@ impl GilbertElliott {
         }
     }
 
-    /// The classic Gilbert channel: lossless good state.
-    pub fn gilbert(p_enter_bad: f64, p_exit_bad: f64, loss_bad: f64) -> Self {
-        Self::new(p_enter_bad, p_exit_bad, 0.0, loss_bad)
-    }
-
     /// Stationary probability of being in the bad state.
     pub fn stationary_bad(&self) -> f64 {
         self.p_enter_bad / (self.p_enter_bad + self.p_exit_bad)
@@ -223,7 +218,7 @@ mod tests {
 
     #[test]
     fn gilbert_elliott_is_burstier_than_iid_at_equal_average_loss() {
-        let mut ge = GilbertElliott::gilbert(0.02, 0.10, 0.9);
+        let mut ge = GilbertElliott::new(0.02, 0.10, 0.0, 0.9);
         let p = ge.stationary_loss();
         let mut rng = SimRng::from_master(7);
         let n = 200_000;
@@ -261,7 +256,7 @@ mod tests {
     #[test]
     fn gilbert_elliott_is_deterministic_per_stream() {
         let mk = || {
-            let mut ge = GilbertElliott::gilbert(0.05, 0.2, 0.8);
+            let mut ge = GilbertElliott::new(0.05, 0.2, 0.0, 0.8);
             let mut rng = SimRng::from_master(11);
             (0..500).map(|_| ge.drops(&mut rng)).collect::<Vec<_>>()
         };

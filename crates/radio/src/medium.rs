@@ -1,6 +1,6 @@
 //! The broadcast medium itself.
 
-use crate::config::RadioConfig;
+use crate::config::{RadioConfig, DELAY_MAX, DELAY_MIN};
 use crate::contention::{airtime, Contention, TxLog};
 use crate::frame::{BroadcastOutcome, Delivery, DropReason};
 use crate::loss::GilbertElliott;
@@ -304,7 +304,7 @@ impl Medium {
     ) {
         out.clear();
         let sender_pos = self.query_range(fleet, now, src);
-        let frame_airtime = airtime(bytes, self.config.bitrate_bps);
+        let frame_airtime = airtime(bytes);
         let burst_active =
             matches!(&self.burst, Some((from, until, _)) if now >= *from && now < *until);
         for &(id, pos) in &self.in_range {
@@ -337,10 +337,7 @@ impl Medium {
                 out.drop_frame(id, reason);
                 continue;
             }
-            let jitter_micros = rng.range_u64(
-                self.config.delay_min.as_micros(),
-                self.config.delay_max.as_micros() + 1,
-            );
+            let jitter_micros = rng.range_u64(DELAY_MIN.as_micros(), DELAY_MAX.as_micros() + 1);
             out.deliveries.push(Delivery {
                 to: id,
                 arrival: now + ia_des::SimDuration::from_micros(jitter_micros),

@@ -16,6 +16,7 @@ use instant_ads::core::{
 };
 use instant_ads::des::{SimDuration, SimRng, SimTime};
 use instant_ads::geo::{Point, Vector};
+use instant_ads::radio::RadioConfig;
 use std::sync::Arc;
 
 fn show(step: &str, sink: &mut ActionSink) {
@@ -46,7 +47,11 @@ fn show(step: &str, sink: &mut ActionSink) {
 fn main() {
     let params = Arc::new(GossipParams::paper());
     // This peer is interested in topic 1 — it will rank the ad up.
-    let mut peer = Gossip::optimized(Arc::clone(&params), UserProfile::new(4242, vec![1]));
+    let mut peer = Gossip::optimized(
+        Arc::clone(&params),
+        RadioConfig::paper().range,
+        UserProfile::new(4242, vec![1]),
+    );
     let mut rng = SimRng::from_master(1);
 
     let ad = Advertisement::new(

@@ -14,11 +14,11 @@
 //!   --round SECS        gossiping round time                    [5]
 //!   --dis METRES        mechanism-1 annulus width               [250]
 //!   --cache K           cache capacity                          [10]
-//!   --range METRES      radio transmission range                [250]
+//!   --range METRES      radio range, also formula (4)'s         [250]
 //!   --loss P            i.i.d. frame loss probability           [0]
 //!   --manhattan         street-grid mobility instead of RWP
 //!   --issuer-offline S  issuer departs S seconds after issuing
-//!   --seeds N           average over N seeds                    [1]
+//!   --seeds N           average over N >= 1 seeds               [1]
 //!   --seed X            first seed                              [42]
 //!   --churn UP:DOWN     mean up/down seconds, e.g. 120:60
 //!   --export-trace F    write the fleet as an NS-2 setdest trace
@@ -111,7 +111,13 @@ fn main() {
             "--loss" => loss = args.value("--loss"),
             "--manhattan" => manhattan = true,
             "--issuer-offline" => issuer_offline = Some(args.value("--issuer-offline")),
-            "--seeds" => n_seeds = args.value("--seeds"),
+            "--seeds" => {
+                n_seeds = args.value("--seeds");
+                if n_seeds == 0 {
+                    eprintln!("--seeds needs a positive number");
+                    usage();
+                }
+            }
             "--seed" => seed0 = args.value("--seed"),
             "--churn" => {
                 let v: String = args.value("--churn");
@@ -147,7 +153,6 @@ fn main() {
         .with_round_time(SimDuration::from_secs(round))
         .with_dis(dis)
         .with_cache_capacity(cache);
-    s.params.tx_range = range;
     s.radio = s.radio.clone().with_range(range);
     if loss > 0.0 {
         s.radio = s.radio.clone().with_loss(LossModel::Bernoulli(loss));

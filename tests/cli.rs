@@ -1,0 +1,16 @@
+//! The `instant-ads` command line: bad input exits with code 2 and a
+//! message, never a panic.
+
+use std::process::Command;
+
+#[test]
+fn zero_seeds_exit_with_usage_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_instant-ads"))
+        .args(["--seeds", "0", "--peers", "20", "--duration", "60"])
+        .output()
+        .expect("run instant-ads");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--seeds"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
