@@ -117,6 +117,23 @@ impl<E> Scheduler<E> {
         self.queue.push(t, event)
     }
 
+    /// Schedule `event` at the absolute time `t`, before every event
+    /// scheduled with [`Scheduler::schedule_at`] for `t`, in `rank` order
+    /// (see [`EventQueue::push_ranked`]).
+    ///
+    /// # Panics
+    /// Panics if `t` is before the current time, or unless
+    /// `rank < queue::RANK_LIMIT`.
+    pub fn schedule_ranked(&mut self, t: SimTime, rank: u64, event: E) {
+        assert!(
+            t >= self.now,
+            "scheduled into the past: {} < {}",
+            t,
+            self.now
+        );
+        self.queue.push_ranked(t, rank, event)
+    }
+
     /// Advance the clock to the next event and return its payload, or
     /// `None` when the queue is exhausted or the horizon reached.
     pub fn pop(&mut self) -> Option<E> {

@@ -10,9 +10,13 @@
 //! Pops come out in `(time, seq)` order: events at equal timestamps fire
 //! in insertion order (NS-2 calendar queues make the same guarantee, and
 //! several protocol behaviours — e.g. "receive before your own round
-//! timer at the same instant" — depend on a stable order). The
-//! equivalence with a stable binary heap is pinned by a wheel-vs-heap
-//! proptest in `crates/des/tests/wheel_vs_heap.rs`.
+//! timer at the same instant" — depend on a stable order). A *ranked*
+//! push ([`EventQueue::push_ranked`]) uses its caller-chosen rank as the
+//! `seq`, below every insertion-order `seq`: ranked events pop before
+//! the unranked ones at their instant, in rank order, however and
+//! whenever they were pushed. The equivalence with a stable binary heap
+//! is pinned by a wheel-vs-heap proptest in
+//! `crates/des/tests/wheel_vs_heap.rs`.
 //!
 //! There is no cancel. A component that postpones a timer pushes the new
 //! one and leaves the stale one queued; the handler recognises the stale
@@ -41,6 +45,9 @@ pub struct QueueStats {
     pub cascades: u64,
 }
 
+/// The first insertion-order sequence number; ranks lie below it.
+pub const RANK_LIMIT: u64 = 1 << 63;
+
 /// A time-ordered, FIFO-stable event queue.
 pub struct EventQueue<E> {
     wheel: TimingWheel,
@@ -64,7 +71,7 @@ impl<E> EventQueue<E> {
             wheel: TimingWheel::new(),
             arena: EventArena::new(),
             len: 0,
-            next_seq: 0,
+            next_seq: RANK_LIMIT,
             pushes: 0,
             pops: 0,
         }
@@ -89,10 +96,26 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Enqueue `event` at time `t`.
+    /// Enqueue `event` at time `t`, after everything already queued for
+    /// `t`.
     pub fn push(&mut self, t: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.insert(t, seq, event);
+    }
+
+    /// Enqueue `event` at time `t`, ordered by `rank` before every
+    /// unranked event at `t`. Events of equal time and rank pop in an
+    /// unspecified order.
+    ///
+    /// # Panics
+    /// Panics unless `rank < RANK_LIMIT`.
+    pub fn push_ranked(&mut self, t: SimTime, rank: u64, event: E) {
+        assert!(rank < RANK_LIMIT, "rank {rank} out of range");
+        self.insert(t, rank, event);
+    }
+
+    fn insert(&mut self, t: SimTime, seq: u64, event: E) {
         self.len += 1;
         self.pushes += 1;
         let slot = self.arena.insert(t, seq, event);

@@ -28,6 +28,20 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     splitmix64(splitmix64(master) ^ splitmix64(stream.wrapping_mul(0xA24BAED4963EE407)))
 }
 
+/// A uniform `f64` in `[0, 1)` that is a pure function of `(key, a, b)`.
+///
+/// A counter-based draw (cf. Salmon et al., "Parallel Random Numbers:
+/// As Easy as 1, 2, 3", SC'11): nothing is consumed, so a caller may
+/// evaluate any draw in any order, skip draws, or evaluate one twice and
+/// always see the same value. The three words go through SplitMix64
+/// rounds; the top 53 bits of the result become the mantissa, so every
+/// value is a multiple of 2⁻⁵³, the same grid [`SimRng::unit`] samples.
+#[inline]
+pub fn keyed_unit(key: u64, a: u64, b: u64) -> f64 {
+    let z = splitmix64(splitmix64(key ^ splitmix64(a)) ^ b);
+    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// A seeded simulation RNG stream.
 ///
 /// Wraps [`SmallRng`] with constructors that enforce the derivation
@@ -51,6 +65,9 @@ pub mod stream {
     /// by [`fault`] so the corruption, partition, and GPS-noise streams
     /// never collide with each other or with per-entity labels.
     pub const FAULT: u64 = 7 << 32;
+    /// Per-peer keys for the keyed entry-tick draws
+    /// ([`keyed_unit`](super::keyed_unit)); the node id is the low bits.
+    pub const ENTRY: u64 = 8 << 32;
 
     /// Sub-labels within the [`FAULT`](self::FAULT) stream. Entity ids
     /// (node, wave index) occupy the low 24 bits.
@@ -211,6 +228,29 @@ mod tests {
             assert!((10..20).contains(&x));
         }
         assert_eq!(r.range_u64(5, 5), 5);
+    }
+
+    #[test]
+    fn keyed_unit_is_pure_uniform_and_key_sensitive() {
+        assert_eq!(keyed_unit(1, 2, 3), keyed_unit(1, 2, 3));
+        let (mut hits, mut lo, mut hi) = (0, 1.0f64, 0.0f64);
+        for tick in 0..100_000u64 {
+            let u = keyed_unit(42, 7, tick * 5_000_000);
+            assert!((0.0..1.0).contains(&u));
+            hits += (u < 0.3) as u32;
+            lo = lo.min(u);
+            hi = hi.max(u);
+        }
+        let freq = f64::from(hits) / 100_000.0;
+        assert!((freq - 0.3).abs() < 0.01, "freq={freq}");
+        assert!(lo < 0.001 && hi > 0.999);
+        // Each of the three words changes the draw.
+        let base = keyed_unit(42, 7, 5);
+        assert_ne!(base, keyed_unit(43, 7, 5));
+        assert_ne!(base, keyed_unit(42, 8, 5));
+        assert_ne!(base, keyed_unit(42, 7, 6));
+        // The key and the first word are not interchangeable.
+        assert_ne!(keyed_unit(7, 42, 5), base);
     }
 
     #[test]

@@ -118,7 +118,8 @@ impl TimingWheel {
             // pop before the batch remainder, so merge it in, keeping the
             // batch sorted. Never taken by `Scheduler` (which rejects
             // past scheduling); `t == cur` with an active batch also
-            // lands here and sorts after the batch by its higher seq.
+            // lands here and sorts by its seq: after the batch unless
+            // ranked below it.
             let key = (tm, seq, slot);
             let at = self.due[self.due_pos..].partition_point(|e| *e < key) + self.due_pos;
             self.due.insert(at, key);

@@ -1,6 +1,7 @@
 //! Wheel-vs-heap equivalence: the timing-wheel `EventQueue` must be
 //! observationally identical to a stable `BinaryHeap` keyed on
-//! `(time, seq)`. A reference heap lives in this file, and proptest
+//! `(time, seq)`, where a ranked push's rank replaces the `seq` and
+//! sorts below every insertion-order `seq`. A reference heap lives in this file, and proptest
 //! drives both side by side through random push/pop/peek interleavings —
 //! including deltas spanning every wheel level and the far-future
 //! overflow ring — plus a deterministic model of the Optimized
@@ -8,6 +9,7 @@
 //! timer and leaves the stale one queued. Every pop, peek and length
 //! must match exactly.
 
+use ia_des::queue::RANK_LIMIT;
 use ia_des::{EventQueue, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -43,7 +45,7 @@ impl<E> RefQueue<E> {
     fn new() -> Self {
         RefQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
+            next_seq: RANK_LIMIT,
         }
     }
 
@@ -51,6 +53,10 @@ impl<E> RefQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse((t, seq, ValueCell(event))));
+    }
+
+    fn push_ranked(&mut self, t: u64, rank: u64, event: E) {
+        self.heap.push(Reverse((t, rank, ValueCell(event))));
     }
 
     fn pop(&mut self) -> Option<(u64, E)> {
@@ -75,6 +81,9 @@ fn pop_both(wheel: &mut EventQueue<usize>, heap: &mut RefQueue<usize>) -> Option
 enum Op {
     /// Schedule at `last popped time + delta` with the next payload id.
     Push(u64),
+    /// The same, ranked. The rank is the payload id with its bits
+    /// reversed: unique, and in no relation to the push order.
+    PushRanked(u64),
     Pop,
     Peek,
 }
@@ -91,6 +100,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..100_000).prop_map(Op::Push),
         (0u64..4_000_000_000).prop_map(Op::Push),
         (1u64 << 47..1 << 52).prop_map(Op::Push),
+        (0u64..64).prop_map(Op::PushRanked),
+        (0u64..100_000).prop_map(Op::PushRanked),
         Just(Op::Peek),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -112,6 +123,13 @@ fn drive(ops: &[Op]) {
                 let t = now.saturating_add(*delta);
                 wheel.push(SimTime::from_micros(t), payload);
                 heap.push(t, payload);
+                payload += 1;
+            }
+            Op::PushRanked(delta) => {
+                let t = now.saturating_add(*delta);
+                let rank = (payload as u64).reverse_bits() >> 1;
+                wheel.push_ranked(SimTime::from_micros(t), rank, payload);
+                heap.push_ranked(t, rank, payload);
                 payload += 1;
             }
             Op::Pop => {

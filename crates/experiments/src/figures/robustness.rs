@@ -90,7 +90,14 @@ mod tests {
 
     #[test]
     fn manhattan_preserves_protocol_ranking() {
-        let t = run_manhattan(&Options::quick());
+        // One passage of one ad across a street grid swings from about
+        // 13 % to 70 % between seeds at the quick scale, so judge the
+        // mean over seeds 1-10 (46-47 %).
+        let opts = Options {
+            seeds: (1..=10).collect(),
+            ..Options::quick()
+        };
+        let t = run_manhattan(&opts);
         assert_eq!(t.n_rows(), 3);
         // Optimized Gossiping (row 2) still uses far fewer messages than
         // Flooding (row 0) while delivering.
@@ -104,8 +111,7 @@ mod tests {
             "optimized {opt_msgs} vs flooding {flood_msgs}"
         );
         // Street-grid clustering cuts the rate well below the open-field
-        // figures; ~38 % at the quick scale with the reference PRNG
-        // stream. Anything above a third of passages says the protocol
+        // figures. Anything above a third of passages says the protocol
         // still works under Manhattan mobility.
         let opt_rate = t.cell_f64(2, 1);
         assert!(opt_rate > 33.0, "optimized delivery rate {opt_rate}");
