@@ -7,8 +7,14 @@
 //! Capacity `k` is small (the paper suggests 10), so entries live in a
 //! `Vec` with linear lookup — simpler and faster than a map at this size,
 //! and iteration order is deterministic. The `Vec` grows on demand: a new
-//! cache allocates nothing, and most peers hold one or two ads, so
-//! reserving `k + 1` entries up front would mostly reserve idle memory.
+//! cache allocates nothing, and the first insert reserves exactly one
+//! entry, since most peers hold one ad (a plain `push` would reserve
+//! four).
+//!
+//! Under Optimized Gossiping-2 each entry also carries its own tick
+//! schedule (Algorithms 3–4): the logical tick grid `next_time +
+//! k·round_time`, the planned tick `wake` (the first grid tick that must
+//! run) and `queued`, the one wake-up the world holds for the entry.
 
 use crate::ad::Advertisement;
 use crate::ids::AdId;
@@ -20,9 +26,33 @@ pub struct CacheEntry {
     pub ad: Advertisement,
     /// Forwarding probability, refreshed before use.
     pub probability: f64,
-    /// Next scheduled gossip instant for this entry (used by Optimized
-    /// Gossiping-2, where each entry has an independent time handler).
+    /// The entry's tick grid (Optimized Gossiping-2, where each entry has
+    /// an independent time handler): ticks fall at `next_time +
+    /// k·round_time`, `k >= 0`. It moves only as per-tick execution moves
+    /// it: one round past each executed tick, and on postponement and
+    /// restart.
     pub next_time: SimTime,
+    /// The planned tick: the first tick of the grid that must run (it
+    /// expires the ad, broadcasts, or cannot be evaluated ahead). Every
+    /// grid tick before it would neither broadcast nor change state.
+    pub wake: SimTime,
+    /// When the one wake-up queued for this entry pops (`SimTime::ZERO`
+    /// before the first). Wake-ups that pop at any other time are stale.
+    pub queued: SimTime,
+}
+
+impl CacheEntry {
+    /// A fresh entry whose grid and planned tick start at `next_time`,
+    /// with no wake-up queued yet.
+    pub fn new(ad: Advertisement, probability: f64, next_time: SimTime) -> Self {
+        CacheEntry {
+            ad,
+            probability,
+            next_time,
+            wake: next_time,
+            queued: SimTime::ZERO,
+        }
+    }
 }
 
 /// A bounded advertisement cache.
@@ -78,6 +108,9 @@ impl AdCache {
             "inserting duplicate ad {}",
             entry.ad.id
         );
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(1);
+        }
         self.entries.push(entry);
         if self.entries.len() > self.capacity {
             let (worst_idx, _) = self
@@ -153,11 +186,17 @@ mod tests {
     }
 
     fn entry(seq: u32, prob: f64) -> CacheEntry {
-        CacheEntry {
-            ad: mk_ad(seq, 600.0),
-            probability: prob,
-            next_time: SimTime::ZERO,
-        }
+        CacheEntry::new(mk_ad(seq, 600.0), prob, SimTime::ZERO)
+    }
+
+    #[test]
+    fn first_insert_reserves_exactly_one_entry() {
+        let mut c = AdCache::new(10);
+        assert_eq!(c.entries.capacity(), 0, "a new cache allocates nothing");
+        c.insert(entry(1, 0.5));
+        assert_eq!(c.entries.capacity(), 1);
+        c.insert(entry(2, 0.5));
+        assert!(c.entries.capacity() >= 2);
     }
 
     #[test]
@@ -206,16 +245,8 @@ mod tests {
     #[test]
     fn prune_expired_removes_old_ads() {
         let mut c = AdCache::new(4);
-        c.insert(CacheEntry {
-            ad: mk_ad(1, 100.0),
-            probability: 0.5,
-            next_time: SimTime::ZERO,
-        });
-        c.insert(CacheEntry {
-            ad: mk_ad(2, 1000.0),
-            probability: 0.5,
-            next_time: SimTime::ZERO,
-        });
+        c.insert(CacheEntry::new(mk_ad(1, 100.0), 0.5, SimTime::ZERO));
+        c.insert(CacheEntry::new(mk_ad(2, 1000.0), 0.5, SimTime::ZERO));
         assert_eq!(c.prune_expired(SimTime::from_secs(500.0)), 1);
         assert_eq!(c.len(), 1);
         assert!(c.contains(AdId::new(PeerId(0), 2)));

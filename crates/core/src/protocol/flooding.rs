@@ -224,7 +224,7 @@ mod tests {
                 now: SimTime::from_secs(now),
                 position: pos,
                 rng: &mut self.rng,
-                velocity_source: &mut self.velocity,
+                motion: &mut self.velocity,
             }
         }
     }

@@ -43,4 +43,4 @@ pub use scenario::{
     Scenario,
 };
 pub use tracker::DeliveryTracker;
-pub use world::World;
+pub use world::{EntryWakeups, World};

@@ -1,10 +1,13 @@
 //! Scenario fuzz: any scenario `Scenario::validate` accepts must run to
 //! completion. Each case draws a protocol, mobility model, speed spec,
 //! field, radio range, fault plan and churn spec — edge values included
-//! (zero and sub-`MIN_SPEED` speeds, zero-width fields, infinite ranges,
-//! empty fault windows) — on small, short runs. Scenarios `validate`
-//! rejects are skipped; the rest go through `run_scenario`, which must
-//! not panic.
+//! (zero and sub-`MIN_SPEED` speeds, zero-width and 10¹² m fields, ranges
+//! up to `f64::MAX` and infinite, empty fault windows) — on small, short
+//! runs. Scenarios `validate` rejects are skipped; the rest go through
+//! `run_scenario`, which must not panic. A second property runs only the
+//! two protocols whose entry ticks are decided ahead, with churn,
+//! partition waves and GPS ramps drawn more often: the look-ahead must
+//! end on every one of them.
 
 use ia_core::ProtocolKind;
 use ia_des::{SimDuration, SimTime};
@@ -32,9 +35,12 @@ fn mostly(
 }
 
 /// One field side, metres: up to past the paper's 5 km, or zero, or
-/// smaller than a Manhattan block.
+/// smaller than a Manhattan block, or up to 10¹² m.
 fn side() -> impl Strategy<Value = f64> {
-    mostly(100.0..8000.0f64, prop_oneof![Just(0.0), 1.0..300.0f64])
+    mostly(
+        100.0..8000.0f64,
+        prop_oneof![Just(0.0), 1.0..300.0f64, 1e6..1e12f64, Just(1e12)],
+    )
 }
 
 /// Mean speed and half-width, m/s, with the slow and degenerate corners.
@@ -50,7 +56,13 @@ fn speed() -> impl Strategy<Value = (f64, f64)> {
 fn range() -> impl Strategy<Value = f64> {
     mostly(
         50.0..2000.0f64,
-        prop_oneof![Just(f64::INFINITY), Just(0.0), 1.0..50.0f64],
+        prop_oneof![
+            Just(f64::INFINITY),
+            Just(f64::MAX),
+            1e4..1e300f64,
+            Just(0.0),
+            1.0..50.0f64
+        ],
     )
 }
 
@@ -113,16 +125,40 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
+    scenario_of(0usize..ProtocolKind::ALL.len(), fault_plan())
+}
+
+/// A fault plan that always carries a partition wave and a GPS ramp,
+/// plus whatever [`fault_plan`] draws on top.
+fn wave_and_ramp_plan() -> impl Strategy<Value = FaultPlan> {
     (
-        (0usize..ProtocolKind::ALL.len(), any::<bool>(), 1usize..31),
+        fault_plan(),
+        (0.0..130.0f64, 0.0..1.02f64, 0.0..60.0f64),
+        (0.0..130.0f64, 0.1..130.0f64, 0.0..500.0f64),
+    )
+        .prop_map(|(plan, (at, fraction, down_s), (from, len, sigma))| {
+            plan.with_partition_wave(PartitionWave {
+                at: secs(at),
+                fraction,
+                down_for: SimDuration::from_secs(down_s),
+            })
+            .with_gps_ramp(NoiseRamp::new(secs(from), secs(from + len), sigma))
+        })
+}
+
+/// Scenarios of the protocols `kinds` indexes in [`ProtocolKind::ALL`],
+/// under the fault plans `faults` draws.
+fn scenario_of(
+    kinds: impl Strategy<Value = usize>,
+    faults: impl Strategy<Value = FaultPlan>,
+) -> impl Strategy<Value = Scenario> {
+    (
+        (kinds, any::<bool>(), 1usize..31),
         (1.0..110.0f64, any::<u64>()),
         speed(),
         (side(), side()),
         range(),
-        (
-            fault_plan(),
-            proptest::option::of((0.0..100.0f64, 0.0..100.0f64)),
-        ),
+        (faults, proptest::option::of((0.0..100.0f64, 0.0..100.0f64))),
     )
         .prop_map(
             |(
@@ -155,14 +191,29 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         )
 }
 
+/// `validate` rejects `s`, or it runs without panicking.
+fn runs_unless_rejected(s: &Scenario) {
+    if catch_unwind(AssertUnwindSafe(|| s.validate())).is_ok() {
+        let run = catch_unwind(AssertUnwindSafe(|| run_scenario(s)));
+        prop_assert!(run.is_ok(), "validated scenario panicked: {:?}", s);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn validated_scenarios_run_without_panicking(s in scenario()) {
-        if catch_unwind(AssertUnwindSafe(|| s.validate())).is_ok() {
-            let run = catch_unwind(AssertUnwindSafe(|| run_scenario(&s)));
-            prop_assert!(run.is_ok(), "validated scenario panicked: {:?}", s);
-        }
+        runs_unless_rejected(&s);
+    }
+
+    /// Optimized Gossiping-2 and Optimized Gossiping (indices 3 and 4 of
+    /// `ProtocolKind::ALL`) with a partition wave and a GPS ramp always,
+    /// churn often: the entry-tick look-ahead must end.
+    #[test]
+    fn entry_look_ahead_ends_on_validated_scenarios(
+        s in scenario_of(3usize..5, wave_and_ramp_plan())
+    ) {
+        runs_unless_rejected(&s);
     }
 }
