@@ -4,32 +4,59 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — an integer microsecond clock, so that
 //!   event ordering is exact and runs are bit-for-bit reproducible.
-//! * [`EventQueue`] — a stable priority queue: events at equal timestamps
-//!   fire in scheduling order. Internally a hierarchical timing wheel
-//!   over a recycled slab arena (see the `wheel` and `arena` modules), so
-//!   the hot push/pop path is allocation-free at steady state. There is
-//!   no cancel: a component that reschedules a timer pushes the new one
-//!   and ignores the stale one when it fires.
-//! * [`Scheduler`] — the simulation clock plus the queue; the world object
-//!   drains it in a simple `while let Some(...)` loop, keeping borrows
-//!   trivial and the engine free of callbacks.
+//! * [`Scheduler`] — the simulation clock plus the pending-event set, the
+//!   crate's one queue type. Events at equal timestamps fire in
+//!   scheduling order, or before them in rank order when scheduled with
+//!   a rank. Internally a hierarchical timing wheel over its own recycled
+//!   slab (the private `wheel` module), so the hot schedule/pop path is
+//!   allocation-free at steady state. There is no cancel: a component
+//!   that reschedules a timer pushes the new one and ignores the stale
+//!   one when it fires. The world object drains the scheduler in a
+//!   simple `while let Some(...)` loop, keeping borrows trivial and the
+//!   engine free of callbacks.
 //! * [`rng`] — a seeded, splittable RNG: every component derives an
 //!   independent stream from a master seed, so adding randomness to one
 //!   component never perturbs another.
 
-mod arena;
-pub mod queue;
 pub mod rng;
 pub mod time;
 mod wheel;
 
-pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_seed, SimRng};
 pub use time::{SimDuration, SimTime};
 
 use std::fmt;
+use wheel::TimingWheel;
 
-/// The simulation clock plus the pending-event queue.
+/// Queue operation counters, cheap enough to maintain unconditionally.
+/// Consumed by the `simbench` harness for its per-layer report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Events scheduled over the scheduler's lifetime.
+    pub pushes: u64,
+    /// Events taken off the queue, including the one that reached the
+    /// horizon.
+    pub pops: u64,
+    /// Always 0: the queue has no cancel. The field stays only because
+    /// the `simbench` harness still reads it.
+    pub cancels: u64,
+    /// Timing-wheel cascade moves (node re-placements on level descent).
+    pub cascades: u64,
+}
+
+/// The first insertion-order sequence number; ranks lie below it.
+pub const RANK_LIMIT: u64 = 1 << 63;
+
+/// The simulation clock plus the pending-event set.
+///
+/// Pops come out in `(time, seq)` order. An unranked event's `seq`
+/// counts up from [`RANK_LIMIT`], so events at equal timestamps fire in
+/// scheduling order (NS-2 calendar queues make the same guarantee, and
+/// several protocol behaviours — e.g. "receive before your own round
+/// timer at the same instant" — depend on a stable order). A ranked
+/// event ([`Scheduler::schedule_ranked`]) uses its rank as the `seq`:
+/// it pops before the unranked events at its instant, in rank order,
+/// however and whenever it was scheduled.
 ///
 /// `Scheduler` is generic over the event payload `E`. A typical main loop:
 ///
@@ -52,10 +79,13 @@ use std::fmt;
 /// ```
 pub struct Scheduler<E> {
     now: SimTime,
-    queue: EventQueue<E>,
+    wheel: TimingWheel<E>,
     /// Events are discarded (not delivered) once `now` passes this horizon,
     /// if set. `pop` returns `None` at the horizon.
     horizon: Option<SimTime>,
+    next_seq: u64,
+    pushes: u64,
+    pops: u64,
     processed: u64,
 }
 
@@ -69,8 +99,11 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            wheel: TimingWheel::new(),
             horizon: None,
+            next_seq: RANK_LIMIT,
+            pushes: 0,
+            pops: 0,
             processed: 0,
         }
     }
@@ -94,55 +127,64 @@ impl<E> Scheduler<E> {
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.wheel.len()
     }
 
     /// Lifetime queue operation counters (pushes/pops/cascades).
     pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
+        QueueStats {
+            pushes: self.pushes,
+            pops: self.pops,
+            cancels: 0,
+            cascades: self.wheel.cascades(),
+        }
     }
 
-    /// Schedule `event` at the absolute time `t`.
+    /// Schedule `event` at the absolute time `t`, after every event
+    /// already scheduled for `t`.
     ///
     /// # Panics
     /// Panics if `t` is before the current time — scheduling into the past
     /// is always a logic error in a DES.
     pub fn schedule_at(&mut self, t: SimTime, event: E) {
-        assert!(
-            t >= self.now,
-            "scheduled into the past: {} < {}",
-            t,
-            self.now
-        );
-        self.queue.push(t, event)
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push(t, seq, event);
     }
 
     /// Schedule `event` at the absolute time `t`, before every event
-    /// scheduled with [`Scheduler::schedule_at`] for `t`, in `rank` order
-    /// (see [`EventQueue::push_ranked`]).
+    /// scheduled with [`Scheduler::schedule_at`] for `t`, in `rank` order.
+    /// Events of equal time and rank pop in an unspecified order.
     ///
     /// # Panics
     /// Panics if `t` is before the current time, or unless
-    /// `rank < queue::RANK_LIMIT`.
+    /// `rank < RANK_LIMIT`.
     pub fn schedule_ranked(&mut self, t: SimTime, rank: u64, event: E) {
+        assert!(rank < RANK_LIMIT, "rank {rank} out of range");
+        self.push(t, rank, event);
+    }
+
+    fn push(&mut self, t: SimTime, seq: u64, event: E) {
         assert!(
             t >= self.now,
             "scheduled into the past: {} < {}",
             t,
             self.now
         );
-        self.queue.push_ranked(t, rank, event)
+        self.pushes += 1;
+        self.wheel.push(t, seq, event);
     }
 
     /// Advance the clock to the next event and return its payload, or
     /// `None` when the queue is exhausted or the horizon reached.
     pub fn pop(&mut self) -> Option<E> {
-        let (t, ev) = self.queue.pop()?;
+        let (t, _seq, ev) = self.wheel.pop()?;
+        self.pops += 1;
         if let Some(h) = self.horizon {
             if t >= h {
                 // The queue is monotone; everything remaining is at or
                 // beyond the horizon too. Drop it all.
-                self.queue.clear();
+                self.wheel.clear();
                 self.now = h;
                 return None;
             }
@@ -153,9 +195,11 @@ impl<E> Scheduler<E> {
         Some(ev)
     }
 
-    /// Peek at the timestamp of the next pending event.
+    /// Peek at the timestamp of the next pending event. A read-only
+    /// wheel scan, cheap at the front; only stepped drivers
+    /// (`run_until`) use it, never the hot pop loop.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.wheel.peek().map(|(t, _)| t)
     }
 }
 
@@ -163,7 +207,7 @@ impl<E> fmt::Debug for Scheduler<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scheduler")
             .field("now", &self.now)
-            .field("pending", &self.queue.len())
+            .field("pending", &self.wheel.len())
             .field("processed", &self.processed)
             .finish()
     }
@@ -247,5 +291,16 @@ mod tests {
         }
         assert_eq!(fired, 5);
         assert_eq!(s.now(), SimTime::from_secs(5.0));
+    }
+
+    #[test]
+    fn queue_stats_count_operations() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        s.schedule_at(SimTime::from_secs(1.0), 1);
+        s.schedule_ranked(SimTime::from_secs(2.0), 0, 2);
+        s.pop();
+        let q = s.queue_stats();
+        assert_eq!((q.pushes, q.pops, q.cancels), (2, 1, 0));
+        assert_eq!((s.pending(), s.events_processed()), (1, 1));
     }
 }

@@ -1,11 +1,18 @@
-//! A hierarchical timing wheel over the microsecond clock.
+//! The pending-event set behind [`crate::Scheduler`]: a hierarchical
+//! timing wheel over the microsecond clock, and the slab its chains
+//! thread through.
 //!
-//! The wheel replaces the `BinaryHeap` inside [`crate::EventQueue`]. It
-//! holds only compact keys — slab slot indices into the
-//! [`crate::arena::EventArena`], threaded into per-slot chains through
-//! the arena's intrusive `next` links — so schedule and the amortized
-//! per-event cascade work both touch O(1) memory, independent of how
-//! many events are pending.
+//! # Slab
+//!
+//! Every pending event sits in one slab slot, `(time, seq, next,
+//! payload)`, from schedule to fire; the wheel moves only slot indices.
+//! The slot's intrusive `next` link threads it into a wheel chain or the
+//! free list, so one contiguous allocation backs both the payload store
+//! and the chains. A delivered slot goes onto the free list, and the
+//! next push takes it back (LIFO), so at steady state push and pop
+//! allocate nothing (pinned by `zero_alloc.rs::des_queue_churn_wheel`).
+//! Schedule and the amortized per-event cascade work both touch O(1)
+//! memory, independent of how many events are pending.
 //!
 //! # Layout
 //!
@@ -39,15 +46,16 @@
 //! in the (already passed) level-0 slot, which the search revisits
 //! because its bitmap scan is inclusive of the cursor digit. The result
 //! is the same `(time, seq)` total order a stable binary heap produces,
-//! pinned bitwise by the wheel-vs-heap proptest in
+//! pinned bitwise by the Scheduler-vs-heap proptests in
 //! `crates/des/tests/wheel_vs_heap.rs`.
 //!
-//! Scheduling below the cursor ("into the past") is rejected by
-//! [`crate::Scheduler`]; the queue itself keeps the old best-effort
-//! contract — such events are merged into the due batch (or the cursor
-//! slot) and still pop first, exactly like the heap they replace.
+//! A push below the cursor is merged into the due batch (or clamped to
+//! the cursor slot) and still pops first, exactly like a heap. The
+//! [`crate::Scheduler`] rejects scheduling before its clock, so this
+//! happens only after the horizon: the clock stops at the horizon while
+//! the cursor may already stand at the later event that reached it, and
+//! the scheduler cuts such a push at the horizon when it pops.
 
-use crate::arena::{EventArena, NIL};
 use crate::time::SimTime;
 
 /// Slots per level; one `u64` occupancy bitmap per level.
@@ -63,14 +71,32 @@ fn digit(t: u64, level: usize) -> u64 {
     (t >> (DIGIT_BITS * level as u32)) & (SLOTS as u64 - 1)
 }
 
-/// The wheel: chains of arena slots plus the due batch and overflow ring.
-pub(crate) struct TimingWheel {
+/// Sentinel for "end of chain" in `next` links.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot.
+struct Slot<E> {
+    /// Scheduled fire time of the current occupant.
+    time: SimTime,
+    /// Occupant sequence number, the tie-breaker at equal times.
+    seq: u64,
+    /// Next slot in whatever chain this slot is threaded into: a wheel
+    /// slot list, or the free list (unused while in the due batch or the
+    /// overflow ring).
+    next: u32,
+    /// `None` once the event was delivered and the slot freed.
+    payload: Option<E>,
+}
+
+/// The wheel and its slab: chains of slab slots plus the due batch and
+/// overflow ring.
+pub(crate) struct TimingWheel<E> {
     /// Occupancy bitmap per level (bit `s` = slot `s` chain non-empty).
     occupied: [u64; LEVELS],
     /// Chain heads per level/slot (`NIL` = empty).
     heads: [[u32; SLOTS]; LEVELS],
     /// Wheel cursor, µs: every pending event is at or after `cur`, except
-    /// best-effort past pushes which are clamped into the due batch.
+    /// pushes below it, which are clamped into the due batch.
     cur: u64,
     /// The staged level-0 slot, sorted ascending by `(time, seq)`;
     /// `due[due_pos..]` is still pending. Recycled between slots.
@@ -79,11 +105,17 @@ pub(crate) struct TimingWheel {
     /// Events beyond the wheel span: `(time µs, seq, slot)` — unsorted,
     /// folded back when the wheels drain.
     overflow: Vec<(u64, u64, u32)>,
+    /// The slab every pending event lives in.
+    slots: Vec<Slot<E>>,
+    /// Head of the free list threaded through `slots` (`NIL` = empty).
+    free: u32,
+    /// Count of pending events.
+    len: usize,
     /// Total node re-placements (cascade moves), for perf counters.
     cascades: u64,
 }
 
-impl TimingWheel {
+impl<E> TimingWheel<E> {
     pub fn new() -> Self {
         TimingWheel {
             occupied: [0; LEVELS],
@@ -92,8 +124,16 @@ impl TimingWheel {
             due: Vec::new(),
             due_pos: 0,
             overflow: Vec::new(),
+            slots: Vec::new(),
+            free: NIL,
+            len: 0,
             cascades: 0,
         }
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
     }
 
     /// Cascade moves performed so far (diagnostics/perf counters).
@@ -109,29 +149,56 @@ impl TimingWheel {
         (self.occupied[level] >> dk) << dk
     }
 
-    /// Thread `slot` (already holding `(t, seq)` in the arena) into the
-    /// wheel.
-    pub fn schedule<E>(&mut self, arena: &mut EventArena<E>, t: SimTime, seq: u64, slot: u32) {
+    /// Enqueue `payload` at `t`, ordered by `seq` among equal times.
+    pub fn push(&mut self, t: SimTime, seq: u64, payload: E) {
+        let slot = self.claim(t, seq, payload);
+        self.len += 1;
         let tm = t.as_micros();
         if tm <= self.cur && self.due_pos < self.due.len() {
-            // Best-effort past push while a due batch is active: it must
-            // pop before the batch remainder, so merge it in, keeping the
-            // batch sorted. Never taken by `Scheduler` (which rejects
-            // past scheduling); `t == cur` with an active batch also
-            // lands here and sorts by its seq: after the batch unless
-            // ranked below it.
+            // A push at or below the cursor while a due batch is active
+            // must pop by its seq among the batch remainder, so merge it
+            // in, keeping the batch sorted: at the cursor instant an
+            // unranked push sorts after the batch, a ranked one may sort
+            // before it; below the cursor (after the horizon only) it
+            // pops first.
             let key = (tm, seq, slot);
             let at = self.due[self.due_pos..].partition_point(|e| *e < key) + self.due_pos;
             self.due.insert(at, key);
             return;
         }
-        self.place(arena, tm.max(self.cur), seq, slot);
+        self.place(tm.max(self.cur), slot);
     }
 
-    /// Put `slot` into the level/slot derived from `tm ≥ cur`. The
-    /// arena's stored time is authoritative for delivery; `tm` is only
-    /// the placement key (past pushes clamp it to `cur`).
-    fn place<E>(&mut self, arena: &mut EventArena<E>, tm: u64, seq: u64, slot: u32) {
+    /// Store `(time, seq, payload)` in a slab slot: the last freed one
+    /// when there is one (LIFO), a new one otherwise (steady state never
+    /// grows the slab).
+    fn claim(&mut self, time: SimTime, seq: u64, payload: E) -> u32 {
+        if self.free != NIL {
+            let slot = self.free;
+            let e = &mut self.slots[slot as usize];
+            self.free = e.next;
+            e.time = time;
+            e.seq = seq;
+            e.next = NIL;
+            e.payload = Some(payload);
+            slot
+        } else {
+            let slot = self.slots.len() as u32;
+            assert!(slot != NIL, "event slab exhausted");
+            self.slots.push(Slot {
+                time,
+                seq,
+                next: NIL,
+                payload: Some(payload),
+            });
+            slot
+        }
+    }
+
+    /// Put `slot` into the level/slot derived from `tm ≥ cur`. The slab's
+    /// stored time is authoritative for delivery; `tm` is only the
+    /// placement key (pushes below the cursor clamp it to `cur`).
+    fn place(&mut self, tm: u64, slot: u32) {
         let x = tm ^ self.cur;
         let level = if x == 0 {
             0
@@ -139,32 +206,38 @@ impl TimingWheel {
             ((63 - x.leading_zeros()) / DIGIT_BITS) as usize
         };
         if level >= LEVELS {
+            let seq = self.slots[slot as usize].seq;
             self.overflow.push((tm, seq, slot));
             return;
         }
         let s = digit(tm, level) as usize;
-        arena.entry_mut(slot).next = self.heads[level][s];
+        self.slots[slot as usize].next = self.heads[level][s];
         self.heads[level][s] = slot;
         self.occupied[level] |= 1 << s;
     }
 
-    /// Deliver the earliest event: `(time, seq, payload)`.
-    pub fn pop<E>(&mut self, arena: &mut EventArena<E>) -> Option<(SimTime, u64, E)> {
+    /// Deliver the earliest event: `(time, seq, payload)`. Its slot goes
+    /// onto the free list.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
         loop {
             if self.due_pos < self.due.len() {
                 let (tm, seq, slot) = self.due[self.due_pos];
                 self.due_pos += 1;
-                debug_assert!(arena.entry(slot).seq == seq, "due slot was recycled");
-                let payload = arena.take_and_free(slot);
+                let e = &mut self.slots[slot as usize];
+                debug_assert!(e.seq == seq, "due slot was recycled");
+                let payload = e.payload.take().expect("popping a free slot");
+                e.next = self.free;
+                self.free = slot;
+                self.len -= 1;
                 return Some((SimTime::from_micros(tm), seq, payload));
             }
             self.due.clear();
             self.due_pos = 0;
-            if !self.stage_next(arena) {
+            if !self.stage_next() {
                 if self.overflow.is_empty() {
                     return None;
                 }
-                self.rebase(arena);
+                self.rebase();
             }
         }
     }
@@ -172,7 +245,7 @@ impl TimingWheel {
     /// Advance the cursor to the next occupied level-0 slot (cascading
     /// higher levels as needed) and stage its chain into `due`.
     /// Returns `false` when every wheel is empty.
-    fn stage_next<E>(&mut self, arena: &mut EventArena<E>) -> bool {
+    fn stage_next(&mut self) -> bool {
         'search: loop {
             let m = self.pending_from_cursor(0);
             if m != 0 {
@@ -180,11 +253,11 @@ impl TimingWheel {
                 self.occupied[0] &= !(1 << s);
                 let mut node = self.heads[0][s];
                 self.heads[0][s] = NIL;
-                // The slot's exact timestamp; past-clamped events may
-                // carry earlier stored times and sort first.
+                // The slot's exact timestamp; clamped events may carry
+                // earlier stored times and sort first.
                 self.cur = (self.cur & !(SLOTS as u64 - 1)) | s as u64;
                 while node != NIL {
-                    let e = arena.entry(node);
+                    let e = &self.slots[node as usize];
                     self.due.push((e.time.as_micros(), e.seq, node));
                     node = e.next;
                 }
@@ -212,16 +285,16 @@ impl TimingWheel {
                 let mut min_tm = u64::MAX;
                 let mut node = head;
                 while node != NIL {
-                    let e = arena.entry(node);
+                    let e = &self.slots[node as usize];
                     min_tm = min_tm.min(e.time.as_micros());
                     node = e.next;
                 }
                 self.cur = min_tm;
                 let mut node = head;
                 while node != NIL {
-                    let e = arena.entry(node);
-                    let (tm, seq, next) = (e.time.as_micros(), e.seq, e.next);
-                    self.place(arena, tm, seq, node);
+                    let e = &self.slots[node as usize];
+                    let (tm, next) = (e.time.as_micros(), e.next);
+                    self.place(tm, node);
                     self.cascades += 1;
                     node = next;
                 }
@@ -234,14 +307,14 @@ impl TimingWheel {
     /// Fold far-future overflow events back into the wheel once it has
     /// drained: jump the cursor to the earliest overflow time and
     /// re-place whatever now fits (the rest stays parked).
-    fn rebase<E>(&mut self, arena: &mut EventArena<E>) {
+    fn rebase(&mut self) {
         let min_tm = self.overflow.iter().map(|&(tm, _, _)| tm).min();
         self.cur = self
             .cur
             .max(min_tm.expect("rebase of an empty overflow ring"));
         for (tm, seq, slot) in std::mem::take(&mut self.overflow) {
             if (tm ^ self.cur) >> (DIGIT_BITS * LEVELS as u32) == 0 {
-                self.place(arena, tm, seq, slot);
+                self.place(tm, slot);
             } else {
                 self.overflow.push((tm, seq, slot));
             }
@@ -252,7 +325,7 @@ impl TimingWheel {
     /// Read-only, so it scans a chain instead of cascading: the earliest
     /// event sits in the first occupied slot of the lowest occupied
     /// level, so only that slot's chain is read.
-    pub fn peek<E>(&self, arena: &EventArena<E>) -> Option<(SimTime, u64)> {
+    pub fn peek(&self) -> Option<(SimTime, u64)> {
         let earliest = if let Some(&(tm, seq, _)) = self.due.get(self.due_pos) {
             Some((tm, seq))
         } else if let Some(level) = (0..LEVELS).find(|&k| self.pending_from_cursor(k) != 0) {
@@ -260,7 +333,7 @@ impl TimingWheel {
             let mut best = (u64::MAX, u64::MAX);
             let mut node = self.heads[level][s];
             while node != NIL {
-                let e = arena.entry(node);
+                let e = &self.slots[node as usize];
                 best = best.min((e.time.as_micros(), e.seq));
                 node = e.next;
             }
@@ -271,15 +344,18 @@ impl TimingWheel {
         earliest.map(|(tm, seq)| (SimTime::from_micros(tm), seq))
     }
 
-    /// Forget every chain. The arena is cleared by the caller; capacities
-    /// (due/overflow buffers) are retained, and the cursor keeps its
-    /// position so the clock stays monotone.
+    /// Drop every pending event. Capacities (slab, due and overflow
+    /// buffers) are retained, and the cursor keeps its position so the
+    /// clock stays monotone.
     pub fn clear(&mut self) {
         self.occupied = [0; LEVELS];
         self.heads = [[NIL; SLOTS]; LEVELS];
         self.due.clear();
         self.due_pos = 0;
         self.overflow.clear();
+        self.slots.clear();
+        self.free = NIL;
+        self.len = 0;
     }
 }
 
@@ -291,11 +367,10 @@ mod tests {
         SimTime::from_micros(micros)
     }
 
-    /// Drive the wheel directly (the queue-level tests in
-    /// `crate::queue` cover the public API; these pin the internals).
+    /// Drive the wheel directly with insertion-order seqs (the
+    /// `Scheduler` tests cover the public API; these pin the internals).
     struct Rig {
-        wheel: TimingWheel,
-        arena: EventArena<u64>,
+        wheel: TimingWheel<u64>,
         seq: u64,
     }
 
@@ -303,20 +378,17 @@ mod tests {
         fn new() -> Self {
             Rig {
                 wheel: TimingWheel::new(),
-                arena: EventArena::new(),
                 seq: 0,
             }
         }
 
         fn push(&mut self, micros: u64) {
-            let seq = self.seq;
+            self.wheel.push(t(micros), self.seq, micros);
             self.seq += 1;
-            let slot = self.arena.insert(t(micros), seq, micros);
-            self.wheel.schedule(&mut self.arena, t(micros), seq, slot);
         }
 
         fn pop(&mut self) -> Option<u64> {
-            self.wheel.pop(&mut self.arena).map(|(tm, _, p)| {
+            self.wheel.pop().map(|(tm, _, p)| {
                 assert_eq!(tm.as_micros(), p);
                 p
             })
@@ -354,7 +426,7 @@ mod tests {
             r.push(1000);
         }
         let mut seqs = Vec::new();
-        while let Some((tm, seq, _)) = r.wheel.pop(&mut r.arena) {
+        while let Some((tm, seq, _)) = r.wheel.pop() {
             assert_eq!(tm, t(1000));
             seqs.push(seq);
         }
@@ -394,8 +466,8 @@ mod tests {
         for tm in [900, 10, 64 * 64 + 3, 900, span + 1] {
             r.push(tm);
         }
-        while let Some(peeked) = r.wheel.peek(&r.arena) {
-            let (tm, seq, _) = r.wheel.pop(&mut r.arena).expect("peek saw an event");
+        while let Some(peeked) = r.wheel.peek() {
+            let (tm, seq, _) = r.wheel.pop().expect("peek saw an event");
             assert_eq!(peeked, (tm, seq));
         }
         assert_eq!(r.pop(), None);
@@ -411,9 +483,28 @@ mod tests {
         // remainder (higher seq), like a stable heap.
         r.push(100);
         let mut seqs = Vec::new();
-        while let Some((_, seq, _)) = r.wheel.pop(&mut r.arena) {
+        while let Some((_, seq, _)) = r.wheel.pop() {
             seqs.push(seq);
         }
         assert_eq!(seqs, vec![1, 2]);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_lifo() {
+        let mut r = Rig::new();
+        r.push(1); // slot 0
+        r.push(2); // slot 1
+        assert_eq!(r.pop(), Some(1));
+        assert_eq!(r.pop(), Some(2));
+        // LIFO: the last freed slot comes back first, and the slab does
+        // not grow.
+        assert_eq!(r.wheel.free, 1);
+        r.push(3);
+        assert_eq!((r.wheel.slots[1].payload, r.wheel.free), (Some(3), 0));
+        r.push(4);
+        assert_eq!((r.wheel.slots[0].payload, r.wheel.free), (Some(4), NIL));
+        assert_eq!(r.wheel.slots.len(), 2);
+        assert_eq!(r.pop(), Some(3));
+        assert_eq!(r.pop(), Some(4));
     }
 }

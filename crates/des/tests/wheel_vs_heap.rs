@@ -1,16 +1,17 @@
-//! Wheel-vs-heap equivalence: the timing-wheel `EventQueue` must be
+//! Scheduler-vs-heap equivalence: the timing-wheel `Scheduler` must be
 //! observationally identical to a stable `BinaryHeap` keyed on
 //! `(time, seq)`, where a ranked push's rank replaces the `seq` and
-//! sorts below every insertion-order `seq`. A reference heap lives in this file, and proptest
-//! drives both side by side through random push/pop/peek interleavings —
-//! including deltas spanning every wheel level and the far-future
-//! overflow ring — plus a deterministic model of the Optimized
-//! Gossiping-2 postpone storm, where every postponement pushes a new
-//! timer and leaves the stale one queued. Every pop, peek and length
-//! must match exactly.
+//! sorts below every insertion-order `seq`. A reference heap lives in
+//! this file, and proptest drives both side by side through random
+//! schedule/pop/peek interleavings — including deltas spanning every
+//! wheel level and the far-future overflow ring, with and without a
+//! horizon — plus a deterministic model of the Optimized Gossiping-2
+//! postpone storm, where every postponement pushes a new timer and
+//! leaves the stale one queued. Every pop, clock reading, peek and
+//! pending count must match exactly. Nothing is ever scheduled before
+//! the scheduler's clock.
 
-use ia_des::queue::RANK_LIMIT;
-use ia_des::{EventQueue, SimTime};
+use ia_des::{Scheduler, SimTime, RANK_LIMIT};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,12 +69,20 @@ impl<E> RefQueue<E> {
     }
 }
 
-/// Pop both queues once and check they agree.
-fn pop_both(wheel: &mut EventQueue<usize>, heap: &mut RefQueue<usize>) -> Option<(u64, usize)> {
-    let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
-    let want = heap.pop();
+/// Pop both queues once and check they agree; the heap's events at or
+/// after `horizon` must not come out of the scheduler. Returns the
+/// delivered event, if any.
+fn pop_both(
+    sched: &mut Scheduler<usize>,
+    heap: &mut RefQueue<usize>,
+    horizon: Option<u64>,
+) -> Option<(u64, usize)> {
+    let want = heap.pop().filter(|&(t, _)| horizon.is_none_or(|h| t < h));
+    let got = sched.pop().map(|p| (sched.now().as_micros(), p));
     assert_eq!(got, want, "pop diverged");
-    assert_eq!(wheel.len(), heap.heap.len(), "len diverged");
+    if got.is_some() {
+        assert_eq!(sched.pending(), heap.heap.len(), "pending diverged");
+    }
     got
 }
 
@@ -110,41 +119,73 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Run one op sequence through both queues, asserting identical
-/// observable behaviour at every step.
-fn drive(ops: &[Op]) {
-    let mut wheel: EventQueue<usize> = EventQueue::new();
+/// observable behaviour at every step. With a horizon `h`, the
+/// scheduler delivers exactly the heap's events below `h`, then ends
+/// empty with its clock at `h`.
+fn drive(ops: &[Op], horizon: Option<u64>) {
+    let mut sched: Scheduler<usize> = match horizon {
+        Some(h) => Scheduler::new().with_horizon(SimTime::from_micros(h)),
+        None => Scheduler::new(),
+    };
     let mut heap: RefQueue<usize> = RefQueue::new();
-    let mut now = 0u64;
     let mut payload = 0usize;
 
     for op in ops {
+        let now = sched.now().as_micros();
         match op {
             Op::Push(delta) => {
                 let t = now.saturating_add(*delta);
-                wheel.push(SimTime::from_micros(t), payload);
+                sched.schedule_at(SimTime::from_micros(t), payload);
                 heap.push(t, payload);
                 payload += 1;
             }
             Op::PushRanked(delta) => {
                 let t = now.saturating_add(*delta);
                 let rank = (payload as u64).reverse_bits() >> 1;
-                wheel.push_ranked(SimTime::from_micros(t), rank, payload);
+                sched.schedule_ranked(SimTime::from_micros(t), rank, payload);
                 heap.push_ranked(t, rank, payload);
                 payload += 1;
             }
             Op::Pop => {
-                if let Some((t, _)) = pop_both(&mut wheel, &mut heap) {
-                    now = t;
+                let pending = !heap.heap.is_empty();
+                if pop_both(&mut sched, &mut heap, horizon).is_none() && pending {
+                    break; // the horizon cut the run
                 }
             }
             Op::Peek => {
-                let got = wheel.peek_time().map(|t| t.as_micros());
+                let got = sched.peek_time().map(|t| t.as_micros());
                 prop_assert_eq!(got, heap.peek_time(), "peek diverged at now={}", now);
             }
         }
     }
-    // Drain both to the end: full pop order must agree.
-    while pop_both(&mut wheel, &mut heap).is_some() {}
+    let Some(h) = horizon else {
+        // Drain both to the end: full pop order must agree.
+        while pop_both(&mut sched, &mut heap, None).is_some() {}
+        return;
+    };
+    // An event at the horizon itself ends the run even when every
+    // random event lies below it.
+    sched.schedule_at(SimTime::from_micros(h), payload);
+    heap.push(h, payload);
+    while pop_both(&mut sched, &mut heap, horizon).is_some() {}
+    assert_eq!(sched.pop(), None);
+    assert_eq!(sched.pending(), 0);
+    assert_eq!(sched.now(), SimTime::from_micros(h));
+    // A push after the horizon is cut by it too, wherever the wheel's
+    // cursor stopped.
+    sched.schedule_at(SimTime::from_micros(h), payload + 1);
+    assert_eq!((sched.pending(), sched.pop()), (1, None));
+    assert_eq!((sched.pending(), sched.now()), (0, SimTime::from_micros(h)));
+}
+
+fn horizon_strategy() -> impl Strategy<Value = u64> {
+    // Horizons below, among and above the op deltas' scales.
+    prop_oneof![
+        0u64..1_000,
+        0u64..100_000,
+        0u64..4_000_000_000,
+        1u64 << 47..1 << 53,
+    ]
 }
 
 proptest! {
@@ -152,7 +193,15 @@ proptest! {
 
     #[test]
     fn wheel_matches_heap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        drive(&ops);
+        drive(&ops, None);
+    }
+
+    #[test]
+    fn wheel_matches_heap_below_the_horizon(
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+        h in horizon_strategy(),
+    ) {
+        drive(&ops, Some(h));
     }
 }
 
@@ -164,22 +213,22 @@ proptest! {
 #[test]
 fn postpone_storm_matches_heap() {
     const PEERS: usize = 32;
-    let mut wheel: EventQueue<usize> = EventQueue::new();
+    let mut sched: Scheduler<usize> = Scheduler::new();
     let mut heap: RefQueue<usize> = RefQueue::new();
     // Payload `id * PEERS + peer`; `current[peer]` is the live timer.
     let mut current = [0usize; PEERS];
     let mut next_id = 0usize;
-    let mut arm = |wheel: &mut EventQueue<usize>, heap: &mut RefQueue<usize>, peer, t| {
+    let mut arm = |sched: &mut Scheduler<usize>, heap: &mut RefQueue<usize>, peer, t| {
         let payload = next_id * PEERS + peer;
         next_id += 1;
-        wheel.push(SimTime::from_micros(t), payload);
+        sched.schedule_at(SimTime::from_micros(t), payload);
         heap.push(t, payload);
         payload
     };
 
     // Every peer arms an initial timer.
     for (peer, slot) in current.iter_mut().enumerate() {
-        *slot = arm(&mut wheel, &mut heap, peer, 1_000 + 37 * peer as u64);
+        *slot = arm(&mut sched, &mut heap, peer, 1_000 + 37 * peer as u64);
     }
 
     let mut x: u64 = 0xDEADBEEFCAFE;
@@ -196,11 +245,11 @@ fn postpone_storm_matches_heap() {
         // A "copy arrives" at a pseudo-random peer: postpone its timer.
         let peer = (rand() % PEERS as u64) as usize;
         let t2 = now + 500 + rand() % 50_000;
-        current[peer] = arm(&mut wheel, &mut heap, peer, t2);
+        current[peer] = arm(&mut sched, &mut heap, peer, t2);
 
         // Occasionally let time advance.
         if round % 5 == 0 {
-            if let Some((t, payload)) = pop_both(&mut wheel, &mut heap) {
+            if let Some((t, payload)) = pop_both(&mut sched, &mut heap, None) {
                 now = t;
                 if current[payload % PEERS] != payload {
                     stale += 1;
@@ -208,6 +257,6 @@ fn postpone_storm_matches_heap() {
             }
         }
     }
-    while pop_both(&mut wheel, &mut heap).is_some() {}
+    while pop_both(&mut sched, &mut heap, None).is_some() {}
     assert!(stale > 0, "the storm never popped a stale timer");
 }

@@ -11,9 +11,9 @@
 //! * [`tracker`] — the paper's three metrics (Delivery Rate, Delivery
 //!   Time, Number of Messages), with exact area-entry times computed from
 //!   trajectory/circle intersections;
-//! * [`observer`] — the [`observer::SimObserver`] hook trait and
-//!   [`observer::ObserverBus`]: opt-in per-event instrumentation (fault
-//!   ledgers, structured traces) kept out of the event loop itself;
+//! * [`observer`] — the [`observer::SimObserver`] hook trait: opt-in
+//!   per-event instrumentation (fault ledgers, structured traces) kept
+//!   out of the event loop itself;
 //! * [`runner`] — multi-seed execution (parallel via a shared atomic
 //!   work-queue over scoped threads) and summary statistics;
 //! * [`report`] — fixed-width table / CSV output for the `figures`
@@ -34,8 +34,7 @@ pub mod tracker;
 pub mod world;
 
 pub use observer::{
-    BroadcastInfo, FaultLedger, JsonlTrace, LedgerRound, ObserverBus, SimObserver, SuppressReason,
-    TraceBuffer,
+    BroadcastInfo, FaultLedger, JsonlTrace, LedgerRound, SimObserver, SuppressReason, TraceBuffer,
 };
 pub use runner::{run_scenario, run_seeds, run_seeds_with_threads, summarize, RunResult, Summary};
 pub use scenario::{

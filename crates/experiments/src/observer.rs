@@ -6,10 +6,10 @@
 //! [`crate::tracker::DeliveryTracker`] and the medium's traffic counters;
 //! everything else *about* a run — fault ledgers, structured traces — is
 //! opt-in instrumentation behind the [`SimObserver`] hook trait, so new
-//! measurements never touch the loop itself. The [`ObserverBus`] fans
-//! each hook out to every attached observer in attachment order, and is
-//! empty unless a caller attaches one (or the scenario sets a trace
-//! path).
+//! measurements never touch the loop itself. The world fans each hook
+//! out to every attached observer in attachment order, and has none
+//! unless a caller attaches one ([`crate::World::attach_observer`]) or
+//! the scenario sets a trace path.
 //!
 //! Observers are strictly passive: they receive references, never touch
 //! an RNG stream, and cannot reorder events — attaching or removing
@@ -55,6 +55,9 @@ pub enum SuppressReason {
 }
 
 impl SuppressReason {
+    /// Number of reasons.
+    const COUNT: usize = 5;
+
     /// Fixed-vocabulary label (used by the JSONL trace).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -77,7 +80,7 @@ impl std::fmt::Display for SuppressReason {
 ///
 /// Every hook has an empty default body, so observers implement only what
 /// they care about. The `Any` supertrait enables typed retrieval through
-/// [`ObserverBus::get`].
+/// [`crate::World::observer`].
 pub trait SimObserver: Any {
     /// A node transmitted a frame; `info` carries the channel outcome.
     fn on_broadcast(&mut self, now: SimTime, node: u32, msg: &AdMessage, info: &BroadcastInfo) {
@@ -115,96 +118,6 @@ pub trait SimObserver: Any {
     }
 }
 
-/// Fans [`SimObserver`] hooks out to every attached observer, in
-/// attachment order, and supports typed retrieval of a concrete observer
-/// (e.g. pulling a [`FaultLedger`] back out after a run).
-#[derive(Default)]
-pub struct ObserverBus {
-    observers: Vec<Box<dyn SimObserver>>,
-}
-
-impl ObserverBus {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attach an observer; it receives every subsequent hook.
-    pub fn attach(&mut self, observer: Box<dyn SimObserver>) {
-        self.observers.push(observer);
-    }
-
-    pub fn len(&self) -> usize {
-        self.observers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.observers.is_empty()
-    }
-
-    /// The first attached observer of concrete type `T`, if any.
-    pub fn get<T: SimObserver>(&self) -> Option<&T> {
-        self.observers
-            .iter()
-            .find_map(|o| (o.as_ref() as &dyn Any).downcast_ref::<T>())
-    }
-
-    pub fn broadcast(&mut self, now: SimTime, node: u32, msg: &AdMessage, info: &BroadcastInfo) {
-        for o in &mut self.observers {
-            o.on_broadcast(now, node, msg, info);
-        }
-    }
-
-    pub fn deliver(&mut self, now: SimTime, to: u32, msg: &AdMessage, meta: &RxMeta) {
-        for o in &mut self.observers {
-            o.on_deliver(now, to, msg, meta);
-        }
-    }
-
-    pub fn accept(&mut self, now: SimTime, node: u32, ad: AdId) {
-        for o in &mut self.observers {
-            o.on_accept(now, node, ad);
-        }
-    }
-
-    pub fn suppress(&mut self, now: SimTime, to: u32, msg: &AdMessage, reason: SuppressReason) {
-        for o in &mut self.observers {
-            o.on_suppress(now, to, msg, reason);
-        }
-    }
-
-    pub fn cache_evict(&mut self, now: SimTime, node: u32, ad: AdId) {
-        for o in &mut self.observers {
-            o.on_cache_evict(now, node, ad);
-        }
-    }
-
-    pub fn round(&mut self, now: SimTime, node: u32) {
-        for o in &mut self.observers {
-            o.on_round(now, node);
-        }
-    }
-
-    pub fn depart(&mut self, now: SimTime, node: u32) {
-        for o in &mut self.observers {
-            o.on_depart(now, node);
-        }
-    }
-
-    pub fn rejoin(&mut self, now: SimTime, node: u32) {
-        for o in &mut self.observers {
-            o.on_rejoin(now, node);
-        }
-    }
-}
-
-impl std::fmt::Debug for ObserverBus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObserverBus")
-            .field("observers", &self.observers.len())
-            .finish()
-    }
-}
-
 /// Per-bucket delivered-vs-faulted tally kept by the [`FaultLedger`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LedgerRound {
@@ -236,11 +149,8 @@ impl LedgerRound {
 pub struct FaultLedger {
     bucket: SimDuration,
     delivered: u64,
-    offline: u64,
-    channel_loss: u64,
-    jammed: u64,
-    collisions: u64,
-    corrupted: u64,
+    /// Suppressions, indexed by `SuppressReason as usize`.
+    suppressed: [u64; SuppressReason::COUNT],
     departs: u64,
     rejoins: u64,
     rounds: Vec<LedgerRound>,
@@ -254,11 +164,7 @@ impl FaultLedger {
         FaultLedger {
             bucket,
             delivered: 0,
-            offline: 0,
-            channel_loss: 0,
-            jammed: 0,
-            collisions: 0,
-            corrupted: 0,
+            suppressed: [0; SuppressReason::COUNT],
             departs: 0,
             rejoins: 0,
             rounds: Vec::new(),
@@ -280,19 +186,13 @@ impl FaultLedger {
 
     /// Suppressions recorded for `reason`.
     pub fn count(&self, reason: SuppressReason) -> u64 {
-        match reason {
-            SuppressReason::Offline => self.offline,
-            SuppressReason::ChannelLoss => self.channel_loss,
-            SuppressReason::Jammed => self.jammed,
-            SuppressReason::Collision => self.collisions,
-            SuppressReason::Corrupted => self.corrupted,
-        }
+        self.suppressed[reason as usize]
     }
 
     /// Frame copies destroyed in flight (everything except off-line
     /// suppressions, which are a node state, not a channel fault).
     pub fn faulted(&self) -> u64 {
-        self.channel_loss + self.jammed + self.collisions + self.corrupted
+        self.suppressed.iter().sum::<u64>() - self.count(SuppressReason::Offline)
     }
 
     /// Depart events observed (churn + partition waves + issuer exits).
@@ -345,11 +245,11 @@ impl FaultLedger {
             "delivered={} faulted={} (loss={} jam={} collision={} corrupt={}) offline={} departs={} rejoins={} survival={:.1}%",
             self.delivered,
             self.faulted(),
-            self.channel_loss,
-            self.jammed,
-            self.collisions,
-            self.corrupted,
-            self.offline,
+            self.count(SuppressReason::ChannelLoss),
+            self.count(SuppressReason::Jammed),
+            self.count(SuppressReason::Collision),
+            self.count(SuppressReason::Corrupted),
+            self.count(SuppressReason::Offline),
             self.departs,
             self.rejoins,
             100.0 * self.survival_rate()
@@ -364,13 +264,7 @@ impl SimObserver for FaultLedger {
     }
 
     fn on_suppress(&mut self, now: SimTime, _to: u32, _msg: &AdMessage, reason: SuppressReason) {
-        match reason {
-            SuppressReason::Offline => self.offline += 1,
-            SuppressReason::ChannelLoss => self.channel_loss += 1,
-            SuppressReason::Jammed => self.jammed += 1,
-            SuppressReason::Collision => self.collisions += 1,
-            SuppressReason::Corrupted => self.corrupted += 1,
-        }
+        self.suppressed[reason as usize] += 1;
         if reason != SuppressReason::Offline {
             self.slot(now).faulted += 1;
         }
@@ -544,82 +438,6 @@ mod tests {
             receivers,
             drops: DropCounts::default(),
         }
-    }
-
-    /// Counts every hook invocation (also the test double for fan-out).
-    #[derive(Default)]
-    struct Counter {
-        broadcasts: usize,
-        delivers: usize,
-        accepts: usize,
-        suppresses: usize,
-        evicts: usize,
-        rounds: usize,
-        departs: usize,
-        rejoins: usize,
-    }
-
-    impl SimObserver for Counter {
-        fn on_broadcast(&mut self, _: SimTime, _: u32, _: &AdMessage, _: &BroadcastInfo) {
-            self.broadcasts += 1;
-        }
-        fn on_deliver(&mut self, _: SimTime, _: u32, _: &AdMessage, _: &RxMeta) {
-            self.delivers += 1;
-        }
-        fn on_accept(&mut self, _: SimTime, _: u32, _: AdId) {
-            self.accepts += 1;
-        }
-        fn on_suppress(&mut self, _: SimTime, _: u32, _: &AdMessage, _: SuppressReason) {
-            self.suppresses += 1;
-        }
-        fn on_cache_evict(&mut self, _: SimTime, _: u32, _: AdId) {
-            self.evicts += 1;
-        }
-        fn on_round(&mut self, _: SimTime, _: u32) {
-            self.rounds += 1;
-        }
-        fn on_depart(&mut self, _: SimTime, _: u32) {
-            self.departs += 1;
-        }
-        fn on_rejoin(&mut self, _: SimTime, _: u32) {
-            self.rejoins += 1;
-        }
-    }
-
-    #[test]
-    fn bus_fans_out_every_hook_and_supports_typed_retrieval() {
-        let mut bus = ObserverBus::new();
-        bus.attach(Box::new(Counter::default()));
-        bus.attach(Box::new(FaultLedger::new(SimDuration::from_secs(5.0))));
-        assert_eq!(bus.len(), 2);
-
-        let m = msg();
-        let t = SimTime::from_secs(1.0);
-        let meta = RxMeta {
-            sender_pos: Point::new(0.0, 0.0),
-            from: 1,
-            distance: 10.0,
-        };
-        bus.broadcast(t, 1, &m, &info(50, 2));
-        bus.deliver(t, 2, &m, &meta);
-        bus.accept(t, 2, m.ad.id);
-        bus.suppress(t, 3, &m, SuppressReason::Offline);
-        bus.cache_evict(t, 2, m.ad.id);
-        bus.round(t, 1);
-        bus.depart(t, 4);
-        bus.rejoin(t, 4);
-
-        let c = bus.get::<Counter>().expect("counter attached");
-        assert_eq!(
-            (c.broadcasts, c.delivers, c.accepts, c.suppresses),
-            (1, 1, 1, 1)
-        );
-        assert_eq!((c.evicts, c.rounds, c.departs, c.rejoins), (1, 1, 1, 1));
-        let ledger = bus.get::<FaultLedger>().expect("ledger attached");
-        assert_eq!(ledger.delivered(), 1);
-        assert_eq!(ledger.count(SuppressReason::Offline), 1);
-        assert_eq!((ledger.departs(), ledger.rejoins()), (1, 1));
-        assert!(bus.get::<JsonlTrace>().is_none());
     }
 
     #[test]

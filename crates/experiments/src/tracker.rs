@@ -34,6 +34,28 @@ struct AdTracking {
     receipt_times: BTreeMap<u32, SimTime>,
 }
 
+impl AdTracking {
+    /// Every passage, peer by peer in id order, with its wait in seconds
+    /// from entering the area until the peer's first receipt; `None` when
+    /// that receipt is missing, after the window or after the passage's
+    /// exit. A receipt before entry waits 0.
+    fn passage_waits(&self) -> impl Iterator<Item = (u32, Option<f64>)> + '_ {
+        self.passages.iter().flat_map(move |(&peer, intervals)| {
+            let receipt = self
+                .receipt_times
+                .get(&peer)
+                .copied()
+                .filter(|&r| r <= self.window_end);
+            intervals.iter().map(move |&(enter, exit)| {
+                let wait = receipt
+                    .filter(|&r| r <= exit)
+                    .map(|r| r.since(enter).as_secs());
+                (peer, wait)
+            })
+        })
+    }
+}
+
 /// Aggregated outcome for one advertisement.
 ///
 /// The primary delivery metric is *passage-level*: every traversal of the
@@ -139,22 +161,16 @@ impl DeliveryTracker {
                 let mut passages = 0usize;
                 let mut delivered_passages = 0usize;
                 let mut time_sum = 0.0;
-                for (&peer, intervals) in &t.passages {
-                    passages += intervals.len();
-                    let receipt = match t.receipt_times.get(&peer) {
-                        Some(&r) if r <= t.window_end => r,
-                        _ => continue,
-                    };
-                    let mut any = false;
-                    for &(enter, exit) in intervals {
-                        if receipt <= exit {
-                            delivered_passages += 1;
-                            any = true;
-                            time_sum += receipt.since(enter).as_secs(); // 0 if already held
+                let mut last_delivered = None;
+                for (peer, wait) in t.passage_waits() {
+                    passages += 1;
+                    if let Some(wait) = wait {
+                        delivered_passages += 1;
+                        time_sum += wait;
+                        if last_delivered != Some(peer) {
+                            delivered += 1;
+                            last_delivered = Some(peer);
                         }
-                    }
-                    if any {
-                        delivered += 1;
                     }
                 }
                 let delivery_rate = if passages == 0 {
@@ -188,20 +204,10 @@ impl DeliveryTracker {
     /// Per-delivered-passage wait samples for ad index `i` (seconds) —
     /// the raw data behind the mean delivery time, for tail analysis.
     pub fn delivery_time_samples(&self, i: usize) -> Vec<f64> {
-        let t = &self.ads[i];
-        let mut out = Vec::new();
-        for (&peer, intervals) in &t.passages {
-            let receipt = match t.receipt_times.get(&peer) {
-                Some(&r) if r <= t.window_end => r,
-                _ => continue,
-            };
-            for &(enter, exit) in intervals {
-                if receipt <= exit {
-                    out.push(receipt.since(enter).as_secs());
-                }
-            }
-        }
-        out
+        self.ads[i]
+            .passage_waits()
+            .filter_map(|(_, wait)| wait)
+            .collect()
     }
 
     /// Distribution summary of the delivery waits for ad index `i`.

@@ -4,13 +4,13 @@
 //! protocol callbacks through a single reused [`ActionSink`] (so the
 //! steady-state dispatch path allocates nothing), applies the resulting
 //! actions, feeds every acceptance to its [`DeliveryTracker`] (the
-//! paper's metrics), and fans every observable moment out to the
-//! [`ObserverBus`]. The bus is empty unless a caller attaches an
-//! observer or the scenario sets a trace path; all optional measurement
-//! — fault ledgers, traces — lives in [`crate::observer`]
+//! paper's metrics), and fans every observable moment out to its
+//! attached [`SimObserver`]s, in attachment order. There are none unless
+//! a caller attaches one or the scenario sets a trace path; all optional
+//! measurement — fault ledgers, traces — lives in [`crate::observer`]
 //! implementations, not here.
 
-use crate::observer::{BroadcastInfo, JsonlTrace, ObserverBus, SimObserver, SuppressReason};
+use crate::observer::{BroadcastInfo, JsonlTrace, SimObserver, SuppressReason};
 use crate::scenario::{InterestWorkload, MobilityKind, Scenario};
 use crate::tracker::DeliveryTracker;
 use ia_core::{
@@ -23,6 +23,7 @@ use ia_mobility::{
     Fleet, FleetCursor, GpsNoise, Manhattan, MobilityModel, NoiseRamp, RandomWaypoint, Stationary,
 };
 use ia_radio::{BroadcastOutcome, DropReason, Medium};
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,7 +68,8 @@ pub struct World {
     gps_rngs: Vec<SimRng>,
     /// The paper's delivery metrics, fed on every `Action::Accepted`.
     tracker: DeliveryTracker,
-    bus: ObserverBus,
+    /// Passive instrumentation, fed every hook in attachment order.
+    observers: Vec<Box<dyn SimObserver>>,
     /// The one action buffer every protocol callback pushes into; drained
     /// by `apply` and reused, so dispatch never allocates at steady state.
     sink: ActionSink,
@@ -286,11 +288,11 @@ impl World {
             .zip(scenario.ads.iter().cloned())
             .collect();
         let tracker = DeliveryTracker::new(&fleet, scenario.n_peers, &specs);
-        let mut bus = ObserverBus::new();
+        let mut observers: Vec<Box<dyn SimObserver>> = Vec::new();
         if let Some(path) = scenario.trace_file() {
             let trace = JsonlTrace::to_file(&path)
                 .unwrap_or_else(|e| panic!("cannot open trace file {}: {e}", path.display()));
-            bus.attach(Box::new(trace));
+            observers.push(Box::new(trace));
         }
         let online = vec![true; scenario.n_nodes()];
         let gps_rngs: Vec<SimRng> = if scenario.faults.gps_ramps.is_empty() {
@@ -314,7 +316,7 @@ impl World {
             peers,
             rngs,
             tracker,
-            bus,
+            observers,
             sink: ActionSink::new(),
             outcome: BroadcastOutcome::default(),
             cursor: FleetCursor::new(),
@@ -332,13 +334,22 @@ impl World {
     /// Observers are passive, so the simulated outcome is identical with
     /// any observer set.
     pub fn attach_observer(&mut self, observer: Box<dyn SimObserver>) {
-        self.bus.attach(observer);
+        self.observers.push(observer);
     }
 
-    /// Typed access to an attached observer (e.g.
+    /// Typed access to the first attached observer of type `T` (e.g.
     /// `world.observer::<FaultLedger>()`).
     pub fn observer<T: SimObserver>(&self) -> Option<&T> {
-        self.bus.get::<T>()
+        self.observers
+            .iter()
+            .find_map(|o| (o.as_ref() as &dyn Any).downcast_ref::<T>())
+    }
+
+    /// Fan one hook out to every attached observer, in attachment order.
+    fn observe(&mut self, mut hook: impl FnMut(&mut dyn SimObserver)) {
+        for o in &mut self.observers {
+            hook(o.as_mut());
+        }
     }
 
     fn profile_for(scenario: &Scenario, node: u32) -> UserProfile {
@@ -458,7 +469,7 @@ impl World {
         if let Some(n) = target {
             if !self.online[n as usize] {
                 if let Event::Deliver { msg, to, .. } = &ev {
-                    self.bus.suppress(now, *to, msg, SuppressReason::Offline);
+                    self.observe(|o| o.on_suppress(now, *to, msg, SuppressReason::Offline));
                 }
                 return;
             }
@@ -467,13 +478,13 @@ impl World {
             Event::Depart(node) => {
                 if self.online[node as usize] {
                     self.online[node as usize] = false;
-                    self.bus.depart(now, node);
+                    self.observe(|o| o.on_depart(now, node));
                 }
             }
             Event::Rejoin(node) => {
                 if !self.online[node as usize] {
                     self.online[node as usize] = true;
-                    self.bus.rejoin(now, node);
+                    self.observe(|o| o.on_rejoin(now, node));
                     self.dispatch(node, now, |peer, ctx, out| peer.on_start(ctx, out));
                 }
             }
@@ -481,7 +492,7 @@ impl World {
                 self.dispatch(node, now, |peer, ctx, out| peer.on_start(ctx, out));
             }
             Event::Round(node) => {
-                self.bus.round(now, node);
+                self.observe(|o| o.on_round(now, node));
                 self.dispatch(node, now, |peer, ctx, out| peer.on_round(ctx, out));
             }
             Event::Entry(node, ad) => {
@@ -518,7 +529,9 @@ impl World {
                         match codec::decode_frame(&frame) {
                             Ok(recovered) => Arc::new(recovered), // CRC escape (~2⁻³²)
                             Err(_) => {
-                                self.bus.suppress(now, to, &msg, SuppressReason::Corrupted);
+                                self.observe(|o| {
+                                    o.on_suppress(now, to, &msg, SuppressReason::Corrupted)
+                                });
                                 return;
                             }
                         }
@@ -528,7 +541,7 @@ impl World {
                 } else {
                     msg
                 };
-                self.bus.deliver(now, to, &msg, &meta);
+                self.observe(|o| o.on_deliver(now, to, &msg, &meta));
                 self.dispatch(to, now, |peer, ctx, out| {
                     peer.on_receive(ctx, &msg, &meta, out)
                 });
@@ -636,14 +649,14 @@ impl World {
                     };
                     let shared = Arc::new(msg);
                     let t0 = self.phase_start();
-                    self.bus.broadcast(now, node, &shared, &info);
+                    self.observe(|o| o.on_broadcast(now, node, &shared, &info));
                     for d in &outcome.drops {
                         let reason = match d.reason {
                             DropReason::Loss => SuppressReason::ChannelLoss,
                             DropReason::Jam => SuppressReason::Jammed,
                             DropReason::Collision => SuppressReason::Collision,
                         };
-                        self.bus.suppress(now, d.to, &shared, reason);
+                        self.observe(|o| o.on_suppress(now, d.to, &shared, reason));
                     }
                     self.phase_end(t0, |p| &mut p.observer_ns);
                     for d in outcome.deliveries.drain(..) {
@@ -668,10 +681,10 @@ impl World {
                 Action::ScheduleEntry { ad, at } => self.schedule_entry(node, ad, at.max(now)),
                 Action::Accepted { ad } => {
                     self.tracker.record_receipt(node, ad, now);
-                    self.bus.accept(now, node, ad);
+                    self.observe(|o| o.on_accept(now, node, ad));
                 }
                 Action::CacheEvicted { ad } => {
-                    self.bus.cache_evict(now, node, ad);
+                    self.observe(|o| o.on_cache_evict(now, node, ad));
                 }
             }
         }
@@ -758,7 +771,7 @@ mod tests {
             let mut w = World::new(tiny(kind, 50, 1));
             w.run();
             assert!(w.medium().stats().messages > 0, "{kind}: no traffic at all");
-            assert!(w.bus.is_empty(), "untraced runs attach no observer");
+            assert!(w.observers.is_empty(), "untraced runs attach no observer");
         }
     }
 
@@ -917,6 +930,7 @@ mod tests {
         delivers: usize,
         accepts: usize,
         suppresses: usize,
+        evicts: usize,
         rounds: usize,
         departs: usize,
         rejoins: usize,
@@ -940,6 +954,9 @@ mod tests {
         }
         fn on_suppress(&mut self, _: SimTime, _: u32, _: &AdMessage, _: SuppressReason) {
             self.suppresses += 1;
+        }
+        fn on_cache_evict(&mut self, _: SimTime, _: u32, _: AdId) {
+            self.evicts += 1;
         }
         fn on_round(&mut self, _: SimTime, _: u32) {
             self.rounds += 1;
@@ -973,6 +990,66 @@ mod tests {
         );
         assert!(c.accepts > 0 && c.rounds > 0);
         assert_eq!(c.departs + c.rejoins, 0);
+    }
+
+    /// Every observer sees every hook, and each is retrieved by type.
+    /// Two ads and a one-slot cache make peers evict, and churn makes
+    /// them depart, rejoin and suppress off-line receipts.
+    #[test]
+    fn observers_see_every_hook_and_are_retrieved_by_type() {
+        use crate::observer::{FaultLedger, JsonlTrace};
+        use crate::scenario::{AdSpec, ChurnSpec};
+        let mut s = tiny(ProtocolKind::Gossip, 40, 11).with_churn(ChurnSpec::new(
+            SimDuration::from_secs(40.0),
+            SimDuration::from_secs(20.0),
+        ));
+        s.area = ia_geo::Rect::with_size(1500.0, 1500.0);
+        s.params.cache_capacity = 1;
+        let paper = AdSpec::paper();
+        s.ads = vec![
+            AdSpec {
+                issue_pos: Point::new(1400.0, 1400.0),
+                ..paper.clone()
+            },
+            AdSpec {
+                issue_pos: Point::new(700.0, 800.0),
+                issue_time: SimTime::from_secs(20.0),
+                radius: 600.0,
+                ..paper
+            },
+        ];
+        let mut w = World::new(s.with_life_cycle(SimDuration::from_secs(120.0)));
+        w.attach_observer(Box::new(HookCounter::default()));
+        w.attach_observer(Box::new(FaultLedger::new(SimDuration::from_secs(5.0))));
+        w.run();
+
+        let c = w.observer::<HookCounter>().expect("counter attached");
+        let hooks = [
+            c.broadcasts,
+            c.delivers,
+            c.accepts,
+            c.suppresses,
+            c.evicts,
+            c.rounds,
+            c.departs,
+            c.rejoins,
+        ];
+        assert!(
+            hooks.iter().all(|&n| n > 0),
+            "a hook never fired: {hooks:?}"
+        );
+        assert_eq!(c.broadcasts as u64, w.medium().stats().messages);
+        let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+        assert_eq!(ledger.delivered(), c.delivers as u64);
+        assert_eq!(
+            ledger.count(SuppressReason::Offline) + ledger.faulted(),
+            c.suppresses as u64
+        );
+        assert_eq!(
+            (ledger.departs(), ledger.rejoins()),
+            (c.departs as u64, c.rejoins as u64)
+        );
+        assert!(w.observer::<JsonlTrace>().is_none());
     }
 
     #[test]
@@ -1031,7 +1108,7 @@ mod tests {
         let resolved = s.trace_file().expect("trace configured");
         assert!(resolved.to_string_lossy().ends_with("trace-35.jsonl"));
         let mut w = World::new(s);
-        assert_eq!(w.bus.len(), 1, "the trace is the only observer");
+        assert_eq!(w.observers.len(), 1, "the trace is the only observer");
         w.run();
         drop(w); // flush the buffered trace writer
         let text = std::fs::read_to_string(&resolved).expect("trace file written");
@@ -1061,7 +1138,7 @@ mod tests {
         }
     }
 
-    /// Records every `(node, ad)` acceptance the bus sees.
+    /// Records every `(node, ad)` acceptance the world reports.
     #[derive(Default)]
     struct AcceptLog(std::collections::HashSet<(u32, AdId)>);
 

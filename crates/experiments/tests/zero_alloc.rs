@@ -15,7 +15,7 @@ use ia_core::{
     build_protocol, Action, ActionSink, AdId, AdMessage, Advertisement, GossipParams, PeerContext,
     PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
 };
-use ia_des::{EventQueue, SimDuration, SimRng, SimTime};
+use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
 use ia_experiments::observer::{BroadcastInfo, SuppressReason};
 use ia_experiments::scenario::AdSpec;
 use ia_experiments::{ChurnSpec, Scenario, SimObserver, World};
@@ -84,9 +84,9 @@ const CHURN_ROUNDS: usize = 512;
 /// which the proof below relies on.
 const CHURN_BLOCK: u64 = 1 << 36;
 
-fn churn_wheel(q: &mut EventQueue<usize>, start: u64) -> u64 {
+fn churn_wheel(q: &mut Scheduler<usize>, start: u64) -> u64 {
     for peer in 0..CHURN_PEERS {
-        q.push(SimTime::from_micros(start + 1_000 + 37 * peer as u64), peer);
+        q.schedule_at(SimTime::from_micros(start + 1_000 + 37 * peer as u64), peer);
     }
     let mut now = start;
     let mut x: u64 = 0xDEADBEEFCAFE;
@@ -100,12 +100,10 @@ fn churn_wheel(q: &mut EventQueue<usize>, start: u64) -> u64 {
     for round in 0..CHURN_ROUNDS {
         let peer = (rand() % CHURN_PEERS as u64) as usize;
         let t2 = now + 500 + rand() % 50_000;
-        q.push(SimTime::from_micros(t2), peer);
-        if round % 5 == 0 {
-            if let Some((t, _)) = q.pop() {
-                now = t.as_micros();
-                delivered += 1;
-            }
+        q.schedule_at(SimTime::from_micros(t2), peer);
+        if round % 5 == 0 && q.pop().is_some() {
+            now = q.now().as_micros();
+            delivered += 1;
         }
     }
     while q.pop().is_some() {
@@ -114,13 +112,13 @@ fn churn_wheel(q: &mut EventQueue<usize>, start: u64) -> u64 {
     delivered
 }
 
-/// A warm wheel's schedule/pop churn must not touch the allocator. The
-/// first passes size the slab arena, the due batch, and the slot chains;
-/// later block-aligned passes are structurally identical and must
-/// recycle every one of them.
+/// A warm scheduler's schedule/pop churn must not touch the allocator.
+/// The first passes size the wheel's slab, the due batch, and the slot
+/// chains; later block-aligned passes are structurally identical and
+/// must recycle every one of them.
 #[test]
 fn des_queue_churn_wheel() {
-    let mut q: EventQueue<usize> = EventQueue::new();
+    let mut q: Scheduler<usize> = Scheduler::new();
     let mut warm_delivered = 0;
     for pass in 1..=2 {
         warm_delivered = black_box(churn_wheel(&mut q, pass * CHURN_BLOCK));
