@@ -1,8 +1,12 @@
 //! Deterministic, splittable randomness.
 //!
-//! Every stochastic component of the simulator (mobility, per-peer gossip
-//! coin flips, radio jitter, loss) draws from its own stream derived from
-//! the scenario's master seed via a SplitMix64 mix. This guarantees:
+//! Every stochastic component of the simulator derives its randomness
+//! from the scenario's master seed via a SplitMix64 mix. Build-time draws
+//! (mobility, churn, placement, interests) and the radio's loss, jitter
+//! and corruption draws come from sequential streams; the protocols' coins
+//! (start phase, round and entry-tick coins) and GPS noise are keyed
+//! draws ([`keyed_unit`]), pure functions of what each one decides. This
+//! guarantees:
 //!
 //! * identical runs for identical seeds, regardless of component order;
 //! * adding randomness to one component does not perturb another;
@@ -57,16 +61,17 @@ pub struct SimRng {
 pub mod stream {
     pub const MOBILITY: u64 = 1 << 32;
     pub const RADIO: u64 = 2 << 32;
-    pub const PROTOCOL: u64 = 3 << 32;
     pub const WORKLOAD: u64 = 4 << 32;
     pub const PLACEMENT: u64 = 5 << 32;
     pub const INTEREST: u64 = 6 << 32;
     /// Fault-injection draws (chaos plans). Sub-labelled in the low bits
-    /// by [`fault`] so the corruption, partition, and GPS-noise streams
-    /// never collide with each other or with per-entity labels.
+    /// by [`fault`] so the corruption and partition streams and the
+    /// GPS-noise keys never collide with each other or with per-entity
+    /// labels.
     pub const FAULT: u64 = 7 << 32;
-    /// Per-peer keys for the keyed entry-tick draws
-    /// ([`keyed_unit`](super::keyed_unit)); the node id is the low bits.
+    /// Per-peer keys for the protocols' keyed draws (start phase, round
+    /// and entry-tick coins; [`keyed_unit`](super::keyed_unit)); the node
+    /// id is the low bits.
     pub const ENTRY: u64 = 8 << 32;
 
     /// Sub-labels within the [`FAULT`](self::FAULT) stream. Entity ids
@@ -76,7 +81,7 @@ pub mod stream {
         pub const CORRUPT: u64 = 1 << 24;
         /// Partition-wave membership draws (one stream per wave).
         pub const PARTITION: u64 = 2 << 24;
-        /// GPS-noise draws (one stream per node).
+        /// Per-node keys for the keyed GPS-noise draws.
         pub const GPS: u64 = 3 << 24;
     }
 }

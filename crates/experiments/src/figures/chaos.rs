@@ -268,16 +268,17 @@ mod tests {
         // default: the rendered quick-mode table and the severe-gossiping
         // ledger timeline must not move while observers are removed. The
         // table (its Optimized Gossiping rows) was re-pinned when entry
-        // ticks switched to keyed draws.
+        // ticks switched to keyed draws, and the table and the ledger when
+        // the start phase, round coins and GPS noise did too.
         assert_eq!(
             format!("{:016x}", fnv1a(&severe)),
-            "b539d4d4c83ba4f5",
+            "b382f466fbcda2d9",
             "severe gossiping ledger CSV drifted:\n{severe}"
         );
         let rendered = t.render();
         assert_eq!(
             format!("{:016x}", fnv1a(&rendered)),
-            "70d9d2c985169790",
+            "a5f4359cdf781a65",
             "chaos table drifted:\n{rendered}"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -106,6 +106,12 @@ fn golden_scenario(kind: ProtocolKind, faulted: bool) -> Scenario {
 /// ticks switched from the peer's sequential RNG stream to keyed draws
 /// (`ia_des::rng::keyed_unit`) and a stale wake-up stopped building a
 /// context (and with it drawing GPS noise).
+///
+/// The Gossip and OptGossip1 rows, and every faulted row whose run the
+/// GPS ramp moves, were re-pinned when the last protocol-side and GPS
+/// draws became keyed: the start phase by (peer, start instant), round
+/// coins by (peer, ad, round instant), GPS noise by (node, instant), and
+/// rounds were ranked ahead of the other events at their instant.
 const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::Flooding,
@@ -120,22 +126,22 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::Gossip,
         false,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 28, passages: 46, delivered_passages: 29, delivery_rate: 63.04347826086956, mean_delivery_time: 41.19462403448276 }], delivery_time_dist: [Distribution { count: 29, mean: 41.19462403448276, p50: 42.130984, p90: 79.5995654, p99: 124.92992367999994, max: 136.757521 }], traffic: TrafficStats { messages: 438, receptions: 591, drops: 0, jammed: 0, bytes_sent: 139722, dead_air: 73, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 27, passages: 46, delivered_passages: 28, delivery_rate: 60.869565217391305, mean_delivery_time: 42.93497214285714 }], delivery_time_dist: [Distribution { count: 28, mean: 42.93497214285714, p50: 44.1457505, p90: 82.2361431, p99: 123.56050141000003, max: 135.921187 }], traffic: TrafficStats { messages: 430, receptions: 577, drops: 0, jammed: 0, bytes_sent: 137170, dead_air: 73, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::Gossip,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 27, passages: 46, delivered_passages: 28, delivery_rate: 60.869565217391305, mean_delivery_time: 66.10092214285713 }], delivery_time_dist: [Distribution { count: 28, mean: 66.10092214285713, p50: 52.2742765, p90: 149.0014084, p99: 202.2063961, max: 205.661551 }], traffic: TrafficStats { messages: 301, receptions: 321, drops: 22, jammed: 101, bytes_sent: 96019, dead_air: 125, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 27, passages: 46, delivered_passages: 28, delivery_rate: 60.869565217391305, mean_delivery_time: 63.95295089285714 }], delivery_time_dist: [Distribution { count: 28, mean: 63.95295089285714, p50: 55.800102, p90: 140.6562542, p99: 197.53258105000003, max: 206.763472 }], traffic: TrafficStats { messages: 314, receptions: 324, drops: 22, jammed: 103, bytes_sent: 100166, dead_air: 136, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip1,
         false,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 16, passages: 46, delivered_passages: 17, delivery_rate: 36.95652173913044, mean_delivery_time: 36.335416117647064 }], delivery_time_dist: [Distribution { count: 17, mean: 36.335416117647064, p50: 24.450776, p90: 69.99429280000001, p99: 176.60218611999997, max: 194.233557 }], traffic: TrafficStats { messages: 97, receptions: 130, drops: 0, jammed: 0, bytes_sent: 30943, dead_air: 14, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 17, passages: 46, delivered_passages: 18, delivery_rate: 39.130434782608695, mean_delivery_time: 54.809912499999996 }], delivery_time_dist: [Distribution { count: 18, mean: 54.809912499999996, p50: 42.5444805, p90: 116.48299410000003, p99: 185.6462185399999, max: 194.612824 }], traffic: TrafficStats { messages: 83, receptions: 115, drops: 0, jammed: 0, bytes_sent: 26477, dead_air: 11, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip1,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 16, passages: 46, delivered_passages: 17, delivery_rate: 36.95652173913044, mean_delivery_time: 69.42472576470588 }], delivery_time_dist: [Distribution { count: 17, mean: 69.42472576470588, p50: 27.983073, p90: 176.95944640000002, p99: 226.63064151999998, max: 232.812782 }], traffic: TrafficStats { messages: 77, receptions: 77, drops: 11, jammed: 24, bytes_sent: 24563, dead_air: 27, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 14, passages: 46, delivered_passages: 15, delivery_rate: 32.608695652173914, mean_delivery_time: 61.44736300000001 }], delivery_time_dist: [Distribution { count: 15, mean: 61.44736300000001, p50: 32.113006, p90: 146.90420740000002, p99: 186.64700233999997, max: 192.57037 }], traffic: TrafficStats { messages: 63, receptions: 54, drops: 8, jammed: 27, bytes_sent: 20097, dead_air: 25, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip2,
@@ -145,7 +151,7 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::OptGossip2,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 24, passages: 46, delivered_passages: 25, delivery_rate: 54.34782608695652, mean_delivery_time: 67.66598748 }], delivery_time_dist: [Distribution { count: 25, mean: 67.66598748, p50: 59.874351, p90: 151.47479940000002, p99: 184.32710739999993, max: 191.529403 }], traffic: TrafficStats { messages: 204, receptions: 132, drops: 14, jammed: 100, bytes_sent: 65076, dead_air: 116, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 24, passages: 46, delivered_passages: 25, delivery_rate: 54.34782608695652, mean_delivery_time: 67.67864239999999 }], delivery_time_dist: [Distribution { count: 25, mean: 67.67864239999999, p50: 63.053901, p90: 149.3691726, p99: 186.15292359999995, max: 191.855524 }], traffic: TrafficStats { messages: 202, receptions: 128, drops: 12, jammed: 94, bytes_sent: 64438, dead_air: 121, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip,
@@ -155,7 +161,7 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::OptGossip,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 16, passages: 46, delivered_passages: 17, delivery_rate: 36.95652173913044, mean_delivery_time: 58.42988111764707 }], delivery_time_dist: [Distribution { count: 17, mean: 58.42988111764707, p50: 58.820597, p90: 126.6241206, p99: 173.87684736, max: 180.080092 }], traffic: TrafficStats { messages: 54, receptions: 48, drops: 2, jammed: 21, bytes_sent: 17226, dead_air: 21, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 14, passages: 46, delivered_passages: 15, delivery_rate: 32.608695652173914, mean_delivery_time: 65.179955 }], delivery_time_dist: [Distribution { count: 15, mean: 65.179955, p50: 57.601101, p90: 128.5286376, p99: 182.96239635999999, max: 189.742264 }], traffic: TrafficStats { messages: 51, receptions: 41, drops: 2, jammed: 19, bytes_sent: 16269, dead_air: 25, collisions: 0 } }"#,
     ),
 ];
 
@@ -177,11 +183,12 @@ fn run_results_match_pre_optimization_reference_builds() {
 /// indifferent peers and never touch a sketch; these pin the sketch
 /// hashing, merge and enlargement paths. Frozen from the build before
 /// the FM bundle kept its bitmaps as plain `u64`s; the OptGossip row
-/// re-pinned with the keyed entry-tick draws.
+/// re-pinned with the keyed entry-tick draws, the Gossip row with the
+/// keyed start phase and round coins.
 const INTEREST_PINS: [(ProtocolKind, &str); 2] = [
     (
         ProtocolKind::Gossip,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 32, passages: 46, delivered_passages: 33, delivery_rate: 71.73913043478261, mean_delivery_time: 43.642595333333325 }], delivery_time_dist: [Distribution { count: 33, mean: 43.642595333333325, p50: 46.09321, p90: 86.2308146, p99: 125.80214523999999, max: 136.753719 }], traffic: TrafficStats { messages: 539, receptions: 736, drops: 0, jammed: 0, bytes_sent: 171941, dead_air: 95, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 31, passages: 46, delivered_passages: 32, delivery_rate: 69.56521739130434, mean_delivery_time: 43.454969343749994 }], delivery_time_dist: [Distribution { count: 32, mean: 43.454969343749994, p50: 44.149345, p90: 87.72668750000003, p99: 125.96534908000005, max: 135.92848 }], traffic: TrafficStats { messages: 531, receptions: 719, drops: 0, jammed: 0, bytes_sent: 169389, dead_air: 94, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip,

@@ -288,7 +288,6 @@ impl RadioChain {
             let mut ctx = PeerContext {
                 now: t,
                 position: d.sender_pos,
-                rng: &mut self.rng,
                 motion: &mut Vector::new(-10.0, 0.0),
             };
             self.peer
@@ -339,7 +338,6 @@ fn radio_rebuild_broadcast_dispatch() {
 fn protocol_dispatch_sink_reuse() {
     let params = Arc::new(GossipParams::paper());
     let mut peer = opt_gossip_peer(&params);
-    let mut rng = SimRng::from_master(5);
     let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0)));
     let meta = RxMeta {
         sender_pos: Point::new(2550.0, 2500.0),
@@ -353,7 +351,6 @@ fn protocol_dispatch_sink_reuse() {
         let mut ctx = PeerContext {
             now: SimTime::from_secs(10.0 + i as f64 * 1e-3),
             position,
-            rng: &mut rng,
             motion: &mut { velocity },
         };
         peer.on_receive(&mut ctx, &msg, &meta, &mut sink);
@@ -390,7 +387,6 @@ fn protocol_entry_tick_no_forward() {
     // Long-lived, so the measured ticks never reach expiry.
     let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1.0e9)));
     let centre = msg.ad.issue_pos;
-    let mut rng = SimRng::from_master(6);
     let mut sink = ActionSink::new();
     // Tick `k` runs at 20 s + k rounds and counts the broadcasts it
     // pushed. Tick 0 is the first receipt; it schedules the entry for
@@ -399,7 +395,6 @@ fn protocol_entry_tick_no_forward() {
         let mut ctx = PeerContext {
             now: SimTime::from_secs(20.0 + 5.0 * k as f64),
             position: centre,
-            rng: &mut rng,
             motion: &mut Vector::new(0.0, 0.0),
         };
         if k == 0 {

@@ -6,8 +6,12 @@
 //! distance-based probability functions tolerate realistic positioning
 //! error. Noise is a *view* applied at sampling time — the underlying
 //! ground-truth trajectory (used by delivery metrics) stays exact.
+//!
+//! A fix is a keyed draw ([`ia_des::rng::keyed_unit`]): a pure function
+//! of the receiver's key and the instant, so the fix a peer gets at `t`
+//! is known ahead and does not depend on any other draw.
 
-use ia_des::{SimRng, SimTime};
+use ia_des::{rng::keyed_unit, SimTime};
 use ia_geo::{Point, Vector};
 
 /// Isotropic Gaussian position noise with standard deviation
@@ -28,22 +32,23 @@ impl GpsNoise {
         GpsNoise { sigma: 0.0 }
     }
 
-    /// A standard-normal pair via Box–Muller.
-    fn standard_normal_pair(rng: &mut SimRng) -> (f64, f64) {
+    /// A standard-normal pair via Box–Muller from two keyed uniforms.
+    fn standard_normal_pair(key: u64, t: SimTime) -> (f64, f64) {
         // Guard u1 away from 0 to keep ln finite.
-        let u1 = rng.unit().max(1e-300);
-        let u2 = rng.unit();
+        let u1 = keyed_unit(key, 0, t.as_micros()).max(1e-300);
+        let u2 = keyed_unit(key, 1, t.as_micros());
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * u2;
         (r * theta.cos(), r * theta.sin())
     }
 
-    /// Perturb a true position into a measured one.
-    pub fn apply(&self, truth: Point, rng: &mut SimRng) -> Point {
+    /// Perturb a true position into the fix a receiver keyed `key` reads
+    /// at `t`; the same `(key, t)` always gives the same fix.
+    pub fn apply(&self, truth: Point, key: u64, t: SimTime) -> Point {
         if self.sigma == 0.0 {
             return truth;
         }
-        let (nx, ny) = Self::standard_normal_pair(rng);
+        let (nx, ny) = Self::standard_normal_pair(key, t);
         truth + Vector::new(nx * self.sigma, ny * self.sigma)
     }
 }
@@ -94,21 +99,19 @@ mod tests {
 
     #[test]
     fn zero_sigma_is_identity() {
-        let mut rng = SimRng::from_master(1);
         let p = Point::new(10.0, 20.0);
-        assert_eq!(GpsNoise::none().apply(p, &mut rng), p);
+        assert_eq!(GpsNoise::none().apply(p, 1, SimTime::from_secs(3.0)), p);
     }
 
     #[test]
     fn noise_statistics_match_sigma() {
         let noise = GpsNoise::new(5.0);
-        let mut rng = SimRng::from_master(2);
         let p = Point::ORIGIN;
         let n = 20_000;
         let mut sum = Vector::ZERO;
         let mut sum_sq = 0.0;
-        for _ in 0..n {
-            let q = noise.apply(p, &mut rng);
+        for k in 0..n {
+            let q = noise.apply(p, 2, SimTime::from_micros(k * 1_000));
             let d = q - p;
             sum = sum + d;
             sum_sq += d.x * d.x; // per-axis variance check on x
@@ -120,12 +123,16 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_for_same_stream() {
+    fn a_fix_is_a_function_of_key_and_instant() {
         let noise = GpsNoise::new(3.0);
-        let mut a = SimRng::from_master(9);
-        let mut b = SimRng::from_master(9);
         let p = Point::new(1.0, 1.0);
-        assert_eq!(noise.apply(p, &mut a), noise.apply(p, &mut b));
+        let t = SimTime::from_secs(7.0);
+        assert_eq!(noise.apply(p, 9, t), noise.apply(p, 9, t));
+        assert_ne!(noise.apply(p, 9, t), noise.apply(p, 10, t));
+        assert_ne!(
+            noise.apply(p, 9, t),
+            noise.apply(p, 9, SimTime::from_secs(7.5))
+        );
     }
 
     #[test]
