@@ -11,10 +11,12 @@
 //! entry, since most peers hold one ad (a plain `push` would reserve
 //! four).
 //!
-//! Under Optimized Gossiping-2 each entry also carries its own tick
-//! schedule (Algorithms 3–4): the logical tick grid `next_time +
-//! k·round_time`, the planned tick `wake` (the first grid tick that must
-//! run) and `queued`, the one wake-up the world holds for the entry.
+//! Each entry also carries its tick schedule: the logical tick grid
+//! `next_time + k·round_time`, the planned tick `wake` (the first grid
+//! tick that must run) and `queued`, the one wake-up the world holds for
+//! the entry. Under Gossiping and Optimized Gossiping-1 every entry's
+//! grid is the peer's round grid (Algorithms 1–2); under Optimized
+//! Gossiping(-2) each entry has its own (Algorithms 3–4).
 
 use crate::ad::Advertisement;
 use crate::ids::AdId;
@@ -26,11 +28,9 @@ pub struct CacheEntry {
     pub ad: Advertisement,
     /// Forwarding probability, refreshed before use.
     pub probability: f64,
-    /// The entry's tick grid (Optimized Gossiping-2, where each entry has
-    /// an independent time handler): ticks fall at `next_time +
-    /// k·round_time`, `k >= 0`. It moves only as per-tick execution moves
-    /// it: one round past each executed tick, and on postponement and
-    /// restart.
+    /// The entry's tick grid: ticks fall at `next_time + k·round_time`,
+    /// `k >= 0`. It moves only as per-tick execution moves it: one round
+    /// past each executed tick, and on postponement and restart.
     pub next_time: SimTime,
     /// The planned tick: the first tick of the grid that must run (it
     /// expires the ad, broadcasts, or cannot be evaluated ahead). Every

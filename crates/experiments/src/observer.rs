@@ -104,7 +104,9 @@ pub trait SimObserver: Any {
     fn on_cache_evict(&mut self, now: SimTime, node: u32, ad: AdId) {
         let _ = (now, node, ad);
     }
-    /// A peer's periodic gossip/flood round fired.
+    /// One of a peer's timer ticks ran: a gossip entry's tick or a
+    /// flooding issuer's wave, once per tick (ticks the look-ahead
+    /// skips do not run).
     fn on_round(&mut self, now: SimTime, node: u32) {
         let _ = (now, node);
     }

@@ -17,13 +17,13 @@
 //! position slice, matching the fleet's node ids, and query output is
 //! bit-for-bit a brute-force linear scan's (pinned by the property tests
 //! below).
+//!
+//! The grid owns its memory bound: a rebuild coarsens the requested cell
+//! until the bounding rectangle spans at most `max(4·n, 1024)` cells, so
+//! the offset table stays linear in the point count however far the
+//! points spread. A coarser cell only makes queries scan more candidates.
 
 use crate::point::Point;
-
-/// The most cells a [`FlatGrid`]'s bounding cell rectangle may span; a
-/// rebuild over a wider spread panics rather than allocate the offset
-/// table. Callers that pick the cell size check their extent against it.
-pub const MAX_GRID_CELLS: usize = 1 << 28;
 
 /// A dense CSR grid over points with ids `0..n` (slice index = id).
 #[derive(Debug, Clone, Default)]
@@ -68,11 +68,6 @@ impl FlatGrid {
         self.ids.is_empty()
     }
 
-    /// Cell side of the last rebuild (0 before the first).
-    pub fn cell(&self) -> f64 {
-        self.cell
-    }
-
     #[inline]
     fn cell_of(cell: f64, p: Point) -> (i32, i32) {
         ((p.x / cell).floor() as i32, (p.y / cell).floor() as i32)
@@ -84,7 +79,9 @@ impl FlatGrid {
         (cy - self.min_cy) as usize * self.ncx + (cx - self.min_cx) as usize
     }
 
-    /// Rebuild the index in place from `positions` (id = slice index).
+    /// Rebuild the index in place from `positions` (id = slice index),
+    /// with cells of side `cell`, doubled as often as the spread of the
+    /// points needs to keep the rectangle within its cell budget.
     ///
     /// Two passes: count entries per cell into the offset table, prefix-sum
     /// it, then scatter ids/positions into the packed arrays. All buffers
@@ -93,9 +90,9 @@ impl FlatGrid {
     /// tests in `crates/experiments/tests/zero_alloc.rs`).
     pub fn rebuild(&mut self, cell: f64, positions: &[Point]) {
         assert!(cell > 0.0 && cell.is_finite(), "grid cell must be positive");
-        self.cell = cell;
         let n = positions.len();
         if n == 0 {
+            self.cell = cell;
             self.min_cx = 0;
             self.min_cy = 0;
             self.ncx = 0;
@@ -105,23 +102,26 @@ impl FlatGrid {
             self.pos.clear();
             return;
         }
-        // Bounding cell rectangle.
-        let (mut min_cx, mut min_cy) = Self::cell_of(cell, positions[0]);
-        let (mut max_cx, mut max_cy) = (min_cx, min_cy);
+        // Bounding box, then the cell: coarsened until the bounding cell
+        // rectangle fits the budget.
+        let (mut lo, mut hi) = (positions[0], positions[0]);
         for &p in &positions[1..] {
             debug_assert!(p.is_finite(), "non-finite point");
-            let (cx, cy) = Self::cell_of(cell, p);
-            min_cx = min_cx.min(cx);
-            max_cx = max_cx.max(cx);
-            min_cy = min_cy.min(cy);
-            max_cy = max_cy.max(cy);
+            lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+            hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
         }
+        let budget = (4 * n).max(1024) as f64;
+        let cells = |c: f64, lo: f64, hi: f64| (hi / c).floor() - (lo / c).floor() + 1.0;
+        let mut cell = cell;
+        while cells(cell, lo.x, hi.x) * cells(cell, lo.y, hi.y) > budget {
+            cell *= 2.0;
+        }
+        self.cell = cell;
+        let (min_cx, min_cy) = Self::cell_of(cell, lo);
+        let (max_cx, max_cy) = Self::cell_of(cell, hi);
         let ncx = (max_cx - min_cx) as usize + 1;
         let ncy = (max_cy - min_cy) as usize + 1;
-        let ncells = ncx
-            .checked_mul(ncy)
-            .filter(|&c| c <= MAX_GRID_CELLS)
-            .expect("cell rectangle too large; choose a coarser cell");
+        let ncells = ncx * ncy;
         self.min_cx = min_cx;
         self.min_cy = min_cy;
         self.ncx = ncx;
@@ -305,6 +305,48 @@ mod tests {
         for &(id, p) in &hits {
             assert_eq!(p, pts[id as usize]);
         }
+    }
+
+    /// 300 points over a field 4 096 km on a side, at 250 m cells: the
+    /// 2²⁸-cell rectangle this once asked for (2 GiB of offsets) is
+    /// coarsened to the cell budget, and queries still match a linear
+    /// scan at every radius.
+    #[test]
+    fn a_wide_spread_stays_within_the_cell_budget() {
+        let side = 4_096_000.0;
+        // A scattered lattice: coordinates are multiples of side / 301.
+        let at = |i: u64, k: u64| ((i * k) % 301) as f64 * side / 301.0;
+        let pts: Vec<Point> = (0..300)
+            .map(|i| Point::new(at(i, 97), at(i, 173)))
+            .chain([Point::ORIGIN, Point::new(side, side)])
+            .collect();
+        let g = FlatGrid::build(250.0, &pts);
+        let cells = g.ncx * g.ncy;
+        assert!(cells <= 4 * pts.len(), "{cells} cells");
+        assert_eq!(g.cell_start.len(), cells + 1);
+        assert!(g.cell > 250.0);
+        for (k, &centre) in pts.iter().enumerate().step_by(7) {
+            for radius in [250.0, 1e4, 3e5, 2e6, 1e7] {
+                let want: Vec<(u32, Point)> = pts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| centre.distance_sq(**p) <= radius * radius + crate::EPS)
+                    .map(|(i, &p)| (i as u32, p))
+                    .collect();
+                assert_eq!(
+                    query(&g, centre, radius),
+                    want,
+                    "point {k}, radius {radius}"
+                );
+            }
+        }
+        // A compact cloud keeps the requested cell.
+        let compact: Vec<Point> = pts[..50]
+            .iter()
+            .map(|p| Point::new(p.x * 1e-4, p.y * 1e-4))
+            .collect();
+        let g = FlatGrid::build(250.0, &compact);
+        assert_eq!(g.cell, 250.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod segment;
 
 pub use angle::angle_between;
 pub use circle::Circle;
-pub use flat_grid::{FlatGrid, MAX_GRID_CELLS};
+pub use flat_grid::FlatGrid;
 pub use point::{Point, Vector};
 pub use rect::Rect;
 pub use segment::Segment;

@@ -55,9 +55,8 @@ impl RadioConfig {
         self
     }
 
-    /// Cell side of the medium's neighbour grid: the range, at least 1 m.
-    /// A field spanning more than [`ia_geo::MAX_GRID_CELLS`] such cells
-    /// cannot be indexed.
+    /// Cell side of the medium's neighbour grid: the range, at least 1 m
+    /// (the grid coarsens it over a wide spread of nodes).
     pub fn grid_cell(&self) -> f64 {
         self.range.max(1.0)
     }
