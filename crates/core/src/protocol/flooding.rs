@@ -122,28 +122,28 @@ impl Protocol for RestrictedFlooding {
         self.wave(self.issued.len() - 1, ctx.now, out);
     }
 
-    fn entry_wake(&mut self, ad: AdId, now: SimTime) -> EntryWake {
-        // A wake-up queued before a restart is stale.
-        match self.issued.iter().find(|i| i.ad.id == ad) {
-            Some(i) if i.next_at == now => EntryWake::Fire,
-            _ => EntryWake::Drop,
-        }
-    }
-
-    fn on_entry_timer(&mut self, ctx: &mut PeerContext<'_>, ad: AdId, out: &mut ActionSink) {
+    fn on_entry_timer(
+        &mut self,
+        ctx: &mut PeerContext<'_>,
+        ad: AdId,
+        out: &mut ActionSink,
+    ) -> EntryWake {
         // Issuer role: re-broadcast the live ad, drop it once it expires.
+        // A wake-up queued before a restart is stale.
         let now = ctx.now;
-        let Some(idx) = self.issued.iter().position(|i| i.ad.id == ad) else {
-            return;
+        let Some(idx) = self
+            .issued
+            .iter()
+            .position(|i| i.ad.id == ad && i.next_at == now)
+        else {
+            return EntryWake::Drop;
         };
-        if self.issued[idx].next_at != now {
-            return; // not due
-        }
         if self.issued[idx].ad.expired(now) {
             self.issued.remove(idx);
         } else {
             self.wave(idx, now, out);
         }
+        EntryWake::Fire
     }
 
     fn on_receive(
@@ -167,13 +167,11 @@ impl Protocol for RestrictedFlooding {
             out.push(Action::Accepted { ad: id });
         }
         // Relay the wave if it is new to us and we are inside the stamped
-        // advertising radius.
+        // advertising radius; only a new wave needs the position.
         let newest = self.relayed.get(&id).copied();
-        let wave_is_new = newest.is_none_or(|w| flood.wave > w);
-        let inside = ctx.position.distance(msg.ad.issue_pos) <= flood.radius;
-        if wave_is_new {
+        if newest.is_none_or(|w| flood.wave > w) {
             self.relayed.insert(id, flood.wave);
-            if inside {
+            if ctx.position().distance(msg.ad.issue_pos) <= flood.radius {
                 // Copy the ad only to relay it; on first receipt the relayed
                 // copy carries this peer's interest processing (Algorithm 5).
                 let mut ad = msg.ad.clone();
@@ -222,24 +220,37 @@ mod tests {
         )
     }
 
-    /// The fixed velocity a test peer reports.
+    /// The fixed position and velocity a test peer reports.
     struct Env {
-        velocity: Vector,
+        motion: (Point, Vector),
     }
 
     impl Env {
         fn new() -> Self {
             Env {
-                velocity: Vector::ZERO,
+                motion: (Point::ORIGIN, Vector::ZERO),
             }
         }
 
         fn ctx(&mut self, now: f64, pos: Point) -> PeerContext<'_> {
+            self.motion.0 = pos;
             PeerContext {
                 now: SimTime::from_secs(now),
-                position: pos,
-                motion: &mut self.velocity,
+                motion: &mut self.motion,
             }
+        }
+
+        /// Pop a wake-up for `ad` at `now`: what it did and what it pushed.
+        fn wake(
+            &mut self,
+            p: &mut RestrictedFlooding,
+            now: f64,
+            ad: AdId,
+        ) -> (EntryWake, Vec<Action>) {
+            let mut c = self.ctx(now, Point::new(2500.0, 2500.0));
+            let mut wake = EntryWake::Drop;
+            let actions = ActionSink::collect(|out| wake = p.on_entry_timer(&mut c, ad, out));
+            (wake, actions)
         }
     }
 
@@ -286,11 +297,9 @@ mod tests {
         let mut c = env.ctx(10.0, Point::new(2500.0, 2500.0));
         ActionSink::collect(|out| p.issue(&mut c, mk_ad(0), out));
         let id = AdId::new(PeerId(0), 0);
-        let at = SimTime::from_secs(15.0);
-        assert_eq!(p.entry_wake(id, SimTime::from_secs(14.0)), EntryWake::Drop);
-        assert_eq!(p.entry_wake(id, at), EntryWake::Fire);
-        let mut c2 = env.ctx(15.0, Point::new(2500.0, 2500.0));
-        let actions = ActionSink::collect(|out| p.on_entry_timer(&mut c2, id, out));
+        assert_eq!(env.wake(&mut p, 14.0, id), (EntryWake::Drop, vec![]));
+        let (wake, actions) = env.wake(&mut p, 15.0, id);
+        assert_eq!(wake, EntryWake::Fire);
         assert!(actions.contains(&Action::ScheduleEntry {
             ad: id,
             at: SimTime::from_secs(20.0)
@@ -316,9 +325,9 @@ mod tests {
         let id = AdId::new(PeerId(0), 0);
         let mut last = SimTime::ZERO;
         while let Some(&Action::ScheduleEntry { at, .. }) = actions.last() {
-            assert_eq!(p.entry_wake(id, at), EntryWake::Fire);
-            let mut c = env.ctx(at.as_secs(), Point::new(2500.0, 2500.0));
-            actions = ActionSink::collect(|out| p.on_entry_timer(&mut c, id, out));
+            let wake;
+            (wake, actions) = env.wake(&mut p, at.as_secs(), id);
+            assert_eq!(wake, EntryWake::Fire);
             last = at;
         }
         assert!(
@@ -345,8 +354,8 @@ mod tests {
                 at: SimTime::from_secs(18.0)
             }]
         );
-        assert_eq!(p.entry_wake(id, SimTime::from_secs(15.0)), EntryWake::Drop);
-        assert_eq!(p.entry_wake(id, SimTime::from_secs(18.0)), EntryWake::Fire);
+        assert_eq!(env.wake(&mut p, 15.0, id), (EntryWake::Drop, vec![]));
+        assert_eq!(env.wake(&mut p, 18.0, id).0, EntryWake::Fire);
     }
 
     #[test]

@@ -27,6 +27,14 @@
 //! any state a later event reads (the grid, `next_time`, is derived on
 //! demand), so the run is the one per-tick execution gives. A peer with
 //! an empty cache queues nothing until its next admission.
+//!
+//! Each entry keeps one wake-up queued. When it pops,
+//! [`Protocol::on_entry_timer`] drops it if a later one superseded it,
+//! queues it again at the planned tick if the plan moved later, and runs
+//! the tick only when it is due; only the tick reads the peer's
+//! position. A duplicate reads it only to postpone (mechanism (2)): under
+//! Algorithms 1–2 it merges the sketches and, if R or D grew, re-plans
+//! from future fixes.
 
 use super::{
     Action, ActionSink, AdMessage, EntryWake, PeerContext, Protocol, ProtocolKind, RxMeta,
@@ -142,7 +150,7 @@ impl Gossip {
         announce_accept: bool,
         out: &mut ActionSink,
     ) {
-        let (now, pos) = (ctx.now, ctx.position);
+        let (now, pos) = (ctx.now, ctx.position());
         if announce_accept {
             out.push(Action::Accepted { ad: ad.id });
         }
@@ -346,7 +354,7 @@ impl Protocol for Gossip {
                 // so a burst of duplicates costs no look-ahead.
                 let interval = postpone::postponement(
                     round,
-                    ctx.position,
+                    ctx.position(),
                     ctx.velocity(),
                     meta.sender_pos,
                     self.range,
@@ -370,37 +378,30 @@ impl Protocol for Gossip {
         self.admit(ctx, ad, true, out);
     }
 
-    fn entry_wake(&mut self, ad: AdId, now: SimTime) -> EntryWake {
+    fn on_entry_timer(
+        &mut self,
+        ctx: &mut PeerContext<'_>,
+        ad: AdId,
+        out: &mut ActionSink,
+    ) -> EntryWake {
         // Only the entry's one queued wake-up counts; earlier ones were
         // superseded when it was queued.
-        match self.cache.get_mut(ad) {
-            Some(entry) if entry.queued == now => {
-                if entry.wake > now {
-                    entry.queued = entry.wake;
-                    EntryWake::Rearm(entry.wake)
-                } else {
-                    EntryWake::Fire
-                }
-            }
-            _ => EntryWake::Drop,
-        }
-    }
-
-    fn on_entry_timer(&mut self, ctx: &mut PeerContext<'_>, ad: AdId, out: &mut ActionSink) {
-        // Algorithms 2 and 4: one tick, then plan the next one that must
-        // run.
         let now = ctx.now;
-        let Some(entry) = self.cache.get_mut(ad) else {
-            return; // evicted or expired meanwhile
+        let Some(entry) = self.cache.get_mut(ad).filter(|e| e.queued == now) else {
+            return EntryWake::Drop;
         };
         if entry.wake > now {
-            return; // not due
+            arm(entry, now, out); // the popped wake-up was the queued one
+            return EntryWake::Rearm;
         }
+        // Algorithms 2 and 4: one tick, then plan the next one that must
+        // run.
         if entry.ad.expired(now) {
             self.cache.remove(ad);
-            return;
+            return EntryWake::Fire;
         }
-        entry.probability = probability(&self.params, self.annular, &entry.ad, now, ctx.position);
+        let pos = ctx.position();
+        entry.probability = probability(&self.params, self.annular, &entry.ad, now, pos);
         // Most wake-ups lose the draw: copy the ad only to send it.
         if tick_fires(self.key, ad, now, entry.probability) {
             out.push(Action::Broadcast(AdMessage::gossip(entry.ad.clone())));
@@ -408,6 +409,7 @@ impl Protocol for Gossip {
         entry.next_time = now + self.params.round_time;
         plan(&self.params, self.annular, self.key, entry, ctx);
         arm(entry, now, out);
+        EntryWake::Fire
     }
 
     fn holds(&self, ad: AdId) -> bool {
@@ -447,23 +449,23 @@ mod tests {
         )
     }
 
-    /// The fixed velocity a test peer reports.
+    /// The fixed position and velocity a test peer reports.
     struct Env {
-        velocity: Vector,
+        motion: (Point, Vector),
     }
 
     impl Env {
         fn new() -> Self {
             Env {
-                velocity: Vector::new(5.0, 0.0),
+                motion: (Point::ORIGIN, Vector::new(5.0, 0.0)),
             }
         }
 
         fn ctx(&mut self, now: f64, pos: Point) -> PeerContext<'_> {
+            self.motion.0 = pos;
             PeerContext {
                 now: SimTime::from_secs(now),
-                position: pos,
-                motion: &mut self.velocity,
+                motion: &mut self.motion,
             }
         }
     }
@@ -559,16 +561,18 @@ mod tests {
         .is_empty());
     }
 
-    /// Run `n` consecutive ticks of entry `id` (the context's `Vector`
+    /// Run `n` consecutive ticks of entry `id` (the context's fixed
     /// motion predicts nothing, so every grid tick runs) and count the
     /// broadcasts.
     fn tick_broadcasts(g: &mut Gossip, env: &mut Env, id: AdId, pos: Point, n: usize) -> usize {
         let mut broadcasts = 0;
         for _ in 0..n {
             let t = g.cache.get(id).expect("entry cached").wake;
-            assert_eq!(g.entry_wake(id, t), EntryWake::Fire);
             let mut c = env.ctx(t.as_secs(), pos);
-            broadcasts += ActionSink::collect(|out| g.on_entry_timer(&mut c, id, out))
+            let actions = ActionSink::collect(|out| {
+                assert_eq!(g.on_entry_timer(&mut c, id, out), EntryWake::Fire);
+            });
+            broadcasts += actions
                 .iter()
                 .filter(|a| matches!(a, Action::Broadcast(_)))
                 .count();
@@ -666,7 +670,17 @@ mod tests {
         // The wake-up already queued at 25 s re-arms at the new tick, so
         // none is queued now.
         assert!(actions.is_empty());
-        assert_eq!(g.entry_wake(msg.ad.id, before), EntryWake::Rearm(after));
+        let mut c3 = env.ctx(before.as_secs(), pos);
+        let rearmed = ActionSink::collect(|out| {
+            assert_eq!(g.on_entry_timer(&mut c3, msg.ad.id, out), EntryWake::Rearm);
+        });
+        assert_eq!(
+            rearmed,
+            [Action::ScheduleEntry {
+                ad: msg.ad.id,
+                at: after
+            }]
+        );
     }
 
     #[test]
@@ -707,7 +721,7 @@ mod tests {
             ActionSink::collect(|out| g.on_receive(&mut c2, &msg, &meta_at(sender), out));
             let after = g.cache.get(msg.ad.id).unwrap().next_time;
             let interval =
-                postpone::postponement(params().round_time, pos, env.velocity, sender, range);
+                postpone::postponement(params().round_time, pos, env.motion.1, sender, range);
             assert_eq!(after, before + interval, "range {range}");
             interval
         };
@@ -730,16 +744,25 @@ mod tests {
             g.on_receive(&mut c2, &msg, &meta_at(Point::new(2601.0, 2500.0)), out)
         });
         let scheduled = g.cache.get(msg.ad.id).unwrap().next_time;
-        // The original 25 s wake-up is now stale.
-        let mut c3 = env.ctx(25.0, pos);
-        assert!(ActionSink::collect(|out| g.on_entry_timer(&mut c3, msg.ad.id, out)).is_empty());
-        // The postponed wake-up fires and reschedules.
-        let mut c4 = PeerContext {
-            now: scheduled,
-            position: pos,
-            motion: &mut Vector::new(0.0, 0.0),
+        // The original 25 s wake-up is now early: it only re-arms at the
+        // postponed tick. A second copy of it is stale and does nothing.
+        let mut timer = |now: SimTime, wake: EntryWake| {
+            let mut c = PeerContext {
+                now,
+                motion: &mut (pos, Vector::ZERO),
+            };
+            ActionSink::collect(|out| assert_eq!(g.on_entry_timer(&mut c, msg.ad.id, out), wake))
         };
-        let actions = ActionSink::collect(|out| g.on_entry_timer(&mut c4, msg.ad.id, out));
+        let early = SimTime::from_secs(25.0);
+        let id = msg.ad.id;
+        let rearm = [Action::ScheduleEntry {
+            ad: id,
+            at: scheduled,
+        }];
+        assert_eq!(timer(early, EntryWake::Rearm), rearm);
+        assert!(timer(early, EntryWake::Drop).is_empty());
+        // The postponed wake-up fires and reschedules.
+        let actions = timer(scheduled, EntryWake::Fire);
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::ScheduleEntry { .. })));
@@ -757,9 +780,14 @@ mod tests {
         });
         // Force the entry's schedule into the deep future then fire after
         // expiry.
-        g.cache.get_mut(msg.ad.id).unwrap().next_time = SimTime::from_secs(3000.0);
+        let late = SimTime::from_secs(3000.0);
+        let e = g.cache.get_mut(msg.ad.id).unwrap();
+        (e.next_time, e.wake, e.queued) = (late, late, late);
         let mut c2 = env.ctx(3000.0, pos);
-        assert!(ActionSink::collect(|out| g.on_entry_timer(&mut c2, msg.ad.id, out)).is_empty());
+        let actions = ActionSink::collect(|out| {
+            assert_eq!(g.on_entry_timer(&mut c2, msg.ad.id, out), EntryWake::Fire);
+        });
+        assert!(actions.is_empty());
         assert!(!g.holds(msg.ad.id));
     }
 
@@ -802,10 +830,14 @@ mod tests {
         }
     }
 
-    /// The motion a world would give over a [`Track`].
-    struct TrackMotion<'a>(&'a Track);
+    /// The motion a world would give over a [`Track`] at an instant.
+    struct TrackMotion<'a>(&'a Track, SimTime);
 
     impl Motion for TrackMotion<'_> {
+        fn position(&mut self) -> Point {
+            self.0.observed(self.1)
+        }
+
         fn velocity(&mut self) -> Vector {
             Vector::new(3.0, -2.0)
         }
@@ -822,39 +854,57 @@ mod tests {
         Expired(SimTime),
     }
 
-    /// One peer under test and the effects of the ticks it ran.
+    /// One peer under test, its queued wake-ups and the effects of the
+    /// ticks it ran.
     struct Driven {
         g: Gossip,
+        queue: Vec<SimTime>,
         effects: Vec<Effect>,
     }
 
     impl Driven {
         /// Run one callback at `t` with the track's fix, logging its
-        /// broadcasts and returning the wake-ups it scheduled.
-        fn call(
+        /// broadcasts and queueing the wake-ups it scheduled.
+        fn call<R>(
             &mut self,
             track: &Track,
             look_ahead: bool,
             t: SimTime,
-            f: impl FnOnce(&mut Gossip, &mut PeerContext<'_>, &mut ActionSink),
-        ) -> Vec<SimTime> {
-            let mut fixed = Vector::new(3.0, -2.0);
-            let mut along = TrackMotion(track);
+            f: impl FnOnce(&mut Gossip, &mut PeerContext<'_>, &mut ActionSink) -> R,
+        ) -> R {
+            let mut fixed = (track.observed(t), Vector::new(3.0, -2.0));
+            let mut along = TrackMotion(track, t);
             let mut ctx = PeerContext {
                 now: t,
-                position: track.observed(t),
                 motion: if look_ahead { &mut along } else { &mut fixed },
             };
-            let actions = ActionSink::collect(|out| f(&mut self.g, &mut ctx, out));
-            let mut wakes = Vec::new();
+            let mut result = None;
+            let actions = ActionSink::collect(|out| result = Some(f(&mut self.g, &mut ctx, out)));
             for a in actions {
                 match a {
                     Action::Broadcast(_) => self.effects.push(Effect::Broadcast(t)),
-                    Action::ScheduleEntry { at, .. } => wakes.push(at),
+                    Action::ScheduleEntry { at, .. } => self.queue.push(at),
                     _ => {}
                 }
             }
-            wakes
+            result.expect("the callback ran")
+        }
+
+        /// Pop one of the peer's wake-ups due at `t`, if any, and run it.
+        fn pop(
+            &mut self,
+            track: &Track,
+            look_ahead: bool,
+            id: AdId,
+            t: SimTime,
+        ) -> Option<EntryWake> {
+            let at = self.queue.iter().position(|&w| w == t)?;
+            self.queue.swap_remove(at);
+            let wake = self.call(track, look_ahead, t, |g, c, o| g.on_entry_timer(c, id, o));
+            if wake == EntryWake::Fire && !self.g.holds(id) {
+                self.effects.push(Effect::Expired(t));
+            }
+            Some(wake)
         }
     }
 
@@ -869,9 +919,9 @@ mod tests {
 
     /// The look-ahead plans exactly the ticks per-tick execution needs.
     /// Two peers of one of `kinds` hold the same ad and hear the same
-    /// duplicates and restarts: one runs every tick of its grid (its
-    /// motion predicts nothing), the other runs only the wake-ups it
-    /// planned, honouring `entry_wake`. Cases draw the round time, the
+    /// duplicates and restarts, and each runs every wake-up it queued:
+    /// one plans every tick of its grid (its motion predicts nothing), the
+    /// other only the ticks its look-ahead must run. Cases draw the round time, the
     /// kind, the start instant (the peer grid's anchor), the ad (an age
     /// crossing `OPT1_WARMUP`, expiry within the scan), duplicates that
     /// enlarge its radius and land on grid ticks, restarts, a noisy-fix
@@ -934,6 +984,7 @@ mod tests {
                 };
                 Driven {
                     g,
+                    queue: Vec::new(),
                     effects: Vec::new(),
                 }
             };
@@ -960,19 +1011,18 @@ mod tests {
             // Start (anchoring the peer grid, if any), then first receipt.
             let started = SimTime::from_secs(draw.range_f64(0.0, 100.0));
             let t0 = issued.max(started) + SimDuration::from_secs(draw.range_f64(0.0, 60.0));
-            let mut queue = ahead.call(&track, true, started, |g, c, o| g.on_start(c, o));
+            ahead.call(&track, true, started, |g, c, o| g.on_start(c, o));
             per_tick.call(&track, false, started, |g, c, o| g.on_start(c, o));
             let msg = AdMessage::gossip(ad.clone());
             let meta = sender(&mut draw, t0);
-            queue.extend(ahead.call(&track, true, t0, |g, c, o| g.on_receive(c, &msg, &meta, o)));
+            ahead.call(&track, true, t0, |g, c, o| g.on_receive(c, &msg, &meta, o));
             per_tick.call(&track, false, t0, |g, c, o| g.on_receive(c, &msg, &meta, o));
             let mut planned = true;
             let mut next_dup = Some(t0 + round.mul_f64(draw.range_f64(0.2, 6.0)));
             let mut next_restart = t0 + round.mul_f64(draw.range_f64(0.5, 80.0));
             loop {
-                let tick = per_tick.g.cache.get(id).map(|e| e.next_time);
-                let wake = queue.iter().min().copied();
-                let Some(t) = [tick, wake, next_dup, Some(next_restart)]
+                let wakes = per_tick.queue.iter().chain(&ahead.queue).min().copied();
+                let Some(t) = [wakes, next_dup, Some(next_restart)]
                     .into_iter()
                     .flatten()
                     .min()
@@ -983,46 +1033,30 @@ mod tests {
                     break;
                 }
                 // Ticks run before a duplicate or restart at the same
-                // instant, as ranked wake-ups do in the world.
+                // instant, as ranked wake-ups do in the world; a tick
+                // queues nothing at its own instant.
                 let before = per_tick.effects.len();
-                if tick == Some(t) {
-                    per_tick.call(&track, false, t, |g, c, o| g.on_entry_timer(c, id, o));
-                    if !per_tick.g.holds(id) {
-                        per_tick.effects.push(Effect::Expired(t));
+                while per_tick.pop(&track, false, id, t).is_some() {}
+                while let Some(wake) = ahead.pop(&track, true, id, t) {
+                    if wake != EntryWake::Fire {
+                        continue;
                     }
-                }
-                if wake == Some(t) {
-                    let at = queue.iter().position(|&w| w == t).unwrap();
-                    queue.swap_remove(at);
-                    match ahead.g.entry_wake(id, t) {
-                        EntryWake::Drop => {}
-                        EntryWake::Rearm(w) => queue.push(w),
-                        EntryWake::Fire => {
-                            if let Some(anchor) = ahead.g.anchor {
-                                let off = t.since(anchor).as_micros();
-                                assert!(
-                                    t >= anchor && off % round.as_micros() == 0,
-                                    "case {case}: {t:?} is off the grid"
-                                );
-                            }
-                            queue.extend(
-                                ahead.call(&track, true, t, |g, c, o| g.on_entry_timer(c, id, o)),
-                            );
-                            if !ahead.g.holds(id) {
-                                ahead.effects.push(Effect::Expired(t));
-                            }
-                            if planned {
-                                // A planned tick is one per-tick
-                                // execution needs.
-                                let needed = per_tick.effects.len() > before
-                                    || track.blind_at(t)
-                                    || !ahead.g.holds(id);
-                                assert!(needed, "case {case}: idle tick {t:?} was planned");
-                                counts.checked_plans += 1;
-                            }
-                            planned = true;
-                        }
+                    if let Some(anchor) = ahead.g.anchor {
+                        let off = t.since(anchor).as_micros();
+                        assert!(
+                            t >= anchor && off % round.as_micros() == 0,
+                            "case {case}: {t:?} is off the grid"
+                        );
                     }
+                    if planned {
+                        // A planned tick is one per-tick execution needs.
+                        let needed = per_tick.effects.len() > before
+                            || track.blind_at(t)
+                            || !ahead.g.holds(id);
+                        assert!(needed, "case {case}: idle tick {t:?} was planned");
+                        counts.checked_plans += 1;
+                    }
+                    planned = true;
                 }
                 if next_dup == Some(t) {
                     if per_tick.g.holds(id) {
@@ -1034,9 +1068,7 @@ mod tests {
                         }
                         let msg = AdMessage::gossip(ad.clone());
                         let meta = sender(&mut draw, t);
-                        queue.extend(
-                            ahead.call(&track, true, t, |g, c, o| g.on_receive(c, &msg, &meta, o)),
-                        );
+                        ahead.call(&track, true, t, |g, c, o| g.on_receive(c, &msg, &meta, o));
                         per_tick.call(&track, false, t, |g, c, o| g.on_receive(c, &msg, &meta, o));
                         same_pending(&ahead, &per_tick, t);
                         // A postponed grid's first tick is not evaluated
@@ -1056,7 +1088,7 @@ mod tests {
                 if next_restart == t {
                     // Switched off and on again: the grid re-anchors, and
                     // wake-ups queued before stay in the queue.
-                    queue.extend(ahead.call(&track, true, t, |g, c, o| g.on_start(c, o)));
+                    ahead.call(&track, true, t, |g, c, o| g.on_start(c, o));
                     per_tick.call(&track, false, t, |g, c, o| g.on_start(c, o));
                     same_pending(&ahead, &per_tick, t);
                     planned = true;

@@ -17,9 +17,14 @@
 //! tick every entry on the peer's one round grid (Algorithms 1–2),
 //! Optimized Gossiping(-2) gives each entry its own grid (Algorithms
 //! 3–4), and a Restricted Flooding issuer sends one wave per issued ad
-//! per round. A peer with nothing to tick queues nothing. Before the
-//! world builds a context for a wake-up it asks
-//! [`Protocol::entry_wake`] whether the wake-up is due, stale or early.
+//! per round. A peer with nothing to tick queues nothing. Every wake-up
+//! that pops is one [`Protocol::on_entry_timer`] call, which drops it if
+//! it is stale, queues it again if it is early, or runs the due tick, and
+//! returns the [`EntryWake`] that names what it did.
+//!
+//! The context looks nothing up until asked: a callback that reads no
+//! position (a dropped or re-armed wake-up, a pure-Gossip duplicate, a
+//! flooding wave already relayed) costs no position fix.
 
 pub mod flooding;
 pub mod gossip;
@@ -82,21 +87,27 @@ impl std::fmt::Display for ProtocolKind {
 
 /// The kinematic state a protocol sees when handling an event.
 ///
-/// Position is sampled for every callback. The rest of the peer's motion
-/// is asked for only when needed, through [`Motion`]: velocity (only
-/// mechanism (2)'s duplicate handling reads it, via
+/// Nothing is looked up before the protocol asks, through [`Motion`]:
+/// the position (a gossip tick, an admission, a postponement and a new
+/// flooding wave read it, via [`PeerContext::position`]), the velocity
+/// (only mechanism (2)'s duplicate handling reads it, via
 /// [`PeerContext::velocity`]) and positions at later instants (only the
 /// entry-tick look-ahead reads them).
 pub struct PeerContext<'a> {
     /// Current simulation time.
     pub now: SimTime,
-    /// The peer's own (GPS) position.
-    pub position: Point,
-    /// The peer's motion beyond `position`, computed on request.
+    /// The peer's motion, computed on request.
     pub motion: &'a mut dyn Motion,
 }
 
 impl PeerContext<'_> {
+    /// The peer's own (GPS) position fix now. Each call asks the source
+    /// again.
+    #[inline]
+    pub fn position(&mut self) -> Point {
+        self.motion.position()
+    }
+
     /// The peer's velocity, as derived from consecutive position fixes
     /// (the paper's §III-D derivation). Each call asks the source again.
     #[inline]
@@ -108,15 +119,18 @@ impl PeerContext<'_> {
 /// The peer's motion as a protocol may query it during one callback.
 ///
 /// The simulation world implements it over the fleet's immutable
-/// trajectories. A fixed [`Vector`] is a motion that always reports
-/// itself as the velocity and never predicts a position, so a protocol
-/// driven by one runs every entry tick.
+/// trajectories. A fixed `(Point, Vector)` pair is a motion that always
+/// reports them as the position and the velocity and never predicts a
+/// position, so a protocol driven by one runs every entry tick.
 pub trait Motion {
+    /// The position fix at the callback's instant.
+    fn position(&mut self) -> Point;
+
     /// The velocity at the callback's instant.
     fn velocity(&mut self) -> Vector;
 
     /// The position the peer's callback at `t` (not before the current
-    /// instant) would be given as [`PeerContext::position`], or `None`
+    /// instant) would read from [`PeerContext::position`], or `None`
     /// when that cannot be known exactly now or no callback runs at `t`
     /// (past the run's horizon). `None` is always
     /// safe: the look-ahead then runs the tick at `t` instead of deciding
@@ -125,10 +139,15 @@ pub trait Motion {
     fn position_at(&mut self, t: SimTime) -> Option<Point>;
 }
 
-impl Motion for Vector {
+impl Motion for (Point, Vector) {
+    #[inline]
+    fn position(&mut self) -> Point {
+        self.0
+    }
+
     #[inline]
     fn velocity(&mut self) -> Vector {
-        *self
+        self.1
     }
 
     #[inline]
@@ -137,21 +156,23 @@ impl Motion for Vector {
     }
 }
 
-/// What a per-entry wake-up should do, decided by
-/// [`Protocol::entry_wake`] before the world builds a [`PeerContext`].
+/// What a per-entry wake-up did, as [`Protocol::on_entry_timer`]
+/// reports it.
 ///
 /// A protocol keeps at most one live wake-up queued per entry. Its
-/// planned tick may move earlier than that wake-up (a postponement
-/// restarts the grid) or later (the look-ahead skips ticks that cannot
-/// fire); a wake-up that pops before the planned tick re-arms at it, and
-/// one that was superseded is dropped.
+/// planned tick may move earlier or later than that wake-up (a
+/// postponement restarts the grid, a restart re-anchors it, and the
+/// look-ahead skips ticks that cannot fire); a wake-up that pops before
+/// the planned tick re-arms at it, and one that was superseded is
+/// dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryWake {
     /// Nothing: the entry is gone or the wake-up was superseded.
     Drop,
-    /// Nothing now; wake the entry again at the given time.
-    Rearm(SimTime),
-    /// Run [`Protocol::on_entry_timer`].
+    /// Early: queued again at the planned tick
+    /// ([`Action::ScheduleEntry`]), and nothing else.
+    Rearm,
+    /// The due tick ran.
     Fire,
 }
 
@@ -252,11 +273,6 @@ impl ActionSink {
         self.actions.push(action);
     }
 
-    /// The buffered actions, in push order.
-    pub fn as_slice(&self) -> &[Action] {
-        &self.actions
-    }
-
     /// Remove and yield the buffered actions in push order, retaining
     /// the buffer's capacity for the next callback.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {
@@ -290,14 +306,15 @@ pub trait Protocol {
         out: &mut ActionSink,
     );
 
-    /// Triage a per-entry wake-up for `ad` at `now`. It needs no context,
-    /// so a wake-up that does nothing (or only re-arms) costs no position
-    /// lookup.
-    fn entry_wake(&mut self, ad: AdId, now: SimTime) -> EntryWake;
-
-    /// Called when a per-entry wake-up fires, after
-    /// [`Protocol::entry_wake`] answered [`EntryWake::Fire`].
-    fn on_entry_timer(&mut self, ctx: &mut PeerContext<'_>, ad: AdId, out: &mut ActionSink);
+    /// Called for every per-entry wake-up for `ad` that pops: drop it if
+    /// it is stale, queue it again if it is early, or run the due tick,
+    /// and say which. Only a tick that runs reads the context's position.
+    fn on_entry_timer(
+        &mut self,
+        ctx: &mut PeerContext<'_>,
+        ad: AdId,
+        out: &mut ActionSink,
+    ) -> EntryWake;
 
     /// Issue a new advertisement from this peer.
     fn issue(&mut self, ctx: &mut PeerContext<'_>, ad: Advertisement, out: &mut ActionSink);
@@ -374,14 +391,13 @@ mod tests {
         let mut sink = ActionSink::new();
         sink.push(wake(1.0));
         sink.push(Action::Accepted { ad });
-        assert_eq!(sink.as_slice().len(), 2);
         let drained: Vec<Action> = sink.drain().collect();
         assert_eq!(drained, [wake(1.0), Action::Accepted { ad }]);
         // Draining empties the sink but keeps the allocation for reuse.
-        assert!(sink.as_slice().is_empty());
+        assert_eq!(sink.drain().count(), 0);
         sink.push(wake(2.0));
         sink.clear();
-        assert!(sink.as_slice().is_empty());
+        assert_eq!(sink.drain().count(), 0);
         let collected = ActionSink::collect(|out| out.push(wake(3.0)));
         assert_eq!(collected, [wake(3.0)]);
     }

@@ -13,8 +13,8 @@
 //!
 //! The harness stands in for the world's scheduler. It queues every
 //! wake-up a protocol asks for and, as time advances, pops the due ones
-//! in (time, ad) order, asks `entry_wake` what each should do, and runs
-//! `on_entry_timer` when it says fire.
+//! in (time, ad) order straight into `on_entry_timer`. A dropped wake-up
+//! must push nothing, and a re-armed one exactly its own later wake-up.
 
 use ia_core::{
     build_protocol, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake, GossipParams,
@@ -133,17 +133,21 @@ impl Harness {
         });
     }
 
-    /// Run one callback at the current instant and check what it pushed.
-    fn call(&mut self, f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink)) {
+    /// Run one callback at the current instant, check what it pushed and
+    /// queue its wake-ups; return its result and its actions.
+    fn call<R>(
+        &mut self,
+        f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink) -> R,
+    ) -> (R, Vec<Action>) {
         let mut ctx = PeerContext {
             now: self.now,
-            position: self.pos,
-            motion: &mut Vector::new(5.0, 1.0),
+            motion: &mut (self.pos, Vector::new(5.0, 1.0)),
         };
-        f(self.protocol.as_mut(), &mut ctx, &mut self.sink);
+        let result = f(self.protocol.as_mut(), &mut ctx, &mut self.sink);
         let (kind, now) = (self.kind, self.now);
+        let actions: Vec<Action> = self.sink.drain().collect();
         let mut wakes = Vec::new();
-        for a in self.sink.as_slice() {
+        for a in &actions {
             match a {
                 Action::Broadcast(msg) => {
                     assert!(
@@ -168,10 +172,10 @@ impl Harness {
                 }
             }
         }
-        self.sink.clear();
         for (ad, at) in wakes {
             self.queue(ad, at);
         }
+        (result, actions)
     }
 
     /// Pop and run every wake-up due by `until`, then move the clock
@@ -187,24 +191,30 @@ impl Harness {
         {
             let w = self.pending.swap_remove(i);
             self.now = w.at;
-            let wake = self.protocol.entry_wake(w.ad, w.at);
+            let latest = self.latest.get(&w.ad).copied();
+            let (wake, actions) = self.call(|p, c, o| p.on_entry_timer(c, w.ad, o));
+            let kind = self.kind;
             if wake != EntryWake::Drop {
                 assert_eq!(
-                    Some(&w.seq),
-                    self.latest.get(&w.ad),
-                    "{}: a superseded wake-up of {} acted at {}",
-                    self.kind,
+                    Some(w.seq),
+                    latest,
+                    "{kind}: a superseded wake-up of {} acted at {}",
                     w.ad,
                     w.at
                 );
             }
             match wake {
-                EntryWake::Drop => {}
-                EntryWake::Rearm(at) => {
-                    assert!(at > w.at, "{}: re-armed at or before {}", self.kind, w.at);
-                    self.queue(w.ad, at);
+                EntryWake::Drop => {
+                    assert!(
+                        actions.is_empty(),
+                        "{kind}: a dropped wake-up pushed {actions:?}"
+                    );
                 }
-                EntryWake::Fire => self.call(|p, c, o| p.on_entry_timer(c, w.ad, o)),
+                EntryWake::Rearm => match actions[..] {
+                    [Action::ScheduleEntry { ad, at }] if ad == w.ad && at > w.at => {}
+                    _ => panic!("{kind}: a wake-up at {} re-armed with {actions:?}", w.at),
+                },
+                EntryWake::Fire => {}
             }
         }
         self.now = self.now.max(until);
@@ -282,7 +292,9 @@ fn run_fuzz(kind: ProtocolKind, ops: &[Op], seed: u64) {
                     h.call(|p, c, o| p.issue(c, ad, o));
                 }
             }
-            Op::Restart => h.call(|p, c, o| p.on_start(c, o)),
+            Op::Restart => {
+                h.call(|p, c, o| p.on_start(c, o));
+            }
         }
         // Wake-ups queued for now run before the next event, as ranked
         // wake-ups do in the world.

@@ -74,7 +74,7 @@ pub mod stream {
     /// id is the low bits.
     pub const ENTRY: u64 = 8 << 32;
 
-    /// Sub-labels within the [`FAULT`](self::FAULT) stream. Entity ids
+    /// Sub-labels within the [`FAULT`] stream. Entity ids
     /// (node, wave index) occupy the low 24 bits.
     pub mod fault {
         /// Frame-corruption draws (one world-level stream).

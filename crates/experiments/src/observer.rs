@@ -309,9 +309,10 @@ impl Write for TraceBuffer {
 }
 
 /// Structured trace writer: one JSON object per line (JSONL), one line
-/// per hook. Opt-in via [`crate::scenario::Scenario::with_trace_path`] or
-/// by attaching directly; tracing is instrumentation only and never
-/// changes a run's outcome.
+/// per hook. Opt-in by attaching it with
+/// [`World::attach_observer`](crate::World::attach_observer) (for a file,
+/// `JsonlTrace::new(BufWriter::new(File::create(path)?))`); tracing is
+/// instrumentation only and never changes a run's outcome.
 ///
 /// All values are numbers or fixed-vocabulary strings (`ad3.0`,
 /// `broadcast`), so the writer needs no escaping machinery.
@@ -323,12 +324,6 @@ impl JsonlTrace {
     /// Trace into any writer (file, buffer, pipe).
     pub fn new(out: impl Write + 'static) -> Self {
         JsonlTrace { out: Box::new(out) }
-    }
-
-    /// Trace into a freshly created file at `path` (buffered).
-    pub fn to_file(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(std::io::BufWriter::new(file)))
     }
 
     /// Trace into memory; returns the trace plus a handle for reading the

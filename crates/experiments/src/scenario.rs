@@ -293,12 +293,6 @@ pub struct Scenario {
     pub churn: Option<ChurnSpec>,
     /// Deterministic fault-injection plan (empty by default).
     pub faults: FaultPlan,
-    /// If set, the world attaches a JSONL trace observer writing every
-    /// simulation event to this path. A literal `{seed}` in the path is
-    /// replaced by the run's seed, so multi-seed sweeps don't clobber one
-    /// file. Tracing is instrumentation only: it never changes a run's
-    /// outcome.
-    pub trace_path: Option<std::path::PathBuf>,
     /// Master seed; every RNG stream and draw key in the run derives from
     /// it.
     pub seed: u64,
@@ -325,7 +319,6 @@ impl Scenario {
             issuer_offline_after: None,
             churn: None,
             faults: FaultPlan::none(),
-            trace_path: None,
             seed: 42,
         }
     }
@@ -363,24 +356,6 @@ impl Scenario {
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// Write a JSONL event trace to `path` (see
-    /// [`Scenario::trace_path`] for the `{seed}` placeholder).
-    pub fn with_trace_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.trace_path = Some(path.into());
-        self
-    }
-
-    /// The trace file for this scenario's seed, with any `{seed}`
-    /// placeholder substituted. `None` when tracing is off.
-    pub fn trace_file(&self) -> Option<std::path::PathBuf> {
-        self.trace_path.as_ref().map(|p| {
-            std::path::PathBuf::from(
-                p.to_string_lossy()
-                    .replace("{seed}", &self.seed.to_string()),
-            )
-        })
     }
 
     /// Rescale the run to a shorter (or longer) advertisement life cycle.

@@ -6,11 +6,18 @@
 //! actions, feeds every acceptance to its [`DeliveryTracker`] (the
 //! paper's metrics), and fans every observable moment out to its
 //! attached [`SimObserver`]s, in attachment order. There are none unless
-//! a caller attaches one or the scenario sets a trace path; all optional
-//! measurement — fault ledgers, traces — lives in [`crate::observer`]
-//! implementations, not here.
+//! a caller attaches one; all optional measurement — fault ledgers,
+//! traces — lives in [`crate::observer`] implementations, not here.
+//!
+//! Every event addressed to an on-line peer is one protocol callback.
+//! The [`PeerContext`] it gets looks nothing up until the protocol asks:
+//! the position fix, the velocity estimate and future fixes all come
+//! through [`Motion`] on demand, so a callback that reads no position
+//! (a stale or early wake-up, a pure-Gossip duplicate) costs no cursor
+//! lookup. An entry wake-up's callback says what it did
+//! ([`EntryWake`]), which the world counts and reports to observers.
 
-use crate::observer::{BroadcastInfo, JsonlTrace, SimObserver, SuppressReason};
+use crate::observer::{BroadcastInfo, SimObserver, SuppressReason};
 use crate::scenario::{InterestWorkload, MobilityKind, Scenario};
 use crate::tracker::DeliveryTracker;
 use ia_core::{
@@ -89,8 +96,8 @@ pub struct World {
 }
 
 /// Per-entry wake-ups that reached an on-line peer, by what
-/// [`Protocol::entry_wake`] decided. They are every timer of every
-/// protocol.
+/// [`Protocol::on_entry_timer`] did with them. They are every timer of
+/// every protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EntryWakeups {
     /// Ran the entry's tick (`on_entry_timer`).
@@ -143,9 +150,10 @@ fn gps_fix(scenario: &Scenario, node: u32, t: SimTime, truth: Point) -> Point {
     }
 }
 
-/// A peer's motion at one callback instant: velocity estimated through
-/// the world's leg cursor, and exact future fixes from the fleet's
-/// immutable trajectories, both only when the protocol asks.
+/// A peer's motion at one callback instant: the position fix and the
+/// velocity estimate through the world's leg cursor, and exact future
+/// fixes from the fleet's immutable trajectories, each only when the
+/// protocol asks.
 struct FleetMotion<'a> {
     cursor: &'a mut FleetCursor,
     fleet: &'a Fleet,
@@ -157,6 +165,11 @@ struct FleetMotion<'a> {
 }
 
 impl Motion for FleetMotion<'_> {
+    fn position(&mut self) -> Point {
+        let truth = self.cursor.position(self.fleet, self.node, self.now);
+        gps_fix(self.scenario, self.node, self.now, truth)
+    }
+
     fn velocity(&mut self) -> Vector {
         self.cursor
             .estimated_velocity(self.fleet, self.node, self.now, VELOCITY_FIX_WINDOW)
@@ -300,12 +313,6 @@ impl World {
             .zip(scenario.ads.iter().cloned())
             .collect();
         let tracker = DeliveryTracker::new(&fleet, scenario.n_peers, &specs);
-        let mut observers: Vec<Box<dyn SimObserver>> = Vec::new();
-        if let Some(path) = scenario.trace_file() {
-            let trace = JsonlTrace::to_file(&path)
-                .unwrap_or_else(|e| panic!("cannot open trace file {}: {e}", path.display()));
-            observers.push(Box::new(trace));
-        }
         let online = vec![true; scenario.n_nodes()];
 
         World {
@@ -317,7 +324,7 @@ impl World {
             sched,
             peers,
             tracker,
-            observers,
+            observers: Vec::new(),
             sink: ActionSink::new(),
             outcome: BroadcastOutcome::default(),
             cursor: FleetCursor::new(),
@@ -489,20 +496,15 @@ impl World {
                 self.dispatch(node, now, |peer, ctx, out| peer.on_start(ctx, out));
             }
             Event::Entry(node, ad) => {
-                // Triage first: a wake-up that does nothing costs no
-                // context (no position lookup).
-                match self.peers[node as usize].entry_wake(ad, now) {
+                let wake = self.dispatch(node, now, |peer, ctx, out| {
+                    peer.on_entry_timer(ctx, ad, out)
+                });
+                match wake {
                     EntryWake::Drop => self.entry_wakeups.dropped += 1,
-                    EntryWake::Rearm(at) => {
-                        self.entry_wakeups.rearmed += 1;
-                        self.schedule_entry(node, ad, at.max(now));
-                    }
+                    EntryWake::Rearm => self.entry_wakeups.rearmed += 1,
                     EntryWake::Fire => {
                         self.entry_wakeups.fired += 1;
                         self.observe(|o| o.on_round(now, node));
-                        self.dispatch(node, now, |peer, ctx, out| {
-                            peer.on_entry_timer(ctx, ad, out)
-                        });
                     }
                 }
             }
@@ -559,21 +561,23 @@ impl World {
     }
 
     /// Run one protocol callback against the shared action sink, then
-    /// apply whatever it pushed. The sink is moved out for the duration
-    /// of the call (so `apply` can borrow the rest of `self`) and moved
-    /// back with its capacity intact — no allocation at steady state.
-    fn dispatch(
+    /// apply whatever it pushed, and return what the callback returned.
+    /// The sink is moved out for the duration of the call (so `apply` can
+    /// borrow the rest of `self`) and moved back with its capacity intact
+    /// — no allocation at steady state.
+    fn dispatch<R>(
         &mut self,
         node: u32,
         now: SimTime,
-        f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink),
-    ) {
+        f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink) -> R,
+    ) -> R {
         let mut sink = std::mem::take(&mut self.sink);
         let t0 = self.phase_start();
-        self.with_ctx(node, now, |peer, ctx| f(peer, ctx, &mut sink));
+        let result = self.with_ctx(node, now, |peer, ctx| f(peer, ctx, &mut sink));
         self.phase_end(t0, |p| &mut p.protocol_ns);
         self.apply(node, now, &mut sink);
         self.sink = sink;
+        result
     }
 
     fn with_ctx<R>(
@@ -582,10 +586,8 @@ impl World {
         now: SimTime,
         f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>) -> R,
     ) -> R {
-        let truth = self.cursor.position(&self.fleet, node, now);
         let mut ctx = PeerContext {
             now,
-            position: gps_fix(&self.scenario, node, now, truth),
             motion: &mut FleetMotion {
                 cursor: &mut self.cursor,
                 fleet: &self.fleet,
@@ -743,7 +745,10 @@ mod tests {
             let mut w = World::new(tiny(kind, 50, 1));
             w.run();
             assert!(w.medium().stats().messages > 0, "{kind}: no traffic at all");
-            assert!(w.observers.is_empty(), "untraced runs attach no observer");
+            assert!(
+                w.observers.is_empty(),
+                "a world attaches no observer itself"
+            );
         }
     }
 
@@ -1071,24 +1076,6 @@ mod tests {
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 
-    #[test]
-    fn scenario_trace_flag_writes_a_jsonl_file() {
-        let dir = std::env::temp_dir().join("ia-trace-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("trace-{seed}.jsonl");
-        let s = tiny(ProtocolKind::Gossip, 40, 35).with_trace_path(&path);
-        let resolved = s.trace_file().expect("trace configured");
-        assert!(resolved.to_string_lossy().ends_with("trace-35.jsonl"));
-        let mut w = World::new(s);
-        assert_eq!(w.observers.len(), 1, "the trace is the only observer");
-        w.run();
-        drop(w); // flush the buffered trace writer
-        let text = std::fs::read_to_string(&resolved).expect("trace file written");
-        assert!(text.lines().count() > 10);
-        assert!(text.contains("\"ev\":\"accept\""));
-        std::fs::remove_file(&resolved).ok();
-    }
-
     /// Logs `(time, sender, receivers + drops)` for every broadcast.
     #[derive(Default)]
     struct ReachLog(Vec<(SimTime, u32, u64)>);
@@ -1286,7 +1273,7 @@ mod tests {
         let s =
             tiny(ProtocolKind::Gossip, 30, 47).with_faults(FaultPlan::none().with_gps_ramp(ramp));
         let t = SimTime::from_secs(100.0);
-        let fix = |w: &mut World, node: u32| w.with_ctx(node, t, |_, ctx| ctx.position);
+        let fix = |w: &mut World, node: u32| w.with_ctx(node, t, |_, ctx| ctx.position());
         let mut w = World::new(s.clone());
         let predicted = w
             .with_ctx(3, SimTime::from_secs(50.0), |_, ctx| {

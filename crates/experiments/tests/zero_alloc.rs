@@ -12,8 +12,8 @@
 //! passive observer adds no allocation to a whole `World::run`.
 
 use ia_core::{
-    build_protocol, Action, ActionSink, AdId, AdMessage, Advertisement, GossipParams, PeerContext,
-    PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
+    build_protocol, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake, GossipParams,
+    PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
 };
 use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
 use ia_experiments::observer::{BroadcastInfo, SuppressReason};
@@ -287,8 +287,7 @@ impl RadioChain {
             };
             let mut ctx = PeerContext {
                 now: t,
-                position: d.sender_pos,
-                motion: &mut Vector::new(-10.0, 0.0),
+                motion: &mut (d.sender_pos, Vector::new(-10.0, 0.0)),
             };
             self.peer
                 .on_receive(&mut ctx, &self.msg, &meta, &mut self.sink);
@@ -344,14 +343,12 @@ fn protocol_dispatch_sink_reuse() {
         from: 3,
         distance: 50.0,
     };
-    let position = Point::new(2520.0, 2500.0);
-    let velocity = Vector::new(-10.0, 0.0);
+    let motion = (Point::new(2520.0, 2500.0), Vector::new(-10.0, 0.0));
     let mut sink = ActionSink::new();
     let mut event = |i: u64| {
         let mut ctx = PeerContext {
             now: SimTime::from_secs(10.0 + i as f64 * 1e-3),
-            position,
-            motion: &mut { velocity },
+            motion: &mut { motion },
         };
         peer.on_receive(&mut ctx, &msg, &meta, &mut sink);
         for action in sink.drain() {
@@ -394,8 +391,7 @@ fn protocol_entry_tick_no_forward() {
     let mut tick = |k: u64| {
         let mut ctx = PeerContext {
             now: SimTime::from_secs(20.0 + 5.0 * k as f64),
-            position: centre,
-            motion: &mut Vector::new(0.0, 0.0),
+            motion: &mut (centre, Vector::ZERO),
         };
         if k == 0 {
             let meta = RxMeta {
@@ -405,7 +401,8 @@ fn protocol_entry_tick_no_forward() {
             };
             peer.on_receive(&mut ctx, &msg, &meta, &mut sink);
         } else {
-            peer.on_entry_timer(&mut ctx, msg.ad.id, &mut sink);
+            let wake = peer.on_entry_timer(&mut ctx, msg.ad.id, &mut sink);
+            assert_eq!(wake, EntryWake::Fire, "tick {k} did not run");
         }
         sink.drain()
             .filter(|a| matches!(a, Action::Broadcast(_)))

@@ -9,16 +9,13 @@
 //! $ns_ at 12.50 "$node_(7) setdest 881.90 4025.00 13.45"
 //! ```
 //!
-//! This module exports [`Trajectory`]s to that format and parses it back,
-//! so traces can be exchanged with NS-2-based tooling (or with the
-//! original paper's setup, were it available). Round-tripping is exact up
-//! to the printed precision; pauses are represented implicitly by gaps
-//! between a leg's arrival and the next `setdest` command, exactly as
-//! `setdest` output does.
+//! This module exports [`Trajectory`]s to that format, so a run's
+//! mobility can be replayed in NS-2-based tooling (`instant-ads
+//! --export-trace`). Pauses are represented implicitly by gaps between a
+//! leg's arrival and the next `setdest` command, exactly as `setdest`
+//! output does.
 
-use crate::trajectory::{Leg, Trajectory};
-use ia_des::{SimDuration, SimTime};
-use ia_geo::Point;
+use crate::trajectory::Trajectory;
 use std::fmt::Write as _;
 
 /// Export one node's trajectory as `setdest`-style Tcl lines.
@@ -58,166 +55,13 @@ pub fn export_fleet(fleet: &crate::fleet::Fleet) -> String {
     out
 }
 
-/// Trace-parsing failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceError {
-    /// A line did not match any known command shape.
-    Malformed { line_no: usize, line: String },
-    /// A node issued `setdest` before its initial `set X_`/`set Y_`.
-    MissingInitialPosition { node: u32 },
-    /// `setdest` commands for one node went backwards in time.
-    NonMonotonicTime { node: u32 },
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Malformed { line_no, line } => {
-                write!(f, "malformed trace line {line_no}: {line:?}")
-            }
-            TraceError::MissingInitialPosition { node } => {
-                write!(f, "node {node}: setdest before initial position")
-            }
-            TraceError::NonMonotonicTime { node } => {
-                write!(f, "node {node}: setdest times not increasing")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-#[derive(Debug, Default, Clone)]
-struct NodeTrace {
-    x0: Option<f64>,
-    y0: Option<f64>,
-    /// (time, target, speed)
-    moves: Vec<(f64, Point, f64)>,
-}
-
-/// Parse a `setdest`-style trace into trajectories covering
-/// `[start, end]`. Nodes are returned in ascending id order as
-/// `(node, trajectory)` pairs; node movement beyond `end` is truncated,
-/// and after its last arrival a node pauses in place.
-pub fn parse_trace(
-    text: &str,
-    start: SimTime,
-    end: SimTime,
-) -> Result<Vec<(u32, Trajectory)>, TraceError> {
-    let mut nodes: std::collections::BTreeMap<u32, NodeTrace> = std::collections::BTreeMap::new();
-
-    for (line_no, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let malformed = || TraceError::Malformed {
-            line_no: line_no + 1,
-            line: line.to_string(),
-        };
-        if let Some(rest) = line.strip_prefix("$node_(") {
-            // $node_(N) set X_ <v>   |   $node_(N) set Y_ <v>
-            let (id_str, rest) = rest.split_once(')').ok_or_else(malformed)?;
-            let id: u32 = id_str.trim().parse().map_err(|_| malformed())?;
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            if parts.len() != 3 || parts[0] != "set" {
-                return Err(malformed());
-            }
-            let value: f64 = parts[2].parse().map_err(|_| malformed())?;
-            let entry = nodes.entry(id).or_default();
-            match parts[1] {
-                "X_" => entry.x0 = Some(value),
-                "Y_" => entry.y0 = Some(value),
-                "Z_" => {} // 2-D simulator: heights are ignored
-                _ => return Err(malformed()),
-            }
-        } else if let Some(rest) = line.strip_prefix("$ns_ at ") {
-            // $ns_ at <t> "$node_(N) setdest <x> <y> <v>"
-            let (t_str, rest) = rest.split_once(' ').ok_or_else(malformed)?;
-            let t: f64 = t_str.parse().map_err(|_| malformed())?;
-            let cmd = rest.trim().trim_matches('"').trim();
-            let cmd = cmd.strip_prefix("$node_(").ok_or_else(malformed)?;
-            let (id_str, cmd) = cmd.split_once(')').ok_or_else(malformed)?;
-            let id: u32 = id_str.trim().parse().map_err(|_| malformed())?;
-            let parts: Vec<&str> = cmd.split_whitespace().collect();
-            if parts.len() != 4 || parts[0] != "setdest" {
-                return Err(malformed());
-            }
-            let x: f64 = parts[1].parse().map_err(|_| malformed())?;
-            let y: f64 = parts[2].parse().map_err(|_| malformed())?;
-            let v: f64 = parts[3].parse().map_err(|_| malformed())?;
-            nodes
-                .entry(id)
-                .or_default()
-                .moves
-                .push((t, Point::new(x, y), v));
-        } else {
-            return Err(malformed());
-        }
-    }
-
-    let mut out = Vec::with_capacity(nodes.len());
-    for (id, nt) in nodes {
-        let (Some(x0), Some(y0)) = (nt.x0, nt.y0) else {
-            return Err(TraceError::MissingInitialPosition { node: id });
-        };
-        let mut legs: Vec<Leg> = Vec::new();
-        let mut pos = Point::new(x0, y0);
-        let mut now = start;
-        let mut last_t = f64::NEG_INFINITY;
-        for (t, target, speed) in nt.moves {
-            if t < last_t {
-                return Err(TraceError::NonMonotonicTime { node: id });
-            }
-            last_t = t;
-            let move_start = SimTime::from_secs(t).max(start);
-            if move_start >= end {
-                break;
-            }
-            if move_start > now {
-                legs.push(Leg::pause(now, move_start, pos)); // implicit pause
-                now = move_start;
-            }
-            if speed <= 0.0 {
-                continue; // NS-2 treats zero-speed setdest as a no-op
-            }
-            let travel = SimDuration::from_secs(pos.distance(target) / speed);
-            let arrive = now + travel;
-            let leg_end = arrive.min(end);
-            let reached = if leg_end < arrive && !travel.is_zero() {
-                let frac = leg_end.since(now).as_secs() / travel.as_secs();
-                pos.lerp(target, frac)
-            } else {
-                target
-            };
-            if leg_end > now {
-                legs.push(Leg::new(now, leg_end, pos, reached));
-                now = leg_end;
-                pos = reached;
-            }
-            if now >= end {
-                break;
-            }
-        }
-        if now < end {
-            legs.push(Leg::pause(now, end, pos));
-        }
-        if legs.is_empty() {
-            legs.push(Leg::pause(start, end, pos));
-        }
-        out.push((id, Trajectory::new(legs)));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::Fleet;
-    use crate::model::MobilityModel;
-    use crate::random_waypoint::RandomWaypoint;
-    use ia_des::SimRng;
-    use ia_geo::Rect;
+    use crate::trajectory::Leg;
+    use ia_des::SimTime;
+    use ia_geo::Point;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -251,108 +95,16 @@ mod tests {
         );
         // Pause legs are implicit (two setdest lines only).
         assert_eq!(text.lines().count(), 4);
-    }
 
-    #[test]
-    fn roundtrip_preserves_positions() {
-        let model = RandomWaypoint::paper(Rect::with_size(2000.0, 2000.0), 10.0, 5.0);
-        let mut rng = SimRng::from_master(5);
-        let original = model.trajectory(&mut rng, t(0.0), t(500.0));
-        let text = export_trajectory(0, &original);
-        let parsed = parse_trace(&text, t(0.0), t(500.0)).expect("parse");
-        assert_eq!(parsed.len(), 1);
-        let (id, back) = &parsed[0];
-        assert_eq!(*id, 0);
-        for k in 0..=100 {
-            let ti = t(k as f64 * 5.0);
-            let d = original.position_at(ti).distance(back.position_at(ti));
-            assert!(d < 0.01, "drift {d} m at {ti}");
-        }
-    }
-
-    #[test]
-    fn fleet_roundtrip_preserves_node_ids() {
-        let model = RandomWaypoint::paper(Rect::with_size(1000.0, 1000.0), 10.0, 5.0);
-        let fleet = Fleet::generate(&model, 5, 9, t(0.0), t(200.0));
-        let text = export_fleet(&fleet);
-        let parsed = parse_trace(&text, t(0.0), t(200.0)).expect("parse");
-        assert_eq!(parsed.len(), 5);
-        for (i, (id, tr)) in parsed.iter().enumerate() {
-            assert_eq!(*id, i as u32);
-            let d = fleet
-                .position(*id, t(100.0))
-                .distance(tr.position_at(t(100.0)));
-            assert!(d < 0.01, "node {id}: drift {d}");
-        }
-    }
-
-    #[test]
-    fn parses_hand_written_ns2_snippet() {
-        let text = r#"
-# scenario generated by setdest
-$node_(0) set X_ 10.0
-$node_(0) set Y_ 20.0
-$node_(0) set Z_ 0.0
-$ns_ at 5.0 "$node_(0) setdest 110.0 20.0 10.0"
-"#;
-        let parsed = parse_trace(text, t(0.0), t(100.0)).expect("parse");
-        let (_, tr) = &parsed[0];
-        assert_eq!(tr.position_at(t(0.0)), Point::new(10.0, 20.0));
-        assert_eq!(tr.position_at(t(5.0)), Point::new(10.0, 20.0));
-        assert_eq!(tr.position_at(t(10.0)), Point::new(60.0, 20.0));
-        assert_eq!(tr.position_at(t(50.0)), Point::new(110.0, 20.0));
-    }
-
-    #[test]
-    fn malformed_lines_are_reported_with_location() {
-        let err = parse_trace("$node_(0) set Q_ 1.0", t(0.0), t(1.0)).unwrap_err();
-        assert!(matches!(err, TraceError::Malformed { line_no: 1, .. }));
-        let err = parse_trace("hello world", t(0.0), t(1.0)).unwrap_err();
-        assert!(matches!(err, TraceError::Malformed { .. }));
-        assert!(err.to_string().contains("malformed"));
-    }
-
-    #[test]
-    fn setdest_without_position_is_an_error() {
-        let text = "$ns_ at 1.0 \"$node_(2) setdest 5.0 5.0 1.0\"";
-        let err = parse_trace(text, t(0.0), t(10.0)).unwrap_err();
-        assert_eq!(err, TraceError::MissingInitialPosition { node: 2 });
-    }
-
-    #[test]
-    fn backwards_time_is_an_error() {
-        let text = r#"
-$node_(0) set X_ 0.0
-$node_(0) set Y_ 0.0
-$ns_ at 10.0 "$node_(0) setdest 5.0 5.0 1.0"
-$ns_ at 5.0 "$node_(0) setdest 9.0 9.0 1.0"
-"#;
-        let err = parse_trace(text, t(0.0), t(100.0)).unwrap_err();
-        assert_eq!(err, TraceError::NonMonotonicTime { node: 0 });
-    }
-
-    #[test]
-    fn zero_speed_setdest_is_ignored() {
-        let text = r#"
-$node_(0) set X_ 0.0
-$node_(0) set Y_ 0.0
-$ns_ at 1.0 "$node_(0) setdest 5.0 5.0 0.0"
-"#;
-        let parsed = parse_trace(text, t(0.0), t(10.0)).expect("parse");
-        assert_eq!(parsed[0].1.position_at(t(9.0)), Point::ORIGIN);
-    }
-
-    #[test]
-    fn window_truncation_cuts_mid_leg() {
-        let text = r#"
-$node_(0) set X_ 0.0
-$node_(0) set Y_ 0.0
-$ns_ at 0.0 "$node_(0) setdest 100.0 0.0 10.0"
-"#;
-        // Window ends at t = 5: the node reaches x = 50 exactly.
-        let parsed = parse_trace(text, t(0.0), t(5.0)).expect("parse");
-        let (_, tr) = &parsed[0];
-        assert_eq!(tr.end_time(), t(5.0));
-        assert!((tr.position_at(t(5.0)).x - 50.0).abs() < 1e-9);
+        // A fleet exports one block per node, in id order.
+        let parked = Trajectory::new(vec![Leg::pause(t(0.0), t(30.0), Point::new(7.0, 8.0))]);
+        let fleet = Fleet::from_trajectories(vec![parked.clone(), tr.clone(), parked]);
+        let blocks = [0, 1, 2].map(|id| export_trajectory(id, fleet.trajectory(id)));
+        assert_eq!(export_fleet(&fleet), blocks.concat());
+        assert_eq!(blocks[1], text.replace("node_(3)", "node_(1)"));
+        assert_eq!(
+            blocks[2],
+            "$node_(2) set X_ 7.000000\n$node_(2) set Y_ 8.000000\n"
+        );
     }
 }

@@ -69,8 +69,9 @@ pub struct BroadcastOutcome {
 
 impl BroadcastOutcome {
     /// Empty both record lists, keeping their capacity — callers recycle
-    /// one outcome across broadcasts via [`Medium::broadcast_into`]
-    /// (`crate::Medium`), so the steady-state hot path never allocates.
+    /// one outcome across broadcasts via
+    /// [`Medium::broadcast_into`](crate::Medium::broadcast_into), so the
+    /// steady-state hot path never allocates.
     pub fn clear(&mut self) {
         self.deliveries.clear();
         self.drops.clear();

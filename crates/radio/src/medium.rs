@@ -353,15 +353,6 @@ impl Medium {
         self.stats
             .record_broadcast(bytes, out.deliveries.len(), out.drop_counts());
     }
-
-    /// Nodes currently within range of `node` (excluding itself), in id
-    /// order, written into a caller-recycled buffer (cleared on entry) —
-    /// a helper for diagnostics and density measurements.
-    pub fn neighbors_into(&mut self, fleet: &Fleet, now: SimTime, node: u32, out: &mut Vec<u32>) {
-        self.query_range(fleet, now, node);
-        out.clear();
-        out.extend(self.in_range.iter().map(|&(id, _)| id));
-    }
 }
 
 #[cfg(test)]
@@ -866,17 +857,6 @@ mod tests {
         );
         send(&mut medium, &fleet, 4.0, 0, 10, &mut rng);
         assert_eq!(medium.grid_rebuilds(), 2, "margin 320 m > range: rebuilt");
-    }
-
-    #[test]
-    fn neighbors_matches_broadcast_reach() {
-        let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0), (500.0, 0.0)]);
-        let mut medium = Medium::new(RadioConfig::paper());
-        let mut out = Vec::new();
-        medium.neighbors_into(&fleet, SimTime::ZERO, 0, &mut out);
-        assert_eq!(out, vec![1]);
-        medium.neighbors_into(&fleet, SimTime::ZERO, 2, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! `ia-core`'s protocols are plain state machines: you feed them receive
 //! events and timer wake-ups with an explicit [`PeerContext`], and they
-//! answer by pushing [`Action`]s into an [`ActionSink`]. Every protocol
-//! has one kind of timer, a wake-up per cache entry (or, for a flooding
-//! issuer, per issued ad): the five protocols differ only in when an
-//! entry's next tick falls. This example walks one Optimized Gossiping
+//! answer by pushing [`Action`]s into an [`ActionSink`]. The context asks
+//! its motion for the position and velocity only when the protocol needs
+//! them. Every protocol has one kind of timer, a wake-up per cache entry
+//! (or, for a flooding issuer, per issued ad): the five protocols differ
+//! only in when an entry's next tick falls, and each wake-up that pops
+//! is one `on_entry_timer` call that says what it did ([`EntryWake`]). This example walks one Optimized Gossiping
 //! peer through the interesting transitions by hand, printing what the
 //! protocol decides at each step — useful both as API documentation and
 //! as a debugging harness when porting the protocol to real radios.
@@ -75,17 +77,15 @@ fn main() {
     );
 
     // The peer sits 600 m from the issuing location, heading towards it.
-    let my_pos = Point::new(3100.0, 2500.0);
-    // A fixed `Vector` is a `Motion` that always reports itself as the
-    // velocity and predicts no position, so every entry tick runs; the
-    // simulator estimates velocity from the trajectory instead, and lets
-    // the protocol decide ticks ahead from future positions.
-    let mut my_vel = Vector::new(-10.0, 0.0);
-    fn ctx_at(now: f64, pos: Point, vel: &mut Vector) -> PeerContext<'_> {
+    // A fixed (position, velocity) pair is a `Motion` that reports both
+    // when asked and predicts no position, so every entry tick runs; the
+    // simulator reads both from the trajectory instead, and lets the
+    // protocol decide ticks ahead from future positions.
+    let mut me = (Point::new(3100.0, 2500.0), Vector::new(-10.0, 0.0));
+    fn ctx_at(now: f64, motion: &mut (Point, Vector)) -> PeerContext<'_> {
         PeerContext {
             now: SimTime::from_secs(now),
-            position: pos,
-            motion: vel,
+            motion,
         }
     }
 
@@ -94,7 +94,7 @@ fn main() {
     //    grid's phase here; Optimized Gossiping gives each entry its own
     //    grid.)
     let mut sink = ActionSink::new();
-    peer.on_start(&mut ctx_at(100.0, my_pos, &mut my_vel), &mut sink);
+    peer.on_start(&mut ctx_at(100.0, &mut me), &mut sink);
     show("on_start (600 m inside the area)", &mut sink);
 
     // 2. First receipt: accept, rank (topic matches), queue the entry's
@@ -107,12 +107,7 @@ fn main() {
         from: 3,
         distance: 50.0,
     };
-    peer.on_receive(
-        &mut ctx_at(105.0, my_pos, &mut my_vel),
-        &msg,
-        &meta,
-        &mut sink,
-    );
+    peer.on_receive(&mut ctx_at(105.0, &mut me), &msg, &meta, &mut sink);
     show("on_receive (new ad from a neighbour 50 m away)", &mut sink);
 
     // 3. Overhearing a duplicate from a *very close* neighbour: formula 4
@@ -124,31 +119,23 @@ fn main() {
         from: 4,
         distance: 2.0,
     };
-    peer.on_receive(
-        &mut ctx_at(106.0, my_pos, &mut my_vel),
-        &msg,
-        &close,
-        &mut sink,
-    );
+    peer.on_receive(&mut ctx_at(106.0, &mut me), &msg, &close, &mut sink);
     show("on_receive (duplicate overheard from 2 m away)", &mut sink);
 
-    // 4. The queued wake-up pops at 110 s, before the postponed tick: the
-    //    world asks `entry_wake` first (no context needed) and re-queues
-    //    it at the tick.
-    let EntryWake::Rearm(tick) = peer.entry_wake(ad.id, SimTime::from_secs(110.0)) else {
-        unreachable!("the postponed tick is later")
+    // 4. The queued wake-up pops at 110 s, before the postponed tick: it
+    //    only re-queues itself at the tick, and reads no position.
+    let early = peer.on_entry_timer(&mut ctx_at(110.0, &mut me), ad.id, &mut sink);
+    assert_eq!(early, EntryWake::Rearm, "the postponed tick is later");
+    let tick = match sink.drain().next() {
+        Some(Action::ScheduleEntry { at, .. }) => at,
+        other => unreachable!("a re-armed wake-up queues itself again: {other:?}"),
     };
-    println!("entry_wake at 110 s (after postponement):\n    re-arm at {tick}\n");
+    println!("on_entry_timer at 110 s (after postponement):\n    re-arm at {tick}\n");
 
-    // 5. The postponed tick: `entry_wake` says fire, and the entry gossips
-    //    with the formula-1/3 probability at this distance and queues its
-    //    next tick.
-    assert_eq!(peer.entry_wake(ad.id, tick), EntryWake::Fire);
-    peer.on_entry_timer(
-        &mut ctx_at(tick.as_secs(), my_pos, &mut my_vel),
-        ad.id,
-        &mut sink,
-    );
+    // 5. The postponed tick: the entry gossips with the formula-1/3
+    //    probability at this distance and queues its next tick.
+    let due = peer.on_entry_timer(&mut ctx_at(tick.as_secs(), &mut me), ad.id, &mut sink);
+    assert_eq!(due, EntryWake::Fire);
     show("on_entry_timer (the postponed tick)", &mut sink);
 
     // 6. Inspect the cached copy: our user id is in the sketches now.

@@ -118,31 +118,28 @@ proptest! {
     }
 }
 
-/// Deterministic cross-crate check kept outside proptest: the medium's
-/// neighbour lists agree with brute-force geometry over a moving fleet,
-/// and a broadcast at the same instant reaches exactly those neighbours.
-/// Each 10 s step forces a grid rebuild; the sub-second instants after it
-/// are served from the stale, widened grid, so both query paths are
-/// checked. Goes through the reusable-buffer variants, which also proves
-/// one buffer stays correct across interleaved nodes and times.
+/// Deterministic cross-crate check kept outside proptest: over a moving
+/// fleet, every broadcast reaches exactly the nodes brute-force geometry
+/// puts in range. Each 10 s step forces a grid rebuild; the sub-second
+/// instants after it are served from the stale, widened grid, so both
+/// query paths are checked. One recycled outcome buffer serves every
+/// broadcast, which also proves it stays correct across interleaved
+/// nodes and times.
 #[test]
 fn medium_agrees_with_geometry_over_time() {
     let model = RandomWaypoint::paper(instant_ads::geo::Rect::with_size(2000.0, 2000.0), 10.0, 5.0);
     let fleet = Fleet::generate(&model, 40, 77, SimTime::ZERO, SimTime::from_secs(300.0));
     let mut medium = Medium::new(RadioConfig::paper());
     let mut rng = SimRng::from_master(77);
-    let mut got = Vec::new();
     let mut outcome = BroadcastOutcome::default();
     for k in 0..30 {
         for offset in [0.0, 0.3, 0.7] {
             let t = SimTime::from_secs(k as f64 * 10.0 + offset);
             for node in 0..40u32 {
-                medium.neighbors_into(&fleet, t, node, &mut got);
                 let pos = fleet.position(node, t);
                 let want: Vec<u32> = (0..40u32)
                     .filter(|&o| o != node && fleet.position(o, t).distance(pos) <= 250.0)
                     .collect();
-                assert_eq!(got, want, "node {node} at {t}");
                 medium.broadcast_into(&fleet, t, node, 10, &mut rng, &mut outcome);
                 let mut reached: Vec<u32> = outcome.deliveries.iter().map(|d| d.to).collect();
                 reached.extend(outcome.drops.iter().map(|d| d.to));
