@@ -95,8 +95,19 @@ mod tests {
         );
         // Pause legs are implicit (two setdest lines only).
         assert_eq!(text.lines().count(), 4);
+    }
 
-        // A fleet exports one block per node, in id order.
+    #[test]
+    fn fleet_roundtrip_preserves_node_ids() {
+        // A fleet exports one block per node, in id order, each tagged
+        // with its own node id.
+        let tr = Trajectory::new(vec![Leg::new(
+            t(0.0),
+            t(10.0),
+            Point::new(0.0, 0.0),
+            Point::new(100.0, 0.0),
+        )]);
+        let text = export_trajectory(3, &tr);
         let parked = Trajectory::new(vec![Leg::pause(t(0.0), t(30.0), Point::new(7.0, 8.0))]);
         let fleet = Fleet::from_trajectories(vec![parked.clone(), tr.clone(), parked]);
         let blocks = [0, 1, 2].map(|id| export_trajectory(id, fleet.trajectory(id)));
