@@ -100,15 +100,61 @@ const CRC32_TABLE: [u32; 256] = {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
 ///
-/// Table-driven, one lookup per byte: fault-injected runs compute it
-/// twice for every frame they corrupt (on encode, then in the receiver's
-/// check). The codec tests pin it against the bitwise form.
+/// Table-driven, one lookup per byte. Fault-injected runs decide most
+/// corrupted frames with [`flips_pass_crc`] and compute this only for
+/// the rare flip set that passes it. The codec tests pin it against the
+/// bitwise form.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        crc = crc32_step(crc, b);
     }
     !crc
+}
+
+/// One byte through the reflected CRC-32 register.
+fn crc32_step(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xFF) as usize]
+}
+
+/// Would a frame of `frame_len` bytes from [`encode_frame`], with the
+/// bits at positions `bits` flipped (bit `i` is bit `i % 8` of byte
+/// `i / 8`), still pass [`decode_frame`]'s CRC check?
+///
+/// Exact, and it never builds the frame: CRC-32 is affine over GF(2),
+/// so for frames of one length the check fails iff the CRC's linear part
+/// (register from zero, no final XOR) over the body's flips differs from
+/// the trailer's flips. Only the bytes from the first flipped body byte
+/// to the end of the body go through the register. A position listed
+/// twice cancels, as on the real frame. `bits` is sorted in place; no
+/// allocation.
+///
+/// Panics if `frame_len` is shorter than the trailer or a position lies
+/// outside the frame.
+pub fn flips_pass_crc(frame_len: usize, bits: &mut [u64]) -> bool {
+    let body_len = frame_len
+        .checked_sub(FRAME_CRC_BYTES)
+        .expect("frame shorter than its CRC trailer");
+    bits.sort_unstable();
+    let body_bits = body_len as u64 * 8;
+    let (body, trailer) = bits.split_at(bits.partition_point(|&b| b < body_bits));
+    let mut trailer_flips = 0u32;
+    for &b in trailer {
+        assert!(b < frame_len as u64 * 8, "bit {b} outside the frame");
+        trailer_flips ^= 1 << (b - body_bits);
+    }
+    let mut syndrome = 0u32;
+    let mut next = 0;
+    let first_byte = body.first().map_or(body_len, |&b| (b / 8) as usize);
+    for byte in first_byte..body_len {
+        let mut flips = 0u8;
+        while next < body.len() && (body[next] / 8) as usize == byte {
+            flips ^= 1 << (body[next] % 8);
+            next += 1;
+        }
+        syndrome = crc32_step(syndrome, flips);
+    }
+    syndrome == trailer_flips
 }
 
 struct Writer {

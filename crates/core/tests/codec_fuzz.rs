@@ -5,6 +5,10 @@
 //! never panic, and every corruption must surface as a *typed* error so
 //! the receiver can drop the frame and account for it. These properties
 //! are the contract the chaos plans rely on.
+//!
+//! The world decides a corrupted frame's fate from its flip positions
+//! alone ([`codec::flips_pass_crc`]), so that verdict is pinned here
+//! against the real encode → flip → decode path.
 
 use ia_core::codec::{self, CodecError, FRAME_CRC_BYTES};
 use ia_core::protocol::AdMessage;
@@ -107,4 +111,122 @@ proptest! {
             Err(CodecError::Truncated { .. }) | Err(CodecError::ChecksumMismatch { .. })
         ), "got {r:?}");
     }
+}
+
+/// The most flips one corrupted frame gets (`MAX_FLIPS` in the
+/// experiments crate's scenario module).
+const MAX_FLIPS: usize = 64;
+
+/// Flip positions over a frame of `frame_len` bytes from raw draws, in
+/// one of five shapes: anywhere; only in the CRC trailer; alternating
+/// body and trailer; anywhere with every other position repeated at the
+/// end (some pairs cancel); every position repeated (all cancel).
+fn flip_positions(frame_len: usize, raw: &[u64], shape: u8) -> Vec<u64> {
+    let frame_bits = frame_len as u64 * 8;
+    let body_bits = frame_bits - FRAME_CRC_BYTES as u64 * 8;
+    let trailer = |r: u64| body_bits + r % (FRAME_CRC_BYTES as u64 * 8);
+    let mut bits: Vec<u64> = match shape {
+        1 => raw.iter().map(|&r| trailer(r)).collect(),
+        2 => raw
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                if i % 2 == 0 {
+                    r % body_bits
+                } else {
+                    trailer(r)
+                }
+            })
+            .collect(),
+        _ => raw.iter().map(|&r| r % frame_bits).collect(),
+    };
+    if shape >= 3 {
+        bits.truncate(MAX_FLIPS / 2);
+        let step = if shape == 3 { 2 } else { 1 };
+        let repeats: Vec<u64> = bits.iter().step_by(step).rev().copied().collect();
+        bits.extend(repeats);
+    }
+    bits
+}
+
+/// Flip `bits` in `frame`, bit `i` being bit `i % 8` of byte `i / 8`.
+fn flip(frame: &mut [u8], bits: &[u64]) {
+    for &b in bits {
+        frame[(b / 8) as usize] ^= 1 << (b % 8);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The flip-position verdict equals the frame path's: true iff
+    /// decoding the flipped frame gets past the CRC check.
+    #[test]
+    fn flip_verdict_matches_frame_decode(
+        msg in arb_message(),
+        raw in proptest::collection::vec(any::<u64>(), 1..MAX_FLIPS + 1),
+        shape in 0u8..5,
+    ) {
+        let mut frame = codec::encode_frame(&msg);
+        let bits = flip_positions(frame.len(), &raw, shape);
+        flip(&mut frame, &bits);
+        let passes = !matches!(
+            codec::decode_frame(&frame),
+            Err(CodecError::ChecksumMismatch { .. })
+        );
+        prop_assert_eq!(codec::flips_pass_crc(frame.len(), &mut bits.clone()), passes);
+        if shape == 4 {
+            prop_assert!(passes, "cancelling pairs must restore the frame");
+        }
+    }
+}
+
+/// A real CRC escape: body flips plus the trailer flips equal to their
+/// syndrome. The verdict must pass it, and so must the receiver's CRC
+/// check; random flip sets essentially never reach this case.
+#[test]
+fn crafted_crc_escape_passes_verdict_and_check() {
+    let params = GossipParams::paper();
+    let ad = Advertisement::new(
+        AdId::new(PeerId(4), 2),
+        Point::new(1200.0, 800.0),
+        SimTime::from_secs(5.0),
+        700.0,
+        SimDuration::from_secs(600.0),
+        vec![1, 5],
+        64,
+        &params,
+    );
+    let clean = codec::encode_frame(&AdMessage::gossip(ad));
+    let body_len = clean.len() - FRAME_CRC_BYTES;
+    let body_bits = body_len as u64 * 8;
+    let mut bits = vec![3, 100, 517, body_bits - 1];
+
+    let mut dirty = clean.clone();
+    flip(&mut dirty, &bits);
+    let trailer = |f: &[u8]| u32::from_le_bytes(f[body_len..].try_into().unwrap());
+    // CRC-32 is affine, so the syndrome is the CRC change the flips cause.
+    let syndrome = codec::crc32(&dirty[..body_len]) ^ trailer(&clean);
+    assert_ne!(syndrome, 0);
+    bits.extend(
+        (0..32)
+            .filter(|k| syndrome >> k & 1 == 1)
+            .map(|k| body_bits + k),
+    );
+    assert!(bits.len() <= MAX_FLIPS);
+
+    let mut escaped = clean.clone();
+    flip(&mut escaped, &bits);
+    assert_ne!(escaped, clean);
+    assert!(codec::flips_pass_crc(clean.len(), &mut bits.clone()));
+    assert!(
+        !matches!(
+            codec::decode_frame(&escaped),
+            Err(CodecError::ChecksumMismatch { .. })
+        ),
+        "the crafted frame must get past the CRC check"
+    );
+    // One trailer flip fewer is caught.
+    bits.pop();
+    assert!(!codec::flips_pass_crc(clean.len(), &mut bits));
 }

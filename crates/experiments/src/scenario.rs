@@ -120,6 +120,10 @@ impl BurstLossSpec {
     }
 }
 
+/// The most bit flips a [`CorruptionSpec`] may draw per frame. The world
+/// collects one frame's flips in a fixed array of this size.
+pub const MAX_FLIPS: u32 = 64;
+
 /// Windowed frame corruption: each frame delivered inside the window is
 /// bit-flipped with probability `p_corrupt` between encode and decode.
 /// The hardened codec's CRC-32 trailer catches the flips and the receiver
@@ -131,7 +135,7 @@ pub struct CorruptionSpec {
     /// Per-delivery corruption probability.
     pub p_corrupt: f64,
     /// Bit flips per corrupted frame are drawn uniformly from
-    /// `1..=max_flips`.
+    /// `1..=max_flips`, at most [`MAX_FLIPS`].
     pub max_flips: u32,
 }
 
@@ -143,6 +147,10 @@ impl CorruptionSpec {
             "p_corrupt outside [0, 1]"
         );
         assert!(self.max_flips >= 1, "corruption needs at least one flip");
+        assert!(
+            self.max_flips <= MAX_FLIPS,
+            "max_flips above MAX_FLIPS ({MAX_FLIPS})"
+        );
     }
 
     /// Is the window active at `t`?
@@ -601,6 +609,24 @@ mod tests {
         assert!(c.active(SimTime::from_secs(10.0)));
         assert!(c.active(SimTime::from_secs(19.9)));
         assert!(!c.active(SimTime::from_secs(20.0)));
+    }
+
+    #[test]
+    fn max_flips_is_bounded() {
+        let c = CorruptionSpec {
+            from: SimTime::from_secs(10.0),
+            until: SimTime::from_secs(20.0),
+            p_corrupt: 0.5,
+            max_flips: MAX_FLIPS,
+        };
+        c.validate();
+        let over = CorruptionSpec {
+            max_flips: MAX_FLIPS + 1,
+            ..c
+        };
+        let err = std::panic::catch_unwind(|| over.validate()).expect_err("accepted");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("max_flips above MAX_FLIPS"), "{msg}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! ([`EntryWake`]), which the world counts and reports to observers.
 
 use crate::observer::{BroadcastInfo, SimObserver, SuppressReason};
-use crate::scenario::{InterestWorkload, MobilityKind, Scenario};
+use crate::scenario::{CorruptionSpec, InterestWorkload, MobilityKind, Scenario, MAX_FLIPS};
 use crate::tracker::DeliveryTracker;
 use ia_core::{
     build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake, Motion,
@@ -509,34 +509,11 @@ impl World {
                 }
             }
             Event::Deliver { msg, meta, to } => {
-                // Frame corruption (fault injection): while a corruption
-                // window is active, each delivery may get bit-flipped
-                // between encode and decode. The hardened codec's CRC
-                // trailer turns the flips into a typed decode error and
-                // the receiver drops the frame.
-                let msg = if let Some(c) = self.scenario.faults.corruption {
-                    if c.active(now) && self.fault_rng.chance(c.p_corrupt) {
-                        let mut frame = codec::encode_frame(&msg);
-                        let flips = 1 + self.fault_rng.range_u64(0, c.max_flips as u64);
-                        for _ in 0..flips {
-                            let bit = self.fault_rng.range_u64(0, frame.len() as u64 * 8);
-                            frame[(bit / 8) as usize] ^= 1 << (bit % 8);
-                        }
-                        match codec::decode_frame(&frame) {
-                            Ok(recovered) => Arc::new(recovered), // CRC escape (~2⁻³²)
-                            Err(_) => {
-                                self.observe(|o| {
-                                    o.on_suppress(now, to, &msg, SuppressReason::Corrupted)
-                                });
-                                return;
-                            }
-                        }
-                    } else {
-                        msg
-                    }
-                } else {
-                    msg
+                let msg = match self.scenario.faults.corruption {
+                    Some(c) if c.active(now) => self.corrupt(c, now, to, msg),
+                    _ => Some(msg),
                 };
+                let Some(msg) = msg else { return };
                 self.observe(|o| o.on_deliver(now, to, &msg, &meta));
                 self.dispatch(to, now, |peer, ctx, out| {
                     peer.on_receive(ctx, &msg, &meta, out)
@@ -558,6 +535,49 @@ impl World {
                 self.dispatch(node, now, |peer, ctx, out| peer.issue(ctx, ad, out));
             }
         }
+    }
+
+    /// Frame corruption (fault injection) of one delivery inside an
+    /// active corruption window: with probability `p_corrupt` the frame
+    /// gets 1..=`max_flips` bit flips between encode and decode. Returns
+    /// the message the receiver decodes, or `None` once the CRC trailer
+    /// has caught the flips and the drop is reported.
+    ///
+    /// The verdict comes from the flip positions alone
+    /// ([`codec::flips_pass_crc`]). Only a flip set that passes the CRC
+    /// (flips that cancel, or an undetected error, about 2⁻³²) builds,
+    /// flips and decodes the real frame, so the outcome is exactly that
+    /// of the frame path.
+    #[cold]
+    #[inline(never)]
+    fn corrupt(
+        &mut self,
+        c: CorruptionSpec,
+        now: SimTime,
+        to: u32,
+        msg: Arc<AdMessage>,
+    ) -> Option<Arc<AdMessage>> {
+        if !self.fault_rng.chance(c.p_corrupt) {
+            return Some(msg);
+        }
+        let frame_len = msg.bytes() + codec::FRAME_CRC_BYTES;
+        let mut bits = [0u64; MAX_FLIPS as usize];
+        let n = 1 + self.fault_rng.range_u64(0, c.max_flips as u64) as usize;
+        let flips = &mut bits[..n];
+        for bit in flips.iter_mut() {
+            *bit = self.fault_rng.range_u64(0, frame_len as u64 * 8);
+        }
+        if codec::flips_pass_crc(frame_len, flips) {
+            let mut frame = codec::encode_frame(&msg);
+            for &bit in flips.iter() {
+                frame[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+            if let Ok(recovered) = codec::decode_frame(&frame) {
+                return Some(Arc::new(recovered));
+            }
+        }
+        self.observe(|o| o.on_suppress(now, to, &msg, SuppressReason::Corrupted));
+        None
     }
 
     /// Run one protocol callback against the shared action sink, then
@@ -1388,6 +1408,47 @@ mod tests {
         let b = run();
         assert!(a.2 > 0, "no frames corrupted in a 260 s window at p = 0.3");
         assert_eq!(a, b, "corrupted run must be reproducible");
+    }
+
+    /// A flip set that cancels out passes the CRC verdict and goes
+    /// through the real frame path, which delivers the message unchanged;
+    /// every other flip set is dropped as corrupted. With two flips per
+    /// frame only a bit drawn twice passes (CRC-32 catches every 2-bit
+    /// error), about one frame in 2 000 here.
+    #[test]
+    fn cancelling_flips_deliver_through_the_frame_path() {
+        let c = CorruptionSpec {
+            from: SimTime::ZERO,
+            until: SimTime::from_secs(1.0),
+            p_corrupt: 1.0,
+            max_flips: 2,
+        };
+        let s =
+            tiny(ProtocolKind::Gossip, 10, 45).with_faults(FaultPlan::none().with_corruption(c));
+        let mut w = World::new(s);
+        w.attach_observer(Box::new(FaultLedger::new(SimDuration::from_secs(5.0))));
+        let ad = Advertisement::new(
+            AdId::new(PeerId(0), 1),
+            Point::new(10.0, 10.0),
+            SimTime::ZERO,
+            500.0,
+            SimDuration::from_secs(60.0),
+            vec![1],
+            0,
+            &w.scenario.params,
+        );
+        let msg = Arc::new(AdMessage::gossip(ad));
+        let frames = 30_000;
+        let mut delivered = 0;
+        for _ in 0..frames {
+            if let Some(got) = w.corrupt(c, SimTime::ZERO, 1, Arc::clone(&msg)) {
+                assert_eq!(*got, *msg);
+                delivered += 1;
+            }
+        }
+        assert!(delivered > 0, "no flip set cancelled out");
+        let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+        assert_eq!(ledger.count(SuppressReason::Corrupted), frames - delivered);
     }
 
     #[test]

@@ -8,16 +8,20 @@
 //!
 //! Each proof warms its path up first (sizing every recycled buffer),
 //! then asserts that a further stretch of steady-state work performs
-//! exactly zero allocations. The last test checks that attaching a
-//! passive observer adds no allocation to a whole `World::run`.
+//! exactly zero allocations. The proofs cover: scheduler churn, grid
+//! rebuilds and queries, broadcast → dispatch (with and without forced
+//! grid rebuilds), duplicate receipts, non-forwarding entry ticks, and
+//! the corruption verdict (`codec::flips_pass_crc`). The last test
+//! checks that attaching a passive observer adds no allocation to a
+//! whole `World::run`.
 
 use ia_core::{
-    build_protocol, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake, GossipParams,
-    PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
+    build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake,
+    GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
 };
 use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
 use ia_experiments::observer::{BroadcastInfo, SuppressReason};
-use ia_experiments::scenario::AdSpec;
+use ia_experiments::scenario::{AdSpec, MAX_FLIPS};
 use ia_experiments::{ChurnSpec, Scenario, SimObserver, World};
 use ia_geo::{FlatGrid, Point, Vector};
 use ia_mobility::{Fleet, RandomWaypoint};
@@ -461,6 +465,39 @@ impl SimObserver for HookCounts {
     fn on_rejoin(&mut self, _: SimTime, _: u32) {
         self.rejoin += 1;
     }
+}
+
+/// The corruption verdict allocates nothing: frames of several lengths,
+/// each with 1..=`MAX_FLIPS` flips drawn into a stack array as the world
+/// draws them, some repeated so that they cancel.
+#[test]
+fn corruption_verdict_allocates_nothing() {
+    let mut rng = SimRng::from_master(5);
+    let mut verdicts = |rounds: usize| {
+        let mut passed = 0;
+        for round in 0..rounds {
+            let frame_len = 90 + rng.range_u64(0, 600) as usize;
+            let mut bits = [0u64; MAX_FLIPS as usize];
+            let n = 1 + rng.range_u64(0, MAX_FLIPS as u64) as usize;
+            for bit in &mut bits[..n] {
+                *bit = rng.range_u64(0, frame_len as u64 * 8);
+            }
+            // Every fourth set is a run of cancelling pairs.
+            let flips = if round % 4 == 0 {
+                let half = n.div_ceil(2).min(MAX_FLIPS as usize / 2);
+                bits.copy_within(..half, half);
+                &mut bits[..2 * half]
+            } else {
+                &mut bits[..n]
+            };
+            passed += codec::flips_pass_crc(frame_len, black_box(flips)) as usize;
+        }
+        passed
+    };
+    verdicts(64);
+    let (allocs, passed) = allocations_during(|| verdicts(4096));
+    assert_eq!(allocs, 0, "the corruption verdict allocated");
+    assert_eq!(passed, 1024, "only the cancelling sets pass");
 }
 
 /// Observer fan-out allocates nothing: the same churned Gossip world,
