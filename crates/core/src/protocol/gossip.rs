@@ -28,6 +28,14 @@
 //! demand), so the run is the one per-tick execution gives. A peer with
 //! an empty cache queues nothing until its next admission.
 //!
+//! Most ticks it skips lie far outside the advertising area, where the
+//! probability is nearly 0, and those cost no fix: from the last exact
+//! fix outside the ad's radius and a bound on how far the peer can have
+//! drifted since ([`Motion::max_drift`](super::Motion::max_drift)), a
+//! tick whose coin is at least the largest probability the peer could
+//! have there is decided without reading its position. A tick the bound
+//! cannot decide is evaluated exactly, so the decision never changes.
+//!
 //! Each entry keeps one wake-up queued. When it pops,
 //! [`Protocol::on_entry_timer`] drops it if a later one superseded it,
 //! queues it again at the planned tick if the plan moved later, and runs
@@ -190,6 +198,14 @@ impl Gossip {
 /// cannot give the position ahead, or the keyed coin fires with the
 /// probability the tick itself would compute. Every tick before it
 /// would neither broadcast nor change state a later event reads.
+///
+/// Most skipped ticks lie far outside the advertising area, where the
+/// probability is nearly 0, so they are decided without a fix: from the
+/// last exact fix outside the ad's radius, at `t0` and distance `d0`, the
+/// peer is at least `d_lo = d0 - max_drift(t0, t) - margin` from the
+/// issue position at `t`. When `d_lo > R` and the coin `u` is at least
+/// [`outside_bound`]`(d_lo)`, the tick cannot fire; otherwise it is
+/// evaluated exactly. Either way the decision is the one the tick makes.
 fn plan(
     params: &GossipParams,
     annular: bool,
@@ -199,15 +215,32 @@ fn plan(
 ) {
     let ad = &entry.ad;
     let mut t = entry.next_time;
+    // The last exact fix outside `R`: its instant, its distance from the
+    // issue position and the magnitude of the coordinates behind it.
+    let mut outside: Option<(SimTime, f64, f64)> = None;
     entry.wake = loop {
         if ad.expired(t) {
             break t;
         }
-        let Some(pos) = ctx.motion.position_at(t) else {
-            break t;
-        };
-        if tick_fires(key, ad.id, t, probability(params, annular, ad, t, pos)) {
-            break t;
+        let u = tick_unit(key, ad.id, t);
+        let decided = outside.is_some_and(|(t0, d0, scale)| {
+            ctx.motion.max_drift(t0, t).is_some_and(|drift| {
+                let d_lo = d0 - drift - drift_margin(scale + drift);
+                d_lo > ad.radius && u >= outside_bound(params.alpha, d_lo, ad.radius)
+            })
+        });
+        if !decided {
+            let Some(pos) = ctx.motion.position_at(t) else {
+                break t;
+            };
+            let d = pos.distance(ad.issue_pos);
+            if u < probability_at(params, annular, ad, t, d) {
+                break t;
+            }
+            if d > ad.radius {
+                let scale = pos.x.abs() + pos.y.abs() + ad.issue_pos.x.abs() + ad.issue_pos.y.abs();
+                outside = Some((t, d, scale));
+            }
         }
         let next = t + params.round_time;
         if next == t {
@@ -215,6 +248,44 @@ fn plan(
         }
         t = next;
     };
+}
+
+/// What a lower bound on the distance from the issue position must leave
+/// for rounding, metres, when the coordinates behind it are of magnitude
+/// at most `scale` (the last exact fix's and the issue position's, plus
+/// the drift since, which bounds how much larger the later fix's are).
+///
+/// `d_lo` stands in for a distance the tick would compute from its own
+/// fix. Between the two lie: the fix at `t0` and the one at `t` each a
+/// few rounding steps away from the trajectory (a leg's interpolation),
+/// the two distances each a few steps away from the exact ones (two
+/// differences, a square root), `max_drift`'s own product, and the two
+/// subtractions that form `d_lo`. Each step errs by at most one unit in
+/// the last place, 2⁻⁵² relative to the magnitudes it combines, so a
+/// relative term of 10⁻⁹ covers them over 10⁶ times at any field size.
+/// The absolute metre covers what is not relative to those magnitudes:
+/// an interpolation's error relative to its leg's far endpoint (about
+/// 10⁻⁴ m on a 10¹² m field) and legs that meet within `Trajectory`'s
+/// 10⁻⁶ m continuity tolerance.
+fn drift_margin(scale: f64) -> f64 {
+    1.0 + 1e-9 * scale
+}
+
+/// An upper bound on the forwarding probability, under formula (1) or
+/// (3), of a peer whose distance from the issue position is at least
+/// `d_lo > radius`, where `radius` is the ad's `R`.
+///
+/// The age-shrunk radius `R_t` never exceeds `R`, so `d > R_t`: formula
+/// (1) is on its outside branch, and formula (3) on its annulus/exterior
+/// branch, which is formula (1) with the same `R_t`. Both give
+/// `(1 - alpha)·alpha^((d - R_t)/OUTSIDE_UNIT)` (or 0 once `R_t` has
+/// collapsed), which is at most `(1 - alpha)·alpha^((d_lo - R)/OUTSIDE_UNIT)`.
+/// The rounded differences and quotient keep that order; `powf` is within
+/// an ulp or so of exact, which the relative widening absorbs, and the
+/// absolute one covers results in the subnormal range (and keeps a coin
+/// of exactly 0 from being decided here).
+fn outside_bound(alpha: f64, d_lo: f64, radius: f64) -> f64 {
+    (1.0 - alpha) * alpha.powf((d_lo - radius) / OUTSIDE_UNIT) * (1.0 + 1e-12) + f64::MIN_POSITIVE
 }
 
 /// Keep one wake-up queued for `entry`: queue one at `entry.wake` unless
@@ -259,7 +330,17 @@ fn probability(
     now: SimTime,
     pos: Point,
 ) -> f64 {
-    let d = pos.distance(ad.issue_pos);
+    probability_at(params, annular, ad, now, pos.distance(ad.issue_pos))
+}
+
+/// [`probability`] for a peer at distance `d` from the issue position.
+fn probability_at(
+    params: &GossipParams,
+    annular: bool,
+    ad: &Advertisement,
+    now: SimTime,
+    d: f64,
+) -> f64 {
     let r_t = ad.radius_at(now, params);
     if annular && ad.age(now) > OPT1_WARMUP {
         prob::annular_probability(
@@ -283,8 +364,13 @@ fn probability(
 /// the edges it matches `SimRng::chance`: `p <= 0` (or NaN) never
 /// fires and `p >= 1` always does, since the draw lies in `[0, 1)`.
 fn tick_fires(key: u64, ad: AdId, t: SimTime, p: f64) -> bool {
+    tick_unit(key, ad, t) < p
+}
+
+/// The keyed coin of entry `ad`'s tick at `t`, in `[0, 1)`.
+fn tick_unit(key: u64, ad: AdId, t: SimTime) -> f64 {
     let ad = u64::from(ad.issuer.0) << 32 | u64::from(ad.seq);
-    keyed_unit(key, ad, t.as_micros()) < p
+    keyed_unit(key, ad, t.as_micros())
 }
 
 impl Protocol for Gossip {
@@ -428,6 +514,7 @@ mod tests {
     use crate::protocol::Motion;
     use ia_des::{SimDuration, SimRng};
     use ia_geo::Vector;
+    use proptest::prelude::*;
 
     /// The paper's radio range, metres.
     const RANGE: f64 = 250.0;
@@ -800,9 +887,24 @@ mod tests {
         waypoints: Vec<(SimTime, Point)>,
         blind: (SimTime, SimTime),
         end: SimTime,
+        /// The top speed over the polyline's segments, m/s.
+        top_speed: f64,
     }
 
     impl Track {
+        fn new(waypoints: Vec<(SimTime, Point)>, blind: (SimTime, SimTime), end: SimTime) -> Self {
+            let top_speed = waypoints
+                .windows(2)
+                .map(|w| w[0].1.distance(w[1].1) / w[1].0.since(w[0].0).as_secs())
+                .fold(0.0, f64::max);
+            Track {
+                waypoints,
+                blind,
+                end,
+                top_speed,
+            }
+        }
+
         fn exact(&self, t: SimTime) -> Point {
             let i = self.waypoints.partition_point(|&(at, _)| at <= t);
             if i == 0 {
@@ -830,12 +932,40 @@ mod tests {
         }
     }
 
-    /// The motion a world would give over a [`Track`] at an instant.
-    struct TrackMotion<'a>(&'a Track, SimTime);
+    /// The motion a world would give over a [`Track`] at an instant. It
+    /// counts the ticks the look-ahead decides without a fix: those whose
+    /// drift it bounded and whose fix it never read after.
+    struct TrackMotion<'a> {
+        track: &'a Track,
+        now: SimTime,
+        /// The last instant `max_drift` bounded, until its fix is read.
+        bounded: Option<SimTime>,
+        without_fix: u32,
+    }
+
+    impl<'a> TrackMotion<'a> {
+        fn new(track: &'a Track, now: SimTime) -> Self {
+            TrackMotion {
+                track,
+                now,
+                bounded: None,
+                without_fix: 0,
+            }
+        }
+
+        /// Ticks decided without a fix, once the callback is over.
+        fn decided_without_fix(&self) -> u32 {
+            self.without_fix + u32::from(self.bounded.is_some())
+        }
+
+        fn known(&self, t: SimTime) -> bool {
+            t < self.track.end && !self.track.blind_at(t)
+        }
+    }
 
     impl Motion for TrackMotion<'_> {
         fn position(&mut self) -> Point {
-            self.0.observed(self.1)
+            self.track.observed(self.now)
         }
 
         fn velocity(&mut self) -> Vector {
@@ -843,7 +973,20 @@ mod tests {
         }
 
         fn position_at(&mut self, t: SimTime) -> Option<Point> {
-            (t < self.0.end && !self.0.blind_at(t)).then(|| self.0.exact(t))
+            if self.bounded == Some(t) {
+                self.bounded = None;
+            }
+            self.known(t).then(|| self.track.exact(t))
+        }
+
+        fn max_drift(&mut self, from: SimTime, to: SimTime) -> Option<f64> {
+            if !(self.known(from) && self.known(to)) {
+                return None;
+            }
+            // A tick bounded earlier whose fix was never read was decided
+            // from the bound.
+            self.without_fix += u32::from(self.bounded.replace(to).is_some());
+            Some(self.track.top_speed * to.since(from).as_secs())
         }
     }
 
@@ -854,15 +997,33 @@ mod tests {
         Expired(SimTime),
     }
 
-    /// One peer under test, its queued wake-ups and the effects of the
-    /// ticks it ran.
+    /// One peer under test, its queued wake-ups, the effects of the ticks
+    /// it ran and the look-ahead ticks it decided without a fix.
     struct Driven {
         g: Gossip,
         queue: Vec<SimTime>,
         effects: Vec<Effect>,
+        without_fix: u32,
     }
 
     impl Driven {
+        /// A fresh peer of the gossip kind `kind`.
+        fn new(kind: ProtocolKind, p: Arc<GossipParams>, profile: UserProfile, key: u64) -> Self {
+            let g = match kind {
+                ProtocolKind::Gossip => Gossip::pure(p, RANGE, profile, key),
+                ProtocolKind::OptGossip1 => Gossip::optimized_1(p, RANGE, profile, key),
+                ProtocolKind::OptGossip2 => Gossip::optimized_2(p, RANGE, profile, key),
+                ProtocolKind::OptGossip => Gossip::optimized(p, RANGE, profile, key),
+                ProtocolKind::Flooding => unreachable!("not a gossip kind"),
+            };
+            Driven {
+                g,
+                queue: Vec::new(),
+                effects: Vec::new(),
+                without_fix: 0,
+            }
+        }
+
         /// Run one callback at `t` with the track's fix, logging its
         /// broadcasts and queueing the wake-ups it scheduled.
         fn call<R>(
@@ -873,13 +1034,14 @@ mod tests {
             f: impl FnOnce(&mut Gossip, &mut PeerContext<'_>, &mut ActionSink) -> R,
         ) -> R {
             let mut fixed = (track.observed(t), Vector::new(3.0, -2.0));
-            let mut along = TrackMotion(track, t);
+            let mut along = TrackMotion::new(track, t);
             let mut ctx = PeerContext {
                 now: t,
                 motion: if look_ahead { &mut along } else { &mut fixed },
             };
             let mut result = None;
             let actions = ActionSink::collect(|out| result = Some(f(&mut self.g, &mut ctx, out)));
+            self.without_fix += along.decided_without_fix();
             for a in actions {
                 match a {
                     Action::Broadcast(_) => self.effects.push(Effect::Broadcast(t)),
@@ -915,6 +1077,22 @@ mod tests {
         broadcasts: u32,
         expiries: u32,
         restarts: u32,
+        /// Look-ahead ticks decided from the drift bound alone, by kind
+        /// (the index into `kinds`).
+        without_fix: [u32; 2],
+    }
+
+    impl PlanCounts {
+        /// Plans were checked, ticks broadcast and expired ads, and each
+        /// kind decided ticks without a fix, so the oracle is not vacuous.
+        fn assert_not_vacuous(&self) {
+            let c = self;
+            assert!(
+                c.checked_plans > 1000 && c.broadcasts > 1000 && c.expiries > 50 && c.restarts > 50,
+                "{c:?}"
+            );
+            assert!(c.without_fix.iter().all(|&n| n > 0), "{c:?}");
+        }
     }
 
     /// The look-ahead plans exactly the ticks per-tick execution needs.
@@ -936,7 +1114,8 @@ mod tests {
         for case in 0..cases {
             let round = SimDuration::from_micros(draw.range_u64(300_000, 10_000_000));
             let p = Arc::new(GossipParams::paper().with_round_time(round));
-            let kind = kinds[draw.range_u64(0, 2) as usize];
+            let which = draw.range_u64(0, 2) as usize;
+            let kind = kinds[which];
             let centre = Point::new(2500.0, 2500.0);
             let issued = SimTime::from_secs(draw.range_f64(0.0, 100.0));
             let mut ad = Advertisement::new(
@@ -967,27 +1146,9 @@ mod tests {
                 blind_from,
                 blind_from + SimDuration::from_secs(draw.range_f64(0.0, 60.0)),
             );
-            let track = Track {
-                waypoints,
-                blind,
-                end,
-            };
+            let track = Track::new(waypoints, blind, end);
             let key = draw.next_u64();
-            let build = || {
-                let (params, profile) = (Arc::clone(&p), UserProfile::new(7, vec![1]));
-                let g = match kind {
-                    ProtocolKind::Gossip => Gossip::pure(params, RANGE, profile, key),
-                    ProtocolKind::OptGossip1 => Gossip::optimized_1(params, RANGE, profile, key),
-                    ProtocolKind::OptGossip2 => Gossip::optimized_2(params, RANGE, profile, key),
-                    ProtocolKind::OptGossip => Gossip::optimized(params, RANGE, profile, key),
-                    ProtocolKind::Flooding => unreachable!("not a gossip kind"),
-                };
-                Driven {
-                    g,
-                    queue: Vec::new(),
-                    effects: Vec::new(),
-                }
-            };
+            let build = || Driven::new(kind, Arc::clone(&p), UserProfile::new(7, vec![1]), key);
             let (mut ahead, mut per_tick) = (build(), build());
             let id = ad.id;
             let sender = |draw: &mut SimRng, t: SimTime| {
@@ -1097,6 +1258,7 @@ mod tests {
                 }
             }
             assert_eq!(ahead.effects, per_tick.effects, "case {case}");
+            counts.without_fix[which] += ahead.without_fix;
             for e in &ahead.effects {
                 match e {
                     Effect::Broadcast(_) => counts.broadcasts += 1,
@@ -1112,13 +1274,7 @@ mod tests {
     #[test]
     fn planned_ticks_are_the_ticks_per_tick_execution_needs() {
         let kinds = [ProtocolKind::OptGossip, ProtocolKind::OptGossip2];
-        let c = drive_planned_ticks(kinds, 0x91a2, 300);
-        // Not vacuous: plans were checked, and ticks broadcast and
-        // expired ads.
-        assert!(
-            c.checked_plans > 1000 && c.broadcasts > 1000 && c.expiries > 50 && c.restarts > 50,
-            "{c:?}"
-        );
+        drive_planned_ticks(kinds, 0x91a2, 300).assert_not_vacuous();
     }
 
     /// Gossiping and Optimized Gossiping-1: every entry ticks on the
@@ -1127,11 +1283,123 @@ mod tests {
     #[test]
     fn planned_ticks_on_the_peer_grid_are_the_ticks_per_tick_execution_needs() {
         let kinds = [ProtocolKind::Gossip, ProtocolKind::OptGossip1];
-        let c = drive_planned_ticks(kinds, 0x6e1d, 300);
-        assert!(
-            c.checked_plans > 1000 && c.broadcasts > 1000 && c.expiries > 50 && c.restarts > 50,
-            "{c:?}"
+        drive_planned_ticks(kinds, 0x6e1d, 300).assert_not_vacuous();
+    }
+
+    /// A peer parked far outside the area holds an ad that outlives the
+    /// run. Its look-ahead decides the ticks from the drift bound alone and
+    /// plans the wake-up at the first tick at or past the horizon, the
+    /// first one the motion cannot give ahead, and never later.
+    #[test]
+    fn a_far_parked_plan_stops_at_the_horizon() {
+        let round = params().round_time;
+        let end = SimTime::from_secs(1800.0);
+        let far = Point::new(2500.0 + 20_000.0, 2500.0);
+        let track = Track::new(
+            vec![(SimTime::ZERO, far)],
+            (SimTime::ZERO, SimTime::ZERO),
+            end,
         );
+        let mut ad = mk_ad(0);
+        ad.duration = SimDuration::from_secs(1e6);
+        let msg = AdMessage::gossip(ad);
+        for (i, kind) in ProtocolKind::ALL[1..].iter().copied().enumerate() {
+            let mut peer = Driven::new(kind, params(), UserProfile::indifferent(1), i as u64);
+            peer.call(&track, true, SimTime::ZERO, |g, c, o| g.on_start(c, o));
+            let admitted = SimTime::from_secs(20.0);
+            let meta = meta_at(far);
+            peer.call(&track, true, admitted, |g, c, o| {
+                g.on_receive(c, &msg, &meta, o)
+            });
+            let wake = peer.g.cache.get(msg.ad.id).expect("admitted").wake;
+            assert!(
+                wake >= end && wake < end + round,
+                "{kind}: wake-up at {wake:?}"
+            );
+            assert_eq!(peer.queue, [wake], "{kind}");
+            // All but the first tick were decided without reading a fix.
+            let ticks = (end.since(admitted).as_secs() / round.as_secs()) as u32;
+            assert!(
+                peer.without_fix + 2 >= ticks,
+                "{kind}: {} of {ticks}",
+                peer.without_fix
+            );
+        }
+    }
+
+    /// Issue positions near the origin, or up to 10¹² m from it.
+    fn issue_xy() -> impl Strategy<Value = (f64, f64)> {
+        prop_oneof![
+            (-1e4..1e4f64, -1e4..1e4f64),
+            (-1e12..1e12f64, -1e12..1e12f64)
+        ]
+    }
+
+    /// `R0` and the factor enlarging it (often none).
+    fn radius() -> impl Strategy<Value = (f64, f64)> {
+        (1.0..5000.0f64, prop_oneof![Just(1.0), 1.0..3.0f64])
+    }
+
+    /// Metres past `R` to `d_lo`, then from `d_lo` to the position:
+    /// both down to sub-millimetre.
+    fn gaps() -> impl Strategy<Value = (f64, f64)> {
+        (
+            prop_oneof![1e-9..1e-3f64, 0.0..5000.0f64],
+            prop_oneof![Just(0.0), 0.0..1e-3f64, 0.0..1e4f64],
+        )
+    }
+
+    proptest! {
+        /// The skip is sound: every position at least `d_lo > R` from the
+        /// issue position has a forwarding probability of at most
+        /// `outside_bound(d_lo)`, under both formulas, for any alpha and
+        /// beta, a radius enlarged past `R0` or not, ages around
+        /// `OPT1_WARMUP` and into `R_t`'s collapse, and issue positions up
+        /// to 10¹² m from the origin. It is checked at a drawn `d_lo` and
+        /// at the position's own distance, where the bound is tightest.
+        #[test]
+        fn outside_bound_covers_both_formulas(
+            (alpha, beta, annular) in (0.01..0.99f64, 0.01..0.99f64, any::<bool>()),
+            (x, y) in issue_xy(),
+            (r0, grow) in radius(),
+            (duration_s, age) in (1.0..3600.0f64, prop_oneof![0.0..120.0f64, 0.9..1.0001f64]),
+            (beyond, extra, theta) in (gaps(), 0.0..std::f64::consts::TAU)
+                .prop_map(|((b, e), th)| (b, e, th)),
+        ) {
+            let p = GossipParams::paper().with_alpha(alpha).with_beta(beta);
+            let issued = SimTime::from_secs(10.0);
+            let duration = SimDuration::from_secs(duration_s);
+            let mut ad = Advertisement::new(
+                AdId::new(PeerId(0), 0),
+                Point::new(x, y),
+                issued,
+                r0,
+                duration,
+                vec![],
+                0,
+                &p,
+            );
+            ad.radius *= grow;
+            // An age in seconds, up to past the warm-up, or a fraction of
+            // the duration near its end.
+            let age = if age > 2.0 {
+                SimDuration::from_secs(age)
+            } else {
+                duration.mul_f64(age)
+            };
+            let t = issued + age;
+            let r = ad.radius;
+            let out = r + beyond + extra;
+            let pos = Point::new(x + out * theta.cos(), y + out * theta.sin());
+            let d = pos.distance(ad.issue_pos);
+            let prob = probability(&p, annular, &ad, t, pos);
+            for d_lo in [r + beyond, d] {
+                if d_lo > r && d_lo <= d {
+                    let bound = outside_bound(alpha, d_lo, r);
+                    prop_assert!(prob <= bound, "p {prob} > {bound} at d_lo {d_lo}, d {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -121,7 +121,14 @@ impl PeerContext<'_> {
 /// The simulation world implements it over the fleet's immutable
 /// trajectories. A fixed `(Point, Vector)` pair is a motion that always
 /// reports them as the position and the velocity and never predicts a
-/// position, so a protocol driven by one runs every entry tick.
+/// position or bounds a drift, so a protocol driven by one runs every
+/// entry tick.
+///
+/// The entry-tick look-ahead asks two things about later instants: the
+/// exact fix ([`Motion::position_at`]) and, cheaper, how far the fix can
+/// have moved since one it already read ([`Motion::max_drift`]). A tick
+/// far enough outside the advertising area is decided from the drift
+/// bound alone, without reading its fix.
 pub trait Motion {
     /// The position fix at the callback's instant.
     fn position(&mut self) -> Point;
@@ -137,6 +144,19 @@ pub trait Motion {
     /// it ahead. Some `t` must answer `None`, or the look-ahead over a
     /// never-expiring ad that never fires would not end.
     fn position_at(&mut self, t: SimTime) -> Option<Point>;
+
+    /// An upper bound, metres, on the distance between the positions
+    /// [`Motion::position_at`] returns for `from` and for `to`
+    /// (`from <= to`), or `None`. It must be `None` wherever
+    /// `position_at(to)` is (a tick the look-ahead cannot decide ahead
+    /// must not be decided from a bound either), and wherever the fix is
+    /// not a point on the trajectory (noise). Rounding of the fixes
+    /// themselves is the caller's margin. `None`, the default, is always
+    /// safe: the look-ahead then reads the fix.
+    fn max_drift(&mut self, from: SimTime, to: SimTime) -> Option<f64> {
+        let _ = (from, to);
+        None
+    }
 }
 
 impl Motion for (Point, Vector) {

@@ -254,7 +254,14 @@ impl FaultPlan {
         for w in &self.partition_waves {
             w.validate();
         }
-        // NoiseRamp validates in its constructor.
+        // Overlapping ramps add variances, so the sum of the peaks'
+        // squares bounds the variance a fix ever draws with.
+        let mut peak_variance = 0.0;
+        for r in &self.gps_ramps {
+            r.validate();
+            peak_variance += r.sigma_peak * r.sigma_peak;
+        }
+        assert!(peak_variance.is_finite(), "GPS ramp variance is not finite");
     }
 }
 
@@ -479,7 +486,7 @@ mod tests {
         // forever (zero churn period) or panic on, at build time or
         // mid-run; `validate` must reject it first, naming the fault.
         type Breaker = fn(&mut Scenario);
-        let cases: [(&str, Breaker); 9] = [
+        let cases: [(&str, Breaker); 11] = [
             ("zero churn period", |s| {
                 s.churn = Some(ChurnSpec {
                     mean_up: SimDuration::ZERO,
@@ -510,6 +517,17 @@ mod tests {
             ("tx_range too large for formula (4)", |s| {
                 s.protocol = ProtocolKind::OptGossip2;
                 s.radio.range = f64::MAX / 4.0;
+            }),
+            ("GPS ramp variance is not finite", |s| {
+                let ramp = NoiseRamp::new(SimTime::ZERO, SimTime::from_secs(100.0), 1e200);
+                s.faults = FaultPlan::none().with_gps_ramp(ramp);
+            }),
+            ("invalid sigma_peak", |s| {
+                s.faults.gps_ramps.push(NoiseRamp {
+                    from: SimTime::ZERO,
+                    until: SimTime::from_secs(100.0),
+                    sigma_peak: f64::NAN,
+                });
             }),
         ];
         for (expected, breaker) in cases {

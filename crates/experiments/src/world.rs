@@ -80,6 +80,9 @@ pub struct World {
     /// Leg-cursor cache for the context's position lookup and on-demand
     /// velocity estimate; the medium keeps its own.
     cursor: FleetCursor,
+    /// The fleet's top speed, m/s, which bounds a peer's drift between
+    /// two fixes ([`Motion::max_drift`]).
+    max_speed: f64,
     ad_ids: Vec<AdId>,
     /// Per-node online flag; departed nodes are radio-silent and ignore
     /// timers.
@@ -133,12 +136,7 @@ const VELOCITY_FIX_WINDOW: SimDuration = SimDuration::from_millis(1000);
 /// function of the instant alone. Ground truth, and with it the delivery
 /// metrics and the radio's propagation geometry, stays exact.
 fn gps_fix(scenario: &Scenario, node: u32, t: SimTime, truth: Point) -> Point {
-    let sigma2: f64 = scenario
-        .faults
-        .gps_ramps
-        .iter()
-        .map(|r| r.sigma_at(t).powi(2))
-        .sum();
+    let sigma2 = gps_variance(scenario, t);
     if sigma2 > 0.0 {
         let key = ia_des::derive_seed(
             scenario.seed,
@@ -150,6 +148,17 @@ fn gps_fix(scenario: &Scenario, node: u32, t: SimTime, truth: Point) -> Point {
     }
 }
 
+/// The per-axis variance of the GPS noise at `t`, summed over the active
+/// ramps; a fix is noisy iff it is positive.
+fn gps_variance(scenario: &Scenario, t: SimTime) -> f64 {
+    scenario
+        .faults
+        .gps_ramps
+        .iter()
+        .map(|r| r.sigma_at(t).powi(2))
+        .sum()
+}
+
 /// A peer's motion at one callback instant: the position fix and the
 /// velocity estimate through the world's leg cursor, and exact future
 /// fixes from the fleet's immutable trajectories, each only when the
@@ -158,6 +167,8 @@ struct FleetMotion<'a> {
     cursor: &'a mut FleetCursor,
     fleet: &'a Fleet,
     scenario: &'a Scenario,
+    /// The fleet's top speed, m/s ([`Fleet::max_speed`]).
+    max_speed: f64,
     node: u32,
     now: SimTime,
     #[cfg(test)]
@@ -187,6 +198,21 @@ impl Motion for FleetMotion<'_> {
         }
         let truth = self.fleet.position(self.node, t);
         Some(gps_fix(self.scenario, self.node, t, truth))
+    }
+
+    /// The fleet's top speed times the elapsed time: no trajectory moves
+    /// faster. `None` wherever [`Self::position_at`] is, and while the
+    /// fix at either instant is noisy (the test [`gps_fix`] applies).
+    fn max_drift(&mut self, from: SimTime, to: SimTime) -> Option<f64> {
+        #[cfg(test)]
+        if self.per_tick {
+            return None;
+        }
+        let noisy = |t| gps_variance(self.scenario, t) > 0.0;
+        if to >= SimTime::ZERO + self.scenario.sim_time || noisy(from) || noisy(to) {
+            return None;
+        }
+        Some(self.max_speed * to.since(from).as_secs())
     }
 }
 
@@ -238,7 +264,8 @@ impl World {
         // Stale-grid queries widen by the fleet's top speed. Derived once
         // here — trajectories are immutable — so the medium need not scan
         // the fleet itself.
-        medium.set_fleet_speed_bound(fleet.max_speed());
+        let max_speed = fleet.max_speed();
+        medium.set_fleet_speed_bound(max_speed);
         for zone in &scenario.faults.jam_zones {
             medium.add_jam_zone(*zone);
         }
@@ -328,6 +355,7 @@ impl World {
             sink: ActionSink::new(),
             outcome: BroadcastOutcome::default(),
             cursor: FleetCursor::new(),
+            max_speed,
             ad_ids,
             online,
             profile: None,
@@ -612,6 +640,7 @@ impl World {
                 cursor: &mut self.cursor,
                 fleet: &self.fleet,
                 scenario: &self.scenario,
+                max_speed: self.max_speed,
                 node,
                 now,
                 #[cfg(test)]

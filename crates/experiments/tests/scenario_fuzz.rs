@@ -2,8 +2,9 @@
 //! completion. Each case draws a protocol, mobility model, speed spec,
 //! field, radio range, fault plan and churn spec — edge values included
 //! (zero and sub-`MIN_SPEED` speeds, zero-width and 10¹² m fields, ranges
-//! up to `f64::MAX` and infinite, empty fault windows) — on small, short
-//! runs. Scenarios `validate` rejects are skipped; the rest go through
+//! up to `f64::MAX` and infinite, empty fault windows, GPS ramps whose
+//! variance overflows) — on small, short runs. Scenarios `validate`
+//! rejects are skipped; the rest go through
 //! `run_scenario`, which must not panic. A second property runs only the
 //! four gossip protocols, whose entry ticks are decided ahead, with churn,
 //! partition waves and GPS ramps drawn more often: the look-ahead must
@@ -71,6 +72,12 @@ fn window() -> impl Strategy<Value = (f64, f64)> {
     (0.0..130.0f64, mostly(0.0..130.0f64, Just(0.0)))
 }
 
+/// A GPS ramp's peak sigma, metres: up to 500, or so large that its
+/// square nears or passes `f64::MAX`.
+fn ramp_sigma() -> impl Strategy<Value = f64> {
+    mostly(0.0..500.0f64, 1e150..1e300f64)
+}
+
 fn fault_plan() -> impl Strategy<Value = FaultPlan> {
     (
         proptest::option::of((
@@ -82,7 +89,7 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
         proptest::option::of((window(), 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64)),
         proptest::option::of((window(), 0.0..1.02f64, 0u32..20)),
         proptest::option::of((0.0..130.0f64, 0.0..1.02f64, 0.0..60.0f64)),
-        proptest::option::of((0.0..130.0f64, 0.1..130.0f64, 0.0..500.0f64)),
+        proptest::option::of((0.0..130.0f64, 0.1..130.0f64, ramp_sigma())),
     )
         .prop_map(|(jam, burst, corrupt, wave, ramp)| {
             let mut plan = FaultPlan::none();
@@ -134,7 +141,7 @@ fn wave_and_ramp_plan() -> impl Strategy<Value = FaultPlan> {
     (
         fault_plan(),
         (0.0..130.0f64, 0.0..1.02f64, 0.0..60.0f64),
-        (0.0..130.0f64, 0.1..130.0f64, 0.0..500.0f64),
+        (0.0..130.0f64, 0.1..130.0f64, ramp_sigma()),
     )
         .prop_map(|(plan, (at, fraction, down_s), (from, len, sigma))| {
             plan.with_partition_wave(PartitionWave {

@@ -69,16 +69,25 @@ pub struct NoiseRamp {
 
 impl NoiseRamp {
     pub fn new(from: SimTime, until: SimTime, sigma_peak: f64) -> Self {
-        assert!(until > from, "empty ramp window");
-        assert!(
-            sigma_peak >= 0.0 && sigma_peak.is_finite(),
-            "invalid sigma_peak {sigma_peak}"
-        );
-        NoiseRamp {
+        let ramp = NoiseRamp {
             from,
             until,
             sigma_peak,
-        }
+        };
+        ramp.validate();
+        ramp
+    }
+
+    /// Panic unless the window is non-empty and the peak is finite and
+    /// non-negative. The fields are public, so a ramp built without
+    /// [`NoiseRamp::new`] is checked here.
+    pub fn validate(&self) {
+        assert!(self.until > self.from, "empty ramp window");
+        assert!(
+            self.sigma_peak >= 0.0 && self.sigma_peak.is_finite(),
+            "invalid sigma_peak {}",
+            self.sigma_peak
+        );
     }
 
     /// The ramp's noise level at `t` (0 outside the window).
