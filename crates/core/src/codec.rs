@@ -101,7 +101,7 @@ const CRC32_TABLE: [u32; 256] = {
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
 ///
 /// Table-driven, one lookup per byte. Fault-injected runs decide most
-/// corrupted frames with [`flips_pass_crc`] and compute this only for
+/// corrupted frames with a [`FlipVerdict`] and compute this only for
 /// the rare flip set that passes it. The codec tests pin it against the
 /// bitwise form.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -117,44 +117,73 @@ fn crc32_step(crc: u32, byte: u8) -> u32 {
     (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xFF) as usize]
 }
 
-/// Would a frame of `frame_len` bytes from [`encode_frame`], with the
-/// bits at positions `bits` flipped (bit `i` is bit `i % 8` of byte
-/// `i / 8`), still pass [`decode_frame`]'s CRC check?
+/// Decides whether bit flips in a frame from [`encode_frame`] get past
+/// [`decode_frame`]'s CRC check, from the flip positions alone, without
+/// building the frame.
 ///
-/// Exact, and it never builds the frame: CRC-32 is affine over GF(2),
-/// so for frames of one length the check fails iff the CRC's linear part
-/// (register from zero, no final XOR) over the body's flips differs from
-/// the trailer's flips. Only the bytes from the first flipped body byte
-/// to the end of the body go through the register. A position listed
-/// twice cancels, as on the real frame. `bits` is sorted in place; no
-/// allocation.
+/// CRC-32 is affine over GF(2): flipping body bit `b` changes the CRC by
+/// a syndrome `S_b` that depends only on `b` and the body length, and
+/// flipping trailer bit `j` changes the stored CRC by `1 << j`. So the
+/// check still passes iff the XOR of every flip's change is zero. For
+/// body bit `i` of the last body byte, `S` is one register step over the
+/// byte `1 << i`; each byte further from the end adds one register step
+/// `Z` over a zero byte, so `S_b = Z(S_{b+8})` builds the table from the
+/// end, 8 entries per body byte.
 ///
-/// Panics if `frame_len` is shorter than the trailer or a position lies
-/// outside the frame.
-pub fn flips_pass_crc(frame_len: usize, bits: &mut [u64]) -> bool {
-    let body_len = frame_len
-        .checked_sub(FRAME_CRC_BYTES)
-        .expect("frame shorter than its CRC trailer");
-    bits.sort_unstable();
-    let body_bits = body_len as u64 * 8;
-    let (body, trailer) = bits.split_at(bits.partition_point(|&b| b < body_bits));
-    let mut trailer_flips = 0u32;
-    for &b in trailer {
-        assert!(b < frame_len as u64 * 8, "bit {b} outside the frame");
-        trailer_flips ^= 1 << (b - body_bits);
+/// The table is kept for the last frame length asked about and rebuilt
+/// (in its own buffer) when the length changes. A verdict is then one
+/// table read or shift and one XOR per flip. A position listed twice
+/// cancels, as on the real frame.
+#[derive(Debug, Clone, Default)]
+pub struct FlipVerdict {
+    /// Frame length the table is for; 0 before the first verdict.
+    frame_len: usize,
+    /// `syndromes[b]`: the CRC change flipping body bit `b` causes.
+    syndromes: Vec<u32>,
+}
+
+impl FlipVerdict {
+    pub fn new() -> Self {
+        FlipVerdict::default()
     }
-    let mut syndrome = 0u32;
-    let mut next = 0;
-    let first_byte = body.first().map_or(body_len, |&b| (b / 8) as usize);
-    for byte in first_byte..body_len {
-        let mut flips = 0u8;
-        while next < body.len() && (body[next] / 8) as usize == byte {
-            flips ^= 1 << (body[next] % 8);
-            next += 1;
+
+    /// Would a frame of `frame_len` bytes, with the bits at positions
+    /// `bits` flipped (bit `i` is bit `i % 8` of byte `i / 8`), still
+    /// pass the CRC check?
+    ///
+    /// Panics if `frame_len` is shorter than the trailer or a position
+    /// lies outside the frame.
+    pub fn passes(&mut self, frame_len: usize, bits: &[u64]) -> bool {
+        let body_len = frame_len
+            .checked_sub(FRAME_CRC_BYTES)
+            .expect("frame shorter than its CRC trailer");
+        if frame_len != self.frame_len {
+            self.rekey(frame_len, body_len);
         }
-        syndrome = crc32_step(syndrome, flips);
+        let body_bits = body_len as u64 * 8;
+        let mut residue = 0u32;
+        for &b in bits {
+            residue ^= if b < body_bits {
+                self.syndromes[b as usize]
+            } else {
+                assert!(b < frame_len as u64 * 8, "bit {b} outside the frame");
+                1 << (b - body_bits)
+            };
+        }
+        residue == 0
     }
-    syndrome == trailer_flips
+
+    fn rekey(&mut self, frame_len: usize, body_len: usize) {
+        self.frame_len = frame_len;
+        self.syndromes.clear();
+        self.syndromes.resize(body_len * 8, 0);
+        for b in (0..body_len * 8).rev() {
+            self.syndromes[b] = match self.syndromes.get(b + 8) {
+                Some(&later) => crc32_step(later, 0),
+                None => CRC32_TABLE[1 << (b % 8)],
+            };
+        }
+    }
 }
 
 struct Writer {

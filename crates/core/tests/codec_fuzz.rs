@@ -7,8 +7,9 @@
 //! are the contract the chaos plans rely on.
 //!
 //! The world decides a corrupted frame's fate from its flip positions
-//! alone ([`codec::flips_pass_crc`]), so that verdict is pinned here
-//! against the real encode → flip → decode path.
+//! alone ([`codec::FlipVerdict`]'s syndrome table), so that verdict is
+//! pinned here against the real encode → flip → decode path and against
+//! [`flips_pass_crc`], a table-free oracle.
 
 use ia_core::codec::{self, CodecError, FRAME_CRC_BYTES};
 use ia_core::protocol::AdMessage;
@@ -156,27 +157,90 @@ fn flip(frame: &mut [u8], bits: &[u64]) {
     }
 }
 
+/// The oracle for [`codec::FlipVerdict`]: would a frame of `frame_len`
+/// bytes with `bits` flipped still pass its CRC check? CRC-32 is affine
+/// over GF(2), so the flips change a body's CRC by
+/// `crc32(e) ^ crc32(0…0)`, `e` being the body's flip pattern; the check
+/// passes iff that change equals the flips of the CRC trailer.
+fn flips_pass_crc(frame_len: usize, bits: &[u64]) -> bool {
+    let body_len = frame_len - FRAME_CRC_BYTES;
+    let mut pattern = vec![0u8; frame_len];
+    flip(&mut pattern, bits);
+    let (body, trailer) = pattern.split_at(body_len);
+    let change = codec::crc32(body) ^ codec::crc32(&vec![0; body_len]);
+    change == u32::from_le_bytes(trailer.try_into().unwrap())
+}
+
+/// Does decoding `frame` with `bits` flipped get past the CRC check?
+fn decode_passes_crc(frame: &[u8], bits: &[u64]) -> bool {
+    let mut dirty = frame.to_vec();
+    flip(&mut dirty, bits);
+    !matches!(
+        codec::decode_frame(&dirty),
+        Err(CodecError::ChecksumMismatch { .. })
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    /// The flip-position verdict equals the frame path's: true iff
-    /// decoding the flipped frame gets past the CRC check.
+    /// The oracle's verdict equals the frame path's: true iff decoding
+    /// the flipped frame gets past the CRC check.
     #[test]
     fn flip_verdict_matches_frame_decode(
         msg in arb_message(),
         raw in proptest::collection::vec(any::<u64>(), 1..MAX_FLIPS + 1),
         shape in 0u8..5,
     ) {
-        let mut frame = codec::encode_frame(&msg);
+        let frame = codec::encode_frame(&msg);
         let bits = flip_positions(frame.len(), &raw, shape);
-        flip(&mut frame, &bits);
-        let passes = !matches!(
-            codec::decode_frame(&frame),
-            Err(CodecError::ChecksumMismatch { .. })
-        );
-        prop_assert_eq!(codec::flips_pass_crc(frame.len(), &mut bits.clone()), passes);
+        let passes = decode_passes_crc(&frame, &bits);
+        prop_assert_eq!(flips_pass_crc(frame.len(), &bits), passes);
         if shape == 4 {
             prop_assert!(passes, "cancelling pairs must restore the frame");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The syndrome-table verdict equals the frame path's and the
+    /// oracle's, and passes a crafted CRC escape (body flips plus the
+    /// trailer flips equal to the CRC change they cause). One verdict
+    /// serves frames of several lengths in turn, so its table is rebuilt
+    /// between calls, and back again.
+    #[test]
+    fn syndrome_verdict_matches_frame_decode(
+        frames in proptest::collection::vec(
+            (
+                arb_message(),
+                proptest::collection::vec(any::<u64>(), 1..MAX_FLIPS + 1),
+                0u8..5,
+            ),
+            1..6,
+        ),
+    ) {
+        let mut verdict = codec::FlipVerdict::new();
+        for round in 0..2 {
+            for (msg, raw, shape) in &frames {
+                let frame = codec::encode_frame(msg);
+                let shape = (shape + round) % 5;
+                let bits = flip_positions(frame.len(), raw, shape);
+                let passes = decode_passes_crc(&frame, &bits);
+                prop_assert_eq!(verdict.passes(frame.len(), &bits), passes);
+                prop_assert_eq!(flips_pass_crc(frame.len(), &bits), passes);
+
+                let body_len = frame.len() - FRAME_CRC_BYTES;
+                let body_bits = body_len as u64 * 8;
+                let mut escape: Vec<u64> = raw.iter().take(16).map(|&r| r % body_bits).collect();
+                let mut dirty = frame.clone();
+                flip(&mut dirty, &escape);
+                let change = codec::crc32(&dirty[..body_len]) ^ codec::crc32(&frame[..body_len]);
+                escape.extend((0..32).filter(|k| change >> k & 1 == 1).map(|k| body_bits + k));
+                prop_assert!(decode_passes_crc(&frame, &escape));
+                prop_assert!(verdict.passes(frame.len(), &escape));
+            }
         }
     }
 }
@@ -218,15 +282,15 @@ fn crafted_crc_escape_passes_verdict_and_check() {
     let mut escaped = clean.clone();
     flip(&mut escaped, &bits);
     assert_ne!(escaped, clean);
-    assert!(codec::flips_pass_crc(clean.len(), &mut bits.clone()));
+    let mut verdict = codec::FlipVerdict::new();
+    assert!(verdict.passes(clean.len(), &bits));
+    assert!(flips_pass_crc(clean.len(), &bits));
     assert!(
-        !matches!(
-            codec::decode_frame(&escaped),
-            Err(CodecError::ChecksumMismatch { .. })
-        ),
+        decode_passes_crc(&clean, &bits),
         "the crafted frame must get past the CRC check"
     );
     // One trailer flip fewer is caught.
     bits.pop();
-    assert!(!codec::flips_pass_crc(clean.len(), &mut bits));
+    assert!(!verdict.passes(clean.len(), &bits));
+    assert!(!flips_pass_crc(clean.len(), &bits));
 }

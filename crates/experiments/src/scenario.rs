@@ -455,6 +455,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ia_radio::LossModel;
 
     #[test]
     fn paper_scenario_matches_table2() {
@@ -486,7 +487,7 @@ mod tests {
         // forever (zero churn period) or panic on, at build time or
         // mid-run; `validate` must reject it first, naming the fault.
         type Breaker = fn(&mut Scenario);
-        let cases: [(&str, Breaker); 11] = [
+        let cases: [(&str, Breaker); 15] = [
             ("zero churn period", |s| {
                 s.churn = Some(ChurnSpec {
                     mean_up: SimDuration::ZERO,
@@ -528,6 +529,22 @@ mod tests {
                     until: SimTime::from_secs(100.0),
                     sigma_peak: f64::NAN,
                 });
+            }),
+            ("loss probability = 1.5 outside [0, 1]", |s| {
+                s.radio.loss = LossModel::Bernoulli(1.5)
+            }),
+            ("loss probability = NaN outside [0, 1]", |s| {
+                s.radio.loss = LossModel::Bernoulli(f64::NAN)
+            }),
+            ("reliable_frac = -0.5 outside [0, 1]", |s| {
+                s.radio.loss = LossModel::DistanceRamp {
+                    reliable_frac: -0.5,
+                }
+            }),
+            ("reliable_frac = NaN outside [0, 1]", |s| {
+                s.radio.loss = LossModel::DistanceRamp {
+                    reliable_frac: f64::NAN,
+                }
             }),
         ];
         for (expected, breaker) in cases {

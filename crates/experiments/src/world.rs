@@ -67,6 +67,9 @@ pub struct World {
     /// Frame-corruption draws (fault injection); consumed only while a
     /// corruption window is active, so fault-free runs never touch it.
     fault_rng: SimRng,
+    /// The corruption verdict's syndrome table, built at the first
+    /// corrupted frame and kept for its length.
+    flip_verdict: codec::FlipVerdict,
     /// The paper's delivery metrics, fed on every `Action::Accepted`.
     tracker: DeliveryTracker,
     /// Passive instrumentation, fed every hook in attachment order.
@@ -345,6 +348,7 @@ impl World {
         World {
             radio_rng: SimRng::derive(scenario.seed, stream::RADIO),
             fault_rng: SimRng::derive(scenario.seed, stream::FAULT | stream::fault::CORRUPT),
+            flip_verdict: codec::FlipVerdict::new(),
             scenario,
             fleet,
             medium,
@@ -572,7 +576,7 @@ impl World {
     /// has caught the flips and the drop is reported.
     ///
     /// The verdict comes from the flip positions alone
-    /// ([`codec::flips_pass_crc`]). Only a flip set that passes the CRC
+    /// ([`codec::FlipVerdict`]). Only a flip set that passes the CRC
     /// (flips that cancel, or an undetected error, about 2⁻³²) builds,
     /// flips and decodes the real frame, so the outcome is exactly that
     /// of the frame path.
@@ -595,7 +599,7 @@ impl World {
         for bit in flips.iter_mut() {
             *bit = self.fault_rng.range_u64(0, frame_len as u64 * 8);
         }
-        if codec::flips_pass_crc(frame_len, flips) {
+        if self.flip_verdict.passes(frame_len, flips) {
             let mut frame = codec::encode_frame(&msg);
             for &bit in flips.iter() {
                 frame[(bit / 8) as usize] ^= 1 << (bit % 8);

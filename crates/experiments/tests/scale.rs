@@ -4,8 +4,9 @@
 //! 300 to 3000 peers for a full 1800 s life cycle at seed 1. Each test
 //! pins the run's whole [`RunResult`] (via `Debug`, which round-trips
 //! every `f64` exactly) plus the exact work counters behind it: events
-//! delivered, queue pushes/pops/cascades, spatial-grid rebuilds/queries,
-//! and per-entry wake-ups (every protocol's one timer) by outcome. The
+//! delivered, queue pushes/pops/cascades, spatial-grid rebuilds, queries
+//! and candidates evaluated exactly, and per-entry wake-ups (every
+//! protocol's one timer) by outcome. The
 //! counters do not depend on the host, so any change to event ordering,
 //! timer scheduling or the grid refresh policy shows up here as an exact
 //! diff, in debug and in release alike.
@@ -24,6 +25,7 @@ struct Pin {
     cascades: u64,
     grid_rebuilds: u64,
     grid_queries: u64,
+    grid_candidates: u64,
     entry_wakeups: EntryWakeups,
 }
 
@@ -45,6 +47,7 @@ fn check(scenario: Scenario, pin: Pin) {
         q.cascades,
         w.medium().grid_rebuilds(),
         w.medium().grid_queries(),
+        w.medium().grid_candidates(),
     );
     let want = (
         pin.events,
@@ -53,10 +56,11 @@ fn check(scenario: Scenario, pin: Pin) {
         pin.cascades,
         pin.grid_rebuilds,
         pin.grid_queries,
+        pin.grid_candidates,
     );
     assert_eq!(
         got, want,
-        "(events, pushes, pops, cascades, grid rebuilds, grid queries)"
+        "(events, pushes, pops, cascades, grid rebuilds, grid queries, grid candidates)"
     );
     assert_eq!(w.entry_wakeups(), pin.entry_wakeups, "entry wake-ups");
 }
@@ -76,6 +80,7 @@ fn opt_dense() {
             cascades: 758_209,
             grid_rebuilds: 209,
             grid_queries: 5613,
+            grid_candidates: 548_147,
             entry_wakeups: EntryWakeups {
                 fired: 28_127,
                 rearmed: 69_509,
@@ -108,8 +113,9 @@ fn gossip_chaos() {
             pushes: 1_091_125,
             pops: 1_090_132,
             cascades: 1_961_450,
-            grid_rebuilds: 1743,
+            grid_rebuilds: 594,
             grid_queries: 75_343,
+            grid_candidates: 1_606_497,
             entry_wakeups: EntryWakeups {
                 fired: 75_342,
                 rearmed: 23,
@@ -132,6 +138,7 @@ fn flooding_300() {
             cascades: 185_431,
             grid_rebuilds: 359,
             grid_queries: 19_898,
+            grid_candidates: 101_895,
             entry_wakeups: EntryWakeups {
                 fired: 359,
                 rearmed: 0,

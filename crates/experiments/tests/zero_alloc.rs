@@ -11,7 +11,7 @@
 //! exactly zero allocations. The proofs cover: scheduler churn, grid
 //! rebuilds and queries, broadcast → dispatch (with and without forced
 //! grid rebuilds), duplicate receipts, non-forwarding entry ticks, and
-//! the corruption verdict (`codec::flips_pass_crc`). The last test
+//! the corruption verdict (`codec::FlipVerdict`). The last test
 //! checks that attaching a passive observer adds no allocation to a
 //! whole `World::run`.
 
@@ -467,16 +467,20 @@ impl SimObserver for HookCounts {
     }
 }
 
-/// The corruption verdict allocates nothing: frames of several lengths,
-/// each with 1..=`MAX_FLIPS` flips drawn into a stack array as the world
-/// draws them, some repeated so that they cancel.
+/// The corruption verdict allocates nothing once its syndrome table has
+/// grown to the longest frame: frames of several lengths (so the table is
+/// rebuilt in place), each with 1..=`MAX_FLIPS` flips drawn into a stack
+/// array as the world draws them, some repeated so that they cancel.
 #[test]
 fn corruption_verdict_allocates_nothing() {
+    const MAX_FRAME: usize = 689;
     let mut rng = SimRng::from_master(5);
+    let mut verdict = codec::FlipVerdict::new();
+    verdict.passes(MAX_FRAME, &[0]);
     let mut verdicts = |rounds: usize| {
         let mut passed = 0;
         for round in 0..rounds {
-            let frame_len = 90 + rng.range_u64(0, 600) as usize;
+            let frame_len = MAX_FRAME - rng.range_u64(0, 600) as usize;
             let mut bits = [0u64; MAX_FLIPS as usize];
             let n = 1 + rng.range_u64(0, MAX_FLIPS as u64) as usize;
             for bit in &mut bits[..n] {
@@ -490,11 +494,10 @@ fn corruption_verdict_allocates_nothing() {
             } else {
                 &mut bits[..n]
             };
-            passed += codec::flips_pass_crc(frame_len, black_box(flips)) as usize;
+            passed += verdict.passes(frame_len, black_box(flips)) as usize;
         }
         passed
     };
-    verdicts(64);
     let (allocs, passed) = allocations_during(|| verdicts(4096));
     assert_eq!(allocs, 0, "the corruption verdict allocated");
     assert_eq!(passed, 1024, "only the cancelling sets pass");

@@ -5,18 +5,25 @@
 //!
 //! ```text
 //! cell_start: [0, 2, 2, 5, ...]          one offset per cell, +1 sentinel
-//! ids:        [3, 9,  1, 4, 7, ...]      packed entries, id-sorted per cell
+//! ids:        [3, 9,  1, 4, 7, ...]      packed entries, grouped by cell
 //! pos:        [p3, p9, p1, p4, p7, ...]  parallel positions
+//! payload:    [v3, v9, v1, v4, v7, ...]  parallel caller data (`T`)
 //! ```
 //!
-//! Rebuilds are a two-pass counting sort (count, scatter) into recycled
-//! buffers, so a warm rebuild allocates nothing. Cells are row-major, so
-//! the cells a disk overlaps in one grid row form one packed range; a
-//! query scans those ranges, keeps the entries inside the disk and sorts
-//! the (short) result by id. Ids are the dense indices `0..n` of the
-//! position slice, matching the fleet's node ids, and query output is
-//! bit-for-bit a brute-force linear scan's (pinned by the property tests
-//! below).
+//! A rebuild re-samples every entry in its current packed slot, computes
+//! each entry's cell once, counts entries per cell and then permutes the
+//! packed arrays into cell order in place (cycle by cycle), so a warm
+//! rebuild allocates nothing and needs no second copy of the entries.
+//! The permutation is stable: entries of one cell keep their previous
+//! relative order (ascending id after a first build).
+//!
+//! Cells are row-major, so the cells a disk overlaps in one grid row form
+//! one packed range. [`FlatGrid::scan_disk`] visits the entries of those
+//! ranges that lie inside the disk; the medium filters them further on
+//! the payload it keeps there, and [`FlatGrid::query_disk_into`] collects
+//! them sorted by id. Ids are the dense indices `0..n` of the position
+//! slice, matching the fleet's node ids, and query output is bit-for-bit
+//! a brute-force linear scan's (pinned by the property tests below).
 //!
 //! The grid owns its memory bound: a rebuild coarsens the requested cell
 //! until the bounding rectangle spans at most `max(4·n, 1024)` cells, so
@@ -25,9 +32,10 @@
 
 use crate::point::Point;
 
-/// A dense CSR grid over points with ids `0..n` (slice index = id).
-#[derive(Debug, Clone, Default)]
-pub struct FlatGrid {
+/// A dense CSR grid over points with ids `0..n`, each carrying a payload
+/// of type `T` in packed order next to its position.
+#[derive(Debug, Clone)]
+pub struct FlatGrid<T = ()> {
     cell: f64,
     /// Cell-coordinate origin of the bounded rectangle.
     min_cx: i32,
@@ -38,12 +46,31 @@ pub struct FlatGrid {
     /// `cell_start[c]..cell_start[c + 1]` is cell `c`'s packed range
     /// (row-major over the rectangle); length `ncx * ncy + 1`.
     cell_start: Vec<u32>,
-    /// Packed entry ids, ascending within each cell.
+    /// Packed entry ids, grouped by cell.
     ids: Vec<u32>,
     /// Packed entry positions, parallel to `ids`.
     pos: Vec<Point>,
-    /// Scatter-pass write heads, recycled across rebuilds.
-    write_heads: Vec<u32>,
+    /// Packed caller payloads, parallel to `ids`.
+    payload: Vec<T>,
+    /// Rebuild scratch, one per entry: its cell, then its new slot.
+    dest: Vec<u32>,
+}
+
+impl<T> Default for FlatGrid<T> {
+    fn default() -> Self {
+        FlatGrid {
+            cell: 0.0,
+            min_cx: 0,
+            min_cy: 0,
+            ncx: 0,
+            ncy: 0,
+            cell_start: Vec::new(),
+            ids: Vec::new(),
+            pos: Vec::new(),
+            payload: Vec::new(),
+            dest: Vec::new(),
+        }
+    }
 }
 
 impl FlatGrid {
@@ -59,6 +86,18 @@ impl FlatGrid {
         g
     }
 
+    /// Rebuild the index in place from `positions` (id = slice index),
+    /// with cells of side `cell`, doubled as often as the spread of the
+    /// points needs to keep the rectangle within its cell budget. All
+    /// buffers retain capacity, so steady-state rebuilds over a stable
+    /// point cloud perform **zero allocations** (asserted by the
+    /// counting-allocator tests in `crates/experiments/tests/zero_alloc.rs`).
+    pub fn rebuild(&mut self, cell: f64, positions: &[Point]) {
+        self.resample(cell, positions.len(), |id, _| (positions[id as usize], ()));
+    }
+}
+
+impl<T> FlatGrid<T> {
     /// Number of stored points.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -79,33 +118,62 @@ impl FlatGrid {
         (cy - self.min_cy) as usize * self.ncx + (cx - self.min_cx) as usize
     }
 
-    /// Rebuild the index in place from `positions` (id = slice index),
-    /// with cells of side `cell`, doubled as often as the spread of the
-    /// points needs to keep the rectangle within its cell budget.
+    /// Re-sample all `n` entries, then re-sort them into cells of side
+    /// `cell` (coarsened to the cell budget as in [`FlatGrid::rebuild`]).
     ///
-    /// Two passes: count entries per cell into the offset table, prefix-sum
-    /// it, then scatter ids/positions into the packed arrays. All buffers
-    /// retain capacity, so steady-state rebuilds over a stable point cloud
-    /// perform **zero allocations** (asserted by the counting-allocator
-    /// tests in `crates/experiments/tests/zero_alloc.rs`).
-    pub fn rebuild(&mut self, cell: f64, positions: &[Point]) {
+    /// `sample(id, previous)` returns entry `id`'s position and payload;
+    /// `previous` is the payload the entry carried before, or `None` when
+    /// the grid held a different number of entries (the first build).
+    /// Entries are sampled in their current packed order.
+    pub fn resample(
+        &mut self,
+        cell: f64,
+        n: usize,
+        mut sample: impl FnMut(u32, Option<&T>) -> (Point, T),
+    ) {
         assert!(cell > 0.0 && cell.is_finite(), "grid cell must be positive");
-        let n = positions.len();
-        if n == 0 {
-            self.cell = cell;
-            self.min_cx = 0;
-            self.min_cy = 0;
-            self.ncx = 0;
-            self.ncy = 0;
-            self.cell_start.clear();
+        if self.ids.len() == n {
+            for s in 0..n {
+                let (p, v) = sample(self.ids[s], Some(&self.payload[s]));
+                self.pos[s] = p;
+                self.payload[s] = v;
+            }
+        } else {
             self.ids.clear();
             self.pos.clear();
+            self.payload.clear();
+            self.dest.clear();
+            // Exact capacities: these buffers live as long as the grid.
+            self.ids.reserve_exact(n);
+            self.pos.reserve_exact(n);
+            self.payload.reserve_exact(n);
+            self.dest.reserve_exact(n);
+            for id in 0..n as u32 {
+                let (p, v) = sample(id, None);
+                self.ids.push(id);
+                self.pos.push(p);
+                self.payload.push(v);
+            }
+        }
+        self.sort_into_cells(cell);
+    }
+
+    /// Bound the packed positions, size the cell rectangle, then move
+    /// every entry to its cell's packed range: a counting sort whose
+    /// scatter is an in-place, stable permutation.
+    fn sort_into_cells(&mut self, cell: f64) {
+        let n = self.ids.len();
+        self.cell_start.clear();
+        self.dest.clear();
+        if n == 0 {
+            self.cell = cell;
+            (self.min_cx, self.min_cy, self.ncx, self.ncy) = (0, 0, 0, 0);
             return;
         }
         // Bounding box, then the cell: coarsened until the bounding cell
         // rectangle fits the budget.
-        let (mut lo, mut hi) = (positions[0], positions[0]);
-        for &p in &positions[1..] {
+        let (mut lo, mut hi) = (self.pos[0], self.pos[0]);
+        for &p in &self.pos[1..] {
             debug_assert!(p.is_finite(), "non-finite point");
             lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
             hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
@@ -119,55 +187,58 @@ impl FlatGrid {
         self.cell = cell;
         let (min_cx, min_cy) = Self::cell_of(cell, lo);
         let (max_cx, max_cy) = Self::cell_of(cell, hi);
-        let ncx = (max_cx - min_cx) as usize + 1;
-        let ncy = (max_cy - min_cy) as usize + 1;
-        let ncells = ncx * ncy;
         self.min_cx = min_cx;
         self.min_cy = min_cy;
-        self.ncx = ncx;
-        self.ncy = ncy;
+        self.ncx = (max_cx - min_cx) as usize + 1;
+        self.ncy = (max_cy - min_cy) as usize + 1;
+        let ncells = self.ncx * self.ncy;
 
-        // Pass 1: per-cell counts in cell_start[1..], then prefix-sum so
-        // cell_start[c] is cell c's packed start offset.
-        self.cell_start.clear();
+        // Each entry's cell, computed once, and per-cell counts at
+        // `c + 1`; an inclusive scan turns the counts into start offsets.
         self.cell_start.resize(ncells + 1, 0);
-        for &p in positions {
+        for &p in &self.pos {
             let (cx, cy) = Self::cell_of(cell, p);
             let c = self.cell_index(cx, cy);
+            self.dest.push(c as u32);
             self.cell_start[c + 1] += 1;
         }
-        // Counts live at `c + 1`, so an inclusive scan turns the table
-        // into start offsets: cell_start[c] = sum of counts before c.
         let mut running = 0u32;
         for s in self.cell_start.iter_mut() {
             running += *s;
             *s = running;
         }
-
-        // Pass 2: scatter in ascending id order; stability makes each
-        // cell's packed run id-sorted.
-        self.write_heads.clear();
-        self.write_heads
-            .extend_from_slice(&self.cell_start[..ncells]);
-        self.ids.clear();
-        self.ids.resize(n, 0);
-        self.pos.clear();
-        self.pos.resize(n, Point::ORIGIN);
-        for (id, &p) in positions.iter().enumerate() {
-            let (cx, cy) = Self::cell_of(cell, p);
-            let c = self.cell_index(cx, cy);
-            let w = self.write_heads[c] as usize;
-            self.ids[w] = id as u32;
-            self.pos[w] = p;
-            self.write_heads[c] = w as u32 + 1;
+        // Each entry's new slot, in packed order (so the sort is stable),
+        // with `cell_start[c]` as cell c's write head. The heads end at
+        // the next cell's start, so shifting them up one restores the
+        // start offsets.
+        for d in self.dest.iter_mut() {
+            let c = *d as usize;
+            *d = self.cell_start[c];
+            self.cell_start[c] += 1;
+        }
+        self.cell_start.copy_within(..ncells, 1);
+        self.cell_start[0] = 0;
+        // Apply the permutation cycle by cycle: every swap puts one entry
+        // in its final slot.
+        for s in 0..n {
+            loop {
+                let d = self.dest[s] as usize;
+                if d == s {
+                    break;
+                }
+                self.ids.swap(s, d);
+                self.pos.swap(s, d);
+                self.payload.swap(s, d);
+                self.dest.swap(s, d);
+            }
         }
     }
 
-    /// Collect all `(id, position)` entries within `radius` of `center`
-    /// (inclusive boundary, with `EPS` slack) into
-    /// `out`, cleared first, in ascending id order.
-    pub fn query_disk_into(&self, center: Point, radius: f64, out: &mut Vec<(u32, Point)>) {
-        out.clear();
+    /// Visit every entry within `radius` of `center` (inclusive boundary,
+    /// with `EPS` slack): `visit(id, position, payload)`, in packed order.
+    /// The one disk scan; [`FlatGrid::query_disk_into`] wraps it.
+    #[inline]
+    pub fn scan_disk(&self, center: Point, radius: f64, mut visit: impl FnMut(u32, Point, &T)) {
         if radius < 0.0 || self.ids.is_empty() {
             return;
         }
@@ -183,9 +254,6 @@ impl FlatGrid {
         if cx0 > cx1 || cy0 > cy1 {
             return;
         }
-        // Collect the in-disk entries of every overlapping cell, then sort
-        // by id: ids are unique, so the order is total and the output
-        // matches a linear scan's.
         for cy in cy0..=cy1 {
             let row = self.cell_index(cx0, cy);
             let (s, e) = (
@@ -195,10 +263,20 @@ impl FlatGrid {
             for i in s..e {
                 let p = self.pos[i];
                 if center.distance_sq(p) <= r_sq + crate::EPS {
-                    out.push((self.ids[i], p));
+                    visit(self.ids[i], p, &self.payload[i]);
                 }
             }
         }
+    }
+
+    /// Collect all `(id, position)` entries within `radius` of `center`
+    /// (inclusive boundary, with `EPS` slack) into `out`, cleared first,
+    /// in ascending id order.
+    pub fn query_disk_into(&self, center: Point, radius: f64, out: &mut Vec<(u32, Point)>) {
+        out.clear();
+        self.scan_disk(center, radius, |id, p, _| out.push((id, p)));
+        // Ids are unique, so the order is total and the output matches a
+        // linear scan's.
         out.sort_unstable_by_key(|&(id, _)| id);
     }
 }

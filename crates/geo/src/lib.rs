@@ -12,9 +12,10 @@
 //!   two-circle *lens* overlap area needed by the paper's Optimized
 //!   Gossiping-2 postponement rule (formula 4).
 //! * [`Rect`] — the rectangular simulation field.
-//! * [`FlatGrid`] — a flat CSR-layout spatial index over dense-id points
-//!   with in-place (allocation-free) rebuilds and sort-free id-ordered
-//!   queries; the neighbour lookup behind every wireless broadcast.
+//! * [`FlatGrid`] — a flat CSR-layout spatial index over dense-id points,
+//!   each with a caller payload, with in-place (allocation-free) rebuilds
+//!   and one disk scan; the neighbour lookup behind every wireless
+//!   broadcast.
 
 pub mod angle;
 pub mod circle;

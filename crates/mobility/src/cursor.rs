@@ -72,9 +72,7 @@ impl FleetCursor {
 
     /// Batch position snapshot: every node's exact position at `t`
     /// written into `out` (cleared first; index = node id). Bitwise
-    /// equal to calling [`Self::position`] per node — this is the feeder
-    /// for the radio medium's shared position snapshot, sampled once per
-    /// grid refresh instead of once per candidate.
+    /// equal to calling [`Self::position`] per node.
     pub fn positions_into(&mut self, fleet: &Fleet, t: SimTime, out: &mut Vec<Point>) {
         let n = fleet.len();
         self.ensure(n);
@@ -117,6 +115,7 @@ impl FleetCursor {
 mod tests {
     use super::*;
     use crate::random_waypoint::RandomWaypoint;
+    use crate::trajectory::{Leg, Trajectory};
     use ia_geo::Rect;
 
     fn fleet(n: usize, seed: u64) -> Fleet {
@@ -187,6 +186,24 @@ mod tests {
             c.estimated_velocity(&f, 0, SimTime::from_secs(10.0), SimDuration::ZERO),
             Vector::ZERO
         );
+    }
+
+    #[test]
+    fn zero_length_legs_at_the_plan_start_read_alike() {
+        // A zero-length jump, then a zero-length pause, then motion, all
+        // starting at 0: fleet and cursor both read the moving leg there.
+        let (p, q) = (Point::ORIGIN, Point::new(100.0, 0.0));
+        let (t0, t1) = (SimTime::ZERO, SimTime::from_secs(10.0));
+        let f = Fleet::from_trajectories(vec![Trajectory::new(vec![
+            Leg::new(t0, t0, Point::new(-5.0, 0.0), p),
+            Leg::pause(t0, t0, p),
+            Leg::new(t0, t1, p, q),
+        ])]);
+        let mut c = FleetCursor::new();
+        assert_eq!(f.velocity(0, t0), Vector::new(10.0, 0.0));
+        assert_eq!(c.velocity(&f, 0, t0), f.velocity(0, t0));
+        assert_eq!(f.position(0, t0), p);
+        assert_eq!(c.position(&f, 0, t0), p);
     }
 
     #[test]

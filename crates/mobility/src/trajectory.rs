@@ -123,9 +123,10 @@ impl Trajectory {
     }
 
     /// Index of the leg active at `t` (clamped to the first/last leg):
-    /// the last leg starting at or before `t`.
+    /// the last leg starting at or before `t`, so at an instant where
+    /// zero-length legs start too, the leg after them.
     pub(crate) fn leg_index_at(&self, t: SimTime) -> usize {
-        if t <= self.start_time() {
+        if t < self.start_time() {
             return 0;
         }
         if t >= self.end_time() {
@@ -153,9 +154,16 @@ impl Trajectory {
         i
     }
 
+    /// The leg active at `t`: the last leg starting at or before `t`, the
+    /// first leg before the plan starts. Every position and velocity
+    /// lookup, cursor or not, reads this leg.
+    pub fn leg_at(&self, t: SimTime) -> &Leg {
+        &self.legs[self.leg_index_at(t)]
+    }
+
     /// Exact position at time `t` (clamped outside the plan's interval).
     pub fn position_at(&self, t: SimTime) -> Point {
-        self.legs[self.leg_index_at(t)].position_at(t)
+        self.leg_at(t).position_at(t)
     }
 
     /// Exact instantaneous velocity at time `t` (zero outside the plan).
@@ -163,7 +171,7 @@ impl Trajectory {
         if t < self.start_time() || t > self.end_time() {
             return Vector::ZERO;
         }
-        self.legs[self.leg_index_at(t)].velocity()
+        self.leg_at(t).velocity()
     }
 
     /// The paper derives a peer's motion direction "from two consecutive

@@ -67,6 +67,7 @@ impl RadioConfig {
         assert!(self.range > 0.0, "non-positive range");
         // The spatial grid's cell size is the range.
         assert!(self.range.is_finite(), "non-finite range");
+        self.loss.validate();
     }
 }
 

@@ -12,10 +12,11 @@
 //! provided for robustness experiments.
 //!
 //! Performance: neighbour lookup uses a flat CSR spatial index
-//! (`ia_geo::FlatGrid`) rebuilt in place at a bounded staleness from a
-//! shared position snapshot and then *exact-checked* against true
-//! positions, so results are exact while broadcasts stay `O(neighbours)`
-//! and the steady state — grid rebuilds included — allocates nothing.
+//! (`ia_geo::FlatGrid`) rebuilt in place at a bounded staleness, holding
+//! each node's current trajectory leg next to its position; candidates
+//! are *exact-checked* at their position on that leg, so results are
+//! exact while broadcasts stay `O(neighbours)` and the steady state —
+//! grid rebuilds included — allocates nothing.
 
 pub mod config;
 pub mod contention;

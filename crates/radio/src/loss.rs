@@ -16,6 +16,21 @@ pub enum LossModel {
 }
 
 impl LossModel {
+    /// Panics (naming the field) on a probability or fraction outside
+    /// `[0, 1]`, NaN included: [`Self::loss_probability`] would clamp it
+    /// to total or no loss without a word.
+    pub fn validate(&self) {
+        let (name, value) = match *self {
+            LossModel::None => return,
+            LossModel::Bernoulli(p) => ("loss probability", p),
+            LossModel::DistanceRamp { reliable_frac } => ("reliable_frac", reliable_frac),
+        };
+        assert!(
+            (0.0..=1.0).contains(&value),
+            "{name} = {value} outside [0, 1]"
+        );
+    }
+
     /// Probability that a frame sent over `distance` (with channel range
     /// `range`) is *lost*.
     pub fn loss_probability(&self, distance: f64, range: f64) -> f64 {

@@ -7,7 +7,7 @@ use crate::loss::GilbertElliott;
 use crate::stats::TrafficStats;
 use ia_des::{SimDuration, SimRng, SimTime};
 use ia_geo::{FlatGrid, Point};
-use ia_mobility::{Fleet, FleetCursor};
+use ia_mobility::{Fleet, Leg};
 
 /// A circular dead region: receivers inside an active zone hear nothing
 /// (the jammer raises their noise floor above any signal). Zones may
@@ -76,7 +76,12 @@ impl JamZone {
 /// rebuild is armed (see [`Medium::refresh_grid`]). Candidate sets are
 /// widened by the distance the fleet's fastest node can cover since the
 /// last rebuild and then exact-checked, so results do not depend on it.
-const GRID_REFRESH: SimDuration = SimDuration::from_millis(1000);
+///
+/// A stale-grid candidate costs one interpolation on the leg the grid
+/// stored for it, so staleness costs little until the widened disk grows:
+/// at 3 s and 20 m/s the margin is 120 m. On gossip-chaos, 1 s rebuilt the
+/// 1000-node grid 1 743 times and 3 s rebuilds it 594 times.
+const GRID_REFRESH: SimDuration = SimDuration::from_millis(3000);
 
 /// A shared wireless channel over a [`Fleet`] of mobile nodes.
 ///
@@ -84,26 +89,24 @@ const GRID_REFRESH: SimDuration = SimDuration::from_millis(1000);
 /// grid; the simulation world calls [`Medium::broadcast_into`] and
 /// schedules the resulting [`Delivery`] records as receive events,
 /// surfacing the accompanying drops through its suppression hook.
+///
+/// One medium serves one fleet, at non-decreasing times: its grid keeps
+/// the legs it read from the fleet of its first broadcast.
 pub struct Medium {
     config: RadioConfig,
     stats: TrafficStats,
-    /// Flat CSR spatial index over the snapshot, rebuilt in place (no
-    /// steady-state allocations) at a bounded staleness.
-    grid: FlatGrid,
-    /// When the current grid/snapshot pair was sampled; `None` before the
-    /// first broadcast.
+    /// Flat CSR spatial index over every node's position at
+    /// `grid_built_at`, rebuilt in place (no steady-state allocations) at
+    /// a bounded staleness. Each entry carries the node's trajectory leg
+    /// at that instant, in packed order next to the position.
+    grid: FlatGrid<Leg>,
+    /// When the grid was sampled; `None` before the first broadcast.
     grid_built_at: Option<SimTime>,
-    /// Shared position snapshot at `grid_built_at` (index = node id):
-    /// the grid is built from it, and exact-position filtering reuses it
-    /// whenever the query time equals the snapshot time.
-    snapshot: Vec<Point>,
-    /// Result buffer of [`Medium::query_range`]: `(id, exact position)`
-    /// of every node in range of the last query's centre.
-    in_range: Vec<(u32, Point)>,
-    /// Leg-cursor cache for position lookups. Every query the medium
-    /// issues is at the current (monotone) simulation time, so lookups
-    /// are O(1) amortized.
-    cursor: FleetCursor,
+    /// `(exact position, distance)` of every node in range of the last
+    /// query's centre, in scan order.
+    hits: Vec<(Point, f64)>,
+    /// `id << 32 | index into hits` per hit, sorted: the id order.
+    order: Vec<u64>,
     /// Top speed of the fleet being simulated, by which stale-grid
     /// queries widen: set by [`Medium::set_fleet_speed_bound`], or
     /// computed from the fleet at the first grid refresh.
@@ -114,12 +117,26 @@ pub struct Medium {
     /// Burst-loss channel plus its activity window (fault injection).
     /// Applies on top of `config.loss`.
     burst: Option<(SimTime, SimTime, GilbertElliott)>,
-    /// Queries served from the current snapshot since its rebuild —
-    /// the adaptive-refresh demand signal (see [`Medium::refresh_grid`]).
+    /// Queries served from the current grid since its rebuild — the
+    /// adaptive-refresh demand signal (see [`Medium::refresh_grid`]).
     queries_since_rebuild: u32,
     /// Lifetime grid counters for the perf harness.
     grid_rebuilds: u64,
     grid_queries: u64,
+    grid_candidates: u64,
+}
+
+/// Node `id`'s leg at `now`, given the leg the grid stored for it: that
+/// leg is still the current one while `now` is before its end. At or
+/// after the end (where the next leg starts, equal only within
+/// `Trajectory`'s 10⁻⁶ m tolerance) the trajectory is searched.
+#[inline]
+fn current_leg<'a>(stored: &'a Leg, fleet: &'a Fleet, id: u32, now: SimTime) -> &'a Leg {
+    if now < stored.end_time {
+        stored
+    } else {
+        fleet.trajectory(id).leg_at(now)
+    }
 }
 
 impl Medium {
@@ -128,11 +145,10 @@ impl Medium {
         Medium {
             config,
             stats: TrafficStats::new(),
-            grid: FlatGrid::new(),
+            grid: FlatGrid::default(),
             grid_built_at: None,
-            snapshot: Vec::new(),
-            in_range: Vec::new(),
-            cursor: FleetCursor::new(),
+            hits: Vec::new(),
+            order: Vec::new(),
             fleet_speed_bound: None,
             tx_log: TxLog::new(),
             jam_zones: Vec::new(),
@@ -140,10 +156,11 @@ impl Medium {
             queries_since_rebuild: 0,
             grid_rebuilds: 0,
             grid_queries: 0,
+            grid_candidates: 0,
         }
     }
 
-    /// Lifetime count of snapshot/grid rebuilds.
+    /// Lifetime count of grid rebuilds.
     pub fn grid_rebuilds(&self) -> u64 {
         self.grid_rebuilds
     }
@@ -152,6 +169,12 @@ impl Medium {
     /// probe).
     pub fn grid_queries(&self) -> u64 {
         self.grid_queries
+    }
+
+    /// Lifetime count of candidates evaluated exactly: grid entries
+    /// inside a query's widened disk, the query's centre excluded.
+    pub fn grid_candidates(&self) -> u64 {
+        self.grid_candidates
     }
 
     pub fn stats(&self) -> &TrafficStats {
@@ -186,37 +209,39 @@ impl Medium {
         self.fleet_speed_bound = Some(max_speed);
     }
 
-    /// Drop the grid/snapshot pair so the next query rebuilds it — a
-    /// hook for benchmarks that need to exercise the rebuild path on
-    /// every broadcast (the buffers keep their capacity).
+    /// Mark the grid stale so the next query rebuilds it — a hook for
+    /// benchmarks that need to exercise the rebuild path on every
+    /// broadcast (the buffers keep their capacity).
     pub fn invalidate_grid(&mut self) {
         self.grid_built_at = None;
     }
 
-    /// Refresh the neighbour grid snapshot, adaptively: the base
-    /// [`GRID_REFRESH`] cadence only *arms* a rebuild; it actually
-    /// happens once enough queries have been served from the stale
-    /// snapshot to amortize the O(n) resample (`max(8, n/64)` — until
-    /// then the stale-widened path is cheaper in total), or when the
-    /// widening margin outgrows the radio range (at which point stale
-    /// queries scan ~4× the disk area and a rebuild pays for itself).
-    /// Idle stretches thus cost one rebuild per `max(8, n/64)` queries
-    /// instead of one per `GRID_REFRESH` interval; busy stretches keep
-    /// the old per-interval cadence.
+    /// Refresh the neighbour grid, adaptively: the base [`GRID_REFRESH`]
+    /// cadence only *arms* a rebuild; it actually happens once enough
+    /// queries have been served from the stale grid to amortize the O(n)
+    /// resample (`max(8, n/64)` — until then the stale-widened path is
+    /// cheaper in total), or when the widening margin outgrows the radio
+    /// range (at which point stale queries scan ~4× the disk area and a
+    /// rebuild pays for itself). Idle stretches thus cost one rebuild per
+    /// `max(8, n/64)` queries instead of one per `GRID_REFRESH` interval.
     ///
     /// Skipping a rebuild is bitwise-safe, not an approximation: stale
     /// queries widen the search disk by the worst-case drift and then
     /// exact-check every candidate at `now`, so fresh and stale paths
     /// return identical outcomes (pinned by the determinism goldens and
-    /// `adaptive_refresh_is_outcome_identical` below). Only when a
-    /// rebuild fires is it relevant that the snapshot equals the exact
-    /// positions.
+    /// `adaptive_refresh_is_outcome_identical` below).
     ///
-    /// The snapshot is sampled in one cursor pass and the CSR grid is
-    /// rebuilt in place over it — a warm rebuild allocates nothing.
+    /// A rebuild re-samples each node in its packed slot: from the leg it
+    /// stored there while that leg lasts, from its trajectory otherwise.
+    /// The grid is then re-sorted in place — a warm rebuild allocates
+    /// nothing.
     ///
-    /// Returns the snapshot time and the fleet speed bound.
+    /// Returns the grid's sampling time and the fleet speed bound.
     fn refresh_grid(&mut self, fleet: &Fleet, now: SimTime) -> (SimTime, f64) {
+        debug_assert!(
+            self.grid_built_at.is_none_or(|built_at| now >= built_at),
+            "medium queried back in time"
+        );
         self.grid_queries += 1;
         let speed = *self
             .fleet_speed_bound
@@ -225,7 +250,7 @@ impl Medium {
             Some(built_at) => {
                 let staleness = now.since(built_at);
                 staleness > GRID_REFRESH && {
-                    let demand = (self.snapshot.len() as u32 / 64).max(8);
+                    let demand = (self.grid.len() as u32 / 64).max(8);
                     let margin = 2.0 * speed * staleness.as_secs();
                     self.queries_since_rebuild >= demand || margin > self.config.range
                 }
@@ -233,8 +258,14 @@ impl Medium {
             None => true,
         };
         if needs_rebuild {
-            self.cursor.positions_into(fleet, now, &mut self.snapshot);
-            self.grid.rebuild(self.config.grid_cell(), &self.snapshot);
+            self.grid
+                .resample(self.config.grid_cell(), fleet.len(), |id, stored| {
+                    let leg = match stored {
+                        Some(leg) => *current_leg(leg, fleet, id, now),
+                        None => *fleet.trajectory(id).leg_at(now),
+                    };
+                    (leg.position_at(now), leg)
+                });
             self.grid_built_at = Some(now);
             self.grid_rebuilds += 1;
             self.queries_since_rebuild = 0;
@@ -244,38 +275,43 @@ impl Medium {
         (self.grid_built_at.unwrap(), speed)
     }
 
-    /// Fill `in_range` with `(id, exact position)` of every node other
-    /// than `center` within radio range of it at `now`, in id order, and
-    /// return `center`'s exact position. Candidates come from the
-    /// (possibly stale) grid with a widened radius, then are filtered
-    /// against exact positions at `now` — so fresh and stale grids give
-    /// identical results.
+    /// Fill `hits` and `order` with every node other than `center` within
+    /// radio range of it at `now` (id order through `order`), and return
+    /// `center`'s exact position. Candidates come from the (possibly
+    /// stale) grid with a widened radius, then are filtered against exact
+    /// positions at `now` — so fresh and stale grids give identical
+    /// results.
     fn query_range(&mut self, fleet: &Fleet, now: SimTime, center: u32) -> Point {
         let (built_at, speed) = self.refresh_grid(fleet, now);
         let fresh = built_at == now;
         // Both the centre and the candidates may have moved since the
-        // snapshot, so widen by twice the covered distance.
+        // grid was sampled, so widen by twice the covered distance.
         let margin = 2.0 * speed * now.since(built_at).as_secs();
-        // When the snapshot was sampled at `now`, snapshot positions ARE
-        // the exact positions (bitwise: same cursor evaluation), so the
-        // per-candidate cursor re-query collapses to an array read.
-        let center_pos = if fresh {
-            self.snapshot[center as usize]
-        } else {
-            self.cursor.position(fleet, center, now)
-        };
+        let center_pos = fleet.trajectory(center).leg_at(now).position_at(now);
+        let range = self.config.range;
+        let (hits, order, candidates) =
+            (&mut self.hits, &mut self.order, &mut self.grid_candidates);
+        hits.clear();
+        order.clear();
         self.grid
-            .query_disk_into(center_pos, self.config.range + margin, &mut self.in_range);
-        let (cursor, range) = (&mut self.cursor, self.config.range);
-        self.in_range.retain_mut(|(id, pos)| {
-            if *id == center {
-                return false;
-            }
-            if !fresh {
-                *pos = cursor.position(fleet, *id, now);
-            }
-            center_pos.distance(*pos) <= range
-        });
+            .scan_disk(center_pos, range + margin, |id, pos, leg| {
+                if id == center {
+                    return;
+                }
+                *candidates += 1;
+                // On a fresh grid the sampled position is the exact one.
+                let pos = if fresh {
+                    pos
+                } else {
+                    current_leg(leg, fleet, id, now).position_at(now)
+                };
+                let distance = center_pos.distance(pos);
+                if distance <= range {
+                    order.push((id as u64) << 32 | hits.len() as u64);
+                    hits.push((pos, distance));
+                }
+            });
+        order.sort_unstable();
         center_pos
     }
 
@@ -307,8 +343,9 @@ impl Medium {
         let frame_airtime = airtime(bytes);
         let burst_active =
             matches!(&self.burst, Some((from, until, _)) if now >= *from && now < *until);
-        for &(id, pos) in &self.in_range {
-            let distance = sender_pos.distance(pos);
+        for &key in &self.order {
+            let id = (key >> 32) as u32;
+            let (pos, distance) = self.hits[key as u32 as usize];
             let reason = if self.config.contention == Contention::Aloha
                 && self
                     .tx_log
@@ -620,7 +657,7 @@ mod tests {
                 .len(),
             1
         );
-        // t=0.9: 258 m, out of range, but the grid snapshot is from t=0.
+        // t=0.9: 258 m, out of range, but the grid is from t=0.
         assert_eq!(
             send(&mut medium, &fleet, 0.9, 0, 10, &mut rng)
                 .deliveries
@@ -730,7 +767,7 @@ mod tests {
         );
         // t=0.9 s: node 1 at 253.5 m — still out. At t=1.6 s it is at
         // 250 m — in range; whether the adaptive policy rebuilds or keeps
-        // serving the widened t=0 snapshot, the exact check must find it.
+        // serving the widened t=0 grid, the exact check must find it.
         assert_eq!(
             send(&mut medium, &fleet, 0.9, 0, 10, &mut rng)
                 .deliveries
@@ -750,7 +787,7 @@ mod tests {
         let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         let mut rng = SimRng::from_master(13);
-        // The first broadcast samples the snapshot ...
+        // The first broadcast samples the grid ...
         let out = send(&mut medium, &fleet, 2.0, 0, 10, &mut rng);
         assert_eq!(out.deliveries[0].to, 1);
         assert_eq!(out.deliveries[0].distance, 100.0);
@@ -763,12 +800,14 @@ mod tests {
         send(&mut medium, &fleet, 2.6, 0, 10, &mut rng);
         assert_eq!(medium.grid_rebuilds(), 2);
         assert_eq!(medium.grid_queries(), 3);
+        // One candidate per query: the sender is not one.
+        assert_eq!(medium.grid_candidates(), 3);
     }
 
     #[test]
     fn adaptive_refresh_is_outcome_identical() {
         // The adaptive cadence may serve queries from an arbitrarily
-        // stale snapshot; the widened-then-exact-checked path must return
+        // stale grid; the widened-then-exact-checked path must return
         // bitwise the same deliveries and drops as a medium that rebuilds
         // before every single broadcast. (Out-of-range candidates are
         // filtered before any RNG draw, so the streams stay aligned.)
@@ -811,12 +850,12 @@ mod tests {
 
     #[test]
     fn adaptive_refresh_amortizes_low_demand_rebuilds() {
-        // A stationary fleet (zero widening margin) queried once per 2 s:
-        // the old cadence-only policy rebuilt on every one of these
-        // queries. The adaptive policy rebuilds only once per `max(8,
-        // n/64)` stale-served queries, so 20 sparse queries cost 2
-        // cadence rebuilds (at the 8-query marks) on top of the initial
-        // build — and the results stay exact throughout.
+        // A stationary fleet (zero widening margin) queried once per
+        // `GRID_REFRESH` + 1 s: a cadence-only policy would rebuild on
+        // every one of these queries. The adaptive policy rebuilds only
+        // once per `max(8, n/64)` stale-served queries, so 20 sparse
+        // queries cost 2 cadence rebuilds (at the 8-query marks) on top
+        // of the initial build — and the results stay exact throughout.
         let end = SimTime::from_secs(1000.0);
         let fleet = Fleet::from_trajectories(vec![
             Trajectory::stationary(Point::ORIGIN, SimTime::ZERO, end),
@@ -826,8 +865,8 @@ mod tests {
         medium.set_fleet_speed_bound(fleet.max_speed()); // 0 m/s
         let mut rng = SimRng::from_master(22);
         for step in 0..20 {
-            // One broadcast every 2 s: cadence (1 s) elapses every time.
-            let t = step as f64 * 2.0;
+            // The cadence elapses before every broadcast.
+            let t = step as f64 * (GRID_REFRESH.as_secs() + 1.0);
             let out = send(&mut medium, &fleet, t, 0, 10, &mut rng);
             assert_eq!(out.deliveries.len(), 1, "results stay exact");
         }
@@ -842,8 +881,8 @@ mod tests {
     #[test]
     fn adaptive_refresh_caps_margin_growth() {
         // With a generous 40 m/s bound the widening margin passes the
-        // 250 m range at ~3.1 s staleness; the cap must then rebuild even
-        // though demand is low.
+        // 250 m range at ~3.1 s staleness; once the 3 s cadence has also
+        // elapsed, the cap must rebuild even though demand is low.
         let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0)]);
         let mut medium = Medium::new(RadioConfig::paper());
         medium.set_fleet_speed_bound(40.0);
@@ -867,5 +906,146 @@ mod tests {
         let out = send(&mut medium, &fleet, 0.0, 2, 10, &mut rng);
         let to: Vec<u32> = out.deliveries.iter().map(|d| d.to).collect();
         assert_eq!(to, vec![0, 1, 3]);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::loss::LossModel;
+    use ia_mobility::Trajectory;
+    use proptest::prelude::*;
+
+    /// One node's plan from `(start, legs)`: each leg is `(duration ms,
+    /// speed, heading, seam)`, a zero duration giving a zero-length
+    /// pause. With `seam`, a leg starts 0.5 µm off where the previous one
+    /// ended, as the trajectory tolerance allows, so reading the ended
+    /// leg at its end instant gives a different point from the next
+    /// leg's.
+    fn trajectory(start: (f64, f64), legs: &[(u64, f64, f64, bool)]) -> Trajectory {
+        let (mut t, mut at) = (SimTime::ZERO, Point::new(start.0, start.1));
+        let legs = legs
+            .iter()
+            .map(|&(ms, speed, heading, seam)| {
+                if seam {
+                    at.x += 5e-7;
+                }
+                let end = t + SimDuration::from_millis(ms);
+                let reach = speed * ms as f64 / 1000.0;
+                let to = Point::new(at.x + reach * heading.cos(), at.y + reach * heading.sin());
+                let leg = Leg::new(t, end, at, to);
+                (t, at) = (end, to);
+                leg
+            })
+            .collect();
+        Trajectory::new(legs)
+    }
+
+    /// What `broadcast_into` must produce, from `Fleet::position` alone:
+    /// every other node within range in id order, each jammed, lost or
+    /// delivered with the draws the medium makes.
+    fn brute_force(
+        fleet: &Fleet,
+        cfg: &RadioConfig,
+        jam: &JamZone,
+        now: SimTime,
+        src: u32,
+        rng: &mut SimRng,
+    ) -> BroadcastOutcome {
+        let mut out = BroadcastOutcome::default();
+        let sender_pos = fleet.position(src, now);
+        for to in (0..fleet.len() as u32).filter(|&id| id != src) {
+            let pos = fleet.position(to, now);
+            let distance = sender_pos.distance(pos);
+            if distance > cfg.range {
+                continue;
+            }
+            if jam.covers(now, pos) {
+                out.drop_frame(to, DropReason::Jam);
+            } else if cfg.loss.drops(distance, cfg.range, rng) {
+                out.drop_frame(to, DropReason::Loss);
+            } else {
+                let jitter = rng.range_u64(DELAY_MIN.as_micros(), DELAY_MAX.as_micros() + 1);
+                out.deliveries.push(Delivery {
+                    to,
+                    arrival: now + SimDuration::from_micros(jitter),
+                    sender_pos,
+                    from: src,
+                    distance,
+                });
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `broadcast_into` equals brute force over `Fleet::position` on
+        /// fleets with zero-length legs, at query instants that land on a
+        /// leg's end, fall past every plan's last leg, and leave the grid
+        /// stale by just under, exactly and just over `GRID_REFRESH`.
+        #[test]
+        fn broadcasts_match_brute_force(
+            nodes in proptest::collection::vec(
+                (
+                    (0.0..600.0f64, 0.0..600.0f64),
+                    proptest::collection::vec(
+                        (
+                            prop_oneof![Just(0u64), 1u64..20_000],
+                            10.0..40.0f64,
+                            0.0..std::f64::consts::TAU,
+                            any::<bool>(),
+                        ),
+                        1..8,
+                    ),
+                ),
+                2..40,
+            ),
+            steps in proptest::collection::vec((0u8..5, any::<u64>()), 1..48),
+            loss in 0.0..0.6f64,
+            jam_at in (0.0..600.0f64, 0.0..600.0f64),
+        ) {
+            let fleet = Fleet::from_trajectories(
+                nodes.iter().map(|(start, legs)| trajectory(*start, legs)).collect(),
+            );
+            let n = fleet.len() as u64;
+            let cfg = RadioConfig::paper().with_loss(LossModel::Bernoulli(loss));
+            let jam = JamZone::stationary(
+                Point::new(jam_at.0, jam_at.1),
+                60.0,
+                SimTime::ZERO,
+                SimTime::from_secs(90.0),
+            );
+            let mut medium = Medium::new(cfg.clone());
+            medium.add_jam_zone(jam);
+            let (mut rng, mut oracle_rng) = (SimRng::from_master(9), SimRng::from_master(9));
+            let mut out = BroadcastOutcome::default();
+            let mut now = SimTime::ZERO;
+            for &(kind, raw) in &steps {
+                let ms = |d: SimDuration| d.as_micros() / 1000;
+                now += match kind {
+                    0 => SimDuration::from_millis(raw % 10_000),
+                    // Just under, at or just over the refresh cadence.
+                    1 => SimDuration::from_millis(ms(GRID_REFRESH) - 1 + raw % 3),
+                    // The next end of a leg of some node, if any is left.
+                    2 => fleet
+                        .trajectory((raw % n) as u32)
+                        .legs()
+                        .iter()
+                        .map(|leg| leg.end_time)
+                        .find(|&end| end >= now)
+                        .map_or(SimDuration::ZERO, |end| end - now),
+                    // Far past most plans' ends.
+                    3 => SimDuration::from_secs(60.0 + (raw % 60) as f64),
+                    _ => SimDuration::ZERO,
+                };
+                let src = (raw >> 32) as u32 % n as u32;
+                medium.broadcast_into(&fleet, now, src, 100, &mut rng, &mut out);
+                let want = brute_force(&fleet, &cfg, &jam, now, src, &mut oracle_rng);
+                prop_assert_eq!(&out, &want, "at {} from {}", now, src);
+            }
+            prop_assert_eq!(medium.grid_queries(), steps.len() as u64);
+        }
     }
 }

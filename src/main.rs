@@ -44,6 +44,25 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Build and validate the scenario. A rule the flags break (`--peers 0`,
+/// `--alpha 1.5`, ...) panics in a builder or in `Scenario::validate`;
+/// it is reported with its message and exit code 2, like a bad flag.
+fn checked(build: impl FnOnce() -> Scenario) -> Scenario {
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
+    std::panic::set_hook(hook);
+    built.unwrap_or_else(|panic| {
+        let why = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("rejected");
+        eprintln!("invalid scenario: {why}");
+        usage();
+    })
+}
+
 struct Args(std::vec::IntoIter<String>);
 
 impl Args {
@@ -139,42 +158,48 @@ fn main() {
         }
     }
 
-    let mut s = Scenario::paper(protocol, peers);
-    s.area = Rect::with_size(field, field);
-    s.ads[0].issue_pos = Point::new(field / 2.0, field / 2.0);
-    s.ads[0].radius = radius;
-    s = s.with_life_cycle(SimDuration::from_secs(duration));
     let delta = (speed * 0.5).min(5.0);
-    s = s.with_speed(speed, delta);
-    s.params = s
-        .params
-        .with_alpha(alpha)
-        .with_beta(beta)
-        .with_round_time(SimDuration::from_secs(round))
-        .with_dis(dis)
-        .with_cache_capacity(cache);
-    s.radio = s.radio.clone().with_range(range);
-    if loss > 0.0 {
-        s.radio = s.radio.clone().with_loss(LossModel::Bernoulli(loss));
-    }
-    if manhattan {
-        s = s.with_mobility(MobilityKind::Manhattan);
-    }
-    if let Some(after) = issuer_offline {
-        s = s.with_issuer_offline_after(SimDuration::from_secs(after));
-    }
-    if let Some((up, down)) = churn {
-        s = s.with_churn(instant_ads::experiments::ChurnSpec::new(
-            SimDuration::from_secs(up),
-            SimDuration::from_secs(down),
-        ));
-    }
-    s.validate();
+    let s = checked(|| {
+        let mut s = Scenario::paper(protocol, peers);
+        s.area = Rect::with_size(field, field);
+        s.ads[0].issue_pos = Point::new(field / 2.0, field / 2.0);
+        s.ads[0].radius = radius;
+        s = s.with_life_cycle(SimDuration::from_secs(duration));
+        s = s.with_speed(speed, delta);
+        s.params = s
+            .params
+            .with_alpha(alpha)
+            .with_beta(beta)
+            .with_round_time(SimDuration::from_secs(round))
+            .with_dis(dis)
+            .with_cache_capacity(cache);
+        s.radio = s.radio.clone().with_range(range);
+        if loss != 0.0 {
+            s.radio = s.radio.clone().with_loss(LossModel::Bernoulli(loss));
+        }
+        if manhattan {
+            s = s.with_mobility(MobilityKind::Manhattan);
+        }
+        if let Some(after) = issuer_offline {
+            s = s.with_issuer_offline_after(SimDuration::from_secs(after));
+        }
+        if let Some((up, down)) = churn {
+            s = s.with_churn(instant_ads::experiments::ChurnSpec::new(
+                SimDuration::from_secs(up),
+                SimDuration::from_secs(down),
+            ));
+        }
+        s.validate();
+        s
+    });
 
     if let Some(path) = &export_trace {
         let world = instant_ads::experiments::World::new(s.clone().with_seed(seed0));
         let trace = instant_ads::mobility::ns2::export_fleet(world.fleet());
-        std::fs::write(path, &trace).expect("write trace");
+        if let Err(e) = std::fs::write(path, &trace) {
+            eprintln!("--export-trace {path}: {e}");
+            std::process::exit(2);
+        }
         println!(
             "wrote NS-2 setdest trace for {} nodes to {path}",
             s.n_nodes()

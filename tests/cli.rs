@@ -14,3 +14,21 @@ fn zero_seeds_exit_with_usage_not_a_panic() {
     assert!(stderr.contains("--seeds"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// Flags that break a scenario rule report the rule and exit 2.
+#[test]
+fn scenario_rules_exit_with_their_message_not_a_panic() {
+    for (flag, value, rule) in [
+        ("--peers", "0", "need at least one mobile peer"),
+        ("--round", "0", "round_time must be positive"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_instant-ads"))
+            .args([flag, value, "--duration", "60"])
+            .output()
+            .expect("run instant-ads");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(rule), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}
