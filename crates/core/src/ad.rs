@@ -118,6 +118,18 @@ impl Advertisement {
         self.radius = self.radius.max(other.radius);
         self.duration = self.duration.max(other.duration);
     }
+
+    /// Does this copy already hold everything `other` carries: the same
+    /// ad, every sketch bit `other` sets, and `R` and `D` at least as
+    /// large? Exactly when [`Advertisement::absorb`]`(other)` would leave
+    /// this copy bitwise unchanged; `false`, not a panic, for another ad
+    /// or a bundle of another sketch family.
+    pub fn covers(&self, other: &Advertisement) -> bool {
+        self.id == other.id
+            && self.sketches.covers(&other.sketches)
+            && self.radius.max(other.radius).to_bits() == self.radius.to_bits()
+            && self.duration >= other.duration
+    }
 }
 
 #[cfg(test)]
@@ -221,5 +233,105 @@ mod tests {
             0,
             &GossipParams::paper(),
         );
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::ids::PeerId;
+    use proptest::prelude::*;
+
+    /// An ad of sketch family `family` (seed, `F`, `L`) holding `users`,
+    /// with `R` and `D` as given.
+    fn copy(
+        seq: u32,
+        family: (u64, usize, u8),
+        users: &[u64],
+        radius: f64,
+        duration_s: u64,
+    ) -> Advertisement {
+        let (seed, f, l) = family;
+        let params = GossipParams {
+            sketch_seed: seed,
+            sketch_f: f,
+            sketch_l: l,
+            ..GossipParams::paper()
+        };
+        let mut ad = Advertisement::new(
+            AdId::new(PeerId(1), seq),
+            Point::new(2500.0, 2500.0),
+            SimTime::from_secs(100.0),
+            500.0,
+            SimDuration::from_secs(600.0),
+            vec![1, 2],
+            64,
+            &params,
+        );
+        for &u in users {
+            ad.sketches.insert(u);
+        }
+        ad.radius = radius;
+        ad.duration = SimDuration::from_secs(duration_s as f64);
+        ad
+    }
+
+    /// `R`, metres: few values, so equal radii are common.
+    fn radius() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(500.0),
+            Just(700.0),
+            Just(f64::INFINITY),
+            1.0..5000.0f64
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `a.covers(b)` holds exactly when `a.absorb(b)` leaves `a`
+        /// bitwise unchanged, and so does `FmBundle::covers` for the
+        /// bundles. Another ad id, family seed, `F` or `L` answers
+        /// `false` without a panic.
+        #[test]
+        fn covers_iff_absorb_changes_nothing(
+            mine in proptest::collection::vec(0u64..40, 0..12),
+            theirs in proptest::collection::vec(0u64..40, 0..12),
+            subset in any::<bool>(),
+            (r_a, r_b) in (radius(), radius()),
+            (d_a, d_b) in (1u64..4, 1u64..4),
+            mismatch in 0u8..8,
+        ) {
+            let paper = (0x1ADC_0DE5_EED0, 16, 16);
+            // Half the cases draw the incoming users from the copy's own.
+            let theirs: Vec<u64> = if subset {
+                mine.iter().copied().filter(|u| theirs.contains(u) || u % 2 == 0).collect()
+            } else {
+                theirs
+            };
+            let a = copy(0, paper, &mine, r_a, d_a);
+            let (seq, family) = match mismatch {
+                0 => (1, paper),
+                1 => (0, (7, 16, 16)),
+                2 => (0, (paper.0, 8, 16)),
+                3 => (0, (paper.0, 16, 12)),
+                _ => (0, paper),
+            };
+            let b = copy(seq, family, &theirs, r_b, d_b);
+            if mismatch < 4 {
+                prop_assert!(!a.covers(&b));
+                prop_assert!(!a.sketches.covers(&b.sketches) || mismatch == 0);
+            } else {
+                let mut merged = a.clone();
+                merged.absorb(&b);
+                let unchanged = merged.sketches == a.sketches
+                    && merged.radius.to_bits() == a.radius.to_bits()
+                    && merged.duration == a.duration;
+                prop_assert_eq!(a.covers(&b), unchanged);
+                let mut bundle = a.sketches.clone();
+                bundle.merge(&b.sketches);
+                prop_assert_eq!(a.sketches.covers(&b.sketches), bundle == a.sketches);
+            }
+        }
     }
 }

@@ -498,6 +498,18 @@ impl Protocol for Gossip {
         EntryWake::Fire
     }
 
+    /// A duplicate only merges (no postponement), so it changes nothing
+    /// when the cached copy covers it. Same or later issue instant: the
+    /// copy then expires no earlier than the message.
+    fn covers(&self, msg: &AdMessage) -> bool {
+        !self.postpone
+            && msg.flood.is_none()
+            && self
+                .cache
+                .get(msg.ad.id)
+                .is_some_and(|e| e.ad.issue_time >= msg.ad.issue_time && e.ad.covers(&msg.ad))
+    }
+
     fn holds(&self, ad: AdId) -> bool {
         self.cache.contains(ad)
     }
@@ -646,6 +658,35 @@ mod tests {
             out
         ))
         .is_empty());
+    }
+
+    /// Only a peer that merges duplicates without postponing covers a
+    /// message, and only with a cached copy issued no later that holds
+    /// everything the message carries; never a flooding wave.
+    #[test]
+    fn covers_needs_a_covering_copy_and_no_postponement() {
+        let pos = Point::new(2600.0, 2500.0);
+        let msg = AdMessage::gossip(mk_ad(0));
+        for (annular, postpone) in [(false, false), (true, false), (false, true), (true, true)] {
+            let profile = UserProfile::indifferent(1);
+            let mut g = Gossip::with_flags(params(), RANGE, profile, 0, annular, postpone);
+            let kind = g.kind();
+            assert_eq!(kind.duplicates_only_merge(), !postpone);
+            assert!(!g.covers(&msg), "{kind}: nothing cached yet");
+            let mut env = Env::new();
+            let mut c = env.ctx(20.0, pos);
+            ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(pos), out));
+            assert_eq!(g.covers(&msg), !postpone, "{kind}");
+            let mut richer = msg.clone();
+            richer.ad.sketches.insert(42);
+            assert!(!g.covers(&richer), "{kind}: a new sketch bit");
+            let mut later = msg.clone();
+            later.ad.issue_time = SimTime::from_secs(11.0);
+            assert!(!g.covers(&later), "{kind}: issued later");
+            let wave = AdMessage::flood(mk_ad(0), 1, 1000.0);
+            assert!(!g.covers(&wave), "{kind}: a flooding wave");
+        }
+        assert!(!ProtocolKind::Flooding.duplicates_only_merge());
     }
 
     /// Run `n` consecutive ticks of entry `id` (the context's fixed

@@ -77,6 +77,15 @@ impl ProtocolKind {
             ProtocolKind::OptGossip => "Optimized Gossiping",
         }
     }
+
+    /// Does a duplicate gossip message only merge into the receiver's
+    /// cached copy? True for Gossiping and Optimized Gossiping-1. Under
+    /// mechanism (2) every duplicate also postpones the entry, and
+    /// Restricted Flooding never caches a copy, so neither qualifies.
+    /// Only such a receiver's [`Protocol::covers`] can answer `true`.
+    pub const fn duplicates_only_merge(self) -> bool {
+        matches!(self, ProtocolKind::Gossip | ProtocolKind::OptGossip1)
+    }
 }
 
 impl std::fmt::Display for ProtocolKind {
@@ -341,6 +350,23 @@ pub trait Protocol {
 
     /// Does this peer currently hold `ad` (cache or issuer state)?
     fn holds(&self, ad: AdId) -> bool;
+
+    /// Would receiving `msg` change nothing at this peer, now or at any
+    /// later arrival instant while its cache evicts nothing? `false`, the
+    /// default, is always safe.
+    ///
+    /// Gossip answers from its cache: a copy that
+    /// [covers](Advertisement::covers) the message's ad and was issued
+    /// no earlier stays covering until it leaves the cache, and leaves
+    /// it only by expiry, by when the message has expired too. A peer
+    /// that postpones on duplicates (mechanism (2)), and every flooding
+    /// wave, answer `false`. The world queues no delivery a receiver
+    /// covers, unless an observer is attached or the frame may be
+    /// corrupted on its way (DESIGN.md §10).
+    fn covers(&self, msg: &AdMessage) -> bool {
+        let _ = msg;
+        false
+    }
 
     /// The peer's current copy of `ad`, if it stores one (gossip cache,
     /// flooding issuer state). Used by experiments to inspect popularity

@@ -42,4 +42,4 @@ pub use scenario::{
     Scenario,
 };
 pub use tracker::DeliveryTracker;
-pub use world::{EntryWakeups, World};
+pub use world::{Deliveries, EntryWakeups, World};

@@ -40,7 +40,10 @@ enum Event {
     Start(u32),
     /// A peer's timer for one ad: a gossip entry tick or a flooding wave.
     Entry(u32, AdId),
-    /// Frame arrival at a receiver.
+    /// Frame arrival at a receiver. A broadcast queues none for a
+    /// receiver whose protocol [covers](Protocol::covers) the message
+    /// (while no observer is attached and no corruption window is active
+    /// at the arrival): that arrival would change nothing.
     Deliver {
         msg: Arc<AdMessage>,
         meta: RxMeta,
@@ -95,6 +98,11 @@ pub struct World {
     /// measures its headline numbers in a separate, uninstrumented run.
     profile: Option<Box<PhaseProfile>>,
     entry_wakeups: EntryWakeups,
+    /// Whether a broadcast may leave out the deliveries their receivers
+    /// cover: the protocol's duplicates only merge, and no cache can
+    /// evict (the scenario has no more ads than a cache holds).
+    skip_covered: bool,
+    deliveries: Deliveries,
     /// Test-only reference mode: predict no position, so every entry
     /// tick runs (the per-tick oracle for the look-ahead).
     #[cfg(test)]
@@ -112,6 +120,17 @@ pub struct EntryWakeups {
     pub rearmed: u64,
     /// Superseded, or the entry is gone.
     pub dropped: u64,
+}
+
+/// Frame copies the channel delivered, by whether the world queued them.
+/// Their sum is the medium's `receptions`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Deliveries {
+    /// Queued as an `Event::Deliver`.
+    pub queued: u64,
+    /// Left out: the receiver's cached copy covered the message, so the
+    /// arrival would have changed nothing ([`Protocol::covers`]).
+    pub skipped: u64,
 }
 
 /// Wall-clock nanoseconds spent in each hot phase of a run, collected
@@ -344,6 +363,8 @@ impl World {
             .collect();
         let tracker = DeliveryTracker::new(&fleet, scenario.n_peers, &specs);
         let online = vec![true; scenario.n_nodes()];
+        let skip_covered = scenario.protocol.duplicates_only_merge()
+            && scenario.ads.len() <= scenario.params.cache_capacity;
 
         World {
             radio_rng: SimRng::derive(scenario.seed, stream::RADIO),
@@ -364,6 +385,8 @@ impl World {
             online,
             profile: None,
             entry_wakeups: EntryWakeups::default(),
+            skip_covered,
+            deliveries: Deliveries::default(),
             #[cfg(test)]
             per_tick: false,
         }
@@ -372,7 +395,9 @@ impl World {
     /// Attach an additional [`SimObserver`]; it receives every hook from
     /// this point on. Attach before [`World::run`] to see the whole run.
     /// Observers are passive, so the simulated outcome is identical with
-    /// any observer set.
+    /// any observer set. While any is attached, every delivery is queued
+    /// (none is left out as covered, see [`World::deliveries`]), so
+    /// `on_deliver` and `on_suppress` see every frame.
     pub fn attach_observer(&mut self, observer: Box<dyn SimObserver>) {
         self.observers.push(observer);
     }
@@ -429,6 +454,11 @@ impl World {
     /// Per-entry wake-ups so far, by outcome (fired, re-armed, dropped).
     pub fn entry_wakeups(&self) -> EntryWakeups {
         self.entry_wakeups
+    }
+
+    /// Frame deliveries so far, queued or left out as covered.
+    pub fn deliveries(&self) -> Deliveries {
+        self.deliveries
     }
 
     /// Drive the run to the horizon.
@@ -572,14 +602,8 @@ impl World {
     /// Frame corruption (fault injection) of one delivery inside an
     /// active corruption window: with probability `p_corrupt` the frame
     /// gets 1..=`max_flips` bit flips between encode and decode. Returns
-    /// the message the receiver decodes, or `None` once the CRC trailer
-    /// has caught the flips and the drop is reported.
-    ///
-    /// The verdict comes from the flip positions alone
-    /// ([`codec::FlipVerdict`]). Only a flip set that passes the CRC
-    /// (flips that cancel, or an undetected error, about 2⁻³²) builds,
-    /// flips and decodes the real frame, so the outcome is exactly that
-    /// of the frame path.
+    /// the message the receiver decodes ([`World::flipped`]), or `None`
+    /// once the drop is reported.
     #[cold]
     #[inline(never)]
     fn corrupt(
@@ -595,17 +619,43 @@ impl World {
         let frame_len = msg.bytes() + codec::FRAME_CRC_BYTES;
         let mut bits = [0u64; MAX_FLIPS as usize];
         let n = 1 + self.fault_rng.range_u64(0, c.max_flips as u64) as usize;
-        let flips = &mut bits[..n];
-        for bit in flips.iter_mut() {
+        for bit in &mut bits[..n] {
             *bit = self.fault_rng.range_u64(0, frame_len as u64 * 8);
         }
+        self.flipped(now, to, msg, &bits[..n])
+    }
+
+    /// The message `to` decodes from `msg`'s frame with the bits at
+    /// `flips` flipped, or `None`, reported as
+    /// [`SuppressReason::Corrupted`], when the frame is dropped.
+    ///
+    /// The CRC verdict comes from the flip positions alone
+    /// ([`codec::FlipVerdict`]). Only a flip set that passes the CRC
+    /// (flips that cancel, or an undetected error, about 2⁻³²) builds,
+    /// flips and decodes the real frame, so the outcome is exactly that
+    /// of the frame path. A decoded frame that escaped the CRC may still
+    /// differ from the sent one; it reaches the receiver only if it
+    /// carries the sent ad's id and sketch family. A changed id would be
+    /// a phantom ad, and another family would fail the merge into a
+    /// cached copy ([`Advertisement::absorb`]).
+    fn flipped(
+        &mut self,
+        now: SimTime,
+        to: u32,
+        msg: Arc<AdMessage>,
+        flips: &[u64],
+    ) -> Option<Arc<AdMessage>> {
+        let frame_len = msg.bytes() + codec::FRAME_CRC_BYTES;
         if self.flip_verdict.passes(frame_len, flips) {
             let mut frame = codec::encode_frame(&msg);
-            for &bit in flips.iter() {
+            for &bit in flips {
                 frame[(bit / 8) as usize] ^= 1 << (bit % 8);
             }
+            let sent = &msg.ad;
             if let Ok(recovered) = codec::decode_frame(&frame) {
-                return Some(Arc::new(recovered));
+                if recovered.ad.id == sent.id && recovered.ad.sketches.same_family(&sent.sketches) {
+                    return Some(Arc::new(recovered));
+                }
             }
         }
         self.observe(|o| o.on_suppress(now, to, &msg, SuppressReason::Corrupted));
@@ -657,54 +707,7 @@ impl World {
     fn apply(&mut self, node: u32, now: SimTime, sink: &mut ActionSink) {
         for action in sink.drain() {
             match action {
-                Action::Broadcast(msg) => {
-                    let bytes = msg.bytes();
-                    // Take/restore the outcome buffer (like `sink`) so the
-                    // scheduler below can borrow the rest of `self`.
-                    let mut outcome = std::mem::take(&mut self.outcome);
-                    let t0 = self.phase_start();
-                    self.medium.broadcast_into(
-                        &self.fleet,
-                        now,
-                        node,
-                        bytes,
-                        &mut self.radio_rng,
-                        &mut outcome,
-                    );
-                    self.phase_end(t0, |p| &mut p.grid_ns);
-                    let info = BroadcastInfo {
-                        bytes,
-                        receivers: outcome.deliveries.len(),
-                        drops: outcome.drop_counts(),
-                    };
-                    let shared = Arc::new(msg);
-                    let t0 = self.phase_start();
-                    self.observe(|o| o.on_broadcast(now, node, &shared, &info));
-                    for d in &outcome.drops {
-                        let reason = match d.reason {
-                            DropReason::Loss => SuppressReason::ChannelLoss,
-                            DropReason::Jam => SuppressReason::Jammed,
-                            DropReason::Collision => SuppressReason::Collision,
-                        };
-                        self.observe(|o| o.on_suppress(now, d.to, &shared, reason));
-                    }
-                    self.phase_end(t0, |p| &mut p.observer_ns);
-                    for d in outcome.deliveries.drain(..) {
-                        self.sched.schedule_at(
-                            d.arrival,
-                            Event::Deliver {
-                                msg: Arc::clone(&shared),
-                                meta: RxMeta {
-                                    sender_pos: d.sender_pos,
-                                    from: d.from,
-                                    distance: d.distance,
-                                },
-                                to: d.to,
-                            },
-                        );
-                    }
-                    self.outcome = outcome;
-                }
+                Action::Broadcast(msg) => self.broadcast(node, now, msg),
                 Action::ScheduleEntry { ad, at } => self.schedule_entry(node, ad, at.max(now)),
                 Action::Accepted { ad } => {
                     self.tracker.record_receipt(node, ad, now);
@@ -715,6 +718,81 @@ impl World {
                 }
             }
         }
+    }
+
+    /// Transmit `msg` from `node` now: the channel decides who hears it,
+    /// the observers see the outcome, and every delivery is queued unless
+    /// its receiver covers the message ([`World::covered`]).
+    #[inline(never)]
+    fn broadcast(&mut self, node: u32, now: SimTime, msg: AdMessage) {
+        let bytes = msg.bytes();
+        // Take/restore the outcome buffer (like `sink`) so the
+        // scheduler below can borrow the rest of `self`.
+        let mut outcome = std::mem::take(&mut self.outcome);
+        let t0 = self.phase_start();
+        self.medium.broadcast_into(
+            &self.fleet,
+            now,
+            node,
+            bytes,
+            &mut self.radio_rng,
+            &mut outcome,
+        );
+        self.phase_end(t0, |p| &mut p.grid_ns);
+        let info = BroadcastInfo {
+            bytes,
+            receivers: outcome.deliveries.len(),
+            drops: outcome.drop_counts(),
+        };
+        let shared = Arc::new(msg);
+        let t0 = self.phase_start();
+        self.observe(|o| o.on_broadcast(now, node, &shared, &info));
+        for d in &outcome.drops {
+            let reason = match d.reason {
+                DropReason::Loss => SuppressReason::ChannelLoss,
+                DropReason::Jam => SuppressReason::Jammed,
+                DropReason::Collision => SuppressReason::Collision,
+            };
+            self.observe(|o| o.on_suppress(now, d.to, &shared, reason));
+        }
+        self.phase_end(t0, |p| &mut p.observer_ns);
+        // Decided once per broadcast: with an observer attached
+        // every delivery is queued, so its hooks see them all.
+        let skip_covered = self.skip_covered && self.observers.is_empty();
+        for d in outcome.deliveries.drain(..) {
+            if skip_covered && self.covered(d.to, d.arrival, &shared) {
+                self.deliveries.skipped += 1;
+                continue;
+            }
+            self.deliveries.queued += 1;
+            self.sched.schedule_at(
+                d.arrival,
+                Event::Deliver {
+                    msg: Arc::clone(&shared),
+                    meta: RxMeta {
+                        sender_pos: d.sender_pos,
+                        from: d.from,
+                        distance: d.distance,
+                    },
+                    to: d.to,
+                },
+            );
+        }
+        self.outcome = outcome;
+    }
+
+    /// Would the arrival of `msg` at `to` at `arrival` change nothing? It
+    /// would not when `to`'s protocol covers the message now (which stays
+    /// true until the arrival while no cache evicts, see
+    /// [`Protocol::covers`]), and no corruption window is active at the
+    /// arrival, whose draw from the sequential fault stream must be made.
+    fn covered(&self, to: u32, arrival: SimTime, msg: &AdMessage) -> bool {
+        !self
+            .scenario
+            .faults
+            .corruption
+            .is_some_and(|c| c.active(arrival))
+            && self.peers[to as usize].covers(msg)
     }
 
     /// Queue a wake-up for `node`'s entry `ad`. Entry wake-ups due at one
@@ -1482,6 +1560,87 @@ mod tests {
         assert!(delivered > 0, "no flip set cancelled out");
         let ledger = w.observer::<FaultLedger>().expect("ledger attached");
         assert_eq!(ledger.count(SuppressReason::Corrupted), frames - delivered);
+    }
+
+    /// Body flips `body` plus the trailer flips that cancel their CRC
+    /// change: a frame that passes its CRC check though its body changed.
+    fn crc_escape(clean: &[u8], body: &[u64]) -> Vec<u64> {
+        let body_len = clean.len() - codec::FRAME_CRC_BYTES;
+        let mut dirty = clean.to_vec();
+        for &bit in body {
+            dirty[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        let syndrome = codec::crc32(&dirty[..body_len]) ^ codec::crc32(&clean[..body_len]);
+        let trailer = (0..32)
+            .filter(|k| syndrome >> k & 1 == 1)
+            .map(|k| body_len as u64 * 8 + k);
+        body.iter().copied().chain(trailer).collect()
+    }
+
+    /// A frame whose flips escape the CRC decodes, but reaches the
+    /// receiver only with the sent ad's id and sketch family. A flipped
+    /// sketch count `F` would fail the merge into a cached copy, and a
+    /// flipped issuer would be a phantom ad; both are dropped as
+    /// corrupted. A flip in the opaque content still delivers.
+    #[test]
+    fn crc_escapes_reach_the_receiver_only_as_the_sent_ad() {
+        let c = CorruptionSpec {
+            from: SimTime::ZERO,
+            until: SimTime::from_secs(1.0),
+            p_corrupt: 1.0,
+            max_flips: MAX_FLIPS,
+        };
+        let s =
+            tiny(ProtocolKind::Gossip, 10, 48).with_faults(FaultPlan::none().with_corruption(c));
+        let mut w = World::new(s);
+        w.attach_observer(Box::new(FaultLedger::new(SimDuration::from_secs(5.0))));
+        let ad = Advertisement::new(
+            AdId::new(PeerId(10), 0),
+            Point::new(1200.0, 800.0),
+            SimTime::ZERO,
+            700.0,
+            SimDuration::from_secs(600.0),
+            vec![1, 5],
+            64,
+            &w.scenario.params,
+        );
+        let msg = Arc::new(AdMessage::gossip(ad));
+        let clean = codec::encode_frame(&msg);
+        // Body byte 77 of a two-topic ad is the sketch count `F`; bytes
+        // 3 to 6 are the issuer; the last body byte is opaque content.
+        let count_bit = 77 * 8;
+        let issuer_bit = 3 * 8 + 2;
+        let content_bit = (clean.len() - codec::FRAME_CRC_BYTES) as u64 * 8 - 1;
+        let decoded = |bits: &[u64]| {
+            let mut frame = clean.clone();
+            for &bit in bits {
+                frame[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+            codec::decode_frame(&frame).expect("the flips escape the CRC")
+        };
+
+        let reshaped = crc_escape(&clean, &[count_bit]);
+        assert!(reshaped.len() <= MAX_FLIPS as usize);
+        let got = decoded(&reshaped);
+        assert_eq!(got.ad.id, msg.ad.id);
+        assert!(!got.ad.sketches.same_family(&msg.ad.sketches));
+        assert!(w
+            .flipped(SimTime::ZERO, 1, Arc::clone(&msg), &reshaped)
+            .is_none());
+
+        let phantom = crc_escape(&clean, &[issuer_bit]);
+        assert_ne!(decoded(&phantom).ad.id, msg.ad.id);
+        assert!(w
+            .flipped(SimTime::ZERO, 1, Arc::clone(&msg), &phantom)
+            .is_none());
+
+        let content = crc_escape(&clean, &[content_bit]);
+        assert_eq!(decoded(&content), *msg);
+        let got = w.flipped(SimTime::ZERO, 1, Arc::clone(&msg), &content);
+        assert_eq!(got.as_deref(), Some(&*msg));
+
+        let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+        assert_eq!(ledger.count(SuppressReason::Corrupted), 2);
     }
 
     #[test]

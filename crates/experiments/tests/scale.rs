@@ -5,8 +5,9 @@
 //! pins the run's whole [`RunResult`] (via `Debug`, which round-trips
 //! every `f64` exactly) plus the exact work counters behind it: events
 //! delivered, queue pushes/pops/cascades, spatial-grid rebuilds, queries
-//! and candidates evaluated exactly, and per-entry wake-ups (every
-//! protocol's one timer) by outcome. The
+//! and candidates evaluated exactly, per-entry wake-ups (every
+//! protocol's one timer) by outcome, and frame deliveries queued or left
+//! out as covered (their sum is the channel's receptions). The
 //! counters do not depend on the host, so any change to event ordering,
 //! timer scheduling or the grid refresh policy shows up here as an exact
 //! diff, in debug and in release alike.
@@ -14,7 +15,7 @@
 use ia_core::ProtocolKind;
 use ia_des::SimDuration;
 use ia_experiments::figures::chaos;
-use ia_experiments::{EntryWakeups, RunResult, Scenario, World};
+use ia_experiments::{Deliveries, EntryWakeups, RunResult, Scenario, World};
 
 /// What a run must reproduce exactly.
 struct Pin {
@@ -27,6 +28,7 @@ struct Pin {
     grid_queries: u64,
     grid_candidates: u64,
     entry_wakeups: EntryWakeups,
+    deliveries: Deliveries,
 }
 
 /// Seed 1, a full 1800 s life cycle: the benchmark's run length.
@@ -63,6 +65,9 @@ fn check(scenario: Scenario, pin: Pin) {
         "(events, pushes, pops, cascades, grid rebuilds, grid queries, grid candidates)"
     );
     assert_eq!(w.entry_wakeups(), pin.entry_wakeups, "entry wake-ups");
+    let d = w.deliveries();
+    assert_eq!(d, pin.deliveries, "deliveries");
+    assert_eq!(d.queued + d.skipped, w.medium().stats().receptions);
 }
 
 /// Built exactly as simbench's `opt-dense` workload
@@ -85,6 +90,10 @@ fn opt_dense() {
                 fired: 28_127,
                 rearmed: 69_509,
                 dropped: 16_188,
+            },
+            deliveries: Deliveries {
+                queued: 238_465,
+                skipped: 0,
             },
         },
     );
@@ -109,10 +118,10 @@ fn gossip_chaos() {
         at_benchmark_length(s),
         Pin {
             result: r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(1000), seq: 0 }, passed: 972, delivered: 972, passages: 2528, delivered_passages: 2510, delivery_rate: 99.2879746835443, mean_delivery_time: 3.2118317780876517 }], delivery_time_dist: [Distribution { count: 2510, mean: 3.2118317780876517, p50: 0.0, p90: 0.0013600999999999863, p99: 99.37634902999989, max: 144.841394 }], traffic: TrafficStats { messages: 75343, receptions: 1012575, drops: 112989, jammed: 24965, bytes_sent: 24034417, dead_air: 1555, collisions: 0 } }"#,
-            events: 1_090_131,
-            pushes: 1_091_125,
-            pops: 1_090_132,
-            cascades: 1_961_450,
+            events: 287_918,
+            pushes: 288_912,
+            pops: 287_919,
+            cascades: 542_857,
             grid_rebuilds: 594,
             grid_queries: 75_343,
             grid_candidates: 1_606_497,
@@ -120,6 +129,10 @@ fn gossip_chaos() {
                 fired: 75_342,
                 rearmed: 23,
                 dropped: 12,
+            },
+            deliveries: Deliveries {
+                queued: 210_362,
+                skipped: 802_213,
             },
         },
     );
@@ -143,6 +156,10 @@ fn flooding_300() {
                 fired: 359,
                 rearmed: 0,
                 dropped: 0,
+            },
+            deliveries: Deliveries {
+                queued: 101_307,
+                skipped: 0,
             },
         },
     );

@@ -67,19 +67,33 @@ impl FmBundle {
         self.estimate().round() as u64
     }
 
+    /// Do the bundles share a hash family and shape (seed, `F` and `L`),
+    /// so that [`FmBundle::merge`] accepts one into the other?
+    pub fn same_family(&self, other: &FmBundle) -> bool {
+        (self.seed, self.len, self.bitmaps.len()) == (other.seed, other.len, other.bitmaps.len())
+    }
+
+    /// Does `other` add nothing to this bundle: same family, and every
+    /// bit it sets already set here? Exactly when merging `other` would
+    /// leave this bundle as it is; `false`, not a panic, for bundles of
+    /// another family or shape.
+    pub fn covers(&self, other: &FmBundle) -> bool {
+        self.same_family(other)
+            && self
+                .bitmaps
+                .iter()
+                .zip(&other.bitmaps)
+                .all(|(mine, theirs)| theirs & !mine == 0)
+    }
+
     /// Duplicate-insensitive merge (bitwise OR per sketch).
     ///
     /// # Panics
     /// Panics if the bundles have different hash families or shapes.
     pub fn merge(&mut self, other: &FmBundle) {
-        assert_eq!(
-            self.seed, other.seed,
-            "merging bundles from different hash families"
-        );
-        assert_eq!(
-            (self.len, self.bitmaps.len()),
-            (other.len, other.bitmaps.len()),
-            "merging bundles of different sizes"
+        assert!(
+            self.same_family(other),
+            "merging bundles from different hash families or of different sizes"
         );
         fm::merge(&mut self.bitmaps, &other.bitmaps);
     }
