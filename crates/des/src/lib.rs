@@ -9,11 +9,13 @@
 //!   scheduling order, or before them in rank order when scheduled with
 //!   a rank. Internally a hierarchical timing wheel over its own recycled
 //!   slab (the private `wheel` module), so the hot schedule/pop path is
-//!   allocation-free at steady state. There is no cancel: a component
-//!   that reschedules a timer pushes the new one and ignores the stale
-//!   one when it fires. The world object drains the scheduler in a
-//!   simple `while let Some(...)` loop, keeping borrows trivial and the
-//!   engine free of callbacks.
+//!   allocation-free at steady state. An optional horizon ends the run:
+//!   a push at or after it is counted and dropped at once, so the
+//!   scheduler stores only events it will deliver. There is no cancel:
+//!   a component that reschedules a timer pushes the new one and ignores
+//!   the stale one when it fires. The world object drains the scheduler
+//!   in a simple `while let Some(...)` loop, keeping borrows trivial and
+//!   the engine free of callbacks.
 //! * [`rng`] — a seeded, splittable RNG: every component derives an
 //!   independent stream from a master seed, so adding randomness to one
 //!   component never perturbs another.
@@ -34,8 +36,9 @@ use wheel::TimingWheel;
 pub struct QueueStats {
     /// Events scheduled over the scheduler's lifetime.
     pub pushes: u64,
-    /// Events taken off the queue, including the one that reached the
-    /// horizon.
+    /// Events taken off the queue. Nothing at or after the horizon is
+    /// stored, so every pop is a delivery: this equals
+    /// [`Scheduler::events_processed`].
     pub pops: u64,
     /// Always 0: the queue has no cancel. The field stays only because
     /// the `simbench` harness still reads it.
@@ -80,13 +83,12 @@ pub const RANK_LIMIT: u64 = 1 << 63;
 pub struct Scheduler<E> {
     now: SimTime,
     wheel: TimingWheel<E>,
-    /// Events are discarded (not delivered) once `now` passes this horizon,
-    /// if set. `pop` returns `None` at the horizon.
+    /// If set, pushes at or after this instant are dropped, and the
+    /// clock stops here once nothing is left.
     horizon: Option<SimTime>,
     next_seq: u64,
     pushes: u64,
     pops: u64,
-    processed: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -104,12 +106,19 @@ impl<E> Scheduler<E> {
             next_seq: RANK_LIMIT,
             pushes: 0,
             pops: 0,
-            processed: 0,
         }
     }
 
-    /// Stop delivering events scheduled at or after `t`.
+    /// Deliver only events scheduled before `t`: a push at or after `t`
+    /// is counted and dropped at once, and once nothing is left [`pop`]
+    /// returns `None` with the clock at `t`.
+    ///
+    /// # Panics
+    /// Panics if an event is already pending.
+    ///
+    /// [`pop`]: Scheduler::pop
     pub fn with_horizon(mut self, t: SimTime) -> Self {
+        assert!(self.wheel.len() == 0, "set the horizon before scheduling");
         self.horizon = Some(t);
         self
     }
@@ -122,10 +131,11 @@ impl<E> Scheduler<E> {
 
     /// Total number of events delivered so far.
     pub fn events_processed(&self) -> u64 {
-        self.processed
+        self.pops
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending, all of them below the horizon (a
+    /// push at or after it is not stored).
     pub fn pending(&self) -> usize {
         self.wheel.len()
     }
@@ -172,26 +182,22 @@ impl<E> Scheduler<E> {
             self.now
         );
         self.pushes += 1;
-        self.wheel.push(t, seq, event);
+        if self.horizon.is_none_or(|h| t < h) {
+            self.wheel.push(t, seq, event);
+        }
     }
 
     /// Advance the clock to the next event and return its payload, or
-    /// `None` when the queue is exhausted or the horizon reached.
+    /// `None` when nothing is left; the clock then stands at the horizon,
+    /// if one is set, and at the last event otherwise.
     pub fn pop(&mut self) -> Option<E> {
-        let (t, _seq, ev) = self.wheel.pop()?;
-        self.pops += 1;
-        if let Some(h) = self.horizon {
-            if t >= h {
-                // The queue is monotone; everything remaining is at or
-                // beyond the horizon too. Drop it all.
-                self.wheel.clear();
-                self.now = h;
-                return None;
-            }
-        }
+        let Some((t, _seq, ev)) = self.wheel.pop() else {
+            self.now = self.horizon.unwrap_or(self.now);
+            return None;
+        };
         debug_assert!(t >= self.now, "queue returned time travel");
         self.now = t;
-        self.processed += 1;
+        self.pops += 1;
         Some(ev)
     }
 
@@ -208,7 +214,7 @@ impl<E> fmt::Debug for Scheduler<E> {
         f.debug_struct("Scheduler")
             .field("now", &self.now)
             .field("pending", &self.wheel.len())
-            .field("processed", &self.processed)
+            .field("pops", &self.pops)
             .finish()
     }
 }
@@ -263,10 +269,21 @@ mod tests {
         s.schedule_at(SimTime::from_secs(5.0), 1);
         s.schedule_at(SimTime::from_secs(10.0), 2);
         s.schedule_at(SimTime::from_secs(15.0), 3);
+        assert_eq!(s.pending(), 1);
         let got: Vec<u32> = std::iter::from_fn(|| s.pop()).collect();
         assert_eq!(got, vec![1]);
         assert_eq!(s.now(), SimTime::from_secs(10.0));
         assert_eq!(s.pending(), 0);
+        let q = s.queue_stats();
+        assert_eq!((q.pushes, q.pops, s.events_processed()), (3, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "set the horizon before scheduling")]
+    fn horizon_after_a_push_panics() {
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.schedule_at(SimTime::from_secs(5.0), 1);
+        let _ = s.with_horizon(SimTime::from_secs(1.0));
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //!
 //! # Layout
 //!
-//! `LEVELS` (8) wheels of `SLOTS` (64) slots each. A level-`k` slot spans
-//! `64^k` µs, so level 0 resolves exact microsecond timestamps and the
-//! eight levels together cover `64^8` µs ≈ 8.9 simulated years; anything
-//! farther out parks in a far-future overflow ring and is folded back in
-//! if the clock ever gets there. An event at time `t` lives at the level
-//! of the highest base-64 digit in which `t` differs from the wheel
-//! cursor `cur` — i.e. as low as its distance allows — at slot index
-//! `(t >> 6k) & 63` (absolute indexing, no per-level offsets).
+//! `LEVELS` (11) wheels of `SLOTS` (64) slots each. A level-`k` slot
+//! spans `64^k` µs, so level 0 resolves exact microsecond timestamps.
+//! Eleven base-64 digits are 66 bits, so the wheel places every `u64`
+//! instant directly, [`SimTime::MAX`] included. An event at time `t`
+//! lives at the level of the highest base-64 digit in which `t` differs
+//! from the wheel cursor `cur` — i.e. as low as its distance allows — at
+//! slot index `(t >> 6k) & 63` (absolute indexing, no per-level
+//! offsets).
 //!
 //! # Cascade rules
 //!
@@ -42,19 +42,18 @@
 //! due its events are staged into a small recycled `due` batch and
 //! sorted by `(time, seq)` — one exact timestamp per slot means the sort
 //! almost always sees 0 or 1 elements. Pops drain the batch before
-//! touching the wheel again; events pushed *at* the popped instant land
-//! in the (already passed) level-0 slot, which the search revisits
-//! because its bitmap scan is inclusive of the cursor digit. The result
-//! is the same `(time, seq)` total order a stable binary heap produces,
-//! pinned bitwise by the Scheduler-vs-heap proptests in
+//! touching the wheel again. A push *at* the cursor instant merges into
+//! the batch while one is active (an unranked push sorts after its
+//! remainder, a ranked one may sort before it); otherwise it lands in
+//! the level-0 cursor slot, which the search revisits because its bitmap
+//! scan is inclusive of the cursor digit. The result is the same
+//! `(time, seq)` total order a stable binary heap produces, pinned
+//! bitwise by the Scheduler-vs-heap proptests in
 //! `crates/des/tests/wheel_vs_heap.rs`.
 //!
-//! A push below the cursor is merged into the due batch (or clamped to
-//! the cursor slot) and still pops first, exactly like a heap. The
-//! [`crate::Scheduler`] rejects scheduling before its clock, so this
-//! happens only after the horizon: the clock stops at the horizon while
-//! the cursor may already stand at the later event that reached it, and
-//! the scheduler cuts such a push at the horizon when it pops.
+//! No push lands below the cursor: the cursor never passes the
+//! scheduler's clock (it stands at the last popped instant), and the
+//! [`crate::Scheduler`] rejects scheduling before its clock.
 
 use crate::time::SimTime;
 
@@ -62,8 +61,9 @@ use crate::time::SimTime;
 const SLOTS: usize = 64;
 /// Bits per base-64 digit.
 const DIGIT_BITS: u32 = 6;
-/// Wheel levels; total span `64^LEVELS` µs (~8.9 simulated years).
-const LEVELS: usize = 8;
+/// Wheel levels: enough base-64 digits to place every `u64` instant.
+const LEVELS: usize = 11;
+const _: () = assert!(DIGIT_BITS as usize * LEVELS >= u64::BITS as usize);
 
 /// Base-64 digit `k` of `t`.
 #[inline]
@@ -81,30 +81,24 @@ struct Slot<E> {
     /// Occupant sequence number, the tie-breaker at equal times.
     seq: u64,
     /// Next slot in whatever chain this slot is threaded into: a wheel
-    /// slot list, or the free list (unused while in the due batch or the
-    /// overflow ring).
+    /// slot list, or the free list (unused while in the due batch).
     next: u32,
     /// `None` once the event was delivered and the slot freed.
     payload: Option<E>,
 }
 
-/// The wheel and its slab: chains of slab slots plus the due batch and
-/// overflow ring.
+/// The wheel and its slab: chains of slab slots plus the due batch.
 pub(crate) struct TimingWheel<E> {
     /// Occupancy bitmap per level (bit `s` = slot `s` chain non-empty).
     occupied: [u64; LEVELS],
     /// Chain heads per level/slot (`NIL` = empty).
     heads: [[u32; SLOTS]; LEVELS],
-    /// Wheel cursor, µs: every pending event is at or after `cur`, except
-    /// pushes below it, which are clamped into the due batch.
+    /// Wheel cursor, µs: every pending event is at or after `cur`.
     cur: u64,
     /// The staged level-0 slot, sorted ascending by `(time, seq)`;
     /// `due[due_pos..]` is still pending. Recycled between slots.
     due: Vec<(u64, u64, u32)>,
     due_pos: usize,
-    /// Events beyond the wheel span: `(time µs, seq, slot)` — unsorted,
-    /// folded back when the wheels drain.
-    overflow: Vec<(u64, u64, u32)>,
     /// The slab every pending event lives in.
     slots: Vec<Slot<E>>,
     /// Head of the free list threaded through `slots` (`NIL` = empty).
@@ -123,7 +117,6 @@ impl<E> TimingWheel<E> {
             cur: 0,
             due: Vec::new(),
             due_pos: 0,
-            overflow: Vec::new(),
             slots: Vec::new(),
             free: NIL,
             len: 0,
@@ -149,24 +142,21 @@ impl<E> TimingWheel<E> {
         (self.occupied[level] >> dk) << dk
     }
 
-    /// Enqueue `payload` at `t`, ordered by `seq` among equal times.
+    /// Enqueue `payload` at `t ≥ cur`, ordered by `seq` among equal times.
     pub fn push(&mut self, t: SimTime, seq: u64, payload: E) {
+        let tm = t.as_micros();
+        debug_assert!(tm >= self.cur, "push below the wheel cursor");
         let slot = self.claim(t, seq, payload);
         self.len += 1;
-        let tm = t.as_micros();
-        if tm <= self.cur && self.due_pos < self.due.len() {
-            // A push at or below the cursor while a due batch is active
-            // must pop by its seq among the batch remainder, so merge it
-            // in, keeping the batch sorted: at the cursor instant an
-            // unranked push sorts after the batch, a ranked one may sort
-            // before it; below the cursor (after the horizon only) it
-            // pops first.
+        if tm == self.cur && self.due_pos < self.due.len() {
+            // The batch remainder is at the cursor instant too: merge by
+            // seq, keeping the batch sorted.
             let key = (tm, seq, slot);
             let at = self.due[self.due_pos..].partition_point(|e| *e < key) + self.due_pos;
             self.due.insert(at, key);
             return;
         }
-        self.place(tm.max(self.cur), slot);
+        self.place(tm, slot);
     }
 
     /// Store `(time, seq, payload)` in a slab slot: the last freed one
@@ -195,21 +185,10 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Put `slot` into the level/slot derived from `tm ≥ cur`. The slab's
-    /// stored time is authoritative for delivery; `tm` is only the
-    /// placement key (pushes below the cursor clamp it to `cur`).
+    /// Put `slot`, due at `tm ≥ cur`, into the level and slot `tm`'s
+    /// distance from the cursor picks.
     fn place(&mut self, tm: u64, slot: u32) {
-        let x = tm ^ self.cur;
-        let level = if x == 0 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / DIGIT_BITS) as usize
-        };
-        if level >= LEVELS {
-            let seq = self.slots[slot as usize].seq;
-            self.overflow.push((tm, seq, slot));
-            return;
-        }
+        let level = (((tm ^ self.cur) | 1).ilog2() / DIGIT_BITS) as usize;
         let s = digit(tm, level) as usize;
         self.slots[slot as usize].next = self.heads[level][s];
         self.heads[level][s] = slot;
@@ -234,10 +213,7 @@ impl<E> TimingWheel<E> {
             self.due.clear();
             self.due_pos = 0;
             if !self.stage_next() {
-                if self.overflow.is_empty() {
-                    return None;
-                }
-                self.rebase();
+                return None;
             }
         }
     }
@@ -253,8 +229,7 @@ impl<E> TimingWheel<E> {
                 self.occupied[0] &= !(1 << s);
                 let mut node = self.heads[0][s];
                 self.heads[0][s] = NIL;
-                // The slot's exact timestamp; clamped events may carry
-                // earlier stored times and sort first.
+                // The slot's exact timestamp.
                 self.cur = (self.cur & !(SLOTS as u64 - 1)) | s as u64;
                 while node != NIL {
                     let e = &self.slots[node as usize];
@@ -304,31 +279,15 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Fold far-future overflow events back into the wheel once it has
-    /// drained: jump the cursor to the earliest overflow time and
-    /// re-place whatever now fits (the rest stays parked).
-    fn rebase(&mut self) {
-        let min_tm = self.overflow.iter().map(|&(tm, _, _)| tm).min();
-        self.cur = self
-            .cur
-            .max(min_tm.expect("rebase of an empty overflow ring"));
-        for (tm, seq, slot) in std::mem::take(&mut self.overflow) {
-            if (tm ^ self.cur) >> (DIGIT_BITS * LEVELS as u32) == 0 {
-                self.place(tm, slot);
-            } else {
-                self.overflow.push((tm, seq, slot));
-            }
-        }
-    }
-
     /// `(time, seq)` of the earliest event without delivering it.
     /// Read-only, so it scans a chain instead of cascading: the earliest
     /// event sits in the first occupied slot of the lowest occupied
     /// level, so only that slot's chain is read.
     pub fn peek(&self) -> Option<(SimTime, u64)> {
-        let earliest = if let Some(&(tm, seq, _)) = self.due.get(self.due_pos) {
-            Some((tm, seq))
-        } else if let Some(level) = (0..LEVELS).find(|&k| self.pending_from_cursor(k) != 0) {
+        let (tm, seq) = if let Some(&(tm, seq, _)) = self.due.get(self.due_pos) {
+            (tm, seq)
+        } else {
+            let level = (0..LEVELS).find(|&k| self.pending_from_cursor(k) != 0)?;
             let s = self.pending_from_cursor(level).trailing_zeros() as usize;
             let mut best = (u64::MAX, u64::MAX);
             let mut node = self.heads[level][s];
@@ -337,28 +296,11 @@ impl<E> TimingWheel<E> {
                 best = best.min((e.time.as_micros(), e.seq));
                 node = e.next;
             }
-            Some(best)
-        } else {
-            self.overflow.iter().map(|&(tm, seq, _)| (tm, seq)).min()
+            best
         };
-        earliest.map(|(tm, seq)| (SimTime::from_micros(tm), seq))
-    }
-
-    /// Drop every pending event. Capacities (slab, due and overflow
-    /// buffers) are retained, and the cursor keeps its position so the
-    /// clock stays monotone.
-    pub fn clear(&mut self) {
-        self.occupied = [0; LEVELS];
-        self.heads = [[NIL; SLOTS]; LEVELS];
-        self.due.clear();
-        self.due_pos = 0;
-        self.overflow.clear();
-        self.slots.clear();
-        self.free = NIL;
-        self.len = 0;
+        Some((SimTime::from_micros(tm), seq))
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,22 +390,39 @@ mod tests {
     }
 
     #[test]
-    fn overflow_ring_round_trips() {
+    fn top_levels_reach_the_end_of_time() {
         let mut r = Rig::new();
-        let span = 64u64.pow(8);
-        r.push(span + 123); // beyond the wheels: parks in overflow
-        r.push(50);
-        assert_eq!(r.wheel.overflow.len(), 1);
-        assert_eq!(r.pop(), Some(50));
-        assert_eq!(r.pop(), Some(span + 123));
-        assert_eq!(r.pop(), None);
+        // Levels 8 (from 64^8 = 2^48 µs), 9 and 10, up to `SimTime::MAX`
+        // twice, pushed out of order among a level-0 event.
+        let times = [
+            u64::MAX,
+            1 << 60,
+            (1 << 54) + 7,
+            3,
+            (1 << 63) + 5,
+            1 << 48,
+            u64::MAX - 1,
+            (1 << 48) + 64,
+            u64::MAX,
+        ];
+        for &tm in &times {
+            r.push(tm);
+        }
+        assert!(r.wheel.occupied[8..].iter().all(|&m| m != 0));
+        // `(time, seq)` order: the two events at `SimTime::MAX` pop in
+        // push order.
+        let mut want: Vec<(u64, u64)> = times.iter().copied().zip(0..).collect();
+        want.sort_unstable();
+        let got: Vec<(u64, u64)> = std::iter::from_fn(|| r.wheel.pop())
+            .map(|(tm, seq, _)| (tm.as_micros(), seq))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn peek_matches_pop() {
         let mut r = Rig::new();
-        let span = 64u64.pow(8);
-        for tm in [900, 10, 64 * 64 + 3, 900, span + 1] {
+        for tm in [900, 10, 64 * 64 + 3, 900, 1 << 48, u64::MAX] {
             r.push(tm);
         }
         while let Some(peeked) = r.wheel.peek() {

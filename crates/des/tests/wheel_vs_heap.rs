@@ -3,13 +3,15 @@
 //! `(time, seq)`, where a ranked push's rank replaces the `seq` and
 //! sorts below every insertion-order `seq`. A reference heap lives in
 //! this file, and proptest drives both side by side through random
-//! schedule/pop/peek interleavings — including deltas spanning every
-//! wheel level and the far-future overflow ring, with and without a
-//! horizon — plus a deterministic model of the Optimized Gossiping-2
-//! postpone storm, where every postponement pushes a new timer and
-//! leaves the stale one queued. Every pop, clock reading, peek and
-//! pending count must match exactly. Nothing is ever scheduled before
-//! the scheduler's clock.
+//! schedule/pop/peek interleavings — including deltas and horizons up
+//! to 2^63 µs, so every one of the wheel's eleven levels runs, with and
+//! without a horizon — plus a deterministic model of the Optimized
+//! Gossiping-2 postpone storm, where every postponement pushes a new
+//! timer and leaves the stale one queued. Every pop, clock reading, peek
+//! and pending count must match exactly. The heap keeps every push; the
+//! scheduler drops a push at or after its horizon at once, so its peek
+//! and pending count see only the heap's events below the horizon.
+//! Nothing is ever scheduled before the scheduler's clock.
 
 use ia_des::{Scheduler, SimTime, RANK_LIMIT};
 use proptest::prelude::*;
@@ -64,25 +66,35 @@ impl<E> RefQueue<E> {
         self.heap.pop().map(|Reverse((t, _, cell))| (t, cell.0))
     }
 
-    fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    /// The earliest time below `horizon`.
+    fn peek_time(&self, horizon: Option<u64>) -> Option<u64> {
+        let t = self.heap.peek().map(|Reverse((t, _, _))| *t);
+        t.filter(|&t| below(t, horizon))
+    }
+
+    /// How many events lie below `horizon`.
+    fn pending(&self, horizon: Option<u64>) -> usize {
+        let times = self.heap.iter().map(|Reverse((t, _, _))| *t);
+        times.filter(|&t| below(t, horizon)).count()
     }
 }
 
+fn below(t: u64, horizon: Option<u64>) -> bool {
+    horizon.is_none_or(|h| t < h)
+}
+
 /// Pop both queues once and check they agree; the heap's events at or
-/// after `horizon` must not come out of the scheduler. Returns the
-/// delivered event, if any.
+/// after `horizon` must not come out of the scheduler, nor count as
+/// pending in it. Returns the delivered event, if any.
 fn pop_both(
     sched: &mut Scheduler<usize>,
     heap: &mut RefQueue<usize>,
     horizon: Option<u64>,
 ) -> Option<(u64, usize)> {
-    let want = heap.pop().filter(|&(t, _)| horizon.is_none_or(|h| t < h));
+    let want = heap.pop().filter(|&(t, _)| below(t, horizon));
     let got = sched.pop().map(|p| (sched.now().as_micros(), p));
     assert_eq!(got, want, "pop diverged");
-    if got.is_some() {
-        assert_eq!(sched.pending(), heap.heap.len(), "pending diverged");
-    }
+    assert_eq!(sched.pending(), heap.pending(horizon), "pending diverged");
     got
 }
 
@@ -99,9 +111,10 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Deltas chosen to land on every wheel level: level 0 (≤63 µs), mid
-    // levels, the top level, and past the 64^8 span into the overflow
-    // ring. The vendored `prop_oneof!` is unweighted, so the common
-    // small-delta and pop arms are simply repeated.
+    // levels, and levels 8 to 10 (from 64^8 = 2^48 µs up to 2^63 µs;
+    // times saturate at `SimTime::MAX`). The vendored `prop_oneof!` is
+    // unweighted, so the common small-delta and pop arms are simply
+    // repeated.
     prop_oneof![
         (0u64..64).prop_map(Op::Push),
         (0u64..64).prop_map(Op::Push),
@@ -109,6 +122,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..100_000).prop_map(Op::Push),
         (0u64..4_000_000_000).prop_map(Op::Push),
         (1u64 << 47..1 << 52).prop_map(Op::Push),
+        (1u64 << 52..=1 << 63).prop_map(Op::Push),
         (0u64..64).prop_map(Op::PushRanked),
         (0u64..100_000).prop_map(Op::PushRanked),
         Just(Op::Peek),
@@ -121,7 +135,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Run one op sequence through both queues, asserting identical
 /// observable behaviour at every step. With a horizon `h`, the
 /// scheduler delivers exactly the heap's events below `h`, then ends
-/// empty with its clock at `h`.
+/// empty with its clock at `h`; pushes after that are dropped too.
 fn drive(ops: &[Op], horizon: Option<u64>) {
     let mut sched: Scheduler<usize> = match horizon {
         Some(h) => Scheduler::new().with_horizon(SimTime::from_micros(h)),
@@ -147,14 +161,13 @@ fn drive(ops: &[Op], horizon: Option<u64>) {
                 payload += 1;
             }
             Op::Pop => {
-                let pending = !heap.heap.is_empty();
-                if pop_both(&mut sched, &mut heap, horizon).is_none() && pending {
-                    break; // the horizon cut the run
-                }
+                pop_both(&mut sched, &mut heap, horizon);
             }
             Op::Peek => {
                 let got = sched.peek_time().map(|t| t.as_micros());
-                prop_assert_eq!(got, heap.peek_time(), "peek diverged at now={}", now);
+                let want = heap.peek_time(horizon);
+                prop_assert_eq!(got, want, "peek diverged at now={}", now);
+                assert_eq!(sched.pending(), heap.pending(horizon), "pending diverged");
             }
         }
     }
@@ -163,28 +176,35 @@ fn drive(ops: &[Op], horizon: Option<u64>) {
         while pop_both(&mut sched, &mut heap, None).is_some() {}
         return;
     };
-    // An event at the horizon itself ends the run even when every
-    // random event lies below it.
+    // A push at the horizon itself is dropped at once, whether or not
+    // the run has reached the horizon yet.
+    let pending = sched.pending();
     sched.schedule_at(SimTime::from_micros(h), payload);
     heap.push(h, payload);
+    assert_eq!(sched.pending(), pending);
     while pop_both(&mut sched, &mut heap, horizon).is_some() {}
     assert_eq!(sched.pop(), None);
     assert_eq!(sched.pending(), 0);
     assert_eq!(sched.now(), SimTime::from_micros(h));
-    // A push after the horizon is cut by it too, wherever the wheel's
-    // cursor stopped.
+    // So is a push at the horizon after the run ended.
     sched.schedule_at(SimTime::from_micros(h), payload + 1);
-    assert_eq!((sched.pending(), sched.pop()), (1, None));
-    assert_eq!((sched.pending(), sched.now()), (0, SimTime::from_micros(h)));
+    assert_eq!((sched.pending(), sched.pop()), (0, None));
+    assert_eq!(sched.now(), SimTime::from_micros(h));
+    // Every push counted, and every pop delivered.
+    let q = sched.queue_stats();
+    assert_eq!(q.pushes, payload as u64 + 2);
+    assert_eq!(q.pops, sched.events_processed());
 }
 
 fn horizon_strategy() -> impl Strategy<Value = u64> {
-    // Horizons below, among and above the op deltas' scales.
+    // Horizons below, among and above the op deltas' scales, up to
+    // 2^63 µs.
     prop_oneof![
         0u64..1_000,
         0u64..100_000,
         0u64..4_000_000_000,
         1u64 << 47..1 << 53,
+        1u64 << 53..=1 << 63,
     ]
 }
 

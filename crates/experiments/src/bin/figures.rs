@@ -8,9 +8,15 @@
 //! tables`; `all` runs each in that order. `alpha`, `round` and `dis`
 //! pick Figure 10's sweeps (all three when none is given). `--seeds N`
 //! averages seeds 1..=N (default 3, or 1 with `--quick`). Bad arguments
-//! print usage and exit with code 2.
+//! print usage and exit with code 2; so does a CSV directory that cannot
+//! be created (checked before any figure runs) or written.
 
 use ia_experiments::figures::{self, emit, Options, NAMES};
+
+fn fail(problem: &str) -> ! {
+    eprintln!("figures: {problem}");
+    std::process::exit(2);
+}
 
 fn usage(problem: &str) -> ! {
     eprintln!("figures: {problem}");
@@ -25,6 +31,10 @@ fn main() {
     let Some((name, selectors)) = rest.split_first() else {
         usage("name a figure or `all`");
     };
+    if let Some(dir) = &opts.csv_dir {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| fail(&format!("cannot create CSV directory {dir}: {e}")));
+    }
     let names = if name == "all" {
         NAMES.to_vec()
     } else {
@@ -32,6 +42,6 @@ fn main() {
     };
     for name in names {
         let tables = figures::run(name, &opts, selectors).unwrap_or_else(|e| usage(&e));
-        emit(&opts, &tables);
+        emit(&opts, &tables).unwrap_or_else(|e| fail(&format!("cannot write CSV: {e}")));
     }
 }

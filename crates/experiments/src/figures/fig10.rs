@@ -19,6 +19,9 @@ use ia_des::SimDuration;
 /// Network size used throughout Figure 10 (Table III).
 pub const N_PEERS: usize = 300;
 
+/// The sweeps [`run`] can select, in the order it runs them.
+pub const SWEEPS: [&str; 3] = ["alpha", "round", "dis"];
+
 const HEADERS: [&str; 3] = ["x", "delivery_rate_pct", "messages"];
 
 fn base() -> Scenario {
@@ -96,7 +99,7 @@ pub fn run_dis(opts: &Options) -> Table {
     t
 }
 
-/// Run all three sweeps (or a subset named in `which`).
+/// Run all three sweeps (or the subset of [`SWEEPS`] named in `which`).
 pub fn run(opts: &Options, which: &[String]) -> Vec<Table> {
     let all = which.is_empty();
     let wants = |name: &str| all || which.iter().any(|w| w == name);

@@ -116,10 +116,20 @@ pub const NAMES: [&str; 13] = [
 ];
 
 /// The tables of figure `name` (one of [`NAMES`]). `selectors` picks
-/// Figure 10's sweeps (`alpha`, `round`, `dis`; all when empty) and must
+/// Figure 10's sweeps (of [`fig10::SWEEPS`]; all when empty) and must
 /// be empty for every other figure.
 pub fn run(name: &str, opts: &Options, selectors: &[String]) -> Result<Vec<Table>, String> {
-    if name != "fig10" && !selectors.is_empty() {
+    if name == "fig10" {
+        if let Some(bad) = selectors
+            .iter()
+            .find(|s| !fig10::SWEEPS.contains(&s.as_str()))
+        {
+            return Err(format!(
+                "unknown fig10 sweep '{bad}' (one of {})",
+                fig10::SWEEPS.join(" ")
+            ));
+        }
+    } else if !selectors.is_empty() {
         return Err(format!("unexpected arguments for {name}: {selectors:?}"));
     }
     Ok(match name {
@@ -146,13 +156,13 @@ pub fn sweep_point(opts: &Options, scenario: Scenario) -> Summary {
     summarize(&run_seeds(&scenario, &opts.seeds))
 }
 
-/// Print tables and optionally dump CSVs.
-pub fn emit(opts: &Options, tables: &[Table]) {
+/// Print tables and, with a CSV directory (which must exist), write one
+/// CSV file per table into it.
+pub fn emit(opts: &Options, tables: &[Table]) -> std::io::Result<()> {
     for t in tables {
         println!("{}", t.render());
     }
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
         for t in tables {
             let name: String = t
                 .title()
@@ -166,10 +176,11 @@ pub fn emit(opts: &Options, tables: &[Table]) {
                 })
                 .collect();
             let path = format!("{dir}/{name}.csv");
-            std::fs::write(&path, t.to_csv()).expect("write csv");
+            std::fs::write(&path, t.to_csv())?;
             println!("wrote {path}");
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -223,6 +234,10 @@ mod tests {
         assert_eq!(run("tables", &opts, &[]).unwrap().len(), 3);
         assert!(run("fig11", &opts, &[]).unwrap_err().contains("unknown"));
         assert!(run("fig9", &opts, &args(&["alpha"])).is_err());
+        for bad in [&["foo"][..], &["alpha", "foo"]] {
+            let err = run("fig10", &opts, &args(bad)).unwrap_err();
+            assert!(err.contains("'foo'"), "{bad:?}: {err}");
+        }
         for (i, name) in NAMES.iter().enumerate() {
             assert!(!NAMES[..i].contains(name), "{name} listed twice");
         }
