@@ -3,10 +3,10 @@
 //! Every stochastic component of the simulator derives its randomness
 //! from the scenario's master seed via a SplitMix64 mix. Build-time draws
 //! (mobility, churn, placement, interests) and the radio's loss, jitter
-//! and corruption draws come from sequential streams; the protocols' coins
-//! (start phase, round and entry-tick coins) and GPS noise are keyed
-//! draws ([`keyed_unit`]), pure functions of what each one decides. This
-//! guarantees:
+//! and burst-channel draws come from sequential streams; the protocols'
+//! coins (start phase, round and entry-tick coins), GPS noise and frame
+//! corruption are keyed draws ([`keyed_unit`], [`keyed_below`]), pure
+//! functions of what each one decides. This guarantees:
 //!
 //! * identical runs for identical seeds, regardless of component order;
 //! * adding randomness to one component does not perturb another;
@@ -42,8 +42,23 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
 /// value is a multiple of 2⁻⁵³, the same grid [`SimRng::unit`] samples.
 #[inline]
 pub fn keyed_unit(key: u64, a: u64, b: u64) -> f64 {
-    let z = splitmix64(splitmix64(key ^ splitmix64(a)) ^ b);
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (keyed_bits(key, a, b) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A uniform integer in `[0, n)` that is a pure function of
+/// `(key, a, b)`: the same 64 random bits as [`keyed_unit`], scaled by
+/// a widening multiply (`n > 0`).
+#[inline]
+pub fn keyed_below(key: u64, a: u64, b: u64, n: u64) -> u64 {
+    debug_assert!(n > 0, "empty range");
+    ((u128::from(keyed_bits(key, a, b)) * u128::from(n)) >> 64) as u64
+}
+
+/// The 64 random bits behind [`keyed_unit`] and [`keyed_below`]; also a
+/// key for further keyed draws, derived from `(key, a, b)`.
+#[inline]
+pub fn keyed_bits(key: u64, a: u64, b: u64) -> u64 {
+    splitmix64(splitmix64(key ^ splitmix64(a)) ^ b)
 }
 
 /// A seeded simulation RNG stream.
@@ -65,7 +80,7 @@ pub mod stream {
     pub const PLACEMENT: u64 = 5 << 32;
     pub const INTEREST: u64 = 6 << 32;
     /// Fault-injection draws (chaos plans). Sub-labelled in the low bits
-    /// by [`fault`] so the corruption and partition streams and the
+    /// by [`fault`] so the corruption key, the partition streams and the
     /// GPS-noise keys never collide with each other or with per-entity
     /// labels.
     pub const FAULT: u64 = 7 << 32;
@@ -77,7 +92,9 @@ pub mod stream {
     /// Sub-labels within the [`FAULT`] stream. Entity ids
     /// (node, wave index) occupy the low 24 bits.
     pub mod fault {
-        /// Frame-corruption draws (one world-level stream).
+        /// The key of the keyed frame-corruption draws: each frame
+        /// copy's verdict is a function of (sender, ad, send instant,
+        /// receiver) under it.
         pub const CORRUPT: u64 = 1 << 24;
         /// Partition-wave membership draws (one stream per wave).
         pub const PARTITION: u64 = 2 << 24;
@@ -256,6 +273,22 @@ mod tests {
         assert_ne!(base, keyed_unit(42, 7, 6));
         // The key and the first word are not interchangeable.
         assert_ne!(keyed_unit(7, 42, 5), base);
+    }
+
+    #[test]
+    fn keyed_below_is_pure_and_uniform_over_its_range() {
+        assert_eq!(keyed_below(1, 2, 3, 10), keyed_below(1, 2, 3, 10));
+        let mut counts = [0u32; 7];
+        for b in 0..70_000u64 {
+            let k = keyed_below(42, 7, b, 7);
+            counts[k as usize] += 1;
+        }
+        assert!(
+            counts.iter().all(|&c| c.abs_diff(10_000) < 400),
+            "{counts:?}"
+        );
+        assert_eq!(keyed_below(42, 7, 5, 1), 0);
+        assert!(keyed_below(42, 7, 5, u64::MAX) < u64::MAX);
     }
 
     #[test]

@@ -269,16 +269,17 @@ mod tests {
         // ledger timeline must not move while observers are removed. The
         // table (its Optimized Gossiping rows) was re-pinned when entry
         // ticks switched to keyed draws, and the table and the ledger when
-        // the start phase, round coins and GPS noise did too.
+        // the start phase, round coins and GPS noise did too, and both
+        // again when frame corruption became a keyed, send-time verdict.
         assert_eq!(
             format!("{:016x}", fnv1a(&severe)),
-            "b382f466fbcda2d9",
+            "b6ebb83188ee3217",
             "severe gossiping ledger CSV drifted:\n{severe}"
         );
         let rendered = t.render();
         assert_eq!(
             format!("{:016x}", fnv1a(&rendered)),
-            "a5f4359cdf781a65",
+            "eedfc6f7c45ba381",
             "chaos table drifted:\n{rendered}"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -24,7 +24,8 @@ use ia_core::{
     build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake, Motion,
     PeerContext, PeerId, Protocol, RxMeta, UserProfile,
 };
-use ia_des::{rng::stream, Scheduler, SimDuration, SimRng, SimTime};
+use ia_des::rng::{keyed_below, keyed_bits, keyed_unit, stream};
+use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Vector};
 use ia_mobility::{
     Fleet, FleetCursor, GpsNoise, Manhattan, MobilityModel, RandomWaypoint, Stationary,
@@ -40,15 +41,19 @@ enum Event {
     Start(u32),
     /// A peer's timer for one ad: a gossip entry tick or a flooding wave.
     Entry(u32, AdId),
-    /// Frame arrival at a receiver. A broadcast queues none for a
-    /// receiver whose protocol [covers](Protocol::covers) the message
-    /// (while no observer is attached and no corruption window is active
-    /// at the arrival): that arrival would change nothing.
+    /// Frame arrival at a receiver. While no observer is attached, a
+    /// broadcast queues none for a receiver whose protocol
+    /// [covers](Protocol::covers) the message: that arrival would change
+    /// nothing.
     Deliver {
         msg: Arc<AdMessage>,
         meta: RxMeta,
         to: u32,
     },
+    /// Arrival of a frame copy the CRC check drops (its verdict was made
+    /// at send time, [`World::verdict`]). Queued only while an observer
+    /// is attached, which it reaches as a suppression.
+    Garbled { msg: Arc<AdMessage>, to: u32 },
     /// The issuer of ad `index` publishes it.
     Issue { index: usize },
     /// A node switches off: no further transmissions, receptions, or
@@ -67,9 +72,8 @@ pub struct World {
     sched: Scheduler<Event>,
     peers: Vec<Box<dyn Protocol>>,
     radio_rng: SimRng,
-    /// Frame-corruption draws (fault injection); consumed only while a
-    /// corruption window is active, so fault-free runs never touch it.
-    fault_rng: SimRng,
+    /// The key of the keyed frame-corruption draws ([`World::verdict`]).
+    corrupt_key: u64,
     /// The corruption verdict's syndrome table, built at the first
     /// corrupted frame and kept for its length.
     flip_verdict: codec::FlipVerdict,
@@ -123,14 +127,51 @@ pub struct EntryWakeups {
 }
 
 /// Frame copies the channel delivered, by whether the world queued them.
-/// Their sum is the medium's `receptions`.
+/// Their sum is the medium's `receptions`. While an observer is attached
+/// every copy is queued.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Deliveries {
-    /// Queued as an `Event::Deliver`.
+    /// Queued to arrive at their receivers.
     pub queued: u64,
     /// Left out: the receiver's cached copy covered the message, so the
     /// arrival would have changed nothing ([`Protocol::covers`]).
     pub skipped: u64,
+    /// Left out: the copy's corruption verdict, a keyed draw made at send
+    /// time, drops it at the receiver's CRC check.
+    pub corrupted: u64,
+}
+
+/// What the receiver's CRC check makes of one frame copy.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// No bit flipped.
+    Intact,
+    /// Flipped and dropped as corrupted.
+    Dropped,
+    /// Flipped, yet passed the CRC as this message.
+    Escaped(AdMessage),
+}
+
+/// A broadcast's message, moved behind the `Arc` its deliveries share
+/// only when the first of them is queued.
+struct Outgoing {
+    msg: Option<AdMessage>,
+    shared: Option<Arc<AdMessage>>,
+}
+
+impl Outgoing {
+    fn get(&self) -> &AdMessage {
+        let msg = self.shared.as_deref().or(self.msg.as_ref());
+        msg.expect("one of the two holds the message")
+    }
+
+    fn share(&mut self) -> Arc<AdMessage> {
+        let msg = &mut self.msg;
+        let shared = self
+            .shared
+            .get_or_insert_with(|| Arc::new(msg.take().expect("moved once")));
+        Arc::clone(shared)
+    }
 }
 
 /// Wall-clock nanoseconds spent in each hot phase of a run, collected
@@ -368,7 +409,7 @@ impl World {
 
         World {
             radio_rng: SimRng::derive(scenario.seed, stream::RADIO),
-            fault_rng: SimRng::derive(scenario.seed, stream::FAULT | stream::fault::CORRUPT),
+            corrupt_key: ia_des::derive_seed(scenario.seed, stream::FAULT | stream::fault::CORRUPT),
             flip_verdict: codec::FlipVerdict::new(),
             scenario,
             fleet,
@@ -456,7 +497,8 @@ impl World {
         self.entry_wakeups
     }
 
-    /// Frame deliveries so far, queued or left out as covered.
+    /// Frame deliveries so far, queued or left out as covered or
+    /// corrupted.
     pub fn deliveries(&self) -> Deliveries {
         self.deliveries
     }
@@ -528,13 +570,13 @@ impl World {
         // frame delivery is the one observable case (on_suppress).
         let target = match &ev {
             Event::Start(n) | Event::Entry(n, _) => Some(*n),
-            Event::Deliver { to, .. } => Some(*to),
+            Event::Deliver { to, .. } | Event::Garbled { to, .. } => Some(*to),
             Event::Issue { index } => Some(self.scenario.issuer_node(*index)),
             Event::Depart(_) | Event::Rejoin(_) => None,
         };
         if let Some(n) = target {
             if !self.online[n as usize] {
-                if let Event::Deliver { msg, to, .. } = &ev {
+                if let Event::Deliver { msg, to, .. } | Event::Garbled { msg, to } = &ev {
                     self.observe(|o| o.on_suppress(now, *to, msg, SuppressReason::Offline));
                 }
                 return;
@@ -570,12 +612,10 @@ impl World {
                     }
                 }
             }
+            Event::Garbled { msg, to } => {
+                self.observe(|o| o.on_suppress(now, to, &msg, SuppressReason::Corrupted));
+            }
             Event::Deliver { msg, meta, to } => {
-                let msg = match self.scenario.faults.corruption {
-                    Some(c) if c.active(now) => self.corrupt(c, now, to, msg),
-                    _ => Some(msg),
-                };
-                let Some(msg) = msg else { return };
                 self.observe(|o| o.on_deliver(now, to, &msg, &meta));
                 self.dispatch(to, now, |peer, ctx, out| {
                     peer.on_receive(ctx, &msg, &meta, out)
@@ -599,35 +639,45 @@ impl World {
         }
     }
 
-    /// Frame corruption (fault injection) of one delivery inside an
-    /// active corruption window: with probability `p_corrupt` the frame
-    /// gets 1..=`max_flips` bit flips between encode and decode. Returns
-    /// the message the receiver decodes ([`World::flipped`]), or `None`
-    /// once the drop is reported.
-    #[cold]
-    #[inline(never)]
-    fn corrupt(
+    /// The verdict on the copy of `msg` that `from` sends at `sent` to
+    /// `to`, inside an active corruption window (fault injection): with
+    /// probability `p_corrupt` the frame gets 1..=`max_flips` bit flips
+    /// between encode and decode, and the CRC check decides
+    /// ([`World::flipped`]).
+    ///
+    /// Every draw is keyed by (sender, ad, send instant, receiver), so a
+    /// verdict is a pure function of the copy: it can be made when the
+    /// frame is sent, for copies in any order, and it is the same whether
+    /// or not the copy is then queued.
+    fn verdict(
         &mut self,
         c: CorruptionSpec,
-        now: SimTime,
+        from: u32,
+        sent: SimTime,
         to: u32,
-        msg: Arc<AdMessage>,
-    ) -> Option<Arc<AdMessage>> {
-        if !self.fault_rng.chance(c.p_corrupt) {
-            return Some(msg);
+        msg: &AdMessage,
+    ) -> Verdict {
+        let id = msg.ad.id;
+        let ad = u64::from(id.issuer.0) << 32 | u64::from(id.seq);
+        let frame = keyed_bits(self.corrupt_key, ad, sent.as_micros());
+        let copy = u64::from(from) << 32 | u64::from(to);
+        if keyed_unit(frame, copy, 0) >= c.p_corrupt {
+            return Verdict::Intact;
         }
-        let frame_len = msg.bytes() + codec::FRAME_CRC_BYTES;
+        let frame_bits = (msg.bytes() + codec::FRAME_CRC_BYTES) as u64 * 8;
         let mut bits = [0u64; MAX_FLIPS as usize];
-        let n = 1 + self.fault_rng.range_u64(0, c.max_flips as u64) as usize;
-        for bit in &mut bits[..n] {
-            *bit = self.fault_rng.range_u64(0, frame_len as u64 * 8);
+        let n = 1 + keyed_below(frame, copy, 1, u64::from(c.max_flips)) as usize;
+        for (k, bit) in (2..).zip(&mut bits[..n]) {
+            *bit = keyed_below(frame, copy, k, frame_bits);
         }
-        self.flipped(now, to, msg, &bits[..n])
+        match self.flipped(msg, &bits[..n]) {
+            Some(decoded) => Verdict::Escaped(decoded),
+            None => Verdict::Dropped,
+        }
     }
 
-    /// The message `to` decodes from `msg`'s frame with the bits at
-    /// `flips` flipped, or `None`, reported as
-    /// [`SuppressReason::Corrupted`], when the frame is dropped.
+    /// The message a receiver decodes from `msg`'s frame with the bits at
+    /// `flips` flipped, or `None` when the frame is dropped as corrupted.
     ///
     /// The CRC verdict comes from the flip positions alone
     /// ([`codec::FlipVerdict`]). Only a flip set that passes the CRC
@@ -638,28 +688,19 @@ impl World {
     /// carries the sent ad's id and sketch family. A changed id would be
     /// a phantom ad, and another family would fail the merge into a
     /// cached copy ([`Advertisement::absorb`]).
-    fn flipped(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        msg: Arc<AdMessage>,
-        flips: &[u64],
-    ) -> Option<Arc<AdMessage>> {
+    fn flipped(&mut self, msg: &AdMessage, flips: &[u64]) -> Option<AdMessage> {
         let frame_len = msg.bytes() + codec::FRAME_CRC_BYTES;
-        if self.flip_verdict.passes(frame_len, flips) {
-            let mut frame = codec::encode_frame(&msg);
-            for &bit in flips {
-                frame[(bit / 8) as usize] ^= 1 << (bit % 8);
-            }
-            let sent = &msg.ad;
-            if let Ok(recovered) = codec::decode_frame(&frame) {
-                if recovered.ad.id == sent.id && recovered.ad.sketches.same_family(&sent.sketches) {
-                    return Some(Arc::new(recovered));
-                }
-            }
+        if !self.flip_verdict.passes(frame_len, flips) {
+            return None;
         }
-        self.observe(|o| o.on_suppress(now, to, &msg, SuppressReason::Corrupted));
-        None
+        let mut frame = codec::encode_frame(msg);
+        for &bit in flips {
+            frame[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        let sent = &msg.ad;
+        codec::decode_frame(&frame).ok().filter(|recovered| {
+            recovered.ad.id == sent.id && recovered.ad.sketches.same_family(&sent.sketches)
+        })
     }
 
     /// Run one protocol callback against the shared action sink, then
@@ -721,8 +762,14 @@ impl World {
     }
 
     /// Transmit `msg` from `node` now: the channel decides who hears it,
-    /// the observers see the outcome, and every delivery is queued unless
-    /// its receiver covers the message ([`World::covered`]).
+    /// the observers see the outcome, and each delivery gets its
+    /// corruption verdict ([`World::verdict`]) if it arrives inside a
+    /// corruption window. While no observer is attached, a copy is queued
+    /// only if its arrival can change the receiver: a copy the CRC drops
+    /// is not, nor is an intact one whose receiver covers the message
+    /// ([`Protocol::covers`], which stays true until the arrival while no
+    /// cache evicts). A copy that escapes the CRC carries what it decodes
+    /// to.
     #[inline(never)]
     fn broadcast(&mut self, node: u32, now: SimTime, msg: AdMessage) {
         let bytes = msg.bytes();
@@ -744,55 +791,64 @@ impl World {
             receivers: outcome.deliveries.len(),
             drops: outcome.drop_counts(),
         };
-        let shared = Arc::new(msg);
         let t0 = self.phase_start();
-        self.observe(|o| o.on_broadcast(now, node, &shared, &info));
+        self.observe(|o| o.on_broadcast(now, node, &msg, &info));
         for d in &outcome.drops {
             let reason = match d.reason {
                 DropReason::Loss => SuppressReason::ChannelLoss,
                 DropReason::Jam => SuppressReason::Jammed,
                 DropReason::Collision => SuppressReason::Collision,
             };
-            self.observe(|o| o.on_suppress(now, d.to, &shared, reason));
+            self.observe(|o| o.on_suppress(now, d.to, &msg, reason));
         }
         self.phase_end(t0, |p| &mut p.observer_ns);
         // Decided once per broadcast: with an observer attached
         // every delivery is queued, so its hooks see them all.
-        let skip_covered = self.skip_covered && self.observers.is_empty();
+        let observed = !self.observers.is_empty();
+        let skip_covered = self.skip_covered && !observed;
+        let corruption = self.scenario.faults.corruption;
+        let mut out = Outgoing {
+            msg: Some(msg),
+            shared: None,
+        };
         for d in outcome.deliveries.drain(..) {
-            if skip_covered && self.covered(d.to, d.arrival, &shared) {
-                self.deliveries.skipped += 1;
-                continue;
-            }
-            self.deliveries.queued += 1;
-            self.sched.schedule_at(
-                d.arrival,
-                Event::Deliver {
-                    msg: Arc::clone(&shared),
-                    meta: RxMeta {
-                        sender_pos: d.sender_pos,
-                        from: d.from,
-                        distance: d.distance,
-                    },
+            let verdict = match corruption {
+                Some(c) if c.active(d.arrival) => self.verdict(c, node, now, d.to, out.get()),
+                _ => Verdict::Intact,
+            };
+            let meta = RxMeta {
+                sender_pos: d.sender_pos,
+                from: d.from,
+                distance: d.distance,
+            };
+            let event = match verdict {
+                Verdict::Intact if skip_covered && self.peers[d.to as usize].covers(out.get()) => {
+                    self.deliveries.skipped += 1;
+                    continue;
+                }
+                Verdict::Intact => Event::Deliver {
+                    msg: out.share(),
+                    meta,
                     to: d.to,
                 },
-            );
+                Verdict::Dropped if !observed => {
+                    self.deliveries.corrupted += 1;
+                    continue;
+                }
+                Verdict::Dropped => Event::Garbled {
+                    msg: out.share(),
+                    to: d.to,
+                },
+                Verdict::Escaped(decoded) => Event::Deliver {
+                    msg: Arc::new(decoded),
+                    meta,
+                    to: d.to,
+                },
+            };
+            self.deliveries.queued += 1;
+            self.sched.schedule_at(d.arrival, event);
         }
         self.outcome = outcome;
-    }
-
-    /// Would the arrival of `msg` at `to` at `arrival` change nothing? It
-    /// would not when `to`'s protocol covers the message now (which stays
-    /// true until the arrival while no cache evicts, see
-    /// [`Protocol::covers`]), and no corruption window is active at the
-    /// arrival, whose draw from the sequential fault stream must be made.
-    fn covered(&self, to: u32, arrival: SimTime, msg: &AdMessage) -> bool {
-        !self
-            .scenario
-            .faults
-            .corruption
-            .is_some_and(|c| c.active(arrival))
-            && self.peers[to as usize].covers(msg)
     }
 
     /// Queue a wake-up for `node`'s entry `ad`. Entry wake-ups due at one
@@ -1521,11 +1577,70 @@ mod tests {
         assert_eq!(a, b, "corrupted run must be reproducible");
     }
 
+    /// A paper ad issued by `issuer` as ad `seq`, wrapped in a frame.
+    fn gossip_msg(w: &World, issuer: u32, seq: u32) -> AdMessage {
+        AdMessage::gossip(Advertisement::new(
+            AdId::new(PeerId(issuer), seq),
+            Point::new(10.0, 10.0),
+            SimTime::ZERO,
+            500.0,
+            SimDuration::from_secs(60.0),
+            vec![1],
+            0,
+            &w.scenario.params,
+        ))
+    }
+
+    /// A corruption verdict is keyed by (sender, ad, send instant,
+    /// receiver): over 100 000 distinct copies, each copy's verdict is
+    /// the same in reverse order, in another world, and with other
+    /// copies' verdicts interleaved, and the share of corrupted copies
+    /// is within 1 % of `p_corrupt`.
+    #[test]
+    fn corruption_verdicts_are_keyed_by_the_frame_copy() {
+        let c = CorruptionSpec {
+            from: SimTime::ZERO,
+            until: SimTime::from_secs(1000.0),
+            p_corrupt: 0.3,
+            max_flips: 4,
+        };
+        let s =
+            tiny(ProtocolKind::Gossip, 10, 49).with_faults(FaultPlan::none().with_corruption(c));
+        let mut w = World::new(s.clone());
+        let msgs = [gossip_msg(&w, 10, 0), gossip_msg(&w, 3, 1)];
+        let copy = |i: u64| {
+            let (from, to) = ((i % 10) as u32, (i / 10 % 10) as u32);
+            (
+                from,
+                (i / 100 % 2) as usize,
+                SimTime::from_millis(i / 200),
+                to,
+            )
+        };
+        let copies = 100_000;
+        let verdict = |w: &mut World, i: u64| {
+            let (from, ad, sent, to) = copy(i);
+            w.verdict(c, from, sent, to, &msgs[ad])
+        };
+        let forward: Vec<Verdict> = (0..copies).map(|i| verdict(&mut w, i)).collect();
+        let corrupted = forward.iter().filter(|v| **v != Verdict::Intact).count();
+        let share = corrupted as f64 / copies as f64;
+        assert!((share / c.p_corrupt - 1.0).abs() < 0.01, "share {share}");
+        let mut other = World::new(s);
+        for i in (0..copies).rev() {
+            assert_eq!(verdict(&mut w, i), forward[i as usize], "copy {i}");
+            // Another copy's verdict in between changes nothing.
+            verdict(&mut other, (i * 7_919 + 13) % copies);
+            assert_eq!(verdict(&mut other, i), forward[i as usize], "copy {i}");
+        }
+    }
+
     /// A flip set that cancels out passes the CRC verdict and goes
     /// through the real frame path, which delivers the message unchanged;
-    /// every other flip set is dropped as corrupted. With two flips per
-    /// frame only a bit drawn twice passes (CRC-32 catches every 2-bit
-    /// error), about one frame in 2 000 here.
+    /// every other flip set is dropped as corrupted, and its arrival
+    /// reaches the observers as a suppression. With two flips per frame
+    /// only a bit drawn twice passes (CRC-32 catches every 2-bit error),
+    /// about one frame in 2 000 here.
     #[test]
     fn cancelling_flips_deliver_through_the_frame_path() {
         let c = CorruptionSpec {
@@ -1538,23 +1653,21 @@ mod tests {
             tiny(ProtocolKind::Gossip, 10, 45).with_faults(FaultPlan::none().with_corruption(c));
         let mut w = World::new(s);
         w.attach_observer(Box::new(FaultLedger::new(SimDuration::from_secs(5.0))));
-        let ad = Advertisement::new(
-            AdId::new(PeerId(0), 1),
-            Point::new(10.0, 10.0),
-            SimTime::ZERO,
-            500.0,
-            SimDuration::from_secs(60.0),
-            vec![1],
-            0,
-            &w.scenario.params,
-        );
-        let msg = Arc::new(AdMessage::gossip(ad));
+        let msg = gossip_msg(&w, 0, 1);
+        let shared = Arc::new(msg.clone());
         let frames = 30_000;
         let mut delivered = 0;
-        for _ in 0..frames {
-            if let Some(got) = w.corrupt(c, SimTime::ZERO, 1, Arc::clone(&msg)) {
-                assert_eq!(*got, *msg);
-                delivered += 1;
+        for sent in 0..frames {
+            match w.verdict(c, 0, SimTime::from_micros(sent), 1, &msg) {
+                Verdict::Escaped(got) => {
+                    assert_eq!(got, msg);
+                    delivered += 1;
+                }
+                Verdict::Dropped => w.handle(Event::Garbled {
+                    msg: Arc::clone(&shared),
+                    to: 1,
+                }),
+                Verdict::Intact => panic!("p_corrupt = 1 flips every frame"),
             }
         }
         assert!(delivered > 0, "no flip set cancelled out");
@@ -1581,7 +1694,8 @@ mod tests {
     /// receiver only with the sent ad's id and sketch family. A flipped
     /// sketch count `F` would fail the merge into a cached copy, and a
     /// flipped issuer would be a phantom ad; both are dropped as
-    /// corrupted. A flip in the opaque content still delivers.
+    /// corrupted, and the drop reaches the observers when the copy
+    /// arrives. A flip in the opaque content still delivers.
     #[test]
     fn crc_escapes_reach_the_receiver_only_as_the_sent_ad() {
         let c = CorruptionSpec {
@@ -1604,8 +1718,15 @@ mod tests {
             64,
             &w.scenario.params,
         );
-        let msg = Arc::new(AdMessage::gossip(ad));
+        let msg = AdMessage::gossip(ad);
+        let shared = Arc::new(msg.clone());
         let clean = codec::encode_frame(&msg);
+        let garbled = |w: &mut World| {
+            w.handle(Event::Garbled {
+                msg: Arc::clone(&shared),
+                to: 1,
+            })
+        };
         // Body byte 77 of a two-topic ad is the sketch count `F`; bytes
         // 3 to 6 are the issuer; the last body byte is opaque content.
         let count_bit = 77 * 8;
@@ -1624,20 +1745,17 @@ mod tests {
         let got = decoded(&reshaped);
         assert_eq!(got.ad.id, msg.ad.id);
         assert!(!got.ad.sketches.same_family(&msg.ad.sketches));
-        assert!(w
-            .flipped(SimTime::ZERO, 1, Arc::clone(&msg), &reshaped)
-            .is_none());
+        assert!(w.flipped(&msg, &reshaped).is_none());
+        garbled(&mut w);
 
         let phantom = crc_escape(&clean, &[issuer_bit]);
         assert_ne!(decoded(&phantom).ad.id, msg.ad.id);
-        assert!(w
-            .flipped(SimTime::ZERO, 1, Arc::clone(&msg), &phantom)
-            .is_none());
+        assert!(w.flipped(&msg, &phantom).is_none());
+        garbled(&mut w);
 
         let content = crc_escape(&clean, &[content_bit]);
-        assert_eq!(decoded(&content), *msg);
-        let got = w.flipped(SimTime::ZERO, 1, Arc::clone(&msg), &content);
-        assert_eq!(got.as_deref(), Some(&*msg));
+        assert_eq!(decoded(&content), msg);
+        assert_eq!(w.flipped(&msg, &content), Some(msg.clone()));
 
         let ledger = w.observer::<FaultLedger>().expect("ledger attached");
         assert_eq!(ledger.count(SuppressReason::Corrupted), 2);

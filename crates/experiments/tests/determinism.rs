@@ -112,6 +112,10 @@ fn golden_scenario(kind: ProtocolKind, faulted: bool) -> Scenario {
 /// draws became keyed: the start phase by (peer, start instant), round
 /// coins by (peer, ad, round instant), GPS noise by (node, instant), and
 /// rounds were ranked ahead of the other events at their instant.
+///
+/// Every faulted row was re-pinned when frame corruption became a keyed
+/// draw on (sender, ad, send instant, receiver), decided when the frame
+/// is sent, instead of a draw from one sequential stream at arrival.
 const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::Flooding,
@@ -121,7 +125,7 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::Flooding,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 11, passages: 46, delivered_passages: 12, delivery_rate: 26.08695652173913, mean_delivery_time: 90.342301 }], delivery_time_dist: [Distribution { count: 12, mean: 90.342301, p50: 76.38692, p90: 181.6653331, p99: 233.63479015000004, max: 240.031932 }], traffic: TrafficStats { messages: 110, receptions: 163, drops: 5, jammed: 50, bytes_sent: 36410, dead_air: 35, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 12, passages: 46, delivered_passages: 13, delivery_rate: 28.26086956521739, mean_delivery_time: 90.8218306923077 }], delivery_time_dist: [Distribution { count: 13, mean: 90.8218306923077, p50: 82.632926, p90: 181.4373284, p99: 233.03618011999993, max: 240.014759 }], traffic: TrafficStats { messages: 107, receptions: 159, drops: 5, jammed: 50, bytes_sent: 35417, dead_air: 36, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::Gossip,
@@ -131,7 +135,7 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::Gossip,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 27, passages: 46, delivered_passages: 28, delivery_rate: 60.869565217391305, mean_delivery_time: 63.95295089285714 }], delivery_time_dist: [Distribution { count: 28, mean: 63.95295089285714, p50: 55.800102, p90: 140.6562542, p99: 197.53258105000003, max: 206.763472 }], traffic: TrafficStats { messages: 314, receptions: 324, drops: 22, jammed: 103, bytes_sent: 100166, dead_air: 136, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 27, passages: 46, delivered_passages: 28, delivery_rate: 60.869565217391305, mean_delivery_time: 66.30127839285713 }], delivery_time_dist: [Distribution { count: 28, mean: 66.30127839285713, p50: 56.0211525, p90: 144.1604444, p99: 196.58637435, max: 205.467078 }], traffic: TrafficStats { messages: 301, receptions: 320, drops: 17, jammed: 93, bytes_sent: 96019, dead_air: 124, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip1,
@@ -141,7 +145,7 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::OptGossip1,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 14, passages: 46, delivered_passages: 15, delivery_rate: 32.608695652173914, mean_delivery_time: 61.44736300000001 }], delivery_time_dist: [Distribution { count: 15, mean: 61.44736300000001, p50: 32.113006, p90: 146.90420740000002, p99: 186.64700233999997, max: 192.57037 }], traffic: TrafficStats { messages: 63, receptions: 54, drops: 8, jammed: 27, bytes_sent: 20097, dead_air: 25, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 15, passages: 46, delivered_passages: 16, delivery_rate: 34.78260869565217, mean_delivery_time: 61.85650449999999 }], delivery_time_dist: [Distribution { count: 16, mean: 61.85650449999999, p50: 56.12589, p90: 123.737957, p99: 176.4692398, max: 182.57533 }], traffic: TrafficStats { messages: 63, receptions: 64, drops: 8, jammed: 20, bytes_sent: 20097, dead_air: 23, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip2,
@@ -151,7 +155,7 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::OptGossip2,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 24, passages: 46, delivered_passages: 25, delivery_rate: 54.34782608695652, mean_delivery_time: 67.67864239999999 }], delivery_time_dist: [Distribution { count: 25, mean: 67.67864239999999, p50: 63.053901, p90: 149.3691726, p99: 186.15292359999995, max: 191.855524 }], traffic: TrafficStats { messages: 202, receptions: 128, drops: 12, jammed: 94, bytes_sent: 64438, dead_air: 121, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 21, passages: 46, delivered_passages: 22, delivery_rate: 47.82608695652174, mean_delivery_time: 63.30896295454543 }], delivery_time_dist: [Distribution { count: 22, mean: 63.30896295454543, p50: 61.3263965, p90: 141.9012737000001, p99: 224.63502910999995, max: 241.511954 }], traffic: TrafficStats { messages: 189, receptions: 119, drops: 14, jammed: 85, bytes_sent: 60291, dead_air: 109, collisions: 0 } }"#,
     ),
     (
         ProtocolKind::OptGossip,
@@ -161,7 +165,7 @@ const GOLDEN_PINS: [(ProtocolKind, bool, &str); 10] = [
     (
         ProtocolKind::OptGossip,
         true,
-        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 14, passages: 46, delivered_passages: 15, delivery_rate: 32.608695652173914, mean_delivery_time: 65.179955 }], delivery_time_dist: [Distribution { count: 15, mean: 65.179955, p50: 57.601101, p90: 128.5286376, p99: 182.96239635999999, max: 189.742264 }], traffic: TrafficStats { messages: 51, receptions: 41, drops: 2, jammed: 19, bytes_sent: 16269, dead_air: 25, collisions: 0 } }"#,
+        r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(80), seq: 0 }, passed: 42, delivered: 16, passages: 46, delivered_passages: 17, delivery_rate: 36.95652173913044, mean_delivery_time: 73.94802388235293 }], delivery_time_dist: [Distribution { count: 17, mean: 73.94802388235293, p50: 59.805539, p90: 173.0463008, p99: 224.8179002, max: 231.222165 }], traffic: TrafficStats { messages: 52, receptions: 49, drops: 2, jammed: 11, bytes_sent: 16588, dead_air: 21, collisions: 0 } }"#,
     ),
 ];
 

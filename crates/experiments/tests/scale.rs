@@ -7,7 +7,7 @@
 //! delivered, queue pushes/pops/cascades, spatial-grid rebuilds, queries
 //! and candidates evaluated exactly, per-entry wake-ups (every
 //! protocol's one timer) by outcome, and frame deliveries queued or left
-//! out as covered (their sum is the channel's receptions). The
+//! out as covered or corrupted (their sum is the channel's receptions). The
 //! counters do not depend on the host, so any change to event ordering,
 //! timer scheduling or the grid refresh policy shows up here as an exact
 //! diff, in debug and in release alike.
@@ -69,7 +69,10 @@ fn check(scenario: Scenario, pin: Pin) {
     assert_eq!(w.entry_wakeups(), pin.entry_wakeups, "entry wake-ups");
     let d = w.deliveries();
     assert_eq!(d, pin.deliveries, "deliveries");
-    assert_eq!(d.queued + d.skipped, w.medium().stats().receptions);
+    assert_eq!(
+        d.queued + d.skipped + d.corrupted,
+        w.medium().stats().receptions
+    );
 }
 
 /// Built exactly as simbench's `opt-dense` workload
@@ -87,7 +90,7 @@ fn opt_dense() {
             cascades: 755_914,
             grid_rebuilds: 209,
             grid_queries: 5613,
-            grid_candidates: 548_147,
+            grid_candidates: 374_743,
             entry_wakeups: EntryWakeups {
                 fired: 28_127,
                 rearmed: 69_509,
@@ -96,6 +99,7 @@ fn opt_dense() {
             deliveries: Deliveries {
                 queued: 238_465,
                 skipped: 0,
+                corrupted: 0,
             },
         },
     );
@@ -119,22 +123,23 @@ fn gossip_chaos() {
     check(
         at_benchmark_length(s),
         Pin {
-            result: r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(1000), seq: 0 }, passed: 972, delivered: 972, passages: 2528, delivered_passages: 2510, delivery_rate: 99.2879746835443, mean_delivery_time: 3.2118317780876517 }], delivery_time_dist: [Distribution { count: 2510, mean: 3.2118317780876517, p50: 0.0, p90: 0.0013600999999999863, p99: 99.37634902999989, max: 144.841394 }], traffic: TrafficStats { messages: 75343, receptions: 1012575, drops: 112989, jammed: 24965, bytes_sent: 24034417, dead_air: 1555, collisions: 0 } }"#,
-            events: 287_918,
-            pushes: 288_912,
-            pops: 287_918,
-            cascades: 542_349,
+            result: r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(1000), seq: 0 }, passed: 972, delivered: 972, passages: 2528, delivered_passages: 2507, delivery_rate: 99.16930379746836, mean_delivery_time: 3.2559332991623466 }], delivery_time_dist: [Distribution { count: 2507, mean: 3.2559332991623466, p50: 0.0, p90: 0.001249600000000013, p99: 102.21928246000017, max: 148.42037 }], traffic: TrafficStats { messages: 75329, receptions: 1012511, drops: 112953, jammed: 24856, bytes_sent: 24029951, dead_air: 1555, collisions: 0 } }"#,
+            events: 84_470,
+            pushes: 85_464,
+            pops: 84_470,
+            cascades: 189_445,
             grid_rebuilds: 594,
-            grid_queries: 75_343,
-            grid_candidates: 1_606_497,
+            grid_queries: 75_329,
+            grid_candidates: 1_366_281,
             entry_wakeups: EntryWakeups {
-                fired: 75_342,
-                rearmed: 23,
-                dropped: 12,
+                fired: 75_328,
+                rearmed: 24,
+                dropped: 13,
             },
             deliveries: Deliveries {
-                queued: 210_362,
-                skipped: 802_213,
+                queued: 6_928,
+                skipped: 953_409,
+                corrupted: 52_174,
             },
         },
     );
@@ -153,7 +158,7 @@ fn flooding_300() {
             cascades: 185_430,
             grid_rebuilds: 359,
             grid_queries: 19_898,
-            grid_candidates: 101_895,
+            grid_candidates: 101_595,
             entry_wakeups: EntryWakeups {
                 fired: 359,
                 rearmed: 0,
@@ -162,6 +167,7 @@ fn flooding_300() {
             deliveries: Deliveries {
                 queued: 101_307,
                 skipped: 0,
+                corrupted: 0,
             },
         },
     );

@@ -241,8 +241,8 @@ impl SimObserver for Noop {}
 
 /// Run `s` with no observer and with [`Noop`] attached: the two runs must
 /// give the same `RunResult` and `TrafficStats` bytes, and the observed
-/// one must queue every delivery the other queued or left out. Returns
-/// the unobserved run's deliveries.
+/// one must queue every delivery the other queued or left out as covered
+/// or corrupted. Returns the unobserved run's deliveries.
 fn observed_alike(s: &Scenario) -> Deliveries {
     let run = |observe: bool| {
         let mut w = World::new(s.clone());
@@ -256,8 +256,13 @@ fn observed_alike(s: &Scenario) -> Deliveries {
     let (plain, observed) = (run(false), run(true));
     assert_eq!(plain.0, observed.0, "RunResult of {s:?}");
     assert_eq!(plain.1, observed.1, "TrafficStats of {s:?}");
-    assert_eq!(observed.2.skipped, 0, "an observer sees every delivery");
-    assert_eq!(plain.2.queued + plain.2.skipped, observed.2.queued);
+    assert_eq!(
+        (observed.2.skipped, observed.2.corrupted),
+        (0, 0),
+        "an observer sees every delivery"
+    );
+    let d = plain.2;
+    assert_eq!(d.queued + d.skipped + d.corrupted, observed.2.queued);
     plain.2
 }
 
@@ -322,9 +327,11 @@ proptest! {
 
 /// The oracle above is not vacuous: a dense Gossiping or Optimized
 /// Gossiping-1 run with churn, a partition wave, a corruption window and
-/// two ads in a two-ad cache leaves deliveries out. No delivery is left
-/// out with more ads than the cache holds, nor under Restricted Flooding
-/// or mechanism (2).
+/// two ads in a two-ad cache leaves deliveries out, also with the window
+/// spanning the whole run, where every copy left out as covered or
+/// corrupted was sent inside it. No delivery is left out as covered with
+/// more ads than the cache holds, nor under Restricted Flooding or
+/// mechanism (2).
 ///
 /// The run with three ads issued together in a two-ad cache is one where
 /// the capacity guard matters: a peer ticks two entries at one instant,
@@ -334,7 +341,7 @@ proptest! {
 /// `RunResult` there.
 #[test]
 fn covered_deliveries_skip_only_where_no_arrival_can_differ() {
-    let dense = |kind: ProtocolKind, capacity: usize| {
+    let dense_in = |kind: ProtocolKind, capacity: usize, window: (f64, f64)| {
         let mut s = Scenario::paper(kind, 60)
             .with_seed(5)
             .with_life_cycle(SimDuration::from_secs(150.0))
@@ -350,8 +357,8 @@ fn covered_deliveries_skip_only_where_no_arrival_can_differ() {
                         down_for: SimDuration::from_secs(20.0),
                     })
                     .with_corruption(CorruptionSpec {
-                        from: secs(40.0),
-                        until: secs(70.0),
+                        from: secs(window.0),
+                        until: secs(window.1),
                         p_corrupt: 0.3,
                         max_flips: 8,
                     }),
@@ -367,9 +374,15 @@ fn covered_deliveries_skip_only_where_no_arrival_can_differ() {
         s.params = s.params.clone().with_cache_capacity(capacity);
         s
     };
+    let dense = |kind, capacity| dense_in(kind, capacity, (40.0, 70.0));
     for kind in [ProtocolKind::Gossip, ProtocolKind::OptGossip1] {
         let d = observed_alike(&dense(kind, 2));
         assert!(d.skipped > 0 && d.queued > 0, "{kind}: {d:?}");
+        let d = observed_alike(&dense_in(kind, 2, (0.0, 150.0)));
+        assert!(
+            d.skipped > 0 && d.corrupted > 0 && d.queued > 0,
+            "{kind}, window over the whole run: {d:?}"
+        );
         let d = observed_alike(&dense(kind, 1));
         assert_eq!(d.skipped, 0, "{kind}, two ads in a one-ad cache");
         let mut s = Scenario::paper(kind, 100)

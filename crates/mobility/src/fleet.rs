@@ -92,6 +92,28 @@ impl Fleet {
             .map(|leg| leg.velocity().norm())
             .fold(0.0, f64::max)
     }
+
+    /// The largest distance any node covers other than by moving at a
+    /// leg's velocity: over one trajectory, the sum of its seam gaps
+    /// (where a leg starts up to 10⁻⁶ m from where the previous one
+    /// ended) and of its zero-duration legs' displacements, which
+    /// [`Leg::velocity`](crate::Leg::velocity) reports as zero. A node
+    /// moves at most `max_speed() · Δt + max_jump()` in any `Δt`.
+    pub fn max_jump(&self) -> f64 {
+        self.trajectories
+            .iter()
+            .map(|tr| {
+                let legs = tr.legs();
+                let seams: f64 = legs.windows(2).map(|w| w[0].to.distance(w[1].from)).sum();
+                let instant: f64 = legs
+                    .iter()
+                    .filter(|leg| leg.end_time == leg.start_time)
+                    .map(|leg| leg.from.distance(leg.to))
+                    .sum();
+                seams + instant
+            })
+            .fold(0.0, f64::max)
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +193,36 @@ mod tests {
             // exact; across a waypoint it is a blend — allow slack.
             assert!((est - exact).norm() <= exact.norm() + 20.0);
         }
+    }
+
+    #[test]
+    fn max_jump_sums_one_trajectorys_seams_and_instant_legs() {
+        use crate::trajectory::Leg;
+        let (t1, t2, t3) = (
+            SimTime::from_secs(1.0),
+            SimTime::from_secs(2.0),
+            SimTime::from_secs(3.0),
+        );
+        let jumpy = Trajectory::new(vec![
+            Leg::new(
+                SimTime::ZERO,
+                t1,
+                Point::new(0.0, 0.0),
+                Point::new(10.0, 0.0),
+            ),
+            // A 0.5 µm seam, then a zero-duration leg 40 m long.
+            Leg::new(t1, t1, Point::new(10.0, 5e-7), Point::new(10.0, 40.0)),
+            Leg::new(t1, t2, Point::new(10.0, 40.0), Point::new(20.0, 40.0)),
+            Leg::pause(t2, t3, Point::new(20.0, 40.0)),
+        ]);
+        let f = Fleet::from_trajectories(vec![
+            Trajectory::stationary(Point::ORIGIN, SimTime::ZERO, t3),
+            jumpy,
+        ]);
+        // 5e-7 at the seam, then 40 m less 5e-7 along the instant leg.
+        assert!((f.max_jump() - 40.0).abs() < 1e-12, "{}", f.max_jump());
+        assert_eq!(f.max_speed(), 10.0);
+        assert_eq!(fleet(20, 5).max_jump(), 0.0);
     }
 
     #[test]

@@ -79,9 +79,30 @@ impl JamZone {
 ///
 /// A stale-grid candidate costs one interpolation on the leg the grid
 /// stored for it, so staleness costs little until the widened disk grows:
-/// at 3 s and 20 m/s the margin is 120 m. On gossip-chaos, 1 s rebuilt the
+/// at 3 s and 20 m/s the margin is 60 m. On gossip-chaos, 1 s rebuilt the
 /// 1000-node grid 1 743 times and 3 s rebuilds it 594 times.
 const GRID_REFRESH: SimDuration = SimDuration::from_millis(3000);
+
+/// The stale-grid widening's rounding allowance, relative to the
+/// magnitudes involved: 2⁻⁴⁰, 256 times the 32 unit roundoffs (2⁻⁵³
+/// each) that bound the error of a node's two interpolated positions and
+/// of the distances compared (DESIGN.md §10).
+const ROUNDING: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// What a stale-grid query widens by besides one drift `v_max · Δt`: the
+/// fleet's largest jump ([`Fleet::max_jump`]), plus [`ROUNDING`] times the
+/// largest coordinate any leg reaches and the radio range. With it a node
+/// in range at `now` lies inside the widened disk around the centre at its
+/// grid position (DESIGN.md §10 proves the bound).
+fn stale_slack(fleet: &Fleet, range: f64) -> f64 {
+    let extent = fleet
+        .iter()
+        .flat_map(|(_, tr)| tr.legs())
+        .flat_map(|leg| [leg.from, leg.to])
+        .map(|p| p.x.abs().max(p.y.abs()))
+        .fold(0.0, f64::max);
+    fleet.max_jump() + ROUNDING * (extent + range)
+}
 
 /// A shared wireless channel over a [`Fleet`] of mobile nodes.
 ///
@@ -105,12 +126,18 @@ pub struct Medium {
     /// `(exact position, distance)` of every node in range of the last
     /// query's centre, in scan order.
     hits: Vec<(Point, f64)>,
-    /// `id << 32 | index into hits` per hit, sorted: the id order.
-    order: Vec<u64>,
+    /// One bit per node id, set for the last query's hits: walking the
+    /// words in order yields them in id order. The walk clears them.
+    hit_bits: Vec<u64>,
+    /// Per node id, its index into `hits`; read only where its bit is set.
+    hit_slot: Vec<u32>,
     /// Top speed of the fleet being simulated, by which stale-grid
     /// queries widen: set by [`Medium::set_fleet_speed_bound`], or
     /// computed from the fleet at the first grid refresh.
     fleet_speed_bound: Option<f64>,
+    /// What a stale-grid query widens by besides one drift
+    /// ([`stale_slack`]); computed from the fleet at the first refresh.
+    stale_slack: Option<f64>,
     tx_log: TxLog,
     /// Active jamming zones (fault injection).
     jam_zones: Vec<JamZone>,
@@ -148,8 +175,10 @@ impl Medium {
             grid: FlatGrid::default(),
             grid_built_at: None,
             hits: Vec::new(),
-            order: Vec::new(),
+            hit_bits: Vec::new(),
+            hit_slot: Vec::new(),
             fleet_speed_bound: None,
+            stale_slack: None,
             tx_log: TxLog::new(),
             jam_zones: Vec::new(),
             burst: None,
@@ -236,8 +265,9 @@ impl Medium {
     /// The grid is then re-sorted in place — a warm rebuild allocates
     /// nothing.
     ///
-    /// Returns the grid's sampling time and the fleet speed bound.
-    fn refresh_grid(&mut self, fleet: &Fleet, now: SimTime) -> (SimTime, f64) {
+    /// Returns the grid's sampling time, the fleet speed bound and the
+    /// stale-grid slack ([`stale_slack`]).
+    fn refresh_grid(&mut self, fleet: &Fleet, now: SimTime) -> (SimTime, f64, f64) {
         debug_assert!(
             self.grid_built_at.is_none_or(|built_at| now >= built_at),
             "medium queried back in time"
@@ -246,13 +276,17 @@ impl Medium {
         let speed = *self
             .fleet_speed_bound
             .get_or_insert_with(|| fleet.max_speed());
+        let range = self.config.range;
+        let slack = *self
+            .stale_slack
+            .get_or_insert_with(|| stale_slack(fleet, range));
         let needs_rebuild = match self.grid_built_at {
             Some(built_at) => {
                 let staleness = now.since(built_at);
                 staleness > GRID_REFRESH && {
                     let demand = (self.grid.len() as u32 / 64).max(8);
                     let margin = 2.0 * speed * staleness.as_secs();
-                    self.queries_since_rebuild >= demand || margin > self.config.range
+                    self.queries_since_rebuild >= demand || margin > range
                 }
             }
             None => true,
@@ -269,30 +303,39 @@ impl Medium {
             self.grid_built_at = Some(now);
             self.grid_rebuilds += 1;
             self.queries_since_rebuild = 0;
+            self.hit_bits.resize(fleet.len().div_ceil(64), 0);
+            self.hit_slot.resize(fleet.len(), 0);
         } else {
             self.queries_since_rebuild += 1;
         }
-        (self.grid_built_at.unwrap(), speed)
+        (self.grid_built_at.unwrap(), speed, slack)
     }
 
-    /// Fill `hits` and `order` with every node other than `center` within
-    /// radio range of it at `now` (id order through `order`), and return
-    /// `center`'s exact position. Candidates come from the (possibly
-    /// stale) grid with a widened radius, then are filtered against exact
-    /// positions at `now` — so fresh and stale grids give identical
-    /// results.
+    /// Fill `hits`, `hit_bits` and `hit_slot` with every node other than
+    /// `center` within radio range of it at `now`, and return `center`'s
+    /// exact position. Candidates come from the (possibly stale) grid with
+    /// a widened radius, then are filtered against exact positions at
+    /// `now` — so fresh and stale grids give identical results.
     fn query_range(&mut self, fleet: &Fleet, now: SimTime, center: u32) -> Point {
-        let (built_at, speed) = self.refresh_grid(fleet, now);
+        let (built_at, speed, slack) = self.refresh_grid(fleet, now);
         let fresh = built_at == now;
-        // Both the centre and the candidates may have moved since the
-        // grid was sampled, so widen by twice the covered distance.
-        let margin = 2.0 * speed * now.since(built_at).as_secs();
+        // The centre's position is exact at `now`; only the candidates
+        // have moved since the grid was sampled, each by at most one
+        // drift plus the slack.
+        let margin = if fresh {
+            0.0
+        } else {
+            speed * now.since(built_at).as_secs() * (1.0 + ROUNDING) + slack
+        };
         let center_pos = fleet.trajectory(center).leg_at(now).position_at(now);
         let range = self.config.range;
-        let (hits, order, candidates) =
-            (&mut self.hits, &mut self.order, &mut self.grid_candidates);
+        let (hits, bits, slots, candidates) = (
+            &mut self.hits,
+            &mut self.hit_bits,
+            &mut self.hit_slot,
+            &mut self.grid_candidates,
+        );
         hits.clear();
-        order.clear();
         self.grid
             .scan_disk(center_pos, range + margin, |id, pos, leg| {
                 if id == center {
@@ -307,11 +350,11 @@ impl Medium {
                 };
                 let distance = center_pos.distance(pos);
                 if distance <= range {
-                    order.push((id as u64) << 32 | hits.len() as u64);
+                    bits[id as usize / 64] |= 1 << (id % 64);
+                    slots[id as usize] = hits.len() as u32;
                     hits.push((pos, distance));
                 }
             });
-        order.sort_unstable();
         center_pos
     }
 
@@ -343,45 +386,51 @@ impl Medium {
         let frame_airtime = airtime(bytes);
         let burst_active =
             matches!(&self.burst, Some((from, until, _)) if now >= *from && now < *until);
-        for &key in &self.order {
-            let id = (key >> 32) as u32;
-            let (pos, distance) = self.hits[key as u32 as usize];
-            let reason = if self.config.contention == Contention::Aloha
-                && self
-                    .tx_log
-                    .collides(now, sender_pos, pos, self.config.range, frame_airtime)
-            {
-                Some(DropReason::Collision)
-            } else if self.jam_zones.iter().any(|z| z.covers(now, pos)) {
-                Some(DropReason::Jam)
-            } else if (burst_active
-                && self
-                    .burst
-                    .as_mut()
-                    .expect("burst_active checked")
-                    .2
-                    .drops(rng))
-                || self.config.loss.drops(distance, self.config.range, rng)
-            {
-                // Short-circuit keeps the draw order fixed: the burst
-                // channel samples first (only inside its window), the
-                // configured loss model only if the burst let it through.
-                Some(DropReason::Loss)
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                out.drop_frame(id, reason);
-                continue;
+        // The hits in id order: each bitmap word's set bits, lowest
+        // first. Taking a word clears it for the next query.
+        for w in 0..self.hit_bits.len() {
+            let mut word = std::mem::take(&mut self.hit_bits[w]);
+            while word != 0 {
+                let id = (w * 64) as u32 + word.trailing_zeros();
+                word &= word - 1;
+                let (pos, distance) = self.hits[self.hit_slot[id as usize] as usize];
+                let reason = if self.config.contention == Contention::Aloha
+                    && self
+                        .tx_log
+                        .collides(now, sender_pos, pos, self.config.range, frame_airtime)
+                {
+                    Some(DropReason::Collision)
+                } else if self.jam_zones.iter().any(|z| z.covers(now, pos)) {
+                    Some(DropReason::Jam)
+                } else if (burst_active
+                    && self
+                        .burst
+                        .as_mut()
+                        .expect("burst_active checked")
+                        .2
+                        .drops(rng))
+                    || self.config.loss.drops(distance, self.config.range, rng)
+                {
+                    // Short-circuit keeps the draw order fixed: the burst
+                    // channel samples first (only inside its window), the
+                    // configured loss model only if the burst let it through.
+                    Some(DropReason::Loss)
+                } else {
+                    None
+                };
+                if let Some(reason) = reason {
+                    out.drop_frame(id, reason);
+                    continue;
+                }
+                let jitter_micros = rng.range_u64(DELAY_MIN.as_micros(), DELAY_MAX.as_micros() + 1);
+                out.deliveries.push(Delivery {
+                    to: id,
+                    arrival: now + ia_des::SimDuration::from_micros(jitter_micros),
+                    sender_pos,
+                    from: src,
+                    distance,
+                });
             }
-            let jitter_micros = rng.range_u64(DELAY_MIN.as_micros(), DELAY_MAX.as_micros() + 1);
-            out.deliveries.push(Delivery {
-                to: id,
-                arrival: now + ia_des::SimDuration::from_micros(jitter_micros),
-                sender_pos,
-                from: src,
-                distance,
-            });
         }
         if self.config.contention == Contention::Aloha {
             self.tx_log.prune(now);
@@ -898,6 +947,90 @@ mod tests {
         assert_eq!(medium.grid_rebuilds(), 2, "margin 320 m > range: rebuilt");
     }
 
+    /// A node that jumps along a zero-duration leg moves with no
+    /// velocity, so only the fleet's jump term widens a stale query
+    /// enough to find it. Node 1 pauses 1 km out until 5 s, then jumps
+    /// to 100 m and stays: a fresh medium and the stale one agree.
+    #[test]
+    fn stale_grid_finds_a_node_that_jumped_along_a_zero_duration_leg() {
+        let (jump_at, end) = (SimTime::from_secs(5.0), SimTime::from_secs(100.0));
+        let (far, near) = (Point::new(1000.0, 0.0), Point::new(100.0, 0.0));
+        let fleet = Fleet::from_trajectories(vec![
+            Trajectory::stationary(Point::ORIGIN, SimTime::ZERO, end),
+            Trajectory::new(vec![
+                Leg::pause(SimTime::ZERO, jump_at, far),
+                Leg::new(jump_at, jump_at, far, near),
+                Leg::pause(jump_at, end, near),
+            ]),
+        ]);
+        assert_eq!(fleet.max_speed(), 0.0);
+        assert_eq!(fleet.max_jump(), 900.0);
+        let mut medium = Medium::new(RadioConfig::paper());
+        let mut rng = SimRng::from_master(15);
+        assert!(send(&mut medium, &fleet, 0.0, 0, 10, &mut rng)
+            .deliveries
+            .is_empty());
+        let stale = send(&mut medium, &fleet, 6.0, 0, 10, &mut rng);
+        assert_eq!(medium.grid_rebuilds(), 1, "the grid from 0 s serves 6 s");
+        let fresh = send(
+            &mut Medium::new(RadioConfig::paper()),
+            &fleet,
+            6.0,
+            0,
+            10,
+            &mut rng,
+        );
+        assert_eq!(fresh.deliveries.len(), 1);
+        assert_eq!(stale.deliveries.len(), 1);
+    }
+
+    /// The widening's boundary case: a node moving at exactly the
+    /// fleet's top speed, across a 0.5 µm leg seam, that reaches exactly
+    /// the radio range at the query instant. One drift alone (or less)
+    /// stops 0.5 µm short of where the stale grid holds it; the jump term
+    /// covers the seam.
+    #[test]
+    fn stale_grid_finds_a_node_at_top_speed_across_a_seam_at_exactly_range() {
+        let end = SimTime::from_secs(100.0);
+        let seam = 5e-7;
+        let one = SimTime::from_secs(1.0);
+        let incoming = Trajectory::new(vec![
+            Leg::new(
+                SimTime::ZERO,
+                one,
+                Point::new(282.0 + seam, 0.0),
+                Point::new(266.0 + seam, 0.0),
+            ),
+            // 16 m/s on from 266 m: at 2 s exactly 250 m out.
+            Leg::new(
+                one,
+                SimTime::from_secs(3.0),
+                Point::new(266.0, 0.0),
+                Point::new(234.0, 0.0),
+            ),
+            Leg::pause(SimTime::from_secs(3.0), end, Point::new(234.0, 0.0)),
+        ]);
+        let fleet = Fleet::from_trajectories(vec![
+            Trajectory::stationary(Point::ORIGIN, SimTime::ZERO, end),
+            incoming,
+        ]);
+        assert!((fleet.max_speed() - 16.0).abs() < 1e-9);
+        assert_eq!(
+            fleet.position(1, SimTime::from_secs(2.0)),
+            Point::new(250.0, 0.0)
+        );
+        let mut medium = Medium::new(RadioConfig::paper());
+        medium.set_fleet_speed_bound(16.0);
+        let mut rng = SimRng::from_master(16);
+        assert!(send(&mut medium, &fleet, 0.0, 0, 10, &mut rng)
+            .deliveries
+            .is_empty());
+        let out = send(&mut medium, &fleet, 2.0, 0, 10, &mut rng);
+        assert_eq!(medium.grid_rebuilds(), 1, "served from the 0 s grid");
+        assert_eq!(out.deliveries.len(), 1);
+        assert_eq!(out.deliveries[0].distance, 250.0);
+    }
+
     #[test]
     fn deliveries_are_in_node_id_order() {
         let fleet = static_fleet(&[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]);
@@ -917,8 +1050,9 @@ mod prop_tests {
     use proptest::prelude::*;
 
     /// One node's plan from `(start, legs)`: each leg is `(duration ms,
-    /// speed, heading, seam)`, a zero duration giving a zero-length
-    /// pause. With `seam`, a leg starts 0.5 µm off where the previous one
+    /// speed, heading, seam)`. A zero duration gives a zero-length leg
+    /// that jumps `speed` metres when `seam` is set, a pause otherwise.
+    /// With `seam`, a leg also starts 0.5 µm off where the previous one
     /// ended, as the trajectory tolerance allows, so reading the ended
     /// leg at its end instant gives a different point from the next
     /// leg's.
@@ -931,7 +1065,10 @@ mod prop_tests {
                     at.x += 5e-7;
                 }
                 let end = t + SimDuration::from_millis(ms);
-                let reach = speed * ms as f64 / 1000.0;
+                let reach = match ms {
+                    0 if seam => speed,
+                    _ => speed * ms as f64 / 1000.0,
+                };
                 let to = Point::new(at.x + reach * heading.cos(), at.y + reach * heading.sin());
                 let leg = Leg::new(t, end, at, to);
                 (t, at) = (end, to);
@@ -982,9 +1119,11 @@ mod prop_tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// `broadcast_into` equals brute force over `Fleet::position` on
-        /// fleets with zero-length legs, at query instants that land on a
-        /// leg's end, fall past every plan's last leg, and leave the grid
-        /// stale by just under, exactly and just over `GRID_REFRESH`.
+        /// fleets of up to 199 nodes (so the id bitmap spans up to four
+        /// words) with zero-length pauses and jumps, at query instants
+        /// that land on a leg's end, fall past every plan's last leg, and
+        /// leave the grid stale by just under, exactly and just over
+        /// `GRID_REFRESH`.
         #[test]
         fn broadcasts_match_brute_force(
             nodes in proptest::collection::vec(
@@ -1000,7 +1139,7 @@ mod prop_tests {
                         1..8,
                     ),
                 ),
-                2..40,
+                2..200,
             ),
             steps in proptest::collection::vec((0u8..5, any::<u64>()), 1..48),
             loss in 0.0..0.6f64,
