@@ -199,13 +199,14 @@ impl Gossip {
 /// probability the tick itself would compute. Every tick before it
 /// would neither broadcast nor change state a later event reads.
 ///
-/// Most skipped ticks lie far outside the advertising area, where the
-/// probability is nearly 0, so they are decided without a fix: from the
-/// last exact fix outside the ad's radius, at `t0` and distance `d0`, the
-/// peer is at least `d_lo = d0 - max_drift(t0, t) - margin` from the
-/// issue position at `t`. When `d_lo > R` and the coin `u` is at least
-/// [`outside_bound`]`(d_lo)`, the tick cannot fire; otherwise it is
-/// evaluated exactly. Either way the decision is the one the tick makes.
+/// Most skipped ticks lose their coin by far, so they are decided from a
+/// cheap upper bound on the probability ([`TickBounds`]), and only a tick
+/// the bound cannot decide evaluates formula (1) or (3) exactly. Far
+/// outside the advertising area the bound needs no fix: from the last
+/// exact fix outside the ad's radius, at `t0` and distance `d0`, the peer
+/// is at least `d_lo = d0 - max_drift(t0, t) - margin` from the issue
+/// position at `t`, and the tail bound at `d_lo` decides the tick. Either
+/// way the decision is the one the tick makes.
 fn plan(
     params: &GossipParams,
     annular: bool,
@@ -214,6 +215,7 @@ fn plan(
     ctx: &mut PeerContext<'_>,
 ) {
     let ad = &entry.ad;
+    let mut bounds = TickBounds::new(params, annular);
     let mut t = entry.next_time;
     // The last exact fix outside `R`: its instant, its distance from the
     // issue position and the magnitude of the coordinates behind it.
@@ -226,7 +228,7 @@ fn plan(
         let decided = outside.is_some_and(|(t0, d0, scale)| {
             ctx.motion.max_drift(t0, t).is_some_and(|drift| {
                 let d_lo = d0 - drift - drift_margin(scale + drift);
-                d_lo > ad.radius && u >= outside_bound(params.alpha, d_lo, ad.radius)
+                d_lo > ad.radius && bounds.tail_loses(u, d_lo, ad.radius)
             })
         });
         if !decided {
@@ -234,7 +236,7 @@ fn plan(
                 break t;
             };
             let d = pos.distance(ad.issue_pos);
-            if u < probability_at(params, annular, ad, t, d) {
+            if !bounds.loses(params, ad, t, d, u) && u < probability_at(params, annular, ad, t, d) {
                 break t;
             }
             if d > ad.radius {
@@ -271,21 +273,132 @@ fn drift_margin(scale: f64) -> f64 {
     1.0 + 1e-9 * scale
 }
 
-/// An upper bound on the forwarding probability, under formula (1) or
-/// (3), of a peer whose distance from the issue position is at least
-/// `d_lo > radius`, where `radius` is the ad's `R`.
+/// The ticks of one look-ahead over which `R_t` is bounded below by its
+/// value at the last of them.
+const RADIUS_WINDOW: u64 = 32;
+
+/// Cheap upper bounds on a tick's forwarding probability, each of the
+/// form `factor·alpha^x`, compared with the tick's coin `u` in the log
+/// domain ([`loses_to`]): at most one `ln(u)` per bound, no `powf`. A
+/// bound only ever decides that a tick does not fire; a tick it cannot
+/// decide is evaluated exactly.
 ///
-/// The age-shrunk radius `R_t` never exceeds `R`, so `d > R_t`: formula
-/// (1) is on its outside branch, and formula (3) on its annulus/exterior
-/// branch, which is formula (1) with the same `R_t`. Both give
-/// `(1 - alpha)·alpha^((d - R_t)/OUTSIDE_UNIT)` (or 0 once `R_t` has
-/// collapsed), which is at most `(1 - alpha)·alpha^((d_lo - R)/OUTSIDE_UNIT)`.
-/// The rounded differences and quotient keep that order; `powf` is within
-/// an ulp or so of exact, which the relative widening absorbs, and the
-/// absolute one covers results in the subnormal range (and keeps a coin
-/// of exactly 0 from being decided here).
-fn outside_bound(alpha: f64, d_lo: f64, radius: f64) -> f64 {
-    (1.0 - alpha) * alpha.powf((d_lo - radius) / OUTSIDE_UNIT) * (1.0 + 1e-12) + f64::MIN_POSITIVE
+/// * **Tail** (`d > R`): the age-shrunk radius `R_t` never exceeds `R`,
+///   so `d > R_t`: formula (1) is on its outside branch, and formula (3)
+///   on its annulus/exterior branch, which is formula (1) with the same
+///   `R_t`. Both give `(1 - alpha)·alpha^((d - R_t)/OUTSIDE_UNIT)` (or 0
+///   once `R_t` has collapsed), at most
+///   `(1 - alpha)·alpha^((d - R)/OUTSIDE_UNIT)`.
+/// * **Interior** (formula (3) past `OPT1_WARMUP`, `d < R_lo - DIS`):
+///   `R_t` does not grow with age, and `R` and `D` stay fixed during one
+///   look-ahead, so `R_t` at the end of a window of at most
+///   [`RADIUS_WINDOW`] ticks, less a rounding term, is a lower bound
+///   `R_lo` on `R_t` at every tick of the window. Then
+///   `d < R_lo - DIS <= R_t - DIS`, so formula (3) is on its interior
+///   branch, `rim·alpha^((R_t - DIS - d)/INTERIOR_UNIT)`, at most
+///   `rim·alpha^((R_lo - DIS - d)/INTERIOR_UNIT)`.
+///
+/// The exponents are formed with the same rounded steps as the formulas'
+/// own from operands no larger (rounding is monotone), so they stay at
+/// most the formulas'. [`loses_to`] covers the rest of the rounding.
+struct TickBounds {
+    ln_alpha: f64,
+    /// `ln(1 - alpha)`, the tail's factor.
+    ln_tail: f64,
+    /// `ln(rim)`, formula (3)'s interior factor, if it applies.
+    ln_rim: Option<f64>,
+    /// The interior bound's window: its last tick, and `R_lo - DIS`.
+    window: Option<(SimTime, f64)>,
+}
+
+impl TickBounds {
+    fn new(params: &GossipParams, annular: bool) -> Self {
+        let alpha = params.alpha;
+        TickBounds {
+            ln_alpha: alpha.ln(),
+            ln_tail: (1.0 - alpha).ln(),
+            ln_rim: annular.then(|| (1.0 - alpha.powf(params.dis / PROB_UNIT + 1.0)).ln()),
+            window: None,
+        }
+    }
+
+    /// Does a bound decide that the tick at `t`, at distance `d` from the
+    /// issue position, with coin `u`, does not fire?
+    fn loses(
+        &mut self,
+        params: &GossipParams,
+        ad: &Advertisement,
+        t: SimTime,
+        d: f64,
+        u: f64,
+    ) -> bool {
+        if d > ad.radius {
+            return self.tail_loses(u, d, ad.radius);
+        }
+        let Some(ln_rim) = self.ln_rim.filter(|_| ad.age(t) > OPT1_WARMUP) else {
+            return false;
+        };
+        let inner_lo = match self.window {
+            Some((last, inner_lo)) if t <= last => inner_lo,
+            _ => {
+                // At most half the ad's remaining life ahead, so the
+                // windows shrink as `R_t` collapses towards expiry.
+                let rounds = params
+                    .round_time
+                    .as_micros()
+                    .saturating_mul(RADIUS_WINDOW - 1);
+                let half_life = (ad.issue_time + ad.duration).since(t).as_micros() / 2;
+                let last = t + SimDuration::from_micros(rounds.min(half_life));
+                // Powers round to within an ulp of exact, so `R_t` is
+                // monotone only to within a few ulps of `R`.
+                let r_lo = ad.radius_at(last, params) - 1e-12 * ad.radius;
+                self.window = Some((last, r_lo - params.dis));
+                r_lo - params.dis
+            }
+        };
+        d < inner_lo && loses_to(u, ln_rim, (inner_lo - d) / INTERIOR_UNIT, self.ln_alpha)
+    }
+
+    /// The tail bound at `d > radius`, or at a lower bound on `d`.
+    fn tail_loses(&self, u: f64, d: f64, radius: f64) -> bool {
+        loses_to(u, self.ln_tail, (d - radius) / OUTSIDE_UNIT, self.ln_alpha)
+    }
+}
+
+/// Is the coin `u` at least every probability that rounds from
+/// `factor·alpha^x`, given `ln_factor`, `x >= 0` and `ln_alpha`?
+///
+/// The comparison is in the log domain. A positive coin in
+/// `[2^e, 2^(e+1))` has `e·ln 2 <= ln(u) < (e+1)·ln 2`, so its binary
+/// exponent decides most ticks without a logarithm: the coin clears the
+/// bound if `e·ln 2` does, and cannot if `(e+1)·ln 2` does not (refusing
+/// only sends the tick to the exact evaluation). A coin of 0 never
+/// clears. Both logs are at most 0, so the terms summed into `ln_bound`
+/// share a sign, and every rounded step (the `ln`s, the products and
+/// sums here; `powf`, the factor's product and `ln(u)` on the other
+/// side) errs by a few units in the last place relative to
+/// `|ln_bound| + |ln_u|`, or by a few relative to the probability
+/// itself: the slack of 10⁻¹² in [`clears`] covers both over 10³ times.
+/// A probability in the subnormal range errs by less than 2⁻¹⁰⁷⁰, far
+/// below the slack on a positive coin, which is at least 2⁻⁵³
+/// ([`keyed_unit`]). NaN never decides.
+fn loses_to(u: f64, ln_factor: f64, x: f64, ln_alpha: f64) -> bool {
+    debug_assert!(u == 0.0 || u >= f64::EPSILON / 2.0, "no coin: {u}");
+    if u <= 0.0 {
+        return false;
+    }
+    let ln_bound = ln_factor + x * ln_alpha;
+    let exponent = ((u.to_bits() >> 52) & 0x7ff) as f64 - 1023.0;
+    let floor = exponent * std::f64::consts::LN_2;
+    clears(floor, ln_bound)
+        || (floor + std::f64::consts::LN_2 >= ln_bound && clears(u.ln(), ln_bound))
+}
+
+/// Does a coin whose log is at least `ln_u` beat every probability that
+/// rounds from a bound whose log is `ln_bound`, with the slack
+/// [`loses_to`] derives?
+fn clears(ln_u: f64, ln_bound: f64) -> bool {
+    ln_u - ln_bound > 1e-12 * (1.0 - ln_u - ln_bound)
 }
 
 /// Keep one wake-up queued for `entry`: queue one at `entry.wake` unless
@@ -1376,71 +1489,132 @@ mod tests {
         ]
     }
 
-    /// `R0` and the factor enlarging it (often none).
-    fn radius() -> impl Strategy<Value = (f64, f64)> {
-        (1.0..5000.0f64, prop_oneof![Just(1.0), 1.0..3.0f64])
+    /// A decay parameter in `(0, 1)`: the paper's range, down to 10⁻³⁰⁰
+    /// (log-uniform) or up to `1 - 2⁻⁵²`.
+    fn decay() -> impl Strategy<Value = f64> {
+        let top = 1.0 - f64::EPSILON;
+        prop_oneof![
+            0.01..0.99f64,
+            (-300.0..-1.0f64).prop_map(|e| 10f64.powf(e)),
+            Just(1e-300),
+            (0.999..top).prop_map(move |a: f64| a.min(top)),
+            Just(top),
+        ]
     }
 
-    /// Metres past `R` to `d_lo`, then from `d_lo` to the position:
-    /// both down to sub-millimetre.
-    fn gaps() -> impl Strategy<Value = (f64, f64)> {
-        (
-            prop_oneof![1e-9..1e-3f64, 0.0..5000.0f64],
-            prop_oneof![Just(0.0), 0.0..1e-3f64, 0.0..1e4f64],
-        )
+    /// The largest coin `keyed_unit` can draw at most `p`, one grid step
+    /// either side of it, a few units in the last place below `p` (off
+    /// the grid), 0, or any coin; never strictly between 0 and one grid
+    /// step, where no coin lies.
+    fn coin(rng: &mut proptest::TestRng, p: f64) -> f64 {
+        const STEP: f64 = 1.0 / (1u64 << 53) as f64;
+        let below = (p.min(1.0) / STEP).floor() * STEP;
+        let u = match rng.below(6) {
+            0 => below,
+            1 => below - STEP,
+            2 => below + STEP,
+            3 => p * (1.0 - f64::EPSILON * (1 + rng.below(4)) as f64),
+            4 => 0.0,
+            _ => rng.unit_f64(),
+        };
+        if u < STEP {
+            0.0
+        } else {
+            u.min(1.0 - STEP)
+        }
     }
 
-    proptest! {
-        /// The skip is sound: every position at least `d_lo > R` from the
-        /// issue position has a forwarding probability of at most
-        /// `outside_bound(d_lo)`, under both formulas, for any alpha and
-        /// beta, a radius enlarged past `R0` or not, ages around
-        /// `OPT1_WARMUP` and into `R_t`'s collapse, and issue positions up
-        /// to 10¹² m from the origin. It is checked at a drawn `d_lo` and
-        /// at the position's own distance, where the bound is tightest.
-        #[test]
-        fn outside_bound_covers_both_formulas(
-            (alpha, beta, annular) in (0.01..0.99f64, 0.01..0.99f64, any::<bool>()),
-            (x, y) in issue_xy(),
-            (r0, grow) in radius(),
-            (duration_s, age) in (1.0..3600.0f64, prop_oneof![0.0..120.0f64, 0.9..1.0001f64]),
-            (beyond, extra, theta) in (gaps(), 0.0..std::f64::consts::TAU)
-                .prop_map(|((b, e), th)| (b, e, th)),
-        ) {
-            let p = GossipParams::paper().with_alpha(alpha).with_beta(beta);
+    /// The look-ahead's bounds are sound: whenever one decides a tick, at
+    /// its fix ([`TickBounds::loses`]) or from a lower bound on its
+    /// distance outside `R` ([`TickBounds::tail_loses`], the drift
+    /// bound), the tick's coin is at least the probability the tick
+    /// computes exactly, so it does not fire. Cases walk 48 ticks of one
+    /// look-ahead (so the interior bound's radius window turns over) with
+    /// ages from before `OPT1_WARMUP` into `R_t`'s collapse, under both
+    /// formulas; alpha and beta from 10⁻³⁰⁰ to `1 - 2⁻⁵²`, `DIS` of 0,
+    /// finite or infinite, `R` up to 10³⁰⁰, issue positions up to 10¹² m,
+    /// and coins of 0, one grid step either side of the probability and a
+    /// few units in the last place below it. The tail, drift and interior
+    /// bounds each decide over 1 000 ticks, so the property is not
+    /// vacuous.
+    #[test]
+    fn tick_bounds_decide_only_ticks_that_do_not_fire() {
+        let mut rng = proptest::TestRng::seed_from_u64(0xb0_4d5);
+        let (mut tail, mut drift, mut interior, mut fired) = (0u32, 0u32, 0u32, 0u32);
+        for case in 0..3000 {
+            let (alpha, beta, annular) = (decay(), decay(), any::<bool>()).generate(&mut rng);
+            let dis = prop_oneof![Just(0.0), 0.0..3000.0f64, Just(f64::INFINITY)];
+            let round = SimDuration::from_micros(rng.below(20_000_000) + 1);
+            let p = GossipParams::paper()
+                .with_alpha(alpha)
+                .with_beta(beta)
+                .with_dis(dis.generate(&mut rng))
+                .with_round_time(round);
+            let (x, y) = issue_xy().generate(&mut rng);
+            let r0 = prop_oneof![1.0..5000.0f64, (0.0..300.0f64).prop_map(|e| 10f64.powf(e))];
+            let duration = SimDuration::from_secs((1.0..3600.0f64).generate(&mut rng));
             let issued = SimTime::from_secs(10.0);
-            let duration = SimDuration::from_secs(duration_s);
             let mut ad = Advertisement::new(
                 AdId::new(PeerId(0), 0),
                 Point::new(x, y),
                 issued,
-                r0,
+                r0.generate(&mut rng),
                 duration,
                 vec![],
                 0,
                 &p,
             );
-            ad.radius *= grow;
-            // An age in seconds, up to past the warm-up, or a fraction of
-            // the duration near its end.
-            let age = if age > 2.0 {
-                SimDuration::from_secs(age)
-            } else {
-                duration.mul_f64(age)
-            };
-            let t = issued + age;
+            ad.radius *= prop_oneof![Just(1.0), 1.0..3.0f64].generate(&mut rng);
             let r = ad.radius;
-            let out = r + beyond + extra;
-            let pos = Point::new(x + out * theta.cos(), y + out * theta.sin());
-            let d = pos.distance(ad.issue_pos);
-            let prob = probability(&p, annular, &ad, t, pos);
-            for d_lo in [r + beyond, d] {
-                if d_lo > r && d_lo <= d {
-                    let bound = outside_bound(alpha, d_lo, r);
-                    prop_assert!(prob <= bound, "p {prob} > {bound} at d_lo {d_lo}, d {d}");
+            // The first tick: around the warm-up, or near expiry.
+            let age = prop_oneof![0.0..120.0f64, 0.9..1.0f64].generate(&mut rng);
+            let first = issued
+                + if age > 2.0 {
+                    SimDuration::from_secs(age)
+                } else {
+                    duration.mul_f64(age)
+                };
+            let mut bounds = TickBounds::new(&p, annular);
+            for k in 0..48u64 {
+                let t = first + SimDuration::from_micros(round.as_micros() * k);
+                if ad.expired(t) {
+                    break;
+                }
+                // Outside by a sub-millimetre or a wide gap, or inside.
+                let gap = prop_oneof![1e-9..1e-3f64, 0.0..5000.0f64].generate(&mut rng);
+                let out = match rng.below(3) {
+                    0 => r + gap,
+                    1 => (r - p.dis - gap).max(0.0),
+                    _ => r * rng.unit_f64(),
+                };
+                let theta = (0.0..std::f64::consts::TAU).generate(&mut rng);
+                let pos = Point::new(x + out * theta.cos(), y + out * theta.sin());
+                let d = pos.distance(ad.issue_pos);
+                let prob = probability_at(&p, annular, &ad, t, d);
+                let u = coin(&mut rng, prob);
+                fired += u32::from(u < prob);
+                let what = || format!("case {case} tick {k}: u {u}, p {prob}, d {d}, R {r}, {p:?}");
+                if bounds.loses(&p, &ad, t, d, u) {
+                    assert!(u >= prob, "{}", what());
+                    if d > r {
+                        tail += 1;
+                    } else {
+                        interior += 1;
+                    }
+                }
+                // The drift bound: any lower bound past `R` on `d`.
+                let d_lo = r + (d - r) * rng.unit_f64();
+                if d_lo > r && bounds.tail_loses(u, d_lo, r) {
+                    assert!(u >= prob, "{}, d_lo {d_lo}", what());
+                    drift += 1;
                 }
             }
         }
+        let counts = format!("tail {tail}, drift {drift}, interior {interior}, fired {fired}");
+        assert!(
+            tail > 1000 && drift > 1000 && interior > 1000 && fired > 1000,
+            "{counts}"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use ia_des::rng::{keyed_below, keyed_bits, keyed_unit, stream};
 use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Vector};
 use ia_mobility::{
-    Fleet, FleetCursor, GpsNoise, Manhattan, MobilityModel, RandomWaypoint, Stationary,
+    Fleet, FleetCursor, GpsNoise, LegWalk, Manhattan, MobilityModel, RandomWaypoint, Stationary,
 };
 use ia_radio::{BroadcastOutcome, DropReason, Medium};
 use std::any::Any;
@@ -224,7 +224,7 @@ fn gps_variance(scenario: &Scenario, t: SimTime) -> f64 {
 
 /// A peer's motion at one callback instant: the position fix and the
 /// velocity estimate through the world's leg cursor, and exact future
-/// fixes from the fleet's immutable trajectories, each only when the
+/// fixes from a forward walk over the node's legs, each only when the
 /// protocol asks.
 struct FleetMotion<'a> {
     cursor: &'a mut FleetCursor,
@@ -234,19 +234,36 @@ struct FleetMotion<'a> {
     max_speed: f64,
     node: u32,
     now: SimTime,
+    /// The true position at `now`, once read: the fix and the velocity
+    /// estimate share it.
+    truth: Option<Point>,
+    /// The look-ahead's leg walk, from the cursor's leg at `now` on.
+    ahead: Option<LegWalk<'a>>,
     #[cfg(test)]
     per_tick: bool,
 }
 
+impl FleetMotion<'_> {
+    fn truth(&mut self) -> Point {
+        let (cursor, fleet, node, now) = (&mut *self.cursor, self.fleet, self.node, self.now);
+        *self
+            .truth
+            .get_or_insert_with(|| cursor.position(fleet, node, now))
+    }
+}
+
 impl Motion for FleetMotion<'_> {
     fn position(&mut self) -> Point {
-        let truth = self.cursor.position(self.fleet, self.node, self.now);
+        let truth = self.truth();
         gps_fix(self.scenario, self.node, self.now, truth)
     }
 
+    /// The two-fix estimate from true positions, never from noisy fixes.
     fn velocity(&mut self) -> Vector {
+        let truth = self.truth();
+        let (fleet, node, now) = (self.fleet, self.node, self.now);
         self.cursor
-            .estimated_velocity(self.fleet, self.node, self.now, VELOCITY_FIX_WINDOW)
+            .estimated_velocity_from(fleet, node, now, VELOCITY_FIX_WINDOW, truth)
     }
 
     /// The fix a callback at `t` reads ([`gps_fix`]), up to the
@@ -259,7 +276,11 @@ impl Motion for FleetMotion<'_> {
         if t >= SimTime::ZERO + self.scenario.sim_time {
             return None;
         }
-        let truth = self.fleet.position(self.node, t);
+        let (cursor, fleet, node) = (&*self.cursor, self.fleet, self.node);
+        let truth = self
+            .ahead
+            .get_or_insert_with(|| cursor.walk(fleet, node))
+            .position(t);
         Some(gps_fix(self.scenario, self.node, t, truth))
     }
 
@@ -738,6 +759,8 @@ impl World {
                 max_speed: self.max_speed,
                 node,
                 now,
+                truth: None,
+                ahead: None,
                 #[cfg(test)]
                 per_tick: self.per_tick,
             },
@@ -1482,6 +1505,44 @@ mod tests {
         }
         assert_eq!(fix(&mut w, 3), at_t);
         assert_eq!(fix(&mut World::new(s), 3), at_t);
+    }
+
+    /// A callback's fix and velocity estimate share one true position:
+    /// `position()` is the fix of [`Fleet::position`] and `velocity()` is
+    /// [`Fleet::estimated_velocity`], bitwise, asked in either order or
+    /// alone. Under a GPS ramp the fix is noisy and the estimate still
+    /// reads the truth.
+    #[test]
+    fn motion_shares_one_true_position_between_fix_and_velocity() {
+        let bits = |x: f64, y: f64| (x.to_bits(), y.to_bits());
+        let ramp = NoiseRamp::new(SimTime::from_secs(10.0), SimTime::from_secs(200.0), 150.0);
+        for faults in [FaultPlan::none(), FaultPlan::none().with_gps_ramp(ramp)] {
+            let ramped = !faults.gps_ramps.is_empty();
+            let s = tiny(ProtocolKind::OptGossip, 30, 47).with_faults(faults);
+            let mut w = World::new(s.clone());
+            let mut noisy = 0;
+            for step in 0..400 {
+                let t = SimTime::from_secs(step as f64 * 0.7);
+                for node in 0..30 {
+                    let truth = w.fleet().position(node, t);
+                    let fix = gps_fix(&s, node, t, truth);
+                    let fix = bits(fix.x, fix.y);
+                    let v = w.fleet().estimated_velocity(node, t, VELOCITY_FIX_WINDOW);
+                    let v = bits(v.x, v.y);
+                    let (p1, v1) = w.with_ctx(node, t, |_, c| (c.position(), c.velocity()));
+                    let (v2, p2) = w.with_ctx(node, t, |_, c| (c.velocity(), c.position()));
+                    let v3 = w.with_ctx(node, t, |_, c| c.velocity());
+                    for p in [p1, p2] {
+                        assert_eq!(bits(p.x, p.y), fix, "node {node} at {t:?}");
+                    }
+                    for u in [v1, v2, v3] {
+                        assert_eq!(bits(u.x, u.y), v, "node {node} at {t:?}");
+                    }
+                    noisy += u32::from(fix != bits(truth.x, truth.y));
+                }
+            }
+            assert_eq!(noisy > 1000, ramped, "{noisy} noisy fixes");
+        }
     }
 
     // ---- fault injection (chaos plans) ------------------------------

@@ -49,16 +49,21 @@ impl Circle {
         if d <= (r1 - r2).abs() {
             return std::f64::consts::PI * rmin * rmin;
         }
-        // General case: sum of two circular segments.
+        // General case: sum of two circular segments. Equal radii give
+        // the two half-angles bitwise-equal arguments, so one `acos`.
         let d2 = d * d;
         let r1_2 = r1 * r1;
         let r2_2 = r2 * r2;
         let alpha = ((d2 + r1_2 - r2_2) / (2.0 * d * r1))
             .clamp(-1.0, 1.0)
             .acos();
-        let beta = ((d2 + r2_2 - r1_2) / (2.0 * d * r2))
-            .clamp(-1.0, 1.0)
-            .acos();
+        let beta = if r1 == r2 {
+            alpha
+        } else {
+            ((d2 + r2_2 - r1_2) / (2.0 * d * r2))
+                .clamp(-1.0, 1.0)
+                .acos()
+        };
         let tri = 0.5
             * ((-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
                 .max(0.0)
@@ -96,6 +101,7 @@ pub fn max_lens_radius() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn c(x: f64, y: f64, r: f64) -> Circle {
         Circle::new(Point::new(x, y), r)
@@ -213,5 +219,45 @@ mod tests {
         let b = c(0.8086, 0.0, 1.0);
         let f = a.overlap_fraction(&b);
         assert!((f - 0.5).abs() < 0.01, "f={f}");
+    }
+
+    /// The general lens with both half-angles computed, as for unequal
+    /// radii.
+    fn two_acos_lens(a: &Circle, b: &Circle) -> f64 {
+        let d = a.center.distance(b.center);
+        let (r1, r2) = (a.radius, b.radius);
+        let (d2, r1_2, r2_2) = (d * d, r1 * r1, r2 * r2);
+        let alpha = ((d2 + r1_2 - r2_2) / (2.0 * d * r1))
+            .clamp(-1.0, 1.0)
+            .acos();
+        let beta = ((d2 + r2_2 - r1_2) / (2.0 * d * r2))
+            .clamp(-1.0, 1.0)
+            .acos();
+        let tri = 0.5
+            * ((-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
+                .max(0.0)
+                .sqrt();
+        r1_2 * alpha + r2_2 * beta - tri
+    }
+
+    proptest! {
+        /// Equal radii: the one-`acos` lens is bitwise the two-`acos`
+        /// formula, for overlapping disks at any distance, radius up to
+        /// `max_lens_radius` and centres up to 10¹² m out.
+        #[test]
+        fn equal_radius_lens_is_the_two_acos_formula(
+            r in prop_oneof![1e-6..1.0f64, 1.0..1e4f64, 1e4..max_lens_radius()],
+            frac in prop_oneof![1e-9..1e-3f64, 0.0..2.0f64, (2.0 - 1e-9)..2.0f64],
+            (x, y) in prop_oneof![(-1e4..1e4f64, -1e4..1e4f64), (-1e12..1e12f64, -1e12..1e12f64)],
+            theta in 0.0..std::f64::consts::TAU,
+        ) {
+            let a = c(x, y, r);
+            let b = c(x + frac * r * theta.cos(), y + frac * r * theta.sin(), r);
+            let d = a.center.distance(b.center);
+            if d > 0.0 && d < 2.0 * r {
+                let (one, two) = (a.lens_area(&b), two_acos_lens(&a, &b));
+                prop_assert_eq!(one.to_bits(), two.to_bits(), "r {} d {}", r, d);
+            }
+        }
     }
 }

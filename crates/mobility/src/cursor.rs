@@ -15,6 +15,7 @@
 //! cursors without perturbing results.
 
 use crate::fleet::Fleet;
+use crate::trajectory::Trajectory;
 use ia_des::{SimDuration, SimTime};
 use ia_geo::{Point, Vector};
 
@@ -57,19 +58,6 @@ impl FleetCursor {
         tr.legs()[i].position_at(t)
     }
 
-    /// Exact velocity of `node` at `t` (equals [`Fleet::velocity`]).
-    #[inline]
-    pub fn velocity(&mut self, fleet: &Fleet, node: u32, t: SimTime) -> Vector {
-        self.ensure(fleet.len());
-        let tr = fleet.trajectory(node);
-        if t < tr.start_time() || t > tr.end_time() {
-            return Vector::ZERO;
-        }
-        let i = tr.leg_index_hinted(t, self.hints[node as usize] as usize);
-        self.hints[node as usize] = i as u32;
-        tr.legs()[i].velocity()
-    }
-
     /// Batch position snapshot: every node's exact position at `t`
     /// written into `out` (cleared first; index = node id). Bitwise
     /// equal to calling [`Self::position`] per node.
@@ -94,6 +82,21 @@ impl FleetCursor {
         t: SimTime,
         dt: SimDuration,
     ) -> Vector {
+        let cur = self.position(fleet, node, t);
+        self.estimated_velocity_from(fleet, node, t, dt, cur)
+    }
+
+    /// [`Self::estimated_velocity`] given `cur`, the node's exact
+    /// position at `t` ([`Self::position`]), so only the fix at `t - dt`
+    /// is evaluated.
+    pub fn estimated_velocity_from(
+        &mut self,
+        fleet: &Fleet,
+        node: u32,
+        t: SimTime,
+        dt: SimDuration,
+        cur: Point,
+    ) -> Vector {
         let secs = dt.as_secs();
         if secs <= 0.0 {
             return Vector::ZERO;
@@ -103,11 +106,36 @@ impl FleetCursor {
         let t_prev = t - dt;
         let ip = tr.leg_index_hinted(t_prev, self.prev_hints[node as usize] as usize);
         self.prev_hints[node as usize] = ip as u32;
-        let i = tr.leg_index_hinted(t, self.hints[node as usize] as usize);
-        self.hints[node as usize] = i as u32;
         let prev = tr.legs()[ip].position_at(t_prev);
-        let cur = tr.legs()[i].position_at(t);
         (cur - prev) / secs
+    }
+
+    /// A forward walk over `node`'s legs that starts at this cursor's
+    /// hint and leaves the cursor as it was: a look-ahead past the
+    /// current instant reads its positions from it.
+    pub fn walk<'a>(&self, fleet: &'a Fleet, node: u32) -> LegWalk<'a> {
+        LegWalk {
+            trajectory: fleet.trajectory(node),
+            leg: self.hints.get(node as usize).map_or(0, |&i| i as usize),
+        }
+    }
+}
+
+/// One node's leg cursor for queries at non-decreasing instants
+/// ([`FleetCursor::walk`]). Every position equals
+/// [`Fleet::position`]'s; an earlier instant only costs a search.
+#[derive(Debug, Clone)]
+pub struct LegWalk<'a> {
+    trajectory: &'a Trajectory,
+    leg: usize,
+}
+
+impl LegWalk<'_> {
+    /// Exact position at `t` (equals [`Fleet::position`]).
+    #[inline]
+    pub fn position(&mut self, t: SimTime) -> Point {
+        self.leg = self.trajectory.leg_index_hinted(t, self.leg);
+        self.trajectory.legs()[self.leg].position_at(t)
     }
 }
 
@@ -131,7 +159,6 @@ mod tests {
             let t = SimTime::from_secs(step as f64 * 0.5);
             for node in 0..8 {
                 assert_eq!(c.position(&f, node, t), f.position(node, t));
-                assert_eq!(c.velocity(&f, node, t), f.velocity(node, t));
             }
         }
     }
@@ -148,6 +175,30 @@ mod tests {
                 assert_eq!(c.position(&f, node, t), f.position(node, t), "t={s}");
             }
         }
+    }
+
+    #[test]
+    fn walk_matches_fleet_and_leaves_the_cursor_alone() {
+        let f = fleet(4, 29);
+        let mut c = FleetCursor::new();
+        for node in 0..4 {
+            c.position(&f, node, SimTime::from_secs(40.0));
+            let before = c.clone();
+            // Forward from the cursor's leg, then back before it.
+            let mut walk = c.walk(&f, node);
+            for s in [40.0, 41.5, 90.0, 90.0, 299.0, 10_000.0, 3.0, 120.0] {
+                let t = SimTime::from_secs(s);
+                let (p, q) = (walk.position(t), f.position(node, t));
+                assert_eq!(
+                    (p.x.to_bits(), p.y.to_bits()),
+                    (q.x.to_bits(), q.y.to_bits())
+                );
+            }
+            assert_eq!(c.hints, before.hints);
+        }
+        // A cursor that has not seen the node starts at its first leg.
+        let t = SimTime::from_secs(200.0);
+        assert_eq!(FleetCursor::new().walk(&f, 3).position(t), f.position(3, t));
     }
 
     #[test]
@@ -200,10 +251,13 @@ mod tests {
             Leg::new(t0, t1, p, q),
         ])]);
         let mut c = FleetCursor::new();
-        assert_eq!(f.velocity(0, t0), Vector::new(10.0, 0.0));
-        assert_eq!(c.velocity(&f, 0, t0), f.velocity(0, t0));
+        assert_eq!(
+            f.trajectory(0).leg_at(t0).velocity(),
+            Vector::new(10.0, 0.0)
+        );
         assert_eq!(f.position(0, t0), p);
         assert_eq!(c.position(&f, 0, t0), p);
+        assert_eq!(c.walk(&f, 0).position(t0), p);
     }
 
     #[test]
@@ -215,7 +269,6 @@ mod tests {
         for node in 0..3 {
             assert_eq!(c.position(&f, node, after), f.position(node, after));
             assert_eq!(c.position(&f, node, before), f.position(node, before));
-            assert_eq!(c.velocity(&f, node, after), Vector::ZERO);
         }
     }
 }

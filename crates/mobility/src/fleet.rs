@@ -73,11 +73,6 @@ impl Fleet {
         self.trajectory(node).position_at(t)
     }
 
-    /// Exact velocity of `node` at `t`.
-    pub fn velocity(&self, node: u32, t: SimTime) -> Vector {
-        self.trajectory(node).velocity_at(t)
-    }
-
     /// The paper's GPS-style velocity estimate from two consecutive fixes.
     pub fn estimated_velocity(&self, node: u32, t: SimTime, dt: SimDuration) -> Vector {
         self.trajectory(node).estimated_velocity(t, dt)
@@ -172,7 +167,11 @@ mod tests {
             f.position(0, SimTime::from_secs(30.0)),
             Point::new(500.0, 500.0)
         );
-        assert_eq!(f.velocity(0, SimTime::from_secs(30.0)), Vector::ZERO);
+        let at = SimTime::from_secs(30.0);
+        assert_eq!(
+            f.estimated_velocity(0, at, SimDuration::from_secs(1.0)),
+            Vector::ZERO
+        );
     }
 
     #[test]
@@ -187,7 +186,7 @@ mod tests {
         let f = fleet(5, 9);
         let t = SimTime::from_secs(20.0);
         for node in 0..5 {
-            let exact = f.velocity(node, t);
+            let exact = f.trajectory(node).leg_at(t).velocity();
             let est = f.estimated_velocity(node, t, SimDuration::from_millis(100));
             // Mid-leg (no waypoint change in the window) the estimate is
             // exact; across a waypoint it is a blend — allow slack.

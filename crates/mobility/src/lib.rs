@@ -33,7 +33,7 @@ pub mod random_waypoint;
 pub mod stationary;
 pub mod trajectory;
 
-pub use cursor::FleetCursor;
+pub use cursor::{FleetCursor, LegWalk};
 pub use fleet::Fleet;
 pub use manhattan::Manhattan;
 pub use model::{MobilityModel, MIN_SPEED};

@@ -51,7 +51,7 @@ mod tests {
             );
         }
         assert_eq!(
-            tr.velocity_at(SimTime::from_secs(50.0)),
+            tr.leg_at(SimTime::from_secs(50.0)).velocity(),
             ia_geo::Vector::ZERO
         );
         assert_eq!(

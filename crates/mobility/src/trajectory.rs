@@ -166,14 +166,6 @@ impl Trajectory {
         self.leg_at(t).position_at(t)
     }
 
-    /// Exact instantaneous velocity at time `t` (zero outside the plan).
-    pub fn velocity_at(&self, t: SimTime) -> Vector {
-        if t < self.start_time() || t > self.end_time() {
-            return Vector::ZERO;
-        }
-        self.leg_at(t).velocity()
-    }
-
     /// The paper derives a peer's motion direction "from two consecutive
     /// recorded locations"; this reproduces that estimate with fixes at
     /// `t - dt` and `t` (falls back to zero for a degenerate window).
@@ -291,9 +283,9 @@ mod tests {
     #[test]
     fn velocity_per_leg() {
         let tr = straight_line();
-        assert_eq!(tr.velocity_at(t(5.0)), Vector::new(10.0, 0.0));
-        assert_eq!(tr.velocity_at(t(15.0)), Vector::ZERO);
-        assert_eq!(tr.velocity_at(t(25.0)), Vector::ZERO);
+        assert_eq!(tr.leg_at(t(5.0)).velocity(), Vector::new(10.0, 0.0));
+        assert_eq!(tr.leg_at(t(15.0)).velocity(), Vector::ZERO);
+        assert_eq!(tr.leg_at(t(25.0)).velocity(), Vector::ZERO);
     }
 
     #[test]

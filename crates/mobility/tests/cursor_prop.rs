@@ -27,8 +27,8 @@ fn monotone_times(increments: &[u64]) -> Vec<SimTime> {
 }
 
 proptest! {
-    /// Monotone query sequences (the hot path): every position, velocity,
-    /// and velocity estimate agrees bit-for-bit with the uncached fleet.
+    /// Monotone query sequences (the hot path): every position and
+    /// velocity estimate agrees bit-for-bit with the uncached fleet.
     #[test]
     fn monotone_queries_match_binary_search(
         seed in 0u64..1_000,
@@ -42,9 +42,6 @@ proptest! {
                 let (p, q) = (c.position(&f, node, t), f.position(node, t));
                 prop_assert_eq!(p.x.to_bits(), q.x.to_bits());
                 prop_assert_eq!(p.y.to_bits(), q.y.to_bits());
-                let (v, w) = (c.velocity(&f, node, t), f.velocity(node, t));
-                prop_assert_eq!(v.x.to_bits(), w.x.to_bits());
-                prop_assert_eq!(v.y.to_bits(), w.y.to_bits());
                 let (e, g) = (
                     c.estimated_velocity(&f, node, t, dt),
                     f.estimated_velocity(node, t, dt),
