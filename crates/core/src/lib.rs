@@ -43,7 +43,7 @@ pub use ad::Advertisement;
 pub use cache::{AdCache, CacheEntry};
 pub use ids::{AdId, PeerId};
 pub use interest::UserProfile;
-pub use params::GossipParams;
+pub use params::{GossipParams, SharedParams};
 pub use protocol::{
     build_protocol, Action, ActionSink, AdMessage, EntryWake, Motion, PeerContext, Protocol,
     ProtocolKind, RxMeta,

@@ -1,6 +1,8 @@
 //! Protocol tuning parameters (Table I / Table II of the paper).
 
 use ia_des::SimDuration;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Distance normalisation unit for the exponents in formulas (1) and
 /// (3), metres. The paper's Figure 2 is drawn with `R = 10` units; we
@@ -138,6 +140,41 @@ impl GossipParams {
 impl Default for GossipParams {
     fn default() -> Self {
         GossipParams::paper()
+    }
+}
+
+/// A run's [`GossipParams`] as every peer of the run shares them, in one
+/// [`Arc`] ([`GossipParams::shared`]), with the logarithms the gossip
+/// look-ahead compares its coins against, computed once per run:
+/// `ln alpha`, `ln(1 - alpha)` (formula (1)'s outside factor) and
+/// `ln(1 - alpha^(DIS/PROB_UNIT + 1))` (formula (3)'s interior factor).
+/// It dereferences to the parameters.
+#[derive(Debug)]
+pub struct SharedParams {
+    params: GossipParams,
+    pub(crate) ln_alpha: f64,
+    pub(crate) ln_tail: f64,
+    pub(crate) ln_rim: f64,
+}
+
+impl GossipParams {
+    /// The parameters as every peer of one run shares them.
+    pub fn shared(self) -> Arc<SharedParams> {
+        let alpha = self.alpha;
+        Arc::new(SharedParams {
+            ln_alpha: alpha.ln(),
+            ln_tail: (1.0 - alpha).ln(),
+            ln_rim: (1.0 - alpha.powf(self.dis / PROB_UNIT + 1.0)).ln(),
+            params: self,
+        })
+    }
+}
+
+impl Deref for SharedParams {
+    type Target = GossipParams;
+
+    fn deref(&self) -> &GossipParams {
+        &self.params
     }
 }
 

@@ -30,7 +30,7 @@ use super::{
 use crate::ad::Advertisement;
 use crate::ids::AdId;
 use crate::interest::UserProfile;
-use crate::params::GossipParams;
+use crate::params::SharedParams;
 use crate::rank;
 use ia_des::SimTime;
 use std::collections::{HashMap, HashSet};
@@ -48,7 +48,7 @@ struct Issued {
 /// Restricted Flooding protocol state for one peer.
 pub struct RestrictedFlooding {
     /// The run's parameters, shared by every peer.
-    params: Arc<GossipParams>,
+    params: Arc<SharedParams>,
     profile: UserProfile,
     /// Ads this peer issued (it keeps re-broadcasting them).
     issued: Vec<Issued>,
@@ -59,7 +59,7 @@ pub struct RestrictedFlooding {
 }
 
 impl RestrictedFlooding {
-    pub fn new(params: Arc<GossipParams>, profile: UserProfile) -> Self {
+    pub fn new(params: Arc<SharedParams>, profile: UserProfile) -> Self {
         params.validate();
         RestrictedFlooding {
             params,
@@ -200,11 +200,12 @@ impl Protocol for RestrictedFlooding {
 mod tests {
     use super::*;
     use crate::ids::PeerId;
+    use crate::params::GossipParams;
     use ia_des::{SimDuration, SimTime};
     use ia_geo::{Point, Vector};
 
-    fn params() -> Arc<GossipParams> {
-        Arc::new(GossipParams::paper())
+    fn params() -> Arc<SharedParams> {
+        GossipParams::paper().shared()
     }
 
     fn mk_ad(seq: u32) -> Advertisement {

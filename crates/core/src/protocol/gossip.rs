@@ -51,7 +51,9 @@ use crate::ad::Advertisement;
 use crate::cache::{AdCache, CacheEntry};
 use crate::ids::AdId;
 use crate::interest::UserProfile;
-use crate::params::{GossipParams, INTERIOR_UNIT, OPT1_WARMUP, OUTSIDE_UNIT, PROB_UNIT};
+use crate::params::{
+    GossipParams, SharedParams, INTERIOR_UNIT, OPT1_WARMUP, OUTSIDE_UNIT, PROB_UNIT,
+};
 use crate::postpone;
 use crate::prob;
 use crate::rank;
@@ -62,7 +64,7 @@ use std::sync::Arc;
 /// The gossip family: pure, optimized-1, optimized-2, or both.
 pub struct Gossip {
     /// The run's parameters, shared by every peer.
-    params: Arc<GossipParams>,
+    params: Arc<SharedParams>,
     /// The radio's transmission range, metres (formula 4).
     range: f64,
     /// This peer's key for its keyed draws: the start phase and the coin
@@ -89,13 +91,13 @@ impl Gossip {
     /// keyed by `key` ([`ia_des::rng::keyed_unit`]): the tick of entry
     /// `ad` at `t` broadcasts iff `keyed_unit(key, ad, t) < p`, a pure
     /// function of the tick.
-    pub fn pure(params: Arc<GossipParams>, range: f64, profile: UserProfile, key: u64) -> Self {
+    pub fn pure(params: Arc<SharedParams>, range: f64, profile: UserProfile, key: u64) -> Self {
         Self::with_flags(params, range, profile, key, false, false)
     }
 
     /// Gossiping + mechanism (1); `key` as for [`Gossip::pure`].
     pub fn optimized_1(
-        params: Arc<GossipParams>,
+        params: Arc<SharedParams>,
         range: f64,
         profile: UserProfile,
         key: u64,
@@ -106,7 +108,7 @@ impl Gossip {
     /// Gossiping + mechanism (2) (Algorithms 3–4); `key` as for
     /// [`Gossip::pure`].
     pub fn optimized_2(
-        params: Arc<GossipParams>,
+        params: Arc<SharedParams>,
         range: f64,
         profile: UserProfile,
         key: u64,
@@ -117,7 +119,7 @@ impl Gossip {
     /// Optimized Gossiping: both mechanisms; `key` as for
     /// [`Gossip::pure`].
     pub fn optimized(
-        params: Arc<GossipParams>,
+        params: Arc<SharedParams>,
         range: f64,
         profile: UserProfile,
         key: u64,
@@ -126,7 +128,7 @@ impl Gossip {
     }
 
     fn with_flags(
-        params: Arc<GossipParams>,
+        params: Arc<SharedParams>,
         range: f64,
         profile: UserProfile,
         key: u64,
@@ -208,7 +210,7 @@ impl Gossip {
 /// position at `t`, and the tail bound at `d_lo` decides the tick. Either
 /// way the decision is the one the tick makes.
 fn plan(
-    params: &GossipParams,
+    params: &SharedParams,
     annular: bool,
     key: u64,
     entry: &mut CacheEntry,
@@ -312,12 +314,12 @@ struct TickBounds {
 }
 
 impl TickBounds {
-    fn new(params: &GossipParams, annular: bool) -> Self {
-        let alpha = params.alpha;
+    /// The bounds of one look-ahead, from the run's logarithms.
+    fn new(params: &SharedParams, annular: bool) -> Self {
         TickBounds {
-            ln_alpha: alpha.ln(),
-            ln_tail: (1.0 - alpha).ln(),
-            ln_rim: annular.then(|| (1.0 - alpha.powf(params.dis / PROB_UNIT + 1.0)).ln()),
+            ln_alpha: params.ln_alpha,
+            ln_tail: params.ln_tail,
+            ln_rim: annular.then_some(params.ln_rim),
             window: None,
         }
     }
@@ -644,8 +646,8 @@ mod tests {
     /// The paper's radio range, metres.
     const RANGE: f64 = 250.0;
 
-    fn params() -> Arc<GossipParams> {
-        Arc::new(GossipParams::paper())
+    fn params() -> Arc<SharedParams> {
+        GossipParams::paper().shared()
     }
 
     fn mk_ad(seq: u32) -> Advertisement {
@@ -1162,7 +1164,7 @@ mod tests {
 
     impl Driven {
         /// A fresh peer of the gossip kind `kind`.
-        fn new(kind: ProtocolKind, p: Arc<GossipParams>, profile: UserProfile, key: u64) -> Self {
+        fn new(kind: ProtocolKind, p: Arc<SharedParams>, profile: UserProfile, key: u64) -> Self {
             let g = match kind {
                 ProtocolKind::Gossip => Gossip::pure(p, RANGE, profile, key),
                 ProtocolKind::OptGossip1 => Gossip::optimized_1(p, RANGE, profile, key),
@@ -1267,7 +1269,7 @@ mod tests {
         let mut counts = PlanCounts::default();
         for case in 0..cases {
             let round = SimDuration::from_micros(draw.range_u64(300_000, 10_000_000));
-            let p = Arc::new(GossipParams::paper().with_round_time(round));
+            let p = GossipParams::paper().with_round_time(round).shared();
             let which = draw.range_u64(0, 2) as usize;
             let kind = kinds[which];
             let centre = Point::new(2500.0, 2500.0);
@@ -1549,7 +1551,8 @@ mod tests {
                 .with_alpha(alpha)
                 .with_beta(beta)
                 .with_dis(dis.generate(&mut rng))
-                .with_round_time(round);
+                .with_round_time(round)
+                .shared();
             let (x, y) = issue_xy().generate(&mut rng);
             let r0 = prop_oneof![1.0..5000.0f64, (0.0..300.0f64).prop_map(|e| 10f64.powf(e))];
             let duration = SimDuration::from_secs((1.0..3600.0f64).generate(&mut rng));
@@ -1620,7 +1623,7 @@ mod tests {
     #[test]
     fn cache_eviction_respects_capacity() {
         let mut env = Env::new();
-        let p = Arc::new(GossipParams::paper().with_cache_capacity(3));
+        let p = GossipParams::paper().with_cache_capacity(3).shared();
         let mut g = Gossip::pure(p, RANGE, UserProfile::indifferent(1), 0);
         let pos = Point::new(2500.0, 2500.0);
         for seq in 0..5 {

@@ -32,7 +32,7 @@ pub mod gossip;
 use crate::ad::Advertisement;
 use crate::ids::AdId;
 use crate::interest::UserProfile;
-use crate::params::GossipParams;
+use crate::params::SharedParams;
 use ia_des::SimTime;
 use ia_geo::{Point, Vector};
 use std::sync::Arc;
@@ -378,13 +378,13 @@ pub trait Protocol {
 }
 
 /// Construct the protocol instance for one peer. Every peer of a run
-/// shares the one `params` allocation; `range` is the radio's
+/// shares the one `params` allocation ([`GossipParams::shared`](crate::GossipParams::shared)); `range` is the radio's
 /// transmission range, metres, which formula (4) needs; `key` keys the
 /// peer's draws (start phase, round and entry-tick coins), which only
 /// the gossip family makes.
 pub fn build_protocol(
     kind: ProtocolKind,
-    params: Arc<GossipParams>,
+    params: Arc<SharedParams>,
     range: f64,
     profile: UserProfile,
     key: u64,
@@ -401,6 +401,7 @@ pub fn build_protocol(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::GossipParams;
 
     #[test]
     fn labels_are_distinct() {
@@ -450,7 +451,7 @@ mod tests {
 
     #[test]
     fn build_constructs_every_kind() {
-        let params = Arc::new(GossipParams::paper());
+        let params = GossipParams::paper().shared();
         for kind in ProtocolKind::ALL {
             let p = build_protocol(
                 kind,

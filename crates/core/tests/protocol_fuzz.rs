@@ -25,7 +25,6 @@ use ia_geo::{Point, Vector};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// One fuzz step.
 #[derive(Debug, Clone)]
@@ -222,7 +221,7 @@ impl Harness {
 }
 
 fn run_fuzz(kind: ProtocolKind, ops: &[Op], seed: u64) {
-    let params = Arc::new(GossipParams::paper());
+    let params = GossipParams::paper().shared();
     let pool = ad_pool(&params);
     let mut h = Harness {
         kind,

@@ -120,7 +120,7 @@ struct Reads {
 /// duplicates (for Flooding, three new waves and one repeated), a
 /// restart at 102.5 s and 200 s of entry ticks.
 fn drive(kind: ProtocolKind) -> Reads {
-    let params = Arc::new(GossipParams::paper());
+    let params = GossipParams::paper().shared();
     let mut h = Harness {
         peer: build_protocol(
             kind,

@@ -11,48 +11,59 @@
 //! All metrics are collected over an advertisement's life cycle
 //! `[issue_time, issue_time + D0]`. Area entry instants are *exact*:
 //! the piecewise-linear trajectories are intersected with the advertising
-//! circle analytically (`Trajectory::first_disk_entry`), something NS-2
-//! post-processing could only approximate by sampling.
+//! circle analytically (`TrajectoryView::disk_intervals`), something
+//! NS-2 post-processing could only approximate by sampling.
 
 use crate::scenario::AdSpec;
 use ia_core::AdId;
 use ia_des::SimTime;
 use ia_geo::Circle;
 use ia_mobility::Fleet;
-use std::collections::BTreeMap;
+
+/// A node's first receipt before it has one. No receipt is recorded at
+/// it: the scheduler runs nothing at or past its horizon.
+const NOT_RECEIVED: SimTime = SimTime::MAX;
 
 /// Delivery bookkeeping for one advertisement.
 #[derive(Debug, Clone)]
 struct AdTracking {
     id: AdId,
-    window_start: SimTime,
     window_end: SimTime,
-    /// Exact in-area intervals per mobile peer during the life cycle,
-    /// clipped to the window (peers that never enter are absent).
-    passages: BTreeMap<u32, Vec<(SimTime, SimTime)>>,
-    /// First receipt time per peer.
-    receipt_times: BTreeMap<u32, SimTime>,
+    /// Exact in-area intervals of the mobile peers during the life
+    /// cycle, clipped to the window, peer after peer in id order.
+    passages: Vec<(SimTime, SimTime)>,
+    /// Each peer that passed, in id order, with the end of its run in
+    /// `passages` (peers that never enter are absent).
+    passed: Vec<(u32, u32)>,
+    /// First receipt time per node, issuers included (an issuer may
+    /// accept another's ad); [`NOT_RECEIVED`] until it has one.
+    receipts: Vec<SimTime>,
 }
 
 impl AdTracking {
+    fn receipt(&self, node: u32) -> Option<SimTime> {
+        Some(self.receipts[node as usize]).filter(|&r| r != NOT_RECEIVED)
+    }
+
     /// Every passage, peer by peer in id order, with its wait in seconds
     /// from entering the area until the peer's first receipt; `None` when
     /// that receipt is missing, after the window or after the passage's
     /// exit. A receipt before entry waits 0.
     fn passage_waits(&self) -> impl Iterator<Item = (u32, Option<f64>)> + '_ {
-        self.passages.iter().flat_map(move |(&peer, intervals)| {
-            let receipt = self
-                .receipt_times
-                .get(&peer)
-                .copied()
-                .filter(|&r| r <= self.window_end);
-            intervals.iter().map(move |&(enter, exit)| {
-                let wait = receipt
-                    .filter(|&r| r <= exit)
-                    .map(|r| r.since(enter).as_secs());
-                (peer, wait)
+        let starts = std::iter::once(0).chain(self.passed.iter().map(|&(_, end)| end));
+        self.passed
+            .iter()
+            .zip(starts)
+            .flat_map(move |(&(peer, end), start)| {
+                let receipt = self.receipt(peer).filter(|&r| r <= self.window_end);
+                let intervals = &self.passages[start as usize..end as usize];
+                intervals.iter().map(move |&(enter, exit)| {
+                    let wait = receipt
+                        .filter(|&r| r <= exit)
+                        .map(|r| r.since(enter).as_secs());
+                    (peer, wait)
+                })
             })
-        })
     }
 }
 
@@ -99,6 +110,7 @@ impl DeliveryTracker {
     /// Precompute exact entry times for all `n_mobile` peers (node ids
     /// `0..n_mobile`; issuer nodes beyond that are excluded from the
     /// metrics, as the paper counts *mobile peers passing through*).
+    /// Receipts are kept for every node of `fleet`.
     pub fn new(fleet: &Fleet, n_mobile: usize, specs: &[(AdId, AdSpec)]) -> Self {
         let ads = specs
             .iter()
@@ -106,19 +118,24 @@ impl DeliveryTracker {
                 let circle = Circle::new(spec.issue_pos, spec.radius);
                 let start = spec.issue_time;
                 let end = spec.window_end();
-                let mut passages = BTreeMap::new();
+                let mut passages = Vec::new();
+                let mut passed = Vec::new();
                 for node in 0..n_mobile as u32 {
                     let iv = fleet.trajectory(node).disk_intervals(&circle, start, end);
                     if !iv.is_empty() {
-                        passages.insert(node, iv);
+                        passages.extend(iv);
+                        let run_end = u32::try_from(passages.len()).expect("under 2^32 passages");
+                        passed.push((node, run_end));
                     }
                 }
+                passages.shrink_to_fit();
+                passed.shrink_to_fit();
                 AdTracking {
                     id: *id,
-                    window_start: start,
                     window_end: end,
                     passages,
-                    receipt_times: BTreeMap::new(),
+                    passed,
+                    receipts: vec![NOT_RECEIVED; fleet.len()],
                 }
             })
             .collect();
@@ -128,7 +145,10 @@ impl DeliveryTracker {
     /// Record that `peer` accepted `ad` at `time` (first receipt wins).
     pub fn record_receipt(&mut self, peer: u32, ad: AdId, time: SimTime) {
         for t in self.ads.iter_mut().filter(|t| t.id == ad) {
-            t.receipt_times.entry(peer).or_insert(time);
+            let first = &mut t.receipts[peer as usize];
+            if *first == NOT_RECEIVED {
+                *first = time;
+            }
         }
     }
 
@@ -136,12 +156,7 @@ impl DeliveryTracker {
     pub fn has_received(&self, peer: u32, ad: AdId) -> bool {
         self.ads
             .iter()
-            .any(|t| t.id == ad && t.receipt_times.contains_key(&peer))
-    }
-
-    /// Number of peers that entered the area of ad index `i`.
-    pub fn passed(&self, i: usize) -> usize {
-        self.ads[i].passages.len()
+            .any(|t| t.id == ad && t.receipt(peer).is_some())
     }
 
     /// Compute the final per-ad outcomes.
@@ -156,7 +171,7 @@ impl DeliveryTracker {
         self.ads
             .iter()
             .map(|t| {
-                let passed = t.passages.len();
+                let passed = t.passed.len();
                 let mut delivered = 0usize;
                 let mut passages = 0usize;
                 let mut delivered_passages = 0usize;
@@ -196,23 +211,12 @@ impl DeliveryTracker {
             .collect()
     }
 
-    /// The metric window of ad index `i`.
-    pub fn window(&self, i: usize) -> (SimTime, SimTime) {
-        (self.ads[i].window_start, self.ads[i].window_end)
-    }
-
-    /// Per-delivered-passage wait samples for ad index `i` (seconds) —
-    /// the raw data behind the mean delivery time, for tail analysis.
-    pub fn delivery_time_samples(&self, i: usize) -> Vec<f64> {
-        self.ads[i]
-            .passage_waits()
-            .filter_map(|(_, wait)| wait)
-            .collect()
-    }
-
-    /// Distribution summary of the delivery waits for ad index `i`.
+    /// Distribution summary of the delivery waits for ad index `i`
+    /// (seconds, one per delivered passage): the raw data behind the
+    /// mean delivery time, for tail analysis.
     pub fn delivery_time_distribution(&self, i: usize) -> crate::stats::Distribution {
-        crate::stats::Distribution::of(self.delivery_time_samples(i))
+        let waits = self.ads[i].passage_waits().filter_map(|(_, wait)| wait);
+        crate::stats::Distribution::of(waits.collect())
     }
 }
 
@@ -256,9 +260,8 @@ mod tests {
     #[test]
     fn entry_detection_is_exact() {
         let t = DeliveryTracker::new(&fleet(), 3, &[(ad_id(), spec())]);
-        assert_eq!(t.passed(0), 2); // crossing + inside
         let out = t.outcomes();
-        assert_eq!(out[0].passed, 2);
+        assert_eq!(out[0].passed, 2); // crossing + inside
         assert_eq!(out[0].delivered, 0);
         assert_eq!(out[0].delivery_rate, 0.0);
     }
@@ -353,8 +356,8 @@ mod tests {
     fn issuer_nodes_are_excluded() {
         // n_mobile = 2 excludes node 2 even if it were inside.
         let t = DeliveryTracker::new(&fleet(), 2, &[(ad_id(), spec())]);
-        assert_eq!(t.passed(0), 2);
+        assert_eq!(t.outcomes()[0].passed, 2);
         let t_small = DeliveryTracker::new(&fleet(), 1, &[(ad_id(), spec())]);
-        assert_eq!(t_small.passed(0), 1);
+        assert_eq!(t_small.outcomes()[0].passed, 1);
     }
 }

@@ -311,27 +311,48 @@ impl World {
 
         // Mobile peers, then one stationary issuer per ad at its issue
         // position.
-        let model: Box<dyn MobilityModel> = match scenario.mobility {
-            MobilityKind::RandomWaypoint => Box::new(RandomWaypoint::paper(
-                scenario.area,
-                scenario.speed_mean,
-                scenario.speed_delta,
-            )),
-            MobilityKind::Manhattan => Box::new(Manhattan::paper(
-                scenario.area,
-                scenario.speed_mean,
-                scenario.speed_delta,
-            )),
+        let (n, seed) = (scenario.n_peers, scenario.seed);
+        let (area, mean, delta) = (scenario.area, scenario.speed_mean, scenario.speed_delta);
+        let mut fleet = match scenario.mobility {
+            MobilityKind::RandomWaypoint => Fleet::generate(
+                &RandomWaypoint::paper(area, mean, delta),
+                n,
+                seed,
+                start,
+                end,
+            ),
+            MobilityKind::Manhattan => {
+                Fleet::generate(&Manhattan::paper(area, mean, delta), n, seed, start, end)
+            }
         };
-        let mut fleet = Fleet::generate(&model, scenario.n_peers, scenario.seed, start, end);
         fleet.extend(scenario.ads.iter().map(|spec| {
             let mut rng = SimRng::derive(scenario.seed, stream::PLACEMENT);
             Stationary::at(spec.issue_pos).trajectory(&mut rng, start, end)
         }));
+        // An ad's seq is its scenario index: `schedule_entry`'s rank needs
+        // it to be unique.
+        let ad_ids: Vec<AdId> = scenario
+            .ads
+            .iter()
+            .enumerate()
+            .map(|(i, _)| AdId::new(PeerId(scenario.issuer_node(i)), i as u32))
+            .collect();
+        // The tracker cuts its tables to size as it builds them; built
+        // before the peers, the scheduler and the medium, whose heap
+        // outweighs the tables' growth slack, it leaves set-up peaking at
+        // the heap the world keeps (`zero_alloc.rs` pins this).
+        let tracker = {
+            let specs: Vec<(AdId, crate::scenario::AdSpec)> = ad_ids
+                .iter()
+                .copied()
+                .zip(scenario.ads.iter().cloned())
+                .collect();
+            DeliveryTracker::new(&fleet, scenario.n_peers, &specs)
+        };
 
         // Per-peer protocol instances, each with the key of its draws;
         // every peer shares one copy of the parameters.
-        let params = Arc::new(scenario.params.clone());
+        let params = scenario.params.clone().shared();
         let peers: Vec<Box<dyn Protocol>> = (0..scenario.n_nodes() as u32)
             .map(|node| {
                 build_protocol(
@@ -360,14 +381,6 @@ impl World {
         for node in 0..scenario.n_nodes() as u32 {
             sched.schedule_at(start, Event::Start(node));
         }
-        // An ad's seq is its scenario index: `schedule_entry`'s rank needs
-        // it to be unique.
-        let ad_ids: Vec<AdId> = scenario
-            .ads
-            .iter()
-            .enumerate()
-            .map(|(i, _)| AdId::new(PeerId(scenario.issuer_node(i)), i as u32))
-            .collect();
         for (i, spec) in scenario.ads.iter().enumerate() {
             sched.schedule_at(spec.issue_time, Event::Issue { index: i });
         }
@@ -418,12 +431,6 @@ impl World {
                 );
             }
         }
-        let specs: Vec<(AdId, crate::scenario::AdSpec)> = ad_ids
-            .iter()
-            .copied()
-            .zip(scenario.ads.iter().cloned())
-            .collect();
-        let tracker = DeliveryTracker::new(&fleet, scenario.n_peers, &specs);
         let online = vec![true; scenario.n_nodes()];
         let skip_covered = scenario.protocol.duplicates_only_merge()
             && scenario.ads.len() <= scenario.params.cache_capacity;
@@ -660,11 +667,20 @@ impl World {
         }
     }
 
-    /// The verdict on the copy of `msg` that `from` sends at `sent` to
-    /// `to`, inside an active corruption window (fault injection): with
-    /// probability `p_corrupt` the frame gets 1..=`max_flips` bit flips
-    /// between encode and decode, and the CRC check decides
-    /// ([`World::flipped`]).
+    /// The key of the corruption draws of every copy of the frame of
+    /// `msg` sent at `sent`: one per broadcast, as the ad and the send
+    /// instant are the same for all its copies.
+    fn frame_key(&self, msg: &AdMessage, sent: SimTime) -> u64 {
+        let id = msg.ad.id;
+        let ad = u64::from(id.issuer.0) << 32 | u64::from(id.seq);
+        keyed_bits(self.corrupt_key, ad, sent.as_micros())
+    }
+
+    /// The verdict on the copy of `msg` that `from` sends to `to` in the
+    /// frame keyed `frame` ([`World::frame_key`]), inside an active
+    /// corruption window (fault injection): with probability `p_corrupt`
+    /// the frame gets 1..=`max_flips` bit flips between encode and
+    /// decode, and the CRC check decides ([`World::flipped`]).
     ///
     /// Every draw is keyed by (sender, ad, send instant, receiver), so a
     /// verdict is a pure function of the copy: it can be made when the
@@ -673,14 +689,11 @@ impl World {
     fn verdict(
         &mut self,
         c: CorruptionSpec,
+        frame: u64,
         from: u32,
-        sent: SimTime,
         to: u32,
         msg: &AdMessage,
     ) -> Verdict {
-        let id = msg.ad.id;
-        let ad = u64::from(id.issuer.0) << 32 | u64::from(id.seq);
-        let frame = keyed_bits(self.corrupt_key, ad, sent.as_micros());
         let copy = u64::from(from) << 32 | u64::from(to);
         if keyed_unit(frame, copy, 0) >= c.p_corrupt {
             return Verdict::Intact;
@@ -829,14 +842,18 @@ impl World {
         // every delivery is queued, so its hooks see them all.
         let observed = !self.observers.is_empty();
         let skip_covered = self.skip_covered && !observed;
+        // Every copy's verdict draws from one key per frame.
         let corruption = self.scenario.faults.corruption;
+        let corruption = corruption.map(|c| (c, self.frame_key(&msg, now)));
         let mut out = Outgoing {
             msg: Some(msg),
             shared: None,
         };
         for d in outcome.deliveries.drain(..) {
             let verdict = match corruption {
-                Some(c) if c.active(d.arrival) => self.verdict(c, node, now, d.to, out.get()),
+                Some((c, frame)) if c.active(d.arrival) => {
+                    self.verdict(c, frame, node, d.to, out.get())
+                }
                 _ => Verdict::Intact,
             };
             let meta = RxMeta {
@@ -1681,7 +1698,7 @@ mod tests {
         let copies = 100_000;
         let verdict = |w: &mut World, i: u64| {
             let (from, ad, sent, to) = copy(i);
-            w.verdict(c, from, sent, to, &msgs[ad])
+            w.verdict(c, w.frame_key(&msgs[ad], sent), from, to, &msgs[ad])
         };
         let forward: Vec<Verdict> = (0..copies).map(|i| verdict(&mut w, i)).collect();
         let corrupted = forward.iter().filter(|v| **v != Verdict::Intact).count();
@@ -1719,7 +1736,8 @@ mod tests {
         let frames = 30_000;
         let mut delivered = 0;
         for sent in 0..frames {
-            match w.verdict(c, 0, SimTime::from_micros(sent), 1, &msg) {
+            let frame = w.frame_key(&msg, SimTime::from_micros(sent));
+            match w.verdict(c, frame, 0, 1, &msg) {
                 Verdict::Escaped(got) => {
                     assert_eq!(got, msg);
                     delivered += 1;

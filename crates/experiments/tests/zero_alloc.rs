@@ -1,4 +1,5 @@
-//! Zero-allocation proofs for the simulator's hot paths.
+//! Zero-allocation proofs for the simulator's hot paths, and heap proofs
+//! for its set-up.
 //!
 //! One counting global allocator serves every test here. It counts only
 //! the calling thread's allocations (a `const`-initialised thread-local
@@ -11,20 +12,22 @@
 //! exactly zero allocations. The proofs cover: scheduler churn, grid
 //! rebuilds and queries, broadcast → dispatch (with and without forced
 //! grid rebuilds), duplicate receipts, non-forwarding entry ticks, and
-//! the corruption verdict (`codec::FlipVerdict`). The last test
-//! checks that attaching a passive observer adds no allocation to a
-//! whole `World::run`.
+//! the corruption verdict (`codec::FlipVerdict`). One test checks
+//! that attaching a passive observer adds no allocation to a whole
+//! `World::run`. The heap proofs read the thread's live and peak bytes:
+//! a fleet holds exactly its legs and offsets, and `World::new` peaks at
+//! the heap it leaves.
 
 use ia_core::{
     build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake,
-    GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
+    GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, SharedParams, UserProfile,
 };
 use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
 use ia_experiments::observer::{BroadcastInfo, SuppressReason};
 use ia_experiments::scenario::{AdSpec, MAX_FLIPS};
 use ia_experiments::{ChurnSpec, Scenario, SimObserver, World};
 use ia_geo::{FlatGrid, Point, Vector};
-use ia_mobility::{Fleet, RandomWaypoint};
+use ia_mobility::{Fleet, Leg, RandomWaypoint, Trajectory};
 use ia_radio::{BroadcastOutcome, Medium, RadioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,31 +35,44 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 /// System allocator wrapper that counts the current thread's
-/// allocations and reallocations.
+/// allocations and reallocations, and its live and peak heap bytes. A
+/// `realloc` moves the live heap from the old size to the new one, as if
+/// in place.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed; negative
+    /// after it frees another thread's memory.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Record an allocation of `grow` bytes (or a `realloc` that grew the
+/// heap by `grow`), counted as one allocation.
+fn count_one(grow: i64) {
     // `try_with`: the allocator can run while this thread's locals are
     // being torn down; those allocations are not part of any proof.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grow);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -70,6 +86,28 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let r = f();
     (ALLOCATIONS.with(Cell::get) - before, r)
+}
+
+/// This thread's heap over a call, in bytes above its live heap at the
+/// start.
+#[derive(Debug)]
+struct HeapUse {
+    /// Still allocated when the call returned.
+    live: i64,
+    /// The most allocated at any moment during the call.
+    peak: i64,
+}
+
+/// Run `f` and return its [`HeapUse`], with `f`'s result.
+fn heap_during<R>(f: impl FnOnce() -> R) -> (HeapUse, R) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let r = f();
+    let heap = HeapUse {
+        live: LIVE.with(Cell::get) - base,
+        peak: PEAK.with(Cell::get) - base,
+    };
+    (heap, r)
 }
 
 /// Postponement churn modelled on Optimized Gossiping-2 as the world
@@ -233,7 +271,7 @@ fn paper_ad(params: &GossipParams, duration: SimDuration) -> Advertisement {
     )
 }
 
-fn opt_gossip_peer(params: &Arc<GossipParams>) -> Box<dyn Protocol> {
+fn opt_gossip_peer(params: &Arc<SharedParams>) -> Box<dyn Protocol> {
     build_protocol(
         ProtocolKind::OptGossip,
         Arc::clone(params),
@@ -263,7 +301,7 @@ impl RadioChain {
     /// scratch/outcome buffers, and the peer's ad cache.
     fn warm() -> Self {
         let model = RandomWaypoint::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
-        let params = Arc::new(GossipParams::paper());
+        let params = GossipParams::paper().shared();
         let mut chain = RadioChain {
             fleet: Fleet::generate(&model, 1000, 3, SimTime::ZERO, SimTime::from_secs(200.0)),
             medium: Medium::new(RadioConfig::paper()),
@@ -339,7 +377,7 @@ fn radio_rebuild_broadcast_dispatch() {
 /// postpone) pushed through a warm, reused [`ActionSink`].
 #[test]
 fn protocol_dispatch_sink_reuse() {
-    let params = Arc::new(GossipParams::paper());
+    let params = GossipParams::paper().shared();
     let mut peer = opt_gossip_peer(&params);
     let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0)));
     let meta = RxMeta {
@@ -383,7 +421,7 @@ fn protocol_dispatch_sink_reuse() {
 /// not allocate: the ad is copied only to be sent.
 #[test]
 fn protocol_entry_tick_no_forward() {
-    let params = Arc::new(GossipParams::paper());
+    let params = GossipParams::paper().shared();
     let mut peer = opt_gossip_peer(&params);
     // Long-lived, so the measured ticks never reach expiry.
     let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1.0e9)));
@@ -565,4 +603,50 @@ fn observer_fan_out_allocates_nothing() {
         observed_allocs, bare_allocs,
         "attaching a passive observer changed World::run's allocation count"
     );
+}
+
+/// A generated fleet keeps exactly its legs and one offset per node
+/// plus the table's end: no per-node vector, header or growth slack
+/// survives, and appending an issuer keeps it exact. While it is built
+/// the table never holds more than a few percent beyond its final size.
+#[test]
+fn a_generated_fleet_holds_exactly_its_legs_and_offsets() {
+    let model = RandomWaypoint::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
+    let end = SimTime::from_secs(1800.0);
+    for (n, seed) in [(1, 1), (7, 2), (300, 3), (3000, 1)] {
+        let (heap, mut fleet) =
+            heap_during(|| Fleet::generate(&model, n, seed, SimTime::ZERO, end));
+        let table = |fleet: &Fleet| {
+            let legs: usize = fleet.iter().map(|(_, tr)| tr.legs().len()).sum();
+            (legs * size_of::<Leg>() + (fleet.len() + 1) * size_of::<u32>()) as i64
+        };
+        assert_eq!(heap.live, table(&fleet), "{n} nodes");
+        // A sixteenth over the table, and the one node's own vector of
+        // legs that is being copied in.
+        assert!(
+            heap.peak <= heap.live + heap.live / 16 + 2048,
+            "{n} nodes: {heap:?}"
+        );
+        let issuer = || Trajectory::stationary(Point::new(2500.0, 2500.0), SimTime::ZERO, end);
+        let (grown, ()) = heap_during(|| fleet.extend([issuer()]));
+        assert_eq!(
+            heap.live + grown.live,
+            table(&fleet),
+            "{n} nodes and an issuer"
+        );
+    }
+}
+
+/// `World::new` ends at its own peak: the fleet's and the tracker's
+/// tables are cut to size before the peers, the scheduler and the
+/// medium are built, so no transient of set-up outgrows the heap the
+/// world keeps, and set-up never sets a run's peak heap.
+#[test]
+fn world_setup_peaks_at_the_heap_it_leaves() {
+    for kind in [ProtocolKind::OptGossip, ProtocolKind::Gossip] {
+        let scenario = Scenario::paper(kind, 300).with_seed(1);
+        let (heap, world) = heap_during(|| World::new(scenario));
+        assert!(heap.peak <= heap.live, "{kind:?}: {heap:?}");
+        drop(world);
+    }
 }

@@ -15,7 +15,7 @@
 //! cursors without perturbing results.
 
 use crate::fleet::Fleet;
-use crate::trajectory::Trajectory;
+use crate::trajectory::TrajectoryView;
 use ia_des::{SimDuration, SimTime};
 use ia_geo::{Point, Vector};
 
@@ -126,7 +126,7 @@ impl FleetCursor {
 /// [`Fleet::position`]'s; an earlier instant only costs a search.
 #[derive(Debug, Clone)]
 pub struct LegWalk<'a> {
-    trajectory: &'a Trajectory,
+    trajectory: TrajectoryView<'a>,
     leg: usize,
 }
 

@@ -1,31 +1,68 @@
-//! A fleet: one trajectory per node, with bulk queries.
+//! A fleet: every node's trajectory in one leg table, with bulk queries.
 
 use crate::model::MobilityModel;
-use crate::trajectory::Trajectory;
+use crate::trajectory::{validate, Leg, Trajectory, TrajectoryView};
 use ia_des::{rng::stream, SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Vector};
 
 /// All node movement plans for one scenario.
 ///
 /// Node ids are dense `u32` indices (`0..len`), matching the ids used by
-/// the radio medium's spatial grid.
+/// the radio medium's spatial grid. The legs of every node sit in one
+/// table, node after node, sized exactly to them: no per-node vector,
+/// header or growth slack survives construction.
 #[derive(Debug, Clone)]
 pub struct Fleet {
-    trajectories: Vec<Trajectory>,
+    /// Every node's legs, node after node.
+    legs: Vec<Leg>,
+    /// Node `i`'s legs are `legs[starts[i]..starts[i + 1]]`: one offset
+    /// per node, then the table's end.
+    starts: Vec<u32>,
 }
 
 /// Append nodes (e.g. stationary issuers after the mobile peers); their
-/// ids continue from the current [`Fleet::len`].
+/// ids continue from the current [`Fleet::len`]. Each trajectory's legs
+/// are copied into the table and the trajectory dropped at once.
 impl Extend<Trajectory> for Fleet {
     fn extend<I: IntoIterator<Item = Trajectory>>(&mut self, nodes: I) {
-        self.trajectories.extend(nodes);
+        let mut nodes = nodes.into_iter();
+        self.starts.reserve_exact(nodes.size_hint().0);
+        while let Some(trajectory) = nodes.next() {
+            self.push(trajectory.view().legs(), nodes.size_hint().0);
+        }
+        self.legs.shrink_to_fit();
+        self.starts.shrink_to_fit();
     }
 }
 
 impl Fleet {
+    fn empty() -> Self {
+        Fleet {
+            legs: Vec::new(),
+            starts: vec![0],
+        }
+    }
+
+    /// Append one node's legs, with `remaining` nodes still to come. A
+    /// full table grows to hold them at the fleet's mean leg count so far
+    /// less a sixteenth, at most doubling, so its capacity ends at about
+    /// its final size, not up to twice it; callers cut it to size.
+    fn push(&mut self, legs: &[Leg], remaining: usize) {
+        if self.legs.capacity() - self.legs.len() < legs.len() {
+            let len = self.legs.len() + legs.len();
+            let ahead = len.saturating_mul(remaining) / self.starts.len();
+            self.legs
+                .reserve_exact(legs.len() + (ahead - ahead / 16).min(len));
+        }
+        self.legs.extend_from_slice(legs);
+        let end = u32::try_from(self.legs.len()).expect("a fleet holds under 2^32 legs");
+        self.starts.push(end);
+    }
+
     /// Build a fleet of `n` nodes from `model`, deriving one independent
     /// RNG stream per node from `master_seed` (so fleets are reproducible
-    /// and node `i`'s path does not depend on `n`).
+    /// and node `i`'s path does not depend on `n`). Each node's legs are
+    /// drawn into one reused buffer and copied into the table.
     pub fn generate<M: MobilityModel>(
         model: &M,
         n: usize,
@@ -33,39 +70,48 @@ impl Fleet {
         start: SimTime,
         end: SimTime,
     ) -> Self {
-        let trajectories = (0..n)
-            .map(|i| {
-                let mut rng = SimRng::derive(master_seed, stream::MOBILITY | i as u64);
-                model.trajectory(&mut rng, start, end)
-            })
-            .collect();
-        Fleet { trajectories }
+        let mut fleet = Fleet::empty();
+        fleet.starts.reserve_exact(n);
+        let mut legs = Vec::new();
+        for i in 0..n {
+            let mut rng = SimRng::derive(master_seed, stream::MOBILITY | i as u64);
+            legs.clear();
+            model.legs_into(&mut rng, start, end, &mut legs);
+            validate(&legs);
+            fleet.push(&legs, n - 1 - i);
+        }
+        fleet.legs.shrink_to_fit();
+        fleet
     }
 
     /// Build a fleet from explicit trajectories (e.g. a mixed fleet with a
     /// stationary issuer plus mobile peers).
     pub fn from_trajectories(trajectories: Vec<Trajectory>) -> Self {
         assert!(!trajectories.is_empty(), "empty fleet");
-        Fleet { trajectories }
+        let mut fleet = Fleet::empty();
+        fleet.extend(trajectories);
+        fleet
     }
 
     pub fn len(&self) -> usize {
-        self.trajectories.len()
+        self.starts.len() - 1
     }
 
     pub fn is_empty(&self) -> bool {
-        self.trajectories.is_empty()
+        self.len() == 0
     }
 
-    pub fn trajectory(&self, node: u32) -> &Trajectory {
-        &self.trajectories[node as usize]
+    /// Node `node`'s movement plan.
+    pub fn trajectory(&self, node: u32) -> TrajectoryView<'_> {
+        let i = node as usize;
+        let (from, to) = (self.starts[i] as usize, self.starts[i + 1] as usize);
+        TrajectoryView {
+            legs: &self.legs[from..to],
+        }
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Trajectory)> {
-        self.trajectories
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i as u32, t))
+    pub fn iter(&self) -> impl Iterator<Item = (u32, TrajectoryView<'_>)> {
+        (0..self.len() as u32).map(|node| (node, self.trajectory(node)))
     }
 
     /// Exact position of `node` at `t`.
@@ -81,9 +127,8 @@ impl Fleet {
     /// Maximum speed over all moving legs in the fleet — the `V_max`
     /// feeding the paper's `DIS = V_max * round_time` constraint.
     pub fn max_speed(&self) -> f64 {
-        self.trajectories
+        self.legs
             .iter()
-            .flat_map(|tr| tr.legs().iter())
             .map(|leg| leg.velocity().norm())
             .fold(0.0, f64::max)
     }
@@ -92,12 +137,11 @@ impl Fleet {
     /// leg's velocity: over one trajectory, the sum of its seam gaps
     /// (where a leg starts up to 10⁻⁶ m from where the previous one
     /// ended) and of its zero-duration legs' displacements, which
-    /// [`Leg::velocity`](crate::Leg::velocity) reports as zero. A node
-    /// moves at most `max_speed() · Δt + max_jump()` in any `Δt`.
+    /// [`Leg::velocity`] reports as zero. A node moves at most
+    /// `max_speed() · Δt + max_jump()` in any `Δt`.
     pub fn max_jump(&self) -> f64 {
-        self.trajectories
-            .iter()
-            .map(|tr| {
+        self.iter()
+            .map(|(_, tr)| {
                 let legs = tr.legs();
                 let seams: f64 = legs.windows(2).map(|w| w[0].to.distance(w[1].from)).sum();
                 let instant: f64 = legs

@@ -17,8 +17,9 @@
 //!   closer to the urban scenario the paper motivates.
 //! * [`Stationary`] — fixed nodes (e.g. the supermarket issuer).
 //!
-//! [`Fleet`] bundles one trajectory per node and offers position lookups
-//! plus the paper's two-fix velocity estimate. [`FleetCursor`]
+//! [`Fleet`] keeps every node's legs in one exactly sized table, lends
+//! out each node's [`TrajectoryView`] and offers position lookups plus
+//! the paper's two-fix velocity estimate. [`FleetCursor`]
 //! is a per-holder leg-index cache that turns those lookups into O(1)
 //! amortized scans under the simulator's monotone clock without changing
 //! any returned value.
@@ -40,4 +41,4 @@ pub use model::{MobilityModel, MIN_SPEED};
 pub use noise::{GpsNoise, NoiseRamp};
 pub use random_waypoint::RandomWaypoint;
 pub use stationary::Stationary;
-pub use trajectory::{Leg, Trajectory};
+pub use trajectory::{Leg, Trajectory, TrajectoryView};

@@ -14,7 +14,7 @@
 //! the field boundary when no other street continues).
 
 use crate::model::{MobilityModel, MIN_SPEED};
-use crate::trajectory::{Leg, Trajectory};
+use crate::trajectory::Leg;
 use ia_des::{SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Rect};
 
@@ -86,13 +86,13 @@ impl Manhattan {
 const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
 
 impl MobilityModel for Manhattan {
-    fn trajectory(&self, rng: &mut SimRng, start: SimTime, end: SimTime) -> Trajectory {
+    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
         self.validate();
         assert!(end > start, "empty time window");
         let mut cx = rng.range_u64(0, self.cols() as u64 + 1) as i64;
         let mut cy = rng.range_u64(0, self.rows() as u64 + 1) as i64;
         let mut heading = DIRS[rng.range_u64(0, 4) as usize];
-        let mut legs: Vec<Leg> = Vec::new();
+        let first = legs.len();
         let mut now = start;
         let mut pos = self.intersection(cx, cy);
         while now < end {
@@ -147,16 +147,16 @@ impl MobilityModel for Manhattan {
                 }
             }
         }
-        if legs.is_empty() {
-            return Trajectory::stationary(pos, start, end);
+        if legs.len() == first {
+            legs.push(Leg::pause(start, end, pos));
         }
-        Trajectory::new(legs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::Trajectory;
 
     fn model() -> Manhattan {
         Manhattan::paper(Rect::with_size(5000.0, 5000.0), 10.0, 5.0)
@@ -170,18 +170,18 @@ mod tests {
     #[test]
     fn covers_window_and_stays_in_field() {
         let tr = gen(1);
-        assert_eq!(tr.start_time(), SimTime::ZERO);
-        assert_eq!(tr.end_time(), SimTime::from_secs(2000.0));
+        assert_eq!(tr.view().start_time(), SimTime::ZERO);
+        assert_eq!(tr.view().end_time(), SimTime::from_secs(2000.0));
         let field = Rect::with_size(5000.0, 5000.0);
         for i in 0..=2000 {
-            assert!(field.contains(tr.position_at(SimTime::from_secs(i as f64))));
+            assert!(field.contains(tr.view().position_at(SimTime::from_secs(i as f64))));
         }
     }
 
     #[test]
     fn movement_is_axis_aligned() {
         let tr = gen(2);
-        for leg in tr.legs() {
+        for leg in tr.view().legs() {
             if !leg.is_pause() {
                 let d = leg.to - leg.from;
                 assert!(d.x.abs() < 1e-6 || d.y.abs() < 1e-6, "diagonal leg {d:?}");
@@ -194,7 +194,7 @@ mod tests {
         // At all times, x or y must be a multiple of the block size.
         let tr = gen(3);
         for i in 0..2000 {
-            let p = tr.position_at(SimTime::from_secs(i as f64));
+            let p = tr.view().position_at(SimTime::from_secs(i as f64));
             let on_v_street = (p.x / 250.0 - (p.x / 250.0).round()).abs() < 1e-6;
             let on_h_street = (p.y / 250.0 - (p.y / 250.0).round()).abs() < 1e-6;
             assert!(on_v_street || on_h_street, "off-street at {p}");
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn speeds_respect_bounds() {
         let tr = gen(4);
-        for leg in tr.legs() {
+        for leg in tr.view().legs() {
             if !leg.is_pause() && !leg.duration().is_zero() {
                 let v = leg.velocity().norm();
                 assert!((5.0 - 1e-6..=15.0 + 1e-6).contains(&v), "speed {v}");
@@ -231,7 +231,7 @@ mod tests {
         };
         let mut rng = SimRng::from_master(5);
         let tr = m.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(100.0));
-        assert_eq!(tr.end_time(), SimTime::from_secs(100.0));
+        assert_eq!(tr.view().end_time(), SimTime::from_secs(100.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The mobility-model abstraction.
 
-use crate::trajectory::Trajectory;
+use crate::trajectory::{Leg, Trajectory};
 use ia_des::{SimRng, SimTime};
 
 /// Slowest speed a mobility model draws, m/s. The paper's models clamp
@@ -13,20 +13,29 @@ pub const MIN_SPEED: f64 = 0.1;
 /// are handed: two calls with identically-seeded RNGs must produce
 /// identical trajectories.
 pub trait MobilityModel {
+    /// Append one node's legs covering `[start, end]` to `legs`, drawing
+    /// all randomness from `rng`: at least one leg, contiguous as
+    /// [`Trajectory::new`] requires.
+    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>);
+
     /// Generate a trajectory covering `[start, end]` for one node, drawing
     /// all randomness from `rng`.
-    fn trajectory(&self, rng: &mut SimRng, start: SimTime, end: SimTime) -> Trajectory;
+    fn trajectory(&self, rng: &mut SimRng, start: SimTime, end: SimTime) -> Trajectory {
+        let mut legs = Vec::new();
+        self.legs_into(rng, start, end, &mut legs);
+        Trajectory::new(legs)
+    }
 }
 
 impl<M: MobilityModel + ?Sized> MobilityModel for &M {
-    fn trajectory(&self, rng: &mut SimRng, start: SimTime, end: SimTime) -> Trajectory {
-        (**self).trajectory(rng, start, end)
+    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
+        (**self).legs_into(rng, start, end, legs)
     }
 }
 
 impl<M: MobilityModel + ?Sized> MobilityModel for Box<M> {
-    fn trajectory(&self, rng: &mut SimRng, start: SimTime, end: SimTime) -> Trajectory {
-        (**self).trajectory(rng, start, end)
+    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
+        (**self).legs_into(rng, start, end, legs)
     }
 }
 
@@ -43,7 +52,7 @@ mod tests {
         let mut rng = SimRng::from_master(1);
         let tr = boxed.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(10.0));
         assert_eq!(
-            tr.position_at(SimTime::from_secs(5.0)),
+            tr.view().position_at(SimTime::from_secs(5.0)),
             Point::new(1.0, 2.0)
         );
         let by_ref = &*boxed;

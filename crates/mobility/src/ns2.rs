@@ -9,13 +9,13 @@
 //! $ns_ at 12.50 "$node_(7) setdest 881.90 4025.00 13.45"
 //! ```
 //!
-//! This module exports [`Trajectory`]s to that format, so a run's
+//! This module exports trajectories to that format, so a run's
 //! mobility can be replayed in NS-2-based tooling (`instant-ads
 //! --export-trace`). Pauses are represented implicitly by gaps between a
 //! leg's arrival and the next `setdest` command, exactly as `setdest`
 //! output does.
 
-use crate::trajectory::Trajectory;
+use crate::trajectory::TrajectoryView;
 use std::fmt::Write as _;
 
 /// Export one node's trajectory as `setdest`-style Tcl lines.
@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 /// position; each moving leg becomes an `$ns_ at <t> "... setdest x y v"`
 /// command (pause legs emit nothing — the next command's timestamp
 /// encodes them).
-pub fn export_trajectory(node: u32, tr: &Trajectory) -> String {
+pub fn export_trajectory(node: u32, tr: TrajectoryView<'_>) -> String {
     let mut out = String::new();
     let p0 = tr.start_position();
     let _ = writeln!(out, "$node_({node}) set X_ {:.6}", p0.x);
@@ -59,7 +59,7 @@ pub fn export_fleet(fleet: &crate::fleet::Fleet) -> String {
 mod tests {
     use super::*;
     use crate::fleet::Fleet;
-    use crate::trajectory::Leg;
+    use crate::trajectory::{Leg, Trajectory};
     use ia_des::SimTime;
     use ia_geo::Point;
 
@@ -84,7 +84,7 @@ mod tests {
                 Point::new(100.0, 50.0),
             ),
         ]);
-        let text = export_trajectory(3, &tr);
+        let text = export_trajectory(3, tr.view());
         assert!(text.contains("$node_(3) set X_ 0.000000"));
         assert!(text.contains("$node_(3) set Y_ 0.000000"));
         assert!(
@@ -107,7 +107,7 @@ mod tests {
             Point::new(0.0, 0.0),
             Point::new(100.0, 0.0),
         )]);
-        let text = export_trajectory(3, &tr);
+        let text = export_trajectory(3, tr.view());
         let parked = Trajectory::new(vec![Leg::pause(t(0.0), t(30.0), Point::new(7.0, 8.0))]);
         let fleet = Fleet::from_trajectories(vec![parked.clone(), tr.clone(), parked]);
         let blocks = [0, 1, 2].map(|id| export_trajectory(id, fleet.trajectory(id)));

@@ -5,7 +5,7 @@
 //! moves again to another random position; and so on."
 
 use crate::model::{MobilityModel, MIN_SPEED};
-use crate::trajectory::{Leg, Trajectory};
+use crate::trajectory::Leg;
 use ia_des::{SimDuration, SimRng, SimTime};
 use ia_geo::Rect;
 
@@ -54,10 +54,10 @@ impl RandomWaypoint {
 }
 
 impl MobilityModel for RandomWaypoint {
-    fn trajectory(&self, rng: &mut SimRng, start: SimTime, end: SimTime) -> Trajectory {
+    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
         self.validate();
         assert!(end > start, "empty time window");
-        let mut legs = Vec::new();
+        let first = legs.len();
         let mut now = start;
         let mut pos = self.area.at_fraction(rng.unit(), rng.unit());
         while now < end {
@@ -93,18 +93,18 @@ impl MobilityModel for RandomWaypoint {
                 }
             }
         }
-        if legs.is_empty() {
+        if legs.len() == first {
             // Degenerate (e.g. first waypoint equalled the start and the
             // pause was zero until the window closed): stand still.
-            return Trajectory::stationary(pos, start, end);
+            legs.push(Leg::pause(start, end, pos));
         }
-        Trajectory::new(legs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::Trajectory;
     use ia_geo::Point;
 
     fn field() -> Rect {
@@ -120,15 +120,15 @@ mod tests {
     #[test]
     fn covers_requested_window() {
         let tr = gen(1);
-        assert_eq!(tr.start_time(), SimTime::ZERO);
-        assert_eq!(tr.end_time(), SimTime::from_secs(2000.0));
+        assert_eq!(tr.view().start_time(), SimTime::ZERO);
+        assert_eq!(tr.view().end_time(), SimTime::from_secs(2000.0));
     }
 
     #[test]
     fn stays_in_field() {
         let tr = gen(2);
         for i in 0..=2000 {
-            let p = tr.position_at(SimTime::from_secs(i as f64));
+            let p = tr.view().position_at(SimTime::from_secs(i as f64));
             assert!(field().contains(p), "escaped field at t={i}: {p}");
         }
     }
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn speeds_respect_bounds() {
         let tr = gen(3);
-        for leg in tr.legs() {
+        for leg in tr.view().legs() {
             let v = leg.velocity().norm();
             if !leg.is_pause() && !leg.duration().is_zero() {
                 // The final truncated leg keeps its speed too, so every
@@ -160,7 +160,7 @@ mod tests {
         let tr = gen(5);
         let mut moves = 0;
         let mut pauses = 0;
-        for leg in tr.legs() {
+        for leg in tr.view().legs() {
             if leg.is_pause() {
                 pauses += 1;
             } else {
@@ -179,8 +179,10 @@ mod tests {
         let dt = 5.0;
         let vmax = 15.0;
         for i in 0..((2000.0 / dt) as u64) {
-            let a = tr.position_at(SimTime::from_secs(i as f64 * dt));
-            let b = tr.position_at(SimTime::from_secs((i + 1) as f64 * dt));
+            let a = tr.view().position_at(SimTime::from_secs(i as f64 * dt));
+            let b = tr
+                .view()
+                .position_at(SimTime::from_secs((i + 1) as f64 * dt));
             assert!(
                 a.distance(b) <= vmax * dt + 1e-6,
                 "moved {} in {dt}s",
@@ -198,8 +200,8 @@ mod tests {
         };
         let mut rng = SimRng::from_master(1);
         let tr = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(500.0));
-        for leg in tr.legs() {
-            if leg.is_pause() && leg.end_time < tr.end_time() {
+        for leg in tr.view().legs() {
+            if leg.is_pause() && leg.end_time < tr.view().end_time() {
                 let d = leg.duration().as_secs();
                 assert!((2.0 - 1e-6..=4.0 + 1e-6).contains(&d), "pause {d}s");
             }
@@ -215,7 +217,7 @@ mod tests {
         for seed in 0..n {
             let mut rng = SimRng::derive(seed, 0);
             let tr = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(10.0));
-            let p = tr.start_position();
+            let p = tr.view().start_position();
             sum = Point::new(sum.x + p.x, sum.y + p.y);
         }
         let mean = Point::new(sum.x / n as f64, sum.y / n as f64);

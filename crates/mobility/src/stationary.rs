@@ -4,7 +4,7 @@
 //! petrol station) and as a degenerate baseline in tests.
 
 use crate::model::MobilityModel;
-use crate::trajectory::Trajectory;
+use crate::trajectory::Leg;
 use ia_des::{SimRng, SimTime};
 use ia_geo::{Point, Rect};
 
@@ -24,13 +24,13 @@ impl Stationary {
 }
 
 impl MobilityModel for Stationary {
-    fn trajectory(&self, rng: &mut SimRng, start: SimTime, end: SimTime) -> Trajectory {
+    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
         assert!(end > start, "empty time window");
         let p = match self {
             Stationary::At(p) => *p,
             Stationary::UniformIn(area) => area.at_fraction(rng.unit(), rng.unit()),
         };
-        Trajectory::stationary(p, start, end)
+        legs.push(Leg::pause(start, end, p));
     }
 }
 
@@ -46,16 +46,17 @@ mod tests {
         let tr = m.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(100.0));
         for i in 0..=10 {
             assert_eq!(
-                tr.position_at(SimTime::from_secs(i as f64 * 10.0)),
+                tr.view().position_at(SimTime::from_secs(i as f64 * 10.0)),
                 Point::new(3.0, 4.0)
             );
         }
         assert_eq!(
-            tr.leg_at(SimTime::from_secs(50.0)).velocity(),
+            tr.view().leg_at(SimTime::from_secs(50.0)).velocity(),
             ia_geo::Vector::ZERO
         );
         assert_eq!(
-            tr.estimated_velocity(SimTime::from_secs(50.0), SimDuration::from_secs(5.0)),
+            tr.view()
+                .estimated_velocity(SimTime::from_secs(50.0), SimDuration::from_secs(5.0)),
             ia_geo::Vector::ZERO
         );
     }
@@ -68,9 +69,11 @@ mod tests {
         let mut r2 = SimRng::from_master(2);
         let p1 = m
             .trajectory(&mut r1, SimTime::ZERO, SimTime::from_secs(1.0))
+            .view()
             .start_position();
         let p2 = m
             .trajectory(&mut r2, SimTime::ZERO, SimTime::from_secs(1.0))
+            .view()
             .start_position();
         assert!(area.contains(p1));
         assert!(area.contains(p2));

@@ -72,6 +72,10 @@ impl Leg {
 /// A node's full movement plan: contiguous legs covering
 /// `[start_time, end_time]`. Before the first leg the node sits at the
 /// initial point; after the last leg it sits at the final point.
+///
+/// The owned plan only builds and validates; every read goes through
+/// its [`TrajectoryView`], the same view a [`Fleet`](crate::Fleet) lends
+/// out for each of its nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     legs: Vec<Leg>,
@@ -83,21 +87,9 @@ impl Trajectory {
     /// # Panics
     /// Panics if `legs` is empty, times are not contiguous
     /// (`leg[i].end_time == leg[i+1].start_time`) or positions are not
-    /// continuous (`leg[i].to == leg[i+1].from`).
+    /// continuous (`leg[i].to` within 10⁻⁶ m of `leg[i+1].from`).
     pub fn new(legs: Vec<Leg>) -> Self {
-        assert!(!legs.is_empty(), "trajectory needs at least one leg");
-        for w in legs.windows(2) {
-            assert_eq!(
-                w[0].end_time, w[1].start_time,
-                "legs must be time-contiguous"
-            );
-            assert!(
-                w[0].to.distance(w[1].from) < 1e-6,
-                "legs must be position-continuous: {} vs {}",
-                w[0].to,
-                w[1].from
-            );
-        }
+        validate(&legs);
         Trajectory { legs }
     }
 
@@ -106,26 +98,60 @@ impl Trajectory {
         Trajectory::new(vec![Leg::pause(start, end, p)])
     }
 
-    pub fn legs(&self) -> &[Leg] {
-        &self.legs
+    /// The plan's reads.
+    pub fn view(&self) -> TrajectoryView<'_> {
+        TrajectoryView { legs: &self.legs }
+    }
+}
+
+/// Check one node's legs as [`Trajectory::new`] documents.
+pub(crate) fn validate(legs: &[Leg]) {
+    assert!(!legs.is_empty(), "trajectory needs at least one leg");
+    for w in legs.windows(2) {
+        assert_eq!(
+            w[0].end_time, w[1].start_time,
+            "legs must be time-contiguous"
+        );
+        assert!(
+            w[0].to.distance(w[1].from) < 1e-6,
+            "legs must be position-continuous: {} vs {}",
+            w[0].to,
+            w[1].from
+        );
+    }
+}
+
+/// One node's movement plan, borrowed: the legs of a [`Trajectory`], or
+/// one node's run of a [`Fleet`](crate::Fleet)'s leg table. Every
+/// position and velocity lookup reads one leg through
+/// [`TrajectoryView::leg_at`] or the hinted index behind the cursors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrajectoryView<'a> {
+    /// Legs [`validate`] accepted.
+    pub(crate) legs: &'a [Leg],
+}
+
+impl<'a> TrajectoryView<'a> {
+    pub fn legs(self) -> &'a [Leg] {
+        self.legs
     }
 
-    pub fn start_time(&self) -> SimTime {
-        self.legs.first().unwrap().start_time
+    pub fn start_time(self) -> SimTime {
+        self.legs[0].start_time
     }
 
-    pub fn end_time(&self) -> SimTime {
-        self.legs.last().unwrap().end_time
+    pub fn end_time(self) -> SimTime {
+        self.legs[self.legs.len() - 1].end_time
     }
 
-    pub fn start_position(&self) -> Point {
-        self.legs.first().unwrap().from
+    pub fn start_position(self) -> Point {
+        self.legs[0].from
     }
 
     /// Index of the leg active at `t` (clamped to the first/last leg):
     /// the last leg starting at or before `t`, so at an instant where
     /// zero-length legs start too, the leg after them.
-    pub(crate) fn leg_index_at(&self, t: SimTime) -> usize {
+    pub(crate) fn leg_index_at(self, t: SimTime) -> usize {
         if t < self.start_time() {
             return 0;
         }
@@ -141,7 +167,7 @@ impl Trajectory {
     /// amortized when query times are non-decreasing (the DES clock),
     /// falling back to binary search when the hint overshoots `t`. Any
     /// hint yields the correct index — a stale one only costs speed.
-    pub(crate) fn leg_index_hinted(&self, t: SimTime, hint: usize) -> usize {
+    pub(crate) fn leg_index_hinted(self, t: SimTime, hint: usize) -> usize {
         let last = self.legs.len() - 1;
         let mut i = hint.min(last);
         if t < self.legs[i].start_time {
@@ -157,19 +183,19 @@ impl Trajectory {
     /// The leg active at `t`: the last leg starting at or before `t`, the
     /// first leg before the plan starts. Every position and velocity
     /// lookup, cursor or not, reads this leg.
-    pub fn leg_at(&self, t: SimTime) -> &Leg {
+    pub fn leg_at(self, t: SimTime) -> &'a Leg {
         &self.legs[self.leg_index_at(t)]
     }
 
     /// Exact position at time `t` (clamped outside the plan's interval).
-    pub fn position_at(&self, t: SimTime) -> Point {
+    pub fn position_at(self, t: SimTime) -> Point {
         self.leg_at(t).position_at(t)
     }
 
     /// The paper derives a peer's motion direction "from two consecutive
     /// recorded locations"; this reproduces that estimate with fixes at
     /// `t - dt` and `t` (falls back to zero for a degenerate window).
-    pub fn estimated_velocity(&self, t: SimTime, dt: SimDuration) -> Vector {
+    pub fn estimated_velocity(self, t: SimTime, dt: SimDuration) -> Vector {
         let secs = dt.as_secs();
         if secs <= 0.0 {
             return Vector::ZERO;
@@ -183,13 +209,13 @@ impl Trajectory {
     /// node is inside `circle`, restricted to `[from, to]`, merged when
     /// adjacent legs keep the node inside.
     pub fn disk_intervals(
-        &self,
+        self,
         circle: &Circle,
         from: SimTime,
         to: SimTime,
     ) -> Vec<(SimTime, SimTime)> {
-        let mut raw: Vec<(SimTime, SimTime)> = Vec::new();
-        for leg in &self.legs {
+        let mut merged: Vec<(SimTime, SimTime)> = Vec::new();
+        for leg in self.legs {
             if leg.end_time < from || leg.start_time > to {
                 continue;
             }
@@ -211,17 +237,11 @@ impl Trajectory {
                     }
                 }
             };
-            if let Some((a, b)) = transit {
-                let a = a.max(from);
-                let b = b.min(to);
-                if a <= b {
-                    raw.push((a, b));
-                }
-            }
-        }
-        // Merge intervals that touch (consecutive legs both inside).
-        let mut merged: Vec<(SimTime, SimTime)> = Vec::with_capacity(raw.len());
-        for (a, b) in raw {
+            let clipped = transit.map(|(a, b)| (a.max(from), b.min(to)));
+            let Some((a, b)) = clipped.filter(|(a, b)| a <= b) else {
+                continue;
+            };
+            // Merge intervals that touch (consecutive legs both inside).
             match merged.last_mut() {
                 Some((_, last_b)) if a <= *last_b + SimDuration::from_micros(1) => {
                     *last_b = (*last_b).max(b);
@@ -230,13 +250,6 @@ impl Trajectory {
             }
         }
         merged
-    }
-
-    /// First instant in `[from, to]` at which the node is inside `circle`.
-    pub fn first_disk_entry(&self, circle: &Circle, from: SimTime, to: SimTime) -> Option<SimTime> {
-        self.disk_intervals(circle, from, to)
-            .first()
-            .map(|&(a, _)| a)
     }
 }
 
@@ -264,38 +277,40 @@ mod tests {
     #[test]
     fn position_interpolates_linearly() {
         let tr = straight_line();
-        assert_eq!(tr.position_at(t(0.0)), Point::new(0.0, 0.0));
-        assert_eq!(tr.position_at(t(5.0)), Point::new(50.0, 0.0));
-        assert_eq!(tr.position_at(t(10.0)), Point::new(100.0, 0.0));
-        assert_eq!(tr.position_at(t(15.0)), Point::new(100.0, 0.0));
+        assert_eq!(tr.view().position_at(t(0.0)), Point::new(0.0, 0.0));
+        assert_eq!(tr.view().position_at(t(5.0)), Point::new(50.0, 0.0));
+        assert_eq!(tr.view().position_at(t(10.0)), Point::new(100.0, 0.0));
+        assert_eq!(tr.view().position_at(t(15.0)), Point::new(100.0, 0.0));
     }
 
     #[test]
     fn position_clamps_outside_plan() {
         let tr = straight_line();
         assert_eq!(
-            tr.position_at(t(0.0) - SimDuration::from_secs(5.0)),
+            tr.view().position_at(t(0.0) - SimDuration::from_secs(5.0)),
             Point::new(0.0, 0.0)
         );
-        assert_eq!(tr.position_at(t(100.0)), Point::new(100.0, 0.0));
+        assert_eq!(tr.view().position_at(t(100.0)), Point::new(100.0, 0.0));
     }
 
     #[test]
     fn velocity_per_leg() {
         let tr = straight_line();
-        assert_eq!(tr.leg_at(t(5.0)).velocity(), Vector::new(10.0, 0.0));
-        assert_eq!(tr.leg_at(t(15.0)).velocity(), Vector::ZERO);
-        assert_eq!(tr.leg_at(t(25.0)).velocity(), Vector::ZERO);
+        assert_eq!(tr.view().leg_at(t(5.0)).velocity(), Vector::new(10.0, 0.0));
+        assert_eq!(tr.view().leg_at(t(15.0)).velocity(), Vector::ZERO);
+        assert_eq!(tr.view().leg_at(t(25.0)).velocity(), Vector::ZERO);
     }
 
     #[test]
     fn estimated_velocity_matches_exact_on_straight_leg() {
         let tr = straight_line();
-        let est = tr.estimated_velocity(t(5.0), SimDuration::from_secs(1.0));
+        let est = tr
+            .view()
+            .estimated_velocity(t(5.0), SimDuration::from_secs(1.0));
         assert!((est.x - 10.0).abs() < 1e-9);
         assert!((est.y).abs() < 1e-9);
         assert_eq!(
-            tr.estimated_velocity(t(5.0), SimDuration::ZERO),
+            tr.view().estimated_velocity(t(5.0), SimDuration::ZERO),
             Vector::ZERO
         );
     }
@@ -304,13 +319,12 @@ mod tests {
     fn disk_intervals_on_crossing() {
         let tr = straight_line();
         let c = Circle::new(Point::new(50.0, 0.0), 10.0);
-        let iv = tr.disk_intervals(&c, t(0.0), t(20.0));
+        let iv = tr.view().disk_intervals(&c, t(0.0), t(20.0));
         assert_eq!(iv.len(), 1);
         let (a, b) = iv[0];
         assert!((a.as_secs() - 4.0).abs() < 1e-6);
         assert!((b.as_secs() - 6.0).abs() < 1e-6);
-        assert_eq!(tr.first_disk_entry(&c, t(0.0), t(20.0)), Some(a));
-        assert_eq!(tr.first_disk_entry(&c, t(7.0), t(20.0)), None);
+        assert!(tr.view().disk_intervals(&c, t(7.0), t(20.0)).is_empty());
     }
 
     #[test]
@@ -328,7 +342,7 @@ mod tests {
             ),
         ]);
         let c = Circle::new(Point::new(50.0, 0.0), 10.0);
-        let iv = tr.disk_intervals(&c, t(0.0), t(30.0));
+        let iv = tr.view().disk_intervals(&c, t(0.0), t(30.0));
         assert_eq!(iv.len(), 1, "{iv:?}");
         let (a, b) = iv[0];
         assert!((a.as_secs() - 8.0).abs() < 1e-6);
@@ -339,7 +353,7 @@ mod tests {
     fn disk_intervals_window_restriction() {
         let tr = straight_line();
         let c = Circle::new(Point::new(50.0, 0.0), 10.0);
-        let iv = tr.disk_intervals(&c, t(5.0), t(20.0));
+        let iv = tr.view().disk_intervals(&c, t(5.0), t(20.0));
         assert_eq!(iv.len(), 1);
         assert!((iv[0].0.as_secs() - 5.0).abs() < 1e-9);
     }
@@ -348,14 +362,14 @@ mod tests {
     fn pause_outside_disk_yields_nothing() {
         let tr = Trajectory::stationary(Point::new(500.0, 500.0), t(0.0), t(100.0));
         let c = Circle::new(Point::ORIGIN, 10.0);
-        assert!(tr.disk_intervals(&c, t(0.0), t(100.0)).is_empty());
+        assert!(tr.view().disk_intervals(&c, t(0.0), t(100.0)).is_empty());
     }
 
     #[test]
     fn stationary_inside_disk_covers_window() {
         let tr = Trajectory::stationary(Point::new(1.0, 1.0), t(0.0), t(100.0));
         let c = Circle::new(Point::ORIGIN, 10.0);
-        let iv = tr.disk_intervals(&c, t(10.0), t(50.0));
+        let iv = tr.view().disk_intervals(&c, t(10.0), t(50.0));
         assert_eq!(iv, vec![(t(10.0), t(50.0))]);
     }
 
@@ -395,7 +409,7 @@ mod tests {
         let tr = Trajectory::new(legs);
         for i in 0..500 {
             let ti = t(i as f64 * 0.1);
-            let pos = tr.position_at(ti);
+            let pos = tr.view().position_at(ti);
             assert!((pos.x - ti.as_secs()).abs() < 1e-9, "at {ti}: {pos}");
         }
     }

@@ -49,7 +49,7 @@ fn show(step: &str, sink: &mut ActionSink) {
 }
 
 fn main() {
-    let params = Arc::new(GossipParams::paper());
+    let params = GossipParams::paper().shared();
     // This peer is interested in topic 1 — it will rank the ad up.
     let mut peer = Gossip::optimized(
         Arc::clone(&params),

@@ -43,7 +43,8 @@ proptest! {
         let model = RandomWaypoint::paper(
             instant_ads::geo::Rect::with_size(1000.0, 1000.0), 10.0, 5.0);
         let mut rng = SimRng::from_master(seed);
-        let tr = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(200.0));
+        let owned = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(200.0));
+        let tr = owned.view();
         for leg in tr.legs() {
             let t = leg.start_time;
             let before = tr.position_at(t - SimDuration::from_millis(1));
@@ -65,9 +66,11 @@ proptest! {
         let model = RandomWaypoint::paper(
             instant_ads::geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
         let mut rng = SimRng::from_master(seed);
-        let tr = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(2000.0));
+        let owned = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(2000.0));
+        let tr = owned.view();
         let circle = Circle::new(Point::new(cx, cy), 800.0);
-        if let Some(t) = tr.first_disk_entry(&circle, SimTime::ZERO, SimTime::from_secs(2000.0)) {
+        let entry = tr.disk_intervals(&circle, SimTime::ZERO, SimTime::from_secs(2000.0)).first().map(|&(t, _)| t);
+        if let Some(t) = entry {
             let pos = tr.position_at(t);
             let d = pos.distance(circle.center);
             // Either the peer started inside, or it is on the rim.
