@@ -12,7 +12,8 @@
 //! exactly zero allocations. The proofs cover: scheduler churn, grid
 //! rebuilds and queries, broadcast → dispatch (with and without forced
 //! grid rebuilds), duplicate receipts, non-forwarding entry ticks, and
-//! the corruption verdict (`codec::FlipVerdict`). One test checks
+//! the corruption verdict (`codec::FlipVerdict`), and Manhattan legs
+//! drawn into a reused buffer. One test checks
 //! that attaching a passive observer adds no allocation to a whole
 //! `World::run`. The heap proofs read the thread's live and peak bytes:
 //! a fleet holds exactly its legs and offsets, and `World::new` peaks at
@@ -27,7 +28,7 @@ use ia_experiments::observer::{BroadcastInfo, SuppressReason};
 use ia_experiments::scenario::{AdSpec, MAX_FLIPS};
 use ia_experiments::{ChurnSpec, Scenario, SimObserver, World};
 use ia_geo::{FlatGrid, Point, Vector};
-use ia_mobility::{Fleet, Leg, RandomWaypoint, Trajectory};
+use ia_mobility::{Fleet, Leg, Manhattan, MobilityModel, RandomWaypoint, Trajectory};
 use ia_radio::{BroadcastOutcome, Medium, RadioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -603,6 +604,27 @@ fn observer_fan_out_allocates_nothing() {
         observed_allocs, bare_allocs,
         "attaching a passive observer changed World::run's allocation count"
     );
+}
+
+/// A Manhattan model draws its legs into a caller's buffer without a
+/// heap allocation of its own: once the buffer has held a fleet's
+/// longest plan, drawing the same fleet again allocates nothing.
+#[test]
+fn manhattan_legs_into_a_reused_buffer_allocates_nothing() {
+    let model = Manhattan::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
+    let end = SimTime::from_secs(1800.0);
+    let mut legs = Vec::new();
+    let draw_fleet = |legs: &mut Vec<Leg>| {
+        for node in 0..16 {
+            let mut rng = SimRng::derive(1, ia_des::rng::stream::MOBILITY | node);
+            legs.clear();
+            model.legs_into(&mut rng, SimTime::ZERO, end, legs);
+        }
+    };
+    draw_fleet(&mut legs);
+    assert!(!legs.is_empty());
+    let (allocated, ()) = allocations_during(|| draw_fleet(&mut legs));
+    assert_eq!(allocated, 0, "Manhattan legs_into allocated");
 }
 
 /// A generated fleet keeps exactly its legs and one offset per node

@@ -100,17 +100,20 @@ impl MobilityModel for Manhattan {
             // so, otherwise a random lawful turn.
             let (hx, hy) = heading;
             let straight_ok = self.in_grid(cx + hx, cy + hy);
-            let mut turns: Vec<(i64, i64)> = DIRS
-                .iter()
-                .copied()
-                .filter(|&(dx, dy)| {
-                    (dx, dy) != (hx, hy) && (dx, dy) != (-hx, -hy) && self.in_grid(cx + dx, cy + dy)
-                })
-                .collect();
-            let next = if straight_ok && (turns.is_empty() || rng.chance(self.p_straight)) {
+            // The lawful turns in `DIRS` order, kept on the stack.
+            let mut turns = [(0, 0); 4];
+            let mut count = 0;
+            for (dx, dy) in DIRS {
+                if (dx, dy) != (hx, hy) && (dx, dy) != (-hx, -hy) && self.in_grid(cx + dx, cy + dy)
+                {
+                    turns[count] = (dx, dy);
+                    count += 1;
+                }
+            }
+            let next = if straight_ok && (count == 0 || rng.chance(self.p_straight)) {
                 (hx, hy)
-            } else if !turns.is_empty() {
-                turns.remove(rng.range_u64(0, turns.len() as u64) as usize)
+            } else if count > 0 {
+                turns[rng.range_u64(0, count as u64) as usize]
             } else if self.in_grid(cx - hx, cy - hy) {
                 (-hx, -hy) // dead end: U-turn
             } else {

@@ -50,6 +50,12 @@ impl LossModel {
         }
     }
 
+    /// Can this model drop a frame at all? Only [`LossModel::None`]
+    /// cannot; its [`Self::drops`] draws nothing.
+    pub(crate) fn can_drop(&self) -> bool {
+        !matches!(self, LossModel::None)
+    }
+
     /// Sample whether a frame is dropped.
     pub fn drops(&self, distance: f64, range: f64, rng: &mut SimRng) -> bool {
         rng.chance(self.loss_probability(distance, range))

@@ -63,12 +63,14 @@ impl JamZone {
         self.center + self.velocity * dt
     }
 
+    /// Is the zone on at time `t`, inside `[from, until)`?
+    fn active_at(&self, t: SimTime) -> bool {
+        t >= self.from && t < self.until
+    }
+
     /// Is `p` inside the dead region at time `t`?
     pub fn covers(&self, t: SimTime, p: Point) -> bool {
-        if t < self.from || t >= self.until {
-            return false;
-        }
-        self.center_at(t).distance(p) <= self.radius
+        self.active_at(t) && self.center_at(t).distance(p) <= self.radius
     }
 }
 
@@ -369,7 +371,11 @@ impl Medium {
     ///
     /// Per-receiver checks run in a fixed order — collision, jamming,
     /// burst channel, loss model — so RNG consumption is identical for
-    /// identical scenarios. Repeat broadcasts — including the periodic
+    /// identical scenarios. Whether each can apply at all (contention on,
+    /// a jam zone inside its window, the burst window open, a loss model
+    /// that can drop) is decided once per broadcast; a check that cannot
+    /// apply draws nothing, so skipping it leaves the stream as it is.
+    /// Repeat broadcasts — including the periodic
     /// in-place grid rebuilds — allocate nothing once the buffers have
     /// warmed up (proven by the counting-allocator bench).
     pub fn broadcast_into(
@@ -384,8 +390,12 @@ impl Medium {
         out.clear();
         let sender_pos = self.query_range(fleet, now, src);
         let frame_airtime = airtime(bytes);
+        // The same for every receiver of this frame.
+        let aloha = self.config.contention == Contention::Aloha;
+        let jam_active = self.jam_zones.iter().any(|z| z.active_at(now));
         let burst_active =
             matches!(&self.burst, Some((from, until, _)) if now >= *from && now < *until);
+        let lossy = self.config.loss.can_drop();
         // The hits in id order: each bitmap word's set bits, lowest
         // first. Taking a word clears it for the next query.
         for w in 0..self.hit_bits.len() {
@@ -394,13 +404,13 @@ impl Medium {
                 let id = (w * 64) as u32 + word.trailing_zeros();
                 word &= word - 1;
                 let (pos, distance) = self.hits[self.hit_slot[id as usize] as usize];
-                let reason = if self.config.contention == Contention::Aloha
+                let reason = if aloha
                     && self
                         .tx_log
                         .collides(now, sender_pos, pos, self.config.range, frame_airtime)
                 {
                     Some(DropReason::Collision)
-                } else if self.jam_zones.iter().any(|z| z.covers(now, pos)) {
+                } else if jam_active && self.jam_zones.iter().any(|z| z.covers(now, pos)) {
                     Some(DropReason::Jam)
                 } else if (burst_active
                     && self
@@ -409,7 +419,7 @@ impl Medium {
                         .expect("burst_active checked")
                         .2
                         .drops(rng))
-                    || self.config.loss.drops(distance, self.config.range, rng)
+                    || (lossy && self.config.loss.drops(distance, self.config.range, rng))
                 {
                     // Short-circuit keeps the draw order fixed: the burst
                     // channel samples first (only inside its window), the
@@ -432,7 +442,7 @@ impl Medium {
                 });
             }
         }
-        if self.config.contention == Contention::Aloha {
+        if aloha {
             self.tx_log.prune(now);
             self.tx_log.record(now, sender_pos);
         }
@@ -586,6 +596,50 @@ mod tests {
         let out = send(&mut medium, &fleet, 11.0, 0, 10, &mut rng);
         assert_eq!(out.deliveries.len(), 2);
         assert!(out.drops.is_empty());
+    }
+
+    /// A jam zone outside its window and a channel that cannot lose a
+    /// frame are skipped for the whole broadcast: the outcome and the
+    /// radio stream after it equal a plain channel's, in which every
+    /// receiver draws its arrival jitter and nothing else.
+    #[test]
+    fn inactive_zones_and_lossless_channels_draw_nothing() {
+        let fleet = static_fleet(&[(0.0, 0.0), (100.0, 0.0), (0.0, 200.0), (-150.0, -100.0)]);
+        let at = SimTime::from_secs(10.0);
+        // Over every receiver while it is on.
+        let zone = |from, until| JamZone::stationary(Point::ORIGIN, 500.0, from, until);
+        // Its loss model is called for every receiver and draws nothing.
+        let plain = RadioConfig::paper().with_loss(LossModel::Bernoulli(0.0));
+        let broadcast = |config, zone: Option<JamZone>| {
+            let mut medium = Medium::new(config);
+            if let Some(zone) = zone {
+                medium.add_jam_zone(zone);
+            }
+            let mut rng = SimRng::from_master(21);
+            let out = send(&mut medium, &fleet, at.as_secs(), 0, 100, &mut rng);
+            (out, rng.next_u64())
+        };
+        let (reference, next) = broadcast(plain.clone(), None);
+        let mut rng = SimRng::from_master(21);
+        let ids: Vec<u32> = reference.deliveries.iter().map(|d| d.to).collect();
+        assert_eq!(ids, [1, 2, 3]);
+        assert!(reference.drops.is_empty());
+        for d in &reference.deliveries {
+            let jitter = rng.range_u64(DELAY_MIN.as_micros(), DELAY_MAX.as_micros() + 1);
+            assert_eq!(d.arrival, at + SimDuration::from_micros(jitter));
+        }
+        assert_eq!(next, rng.next_u64());
+        let later = zone(SimTime::from_secs(11.0), SimTime::from_secs(20.0));
+        let ended = zone(SimTime::ZERO, at);
+        for (name, config, zone) in [
+            ("a jam zone before its from", plain.clone(), Some(later)),
+            ("a jam zone at its until", plain.clone(), Some(ended)),
+            ("a LossModel::None channel", RadioConfig::paper(), None),
+        ] {
+            let (out, after) = broadcast(config, zone);
+            assert_eq!(out, reference, "{name}");
+            assert_eq!(after, next, "{name}: the radio stream moved");
+        }
     }
 
     #[test]

@@ -69,6 +69,7 @@ impl FmBundle {
 
     /// Do the bundles share a hash family and shape (seed, `F` and `L`),
     /// so that [`FmBundle::merge`] accepts one into the other?
+    #[inline]
     pub fn same_family(&self, other: &FmBundle) -> bool {
         (self.seed, self.len, self.bitmaps.len()) == (other.seed, other.len, other.bitmaps.len())
     }
@@ -77,13 +78,19 @@ impl FmBundle {
     /// bit it sets already set here? Exactly when merging `other` would
     /// leave this bundle as it is; `false`, not a panic, for bundles of
     /// another family or shape.
+    ///
+    /// The bits `other` adds are OR-ed over every word and tested once:
+    /// no early exit, so the loop vectorizes. Most copies a gossip peer
+    /// receives are covered, and a covered copy reads every word anyway.
+    #[inline]
     pub fn covers(&self, other: &FmBundle) -> bool {
         self.same_family(other)
             && self
                 .bitmaps
                 .iter()
                 .zip(&other.bitmaps)
-                .all(|(mine, theirs)| theirs & !mine == 0)
+                .fold(0, |added, (mine, theirs)| added | (theirs & !mine))
+                == 0
     }
 
     /// Duplicate-insensitive merge (bitwise OR per sketch).
@@ -303,6 +310,36 @@ mod prop_tests {
             let mut abb = ab.clone();
             abb.merge(&b);
             prop_assert_eq!(&ab, &abb);
+        }
+
+        /// `a.covers(b)` holds exactly when merging `b` into `a` leaves
+        /// `a` as it is, at every shape (`F` odd or even, so the vector
+        /// loop's remainder runs), and never for another seed, `F` or `L`.
+        #[test]
+        fn covers_iff_merge_changes_nothing(
+            l in 1u8..=64,
+            words in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..65),
+            spoil in proptest::option::of(any::<usize>()),
+        ) {
+            // One word per sketch, `F` = 1..=64. `b` is a subset of `a`
+            // word by word, but for one word at a random position (in
+            // the vector loop's body or its remainder) that may add bits.
+            let f = words.len();
+            let mine: Vec<u64> = words.iter().map(|&(x, _)| x).collect();
+            let mut theirs: Vec<u64> = words.iter().map(|&(x, y)| x & y).collect();
+            if let Some(i) = spoil {
+                theirs[i % f] = words[i % f].1;
+            }
+            let a = FmBundle::from_parts(17, l, mine);
+            let b = FmBundle::from_parts(17, l, theirs.clone());
+            let mut merged = a.clone();
+            merged.merge(&b);
+            prop_assert_eq!(a.covers(&b), merged == a);
+            prop_assert!(!a.covers(&FmBundle::from_parts(18, l, theirs.clone())));
+            let other_f = if f == 1 { 2 } else { f - 1 };
+            prop_assert!(!a.covers(&FmBundle::new(17, other_f, l)));
+            let other_l = if l == 1 { 2 } else { l - 1 };
+            prop_assert!(!a.covers(&FmBundle::from_parts(17, other_l, theirs)));
         }
 
         /// The estimate never decreases as items are inserted.
