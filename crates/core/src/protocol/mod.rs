@@ -360,9 +360,8 @@ pub trait Protocol {
     /// no earlier stays covering until it leaves the cache, and leaves
     /// it only by expiry, by when the message has expired too. A peer
     /// that postpones on duplicates (mechanism (2)), and every flooding
-    /// wave, answer `false`. The world queues no delivery a receiver
-    /// covers, unless an observer is attached or the frame may be
-    /// corrupted on its way (DESIGN.md §10).
+    /// wave, answer `false`. Where no cache can evict, the world queues
+    /// no intact copy a receiver covers (DESIGN.md §10).
     fn covers(&self, msg: &AdMessage) -> bool {
         let _ = msg;
         false

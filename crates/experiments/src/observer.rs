@@ -8,12 +8,11 @@
 //! opt-in instrumentation behind the [`SimObserver`] hook trait, so new
 //! measurements never touch the loop itself. The world fans each hook
 //! out to every attached observer in attachment order, and has none
-//! unless a caller attaches one ([`crate::World::attach_observer`]) or
-//! the scenario sets a trace path.
+//! unless a caller attaches one ([`crate::World::attach_observer`]).
 //!
 //! Observers are strictly passive: they receive references, never touch
 //! an RNG stream, and cannot reorder events — attaching or removing
-//! observers therefore cannot change a run's outcome (a property pinned
+//! observers changes neither a run's outcome nor its work (both pinned
 //! by the determinism tests).
 
 use ia_core::{AdId, AdMessage, RxMeta};
@@ -80,13 +79,14 @@ impl std::fmt::Display for SuppressReason {
 ///
 /// Every hook has an empty default body, so observers implement only what
 /// they care about. The `Any` supertrait enables typed retrieval through
-/// [`crate::World::observer`].
+/// [`crate::World::observer`]. Hooks fire in simulated-time order.
 pub trait SimObserver: Any {
     /// A node transmitted a frame; `info` carries the channel outcome.
     fn on_broadcast(&mut self, now: SimTime, node: u32, msg: &AdMessage, info: &BroadcastInfo) {
         let _ = (now, node, msg, info);
     }
-    /// A frame arrived at an on-line receiver (before the protocol sees it).
+    /// A frame copy reached an on-line receiver, at its arrival (before the
+    /// protocol sees it) or, if covered and so not queued, when it is sent.
     fn on_deliver(&mut self, now: SimTime, to: u32, msg: &AdMessage, meta: &RxMeta) {
         let _ = (now, to, msg, meta);
     }
@@ -96,7 +96,8 @@ pub trait SimObserver: Any {
     }
     /// A frame copy addressed to `to` was dropped undelivered; `reason`
     /// carries the cause (off-line peer, channel loss, jam, collision,
-    /// checksum failure).
+    /// checksum failure). Copies the world does not queue are reported
+    /// when their frame is sent (off-line if `to` is off-line then).
     fn on_suppress(&mut self, now: SimTime, to: u32, msg: &AdMessage, reason: SuppressReason) {
         let _ = (now, to, msg, reason);
     }
@@ -315,7 +316,8 @@ impl Write for TraceBuffer {
 /// instrumentation only and never changes a run's outcome.
 ///
 /// All values are numbers or fixed-vocabulary strings (`ad3.0`,
-/// `broadcast`), so the writer needs no escaping machinery.
+/// `broadcast`), so the writer needs no escaping machinery. A covered
+/// copy's `deliver` line carries its send instant ([`SimObserver::on_deliver`]).
 pub struct JsonlTrace {
     out: Box<dyn Write>,
 }

@@ -8,8 +8,8 @@ use ia_core::ProtocolKind;
 use ia_des::{SimDuration, SimTime};
 use ia_experiments::scenario::InterestWorkload;
 use ia_experiments::{
-    run_scenario, run_seeds_with_threads, BurstLossSpec, CorruptionSpec, FaultLedger, FaultPlan,
-    JsonlTrace, PartitionWave, RunResult, Scenario, SimObserver, World,
+    run_scenario, run_seeds_with_threads, BurstLossSpec, ChurnSpec, CorruptionSpec, FaultLedger,
+    FaultPlan, JsonlTrace, PartitionWave, RunResult, Scenario, SimObserver, World,
 };
 use ia_geo::Point;
 use ia_mobility::NoiseRamp;
@@ -254,21 +254,37 @@ impl SimObserver for NoisyObserver {
     }
 }
 
+/// Observers change neither the outcome nor the work: a Gossiping run
+/// with every fault class and churn, which skips covered copies and drops
+/// corrupted ones, gives the same `RunResult`, events, queue operations,
+/// deliveries and entry wake-ups with a ledger, a trace and a noisy
+/// observer attached as with none.
 #[test]
 fn run_result_is_identical_with_and_without_extra_observers() {
-    let s = scenario();
-    let baseline = run_scenario(&s);
+    let churn = ChurnSpec::new(SimDuration::from_secs(80.0), SimDuration::from_secs(20.0));
+    let s = chaotic_scenario().with_churn(churn);
+    let work = |w: &World| {
+        let q = (w.events_processed(), w.queue_stats());
+        (q, w.deliveries(), w.entry_wakeups())
+    };
+    let mut plain = World::new(s.clone());
+    plain.run();
+    let d = plain.deliveries();
+    assert!(d.skipped > 0 && d.corrupted > 0, "{d:?}");
+    let baseline = RunResult::of(&plain);
 
-    // World with a JSONL trace and a noisy custom observer attached.
     let (trace, buffer) = JsonlTrace::in_memory();
     let mut w = World::new(s.clone());
+    w.attach_observer(Box::new(FaultLedger::new(s.params.round_time)));
     w.attach_observer(Box::new(trace));
     w.attach_observer(Box::new(NoisyObserver::default()));
     w.run();
-    let observed = RunResult::of(&w);
-    assert_identical(&baseline, &observed, "observer set");
+    assert_identical(&baseline, &RunResult::of(&w), "observer set");
+    assert_eq!(work(&w), work(&plain));
 
     // The extra observers did observe a real run.
+    let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+    assert!(ledger.delivered() > 0 && ledger.faulted() > 0);
     assert!(!buffer.contents().is_empty(), "trace captured nothing");
     let noisy = w.observer::<NoisyObserver>().expect("observer attached");
     assert!(!noisy.log.is_empty(), "noisy observer saw nothing");

@@ -9,20 +9,12 @@
 //! four gossip protocols, whose entry ticks are decided ahead, with churn,
 //! partition waves and GPS ramps drawn more often: the look-ahead must
 //! end on every one of them.
-//!
-//! A third property is an oracle for the deliveries the world leaves out
-//! because their receiver's cached copy covers the message: Gossiping and
-//! Optimized Gossiping-1 runs with churn, partition waves, corruption
-//! windows and up to a cache's worth of ads give the same `RunResult`
-//! and `TrafficStats` bytes with no observer (the skip on) and with a
-//! no-op observer (the skip off).
 
 use ia_core::ProtocolKind;
 use ia_des::{SimDuration, SimTime};
 use ia_experiments::scenario::MobilityKind;
 use ia_experiments::{
-    run_scenario, AdSpec, BurstLossSpec, ChurnSpec, CorruptionSpec, Deliveries, FaultPlan,
-    PartitionWave, RunResult, Scenario, SimObserver, World,
+    run_scenario, BurstLossSpec, ChurnSpec, CorruptionSpec, FaultPlan, PartitionWave, Scenario,
 };
 use ia_geo::{Point, Rect, Vector};
 use ia_mobility::NoiseRamp;
@@ -230,181 +222,5 @@ proptest! {
         s in scenario_of(1usize..5, wave_and_ramp_plan())
     ) {
         runs_unless_rejected(&s);
-    }
-}
-
-/// Observes nothing. Attaching it only turns off the world's skip of
-/// covered deliveries.
-struct Noop;
-
-impl SimObserver for Noop {}
-
-/// Run `s` with no observer and with [`Noop`] attached: the two runs must
-/// give the same `RunResult` and `TrafficStats` bytes, and the observed
-/// one must queue every delivery the other queued or left out as covered
-/// or corrupted. Returns the unobserved run's deliveries.
-fn observed_alike(s: &Scenario) -> Deliveries {
-    let run = |observe: bool| {
-        let mut w = World::new(s.clone());
-        if observe {
-            w.attach_observer(Box::new(Noop));
-        }
-        w.run();
-        let traffic = format!("{:?}", w.medium().stats());
-        (format!("{:?}", RunResult::of(&w)), traffic, w.deliveries())
-    };
-    let (plain, observed) = (run(false), run(true));
-    assert_eq!(plain.0, observed.0, "RunResult of {s:?}");
-    assert_eq!(plain.1, observed.1, "TrafficStats of {s:?}");
-    assert_eq!(
-        (observed.2.skipped, observed.2.corrupted),
-        (0, 0),
-        "an observer sees every delivery"
-    );
-    let d = plain.2;
-    assert_eq!(d.queued + d.skipped + d.corrupted, observed.2.queued);
-    plain.2
-}
-
-/// [`fault_plan`] plus, always, a partition wave and a corruption window.
-fn wave_and_corruption_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        fault_plan(),
-        (0.0..130.0f64, 0.0..1.0f64, 0.0..60.0f64),
-        (window(), 0.0..1.0f64, 1u32..20),
-    )
-        .prop_map(
-            |(plan, (at, fraction, down_s), ((from, len), p_corrupt, max_flips))| {
-                plan.with_partition_wave(PartitionWave {
-                    at: secs(at),
-                    fraction,
-                    down_for: SimDuration::from_secs(down_s),
-                })
-                .with_corruption(CorruptionSpec {
-                    from: secs(from),
-                    until: secs(from + len),
-                    p_corrupt,
-                    max_flips,
-                })
-            },
-        )
-}
-
-/// Gossiping or Optimized Gossiping-1 (indices 1 and 2 of
-/// [`ProtocolKind::ALL`]) under [`wave_and_corruption_plan`], with a
-/// cache of 1 to 3 ads and 1 to that many ads, issued anywhere on the
-/// field within the first minute.
-fn skipping_scenario() -> impl Strategy<Value = Scenario> {
-    (
-        scenario_of(1usize..3, wave_and_corruption_plan()),
-        (1usize..4, 0usize..3),
-        proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..60.0f64), 2..3),
-    )
-        .prop_map(|(mut s, (capacity, extra), spots)| {
-            s.params = s.params.clone().with_cache_capacity(capacity);
-            let first = s.ads[0].clone();
-            let more = spots.iter().take(extra.min(capacity - 1));
-            s.ads.extend(more.map(|&(fx, fy, t)| AdSpec {
-                issue_pos: s.area.at_fraction(fx, fy),
-                issue_time: secs(t),
-                ..first.clone()
-            }));
-            s
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Leaving out covered deliveries changes no run's bytes.
-    #[test]
-    fn covered_deliveries_skip_without_changing_the_run(s in skipping_scenario()) {
-        if catch_unwind(AssertUnwindSafe(|| s.validate())).is_ok() {
-            observed_alike(&s);
-        }
-    }
-}
-
-/// The oracle above is not vacuous: a dense Gossiping or Optimized
-/// Gossiping-1 run with churn, a partition wave, a corruption window and
-/// two ads in a two-ad cache leaves deliveries out, also with the window
-/// spanning the whole run, where every copy left out as covered or
-/// corrupted was sent inside it. No delivery is left out as covered with
-/// more ads than the cache holds, nor under Restricted Flooding or
-/// mechanism (2).
-///
-/// The run with three ads issued together in a two-ad cache is one where
-/// the capacity guard matters: a peer ticks two entries at one instant,
-/// and a receiver that held the first admits the second, whose frame
-/// arrives first, and evicts the first. Its frame, covered when sent,
-/// then re-admits it. A world without the guard gives another
-/// `RunResult` there.
-#[test]
-fn covered_deliveries_skip_only_where_no_arrival_can_differ() {
-    let dense_in = |kind: ProtocolKind, capacity: usize, window: (f64, f64)| {
-        let mut s = Scenario::paper(kind, 60)
-            .with_seed(5)
-            .with_life_cycle(SimDuration::from_secs(150.0))
-            .with_churn(ChurnSpec::new(
-                SimDuration::from_secs(100.0),
-                SimDuration::from_secs(20.0),
-            ))
-            .with_faults(
-                FaultPlan::none()
-                    .with_partition_wave(PartitionWave {
-                        at: secs(50.0),
-                        fraction: 0.3,
-                        down_for: SimDuration::from_secs(20.0),
-                    })
-                    .with_corruption(CorruptionSpec {
-                        from: secs(window.0),
-                        until: secs(window.1),
-                        p_corrupt: 0.3,
-                        max_flips: 8,
-                    }),
-            );
-        s.area = Rect::with_size(1500.0, 1500.0);
-        s.ads[0].issue_pos = s.area.center();
-        let second = AdSpec {
-            issue_pos: Point::new(400.0, 400.0),
-            issue_time: secs(30.0),
-            ..s.ads[0].clone()
-        };
-        s.ads.push(second);
-        s.params = s.params.clone().with_cache_capacity(capacity);
-        s
-    };
-    let dense = |kind, capacity| dense_in(kind, capacity, (40.0, 70.0));
-    for kind in [ProtocolKind::Gossip, ProtocolKind::OptGossip1] {
-        let d = observed_alike(&dense(kind, 2));
-        assert!(d.skipped > 0 && d.queued > 0, "{kind}: {d:?}");
-        let d = observed_alike(&dense_in(kind, 2, (0.0, 150.0)));
-        assert!(
-            d.skipped > 0 && d.corrupted > 0 && d.queued > 0,
-            "{kind}, window over the whole run: {d:?}"
-        );
-        let d = observed_alike(&dense(kind, 1));
-        assert_eq!(d.skipped, 0, "{kind}, two ads in a one-ad cache");
-        let mut s = Scenario::paper(kind, 100)
-            .with_seed(56)
-            .with_life_cycle(SimDuration::from_secs(200.0));
-        s.area = Rect::with_size(1000.0, 1000.0);
-        s.ads[0].issue_pos = s.area.center();
-        for x in [520.0, 480.0] {
-            let next = AdSpec {
-                issue_pos: Point::new(x, 500.0),
-                ..s.ads[0].clone()
-            };
-            s.ads.push(next);
-        }
-        s.params = s.params.clone().with_cache_capacity(2);
-        assert_eq!(observed_alike(&s).skipped, 0, "{kind}, three ads");
-    }
-    for kind in [
-        ProtocolKind::Flooding,
-        ProtocolKind::OptGossip2,
-        ProtocolKind::OptGossip,
-    ] {
-        assert_eq!(observed_alike(&dense(kind, 2)).skipped, 0, "{kind}");
     }
 }
