@@ -77,7 +77,6 @@ pub mod stream {
     pub const MOBILITY: u64 = 1 << 32;
     pub const RADIO: u64 = 2 << 32;
     pub const WORKLOAD: u64 = 4 << 32;
-    pub const PLACEMENT: u64 = 5 << 32;
     pub const INTEREST: u64 = 6 << 32;
     /// Fault-injection draws (chaos plans). Sub-labelled in the low bits
     /// by [`fault`] so the corruption key, the partition streams and the

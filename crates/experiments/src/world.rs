@@ -27,9 +27,7 @@ use ia_core::{
 use ia_des::rng::{keyed_below, keyed_bits, keyed_unit, stream};
 use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Vector};
-use ia_mobility::{
-    Fleet, FleetCursor, GpsNoise, LegWalk, Manhattan, MobilityModel, RandomWaypoint, Stationary,
-};
+use ia_mobility::{Fleet, FleetCursor, GpsNoise, LegWalk, Manhattan, RandomWaypoint, Trajectory};
 use ia_radio::{BroadcastOutcome, DropReason, Medium};
 use std::any::Any;
 use std::sync::Arc;
@@ -318,10 +316,8 @@ impl World {
                 Fleet::generate(&Manhattan::paper(area, mean, delta), n, seed, start, end)
             }
         };
-        fleet.extend(scenario.ads.iter().map(|spec| {
-            let mut rng = SimRng::derive(scenario.seed, stream::PLACEMENT);
-            Stationary::at(spec.issue_pos).trajectory(&mut rng, start, end)
-        }));
+        let issuers = scenario.ads.iter();
+        fleet.extend(issuers.map(|spec| Trajectory::stationary(spec.issue_pos, start, end)));
         // An ad's seq is its scenario index: `schedule_entry`'s rank needs
         // it to be unique.
         let ad_ids: Vec<AdId> = scenario

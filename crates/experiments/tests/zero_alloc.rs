@@ -12,11 +12,11 @@
 //! exactly zero allocations. The proofs cover: scheduler churn, grid
 //! rebuilds and queries, broadcast → dispatch (with and without forced
 //! grid rebuilds), duplicate receipts, non-forwarding entry ticks, and
-//! the corruption verdict (`codec::FlipVerdict`), and Manhattan legs
-//! drawn into a reused buffer. One test checks
+//! the corruption verdict (`codec::FlipVerdict`), and Manhattan
+//! waypoints drawn into a reused buffer. One test checks
 //! that attaching a passive observer adds no allocation to a whole
 //! `World::run`. The heap proofs read the thread's live and peak bytes:
-//! a fleet holds exactly its legs and offsets, and `World::new` peaks at
+//! a fleet holds exactly its waypoints and offsets, and `World::new` peaks at
 //! the heap it leaves.
 
 use ia_core::{
@@ -28,7 +28,7 @@ use ia_experiments::observer::{BroadcastInfo, SuppressReason};
 use ia_experiments::scenario::{AdSpec, MAX_FLIPS};
 use ia_experiments::{ChurnSpec, Scenario, SimObserver, World};
 use ia_geo::{FlatGrid, Point, Vector};
-use ia_mobility::{Fleet, Leg, Manhattan, MobilityModel, RandomWaypoint, Trajectory};
+use ia_mobility::{Fleet, Manhattan, MobilityModel, RandomWaypoint, Trajectory, Waypoint};
 use ia_radio::{BroadcastOutcome, Medium, RadioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -606,33 +606,35 @@ fn observer_fan_out_allocates_nothing() {
     );
 }
 
-/// A Manhattan model draws its legs into a caller's buffer without a
-/// heap allocation of its own: once the buffer has held a fleet's
+/// A Manhattan model draws its waypoints into a caller's buffer without
+/// a heap allocation of its own: once the buffer has held a fleet's
 /// longest plan, drawing the same fleet again allocates nothing.
 #[test]
-fn manhattan_legs_into_a_reused_buffer_allocates_nothing() {
+fn manhattan_waypoints_into_a_reused_buffer_allocates_nothing() {
     let model = Manhattan::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
     let end = SimTime::from_secs(1800.0);
-    let mut legs = Vec::new();
-    let draw_fleet = |legs: &mut Vec<Leg>| {
+    let mut plan = Vec::new();
+    let draw_fleet = |plan: &mut Vec<Waypoint>| {
         for node in 0..16 {
             let mut rng = SimRng::derive(1, ia_des::rng::stream::MOBILITY | node);
-            legs.clear();
-            model.legs_into(&mut rng, SimTime::ZERO, end, legs);
+            plan.clear();
+            model.waypoints_into(&mut rng, SimTime::ZERO, end, plan);
         }
     };
-    draw_fleet(&mut legs);
-    assert!(!legs.is_empty());
-    let (allocated, ()) = allocations_during(|| draw_fleet(&mut legs));
-    assert_eq!(allocated, 0, "Manhattan legs_into allocated");
+    draw_fleet(&mut plan);
+    assert!(!plan.is_empty());
+    let (allocated, ()) = allocations_during(|| draw_fleet(&mut plan));
+    assert_eq!(allocated, 0, "Manhattan waypoints_into allocated");
 }
 
-/// A generated fleet keeps exactly its legs and one offset per node
-/// plus the table's end: no per-node vector, header or growth slack
-/// survives, and appending an issuer keeps it exact. While it is built
-/// the table never holds more than a few percent beyond its final size.
+/// A generated fleet keeps exactly its waypoints (one more than its legs
+/// per node, 24 bytes each) and one offset per node plus the table's
+/// end: no per-node vector, header or growth slack survives, and
+/// appending an issuer keeps it exact. While it is built the table never
+/// holds more than a few percent beyond its final size.
 #[test]
-fn a_generated_fleet_holds_exactly_its_legs_and_offsets() {
+fn a_generated_fleet_holds_exactly_its_waypoints_and_offsets() {
+    assert_eq!(size_of::<Waypoint>(), 24);
     let model = RandomWaypoint::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
     let end = SimTime::from_secs(1800.0);
     for (n, seed) in [(1, 1), (7, 2), (300, 3), (3000, 1)] {
@@ -640,11 +642,12 @@ fn a_generated_fleet_holds_exactly_its_legs_and_offsets() {
             heap_during(|| Fleet::generate(&model, n, seed, SimTime::ZERO, end));
         let table = |fleet: &Fleet| {
             let legs: usize = fleet.iter().map(|(_, tr)| tr.legs().len()).sum();
-            (legs * size_of::<Leg>() + (fleet.len() + 1) * size_of::<u32>()) as i64
+            ((legs + fleet.len()) * size_of::<Waypoint>() + (fleet.len() + 1) * size_of::<u32>())
+                as i64
         };
         assert_eq!(heap.live, table(&fleet), "{n} nodes");
-        // A sixteenth over the table, and the one node's own vector of
-        // legs that is being copied in.
+        // A sixteenth over the table, and the one node's own buffer of
+        // waypoints that is being copied in.
         assert!(
             heap.peak <= heap.live + heap.live / 16 + 2048,
             "{n} nodes: {heap:?}"

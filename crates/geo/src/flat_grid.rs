@@ -32,6 +32,14 @@
 
 use crate::point::Point;
 
+/// `q.floor() as i32` without a libm call: truncate (saturating, NaN to
+/// 0), then step down where that rounded up, saturating as the cast does.
+#[inline]
+fn floor_i32(q: f64) -> i32 {
+    let i = q as i32;
+    i.saturating_sub((q < i as f64) as i32)
+}
+
 /// A dense CSR grid over points with ids `0..n`, each carrying a payload
 /// of type `T` in packed order next to its position.
 #[derive(Debug, Clone)]
@@ -109,7 +117,7 @@ impl<T> FlatGrid<T> {
 
     #[inline]
     fn cell_of(cell: f64, p: Point) -> (i32, i32) {
-        ((p.x / cell).floor() as i32, (p.y / cell).floor() as i32)
+        (floor_i32(p.x / cell), floor_i32(p.y / cell))
     }
 
     /// Row-major cell index inside the bounded rectangle.
@@ -245,12 +253,10 @@ impl<T> FlatGrid<T> {
         let r_sq = radius * radius;
         // Clamp the disk's cell range to the bounded rectangle; cells
         // outside it are empty by construction.
-        let cx0 = (((center.x - radius) / self.cell).floor() as i32).max(self.min_cx);
-        let cx1 = (((center.x + radius) / self.cell).floor() as i32)
-            .min(self.min_cx + self.ncx as i32 - 1);
-        let cy0 = (((center.y - radius) / self.cell).floor() as i32).max(self.min_cy);
-        let cy1 = (((center.y + radius) / self.cell).floor() as i32)
-            .min(self.min_cy + self.ncy as i32 - 1);
+        let cx0 = floor_i32((center.x - radius) / self.cell).max(self.min_cx);
+        let cx1 = floor_i32((center.x + radius) / self.cell).min(self.min_cx + self.ncx as i32 - 1);
+        let cy0 = floor_i32((center.y - radius) / self.cell).max(self.min_cy);
+        let cy1 = floor_i32((center.y + radius) / self.cell).min(self.min_cy + self.ncy as i32 - 1);
         if cx0 > cx1 || cy0 > cy1 {
             return;
         }
@@ -440,7 +446,45 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Values where truncation and floor part ways, or the cast saturates.
+    const FLOOR_EDGES: [f64; 16] = [
+        0.0,
+        -0.0,
+        -0.5,
+        0.5,
+        -1.0,
+        1.0,
+        -1.5,
+        i32::MAX as f64,
+        i32::MAX as f64 + 0.5,
+        i32::MIN as f64,
+        i32::MIN as f64 - 0.5,
+        -2147483648.5e3,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::MIN_POSITIVE,
+    ];
+
     proptest! {
+        /// `floor_i32` is the `floor` cast for every `f64`: any bit
+        /// pattern, integers and near-integers, values around ±2³¹, ±0,
+        /// the infinities and NaN.
+        #[test]
+        fn floor_i32_is_the_floor_cast(raw in any::<u64>(), n in any::<i64>(), k in 0usize..16) {
+            let near = (n % (1 << 33)) as f64;
+            for q in [
+                f64::from_bits(raw),
+                near,
+                near - 0.5,
+                near + f64::EPSILON * near.abs(),
+                near - f64::EPSILON * near.abs(),
+                FLOOR_EDGES[k],
+            ] {
+                prop_assert_eq!(floor_i32(q), q.floor() as i32, "{}", q);
+            }
+        }
+
         /// FlatGrid agrees bitwise with a brute-force linear scan.
         #[test]
         fn matches_brute_force(

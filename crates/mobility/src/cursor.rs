@@ -52,26 +52,16 @@ impl FleetCursor {
     #[inline]
     pub fn position(&mut self, fleet: &Fleet, node: u32, t: SimTime) -> Point {
         self.ensure(fleet.len());
-        let tr = fleet.trajectory(node);
-        let i = tr.leg_index_hinted(t, self.hints[node as usize] as usize);
-        self.hints[node as usize] = i as u32;
-        tr.legs()[i].position_at(t)
+        let hint = &mut self.hints[node as usize];
+        fleet.trajectory(node).position_hinted(t, hint)
     }
 
     /// Batch position snapshot: every node's exact position at `t`
     /// written into `out` (cleared first; index = node id). Bitwise
     /// equal to calling [`Self::position`] per node.
     pub fn positions_into(&mut self, fleet: &Fleet, t: SimTime, out: &mut Vec<Point>) {
-        let n = fleet.len();
-        self.ensure(n);
         out.clear();
-        out.reserve(n);
-        for node in 0..n as u32 {
-            let tr = fleet.trajectory(node);
-            let i = tr.leg_index_hinted(t, self.hints[node as usize] as usize);
-            self.hints[node as usize] = i as u32;
-            out.push(tr.legs()[i].position_at(t));
-        }
+        out.extend((0..fleet.len() as u32).map(|node| self.position(fleet, node, t)));
     }
 
     /// Two-fix velocity estimate (equals [`Fleet::estimated_velocity`]).
@@ -102,11 +92,8 @@ impl FleetCursor {
             return Vector::ZERO;
         }
         self.ensure(fleet.len());
-        let tr = fleet.trajectory(node);
-        let t_prev = t - dt;
-        let ip = tr.leg_index_hinted(t_prev, self.prev_hints[node as usize] as usize);
-        self.prev_hints[node as usize] = ip as u32;
-        let prev = tr.legs()[ip].position_at(t_prev);
+        let hint = &mut self.prev_hints[node as usize];
+        let prev = fleet.trajectory(node).position_hinted(t - dt, hint);
         (cur - prev) / secs
     }
 
@@ -116,7 +103,7 @@ impl FleetCursor {
     pub fn walk<'a>(&self, fleet: &'a Fleet, node: u32) -> LegWalk<'a> {
         LegWalk {
             trajectory: fleet.trajectory(node),
-            leg: self.hints.get(node as usize).map_or(0, |&i| i as usize),
+            leg: self.hints.get(node as usize).copied().unwrap_or(0),
         }
     }
 }
@@ -127,15 +114,14 @@ impl FleetCursor {
 #[derive(Debug, Clone)]
 pub struct LegWalk<'a> {
     trajectory: TrajectoryView<'a>,
-    leg: usize,
+    leg: u32,
 }
 
 impl LegWalk<'_> {
     /// Exact position at `t` (equals [`Fleet::position`]).
     #[inline]
     pub fn position(&mut self, t: SimTime) -> Point {
-        self.leg = self.trajectory.leg_index_hinted(t, self.leg);
-        self.trajectory.legs()[self.leg].position_at(t)
+        self.trajectory.position_hinted(t, &mut self.leg)
     }
 }
 

@@ -1,36 +1,36 @@
-//! A fleet: every node's trajectory in one leg table, with bulk queries.
+//! A fleet: every node's plan in one waypoint table, with bulk queries.
 
 use crate::model::MobilityModel;
-use crate::trajectory::{validate, Leg, Trajectory, TrajectoryView};
+use crate::trajectory::{validate, Trajectory, TrajectoryView, Waypoint};
 use ia_des::{rng::stream, SimDuration, SimRng, SimTime};
 use ia_geo::{Point, Vector};
 
 /// All node movement plans for one scenario.
 ///
 /// Node ids are dense `u32` indices (`0..len`), matching the ids used by
-/// the radio medium's spatial grid. The legs of every node sit in one
-/// table, node after node, sized exactly to them: no per-node vector,
+/// the radio medium's spatial grid. The waypoints of every node sit in
+/// one table, node after node, sized exactly to them: no per-node vector,
 /// header or growth slack survives construction.
 #[derive(Debug, Clone)]
 pub struct Fleet {
-    /// Every node's legs, node after node.
-    legs: Vec<Leg>,
-    /// Node `i`'s legs are `legs[starts[i]..starts[i + 1]]`: one offset
-    /// per node, then the table's end.
+    /// Every node's waypoints, node after node.
+    waypoints: Vec<Waypoint>,
+    /// Node `i`'s waypoints are `waypoints[starts[i]..starts[i + 1]]`: one
+    /// offset per node, then the table's end.
     starts: Vec<u32>,
 }
 
 /// Append nodes (e.g. stationary issuers after the mobile peers); their
-/// ids continue from the current [`Fleet::len`]. Each trajectory's legs
-/// are copied into the table and the trajectory dropped at once.
+/// ids continue from the current [`Fleet::len`]. Each trajectory's
+/// waypoints are copied in and the trajectory dropped at once.
 impl Extend<Trajectory> for Fleet {
     fn extend<I: IntoIterator<Item = Trajectory>>(&mut self, nodes: I) {
         let mut nodes = nodes.into_iter();
         self.starts.reserve_exact(nodes.size_hint().0);
         while let Some(trajectory) = nodes.next() {
-            self.push(trajectory.view().legs(), nodes.size_hint().0);
+            self.push(trajectory.view().waypoints(), nodes.size_hint().0);
         }
-        self.legs.shrink_to_fit();
+        self.waypoints.shrink_to_fit();
         self.starts.shrink_to_fit();
     }
 }
@@ -38,31 +38,31 @@ impl Extend<Trajectory> for Fleet {
 impl Fleet {
     fn empty() -> Self {
         Fleet {
-            legs: Vec::new(),
+            waypoints: Vec::new(),
             starts: vec![0],
         }
     }
 
-    /// Append one node's legs, with `remaining` nodes still to come. A
-    /// full table grows to hold them at the fleet's mean leg count so far
-    /// less a sixteenth, at most doubling, so its capacity ends at about
-    /// its final size, not up to twice it; callers cut it to size.
-    fn push(&mut self, legs: &[Leg], remaining: usize) {
-        if self.legs.capacity() - self.legs.len() < legs.len() {
-            let len = self.legs.len() + legs.len();
+    /// Append one node's waypoints, with `remaining` nodes still to come.
+    /// A full table grows to hold them at the fleet's mean waypoint count
+    /// so far less a sixteenth, at most doubling, so its capacity ends at
+    /// about its final size, not up to twice it; callers cut it to size.
+    fn push(&mut self, plan: &[Waypoint], remaining: usize) {
+        if self.waypoints.capacity() - self.waypoints.len() < plan.len() {
+            let len = self.waypoints.len() + plan.len();
             let ahead = len.saturating_mul(remaining) / self.starts.len();
-            self.legs
-                .reserve_exact(legs.len() + (ahead - ahead / 16).min(len));
+            self.waypoints
+                .reserve_exact(plan.len() + (ahead - ahead / 16).min(len));
         }
-        self.legs.extend_from_slice(legs);
-        let end = u32::try_from(self.legs.len()).expect("a fleet holds under 2^32 legs");
+        self.waypoints.extend_from_slice(plan);
+        let end = u32::try_from(self.waypoints.len()).expect("a fleet holds under 2^32 waypoints");
         self.starts.push(end);
     }
 
     /// Build a fleet of `n` nodes from `model`, deriving one independent
     /// RNG stream per node from `master_seed` (so fleets are reproducible
-    /// and node `i`'s path does not depend on `n`). Each node's legs are
-    /// drawn into one reused buffer and copied into the table.
+    /// and node `i`'s path does not depend on `n`). Each node's waypoints
+    /// are drawn into one reused buffer and copied into the table.
     pub fn generate<M: MobilityModel>(
         model: &M,
         n: usize,
@@ -72,15 +72,15 @@ impl Fleet {
     ) -> Self {
         let mut fleet = Fleet::empty();
         fleet.starts.reserve_exact(n);
-        let mut legs = Vec::new();
+        let mut plan = Vec::new();
         for i in 0..n {
             let mut rng = SimRng::derive(master_seed, stream::MOBILITY | i as u64);
-            legs.clear();
-            model.legs_into(&mut rng, start, end, &mut legs);
-            validate(&legs);
-            fleet.push(&legs, n - 1 - i);
+            plan.clear();
+            model.waypoints_into(&mut rng, start, end, &mut plan);
+            validate(&plan);
+            fleet.push(&plan, n - 1 - i);
         }
-        fleet.legs.shrink_to_fit();
+        fleet.waypoints.shrink_to_fit();
         fleet
     }
 
@@ -105,9 +105,8 @@ impl Fleet {
     pub fn trajectory(&self, node: u32) -> TrajectoryView<'_> {
         let i = node as usize;
         let (from, to) = (self.starts[i] as usize, self.starts[i + 1] as usize);
-        TrajectoryView {
-            legs: &self.legs[from..to],
-        }
+        let waypoints = &self.waypoints[from..to];
+        TrajectoryView { waypoints }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (u32, TrajectoryView<'_>)> {
@@ -127,29 +126,25 @@ impl Fleet {
     /// Maximum speed over all moving legs in the fleet — the `V_max`
     /// feeding the paper's `DIS = V_max * round_time` constraint.
     pub fn max_speed(&self) -> f64 {
-        self.legs
-            .iter()
+        self.iter()
+            .flat_map(|(_, tr)| tr.legs())
             .map(|leg| leg.velocity().norm())
             .fold(0.0, f64::max)
     }
 
     /// The largest distance any node covers other than by moving at a
-    /// leg's velocity: over one trajectory, the sum of its seam gaps
-    /// (where a leg starts up to 10⁻⁶ m from where the previous one
-    /// ended) and of its zero-duration legs' displacements, which
-    /// [`Leg::velocity`] reports as zero. A node moves at most
+    /// leg's velocity: over one trajectory, the sum of its zero-duration
+    /// legs' displacements, which [`Leg::velocity`](crate::Leg::velocity)
+    /// reports as zero, in plan order. A seam (where a leg given to
+    /// [`Trajectory::new`] starts up to 10⁻⁶ m from where the previous
+    /// one ended) is such a leg. A node moves at most
     /// `max_speed() · Δt + max_jump()` in any `Δt`.
     pub fn max_jump(&self) -> f64 {
         self.iter()
             .map(|(_, tr)| {
-                let legs = tr.legs();
-                let seams: f64 = legs.windows(2).map(|w| w[0].to.distance(w[1].from)).sum();
-                let instant: f64 = legs
-                    .iter()
+                tr.legs()
                     .filter(|leg| leg.end_time == leg.start_time)
-                    .map(|leg| leg.from.distance(leg.to))
-                    .sum();
-                seams + instant
+                    .fold(0.0, |sum, leg| sum + leg.from.distance(leg.to))
             })
             .fold(0.0, f64::max)
     }

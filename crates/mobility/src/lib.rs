@@ -17,7 +17,7 @@
 //!   closer to the urban scenario the paper motivates.
 //! * [`Stationary`] — fixed nodes (e.g. the supermarket issuer).
 //!
-//! [`Fleet`] keeps every node's legs in one exactly sized table, lends
+//! [`Fleet`] keeps every node's waypoints in one exactly sized table, lends
 //! out each node's [`TrajectoryView`] and offers position lookups plus
 //! the paper's two-fix velocity estimate. [`FleetCursor`]
 //! is a per-holder leg-index cache that turns those lookups into O(1)
@@ -41,4 +41,4 @@ pub use model::{MobilityModel, MIN_SPEED};
 pub use noise::{GpsNoise, NoiseRamp};
 pub use random_waypoint::RandomWaypoint;
 pub use stationary::Stationary;
-pub use trajectory::{Leg, Trajectory, TrajectoryView};
+pub use trajectory::{Leg, Trajectory, TrajectoryView, Waypoint};

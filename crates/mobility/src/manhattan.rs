@@ -13,9 +13,9 @@
 //! otherwise turns left or right with equal probability (U-turns only at
 //! the field boundary when no other street continues).
 
-use crate::model::{MobilityModel, MIN_SPEED};
-use crate::trajectory::Leg;
-use ia_des::{SimDuration, SimRng, SimTime};
+use crate::model::{pause, travel, MobilityModel, MIN_SPEED};
+use crate::trajectory::Waypoint;
+use ia_des::{SimRng, SimTime};
 use ia_geo::{Point, Rect};
 
 /// Manhattan street-grid mobility model.
@@ -86,16 +86,20 @@ impl Manhattan {
 const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
 
 impl MobilityModel for Manhattan {
-    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
+    fn waypoints_into(
+        &self,
+        rng: &mut SimRng,
+        start: SimTime,
+        end: SimTime,
+        plan: &mut Vec<Waypoint>,
+    ) {
         self.validate();
         assert!(end > start, "empty time window");
         let mut cx = rng.range_u64(0, self.cols() as u64 + 1) as i64;
         let mut cy = rng.range_u64(0, self.rows() as u64 + 1) as i64;
         let mut heading = DIRS[rng.range_u64(0, 4) as usize];
-        let first = legs.len();
-        let mut now = start;
-        let mut pos = self.intersection(cx, cy);
-        while now < end {
+        plan.push(Waypoint::new(start, self.intersection(cx, cy)));
+        while plan[plan.len() - 1].at < end {
             // Pick the next heading: straight if allowed and the coin says
             // so, otherwise a random lawful turn.
             let (hx, hy) = heading;
@@ -118,40 +122,17 @@ impl MobilityModel for Manhattan {
                 (-hx, -hy) // dead end: U-turn
             } else {
                 // Isolated intersection (1x1 grid corner case): stand still.
-                legs.push(Leg::pause(now, end, pos));
+                plan.push(Waypoint::new(end, plan[plan.len() - 1].pos));
                 break;
             };
             heading = next;
-            let (nx, ny) = (cx + next.0, cy + next.1);
-            let target = self.intersection(nx, ny);
+            (cx, cy) = (cx + next.0, cy + next.1);
+            let target = self.intersection(cx, cy);
             let speed = rng.range_f64(self.speed_min, self.speed_max);
-            let travel = SimDuration::from_secs(pos.distance(target) / speed);
-            let leg_end = (now + travel).min(end);
-            let reached = if leg_end < now + travel {
-                let frac = leg_end.since(now).as_secs() / travel.as_secs();
-                pos.lerp(target, frac)
-            } else {
-                target
-            };
-            legs.push(Leg::new(now, leg_end, pos, reached));
-            now = leg_end;
-            pos = reached;
-            cx = nx;
-            cy = ny;
-            if now >= end {
+            if travel(plan, target, speed, end) {
                 break;
             }
-            let pause = rng.range_f64(self.pause_min, self.pause_max);
-            if pause > 0.0 {
-                let pe = (now + SimDuration::from_secs(pause)).min(end);
-                if pe > now {
-                    legs.push(Leg::pause(now, pe, pos));
-                    now = pe;
-                }
-            }
-        }
-        if legs.len() == first {
-            legs.push(Leg::pause(start, end, pos));
+            pause(plan, rng.range_f64(self.pause_min, self.pause_max), end);
         }
     }
 }

@@ -15,7 +15,7 @@
 //! leg's arrival and the next `setdest` command, exactly as `setdest`
 //! output does.
 
-use crate::trajectory::TrajectoryView;
+use crate::trajectory::{Leg, TrajectoryView};
 use std::fmt::Write as _;
 
 /// Export one node's trajectory as `setdest`-style Tcl lines.
@@ -26,21 +26,18 @@ use std::fmt::Write as _;
 /// encodes them).
 pub fn export_trajectory(node: u32, tr: TrajectoryView<'_>) -> String {
     let mut out = String::new();
-    let p0 = tr.start_position();
+    let p0 = tr.waypoints()[0].pos;
     let _ = writeln!(out, "$node_({node}) set X_ {:.6}", p0.x);
     let _ = writeln!(out, "$node_({node}) set Y_ {:.6}", p0.y);
-    for leg in tr.legs() {
-        if leg.is_pause() || leg.duration().is_zero() {
-            continue;
-        }
-        let v = leg.velocity().norm();
+    let moves = |leg: &Leg| !leg.is_pause() && !leg.duration().is_zero();
+    for leg in tr.legs().filter(moves) {
         let _ = writeln!(
             out,
             "$ns_ at {:.6} \"$node_({node}) setdest {:.6} {:.6} {:.6}\"",
             leg.start_time.as_secs(),
             leg.to.x,
             leg.to.y,
-            v
+            leg.velocity().norm()
         );
     }
     out

@@ -4,9 +4,9 @@
 //! line to another random position, where it pauses for a while and then
 //! moves again to another random position; and so on."
 
-use crate::model::{MobilityModel, MIN_SPEED};
-use crate::trajectory::Leg;
-use ia_des::{SimDuration, SimRng, SimTime};
+use crate::model::{pause, travel, MobilityModel, MIN_SPEED};
+use crate::trajectory::Waypoint;
+use ia_des::{SimRng, SimTime};
 use ia_geo::Rect;
 
 /// Random Waypoint over a rectangular field.
@@ -54,49 +54,31 @@ impl RandomWaypoint {
 }
 
 impl MobilityModel for RandomWaypoint {
-    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
+    fn waypoints_into(
+        &self,
+        rng: &mut SimRng,
+        start: SimTime,
+        end: SimTime,
+        plan: &mut Vec<Waypoint>,
+    ) {
         self.validate();
         assert!(end > start, "empty time window");
-        let first = legs.len();
-        let mut now = start;
-        let mut pos = self.area.at_fraction(rng.unit(), rng.unit());
-        while now < end {
-            // Travel leg to the next waypoint.
+        let (first, p0) = (plan.len(), self.area.at_fraction(rng.unit(), rng.unit()));
+        plan.push(Waypoint::new(start, p0));
+        while plan[plan.len() - 1].at < end {
+            // Travel leg to the next waypoint, then a pause there.
             let target = self.area.at_fraction(rng.unit(), rng.unit());
             let speed = rng.range_f64(self.speed_min, self.speed_max);
-            let dist = pos.distance(target);
-            if dist > 1e-9 {
-                let travel = SimDuration::from_secs(dist / speed);
-                let leg_end = (now + travel).min(end);
-                // If the window closes mid-leg, cut the leg at the exact
-                // reachable point so continuity holds.
-                let reached = if leg_end < now + travel {
-                    let frac = leg_end.since(now).as_secs() / travel.as_secs();
-                    pos.lerp(target, frac)
-                } else {
-                    target
-                };
-                legs.push(Leg::new(now, leg_end, pos, reached));
-                now = leg_end;
-                pos = reached;
-                if now >= end {
-                    break;
-                }
+            let moves = plan[plan.len() - 1].pos.distance(target) > 1e-9;
+            if moves && travel(plan, target, speed, end) {
+                break;
             }
-            // Pause leg.
-            let pause = rng.range_f64(self.pause_min, self.pause_max);
-            if pause > 0.0 {
-                let pause_end = (now + SimDuration::from_secs(pause)).min(end);
-                if pause_end > now {
-                    legs.push(Leg::pause(now, pause_end, pos));
-                    now = pause_end;
-                }
-            }
+            pause(plan, rng.range_f64(self.pause_min, self.pause_max), end);
         }
-        if legs.len() == first {
+        if plan.len() == first + 1 {
             // Degenerate (e.g. first waypoint equalled the start and the
             // pause was zero until the window closed): stand still.
-            legs.push(Leg::pause(start, end, pos));
+            plan.push(Waypoint::new(end, p0));
         }
     }
 }
@@ -217,7 +199,7 @@ mod tests {
         for seed in 0..n {
             let mut rng = SimRng::derive(seed, 0);
             let tr = model.trajectory(&mut rng, SimTime::ZERO, SimTime::from_secs(10.0));
-            let p = tr.view().start_position();
+            let p = tr.view().waypoints()[0].pos;
             sum = Point::new(sum.x + p.x, sum.y + p.y);
         }
         let mean = Point::new(sum.x / n as f64, sum.y / n as f64);

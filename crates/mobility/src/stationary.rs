@@ -4,7 +4,7 @@
 //! petrol station) and as a degenerate baseline in tests.
 
 use crate::model::MobilityModel;
-use crate::trajectory::Leg;
+use crate::trajectory::Waypoint;
 use ia_des::{SimRng, SimTime};
 use ia_geo::{Point, Rect};
 
@@ -24,13 +24,19 @@ impl Stationary {
 }
 
 impl MobilityModel for Stationary {
-    fn legs_into(&self, rng: &mut SimRng, start: SimTime, end: SimTime, legs: &mut Vec<Leg>) {
+    fn waypoints_into(
+        &self,
+        rng: &mut SimRng,
+        start: SimTime,
+        end: SimTime,
+        plan: &mut Vec<Waypoint>,
+    ) {
         assert!(end > start, "empty time window");
         let p = match self {
             Stationary::At(p) => *p,
             Stationary::UniformIn(area) => area.at_fraction(rng.unit(), rng.unit()),
         };
-        legs.push(Leg::pause(start, end, p));
+        plan.extend([Waypoint::new(start, p), Waypoint::new(end, p)]);
     }
 }
 
@@ -70,11 +76,13 @@ mod tests {
         let p1 = m
             .trajectory(&mut r1, SimTime::ZERO, SimTime::from_secs(1.0))
             .view()
-            .start_position();
+            .waypoints()[0]
+            .pos;
         let p2 = m
             .trajectory(&mut r2, SimTime::ZERO, SimTime::from_secs(1.0))
             .view()
-            .start_position();
+            .waypoints()[0]
+            .pos;
         assert!(area.contains(p1));
         assert!(area.contains(p2));
         assert_ne!(p1, p2);

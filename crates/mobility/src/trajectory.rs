@@ -62,129 +62,164 @@ impl Leg {
         let frac = t.since(self.start_time).as_secs() / dt;
         self.from.lerp(self.to, frac)
     }
+}
 
-    /// The spatial segment this leg traces.
-    pub fn segment(&self) -> Segment {
-        Segment::new(self.from, self.to)
+/// One instant of a movement plan: the node is at `pos` at `at`. Each
+/// adjacent pair of a plan's waypoints is one [`Leg`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Waypoint {
+    pub at: SimTime,
+    pub pos: Point,
+}
+
+impl Waypoint {
+    pub fn new(at: SimTime, pos: Point) -> Self {
+        Waypoint { at, pos }
     }
 }
 
-/// A node's full movement plan: contiguous legs covering
-/// `[start_time, end_time]`. Before the first leg the node sits at the
-/// initial point; after the last leg it sits at the final point.
+/// A node's full movement plan, stored as waypoints: contiguous legs
+/// covering `[start_time, end_time]`. Before the first leg the node sits
+/// at the initial point; after the last leg it sits at the final point.
 ///
 /// The owned plan only builds and validates; every read goes through
 /// its [`TrajectoryView`], the same view a [`Fleet`](crate::Fleet) lends
 /// out for each of its nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
-    legs: Vec<Leg>,
+    waypoints: Vec<Waypoint>,
 }
 
 impl Trajectory {
-    /// Build from legs.
+    /// Build from legs. Where a leg starts apart from where the previous
+    /// one ended (a seam, under 10⁻⁶ m), the plan steps from the one
+    /// point to the other in zero time at the leg's start. The leg after
+    /// the step starts at the same instant, so every lookup reads the
+    /// legs given here.
     ///
     /// # Panics
     /// Panics if `legs` is empty, times are not contiguous
     /// (`leg[i].end_time == leg[i+1].start_time`) or positions are not
     /// continuous (`leg[i].to` within 10⁻⁶ m of `leg[i+1].from`).
     pub fn new(legs: Vec<Leg>) -> Self {
-        validate(&legs);
-        Trajectory { legs }
+        assert!(!legs.is_empty(), "trajectory needs at least one leg");
+        let mut waypoints = vec![Waypoint::new(legs[0].start_time, legs[0].from)];
+        for leg in &legs {
+            let end = waypoints[waypoints.len() - 1];
+            assert_eq!(end.at, leg.start_time, "legs must be time-contiguous");
+            let gap = end.pos.distance(leg.from);
+            assert!(gap < 1e-6, "legs must be position-continuous");
+            let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+            if bits(end.pos) != bits(leg.from) {
+                waypoints.push(Waypoint::new(leg.start_time, leg.from));
+            }
+            waypoints.push(Waypoint::new(leg.end_time, leg.to));
+        }
+        Trajectory::from_waypoints(waypoints)
+    }
+
+    /// Build from a plan's waypoints, checked as [`validate`] documents.
+    pub(crate) fn from_waypoints(waypoints: Vec<Waypoint>) -> Self {
+        validate(&waypoints);
+        Trajectory { waypoints }
     }
 
     /// A trajectory that never moves.
     pub fn stationary(p: Point, start: SimTime, end: SimTime) -> Self {
-        Trajectory::new(vec![Leg::pause(start, end, p)])
+        Trajectory::from_waypoints(vec![Waypoint::new(start, p), Waypoint::new(end, p)])
     }
 
     /// The plan's reads.
     pub fn view(&self) -> TrajectoryView<'_> {
-        TrajectoryView { legs: &self.legs }
+        let waypoints = &self.waypoints;
+        TrajectoryView { waypoints }
     }
 }
 
-/// Check one node's legs as [`Trajectory::new`] documents.
-pub(crate) fn validate(legs: &[Leg]) {
-    assert!(!legs.is_empty(), "trajectory needs at least one leg");
-    for w in legs.windows(2) {
-        assert_eq!(
-            w[0].end_time, w[1].start_time,
-            "legs must be time-contiguous"
-        );
-        assert!(
-            w[0].to.distance(w[1].from) < 1e-6,
-            "legs must be position-continuous: {} vs {}",
-            w[0].to,
-            w[1].from
-        );
-    }
+/// Check one node's plan: at least one leg (two waypoints), at
+/// non-decreasing instants.
+pub(crate) fn validate(waypoints: &[Waypoint]) {
+    assert!(waypoints.len() >= 2, "trajectory needs at least one leg");
+    let in_order = waypoints.is_sorted_by_key(|w| w.at);
+    assert!(in_order, "leg ends before it starts");
 }
 
-/// One node's movement plan, borrowed: the legs of a [`Trajectory`], or
-/// one node's run of a [`Fleet`](crate::Fleet)'s leg table. Every
-/// position and velocity lookup reads one leg through
+/// One node's movement plan, borrowed: the waypoints of a [`Trajectory`],
+/// or one node's run of a [`Fleet`](crate::Fleet)'s waypoint table.
+/// Every position and velocity lookup reads one leg through
 /// [`TrajectoryView::leg_at`] or the hinted index behind the cursors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryView<'a> {
-    /// Legs [`validate`] accepted.
-    pub(crate) legs: &'a [Leg],
+    /// Waypoints [`validate`] accepted.
+    pub(crate) waypoints: &'a [Waypoint],
 }
 
 impl<'a> TrajectoryView<'a> {
-    pub fn legs(self) -> &'a [Leg] {
-        self.legs
+    pub fn waypoints(self) -> &'a [Waypoint] {
+        self.waypoints
+    }
+
+    /// The plan's legs, one per adjacent pair of waypoints.
+    pub fn legs(self) -> impl ExactSizeIterator<Item = Leg> + 'a {
+        (0..self.waypoints.len() - 1).map(move |i| self.leg(i))
+    }
+
+    /// Leg `i`, the one from waypoint `i` to waypoint `i + 1`.
+    #[inline]
+    pub(crate) fn leg(self, i: usize) -> Leg {
+        let (a, b) = (self.waypoints[i], self.waypoints[i + 1]);
+        Leg::new(a.at, b.at, a.pos, b.pos)
     }
 
     pub fn start_time(self) -> SimTime {
-        self.legs[0].start_time
+        self.waypoints[0].at
     }
 
     pub fn end_time(self) -> SimTime {
-        self.legs[self.legs.len() - 1].end_time
-    }
-
-    pub fn start_position(self) -> Point {
-        self.legs[0].from
+        self.waypoints[self.waypoints.len() - 1].at
     }
 
     /// Index of the leg active at `t` (clamped to the first/last leg):
     /// the last leg starting at or before `t`, so at an instant where
     /// zero-length legs start too, the leg after them.
     pub(crate) fn leg_index_at(self, t: SimTime) -> usize {
+        let last = self.waypoints.len() - 2;
         if t < self.start_time() {
             return 0;
         }
         if t >= self.end_time() {
-            return self.legs.len() - 1;
+            return last;
         }
-        // Binary search on start_time; partition_point yields the first
-        // leg starting strictly after t, so the active leg precedes it.
-        self.legs.partition_point(|leg| leg.start_time <= t) - 1
+        // Binary search on the waypoints' instants; partition_point yields
+        // the first waypoint after t (the final one is), which ends the
+        // active leg.
+        self.waypoints.partition_point(|w| w.at <= t) - 1
     }
 
-    /// [`Self::leg_index_at`] seeded with a cached `hint` index: O(1)
-    /// amortized when query times are non-decreasing (the DES clock),
-    /// falling back to binary search when the hint overshoots `t`. Any
-    /// hint yields the correct index — a stale one only costs speed.
-    pub(crate) fn leg_index_hinted(self, t: SimTime, hint: usize) -> usize {
-        let last = self.legs.len() - 1;
-        let mut i = hint.min(last);
-        if t < self.legs[i].start_time {
+    /// Exact position at `t` from the leg [`Self::leg_index_at`] finds,
+    /// searched from a cached `hint` index and leaving `hint` at that leg:
+    /// O(1) amortized when query times are non-decreasing (the DES clock),
+    /// a binary search when the hint overshoots `t`. Any hint yields the
+    /// same leg — a stale one only costs speed.
+    pub(crate) fn position_hinted(self, t: SimTime, hint: &mut u32) -> Point {
+        let last = self.waypoints.len() - 2;
+        let mut i = (*hint as usize).min(last);
+        if t < self.waypoints[i].at {
             // Backward jump below the hinted leg: resync with a search.
-            return self.leg_index_at(t);
+            i = self.leg_index_at(t);
         }
-        while i < last && self.legs[i + 1].start_time <= t {
+        while i < last && self.waypoints[i + 1].at <= t {
             i += 1;
         }
-        i
+        *hint = i as u32;
+        self.leg(i).position_at(t)
     }
 
     /// The leg active at `t`: the last leg starting at or before `t`, the
     /// first leg before the plan starts. Every position and velocity
     /// lookup, cursor or not, reads this leg.
-    pub fn leg_at(self, t: SimTime) -> &'a Leg {
-        &self.legs[self.leg_index_at(t)]
+    pub fn leg_at(self, t: SimTime) -> Leg {
+        self.leg(self.leg_index_at(t))
     }
 
     /// Exact position at time `t` (clamped outside the plan's interval).
@@ -215,18 +250,14 @@ impl<'a> TrajectoryView<'a> {
         to: SimTime,
     ) -> Vec<(SimTime, SimTime)> {
         let mut merged: Vec<(SimTime, SimTime)> = Vec::new();
-        for leg in self.legs {
-            if leg.end_time < from || leg.start_time > to {
-                continue;
-            }
+        let overlaps = |leg: &Leg| leg.end_time >= from && leg.start_time <= to;
+        for leg in self.legs().filter(overlaps) {
             let transit = if leg.is_pause() || leg.duration().is_zero() {
-                if circle.contains(leg.from) {
-                    Some((leg.start_time, leg.end_time))
-                } else {
-                    None
-                }
+                circle
+                    .contains(leg.from)
+                    .then_some((leg.start_time, leg.end_time))
             } else {
-                match leg.segment().disk_transit(circle) {
+                match Segment::new(leg.from, leg.to).disk_transit(circle) {
                     ia_geo::segment::DiskTransit::Outside => None,
                     ia_geo::segment::DiskTransit::Crossing { enter, exit } => {
                         let dur = leg.duration();

@@ -99,9 +99,8 @@ const ROUNDING: f64 = 1.0 / (1u64 << 40) as f64;
 fn stale_slack(fleet: &Fleet, range: f64) -> f64 {
     let extent = fleet
         .iter()
-        .flat_map(|(_, tr)| tr.legs())
-        .flat_map(|leg| [leg.from, leg.to])
-        .map(|p| p.x.abs().max(p.y.abs()))
+        .flat_map(|(_, tr)| tr.waypoints())
+        .map(|w| w.pos.x.abs().max(w.pos.y.abs()))
         .fold(0.0, f64::max);
     fleet.max_jump() + ROUNDING * (extent + range)
 }
@@ -160,9 +159,9 @@ pub struct Medium {
 /// after the end (where the next leg starts, equal only within
 /// `Trajectory`'s 10⁻⁶ m tolerance) the trajectory is searched.
 #[inline]
-fn current_leg<'a>(stored: &'a Leg, fleet: &'a Fleet, id: u32, now: SimTime) -> &'a Leg {
+fn current_leg(stored: &Leg, fleet: &Fleet, id: u32, now: SimTime) -> Leg {
     if now < stored.end_time {
-        stored
+        *stored
     } else {
         fleet.trajectory(id).leg_at(now)
     }
@@ -297,8 +296,8 @@ impl Medium {
             self.grid
                 .resample(self.config.grid_cell(), fleet.len(), |id, stored| {
                     let leg = match stored {
-                        Some(leg) => *current_leg(leg, fleet, id, now),
-                        None => *fleet.trajectory(id).leg_at(now),
+                        Some(leg) => current_leg(leg, fleet, id, now),
+                        None => fleet.trajectory(id).leg_at(now),
                     };
                     (leg.position_at(now), leg)
                 });
@@ -1225,7 +1224,6 @@ mod prop_tests {
                     2 => fleet
                         .trajectory((raw % n) as u32)
                         .legs()
-                        .iter()
                         .map(|leg| leg.end_time)
                         .find(|&end| end >= now)
                         .map_or(SimDuration::ZERO, |end| end - now),
