@@ -220,40 +220,44 @@ fn cloud(n: usize, phase: u64, out: &mut Vec<Point>) {
 }
 
 /// Once warm, rebuild/query cycles over a point cloud that changes every
-/// phase allocate nothing: the property the radio medium's steady state
-/// depends on (grid rebuilds used to be the one remaining allocation in
-/// the broadcast hot path).
+/// phase allocate nothing, through the sorted query and the unsorted
+/// scan alike: the property the radio medium's steady state depends on
+/// (grid rebuilds used to be the one remaining allocation in the
+/// broadcast hot path).
 #[test]
 fn flat_grid_warm_rebuild_and_query_cycles() {
     let mut grid = FlatGrid::new();
     let mut positions = Vec::new();
-    // A query returns at most n entries; cap the buffer up front so the
-    // assertion tests the grid, not Vec growth heuristics.
+    // A query returns at most n entries, and a scan writes at most one
+    // slot past them; cap both buffers up front so the assertion tests
+    // the grid, not Vec growth heuristics.
     let mut out = Vec::with_capacity(1000);
-    let phase_cycle =
-        |grid: &mut FlatGrid, positions: &mut Vec<Point>, out: &mut Vec<(u32, Point)>, phase| {
-            cloud(1000, phase, positions);
-            grid.rebuild(250.0, positions);
-            for q in 0..16 {
-                let c = Point::new((q * 311 % 5000) as f64, (q * 733 % 5000) as f64);
-                grid.query_disk_into(c, 250.0, out);
-                assert!(out.len() <= 1000);
-            }
-        };
+    let mut scan = Vec::with_capacity(1001);
+    let mut phase_cycle = |grid: &mut FlatGrid, positions: &mut Vec<Point>, phase| {
+        cloud(1000, phase, positions);
+        grid.rebuild(250.0, positions);
+        for q in 0..16 {
+            let c = Point::new((q * 311 % 5000) as f64, (q * 733 % 5000) as f64);
+            grid.query_disk_into(c, 250.0, &mut out);
+            assert!(out.len() <= 1000);
+            let found = grid.scan_disk(c, 250.0, &mut scan);
+            assert_eq!(found, out.len());
+        }
+    };
 
     // Warm-up: size every recycled buffer (offset table, packed arrays,
-    // write heads, the query output) over a few phases.
+    // write heads) over a few phases.
     for phase in 0..4 {
-        phase_cycle(&mut grid, &mut positions, &mut out, phase);
+        phase_cycle(&mut grid, &mut positions, phase);
     }
     let (allocated, ()) = allocations_during(|| {
         for phase in 4..36 {
-            phase_cycle(&mut grid, &mut positions, &mut out, phase);
+            phase_cycle(&mut grid, &mut positions, phase);
         }
     });
     assert_eq!(
         allocated, 0,
-        "warm FlatGrid rebuild/query cycles allocated {allocated} times over 32 phases"
+        "warm FlatGrid rebuild/query/scan cycles allocated {allocated} times over 32 phases"
     );
 }
 
@@ -298,8 +302,9 @@ struct RadioChain {
 
 impl RadioChain {
     /// 1000 Random Waypoint nodes on the paper field, after a warm-up
-    /// pass over every source that sizes the grid, the leg cursors, the
-    /// scratch/outcome buffers, and the peer's ad cache.
+    /// pass over every source that sizes the grid, the medium's leg table
+    /// and candidate buffer (to the most candidates any of these
+    /// broadcasts scans), the outcome buffer and the peer's ad cache.
     fn warm() -> Self {
         let model = RandomWaypoint::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
         let params = GossipParams::paper().shared();
@@ -356,9 +361,10 @@ fn radio_broadcast_into_dispatch() {
     );
 }
 
-/// The same chain with a forced grid rebuild (snapshot resample + CSR
-/// counting sort) before every broadcast: still zero allocations, since
-/// the index and the position snapshot rebuild into recycled buffers.
+/// The same chain with a forced grid rebuild (resample from the leg
+/// table + CSR counting sort) before every broadcast: still zero
+/// allocations, since the index and the leg table rebuild in place and a
+/// fresh grid's candidates fit the warm candidate buffer.
 #[test]
 fn radio_rebuild_broadcast_dispatch() {
     let mut chain = RadioChain::warm();

@@ -7,23 +7,23 @@
 //! cell_start: [0, 2, 2, 5, ...]          one offset per cell, +1 sentinel
 //! ids:        [3, 9,  1, 4, 7, ...]      packed entries, grouped by cell
 //! pos:        [p3, p9, p1, p4, p7, ...]  parallel positions
-//! payload:    [v3, v9, v1, v4, v7, ...]  parallel caller data (`T`)
 //! ```
 //!
-//! A rebuild re-samples every entry in its current packed slot, computes
-//! each entry's cell once, counts entries per cell and then permutes the
-//! packed arrays into cell order in place (cycle by cycle), so a warm
-//! rebuild allocates nothing and needs no second copy of the entries.
-//! The permutation is stable: entries of one cell keep their previous
-//! relative order (ascending id after a first build).
+//! A rebuild re-samples every entry in its current packed slot (bounding
+//! the points as it goes), computes each entry's cell once, counts
+//! entries per cell and then permutes the packed arrays into cell order
+//! in place (cycle by cycle), so a warm rebuild allocates nothing and
+//! needs no second copy of the entries. The permutation is stable:
+//! entries of one cell keep their previous relative order (ascending id
+//! after a first build).
 //!
 //! Cells are row-major, so the cells a disk overlaps in one grid row form
-//! one packed range. [`FlatGrid::scan_disk`] visits the entries of those
-//! ranges that lie inside the disk; the medium filters them further on
-//! the payload it keeps there, and [`FlatGrid::query_disk_into`] collects
-//! them sorted by id. Ids are the dense indices `0..n` of the position
-//! slice, matching the fleet's node ids, and query output is bit-for-bit
-//! a brute-force linear scan's (pinned by the property tests below).
+//! one packed range. [`FlatGrid::scan_disk`] writes the entries of those
+//! ranges that lie inside the disk to the front of a reused buffer, with
+//! no branch on the disk test, and [`FlatGrid::query_disk_into`] sorts
+//! them by id. Ids are the dense indices `0..n` of the position slice,
+//! matching the fleet's node ids, and query output is bit-for-bit a
+//! brute-force linear scan's (pinned by the property tests below).
 //!
 //! The grid owns its memory bound: a rebuild coarsens the requested cell
 //! until the bounding rectangle spans at most `max(4·n, 1024)` cells, so
@@ -40,10 +40,9 @@ fn floor_i32(q: f64) -> i32 {
     i.saturating_sub((q < i as f64) as i32)
 }
 
-/// A dense CSR grid over points with ids `0..n`, each carrying a payload
-/// of type `T` in packed order next to its position.
-#[derive(Debug, Clone)]
-pub struct FlatGrid<T = ()> {
+/// A dense CSR grid over points with ids `0..n`.
+#[derive(Debug, Clone, Default)]
+pub struct FlatGrid {
     cell: f64,
     /// Cell-coordinate origin of the bounded rectangle.
     min_cx: i32,
@@ -58,27 +57,8 @@ pub struct FlatGrid<T = ()> {
     ids: Vec<u32>,
     /// Packed entry positions, parallel to `ids`.
     pos: Vec<Point>,
-    /// Packed caller payloads, parallel to `ids`.
-    payload: Vec<T>,
     /// Rebuild scratch, one per entry: its cell, then its new slot.
     dest: Vec<u32>,
-}
-
-impl<T> Default for FlatGrid<T> {
-    fn default() -> Self {
-        FlatGrid {
-            cell: 0.0,
-            min_cx: 0,
-            min_cy: 0,
-            ncx: 0,
-            ncy: 0,
-            cell_start: Vec::new(),
-            ids: Vec::new(),
-            pos: Vec::new(),
-            payload: Vec::new(),
-            dest: Vec::new(),
-        }
-    }
 }
 
 impl FlatGrid {
@@ -101,11 +81,9 @@ impl FlatGrid {
     /// point cloud perform **zero allocations** (asserted by the
     /// counting-allocator tests in `crates/experiments/tests/zero_alloc.rs`).
     pub fn rebuild(&mut self, cell: f64, positions: &[Point]) {
-        self.resample(cell, positions.len(), |id, _| (positions[id as usize], ()));
+        self.resample(cell, positions.len(), |id| positions[id as usize]);
     }
-}
 
-impl<T> FlatGrid<T> {
     /// Number of stored points.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -129,47 +107,41 @@ impl<T> FlatGrid<T> {
     /// Re-sample all `n` entries, then re-sort them into cells of side
     /// `cell` (coarsened to the cell budget as in [`FlatGrid::rebuild`]).
     ///
-    /// `sample(id, previous)` returns entry `id`'s position and payload;
-    /// `previous` is the payload the entry carried before, or `None` when
-    /// the grid held a different number of entries (the first build).
-    /// Entries are sampled in their current packed order.
-    pub fn resample(
-        &mut self,
-        cell: f64,
-        n: usize,
-        mut sample: impl FnMut(u32, Option<&T>) -> (Point, T),
-    ) {
+    /// `sample(id)` returns entry `id`'s position. Entries are sampled in
+    /// their current packed order, or in id order when the grid held a
+    /// different number of entries (the first build).
+    pub fn resample(&mut self, cell: f64, n: usize, mut sample: impl FnMut(u32) -> Point) {
         assert!(cell > 0.0 && cell.is_finite(), "grid cell must be positive");
-        if self.ids.len() == n {
-            for s in 0..n {
-                let (p, v) = sample(self.ids[s], Some(&self.payload[s]));
-                self.pos[s] = p;
-                self.payload[s] = v;
-            }
-        } else {
+        if self.ids.len() != n {
             self.ids.clear();
             self.pos.clear();
-            self.payload.clear();
             self.dest.clear();
             // Exact capacities: these buffers live as long as the grid.
             self.ids.reserve_exact(n);
             self.pos.reserve_exact(n);
-            self.payload.reserve_exact(n);
             self.dest.reserve_exact(n);
-            for id in 0..n as u32 {
-                let (p, v) = sample(id, None);
-                self.ids.push(id);
-                self.pos.push(p);
-                self.payload.push(v);
-            }
+            self.ids.extend(0..n as u32);
+            self.pos.resize(n, Point::ORIGIN);
         }
-        self.sort_into_cells(cell);
+        // The bounding box, taken as the entries are sampled.
+        let (mut lo, mut hi) = (
+            Point::new(f64::INFINITY, f64::INFINITY),
+            Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        );
+        for (&id, p) in self.ids.iter().zip(&mut self.pos) {
+            *p = sample(id);
+            debug_assert!(p.is_finite(), "non-finite point");
+            lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+            hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+        }
+        self.sort_into_cells(cell, lo, hi);
     }
 
-    /// Bound the packed positions, size the cell rectangle, then move
-    /// every entry to its cell's packed range: a counting sort whose
-    /// scatter is an in-place, stable permutation.
-    fn sort_into_cells(&mut self, cell: f64) {
+    /// Size the cell rectangle over the bounding box `lo..=hi` of the
+    /// packed positions, then move every entry to its cell's packed
+    /// range: a counting sort whose scatter is an in-place, stable
+    /// permutation.
+    fn sort_into_cells(&mut self, cell: f64, lo: Point, hi: Point) {
         let n = self.ids.len();
         self.cell_start.clear();
         self.dest.clear();
@@ -178,14 +150,8 @@ impl<T> FlatGrid<T> {
             (self.min_cx, self.min_cy, self.ncx, self.ncy) = (0, 0, 0, 0);
             return;
         }
-        // Bounding box, then the cell: coarsened until the bounding cell
-        // rectangle fits the budget.
-        let (mut lo, mut hi) = (self.pos[0], self.pos[0]);
-        for &p in &self.pos[1..] {
-            debug_assert!(p.is_finite(), "non-finite point");
-            lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
-            hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
-        }
+        // The cell, coarsened until the bounding cell rectangle fits the
+        // budget.
         let budget = (4 * n).max(1024) as f64;
         let cells = |c: f64, lo: f64, hi: f64| (hi / c).floor() - (lo / c).floor() + 1.0;
         let mut cell = cell;
@@ -236,51 +202,68 @@ impl<T> FlatGrid<T> {
                 }
                 self.ids.swap(s, d);
                 self.pos.swap(s, d);
-                self.payload.swap(s, d);
                 self.dest.swap(s, d);
             }
         }
     }
 
-    /// Visit every entry within `radius` of `center` (inclusive boundary,
-    /// with `EPS` slack): `visit(id, position, payload)`, in packed order.
-    /// The one disk scan; [`FlatGrid::query_disk_into`] wraps it.
+    /// Write every `(id, position)` within `radius` of `center`
+    /// (inclusive boundary, with `EPS` slack) to the front of `buf`, in
+    /// packed order, and return how many there are. The one disk scan;
+    /// [`FlatGrid::query_disk_into`] sorts its output.
+    ///
+    /// Every entry of the disk's row ranges is written at the next free
+    /// slot, and the count advances by the disk test's result, so the
+    /// scan has no branch on where an entry lies. `buf` is scratch: its
+    /// entries past the count are left over, and it only grows, one slot
+    /// at a time, to one more than the most entries a scan has found.
     #[inline]
-    pub fn scan_disk(&self, center: Point, radius: f64, mut visit: impl FnMut(u32, Point, &T)) {
+    pub fn scan_disk(&self, center: Point, radius: f64, buf: &mut Vec<(u32, Point)>) -> usize {
         if radius < 0.0 || self.ids.is_empty() {
-            return;
+            return 0;
         }
-        let r_sq = radius * radius;
+        let r_sq = radius * radius + crate::EPS;
+        // How far an entry that passes the disk test can lie along an
+        // axis: `radius + √EPS`, padded by 16 unit roundoffs of it and of
+        // the centre for the rounding of the test and of the cell bounds.
+        // `x / cell` is monotone in `x`, so the cells cover every such
+        // entry, on a cell edge too.
+        let pad = 1.0 / (1u64 << 48) as f64;
+        let reach =
+            (radius + crate::EPS.sqrt()) * (1.0 + pad) + pad * center.x.abs().max(center.y.abs());
         // Clamp the disk's cell range to the bounded rectangle; cells
         // outside it are empty by construction.
-        let cx0 = floor_i32((center.x - radius) / self.cell).max(self.min_cx);
-        let cx1 = floor_i32((center.x + radius) / self.cell).min(self.min_cx + self.ncx as i32 - 1);
-        let cy0 = floor_i32((center.y - radius) / self.cell).max(self.min_cy);
-        let cy1 = floor_i32((center.y + radius) / self.cell).min(self.min_cy + self.ncy as i32 - 1);
+        let cx0 = floor_i32((center.x - reach) / self.cell).max(self.min_cx);
+        let cx1 = floor_i32((center.x + reach) / self.cell).min(self.min_cx + self.ncx as i32 - 1);
+        let cy0 = floor_i32((center.y - reach) / self.cell).max(self.min_cy);
+        let cy1 = floor_i32((center.y + reach) / self.cell).min(self.min_cy + self.ncy as i32 - 1);
         if cx0 > cx1 || cy0 > cy1 {
-            return;
+            return 0;
         }
+        let mut found = 0;
         for cy in cy0..=cy1 {
             let row = self.cell_index(cx0, cy);
-            let (s, e) = (
-                self.cell_start[row] as usize,
-                self.cell_start[row + (cx1 - cx0) as usize + 1] as usize,
-            );
-            for i in s..e {
-                let p = self.pos[i];
-                if center.distance_sq(p) <= r_sq + crate::EPS {
-                    visit(self.ids[i], p, &self.payload[i]);
+            let range = self.cell_start[row] as usize
+                ..self.cell_start[row + (cx1 - cx0) as usize + 1] as usize;
+            for (&id, &p) in self.ids[range.clone()].iter().zip(&self.pos[range]) {
+                if found == buf.len() {
+                    // Exact growth: the buffer lives as long as its owner.
+                    buf.reserve_exact(1);
+                    buf.push((0, Point::ORIGIN));
                 }
+                buf[found] = (id, p);
+                found += (center.distance_sq(p) <= r_sq) as usize;
             }
         }
+        found
     }
 
     /// Collect all `(id, position)` entries within `radius` of `center`
-    /// (inclusive boundary, with `EPS` slack) into `out`, cleared first,
-    /// in ascending id order.
+    /// (inclusive boundary, with `EPS` slack) into `out`, in ascending id
+    /// order.
     pub fn query_disk_into(&self, center: Point, radius: f64, out: &mut Vec<(u32, Point)>) {
-        out.clear();
-        self.scan_disk(center, radius, |id, p, _| out.push((id, p)));
+        let found = self.scan_disk(center, radius, out);
+        out.truncate(found);
         // Ids are unique, so the order is total and the output matches a
         // linear scan's.
         out.sort_unstable_by_key(|&(id, _)| id);
@@ -485,7 +468,8 @@ mod prop_tests {
             }
         }
 
-        /// FlatGrid agrees bitwise with a brute-force linear scan.
+        /// `query_disk_into` agrees bitwise with a brute-force linear
+        /// scan, id order included.
         #[test]
         fn matches_brute_force(
             pts in proptest::collection::vec((-500.0..500.0f64, -500.0..500.0f64), 0..200),
@@ -505,6 +489,70 @@ mod prop_tests {
                 .map(|(i, &p)| (i as u32, p))
                 .collect();
             prop_assert_eq!(got, want);
+        }
+
+        /// `scan_disk` finds exactly the `(id, position)` pairs of a
+        /// brute-force linear scan, compared as sets, through one reused
+        /// buffer: radius 0 and negative radii, disks spanning many grid
+        /// rows, and points and centres on cell edges (lattice points at
+        /// whole multiples of the cell, duplicates among them). The buffer
+        /// never grows past one more than the most entries found.
+        #[test]
+        fn scan_matches_brute_force_as_a_set(
+            pts in proptest::collection::vec(
+                prop_oneof![
+                    (-500.0..500.0f64, -500.0..500.0f64),
+                    (-8i32..8, -8i32..8).prop_map(|(i, j)| (i as f64, j as f64)),
+                ],
+                0..200,
+            ),
+            queries in proptest::collection::vec(
+                (
+                    prop_oneof![
+                        (-500.0..500.0f64, -500.0..500.0f64),
+                        (-8i32..8, -8i32..8).prop_map(|(i, j)| (i as f64, j as f64)),
+                    ],
+                    prop_oneof![
+                        Just(0.0),
+                        -300.0..0.0f64,
+                        0.0..400.0f64,
+                        400.0..2000.0f64,
+                        (0i32..8).prop_map(f64::from),
+                    ],
+                ),
+                1..12,
+            ),
+            cell in prop_oneof![1.0..300.0f64, (1i32..100).prop_map(f64::from)],
+        ) {
+            // Lattice coordinates are whole multiples of the cell, so they
+            // lie on cell edges; so do lattice radii.
+            let at = |(x, y): (f64, f64)| {
+                if x.fract() == 0.0 && y.fract() == 0.0 && x.abs() < 8.0 && y.abs() < 8.0 {
+                    Point::new(x * cell, y * cell)
+                } else {
+                    Point::new(x, y)
+                }
+            };
+            let positions: Vec<Point> = pts.iter().map(|&p| at(p)).collect();
+            let grid = FlatGrid::build(cell, &positions);
+            let (mut buf, mut most) = (Vec::new(), 0);
+            for &(c, r) in &queries {
+                let (center, radius) = (at(c), if r.fract() == 0.0 { r * cell } else { r });
+                let found = grid.scan_disk(center, radius, &mut buf);
+                let mut got = buf[..found].to_vec();
+                got.sort_unstable_by_key(|&(id, _)| id);
+                let want: Vec<(u32, Point)> = positions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| {
+                        radius >= 0.0 && center.distance_sq(**p) <= radius * radius + crate::EPS
+                    })
+                    .map(|(i, &p)| (i as u32, p))
+                    .collect();
+                prop_assert_eq!(got, want, "centre {:?}, radius {}", center, radius);
+                most = most.max(found);
+                prop_assert!(buf.len() <= most + 1, "{} slots for {} found", buf.len(), most);
+            }
         }
 
         /// Rebuilding over fresh positions matches a from-scratch build.

@@ -13,9 +13,8 @@
 //!   Gossiping-2 postponement rule (formula 4).
 //! * [`Rect`] — the rectangular simulation field.
 //! * [`FlatGrid`] — a flat CSR-layout spatial index over dense-id points,
-//!   each with a caller payload, with in-place (allocation-free) rebuilds
-//!   and one disk scan; the neighbour lookup behind every wireless
-//!   broadcast.
+//!   with in-place (allocation-free) rebuilds and one branch-free disk
+//!   scan; the neighbour lookup behind every wireless broadcast.
 
 pub mod angle;
 pub mod circle;

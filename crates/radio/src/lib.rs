@@ -12,11 +12,14 @@
 //! provided for robustness experiments.
 //!
 //! Performance: neighbour lookup uses a flat CSR spatial index
-//! (`ia_geo::FlatGrid`) rebuilt in place at a bounded staleness, holding
-//! each node's current trajectory leg next to its position; candidates
-//! are *exact-checked* at their position on that leg, so results are
-//! exact while broadcasts stay `O(neighbours)` and the steady state —
-//! grid rebuilds included — allocates nothing.
+//! (`ia_geo::FlatGrid`) of node ids and positions, rebuilt in place at a
+//! bounded staleness, while the medium keeps each node's current
+//! trajectory leg in a table indexed by node id. A query is two passes
+//! with no branch on where a node lies: the grid writes the entries of a
+//! widened disk into one reused buffer, and each candidate is
+//! *exact-checked* at its position on its leg, so results are exact while
+//! broadcasts stay `O(neighbours)` and the steady state — grid rebuilds
+//! included — allocates nothing.
 
 pub mod config;
 pub mod contention;

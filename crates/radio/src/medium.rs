@@ -112,21 +112,26 @@ fn stale_slack(fleet: &Fleet, range: f64) -> f64 {
 /// schedules the resulting [`Delivery`] records as receive events,
 /// surfacing the accompanying drops through its suppression hook.
 ///
-/// One medium serves one fleet, at non-decreasing times: its grid keeps
-/// the legs it read from the fleet of its first broadcast.
+/// One medium serves one fleet, at non-decreasing times: it keeps the
+/// legs it read from the fleet of its first broadcast.
 pub struct Medium {
     config: RadioConfig,
     stats: TrafficStats,
-    /// Flat CSR spatial index over every node's position at
+    /// Flat CSR spatial index of every node's id and position at
     /// `grid_built_at`, rebuilt in place (no steady-state allocations) at
-    /// a bounded staleness. Each entry carries the node's trajectory leg
-    /// at that instant, in packed order next to the position.
-    grid: FlatGrid<Leg>,
+    /// a bounded staleness. A rebuild permutes 24 bytes per node (id,
+    /// position and its scratch slot); the legs stay put in `legs`.
+    grid: FlatGrid,
+    /// Per node id, its trajectory leg at `grid_built_at`: a stale
+    /// candidate's exact position is one interpolation on it while it
+    /// lasts.
+    legs: Vec<Leg>,
     /// When the grid was sampled; `None` before the first broadcast.
     grid_built_at: Option<SimTime>,
-    /// `(exact position, distance)` of every node in range of the last
-    /// query's centre, in scan order.
-    hits: Vec<(Point, f64)>,
+    /// The one query buffer: the grid's candidates `(id, grid position)`
+    /// in scan order, then, at its front, `(id, exact position)` of every
+    /// node in range of the last query's centre.
+    hits: Vec<(u32, Point)>,
     /// One bit per node id, set for the last query's hits: walking the
     /// words in order yields them in id order. The walk clears them.
     hit_bits: Vec<u64>,
@@ -154,7 +159,7 @@ pub struct Medium {
     grid_candidates: u64,
 }
 
-/// Node `id`'s leg at `now`, given the leg the grid stored for it: that
+/// Node `id`'s leg at `now`, given the leg the medium stored for it: that
 /// leg is still the current one while `now` is before its end. At or
 /// after the end (where the next leg starts, equal only within
 /// `Trajectory`'s 10⁻⁶ m tolerance) the trajectory is searched.
@@ -173,7 +178,8 @@ impl Medium {
         Medium {
             config,
             stats: TrafficStats::new(),
-            grid: FlatGrid::default(),
+            grid: FlatGrid::new(),
+            legs: Vec::new(),
             grid_built_at: None,
             hits: Vec::new(),
             hit_bits: Vec::new(),
@@ -261,8 +267,8 @@ impl Medium {
     /// return identical outcomes (pinned by the determinism goldens and
     /// `adaptive_refresh_is_outcome_identical` below).
     ///
-    /// A rebuild re-samples each node in its packed slot: from the leg it
-    /// stored there while that leg lasts, from its trajectory otherwise.
+    /// A rebuild re-samples each node in its packed slot: from the leg
+    /// stored for it while that leg lasts, from its trajectory otherwise.
     /// The grid is then re-sorted in place — a warm rebuild allocates
     /// nothing.
     ///
@@ -293,14 +299,18 @@ impl Medium {
             None => true,
         };
         if needs_rebuild {
-            self.grid
-                .resample(self.config.grid_cell(), fleet.len(), |id, stored| {
-                    let leg = match stored {
-                        Some(leg) => current_leg(leg, fleet, id, now),
-                        None => fleet.trajectory(id).leg_at(now),
-                    };
-                    (leg.position_at(now), leg)
-                });
+            let n = fleet.len();
+            if self.legs.len() != n {
+                self.legs = (0..n as u32)
+                    .map(|id| fleet.trajectory(id).leg_at(now))
+                    .collect();
+            }
+            let legs = &mut self.legs;
+            self.grid.resample(self.config.grid_cell(), n, |id| {
+                let leg = &mut legs[id as usize];
+                *leg = current_leg(leg, fleet, id, now);
+                leg.position_at(now)
+            });
             self.grid_built_at = Some(now);
             self.grid_rebuilds += 1;
             self.queries_since_rebuild = 0;
@@ -317,6 +327,11 @@ impl Medium {
     /// exact position. Candidates come from the (possibly stale) grid with
     /// a widened radius, then are filtered against exact positions at
     /// `now` — so fresh and stale grids give identical results.
+    ///
+    /// Both passes are branch-free on where a node lies: the grid writes
+    /// every entry of the disk's row ranges and keeps those inside it,
+    /// and the exact check writes every candidate back over the front of
+    /// the same buffer, advancing by `distance <= range && id != center`.
     fn query_range(&mut self, fleet: &Fleet, now: SimTime, center: u32) -> Point {
         let (built_at, speed, slack) = self.refresh_grid(fleet, now);
         let fresh = built_at == now;
@@ -330,32 +345,28 @@ impl Medium {
         };
         let center_pos = fleet.trajectory(center).leg_at(now).position_at(now);
         let range = self.config.range;
-        let (hits, bits, slots, candidates) = (
-            &mut self.hits,
-            &mut self.hit_bits,
-            &mut self.hit_slot,
-            &mut self.grid_candidates,
-        );
-        hits.clear();
-        self.grid
-            .scan_disk(center_pos, range + margin, |id, pos, leg| {
-                if id == center {
-                    return;
-                }
-                *candidates += 1;
-                // On a fresh grid the sampled position is the exact one.
-                let pos = if fresh {
-                    pos
-                } else {
-                    current_leg(leg, fleet, id, now).position_at(now)
-                };
-                let distance = center_pos.distance(pos);
-                if distance <= range {
-                    bits[id as usize / 64] |= 1 << (id % 64);
-                    slots[id as usize] = hits.len() as u32;
-                    hits.push((pos, distance));
-                }
-            });
+        let found = self
+            .grid
+            .scan_disk(center_pos, range + margin, &mut self.hits);
+        let (mut hit, mut others) = (0, 0);
+        for k in 0..found {
+            let (id, pos) = self.hits[k];
+            // On a fresh grid the sampled position is the exact one.
+            let pos = if fresh {
+                pos
+            } else {
+                current_leg(&self.legs[id as usize], fleet, id, now).position_at(now)
+            };
+            let other = id != center;
+            let in_range = (center_pos.distance(pos) <= range) & other;
+            // `hit <= k`: the write never overtakes the candidates unread.
+            self.hits[hit] = (id, pos);
+            self.hit_slot[id as usize] = hit as u32;
+            self.hit_bits[id as usize / 64] |= (in_range as u64) << (id % 64);
+            hit += in_range as usize;
+            others += other as u64;
+        }
+        self.grid_candidates += others;
         center_pos
     }
 
@@ -402,7 +413,9 @@ impl Medium {
             while word != 0 {
                 let id = (w * 64) as u32 + word.trailing_zeros();
                 word &= word - 1;
-                let (pos, distance) = self.hits[self.hit_slot[id as usize] as usize];
+                let (_, pos) = self.hits[self.hit_slot[id as usize] as usize];
+                // Bitwise the distance the range check compared.
+                let distance = sender_pos.distance(pos);
                 let reason = if aloha
                     && self
                         .tx_log
@@ -1082,6 +1095,45 @@ mod tests {
         assert_eq!(medium.grid_rebuilds(), 1, "served from the 0 s grid");
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(out.deliveries[0].distance, 250.0);
+    }
+
+    /// The centre is never a hit and never a candidate, even where
+    /// another node shares its point, and `grid_candidates` grows by
+    /// exactly the other entries inside the widened disk, on a fresh and
+    /// on a stale grid. The exact check folds both tests into masks, so
+    /// nothing else pins them.
+    #[test]
+    fn the_centre_is_no_hit_and_candidates_fill_the_widened_disk() {
+        // Nodes 2 and 4 share the origin; the rest lie 100 m out, at
+        // exactly the range, 10 m past it and 30 m past it.
+        let fleet = static_fleet(&[
+            (100.0, 0.0),
+            (0.0, 250.0),
+            (0.0, 0.0),
+            (260.0, 0.0),
+            (0.0, 0.0),
+            (-280.0, 0.0),
+        ]);
+        let mut medium = Medium::new(RadioConfig::paper());
+        medium.set_fleet_speed_bound(10.0);
+        let mut rng = SimRng::from_master(24);
+        let mut heard = |medium: &mut Medium, secs, src| {
+            let before = medium.grid_candidates();
+            let out = send(medium, &fleet, secs, src, 10, &mut rng);
+            assert!(out.drops.is_empty());
+            let to: Vec<u32> = out.deliveries.iter().map(|d| d.to).collect();
+            (to, medium.grid_candidates() - before)
+        };
+        // Fresh: the disk is the range, and its other entries are the hits.
+        assert_eq!(heard(&mut medium, 0.0, 2), (vec![0, 1, 4], 3));
+        assert_eq!(heard(&mut medium, 0.0, 4), (vec![0, 1, 2], 3));
+        // Stale by 2 s: the disk widens by a 20 m drift (and a rounding
+        // slack), so node 3 is a candidate too but no hit; node 5 is
+        // neither.
+        assert_eq!(heard(&mut medium, 2.0, 2), (vec![0, 1, 4], 4));
+        assert_eq!(heard(&mut medium, 2.0, 4), (vec![0, 1, 2], 4));
+        assert_eq!(medium.grid_rebuilds(), 1, "the 0 s grid serves 2 s");
+        assert_eq!(medium.stats().receptions, 12);
     }
 
     #[test]
