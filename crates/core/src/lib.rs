@@ -45,6 +45,6 @@ pub use ids::{AdId, PeerId};
 pub use interest::UserProfile;
 pub use params::{GossipParams, SharedParams};
 pub use protocol::{
-    build_protocol, Action, ActionSink, AdMessage, EntryWake, Motion, PeerContext, Protocol,
-    ProtocolKind, RxMeta,
+    build_protocol, Action, ActionSink, AdMessage, CopyFate, EntryWake, Motion, PeerContext,
+    Protocol, ProtocolKind, RxMeta,
 };

@@ -25,7 +25,8 @@
 //!   across protocols; a receipt that is not relayed copies nothing.
 
 use super::{
-    Action, ActionSink, AdMessage, EntryWake, PeerContext, Protocol, ProtocolKind, RxMeta,
+    Action, ActionSink, AdMessage, CopyFate, EntryWake, FloodInfo, PeerContext, Protocol,
+    ProtocolKind, RxMeta,
 };
 use crate::ad::Advertisement;
 use crate::ids::AdId;
@@ -184,6 +185,24 @@ impl Protocol for RestrictedFlooding {
                     flood.radius,
                 )));
             }
+        }
+    }
+
+    /// A wave this peer has relayed, of an ad it has received, changes
+    /// nothing on arrival: both sets only grow, restarts included.
+    fn on_copy_sent(
+        &mut self,
+        _ctx: &mut PeerContext<'_>,
+        msg: &AdMessage,
+        _meta: &RxMeta,
+        _arrives: bool,
+    ) -> CopyFate {
+        let id = msg.ad.id;
+        let relayed = |flood: FloodInfo| self.relayed.get(&id).is_some_and(|&w| w >= flood.wave);
+        if msg.flood.is_some_and(relayed) && self.received.contains(&id) {
+            CopyFate::Skip
+        } else {
+            CopyFate::Queue
         }
     }
 
@@ -422,6 +441,42 @@ mod tests {
                 .iter()
                 .any(|a| matches!(a, Action::Broadcast(_)))
         );
+    }
+
+    /// A wave is skipped when its frame is sent only once this peer has
+    /// received the ad and relayed that wave or a later one, which a
+    /// restart keeps; a newer wave, gossip traffic and an issuer's own
+    /// first wave back are queued.
+    #[test]
+    fn relayed_waves_are_skipped_when_sent() {
+        let mut p = RestrictedFlooding::new(params(), UserProfile::indifferent(2));
+        let inside = Point::new(2600.0, 2500.0);
+        let sender = meta(5, Point::new(2550.0, 2500.0));
+        let wave = |w| AdMessage::flood(mk_ad(0), w, 1000.0);
+        let mut env = Env::new();
+        let mut fate = |p: &mut RestrictedFlooding, m: &AdMessage| {
+            p.on_copy_sent(&mut env.ctx(30.0, inside), m, &sender, true)
+        };
+        assert_eq!(fate(&mut p, &wave(3)), CopyFate::Queue, "nothing received");
+        let mut c = Env::new();
+        let mut c = c.ctx(20.0, inside);
+        ActionSink::collect(|out| p.on_receive(&mut c, &wave(3), &sender, out));
+        for w in [2, 3] {
+            assert_eq!(fate(&mut p, &wave(w)), CopyFate::Skip, "wave {w}");
+        }
+        assert_eq!(fate(&mut p, &wave(4)), CopyFate::Queue, "a newer wave");
+        let gossip = AdMessage::gossip(mk_ad(0));
+        assert_eq!(fate(&mut p, &gossip), CopyFate::Queue, "gossip traffic");
+        let mut c = Env::new();
+        let mut c = c.ctx(40.0, inside);
+        ActionSink::collect(|out| p.on_start(&mut c, out));
+        assert_eq!(fate(&mut p, &wave(3)), CopyFate::Skip, "after a restart");
+
+        let mut issuer = RestrictedFlooding::new(params(), UserProfile::indifferent(2));
+        let mut c = Env::new();
+        let mut c = c.ctx(10.0, inside);
+        ActionSink::collect(|out| issuer.issue(&mut c, mk_ad(0), out));
+        assert_eq!(fate(&mut issuer, &wave(0)), CopyFate::Queue, "the issuer");
     }
 
     #[test]

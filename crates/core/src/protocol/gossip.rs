@@ -43,9 +43,14 @@
 //! position. A duplicate reads it only to postpone (mechanism (2)): under
 //! Algorithms 1–2 it merges the sketches and, if R or D grew, re-plans
 //! from future fixes.
+//!
+//! Most duplicates are settled when their frame is sent
+//! ([`Protocol::on_copy_sent`]): under Algorithms 1–2 a covered copy is
+//! skipped, and under Algorithms 3–4 a postponement whose outcome is
+//! already fixed is applied then, from the fix and velocity at its arrival.
 
 use super::{
-    Action, ActionSink, AdMessage, EntryWake, PeerContext, Protocol, ProtocolKind, RxMeta,
+    Action, ActionSink, AdMessage, CopyFate, EntryWake, PeerContext, Protocol, ProtocolKind, RxMeta,
 };
 use crate::ad::Advertisement;
 use crate::cache::{AdCache, CacheEntry};
@@ -416,6 +421,55 @@ fn arm(entry: &mut CacheEntry, now: SimTime, out: &mut ActionSink) {
     }
 }
 
+/// Mechanism (2): postpone the entry's next gossip (Algorithm 3) for a
+/// duplicate heard now from `sender_pos`. The grid restarts `interval`
+/// after the tick that was pending. Its first tick is not evaluated
+/// ahead: the wake-up there runs it (and plans on from it), so a burst of
+/// duplicates costs no look-ahead.
+fn postpone_entry(
+    entry: &mut CacheEntry,
+    ctx: &mut PeerContext<'_>,
+    sender_pos: Point,
+    round: SimDuration,
+    range: f64,
+) {
+    let now = ctx.now;
+    let interval = postpone::postponement(round, ctx.position(), ctx.velocity(), sender_pos, range);
+    entry.next_time = pending_tick(entry, now, round).max(now) + interval;
+    entry.wake = entry.next_time;
+}
+
+/// `Gossip::on_copy_sent` under mechanism (2): apply the duplicate as
+/// `on_receive` would at the arrival, if that is settled. Out of line, so
+/// the common covered answer stays a small call.
+#[inline(never)]
+fn apply_settled(
+    entry: &mut CacheEntry,
+    ctx: &mut PeerContext<'_>,
+    msg: &AdMessage,
+    sender_pos: Point,
+    arrives: bool,
+    round: SimDuration,
+    range: f64,
+) -> CopyFate {
+    let arrival = ctx.now;
+    let settled = arrives
+        && arrival < entry.queued
+        && entry.queued <= entry.next_time
+        && msg.ad.duration <= entry.ad.duration
+        && !msg.ad.expired(arrival)
+        && !entry.ad.expired(arrival);
+    if !settled {
+        return CopyFate::Queue;
+    }
+    entry.ad.absorb(&msg.ad);
+    postpone_entry(entry, ctx, sender_pos, round, range);
+    // `arm` would queue nothing: the queued wake-up still pops after the
+    // arrival and no later than the planned tick.
+    debug_assert!(arrival < entry.queued && entry.queued <= entry.wake);
+    CopyFate::Applied
+}
+
 /// The first tick strictly after `t` of the grid `origin + k·round`,
 /// `k >= 0` (`origin` itself when it lies after `t`).
 fn grid_tick_after(origin: SimTime, t: SimTime, round: SimDuration) -> SimTime {
@@ -548,20 +602,7 @@ impl Protocol for Gossip {
             let (radius, duration) = (entry.ad.radius, entry.ad.duration);
             entry.ad.absorb(&msg.ad);
             if self.postpone {
-                // Mechanism (2): postpone this entry's next gossip
-                // (Algorithm 3). The grid restarts `interval` after the
-                // tick that was pending. Its first tick is not evaluated
-                // ahead: the wake-up there runs it (and plans on from it),
-                // so a burst of duplicates costs no look-ahead.
-                let interval = postpone::postponement(
-                    round,
-                    ctx.position(),
-                    ctx.velocity(),
-                    meta.sender_pos,
-                    self.range,
-                );
-                entry.next_time = pending_tick(entry, now, round).max(now) + interval;
-                entry.wake = entry.next_time;
+                postpone_entry(entry, ctx, meta.sender_pos, round, self.range);
                 arm(entry, now, out);
             } else if (entry.ad.radius, entry.ad.duration) != (radius, duration) {
                 // A larger R or D changes every tick's probability from
@@ -613,16 +654,38 @@ impl Protocol for Gossip {
         EntryWake::Fire
     }
 
-    /// A duplicate only merges (no postponement), so it changes nothing
-    /// when the cached copy covers it. Same or later issue instant: the
-    /// copy then expires no earlier than the message.
-    fn covers(&self, msg: &AdMessage) -> bool {
-        !self.postpone
-            && msg.flood.is_none()
-            && self
+    /// Without mechanism (2), skip a copy the cached one covers and that
+    /// was issued no later. With it, apply the duplicate if the arrival
+    /// runs, neither copy has expired by then, the message's `D` is no
+    /// larger and the entry's queued wake-up falls after the arrival and
+    /// no later than `next_time`: `on_receive` then only absorbs and adds
+    /// its postponement, and queues nothing (DESIGN.md §10).
+    fn on_copy_sent(
+        &mut self,
+        ctx: &mut PeerContext<'_>,
+        msg: &AdMessage,
+        meta: &RxMeta,
+        arrives: bool,
+    ) -> CopyFate {
+        if msg.flood.is_some() {
+            return CopyFate::Queue;
+        }
+        if !self.postpone {
+            let covered = self
                 .cache
                 .get(msg.ad.id)
-                .is_some_and(|e| e.ad.issue_time >= msg.ad.issue_time && e.ad.covers(&msg.ad))
+                .is_some_and(|e| e.ad.issue_time >= msg.ad.issue_time && e.ad.covers(&msg.ad));
+            return if covered {
+                CopyFate::Skip
+            } else {
+                CopyFate::Queue
+            };
+        }
+        let Some(entry) = self.cache.get_mut(msg.ad.id) else {
+            return CopyFate::Queue;
+        };
+        let round = self.params.round_time;
+        apply_settled(entry, ctx, msg, meta.sender_pos, arrives, round, self.range)
     }
 
     fn holds(&self, ad: AdId) -> bool {
@@ -775,33 +838,124 @@ mod tests {
         .is_empty());
     }
 
-    /// Only a peer that merges duplicates without postponing covers a
-    /// message, and only with a cached copy issued no later that holds
-    /// everything the message carries; never a flooding wave.
+    /// Only a peer that merges duplicates without postponing skips a copy
+    /// when its frame is sent, and only with a cached copy issued no later
+    /// that holds everything the message carries; never a flooding wave.
     #[test]
     fn covers_needs_a_covering_copy_and_no_postponement() {
         let pos = Point::new(2600.0, 2500.0);
         let msg = AdMessage::gossip(mk_ad(0));
+        // `arrives` is false, so a postponing peer applies nothing.
+        let mut env = Env::new();
+        let mut fate = |g: &mut Gossip, m: &AdMessage| {
+            g.on_copy_sent(&mut env.ctx(20.5, pos), m, &meta_at(pos), false)
+        };
         for (annular, postpone) in [(false, false), (true, false), (false, true), (true, true)] {
             let profile = UserProfile::indifferent(1);
             let mut g = Gossip::with_flags(params(), RANGE, profile, 0, annular, postpone);
             let kind = g.kind();
-            assert_eq!(kind.duplicates_only_merge(), !postpone);
-            assert!(!g.covers(&msg), "{kind}: nothing cached yet");
-            let mut env = Env::new();
-            let mut c = env.ctx(20.0, pos);
+            assert_eq!(
+                fate(&mut g, &msg),
+                CopyFate::Queue,
+                "{kind}: nothing cached"
+            );
+            let mut c = Env::new();
+            let mut c = c.ctx(20.0, pos);
             ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(pos), out));
-            assert_eq!(g.covers(&msg), !postpone, "{kind}");
+            let covered = if postpone {
+                CopyFate::Queue
+            } else {
+                CopyFate::Skip
+            };
+            assert_eq!(fate(&mut g, &msg), covered, "{kind}");
             let mut richer = msg.clone();
             richer.ad.sketches.insert(42);
-            assert!(!g.covers(&richer), "{kind}: a new sketch bit");
+            assert_eq!(fate(&mut g, &richer), CopyFate::Queue, "{kind}: a new bit");
             let mut later = msg.clone();
             later.ad.issue_time = SimTime::from_secs(11.0);
-            assert!(!g.covers(&later), "{kind}: issued later");
+            assert_eq!(
+                fate(&mut g, &later),
+                CopyFate::Queue,
+                "{kind}: issued later"
+            );
             let wave = AdMessage::flood(mk_ad(0), 1, 1000.0);
-            assert!(!g.covers(&wave), "{kind}: a flooding wave");
+            assert_eq!(
+                fate(&mut g, &wave),
+                CopyFate::Queue,
+                "{kind}: a flooding wave"
+            );
         }
-        assert!(!ProtocolKind::Flooding.duplicates_only_merge());
+    }
+
+    /// A postponing peer's duplicate applied when its frame is sent, by
+    /// `on_receive` at its arrival instant, leaves the entry as arrival
+    /// order does, and queues nothing; each guard alone refuses. Two
+    /// peers hold the same entry: one is asked about each copy, the other
+    /// receives the copies at their arrivals, in another order.
+    #[test]
+    fn applied_copies_leave_the_entry_their_arrivals_would() {
+        let pos = Point::new(2600.0, 2500.0);
+        let msg = AdMessage::gossip(mk_ad(0));
+        let admitted = || {
+            let mut g = Gossip::optimized(params(), RANGE, UserProfile::indifferent(1), 3);
+            let mut c = Env::new();
+            let mut c = c.ctx(20.0, pos);
+            ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(pos), out));
+            g
+        };
+        let (mut sent, mut arrived) = (admitted(), admitted());
+        let e = sent.cache.get(msg.ad.id).unwrap();
+        // A fixed motion predicts nothing: the entry's wake-up is queued
+        // at its first tick, one round out.
+        assert_eq!((e.queued, e.wake), (e.next_time, e.next_time));
+        let senders = [2550.0, 2700.0, 2640.0, 2580.0].map(|x| Point::new(x, 2480.0));
+        let mut richer = msg.clone();
+        richer.ad.sketches.insert(42);
+        richer.ad.radius = 1200.0;
+        let copies = [(20.1, &msg), (20.4, &richer), (20.3, &msg), (24.9, &msg)];
+        let mut env = Env::new();
+        for ((at, m), from) in copies.iter().zip(senders) {
+            let fate = sent.on_copy_sent(&mut env.ctx(*at, pos), m, &meta_at(from), true);
+            assert_eq!(fate, CopyFate::Applied, "copy at {at}");
+        }
+        let mut order: Vec<usize> = (0..copies.len()).collect();
+        order.sort_by(|&a, &b| copies[a].0.total_cmp(&copies[b].0));
+        for i in order {
+            let (at, m) = copies[i];
+            let mut c = env.ctx(at, pos);
+            let meta = meta_at(senders[i]);
+            let pushed = ActionSink::collect(|out| arrived.on_receive(&mut c, m, &meta, out));
+            assert!(pushed.is_empty(), "a duplicate at {at} queued a wake-up");
+        }
+        assert_eq!(sent.cache, arrived.cache);
+        let e = sent.cache.get(msg.ad.id).unwrap();
+        assert!(e.next_time > e.queued && e.ad.radius == 1200.0);
+
+        // Each guard alone queues the copy.
+        let queued = e.queued.as_secs();
+        let mut longer = msg.clone();
+        longer.ad.duration = SimDuration::from_secs(1900.0);
+        let mut expired = msg.clone();
+        expired.ad.duration = SimDuration::from_secs(5.0);
+        let refused: [(&str, f64, &AdMessage, bool); 5] = [
+            ("an arrival that may not run", 21.0, &msg, false),
+            ("an arrival at the queued wake-up", queued, &msg, true),
+            ("an arrival after it", queued + 1.0, &msg, true),
+            ("a larger D", 21.0, &longer, true),
+            ("an expired message", 21.0, &expired, true),
+        ];
+        for (what, at, m, arrives) in refused {
+            let before = sent.cache.clone();
+            let fate = sent.on_copy_sent(&mut env.ctx(at, pos), m, &meta_at(pos), arrives);
+            assert_eq!((fate, &sent.cache), (CopyFate::Queue, &before), "{what}");
+        }
+        // A wake-up queued after the pending tick would be re-queued by
+        // the postponement, at a time that depends on which copy arrives
+        // first: the copy is queued.
+        let e = sent.cache.get_mut(msg.ad.id).unwrap();
+        e.queued = e.next_time + SimDuration::from_secs(1.0);
+        let fate = sent.on_copy_sent(&mut env.ctx(21.0, pos), &msg, &meta_at(pos), true);
+        assert_eq!(fate, CopyFate::Queue, "a wake-up past the pending tick");
     }
 
     /// Run `n` consecutive ticks of entry `id` (the context's fixed

@@ -25,6 +25,9 @@
 //! The context looks nothing up until asked: a callback that reads no
 //! position (a dropped or re-armed wake-up, a pure-Gossip duplicate, a
 //! flooding wave already relayed) costs no position fix.
+//! A frame copy's receiver is also asked about it when the frame is sent
+//! ([`Protocol::on_copy_sent`]), so a copy whose arrival would change
+//! nothing, or whose effect is already fixed, is never queued.
 
 pub mod flooding;
 pub mod gossip;
@@ -76,15 +79,6 @@ impl ProtocolKind {
             ProtocolKind::OptGossip2 => "Optimized Gossiping-2",
             ProtocolKind::OptGossip => "Optimized Gossiping",
         }
-    }
-
-    /// Does a duplicate gossip message only merge into the receiver's
-    /// cached copy? True for Gossiping and Optimized Gossiping-1. Under
-    /// mechanism (2) every duplicate also postpones the entry, and
-    /// Restricted Flooding never caches a copy, so neither qualifies.
-    /// Only such a receiver's [`Protocol::covers`] can answer `true`.
-    pub const fn duplicates_only_merge(self) -> bool {
-        matches!(self, ProtocolKind::Gossip | ProtocolKind::OptGossip1)
     }
 }
 
@@ -203,6 +197,20 @@ pub enum EntryWake {
     Rearm,
     /// The due tick ran.
     Fire,
+}
+
+/// What a receiver makes of an intact frame copy when the frame is sent,
+/// as [`Protocol::on_copy_sent`] answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CopyFate {
+    /// Queue the copy: its arrival runs [`Protocol::on_receive`].
+    Queue,
+    /// Leave it out: its arrival would change nothing.
+    Skip,
+    /// Applied now: the call made the change [`Protocol::on_receive`]
+    /// would make at the arrival, from the context at the arrival instant,
+    /// and the arrival would push no action.
+    Applied,
 }
 
 /// Per-delivery metadata from the radio (who sent, from where).
@@ -351,20 +359,30 @@ pub trait Protocol {
     /// Does this peer currently hold `ad` (cache or issuer state)?
     fn holds(&self, ad: AdId) -> bool;
 
-    /// Would receiving `msg` change nothing at this peer, now or at any
-    /// later arrival instant while its cache evicts nothing? `false`, the
-    /// default, is always safe.
+    /// Asked for each intact copy of a frame addressed to this peer when
+    /// the frame is sent, with `ctx` at the copy's arrival instant. The
+    /// world asks only where no cache can evict (the scenario has no more
+    /// ads than a cache holds); `arrives` says that the arrival surely
+    /// runs [`Protocol::on_receive`]: the peer stays on-line until then,
+    /// and the arrival lies before the run's horizon.
     ///
-    /// Gossip answers from its cache: a copy that
-    /// [covers](Advertisement::covers) the message's ad and was issued
-    /// no earlier stays covering until it leaves the cache, and leaves
-    /// it only by expiry, by when the message has expired too. A peer
-    /// that postpones on duplicates (mechanism (2)), and every flooding
-    /// wave, answer `false`. Where no cache can evict, the world queues
-    /// no intact copy a receiver covers (DESIGN.md §10).
-    fn covers(&self, msg: &AdMessage) -> bool {
-        let _ = msg;
-        false
+    /// [`CopyFate::Skip`] means the arrival would change nothing here.
+    /// [`CopyFate::Applied`], only when `arrives`, means the call made the
+    /// change `on_receive` would make with `ctx`, which would push no
+    /// action, and changed only what no event before the arrival reads or
+    /// alters, in a way that does not depend on the order such copies are
+    /// applied in. The world queues neither. [`CopyFate::Queue`], the default, is always safe.
+    /// Gossip skips covered copies and applies postponements; Restricted
+    /// Flooding skips waves it has relayed (DESIGN.md §10).
+    fn on_copy_sent(
+        &mut self,
+        ctx: &mut PeerContext<'_>,
+        msg: &AdMessage,
+        meta: &RxMeta,
+        arrives: bool,
+    ) -> CopyFate {
+        let _ = (ctx, msg, meta, arrives);
+        CopyFate::Queue
     }
 
     /// The peer's current copy of `ad`, if it stores one (gossip cache,

@@ -86,7 +86,8 @@ pub trait SimObserver: Any {
         let _ = (now, node, msg, info);
     }
     /// A frame copy reached an on-line receiver, at its arrival (before the
-    /// protocol sees it) or, if covered and so not queued, when it is sent.
+    /// protocol sees it) or, if skipped or applied when its frame was sent
+    /// and so not queued, at the send instant.
     fn on_deliver(&mut self, now: SimTime, to: u32, msg: &AdMessage, meta: &RxMeta) {
         let _ = (now, to, msg, meta);
     }
@@ -316,8 +317,9 @@ impl Write for TraceBuffer {
 /// instrumentation only and never changes a run's outcome.
 ///
 /// All values are numbers or fixed-vocabulary strings (`ad3.0`,
-/// `broadcast`), so the writer needs no escaping machinery. A covered
-/// copy's `deliver` line carries its send instant ([`SimObserver::on_deliver`]).
+/// `broadcast`), so the writer needs no escaping machinery. A skipped or
+/// applied copy's `deliver` line carries its send instant
+/// ([`SimObserver::on_deliver`]).
 pub struct JsonlTrace {
     out: Box<dyn Write>,
 }

@@ -21,8 +21,8 @@ use crate::observer::{BroadcastInfo, SimObserver, SuppressReason};
 use crate::scenario::{CorruptionSpec, InterestWorkload, MobilityKind, Scenario, MAX_FLIPS};
 use crate::tracker::DeliveryTracker;
 use ia_core::{
-    build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake, Motion,
-    PeerContext, PeerId, Protocol, RxMeta, UserProfile,
+    build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, CopyFate, EntryWake,
+    Motion, PeerContext, PeerId, Protocol, RxMeta, UserProfile,
 };
 use ia_des::rng::{keyed_below, keyed_bits, keyed_unit, stream};
 use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
@@ -39,8 +39,8 @@ enum Event {
     Start(u32),
     /// A peer's timer for one ad: a gossip entry tick or a flooding wave.
     Entry(u32, AdId),
-    /// Frame arrival at a receiver, queued only for a copy whose arrival
-    /// can change it ([`World::broadcast`]).
+    /// Frame arrival at a receiver, queued only for a copy the receiver
+    /// neither skipped nor applied when it was sent ([`World::broadcast`]).
     Deliver {
         msg: Arc<AdMessage>,
         meta: RxMeta,
@@ -94,13 +94,16 @@ pub struct World {
     /// measures its headline numbers in a separate, uninstrumented run.
     profile: Option<Box<PhaseProfile>>,
     entry_wakeups: EntryWakeups,
-    /// Whether a broadcast may leave out the deliveries their receivers
-    /// cover: the protocol's duplicates only merge, and no cache can
-    /// evict (the scenario has no more ads than a cache holds).
-    skip_covered: bool,
+    /// Whether a broadcast asks each intact copy's receiver what the copy
+    /// will do there ([`Protocol::on_copy_sent`]): only where no cache
+    /// can evict (the scenario has no more ads than a cache holds).
+    ask_at_send: bool,
+    /// Whether no node goes off-line during the run: no churn, no
+    /// partition wave and no issuer departure.
+    always_online: bool,
     deliveries: Deliveries,
-    /// Test-only reference mode, the oracle for both shortcuts: predict
-    /// no position, so every entry tick runs, and queue every intact copy.
+    /// Test-only reference mode, the oracle for the shortcuts: predict no
+    /// position, so every entry tick runs, and queue every intact copy.
     #[cfg(test)]
     reference: bool,
 }
@@ -118,15 +121,18 @@ pub struct EntryWakeups {
     pub dropped: u64,
 }
 
-/// Frame copies the channel delivered, by whether the world queued them.
-/// Their sum is the medium's `receptions`.
+/// Frame copies the channel delivered, by their fate when the frame was
+/// sent. The sum over the four fates is the medium's `receptions`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Deliveries {
     /// Queued to arrive at their receivers.
     pub queued: u64,
-    /// Left out: the receiver's cached copy covered the message, so the
-    /// arrival would have changed nothing ([`Protocol::covers`]).
+    /// Left out: the arrival would have changed nothing at the receiver
+    /// ([`CopyFate::Skip`]).
     pub skipped: u64,
+    /// Left out: applied by the receiver when its frame was sent, with the
+    /// context at its arrival instant ([`CopyFate::Applied`]).
+    pub applied: u64,
     /// Left out: the copy's corruption verdict, a keyed draw made at send
     /// time, drops it at the receiver's CRC check.
     pub corrupted: u64,
@@ -421,8 +427,10 @@ impl World {
             }
         }
         let online = vec![true; scenario.n_nodes()];
-        let skip_covered = scenario.protocol.duplicates_only_merge()
-            && scenario.ads.len() <= scenario.params.cache_capacity;
+        let ask_at_send = scenario.ads.len() <= scenario.params.cache_capacity;
+        let always_online = scenario.churn.is_none()
+            && scenario.faults.partition_waves.is_empty()
+            && scenario.issuer_offline_after.is_none();
 
         World {
             radio_rng: SimRng::derive(scenario.seed, stream::RADIO),
@@ -443,7 +451,8 @@ impl World {
             online,
             profile: None,
             entry_wakeups: EntryWakeups::default(),
-            skip_covered,
+            ask_at_send,
+            always_online,
             deliveries: Deliveries::default(),
             #[cfg(test)]
             reference: false,
@@ -512,8 +521,8 @@ impl World {
         self.entry_wakeups
     }
 
-    /// Frame deliveries so far, queued or left out as covered or
-    /// corrupted.
+    /// Frame deliveries so far, queued, or left out as skipped, applied
+    /// or corrupted.
     pub fn deliveries(&self) -> Deliveries {
         self.deliveries
     }
@@ -539,6 +548,11 @@ impl World {
     /// Drive the run up to (and including) simulated time `t`, then stop.
     /// Repeated calls step the world forward; useful for inspection and
     /// visualisation between phases. Returns how many events fired.
+    ///
+    /// A copy applied when its frame was sent ([`Deliveries::applied`])
+    /// is in the receiver's state from then on, so between steps
+    /// [`World::best_copy`] and the peers' cached copies may already
+    /// include copies still in flight at `t`. A full run reads the same.
     pub fn run_until(&mut self, t: SimTime) -> u64 {
         let mut fired = 0;
         loop {
@@ -781,11 +795,13 @@ impl World {
     /// Transmit `msg` from `node` now: the channel decides who hears it,
     /// the observers see the outcome, and each delivery gets its
     /// corruption verdict ([`World::verdict`]) if it arrives inside a
-    /// corruption window. A copy is queued only if its arrival can change
-    /// the receiver: a copy the CRC drops is not, nor is an intact one
-    /// whose receiver covers the message ([`Protocol::covers`], which
-    /// stays true until the arrival while no cache evicts); both are
-    /// reported now. A copy that escapes the CRC carries what it decodes to.
+    /// corruption window. A copy the CRC drops is not queued. Where no
+    /// cache can evict, the receiver of an intact copy is asked, with the
+    /// context at the copy's arrival instant, what the copy will do there
+    /// ([`Protocol::on_copy_sent`]): a copy it skips is dropped, and one it
+    /// applies has had its effect. Neither is queued, and every copy left
+    /// out is reported now. A copy that escapes the CRC carries what
+    /// it decodes to, and is queued.
     #[inline(never)]
     fn broadcast(&mut self, node: u32, now: SimTime, msg: AdMessage) {
         let bytes = msg.bytes();
@@ -819,9 +835,10 @@ impl World {
         }
         self.phase_end(t0, |p| &mut p.observer_ns);
         #[cfg(test)]
-        let skip_covered = self.skip_covered && !self.reference;
+        let ask = self.ask_at_send && !self.reference;
         #[cfg(not(test))]
-        let skip_covered = self.skip_covered;
+        let ask = self.ask_at_send;
+        let horizon = SimTime::ZERO + self.scenario.sim_time;
         // Every copy's verdict draws from one key per frame.
         let corruption = self.scenario.faults.corruption;
         let corruption = corruption.map(|c| (c, self.frame_key(&msg, now)));
@@ -841,12 +858,29 @@ impl World {
                 from: d.from,
                 distance: d.distance,
             };
-            let event = match verdict {
-                Verdict::Intact if skip_covered && self.peers[d.to as usize].covers(out.get()) => {
-                    self.deliveries.skipped += 1;
-                    self.report_unqueued(now, d.to, out.get(), Some(&meta));
-                    continue;
+            let fate = match verdict {
+                Verdict::Intact if ask => {
+                    // The arrival runs its callback: the receiver cannot
+                    // go off-line first, and the scheduler keeps it.
+                    let arrives = self.always_online && d.arrival < horizon;
+                    let msg = out.get();
+                    self.with_ctx(d.to, d.arrival, |peer, ctx| {
+                        peer.on_copy_sent(ctx, msg, &meta, arrives)
+                    })
                 }
+                _ => CopyFate::Queue,
+            };
+            let left_out = match fate {
+                CopyFate::Queue => None,
+                CopyFate::Skip => Some(&mut self.deliveries.skipped),
+                CopyFate::Applied => Some(&mut self.deliveries.applied),
+            };
+            if let Some(count) = left_out {
+                *count += 1;
+                self.report_unqueued(now, d.to, out.get(), Some(&meta));
+                continue;
+            }
+            let event = match verdict {
                 Verdict::Intact => Event::Deliver {
                     msg: out.share(),
                     meta,
@@ -869,10 +903,10 @@ impl World {
         self.outcome = outcome;
     }
 
-    /// Report a copy that is not queued when its frame is sent: a covered
-    /// one (`meta`) as delivered, a dropped one as corrupted, either as
-    /// off-line if its receiver is off-line now. Reads nothing when nobody
-    /// watches: most copies of a gossip run pass here.
+    /// Report a copy that is not queued when its frame is sent: a skipped
+    /// or applied one (`meta`) as delivered, a dropped one as corrupted,
+    /// either as off-line if its receiver is off-line now. Reads nothing
+    /// when nobody watches: most copies of a gossip run pass here.
     fn report_unqueued(&mut self, now: SimTime, to: u32, msg: &AdMessage, meta: Option<&RxMeta>) {
         if self.observers.is_empty() {
             return;
@@ -1093,17 +1127,25 @@ mod tests {
         assert_eq!(a.tracker().outcomes(), b.tracker().outcomes());
     }
 
+    /// A run stepped by `run_until` is the full run. Under Optimized
+    /// Gossiping copies are applied when their frames are sent, also
+    /// across the step boundaries.
     #[test]
     fn run_until_steps_incrementally_and_matches_full_run() {
-        let mut stepped = World::new(tiny(ProtocolKind::Gossip, 60, 24));
-        for k in 1..=31 {
-            stepped.run_until(SimTime::from_secs(k as f64 * 10.0));
+        for kind in [ProtocolKind::Gossip, ProtocolKind::OptGossip] {
+            let mut stepped = World::new(tiny(kind, 60, 24));
+            for k in 1..=31 {
+                stepped.run_until(SimTime::from_secs(k as f64 * 10.0));
+            }
+            stepped.run();
+            let mut full = World::new(tiny(kind, 60, 24));
+            full.run();
+            assert_eq!(stepped.medium().stats(), full.medium().stats());
+            assert_eq!(stepped.tracker().outcomes(), full.tracker().outcomes());
+            assert_eq!(stepped.deliveries(), full.deliveries());
+            let applied = full.deliveries().applied;
+            assert_eq!(applied > 0, kind == ProtocolKind::OptGossip, "{kind}");
         }
-        stepped.run();
-        let mut full = World::new(tiny(ProtocolKind::Gossip, 60, 24));
-        full.run();
-        assert_eq!(stepped.medium().stats(), full.medium().stats());
-        assert_eq!(stepped.tracker().outcomes(), full.tracker().outcomes());
     }
 
     #[test]
@@ -1396,18 +1438,26 @@ mod tests {
     }
 
     /// Run `s` with the world's shortcuts and in the reference mode: both
-    /// give the same `RunResult` and `TrafficStats` bytes, and the
-    /// reference skips no copy but queues every one the other queued or
-    /// skipped as covered. Returns both worlds, the reference second.
+    /// give the same `RunResult` and `TrafficStats` bytes and leave every
+    /// peer the same copy of every ad, and the reference skips and applies
+    /// no copy but queues every one the other queued, skipped or applied.
+    /// Returns both worlds, the reference second.
     fn reference_alike(s: &Scenario, what: &str) -> (World, World) {
         let (w, reference) = (run_in(s.clone(), false), run_in(s.clone(), true));
         let result = |w: &World| format!("{:?}", crate::RunResult::of(w));
         assert_eq!(result(&w), result(&reference), "{what}");
         assert_eq!(w.medium().stats(), reference.medium().stats(), "{what}");
+        let copies = |w: &World| {
+            let peers = w.peers.iter();
+            peers
+                .flat_map(|p| w.ad_ids.iter().map(|&ad| p.cached_ad(ad).cloned()))
+                .collect::<Vec<_>>()
+        };
+        assert!(copies(&w) == copies(&reference), "{what}: cached copies");
         let (d, r) = (w.deliveries(), reference.deliveries());
-        assert_eq!(r.skipped, 0, "{what}: the reference skips nothing");
+        assert_eq!((r.skipped, r.applied), (0, 0), "{what}: reference");
         assert_eq!(
-            (d.queued + d.skipped, d.corrupted),
+            (d.queued + d.skipped + d.applied, d.corrupted),
             (r.queued, r.corrupted),
             "{what}"
         );
@@ -1424,14 +1474,14 @@ mod tests {
     /// times from 20 ms to 9 s, every run gives the bytes of the
     /// reference mode, which runs every entry tick and queues every
     /// intact copy. Flooding has nothing to look ahead at; every gossip
-    /// kind skips ticks, and some runs skip covered copies and drop
-    /// corrupted ones.
+    /// kind skips ticks, some runs skip copies and drop corrupted ones,
+    /// and the postponing kinds apply copies when their frames are sent.
     #[test]
     fn entry_look_ahead_matches_per_tick_execution() {
         use crate::scenario::ChurnSpec;
         let mut draw = SimRng::from_master(0x10c4_a11e);
         let mut skipped = [0u64; 5];
-        let (mut rearmed, mut covered, mut corrupted) = (0, 0, 0);
+        let (mut rearmed, mut covered, mut applied, mut corrupted) = (0, 0, 0, 0);
         for case in 0..80u64 {
             let k = case as usize % 5;
             let (kind, features) = (ProtocolKind::ALL[k], case / 5);
@@ -1505,19 +1555,20 @@ mod tests {
             skipped[k] += r.fired - a.fired;
             rearmed += a.rearmed;
             covered += w.deliveries().skipped;
+            applied += w.deliveries().applied;
             corrupted += w.deliveries().corrupted;
         }
         // Every gossip kind skipped ticks, wake-ups re-armed, and copies
-        // were skipped as covered and dropped as corrupted, so the
-        // equality above is not vacuous.
+        // were skipped, applied and dropped as corrupted, so the equality
+        // above is not vacuous.
         assert_eq!(skipped[0], 0, "Flooding has no look-ahead");
         assert!(
             skipped[1..].iter().all(|&n| n > 1000) && rearmed > 100,
             "{skipped:?} skipped, {rearmed} re-armed"
         );
         assert!(
-            covered > 0 && corrupted > 0,
-            "{covered} covered, {corrupted} corrupted"
+            covered > 0 && applied > 0 && corrupted > 0,
+            "{covered} skipped, {applied} applied, {corrupted} corrupted"
         );
     }
 
@@ -1526,7 +1577,8 @@ mod tests {
     /// wave, a corruption window and two ads in a two-ad cache leave
     /// copies out, also with the window spanning the whole run. No copy
     /// is left out as covered with more ads than the cache holds, nor
-    /// under Restricted Flooding or mechanism (2).
+    /// under mechanism (2), which applies none here either (peers churn).
+    /// Restricted Flooding skips the waves a receiver has relayed.
     ///
     /// The run with three ads issued together in a two-ad cache is one
     /// where the capacity guard matters: a peer ticks two entries at one
@@ -1601,14 +1653,99 @@ mod tests {
             let d = deliveries(&s, format!("{kind}, three ads"));
             assert_eq!(d.skipped, 0, "{kind}, three ads in a two-ad cache");
         }
-        for kind in [
-            ProtocolKind::Flooding,
-            ProtocolKind::OptGossip2,
-            ProtocolKind::OptGossip,
-        ] {
+        for kind in [ProtocolKind::OptGossip2, ProtocolKind::OptGossip] {
             let d = deliveries(&dense(kind, 2), format!("{kind}, two ads"));
-            assert_eq!(d.skipped, 0, "{kind}");
+            assert_eq!((d.skipped, d.applied), (0, 0), "{kind}");
         }
+        let d = deliveries(&dense(ProtocolKind::Flooding, 2), "Flooding".into());
+        assert!(d.skipped > 0 && d.queued > 0 && d.applied == 0, "{d:?}");
+    }
+
+    /// A copy is applied when its frame is sent only where its arrival
+    /// is settled. A dense Optimized Gossiping-2 run with interested peers
+    /// (their sketches differ, and ads grow) and two ads in a two-ad cache
+    /// applies copies. Each guard alone then refuses every copy: churn, a
+    /// partition wave, a one-ad cache, or an arrival at or past the
+    /// horizon. For the last, every holder sends its copy once 20 ms
+    /// before the horizon, where some copies are applied, and once 1 µs
+    /// before it, in a world run to the same instant, where every copy
+    /// arrives at or past the horizon and none is. The runs end mid-life,
+    /// and every peer's cached copy after each is the reference's
+    /// ([`reference_alike`]).
+    #[test]
+    fn applied_copies_only_where_the_arrival_is_settled() {
+        use crate::scenario::{AdSpec, ChurnSpec};
+        use ia_geo::Rect;
+        let secs = SimTime::from_secs;
+        let base = |kind: ProtocolKind, capacity: usize| {
+            let mut s = Scenario::paper(kind, 80)
+                .with_seed(9)
+                .with_life_cycle(SimDuration::from_secs(150.0));
+            s.area = Rect::with_size(1200.0, 1200.0);
+            s.ads[0].issue_pos = s.area.center();
+            let second = AdSpec {
+                issue_pos: Point::new(400.0, 400.0),
+                issue_time: secs(20.0),
+                ..s.ads[0].clone()
+            };
+            s.ads.push(second);
+            s.interests = crate::scenario::InterestWorkload::Uniform {
+                universe: 2,
+                p_interested: 0.5,
+            };
+            s.params = s
+                .params
+                .clone()
+                .with_cache_capacity(capacity)
+                .with_round_time(SimDuration::from_millis(500));
+            s.sim_time = SimDuration::from_secs(90.0);
+            s
+        };
+        let deliveries = |s: &Scenario, what: &str| reference_alike(s, what).0.deliveries();
+        for kind in [ProtocolKind::OptGossip2, ProtocolKind::OptGossip] {
+            let d = deliveries(&base(kind, 2), &format!("{kind}"));
+            assert!(d.applied > 0 && d.queued > 0, "{kind}: {d:?}");
+            let churned = base(kind, 2).with_churn(ChurnSpec::new(
+                SimDuration::from_secs(100.0),
+                SimDuration::from_secs(20.0),
+            ));
+            let wave = PartitionWave {
+                at: secs(50.0),
+                fraction: 0.3,
+                down_for: SimDuration::from_secs(20.0),
+            };
+            let waved = base(kind, 2).with_faults(FaultPlan::none().with_partition_wave(wave));
+            for (what, s) in [("churn", churned), ("a partition wave", waved)] {
+                let d = deliveries(&s, &format!("{kind}, {what}"));
+                assert_eq!(d.applied, 0, "{kind}, {what}");
+            }
+            let d = deliveries(&base(kind, 1), &format!("{kind}, one-ad cache"));
+            assert_eq!((d.skipped, d.applied), (0, 0), "{kind}, one-ad cache");
+        }
+        let s = base(ProtocolKind::OptGossip2, 2);
+        let horizon = SimTime::ZERO + s.sim_time;
+        let applied_when_sent_at = |sent: SimTime| {
+            let mut w = World::new(s.clone());
+            w.run_until(horizon - SimDuration::from_millis(30));
+            let ad = w.ad_ids[0];
+            let before = w.deliveries();
+            for node in 0..s.n_peers as u32 {
+                let copy = w.peers[node as usize].cached_ad(ad).cloned();
+                if let Some(copy) = copy {
+                    w.broadcast(node, sent, AdMessage::gossip(copy));
+                }
+            }
+            let after = w.deliveries();
+            assert!(after.queued > before.queued, "{after:?}");
+            after.applied - before.applied
+        };
+        let applied = applied_when_sent_at(horizon - SimDuration::from_millis(20));
+        assert!(applied > 0, "no copy applied before the horizon");
+        let past = applied_when_sent_at(horizon - SimDuration::from_micros(1));
+        assert_eq!(
+            past, 0,
+            "a copy arriving at or past the horizon was applied"
+        );
     }
 
     /// Under an active GPS ramp a fix is keyed by (node, instant): the
@@ -1777,10 +1914,12 @@ mod tests {
     }
 
     /// Every reception reaches the observers exactly once: at its
-    /// arrival if it was queued, else when its frame was sent (a covered
-    /// copy as delivered, a dropped corrupted one as corrupted, either as
-    /// off-line if its receiver was off-line then). The ad expires a
-    /// second before the horizon, so no copy is in flight at the end.
+    /// arrival if it was queued, else when its frame was sent (a skipped
+    /// or applied copy as delivered, a dropped corrupted one as
+    /// corrupted, either as off-line if its receiver was off-line then).
+    /// The ad expires a second before the horizon, so no copy is in
+    /// flight at the end. A Gossiping run with every fault class skips
+    /// copies; a fault-free Optimized Gossiping run applies them.
     #[test]
     fn every_reception_is_reported_exactly_once() {
         use crate::scenario::ChurnSpec;
@@ -1822,6 +1961,17 @@ mod tests {
         // reported as off-line, so fewer are reported corrupted than
         // were dropped.
         assert!(count(Corrupted) < d.corrupted, "{d:?}");
+
+        let mut s = tiny(ProtocolKind::OptGossip, 150, 43);
+        s.sim_time += dur(1.0);
+        let mut w = World::new(s);
+        w.attach_observer(Box::new(FaultLedger::new(dur(5.0))));
+        w.run();
+        let (stats, d) = (w.medium().stats(), w.deliveries());
+        let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+        assert!(d.applied > 0 && d.queued > 0, "{d:?}");
+        assert_eq!(ledger.delivered(), stats.receptions);
+        assert_eq!(ledger.faulted(), 0);
     }
 
     /// A paper ad issued by `issuer` as ad `seq`, wrapped in a frame.

@@ -256,42 +256,53 @@ impl SimObserver for NoisyObserver {
 
 /// Observers change neither the outcome nor the work: a Gossiping run
 /// with every fault class and churn, which skips covered copies and drops
-/// corrupted ones, gives the same `RunResult`, events, queue operations,
-/// deliveries and entry wake-ups with a ledger, a trace and a noisy
+/// corrupted ones, and a fault-free Optimized Gossiping run, which applies
+/// copies when their frames are sent, each give the same `RunResult`,
+/// events, queue operations, deliveries (queued, skipped, applied and
+/// corrupted) and entry wake-ups with a ledger, a trace and a noisy
 /// observer attached as with none.
 #[test]
 fn run_result_is_identical_with_and_without_extra_observers() {
     let churn = ChurnSpec::new(SimDuration::from_secs(80.0), SimDuration::from_secs(20.0));
-    let s = chaotic_scenario().with_churn(churn);
+    let chaotic = chaotic_scenario().with_churn(churn);
+    let calm = Scenario::paper(ProtocolKind::OptGossip, 150)
+        .with_seed(43)
+        .with_life_cycle(SimDuration::from_secs(250.0));
     let work = |w: &World| {
         let q = (w.events_processed(), w.queue_stats());
         (q, w.deliveries(), w.entry_wakeups())
     };
-    let mut plain = World::new(s.clone());
-    plain.run();
-    let d = plain.deliveries();
-    assert!(d.skipped > 0 && d.corrupted > 0, "{d:?}");
-    let baseline = RunResult::of(&plain);
+    for s in [chaotic, calm] {
+        let mut plain = World::new(s.clone());
+        plain.run();
+        let d = plain.deliveries();
+        match s.protocol {
+            ProtocolKind::Gossip => assert!(d.skipped > 0 && d.corrupted > 0, "{d:?}"),
+            _ => assert!(d.applied > 0, "{d:?}"),
+        }
+        let baseline = RunResult::of(&plain);
 
-    let (trace, buffer) = JsonlTrace::in_memory();
-    let mut w = World::new(s.clone());
-    w.attach_observer(Box::new(FaultLedger::new(s.params.round_time)));
-    w.attach_observer(Box::new(trace));
-    w.attach_observer(Box::new(NoisyObserver::default()));
-    w.run();
-    assert_identical(&baseline, &RunResult::of(&w), "observer set");
-    assert_eq!(work(&w), work(&plain));
+        let (trace, buffer) = JsonlTrace::in_memory();
+        let mut w = World::new(s.clone());
+        w.attach_observer(Box::new(FaultLedger::new(s.params.round_time)));
+        w.attach_observer(Box::new(trace));
+        w.attach_observer(Box::new(NoisyObserver::default()));
+        w.run();
+        assert_identical(&baseline, &RunResult::of(&w), "observer set");
+        assert_eq!(work(&w), work(&plain));
 
-    // The extra observers did observe a real run.
-    let ledger = w.observer::<FaultLedger>().expect("ledger attached");
-    assert!(ledger.delivered() > 0 && ledger.faulted() > 0);
-    assert!(!buffer.contents().is_empty(), "trace captured nothing");
-    let noisy = w.observer::<NoisyObserver>().expect("observer attached");
-    assert!(!noisy.log.is_empty(), "noisy observer saw nothing");
+        // The extra observers did observe a real run.
+        let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+        assert!(ledger.delivered() > 0);
+        assert_eq!(ledger.faulted() > 0, s.protocol == ProtocolKind::Gossip);
+        assert!(!buffer.contents().is_empty(), "trace captured nothing");
+        let noisy = w.observer::<NoisyObserver>().expect("observer attached");
+        assert!(!noisy.log.is_empty(), "noisy observer saw nothing");
 
-    // And the threaded sweep agrees with the solo world too.
-    let sweep = run_seeds_with_threads(&s, &[s.seed], 1);
-    assert_identical(&baseline, &sweep[0], "sweep vs solo");
+        // And the threaded sweep agrees with the solo world too.
+        let sweep = run_seeds_with_threads(&s, &[s.seed], 1);
+        assert_identical(&baseline, &sweep[0], "sweep vs solo");
+    }
 }
 
 #[test]

@@ -70,7 +70,7 @@ fn check(scenario: Scenario, pin: Pin) {
     let d = w.deliveries();
     assert_eq!(d, pin.deliveries, "deliveries");
     assert_eq!(
-        d.queued + d.skipped + d.corrupted,
+        d.queued + d.skipped + d.applied + d.corrupted,
         w.medium().stats().receptions
     );
 }
@@ -84,10 +84,10 @@ fn opt_dense() {
         at_benchmark_length(Scenario::paper(ProtocolKind::OptGossip, 3000)),
         Pin {
             result: r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(3000), seq: 0 }, passed: 2928, delivered: 2926, passages: 7743, delivered_passages: 7712, delivery_rate: 99.59963838305566, mean_delivery_time: 0.796393284232365 }], delivery_time_dist: [Distribution { count: 7712, mean: 0.796393284232365, p50: 0.0, p90: 0.0, p99: 20.02752061, max: 36.762029 }], traffic: TrafficStats { messages: 5613, receptions: 238465, drops: 0, jammed: 0, bytes_sent: 1790547, dead_air: 0, collisions: 0 } }"#,
-            events: 355_291,
-            pushes: 360_208,
-            pops: 355_291,
-            cascades: 755_914,
+            events: 143_688,
+            pushes: 148_605,
+            pops: 143_688,
+            cascades: 364_460,
             grid_rebuilds: 209,
             grid_queries: 5613,
             grid_candidates: 374_743,
@@ -97,8 +97,9 @@ fn opt_dense() {
                 dropped: 16_188,
             },
             deliveries: Deliveries {
-                queued: 238_465,
+                queued: 26_862,
                 skipped: 0,
+                applied: 211_603,
                 corrupted: 0,
             },
         },
@@ -139,6 +140,7 @@ fn gossip_chaos() {
             deliveries: Deliveries {
                 queued: 6_928,
                 skipped: 953_409,
+                applied: 0,
                 corrupted: 52_174,
             },
         },
@@ -152,10 +154,10 @@ fn flooding_300() {
         at_benchmark_length(Scenario::paper(ProtocolKind::Flooding, 300)),
         Pin {
             result: r#"RunResult { ads: [AdOutcome { id: AdId { issuer: PeerId(300), seq: 0 }, passed: 294, delivered: 294, passages: 756, delivered_passages: 750, delivery_rate: 99.2063492063492, mean_delivery_time: 3.657011988000002 }], delivery_time_dist: [Distribution { count: 750, mean: 3.657011988000002, p50: 0.0, p90: 5.997083400000005, p99: 78.25462518999997, max: 131.986264 }], traffic: TrafficStats { messages: 19898, receptions: 101307, drops: 0, jammed: 0, bytes_sent: 6586238, dead_air: 2, collisions: 0 } }"#,
-            events: 101_968,
-            pushes: 101_969,
-            pops: 101_968,
-            cascades: 185_430,
+            events: 54_376,
+            pushes: 54_377,
+            pops: 54_376,
+            cascades: 96_840,
             grid_rebuilds: 359,
             grid_queries: 19_898,
             grid_candidates: 101_595,
@@ -165,8 +167,9 @@ fn flooding_300() {
                 dropped: 0,
             },
             deliveries: Deliveries {
-                queued: 101_307,
-                skipped: 0,
+                queued: 53_715,
+                skipped: 47_592,
+                applied: 0,
                 corrupted: 0,
             },
         },

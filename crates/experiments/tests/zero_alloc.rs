@@ -11,7 +11,8 @@
 //! then asserts that a further stretch of steady-state work performs
 //! exactly zero allocations. The proofs cover: scheduler churn, grid
 //! rebuilds and queries, broadcast → dispatch (with and without forced
-//! grid rebuilds), duplicate receipts, non-forwarding entry ticks, and
+//! grid rebuilds), copies applied when their frame is sent, duplicate
+//! receipts, non-forwarding entry ticks, and
 //! the corruption verdict (`codec::FlipVerdict`), and Manhattan
 //! waypoints drawn into a reused buffer. One test checks
 //! that attaching a passive observer adds no allocation to a whole
@@ -20,7 +21,7 @@
 //! the heap it leaves.
 
 use ia_core::{
-    build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake,
+    build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, CopyFate, EntryWake,
     GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, SharedParams, UserProfile,
 };
 use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
@@ -345,6 +346,35 @@ impl RadioChain {
         }
         black_box(self.out.deliveries.len())
     }
+
+    /// One broadcast from `src` whose every copy is asked about when the
+    /// frame is sent, as `World::broadcast` asks, with the context at its
+    /// arrival instant (the receiver's fix and velocity there). Returns
+    /// the copies and how many the peer applied.
+    fn broadcast_and_apply(&mut self, src: u32) -> (usize, usize) {
+        let t = SimTime::from_secs(100.0);
+        self.medium
+            .broadcast_into(&self.fleet, t, src, 300, &mut self.rng, &mut self.out);
+        let mut applied = 0;
+        for d in &self.out.deliveries {
+            let meta = RxMeta {
+                sender_pos: d.sender_pos,
+                from: d.from,
+                distance: d.distance,
+            };
+            let window = SimDuration::from_secs(1.0);
+            let mut ctx = PeerContext {
+                now: d.arrival,
+                motion: &mut (
+                    self.fleet.position(d.to, d.arrival),
+                    self.fleet.estimated_velocity(d.to, d.arrival, window),
+                ),
+            };
+            let fate = self.peer.on_copy_sent(&mut ctx, &self.msg, &meta, true);
+            applied += usize::from(fate == CopyFate::Applied);
+        }
+        (self.out.deliveries.len(), applied)
+    }
 }
 
 #[test]
@@ -377,6 +407,28 @@ fn radio_rebuild_broadcast_dispatch() {
     assert_eq!(
         allocated, 0,
         "rebuild -> broadcast_into -> dispatch allocated {allocated} times over 256 rebuilds"
+    );
+}
+
+/// A warm broadcast whose copies are applied when its frame is sent:
+/// `broadcast_into`, then each copy's receiver asked with the context at
+/// the copy's arrival instant. The chain's one peer holds the ad, its
+/// wake-up queued at its first tick, after every arrival and no later
+/// than its pending tick, so it applies every copy (absorb + postpone)
+/// through a sink that stays empty, and nothing allocates.
+#[test]
+fn applied_copies_allocate_nothing() {
+    let mut chain = RadioChain::warm();
+    let (allocated, (copies, applied)) = allocations_during(|| {
+        (0..1000).fold((0, 0), |(copies, applied), src| {
+            let (c, a) = chain.broadcast_and_apply(src);
+            (copies + c, applied + a)
+        })
+    });
+    assert!(copies > 1000 && applied == copies, "{applied} of {copies}");
+    assert_eq!(
+        allocated, 0,
+        "applying copies at send time allocated {allocated} times over 1000 broadcasts"
     );
 }
 
