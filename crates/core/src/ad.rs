@@ -6,6 +6,7 @@ use crate::prob;
 use ia_des::{SimDuration, SimTime};
 use ia_geo::Point;
 use ia_sketch::FmBundle;
+use std::sync::Arc;
 
 /// Fixed per-message header overhead of the canonical wire encoding:
 /// magic, flags, ad id, issue time/coordinates, initial and current
@@ -18,6 +19,9 @@ pub const HEADER_BYTES: usize = 67;
 /// `initial_duration` and may grow through popularity enlargement
 /// (formula 7); the initial values are retained because the enlargement
 /// increments and the hard cap are defined relative to them.
+///
+/// A copy allocates nothing: the sketches are inline, and every copy of
+/// one ad shares its topic list, which no copy changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Advertisement {
     pub id: AdId,
@@ -34,8 +38,9 @@ pub struct Advertisement {
     pub radius: f64,
     /// Current (possibly enlarged) duration `D`.
     pub duration: SimDuration,
-    /// Topic keywords (interest ids) this ad advertises, sorted.
-    pub topics: Vec<u32>,
+    /// Topic keywords (interest ids) this ad advertises, sorted and
+    /// without duplicates, shared by every copy.
+    pub topics: Arc<[u32]>,
     /// Size of the human-readable content, bytes (for traffic accounting;
     /// the content itself is irrelevant to the protocols).
     pub payload_bytes: usize,
@@ -69,7 +74,7 @@ impl Advertisement {
             initial_duration: duration,
             radius,
             duration,
-            topics,
+            topics: topics.into(),
             payload_bytes,
             sketches: FmBundle::new(params.sketch_seed, params.sketch_f, params.sketch_l),
         }
@@ -153,7 +158,7 @@ mod tests {
     #[test]
     fn topics_sorted_and_deduped() {
         let a = ad();
-        assert_eq!(a.topics, vec![1, 3]);
+        assert_eq!(a.topics[..], [1, 3]);
         assert!(a.matches_topic(1));
         assert!(a.matches_topic(3));
         assert!(!a.matches_topic(2));
@@ -328,7 +333,7 @@ mod prop_tests {
                     && merged.radius.to_bits() == a.radius.to_bits()
                     && merged.duration == a.duration;
                 prop_assert_eq!(a.covers(&b), unchanged);
-                let mut bundle = a.sketches.clone();
+                let mut bundle = a.sketches;
                 bundle.merge(&b.sketches);
                 prop_assert_eq!(a.sketches.covers(&b.sketches), bundle == a.sketches);
             }

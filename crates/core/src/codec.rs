@@ -14,6 +14,7 @@
 //! radius f64         | duration u64
 //! topics: u16 count, u32 each
 //! sketches: u8 F, u8 L, ceil(F*L/8) bit-packed bytes, u64 family seed
+//!           (sketch i at bits i*L.., LSB first; F*L <= 256, L <= 56)
 //! payload: u32 length, then the content bytes
 //! flood info (if flagged): u32 wave, f64 radius
 //! ```
@@ -191,8 +192,11 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
+    /// A writer sized for `msg`'s frame, its CRC trailer included.
+    fn for_frame(msg: &AdMessage) -> Self {
+        Writer {
+            buf: Vec::with_capacity(message_encoded_len(msg) + FRAME_CRC_BYTES),
+        }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -251,7 +255,7 @@ impl<'a> Reader<'a> {
 /// Encode a message into bytes.
 pub fn encode(msg: &AdMessage) -> Vec<u8> {
     let ad = &msg.ad;
-    let mut w = Writer::new();
+    let mut w = Writer::for_frame(msg);
     w.u16(MAGIC);
     w.u8(msg.flood.is_some() as u8);
     w.u32(ad.id.issuer.0);
@@ -264,31 +268,17 @@ pub fn encode(msg: &AdMessage) -> Vec<u8> {
     w.f64(ad.radius);
     w.u64(ad.duration.as_micros());
     w.u16(ad.topics.len() as u16);
-    for &t in &ad.topics {
+    for &t in ad.topics.iter() {
         w.u32(t);
     }
-    let bitmaps = ad.sketches.bitmaps();
-    let l = ad.sketches.sketch_len();
-    // The packing accumulator below holds < 8 leftover bits plus one
-    // sketch, so L must fit in 56 bits (protocol sketches are 8-32).
-    assert!(l <= 56, "sketch length {l} exceeds the wire format's limit");
-    w.u8(bitmaps.len() as u8);
-    w.u8(l);
-    // Bit-pack the F sketches of L bits each.
-    let mut acc: u64 = 0;
-    let mut acc_bits: u32 = 0;
-    for &bits in bitmaps {
-        acc |= bits << acc_bits;
-        acc_bits += l as u32;
-        while acc_bits >= 8 {
-            w.u8((acc & 0xFF) as u8);
-            acc >>= 8;
-            acc_bits -= 8;
-        }
-    }
-    if acc_bits > 0 {
-        w.u8((acc & 0xFF) as u8);
-    }
+    // The bundle's memory layout is the wire's: its packed bytes, cut to
+    // the `F·L` bits it holds.
+    let sketches = &ad.sketches;
+    w.u8(sketches.num_sketches() as u8);
+    w.u8(sketches.sketch_len());
+    let packed = sketches.packed();
+    w.buf
+        .extend_from_slice(&packed[..sketches.size_bits().div_ceil(8)]);
     w.u64(ad.sketches.family_seed());
     w.u32(ad.payload_bytes as u32);
     w.buf.resize(w.buf.len() + ad.payload_bytes, 0); // opaque content
@@ -331,26 +321,12 @@ pub fn decode(bytes: &[u8]) -> Result<AdMessage, CodecError> {
     }
     let f = r.u8()? as usize;
     let l = r.u8()?;
-    // L > 56 would overflow the 64-bit unpacking accumulator below; the
-    // protocol's sketches are 8-32 bits, so reject outliers as invalid.
-    if f == 0 || !(1..=56).contains(&l) {
+    // Only a shape the packed bundle holds decodes: `F ≥ 1`, `L` in
+    // 1..=56 and `F·L ≤ 256` (`FmBundle::fits`).
+    if !FmBundle::fits(f, l) {
         return Err(CodecError::InvalidField("sketch shape"));
     }
     let packed = r.take((f * l as usize).div_ceil(8))?;
-    let mut bitmaps = Vec::with_capacity(f);
-    let mut acc: u64 = 0;
-    let mut acc_bits: u32 = 0;
-    let mut byte_iter = packed.iter();
-    let mask = if l == 64 { u64::MAX } else { (1u64 << l) - 1 };
-    for _ in 0..f {
-        while acc_bits < l as u32 {
-            acc |= (*byte_iter.next().expect("sized above") as u64) << acc_bits;
-            acc_bits += 8;
-        }
-        bitmaps.push(acc & mask);
-        acc >>= l;
-        acc_bits -= l as u32;
-    }
     let family_seed = r.u64()?;
     let payload_bytes = r.u32()? as usize;
     let _content = r.take(payload_bytes)?;
@@ -375,9 +351,9 @@ pub fn decode(bytes: &[u8]) -> Result<AdMessage, CodecError> {
         initial_duration,
         radius,
         duration,
-        topics,
+        topics: topics.into(),
         payload_bytes,
-        sketches: FmBundle::from_parts(family_seed, l, bitmaps),
+        sketches: FmBundle::from_packed(family_seed, f, l, packed),
     };
     Ok(AdMessage { ad, flood })
 }
@@ -509,6 +485,25 @@ mod tests {
             *b = 0;
         }
         assert_eq!(decode(&bytes), Err(CodecError::InvalidField("radius")));
+    }
+
+    /// A sketch shape the packed bundle cannot hold is an invalid field,
+    /// whatever the F and L bytes say; one it can hold is not.
+    #[test]
+    fn every_sketch_shape_the_bundle_cannot_hold_is_an_invalid_field() {
+        let mut bytes = encode(&AdMessage::gossip(sample_ad()));
+        // The 67-byte header and three topics, then F and L.
+        let f_byte = 67 + 2 + 3 * 4;
+        assert_eq!(bytes[f_byte..f_byte + 2], [16, 16]);
+        let shape = Err(CodecError::InvalidField("sketch shape"));
+        for f in 0..=u8::MAX {
+            for l in 0..=u8::MAX {
+                bytes[f_byte] = f;
+                bytes[f_byte + 1] = l;
+                let fits = FmBundle::fits(f as usize, l);
+                assert_eq!(decode(&bytes) == shape, !fits, "{f} x {l}");
+            }
+        }
     }
 
     #[test]

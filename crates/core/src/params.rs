@@ -1,6 +1,7 @@
 //! Protocol tuning parameters (Table I / Table II of the paper).
 
 use ia_des::SimDuration;
+use ia_sketch::FmBundle;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -70,7 +71,10 @@ pub struct GossipParams {
     /// Cache capacity `k`: ads kept per peer, sorted by probability.
     pub cache_capacity: usize,
     /// FM sketch bundle shape: `sketch_f` sketches of `sketch_l` bits.
-    /// Default 16x16 = 256 bits, the paper's example budget.
+    /// Default 16x16 = 256 bits, the paper's example budget, which is
+    /// also the cap: `sketch_f · sketch_l ≤ 256`, `sketch_l` in `1..=56`
+    /// and `sketch_f` in `1..=255` ([`FmBundle::fits`]). Each ad carries
+    /// its sketches inline in those 256 bits.
     pub sketch_f: usize,
     pub sketch_l: u8,
     /// Shared hash-family seed (a deployment-wide protocol constant).
@@ -133,7 +137,13 @@ impl GossipParams {
         assert!(!self.round_time.is_zero(), "round_time must be positive");
         assert!(self.dis >= 0.0, "DIS must be non-negative");
         assert!(self.cache_capacity >= 1, "cache capacity must be >= 1");
-        assert!(self.sketch_f > 0 && (1..=64).contains(&self.sketch_l));
+        assert!(
+            FmBundle::fits(self.sketch_f, self.sketch_l),
+            "FM sketch shape {} x {} must have 1..=56-bit sketches, at most 255 of them, \
+             in at most 256 bits",
+            self.sketch_f,
+            self.sketch_l
+        );
     }
 }
 
@@ -222,5 +232,27 @@ mod tests {
     #[should_panic(expected = "cache capacity")]
     fn zero_cache_rejected() {
         GossipParams::paper().with_cache_capacity(0).validate();
+    }
+
+    /// Every shape within the 256-bit cap validates; one more sketch, or
+    /// a sketch over 56 bits, does not.
+    #[test]
+    fn sketch_shapes_within_the_cap_validate() {
+        let shaped = |f, l| GossipParams {
+            sketch_f: f,
+            sketch_l: l,
+            ..GossipParams::paper()
+        };
+        for l in 1..=56u8 {
+            let most = (256 / l as usize).min(255);
+            for f in [1, most] {
+                shaped(f, l).validate();
+            }
+            let over = std::panic::catch_unwind(|| shaped(most + 1, l).validate());
+            assert!(over.is_err(), "{} x {l} validated", most + 1);
+        }
+        for (f, l) in [(0, 16), (1, 0), (1, 57), (4, 64)] {
+            assert!(std::panic::catch_unwind(|| shaped(f, l).validate()).is_err());
+        }
     }
 }

@@ -294,3 +294,54 @@ fn crafted_crc_escape_passes_verdict_and_check() {
     assert!(!verdict.passes(clean.len(), &bits));
     assert!(!flips_pass_crc(clean.len(), &bits));
 }
+
+/// A frame whose sketch shape escapes the CRC as one the packed bundle
+/// cannot hold (`F = 0`, `F·L > 256`, `L > 56`) decodes to
+/// `InvalidField`, never a panic.
+#[test]
+fn crc_escape_to_an_over_cap_sketch_shape_is_an_invalid_field() {
+    let params = GossipParams::paper();
+    let ad = Advertisement::new(
+        AdId::new(PeerId(4), 2),
+        Point::new(1200.0, 800.0),
+        SimTime::from_secs(5.0),
+        700.0,
+        SimDuration::from_secs(600.0),
+        vec![1, 5],
+        64,
+        &params,
+    );
+    let clean = codec::encode_frame(&AdMessage::gossip(ad));
+    let body_len = clean.len() - FRAME_CRC_BYTES;
+    let body_bits = body_len as u64 * 8;
+    // The 67-byte header, then two topics (a u16 count and two u32s),
+    // then the sketch count F and the sketch length L, both 16.
+    let f_byte = 67 + 2 + 2 * 4;
+    assert_eq!(clean[f_byte..f_byte + 2], [16, 16]);
+    let (f_bit, l_bit) = (f_byte as u64 * 8, (f_byte + 1) as u64 * 8);
+    // F 16 → 0 and → 17 (272 bits); L 16 → 48 (768 bits) and → 80.
+    for flips in [
+        vec![f_bit + 4],
+        vec![f_bit],
+        vec![l_bit + 5],
+        vec![l_bit + 6],
+    ] {
+        let mut dirty = clean.clone();
+        flip(&mut dirty, &flips);
+        let syndrome = codec::crc32(&dirty[..body_len]) ^ codec::crc32(&clean[..body_len]);
+        let mut bits = flips.clone();
+        bits.extend(
+            (0..32)
+                .filter(|k| syndrome >> k & 1 == 1)
+                .map(|k| body_bits + k),
+        );
+        assert!(codec::FlipVerdict::new().passes(clean.len(), &bits));
+        let mut escaped = clean.clone();
+        flip(&mut escaped, &bits);
+        assert_eq!(
+            codec::decode_frame(&escaped),
+            Err(CodecError::InvalidField("sketch shape")),
+            "flips {flips:?}"
+        );
+    }
+}

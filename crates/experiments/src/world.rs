@@ -33,21 +33,20 @@ use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Events driving one run.
+/// Events driving one run: 24 bytes each, so a scheduler slab slot is
+/// 48.
 enum Event {
     /// Bring a peer online (fires at t = 0 for everyone).
     Start(u32),
     /// A peer's timer for one ad: a gossip entry tick or a flooding wave.
     Entry(u32, AdId),
-    /// Frame arrival at a receiver, queued only for a copy the receiver
-    /// neither skipped nor applied when it was sent ([`World::broadcast`]).
-    Deliver {
-        msg: Arc<AdMessage>,
-        meta: RxMeta,
-        to: u32,
-    },
+    /// Arrival at `to`, `distance` metres from the sender, of a copy of
+    /// the frame in flight in slot `tx` ([`Flights`]), queued only for a
+    /// copy the receiver neither skipped nor applied when it was sent
+    /// ([`World::broadcast`]).
+    Deliver { tx: u32, to: u32, distance: f64 },
     /// The issuer of ad `index` publishes it.
-    Issue { index: usize },
+    Issue { index: u32 },
     /// A node switches off: no further transmissions, receptions, or
     /// timers (the paper's issuer-goes-off-line scenario).
     Depart(u32),
@@ -86,6 +85,11 @@ pub struct World {
     /// two fixes ([`Motion::max_drift`]).
     max_speed: f64,
     ad_ids: Vec<AdId>,
+    /// Each ad as its issuer publishes it: built with the world, so
+    /// issuing one is a copy that allocates nothing.
+    issued: Vec<Advertisement>,
+    /// The frames whose copies are queued to arrive.
+    flights: Flights,
     /// Per-node online flag; departed nodes are radio-silent and ignore
     /// timers.
     online: Vec<bool>,
@@ -122,7 +126,7 @@ pub struct EntryWakeups {
 }
 
 /// Frame copies the channel delivered, by their fate when the frame was
-/// sent. The sum over the four fates is the medium's `receptions`.
+/// sent. The sum over the five fates is the medium's `receptions`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Deliveries {
     /// Queued to arrive at their receivers.
@@ -136,6 +140,9 @@ pub struct Deliveries {
     /// Left out: the copy's corruption verdict, a keyed draw made at send
     /// time, drops it at the receiver's CRC check.
     pub corrupted: u64,
+    /// Left out: the copy would be queued, but it arrives at or past the
+    /// run's horizon, where no callback runs. No observer sees it.
+    pub past_horizon: u64,
 }
 
 /// What the receiver's CRC check makes of one frame copy.
@@ -149,25 +156,82 @@ enum Verdict {
     Escaped(AdMessage),
 }
 
-/// A broadcast's message, moved behind the `Arc` its deliveries share
-/// only when the first of them is queued.
-struct Outgoing {
-    msg: Option<AdMessage>,
-    shared: Option<Arc<AdMessage>>,
+/// A frame in flight: the message its queued copies carry, where and by
+/// whom it was sent, and how many of its copies are still queued.
+struct InFlight {
+    msg: AdMessage,
+    sender_pos: Point,
+    from: u32,
+    pending: u32,
 }
 
-impl Outgoing {
-    fn get(&self) -> &AdMessage {
-        let msg = self.shared.as_deref().or(self.msg.as_ref());
-        msg.expect("one of the two holds the message")
+/// The world's frames in flight, one slot per frame with queued copies;
+/// an [`Event::Deliver`] names its frame by slot. A slot is taken when a
+/// frame's first copy is queued and freed when its last one arrives, and
+/// freed slots are reused, so a warm table allocates nothing. Every
+/// queued copy arrives before the horizon, so every slot drains.
+#[derive(Default)]
+struct Flights {
+    slots: Vec<Option<InFlight>>,
+    free: Vec<u32>,
+}
+
+impl Flights {
+    /// Take a slot for `msg` sent by `from` at `sender_pos`, with no copy
+    /// queued yet.
+    fn open(&mut self, msg: AdMessage, sender_pos: Point, from: u32) -> u32 {
+        let flight = Some(InFlight {
+            msg,
+            sender_pos,
+            from,
+            pending: 0,
+        });
+        match self.free.pop() {
+            Some(tx) => {
+                self.slots[tx as usize] = flight;
+                tx
+            }
+            None => {
+                self.slots.push(flight);
+                (self.slots.len() - 1) as u32
+            }
+        }
     }
 
-    fn share(&mut self) -> Arc<AdMessage> {
-        let msg = &mut self.msg;
-        let shared = self
-            .shared
-            .get_or_insert_with(|| Arc::new(msg.take().expect("moved once")));
-        Arc::clone(shared)
+    /// One more copy of frame `tx` is queued.
+    fn queue_copy(&mut self, tx: u32) {
+        self.flight(tx).pending += 1;
+    }
+
+    /// A queued copy of frame `tx` arrives `distance` metres from its
+    /// sender: its message and metadata. The last copy frees the slot
+    /// and takes the message; earlier ones copy it.
+    fn land(&mut self, tx: u32, distance: f64) -> (AdMessage, RxMeta) {
+        let flight = self.flight(tx);
+        flight.pending -= 1;
+        let meta = RxMeta {
+            sender_pos: flight.sender_pos,
+            from: flight.from,
+            distance,
+        };
+        if flight.pending > 0 {
+            return (flight.msg.clone(), meta);
+        }
+        self.free.push(tx);
+        let flight = self.slots[tx as usize].take().expect("in flight");
+        (flight.msg, meta)
+    }
+
+    fn flight(&mut self, tx: u32) -> &mut InFlight {
+        self.slots[tx as usize]
+            .as_mut()
+            .expect("a queued copy's frame is in flight")
+    }
+
+    /// Frames with a copy still queued.
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -377,7 +441,7 @@ impl World {
             sched.schedule_at(start, Event::Start(node));
         }
         for (i, spec) in scenario.ads.iter().enumerate() {
-            sched.schedule_at(spec.issue_time, Event::Issue { index: i });
+            sched.schedule_at(spec.issue_time, Event::Issue { index: i as u32 });
         }
         if let Some(churn) = &scenario.churn {
             // Pre-generate each mobile peer's up/down timeline from its
@@ -426,6 +490,22 @@ impl World {
                 );
             }
         }
+        // The issue event fires at the ad's issue time, so the ad is the
+        // same built now.
+        let issued = (scenario.ads.iter().zip(&ad_ids))
+            .map(|(spec, &id)| {
+                Advertisement::new(
+                    id,
+                    spec.issue_pos,
+                    spec.issue_time,
+                    spec.radius,
+                    spec.duration,
+                    spec.topics.clone(),
+                    spec.payload_bytes,
+                    &scenario.params,
+                )
+            })
+            .collect();
         let online = vec![true; scenario.n_nodes()];
         let ask_at_send = scenario.ads.len() <= scenario.params.cache_capacity;
         let always_online = scenario.churn.is_none()
@@ -448,6 +528,8 @@ impl World {
             cursor: FleetCursor::new(),
             max_speed,
             ad_ids,
+            issued,
+            flights: Flights::default(),
             online,
             profile: None,
             entry_wakeups: EntryWakeups::default(),
@@ -595,37 +677,29 @@ impl World {
 
     fn handle(&mut self, ev: Event) {
         let now = self.sched.now();
-        // Departed nodes drop everything addressed to them; a dropped
-        // frame delivery is the one observable case (on_suppress).
-        let target = match &ev {
-            Event::Start(n) | Event::Entry(n, _) | Event::Deliver { to: n, .. } => Some(*n),
-            Event::Issue { index } => Some(self.scenario.issuer_node(*index)),
-            Event::Depart(_) | Event::Rejoin(_) => None,
-        };
-        if target.is_some_and(|n| !self.online[n as usize]) {
-            if let Event::Deliver { msg, to, .. } = &ev {
-                self.observe(|o| o.on_suppress(now, *to, msg, SuppressReason::Offline));
-            }
-            return;
-        }
         match ev {
+            Event::Deliver { tx, to, distance } => {
+                let (msg, meta) = self.flights.land(tx, distance);
+                self.deliver(now, to, &msg, &meta);
+            }
             Event::Depart(node) => {
-                if self.online[node as usize] {
+                if self.is_online(node) {
                     self.online[node as usize] = false;
                     self.observe(|o| o.on_depart(now, node));
                 }
             }
             Event::Rejoin(node) => {
-                if !self.online[node as usize] {
+                if !self.is_online(node) {
                     self.online[node as usize] = true;
                     self.observe(|o| o.on_rejoin(now, node));
                     self.dispatch(node, now, |peer, ctx, out| peer.on_start(ctx, out));
                 }
             }
-            Event::Start(node) => {
+            // A departed node's timers and issues are dropped.
+            Event::Start(node) if self.is_online(node) => {
                 self.dispatch(node, now, |peer, ctx, out| peer.on_start(ctx, out));
             }
-            Event::Entry(node, ad) => {
+            Event::Entry(node, ad) if self.is_online(node) => {
                 let wake = self.dispatch(node, now, |peer, ctx, out| {
                     peer.on_entry_timer(ctx, ad, out)
                 });
@@ -638,28 +712,32 @@ impl World {
                     }
                 }
             }
-            Event::Deliver { msg, meta, to } => {
-                self.observe(|o| o.on_deliver(now, to, &msg, &meta));
-                self.dispatch(to, now, |peer, ctx, out| {
-                    peer.on_receive(ctx, &msg, &meta, out)
-                });
-            }
-            Event::Issue { index } => {
+            Event::Issue { index } if self.is_online(self.scenario.issuer_node(index as usize)) => {
+                let index = index as usize;
                 let node = self.scenario.issuer_node(index);
-                let spec = self.scenario.ads[index].clone();
-                let ad = Advertisement::new(
-                    self.ad_ids[index],
-                    spec.issue_pos,
-                    now,
-                    spec.radius,
-                    spec.duration,
-                    spec.topics.clone(),
-                    spec.payload_bytes,
-                    &self.scenario.params,
-                );
+                let ad = self.issued[index].clone();
+                debug_assert_eq!(ad.issue_time, now, "an ad is issued at its issue time");
                 self.dispatch(node, now, |peer, ctx, out| peer.issue(ctx, ad, out));
             }
+            Event::Start(_) | Event::Entry(..) | Event::Issue { .. } => {}
         }
+    }
+
+    fn is_online(&self, node: u32) -> bool {
+        self.online[node as usize]
+    }
+
+    /// A queued copy of `msg` arrives at `to`: its receiver handles it,
+    /// or, off-line, drops it (`on_suppress`).
+    fn deliver(&mut self, now: SimTime, to: u32, msg: &AdMessage, meta: &RxMeta) {
+        if !self.is_online(to) {
+            self.observe(|o| o.on_suppress(now, to, msg, SuppressReason::Offline));
+            return;
+        }
+        self.observe(|o| o.on_deliver(now, to, msg, meta));
+        self.dispatch(to, now, |peer, ctx, out| {
+            peer.on_receive(ctx, msg, meta, out)
+        });
     }
 
     /// The key of the corruption draws of every copy of the frame of
@@ -801,7 +879,12 @@ impl World {
     /// ([`Protocol::on_copy_sent`]): a copy it skips is dropped, and one it
     /// applies has had its effect. Neither is queued, and every copy left
     /// out is reported now. A copy that escapes the CRC carries what
-    /// it decodes to, and is queued.
+    /// it decodes to. A copy that would arrive at or past the horizon is
+    /// not queued either, and nobody sees it arrive.
+    ///
+    /// The first queued copy takes a slot in the in-flight table
+    /// ([`Flights`]) for the message, and every queued copy names the
+    /// slot; an escaped copy takes a slot of its own.
     #[inline(never)]
     fn broadcast(&mut self, node: u32, now: SimTime, msg: AdMessage) {
         let bytes = msg.bytes();
@@ -842,15 +925,10 @@ impl World {
         // Every copy's verdict draws from one key per frame.
         let corruption = self.scenario.faults.corruption;
         let corruption = corruption.map(|c| (c, self.frame_key(&msg, now)));
-        let mut out = Outgoing {
-            msg: Some(msg),
-            shared: None,
-        };
+        let mut tx = None;
         for d in outcome.deliveries.drain(..) {
             let verdict = match corruption {
-                Some((c, frame)) if c.active(d.arrival) => {
-                    self.verdict(c, frame, node, d.to, out.get())
-                }
+                Some((c, frame)) if c.active(d.arrival) => self.verdict(c, frame, node, d.to, &msg),
                 _ => Verdict::Intact,
             };
             let meta = RxMeta {
@@ -861,11 +939,11 @@ impl World {
             let fate = match verdict {
                 Verdict::Intact if ask => {
                     // The arrival runs its callback: the receiver cannot
-                    // go off-line first, and the scheduler keeps it.
+                    // go off-line first, and it is queued (before the
+                    // horizon).
                     let arrives = self.always_online && d.arrival < horizon;
-                    let msg = out.get();
                     self.with_ctx(d.to, d.arrival, |peer, ctx| {
-                        peer.on_copy_sent(ctx, msg, &meta, arrives)
+                        peer.on_copy_sent(ctx, &msg, &meta, arrives)
                     })
                 }
                 _ => CopyFate::Queue,
@@ -877,27 +955,31 @@ impl World {
             };
             if let Some(count) = left_out {
                 *count += 1;
-                self.report_unqueued(now, d.to, out.get(), Some(&meta));
+                self.report_unqueued(now, d.to, &msg, Some(&meta));
                 continue;
             }
-            let event = match verdict {
-                Verdict::Intact => Event::Deliver {
-                    msg: out.share(),
-                    meta,
-                    to: d.to,
-                },
+            let slot = match verdict {
                 Verdict::Dropped => {
                     self.deliveries.corrupted += 1;
-                    self.report_unqueued(now, d.to, out.get(), None);
+                    self.report_unqueued(now, d.to, &msg, None);
                     continue;
                 }
-                Verdict::Escaped(decoded) => Event::Deliver {
-                    msg: Arc::new(decoded),
-                    meta,
-                    to: d.to,
-                },
+                _ if d.arrival >= horizon => {
+                    self.deliveries.past_horizon += 1;
+                    continue;
+                }
+                Verdict::Intact => {
+                    *tx.get_or_insert_with(|| self.flights.open(msg.clone(), d.sender_pos, d.from))
+                }
+                Verdict::Escaped(decoded) => self.flights.open(decoded, d.sender_pos, d.from),
             };
+            self.flights.queue_copy(slot);
             self.deliveries.queued += 1;
+            let event = Event::Deliver {
+                tx: slot,
+                to: d.to,
+                distance: d.distance,
+            };
             self.sched.schedule_at(d.arrival, event);
         }
         self.outcome = outcome;
@@ -992,6 +1074,13 @@ mod tests {
         Scenario::paper(protocol, n)
             .with_seed(seed)
             .with_life_cycle(SimDuration::from_secs(300.0))
+    }
+
+    /// A queued arrival names its frame's slot in the in-flight table,
+    /// not the message, so every event is 24 bytes.
+    #[test]
+    fn an_event_is_24_bytes() {
+        assert_eq!(size_of::<Event>(), 24);
     }
 
     #[test]
@@ -1457,10 +1546,15 @@ mod tests {
         let (d, r) = (w.deliveries(), reference.deliveries());
         assert_eq!((r.skipped, r.applied), (0, 0), "{what}: reference");
         assert_eq!(
-            (d.queued + d.skipped + d.applied, d.corrupted),
-            (r.queued, r.corrupted),
+            (
+                d.queued + d.skipped + d.applied + d.past_horizon,
+                d.corrupted
+            ),
+            (r.queued + r.past_horizon, r.corrupted),
             "{what}"
         );
+        let in_flight = (w.flights.in_flight(), reference.flights.in_flight());
+        assert_eq!(in_flight, (0, 0), "{what}: frames left in flight");
         (w, reference)
     }
 
@@ -1736,15 +1830,28 @@ mod tests {
                 }
             }
             let after = w.deliveries();
-            assert!(after.queued > before.queued, "{after:?}");
-            after.applied - before.applied
+            let late = after.past_horizon - before.past_horizon;
+            assert!(after.queued + late > before.queued, "{after:?}");
+            (
+                after.applied - before.applied,
+                after.queued - before.queued,
+                late,
+            )
         };
-        let applied = applied_when_sent_at(horizon - SimDuration::from_millis(20));
+        let (applied, _, late) = applied_when_sent_at(horizon - SimDuration::from_millis(20));
         assert!(applied > 0, "no copy applied before the horizon");
-        let past = applied_when_sent_at(horizon - SimDuration::from_micros(1));
         assert_eq!(
-            past, 0,
+            late, 0,
+            "a copy sent 20 ms before the horizon arrived past it"
+        );
+        let (applied, queued, late) = applied_when_sent_at(horizon - SimDuration::from_micros(1));
+        assert_eq!(
+            applied, 0,
             "a copy arriving at or past the horizon was applied"
+        );
+        assert!(
+            queued == 0 && late > 0,
+            "a copy arriving at or past the horizon was queued"
         );
     }
 
@@ -1917,9 +2024,12 @@ mod tests {
     /// arrival if it was queued, else when its frame was sent (a skipped
     /// or applied copy as delivered, a dropped corrupted one as
     /// corrupted, either as off-line if its receiver was off-line then).
-    /// The ad expires a second before the horizon, so no copy is in
-    /// flight at the end. A Gossiping run with every fault class skips
-    /// copies; a fault-free Optimized Gossiping run applies them.
+    /// Where the ad expires a second before the horizon, no copy is in
+    /// flight at the end; where frames are sent just before it, their
+    /// copies are counted as `past_horizon` and never reported. A
+    /// Gossiping run with every fault class skips copies; a fault-free
+    /// Optimized Gossiping run applies them. No run leaves a frame in the
+    /// in-flight table.
     #[test]
     fn every_reception_is_reported_exactly_once() {
         use crate::scenario::ChurnSpec;
@@ -1939,19 +2049,44 @@ mod tests {
                 p_corrupt: 0.3,
                 max_flips: 4,
             });
-        let mut s = tiny(ProtocolKind::Gossip, 150, 43)
-            .with_faults(faults)
-            .with_churn(ChurnSpec::new(dur(60.0), dur(20.0)));
-        s.radio.loss = ia_radio::LossModel::Bernoulli(0.1);
-        s.radio.contention = ia_radio::Contention::Aloha;
-        s.sim_time += dur(1.0);
-        let mut w = World::new(s);
-        w.attach_observer(Box::new(FaultLedger::new(dur(5.0))));
-        w.run();
+        // The run ends a second after the ad, or mid-life with frames in
+        // flight: every on-line holder sends its copy 1 µs before the
+        // horizon.
+        let chaotic = |in_flight_at_end: bool| {
+            let mut s = tiny(ProtocolKind::Gossip, 150, 43)
+                .with_faults(faults.clone())
+                .with_churn(ChurnSpec::new(dur(60.0), dur(20.0)));
+            s.radio.loss = ia_radio::LossModel::Bernoulli(0.1);
+            s.radio.contention = ia_radio::Contention::Aloha;
+            if in_flight_at_end {
+                s.sim_time -= dur(150.0);
+            } else {
+                s.sim_time += dur(1.0);
+            }
+            let horizon = SimTime::ZERO + s.sim_time;
+            let mut w = World::new(s);
+            w.attach_observer(Box::new(FaultLedger::new(dur(5.0))));
+            if in_flight_at_end {
+                let sent = horizon - SimDuration::from_micros(1);
+                w.run_until(sent);
+                let ad = w.ad_ids[0];
+                for node in 0..w.scenario.n_nodes() as u32 {
+                    let copy = w.peers[node as usize].cached_ad(ad).cloned();
+                    if let (true, Some(copy)) = (w.online[node as usize], copy) {
+                        w.broadcast(node, sent, AdMessage::gossip(copy));
+                    }
+                }
+            }
+            w.run();
+            assert_eq!(w.flights.in_flight(), 0, "frames left in flight");
+            w
+        };
+        let w = chaotic(false);
         let (stats, d) = (w.medium().stats(), w.deliveries());
         let ledger = w.observer::<FaultLedger>().expect("ledger attached");
         let count = |reason| ledger.count(reason);
         assert!(d.skipped > 0 && d.corrupted > 0, "{d:?}");
+        assert_eq!(d.past_horizon, 0, "{d:?}");
         let reported = ledger.delivered() + count(Offline) + count(Corrupted);
         assert_eq!(reported, stats.receptions);
         let drops = (count(ChannelLoss), count(Jammed), count(Collision));
@@ -1962,6 +2097,16 @@ mod tests {
         // were dropped.
         assert!(count(Corrupted) < d.corrupted, "{d:?}");
 
+        // Frames in flight at the end: their copies are not queued and
+        // not reported, and they make up the rest.
+        let w = chaotic(true);
+        let (stats, d) = (w.medium().stats(), w.deliveries());
+        let ledger = w.observer::<FaultLedger>().expect("ledger attached");
+        let count = |reason| ledger.count(reason);
+        assert!(d.past_horizon > 0, "{d:?}");
+        let reported = ledger.delivered() + count(Offline) + count(Corrupted);
+        assert_eq!(reported + d.past_horizon, stats.receptions);
+
         let mut s = tiny(ProtocolKind::OptGossip, 150, 43);
         s.sim_time += dur(1.0);
         let mut w = World::new(s);
@@ -1970,6 +2115,7 @@ mod tests {
         let (stats, d) = (w.medium().stats(), w.deliveries());
         let ledger = w.observer::<FaultLedger>().expect("ledger attached");
         assert!(d.applied > 0 && d.queued > 0, "{d:?}");
+        assert_eq!(w.flights.in_flight(), 0, "frames left in flight");
         assert_eq!(ledger.delivered(), stats.receptions);
         assert_eq!(ledger.faulted(), 0);
     }
@@ -2080,11 +2226,13 @@ mod tests {
         body.iter().copied().chain(trailer).collect()
     }
 
-    /// A frame whose flips escape the CRC decodes, but reaches the
-    /// receiver only with the sent ad's id and sketch family. A flipped
-    /// sketch count `F` would fail the merge into a cached copy, and a
-    /// flipped issuer would be a phantom ad; both are dropped as
-    /// corrupted. A flip in the opaque content still delivers.
+    /// A frame whose flips escape the CRC reaches the receiver only if it
+    /// decodes with the sent ad's id and sketch family. A flipped sketch
+    /// count `F` gives a shape the packed bundle cannot hold, which does
+    /// not decode; a flipped family seed would fail the merge into a
+    /// cached copy, and a flipped issuer would be a phantom ad. All three
+    /// are dropped as corrupted. A flip in the opaque content still
+    /// delivers.
     #[test]
     fn crc_escapes_reach_the_receiver_only_as_the_sent_ad() {
         let c = CorruptionSpec {
@@ -2108,9 +2256,12 @@ mod tests {
         );
         let msg = AdMessage::gossip(ad);
         let clean = codec::encode_frame(&msg);
-        // Body byte 77 of a two-topic ad is the sketch count `F`; bytes
-        // 3 to 6 are the issuer; the last body byte is opaque content.
+        // Body byte 77 of a two-topic ad is the sketch count `F`, byte 78
+        // the length `L`, then come 32 bytes of sketches and the family
+        // seed; bytes 3 to 6 are the issuer; the last body byte is opaque
+        // content.
         let count_bit = 77 * 8;
+        let seed_bit = (79 + 32) * 8 + 3;
         let issuer_bit = 3 * 8 + 2;
         let content_bit = (clean.len() - codec::FRAME_CRC_BYTES) as u64 * 8 - 1;
         let decoded = |bits: &[u64]| {
@@ -2118,22 +2269,28 @@ mod tests {
             for &bit in bits {
                 frame[(bit / 8) as usize] ^= 1 << (bit % 8);
             }
-            codec::decode_frame(&frame).expect("the flips escape the CRC")
+            codec::decode_frame(&frame)
         };
 
         let reshaped = crc_escape(&clean, &[count_bit]);
         assert!(reshaped.len() <= MAX_FLIPS as usize);
-        let got = decoded(&reshaped);
-        assert_eq!(got.ad.id, msg.ad.id);
-        assert!(!got.ad.sketches.same_family(&msg.ad.sketches));
+        let shape = codec::CodecError::InvalidField("sketch shape");
+        assert_eq!(decoded(&reshaped), Err(shape));
         assert!(w.flipped(&msg, &reshaped).is_none());
 
+        let reseeded = crc_escape(&clean, &[seed_bit]);
+        let got = decoded(&reseeded).expect("the flips escape the CRC");
+        assert_eq!(got.ad.id, msg.ad.id);
+        assert!(!got.ad.sketches.same_family(&msg.ad.sketches));
+        assert!(w.flipped(&msg, &reseeded).is_none());
+
         let phantom = crc_escape(&clean, &[issuer_bit]);
-        assert_ne!(decoded(&phantom).ad.id, msg.ad.id);
+        let got = decoded(&phantom).expect("the flips escape the CRC");
+        assert_ne!(got.ad.id, msg.ad.id);
         assert!(w.flipped(&msg, &phantom).is_none());
 
         let content = crc_escape(&clean, &[content_bit]);
-        assert_eq!(decoded(&content), msg);
+        assert_eq!(decoded(&content).as_ref(), Ok(&msg));
         assert_eq!(w.flipped(&msg, &content), Some(msg));
     }
 

@@ -70,7 +70,7 @@ fn check(scenario: Scenario, pin: Pin) {
     let d = w.deliveries();
     assert_eq!(d, pin.deliveries, "deliveries");
     assert_eq!(
-        d.queued + d.skipped + d.applied + d.corrupted,
+        d.queued + d.skipped + d.applied + d.corrupted + d.past_horizon,
         w.medium().stats().receptions
     );
 }
@@ -101,6 +101,7 @@ fn opt_dense() {
                 skipped: 0,
                 applied: 211_603,
                 corrupted: 0,
+                past_horizon: 0,
             },
         },
     );
@@ -142,6 +143,7 @@ fn gossip_chaos() {
                 skipped: 953_409,
                 applied: 0,
                 corrupted: 52_174,
+                past_horizon: 0,
             },
         },
     );
@@ -171,6 +173,7 @@ fn flooding_300() {
                 skipped: 47_592,
                 applied: 0,
                 corrupted: 0,
+                past_horizon: 0,
             },
         },
     );

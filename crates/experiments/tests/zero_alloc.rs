@@ -664,6 +664,80 @@ fn observer_fan_out_allocates_nothing() {
     );
 }
 
+/// One World-level cycle allocates nothing once warm: an issue, its
+/// broadcast, queued copies delivered, copies applied when their frame
+/// is sent (Optimized Gossiping) or skipped (Gossiping), forwarding
+/// ticks and re-broadcasts. Two ads are issued at the centre of a small
+/// field, each covering all of it, the second after the first has
+/// expired and left every cache. The first ad's life sizes every
+/// buffer: the scheduler's slab, the in-flight table, the medium's, the
+/// sink, and each cache's one slot, which the second ad's admissions
+/// reuse. The second ad's whole life then allocates nothing.
+fn world_cycle_allocates_nothing(kind: ProtocolKind) {
+    let first = AdSpec {
+        issue_pos: Point::new(600.0, 600.0),
+        issue_time: SimTime::from_secs(10.0),
+        radius: 900.0,
+        duration: SimDuration::from_secs(150.0),
+        ..AdSpec::paper()
+    };
+    let second = AdSpec {
+        issue_time: SimTime::from_secs(240.0),
+        duration: SimDuration::from_secs(120.0),
+        ..first.clone()
+    };
+    let mut s = Scenario::paper(kind, 60).with_seed(3);
+    s.area = ia_geo::Rect::with_size(1200.0, 1200.0);
+    s.ads = vec![first, second];
+    s.sim_time = SimDuration::from_secs(360.0);
+    let mut w = World::new(s);
+    w.run_until(SimTime::from_secs(235.0));
+    assert_eq!(
+        w.holders(w.ad_ids()[0]),
+        0,
+        "{kind}: the first ad is still cached"
+    );
+    let (messages, deliveries, fired) = (
+        w.medium().stats().messages,
+        w.deliveries(),
+        w.entry_wakeups().fired,
+    );
+
+    let (allocated, ()) = allocations_during(|| w.run());
+
+    let d = w.deliveries();
+    let outcomes = w.tracker().outcomes();
+    assert!(outcomes[1].delivered > 50, "{kind}: {:?}", outcomes[1]);
+    assert!(
+        w.medium().stats().messages > messages + 1,
+        "{kind}: no re-broadcast"
+    );
+    assert!(w.entry_wakeups().fired > fired, "{kind}: no tick");
+    assert!(d.queued > deliveries.queued, "{kind}: {d:?}");
+    let (applied, skipped) = (
+        d.applied - deliveries.applied,
+        d.skipped - deliveries.skipped,
+    );
+    match kind {
+        ProtocolKind::OptGossip => assert!(applied > 0, "{kind}: {d:?}"),
+        _ => assert!(skipped > 0, "{kind}: {d:?}"),
+    }
+    assert_eq!(
+        allocated, 0,
+        "{kind}: a warm World cycle allocated {allocated} times"
+    );
+}
+
+#[test]
+fn world_cycle_allocates_nothing_under_optimized_gossiping() {
+    world_cycle_allocates_nothing(ProtocolKind::OptGossip);
+}
+
+#[test]
+fn world_cycle_allocates_nothing_under_gossiping() {
+    world_cycle_allocates_nothing(ProtocolKind::Gossip);
+}
+
 /// A Manhattan model draws its waypoints into a caller's buffer without
 /// a heap allocation of its own: once the buffer has held a fleet's
 /// longest plan, drawing the same fleet again allocates nothing.

@@ -1,4 +1,4 @@
-//! Flajolet–Martin bitmaps: one `u64` per sketch, of which the low
+//! Flajolet–Martin bitmaps: one sketch is a `u64` of which the low
 //! `len` (`1..=64`) bits are addressable.
 //!
 //! Inserting an element sets bit `rho(hash(x))` (capped at `len - 1`).
@@ -6,7 +6,7 @@
 //! value 0, or `L` if all bits are 1" — is the classic FM `R` statistic:
 //! the index of the lowest unset bit.
 
-/// The addressable bits of a `len`-bit bitmap.
+/// The low `len` bits, `len` in `0..=64`.
 #[inline]
 pub(crate) fn mask(len: u8) -> u64 {
     if len == 64 {
@@ -16,12 +16,12 @@ pub(crate) fn mask(len: u8) -> u64 {
     }
 }
 
-/// Record an element whose `rho` statistic is `rho`. Values beyond the
-/// bitmap length clamp to the top bit, as in the original algorithm.
+/// The bit an element whose `rho` statistic is `rho` sets in a `len`-bit
+/// sketch. Values beyond the bitmap length clamp to the top bit, as in
+/// the original algorithm.
 #[inline]
-pub(crate) fn insert_rho(bits: &mut u64, len: u8, rho: u32) {
-    let pos = rho.min(len as u32 - 1);
-    *bits |= 1u64 << pos;
+pub(crate) fn rho_bit(len: u8, rho: u32) -> u32 {
+    rho.min(len as u32 - 1)
 }
 
 /// The paper's `Min(FM)`: index of the lowest zero bit, or `len` when
@@ -32,18 +32,15 @@ pub(crate) fn min_zero_bit(bits: u64, len: u8) -> u8 {
     tz.min(len)
 }
 
-/// Duplicate-insensitive merge: bitwise OR, bitmap by bitmap.
-#[inline]
-pub(crate) fn merge(into: &mut [u64], from: &[u64]) {
-    for (a, b) in into.iter_mut().zip(from) {
-        *a |= b;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FmBundle;
+
+    /// Record an element whose `rho` statistic is `rho` in one sketch.
+    fn insert_rho(bits: &mut u64, len: u8, rho: u32) {
+        *bits |= 1u64 << rho_bit(len, rho);
+    }
 
     #[test]
     fn empty_sketch_min_zero_is_zero() {
@@ -80,17 +77,21 @@ mod tests {
         assert_eq!(min_zero_bit(s, 8), 8);
     }
 
+    /// Merging is a bitwise OR of the packed sketches: it unions every
+    /// sketch's bits, and merging again changes nothing.
     #[test]
     fn merge_is_or_and_idempotent() {
-        let (mut a, mut b) = (0, 0);
-        insert_rho(&mut a, 16, 0);
-        insert_rho(&mut a, 16, 2);
-        insert_rho(&mut b, 16, 1);
-        let mut merged = [b];
-        merge(&mut merged, &[a]);
-        assert_eq!(merged, [0b111]);
-        merge(&mut merged, &[a]); // duplicates change nothing
-        assert_eq!(merged, [0b111]);
+        // Three 16-bit sketches, the middle one straddling no word: bits
+        // 0 and 2 of sketch 1 on one side, bit 1 on the other.
+        let (mut a, mut b) = ([0u8; 6], [0u8; 6]);
+        a[2] = 0b101;
+        b[2] = 0b010;
+        let mut merged = FmBundle::from_packed(1, 3, 16, &b);
+        merged.merge(&FmBundle::from_packed(1, 3, 16, &a));
+        let union = FmBundle::from_packed(1, 3, 16, &[0, 0, 0b111, 0, 0, 0]);
+        assert_eq!(merged, union);
+        merged.merge(&FmBundle::from_packed(1, 3, 16, &a)); // duplicates change nothing
+        assert_eq!(merged, union);
     }
 
     #[test]
@@ -100,11 +101,13 @@ mod tests {
         a.merge(&FmBundle::new(1, 4, 16));
     }
 
+    /// Bits past `F·L` in the wire bytes are not the bundle's.
     #[test]
     fn from_bits_masks_excess() {
-        let b = FmBundle::from_parts(1, 4, vec![u64::MAX]);
-        assert_eq!(b.bitmaps(), [0b1111]);
-        assert_eq!(min_zero_bit(b.bitmaps()[0], 4), 4);
+        let b = FmBundle::from_packed(1, 1, 4, &[0xFF; 32]);
+        assert_eq!(b, FmBundle::from_packed(1, 1, 4, &[0b1111]));
+        assert_eq!(b.packed()[..2], [0b1111, 0]);
+        assert_eq!(b.estimate(), 2f64.powi(4) / crate::PHI);
     }
 
     #[test]
@@ -119,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sketch length must be 1..=64")]
+    #[should_panic(expected = "sketch length must be 1..=56")]
     fn zero_length_rejected() {
         let _ = FmBundle::new(1, 1, 0);
     }
