@@ -8,11 +8,6 @@ use ia_geo::Point;
 use ia_sketch::FmBundle;
 use std::sync::Arc;
 
-/// Fixed per-message header overhead of the canonical wire encoding:
-/// magic, flags, ad id, issue time/coordinates, initial and current
-/// radius/duration (see [`crate::codec`] for the layout).
-pub const HEADER_BYTES: usize = 67;
-
 /// An instant advertisement as carried on the wire.
 ///
 /// `radius`/`duration` start at the issuer's `initial_radius`/
@@ -107,12 +102,6 @@ impl Advertisement {
         self.topics.binary_search(&topic).is_ok()
     }
 
-    /// Total wire size of this advertisement in a gossip message — the
-    /// exact canonical encoding length (see [`crate::codec`]).
-    pub fn wire_bytes(&self) -> usize {
-        crate::codec::ad_encoded_len(self)
-    }
-
     /// Merge a copy of the same advertisement received from a neighbour:
     /// sketches are OR-ed (duplicate-insensitive), and the spatial/
     /// temporal parameters take the maximum seen, so popularity
@@ -194,8 +183,7 @@ mod tests {
         let a = ad();
         // 67 fixed + (2 + 8) topics + (2 + 32 + 8) sketches
         // + (4 + 200) payload.
-        assert_eq!(a.wire_bytes(), 67 + 10 + 42 + 204);
-        assert_eq!(a.wire_bytes(), crate::codec::ad_encoded_len(&a));
+        assert_eq!(crate::codec::ad_encoded_len(&a), 67 + 10 + 42 + 204);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! semantically what the protocols need.
 //!
 //! This module is the single source of truth for message sizes: the
-//! traffic accounting in `AdMessage::bytes` / `Advertisement::wire_bytes`
-//! delegates to [`message_encoded_len`], and a test pins
+//! traffic accounting in `AdMessage::bytes` delegates to
+//! [`message_encoded_len`], built on [`ad_encoded_len`], and a test pins
 //! `encode(msg).len() == message_encoded_len(msg)` exactly.
 
 use crate::ad::Advertisement;

@@ -25,8 +25,7 @@
 //!   across protocols; a receipt that is not relayed copies nothing.
 
 use super::{
-    Action, ActionSink, AdMessage, CopyFate, EntryWake, FloodInfo, PeerContext, Protocol,
-    ProtocolKind, RxMeta,
+    Action, ActionSink, AdMessage, CopyFate, EntryWake, FloodInfo, PeerContext, Protocol, RxMeta,
 };
 use crate::ad::Advertisement;
 use crate::ids::AdId;
@@ -94,10 +93,6 @@ impl RestrictedFlooding {
 }
 
 impl Protocol for RestrictedFlooding {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Flooding
-    }
-
     fn on_start(&mut self, ctx: &mut PeerContext<'_>, out: &mut ActionSink) {
         // Pure receivers need no timers; issuers start their cycle in
         // `issue`. On a restart with live issued ads (the issuer's device

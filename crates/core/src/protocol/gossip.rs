@@ -1,13 +1,16 @@
 //! Opportunistic Gossiping (§III-C) and its optimizations (§III-D).
 //!
-//! One implementation covers the four gossip variants; the two
-//! optimization mechanisms are orthogonal flags:
+//! One implementation covers the four gossip variants, which
+//! [`Gossip::new`] builds from their [`ProtocolKind`]; the two
+//! optimization mechanisms are orthogonal:
 //!
-//! * `annular` (mechanism 1): the forwarding probability uses formula (3)
-//!   once the advertisement is past its initial outward-spread warm-up,
-//!   confining high-rate gossip to the rim annulus of width `DIS`.
-//! * `postpone` (mechanism 2): overhearing a neighbour broadcast the same
-//!   ad pushes that entry's schedule back by formula (4).
+//! * mechanism (1), `annular`: the forwarding probability uses formula
+//!   (3) once the advertisement is past its initial outward-spread
+//!   warm-up, confining high-rate gossip to the rim annulus of width
+//!   `DIS`.
+//! * mechanism (2), no peer grid (`anchor` is `None`): overhearing a
+//!   neighbour broadcast the same ad pushes that entry's schedule back by
+//!   formula (4).
 //!
 //! Every entry ticks on a grid one round apart, and each tick tosses the
 //! entry's coin. Without mechanism (2) all entries share the peer's one
@@ -79,11 +82,9 @@ pub struct Gossip {
     cache: AdCache,
     /// Mechanism (1): annular probability.
     annular: bool,
-    /// Mechanism (2): overhearing postponement.
-    postpone: bool,
     /// The origin of the peer's round grid, which every entry ticks on
-    /// (Algorithms 1–2); `None` under mechanism (2), where each entry
-    /// keeps its own grid.
+    /// (Algorithms 1–2); `None` under mechanism (2), overhearing
+    /// postponement, where each entry keeps its own grid.
     anchor: Option<SimTime>,
 }
 
@@ -92,54 +93,31 @@ pub struct Gossip {
 const PHASE_WORD: u64 = u64::MAX;
 
 impl Gossip {
-    /// Pure Opportunistic Gossiping (Algorithms 1–2). Every draw is
-    /// keyed by `key` ([`ia_des::rng::keyed_unit`]): the tick of entry
-    /// `ad` at `t` broadcasts iff `keyed_unit(key, ad, t) < p`, a pure
-    /// function of the tick.
-    pub fn pure(params: Arc<SharedParams>, range: f64, profile: UserProfile, key: u64) -> Self {
-        Self::with_flags(params, range, profile, key, false, false)
-    }
-
-    /// Gossiping + mechanism (1); `key` as for [`Gossip::pure`].
-    pub fn optimized_1(
+    /// The gossip variant `kind`: Gossiping (Algorithms 1–2), with
+    /// mechanism (1) for Optimized Gossiping-1, mechanism (2) for
+    /// Optimized Gossiping-2 (Algorithms 3–4), both for Optimized
+    /// Gossiping. Every draw is keyed by `key`
+    /// ([`ia_des::rng::keyed_unit`]): the tick of entry `ad` at `t`
+    /// broadcasts iff `keyed_unit(key, ad, t) < p`, a pure function of the
+    /// tick.
+    ///
+    /// # Panics
+    ///
+    /// On [`ProtocolKind::Flooding`], which is not a gossip variant.
+    pub fn new(
+        kind: ProtocolKind,
         params: Arc<SharedParams>,
         range: f64,
         profile: UserProfile,
         key: u64,
     ) -> Self {
-        Self::with_flags(params, range, profile, key, true, false)
-    }
-
-    /// Gossiping + mechanism (2) (Algorithms 3–4); `key` as for
-    /// [`Gossip::pure`].
-    pub fn optimized_2(
-        params: Arc<SharedParams>,
-        range: f64,
-        profile: UserProfile,
-        key: u64,
-    ) -> Self {
-        Self::with_flags(params, range, profile, key, false, true)
-    }
-
-    /// Optimized Gossiping: both mechanisms; `key` as for
-    /// [`Gossip::pure`].
-    pub fn optimized(
-        params: Arc<SharedParams>,
-        range: f64,
-        profile: UserProfile,
-        key: u64,
-    ) -> Self {
-        Self::with_flags(params, range, profile, key, true, true)
-    }
-
-    fn with_flags(
-        params: Arc<SharedParams>,
-        range: f64,
-        profile: UserProfile,
-        key: u64,
-        annular: bool,
-        postpone: bool,
-    ) -> Self {
+        let (annular, postpones) = match kind {
+            ProtocolKind::Gossip => (false, false),
+            ProtocolKind::OptGossip1 => (true, false),
+            ProtocolKind::OptGossip2 => (false, true),
+            ProtocolKind::OptGossip => (true, true),
+            ProtocolKind::Flooding => panic!("Restricted Flooding is not a gossip variant"),
+        };
         params.validate();
         postpone::validate_range(range);
         let cache = AdCache::new(params.cache_capacity);
@@ -150,8 +128,7 @@ impl Gossip {
             profile,
             cache,
             annular,
-            postpone,
-            anchor: (!postpone).then_some(SimTime::ZERO),
+            anchor: (!postpones).then_some(SimTime::ZERO),
         }
     }
 
@@ -543,15 +520,6 @@ fn tick_unit(key: u64, ad: AdId, t: SimTime) -> f64 {
 }
 
 impl Protocol for Gossip {
-    fn kind(&self) -> ProtocolKind {
-        match (self.annular, self.postpone) {
-            (false, false) => ProtocolKind::Gossip,
-            (true, false) => ProtocolKind::OptGossip1,
-            (false, true) => ProtocolKind::OptGossip2,
-            (true, true) => ProtocolKind::OptGossip,
-        }
-    }
-
     fn on_start(&mut self, ctx: &mut PeerContext<'_>, out: &mut ActionSink) {
         let now = ctx.now;
         let round = self.params.round_time;
@@ -601,7 +569,7 @@ impl Protocol for Gossip {
             // Duplicate: absorb popularity state.
             let (radius, duration) = (entry.ad.radius, entry.ad.duration);
             entry.ad.absorb(&msg.ad);
-            if self.postpone {
+            if self.anchor.is_none() {
                 postpone_entry(entry, ctx, meta.sender_pos, round, self.range);
                 arm(entry, now, out);
             } else if (entry.ad.radius, entry.ad.duration) != (radius, duration) {
@@ -670,7 +638,7 @@ impl Protocol for Gossip {
         if msg.flood.is_some() {
             return CopyFate::Queue;
         }
-        if !self.postpone {
+        if self.anchor.is_some() {
             let covered = self
                 .cache
                 .get(msg.ad.id)
@@ -711,6 +679,12 @@ mod tests {
 
     fn params() -> Arc<SharedParams> {
         GossipParams::paper().shared()
+    }
+
+    /// A peer of the gossip variant `kind`, with the paper's parameters
+    /// and range and an indifferent user, drawing with `key`.
+    fn peer(kind: ProtocolKind, key: u64) -> Gossip {
+        Gossip::new(kind, params(), RANGE, UserProfile::indifferent(1), key)
     }
 
     fn mk_ad(seq: u32) -> Advertisement {
@@ -764,7 +738,7 @@ mod tests {
         // instant; an empty cache queues nothing.
         let mut anchors = Vec::new();
         for key in 0..4 {
-            let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1), key);
+            let mut g = peer(ProtocolKind::Gossip, key);
             let mut c = env.ctx(0.0, pos);
             assert!(ActionSink::collect(|out| g.on_start(&mut c, out)).is_empty());
             let anchor = g.anchor.expect("pure gossip has a peer grid");
@@ -793,7 +767,7 @@ mod tests {
         // after admission, whatever the peer's key or start instant.
         for key in 0..4 {
             let mut env = Env::new();
-            let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1), key);
+            let mut g = peer(ProtocolKind::OptGossip2, key);
             let mut c = env.ctx(0.0, Point::ORIGIN);
             assert!(ActionSink::collect(|out| g.on_start(&mut c, out)).is_empty());
             assert_eq!(g.anchor, None);
@@ -809,7 +783,7 @@ mod tests {
     #[test]
     fn issue_broadcasts_immediately_and_caches() {
         let mut env = Env::new();
-        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::Gossip, 0);
         let mut c = env.ctx(10.0, Point::new(2500.0, 2500.0));
         let actions = ActionSink::collect(|out| g.issue(&mut c, mk_ad(0), out));
         assert!(matches!(actions[0], Action::Broadcast(_)));
@@ -819,7 +793,7 @@ mod tests {
     #[test]
     fn new_ad_is_accepted_and_cached() {
         let mut env = Env::new();
-        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::Gossip, 0);
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         let actions = ActionSink::collect(|out| {
@@ -850,40 +824,27 @@ mod tests {
         let mut fate = |g: &mut Gossip, m: &AdMessage| {
             g.on_copy_sent(&mut env.ctx(20.5, pos), m, &meta_at(pos), false)
         };
-        for (annular, postpone) in [(false, false), (true, false), (false, true), (true, true)] {
-            let profile = UserProfile::indifferent(1);
-            let mut g = Gossip::with_flags(params(), RANGE, profile, 0, annular, postpone);
-            let kind = g.kind();
-            assert_eq!(
-                fate(&mut g, &msg),
-                CopyFate::Queue,
-                "{kind}: nothing cached"
-            );
+        let mut richer = msg.clone();
+        richer.ad.sketches.insert(42);
+        let mut later = msg.clone();
+        later.ad.issue_time = SimTime::from_secs(11.0);
+        let wave = AdMessage::flood(mk_ad(0), 1, 1000.0);
+        for kind in ProtocolKind::ALL[1..].iter().copied() {
+            let mut g = peer(kind, 0);
+            assert_eq!(fate(&mut g, &msg), CopyFate::Queue, "{kind}: empty");
             let mut c = Env::new();
             let mut c = c.ctx(20.0, pos);
             ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(pos), out));
-            let covered = if postpone {
+            let covered = if g.anchor.is_none() {
                 CopyFate::Queue
             } else {
                 CopyFate::Skip
             };
-            assert_eq!(fate(&mut g, &msg), covered, "{kind}");
-            let mut richer = msg.clone();
-            richer.ad.sketches.insert(42);
-            assert_eq!(fate(&mut g, &richer), CopyFate::Queue, "{kind}: a new bit");
-            let mut later = msg.clone();
-            later.ad.issue_time = SimTime::from_secs(11.0);
-            assert_eq!(
-                fate(&mut g, &later),
-                CopyFate::Queue,
-                "{kind}: issued later"
-            );
-            let wave = AdMessage::flood(mk_ad(0), 1, 1000.0);
-            assert_eq!(
-                fate(&mut g, &wave),
-                CopyFate::Queue,
-                "{kind}: a flooding wave"
-            );
+            // The copy itself, one with a new bit, one issued later and a
+            // flooding wave.
+            let fates = [&msg, &richer, &later, &wave].map(|m| fate(&mut g, m));
+            let queue = CopyFate::Queue;
+            assert_eq!(fates, [covered, queue, queue, queue], "{kind}");
         }
     }
 
@@ -897,7 +858,7 @@ mod tests {
         let pos = Point::new(2600.0, 2500.0);
         let msg = AdMessage::gossip(mk_ad(0));
         let admitted = || {
-            let mut g = Gossip::optimized(params(), RANGE, UserProfile::indifferent(1), 3);
+            let mut g = peer(ProtocolKind::OptGossip, 3);
             let mut c = Env::new();
             let mut c = c.ctx(20.0, pos);
             ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(pos), out));
@@ -980,7 +941,7 @@ mod tests {
     #[test]
     fn round_broadcasts_cached_ads_with_high_probability_inside_area() {
         let mut env = Env::new();
-        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::Gossip, 0);
         let pos = Point::new(2550.0, 2500.0); // 50 m from centre: P ~ 1
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c0 = env.ctx(0.0, pos);
@@ -996,7 +957,7 @@ mod tests {
     #[test]
     fn round_rarely_broadcasts_far_outside_area() {
         let mut env = Env::new();
-        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::Gossip, 0);
         let pos = Point::new(4500.0, 2500.0); // 2000 m out: P ~ 0.5*0.5^10
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c0 = env.ctx(0.0, pos);
@@ -1012,7 +973,7 @@ mod tests {
     #[test]
     fn opt1_suppresses_interior_after_warmup() {
         let mut env = Env::new();
-        let mut g = Gossip::optimized_1(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::OptGossip1, 0);
         let centre = Point::new(2500.0, 2500.0);
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, centre);
@@ -1033,7 +994,7 @@ mod tests {
     #[test]
     fn opt2_insert_schedules_entry_timer() {
         let mut env = Env::new();
-        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::OptGossip2, 0);
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         let actions = ActionSink::collect(|out| {
@@ -1047,7 +1008,7 @@ mod tests {
     #[test]
     fn opt2_duplicate_postpones_entry() {
         let mut env = Env::new();
-        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::OptGossip2, 0);
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
         let mut c = env.ctx(20.0, pos);
@@ -1085,7 +1046,7 @@ mod tests {
         let pos = Point::new(2600.0, 2500.0);
         let run = |sender: Point| -> SimTime {
             let mut env = Env::new();
-            let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1), 0);
+            let mut g = peer(ProtocolKind::OptGossip2, 0);
             let msg = AdMessage::gossip(mk_ad(0));
             let mut c = env.ctx(20.0, pos);
             ActionSink::collect(|out| {
@@ -1109,7 +1070,8 @@ mod tests {
         let sender = Point::new(2700.0, 2500.0);
         let postponed = |range: f64| {
             let mut env = Env::new();
-            let mut g = Gossip::optimized_2(params(), range, UserProfile::indifferent(1), 0);
+            let u = UserProfile::indifferent(1);
+            let mut g = Gossip::new(ProtocolKind::OptGossip2, params(), range, u, 0);
             let msg = AdMessage::gossip(mk_ad(0));
             let mut c = env.ctx(20.0, pos);
             ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(sender), out));
@@ -1128,7 +1090,7 @@ mod tests {
     #[test]
     fn opt2_stale_timer_is_ignored_fresh_timer_fires() {
         let mut env = Env::new();
-        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::OptGossip2, 0);
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
         let mut c = env.ctx(20.0, pos);
@@ -1168,7 +1130,7 @@ mod tests {
     #[test]
     fn opt2_expired_entry_is_dropped_on_timer() {
         let mut env = Env::new();
-        let mut g = Gossip::optimized_2(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::OptGossip2, 0);
         let msg = AdMessage::gossip(mk_ad(0));
         let pos = Point::new(2600.0, 2500.0);
         let mut c = env.ctx(20.0, pos);
@@ -1319,15 +1281,8 @@ mod tests {
     impl Driven {
         /// A fresh peer of the gossip kind `kind`.
         fn new(kind: ProtocolKind, p: Arc<SharedParams>, profile: UserProfile, key: u64) -> Self {
-            let g = match kind {
-                ProtocolKind::Gossip => Gossip::pure(p, RANGE, profile, key),
-                ProtocolKind::OptGossip1 => Gossip::optimized_1(p, RANGE, profile, key),
-                ProtocolKind::OptGossip2 => Gossip::optimized_2(p, RANGE, profile, key),
-                ProtocolKind::OptGossip => Gossip::optimized(p, RANGE, profile, key),
-                ProtocolKind::Flooding => unreachable!("not a gossip kind"),
-            };
             Driven {
-                g,
+                g: Gossip::new(kind, p, RANGE, profile, key),
                 queue: Vec::new(),
                 effects: Vec::new(),
                 without_fix: 0,
@@ -1544,7 +1499,7 @@ mod tests {
                         same_pending(&ahead, &per_tick, t);
                         // A postponed grid's first tick is not evaluated
                         // ahead; a re-planned peer-grid entry's is.
-                        planned = !ahead.g.postpone;
+                        planned = ahead.g.anchor.is_some();
                     }
                     // The next duplicate: often exactly on a grid tick.
                     next_dup = per_tick.g.cache.get(id).map(|e| {
@@ -1778,7 +1733,8 @@ mod tests {
     fn cache_eviction_respects_capacity() {
         let mut env = Env::new();
         let p = GossipParams::paper().with_cache_capacity(3).shared();
-        let mut g = Gossip::pure(p, RANGE, UserProfile::indifferent(1), 0);
+        let u = UserProfile::indifferent(1);
+        let mut g = Gossip::new(ProtocolKind::Gossip, p, RANGE, u, 0);
         let pos = Point::new(2500.0, 2500.0);
         for seq in 0..5 {
             let msg = AdMessage::gossip(mk_ad(seq));
@@ -1791,7 +1747,7 @@ mod tests {
     #[test]
     fn expired_gossip_is_ignored() {
         let mut env = Env::new();
-        let mut g = Gossip::pure(params(), RANGE, UserProfile::indifferent(1), 0);
+        let mut g = peer(ProtocolKind::Gossip, 0);
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(5000.0, Point::new(2500.0, 2500.0));
         assert!(ActionSink::collect(|out| g.on_receive(
@@ -1807,7 +1763,8 @@ mod tests {
     #[test]
     fn interested_receiver_enlarges_popular_ad() {
         let mut env = Env::new();
-        let mut g = Gossip::pure(params(), RANGE, UserProfile::new(7, vec![1]), 0);
+        let profile = UserProfile::new(7, vec![1]);
+        let mut g = Gossip::new(ProtocolKind::Gossip, params(), RANGE, profile, 0);
         let msg = AdMessage::gossip(mk_ad(0));
         let mut c = env.ctx(20.0, Point::new(2600.0, 2500.0));
         ActionSink::collect(|out| {
@@ -1820,22 +1777,15 @@ mod tests {
 
     #[test]
     fn kind_reflects_flags() {
-        let u = || UserProfile::indifferent(0);
-        assert_eq!(
-            Gossip::pure(params(), RANGE, u(), 0).kind(),
-            ProtocolKind::Gossip
-        );
-        assert_eq!(
-            Gossip::optimized_1(params(), RANGE, u(), 0).kind(),
-            ProtocolKind::OptGossip1
-        );
-        assert_eq!(
-            Gossip::optimized_2(params(), RANGE, u(), 0).kind(),
-            ProtocolKind::OptGossip2
-        );
-        assert_eq!(
-            Gossip::optimized(params(), RANGE, u(), 0).kind(),
-            ProtocolKind::OptGossip
-        );
+        let peers = ProtocolKind::ALL[1..].iter().map(|&kind| peer(kind, 0));
+        let flags: Vec<_> = peers.map(|g| (g.annular, g.anchor.is_none())).collect();
+        let want = [(false, false), (true, false), (false, true), (true, true)];
+        assert_eq!(flags, want, "(mechanism (1), mechanism (2)) by kind");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a gossip variant")]
+    fn flooding_is_not_a_gossip_variant() {
+        peer(ProtocolKind::Flooding, 0);
     }
 }

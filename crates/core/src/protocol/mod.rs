@@ -328,9 +328,6 @@ impl ActionSink {
 /// the caller may already hold actions from an earlier callback in the
 /// same batch.
 pub trait Protocol {
-    /// Which protocol this is.
-    fn kind(&self) -> ProtocolKind;
-
     /// Called once when the peer comes online.
     fn on_start(&mut self, ctx: &mut PeerContext<'_>, out: &mut ActionSink);
 
@@ -360,11 +357,11 @@ pub trait Protocol {
     fn holds(&self, ad: AdId) -> bool;
 
     /// Asked for each intact copy of a frame addressed to this peer when
-    /// the frame is sent, with `ctx` at the copy's arrival instant. The
+    /// the frame is sent, with `ctx` at the copy's arrival instant, which
+    /// lies before the run's horizon (a later copy is never asked). The
     /// world asks only where no cache can evict (the scenario has no more
     /// ads than a cache holds); `arrives` says that the arrival surely
-    /// runs [`Protocol::on_receive`]: the peer stays on-line until then,
-    /// and the arrival lies before the run's horizon.
+    /// runs [`Protocol::on_receive`]: the peer stays on-line until then.
     ///
     /// [`CopyFate::Skip`] means the arrival would change nothing here.
     /// [`CopyFate::Applied`], only when `arrives`, means the call made the
@@ -394,7 +391,8 @@ pub trait Protocol {
     }
 }
 
-/// Construct the protocol instance for one peer. Every peer of a run
+/// Construct the protocol instance for one peer: Restricted Flooding, or
+/// the gossip variant `kind` names ([`Gossip::new`]). Every peer of a run
 /// shares the one `params` allocation ([`GossipParams::shared`](crate::GossipParams::shared)); `range` is the radio's
 /// transmission range, metres, which formula (4) needs; `key` keys the
 /// peer's draws (start phase, round and entry-tick coins), which only
@@ -408,10 +406,7 @@ pub fn build_protocol(
 ) -> Box<dyn Protocol> {
     match kind {
         ProtocolKind::Flooding => Box::new(RestrictedFlooding::new(params, profile)),
-        ProtocolKind::Gossip => Box::new(Gossip::pure(params, range, profile, key)),
-        ProtocolKind::OptGossip1 => Box::new(Gossip::optimized_1(params, range, profile, key)),
-        ProtocolKind::OptGossip2 => Box::new(Gossip::optimized_2(params, range, profile, key)),
-        ProtocolKind::OptGossip => Box::new(Gossip::optimized(params, range, profile, key)),
+        gossip => Box::new(Gossip::new(gossip, params, range, profile, key)),
     }
 }
 
@@ -466,34 +461,45 @@ mod tests {
         assert_eq!(collected, [wake(3.0)]);
     }
 
+    /// Each kind builds its protocol: an issuer of Restricted Flooding
+    /// sends a flooding wave, one of every gossip variant a gossip frame.
     #[test]
     fn build_constructs_every_kind() {
         let params = GossipParams::paper().shared();
+        let ad = paper_ad(&params);
         for kind in ProtocolKind::ALL {
-            let p = build_protocol(
-                kind,
-                Arc::clone(&params),
-                250.0,
-                UserProfile::indifferent(1),
-                0,
-            );
-            assert_eq!(p.kind(), kind);
+            let profile = UserProfile::indifferent(1);
+            let mut p = build_protocol(kind, Arc::clone(&params), 250.0, profile, 0);
+            let mut motion = (Point::ORIGIN, Vector::ZERO);
+            let mut ctx = PeerContext {
+                now: SimTime::ZERO,
+                motion: &mut motion,
+            };
+            let actions = ActionSink::collect(|out| p.issue(&mut ctx, ad.clone(), out));
+            let flooding = kind == ProtocolKind::Flooding;
+            let sent =
+                |a: &Action| matches!(a, Action::Broadcast(m) if m.flood.is_some() == flooding);
+            assert!(sent(&actions[0]), "{kind}: {actions:?}");
+            assert!(p.holds(ad.id), "{kind}");
         }
     }
 
-    #[test]
-    fn message_bytes_include_flood_overhead() {
-        use crate::ids::PeerId;
-        let ad = Advertisement::new(
-            AdId::new(PeerId(0), 0),
+    fn paper_ad(params: &GossipParams) -> Advertisement {
+        Advertisement::new(
+            AdId::new(crate::ids::PeerId(0), 0),
             Point::ORIGIN,
             SimTime::ZERO,
             100.0,
             ia_des::SimDuration::from_secs(60.0),
             vec![],
             0,
-            &GossipParams::paper(),
-        );
+            params,
+        )
+    }
+
+    #[test]
+    fn message_bytes_include_flood_overhead() {
+        let ad = paper_ad(&GossipParams::paper());
         let g = AdMessage::gossip(ad.clone());
         let f = AdMessage::flood(ad, 0, 100.0);
         assert_eq!(f.bytes(), g.bytes() + 12);

@@ -97,8 +97,9 @@ pub trait SimObserver: Any {
     }
     /// A frame copy addressed to `to` was dropped undelivered; `reason`
     /// carries the cause (off-line peer, channel loss, jam, collision,
-    /// checksum failure). Copies the world does not queue are reported
-    /// when their frame is sent (off-line if `to` is off-line then).
+    /// checksum failure). Copies the world does not queue are reported when
+    /// their frame is sent (off-line if `to` is off-line then), unless they
+    /// arrive at or past the horizon: those reach no hook.
     fn on_suppress(&mut self, now: SimTime, to: u32, msg: &AdMessage, reason: SuppressReason) {
         let _ = (now, to, msg, reason);
     }

@@ -106,10 +106,6 @@ pub struct World {
     /// partition wave and no issuer departure.
     always_online: bool,
     deliveries: Deliveries,
-    /// Test-only reference mode, the oracle for the shortcuts: predict no
-    /// position, so every entry tick runs, and queue every intact copy.
-    #[cfg(test)]
-    reference: bool,
 }
 
 /// Per-entry wake-ups that reached an on-line peer, by what
@@ -126,7 +122,10 @@ pub struct EntryWakeups {
 }
 
 /// Frame copies the channel delivered, by their fate when the frame was
-/// sent. The sum over the five fates is the medium's `receptions`.
+/// sent. The sum over the five fates is the medium's `receptions`. A
+/// copy that arrives at or past the horizon is `past_horizon`, whatever
+/// its verdict or its receiver would have made of it; the other four
+/// count copies that arrive before the horizon.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Deliveries {
     /// Queued to arrive at their receivers.
@@ -140,8 +139,8 @@ pub struct Deliveries {
     /// Left out: the copy's corruption verdict, a keyed draw made at send
     /// time, drops it at the receiver's CRC check.
     pub corrupted: u64,
-    /// Left out: the copy would be queued, but it arrives at or past the
-    /// run's horizon, where no callback runs. No observer sees it.
+    /// Left out: the copy arrives at or past the run's horizon, where no
+    /// callback runs. No observer sees it.
     pub past_horizon: u64,
 }
 
@@ -227,12 +226,6 @@ impl Flights {
             .as_mut()
             .expect("a queued copy's frame is in flight")
     }
-
-    /// Frames with a copy still queued.
-    #[cfg(test)]
-    fn in_flight(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
 }
 
 /// Wall-clock nanoseconds spent in each hot phase of a run, collected
@@ -300,8 +293,6 @@ struct FleetMotion<'a> {
     truth: Option<Point>,
     /// The look-ahead's leg walk, from the cursor's leg at `now` on.
     ahead: Option<LegWalk<'a>>,
-    #[cfg(test)]
-    reference: bool,
 }
 
 impl FleetMotion<'_> {
@@ -330,10 +321,6 @@ impl Motion for FleetMotion<'_> {
     /// The fix a callback at `t` reads ([`gps_fix`]), up to the
     /// scheduler's horizon, past which no callback runs.
     fn position_at(&mut self, t: SimTime) -> Option<Point> {
-        #[cfg(test)]
-        if self.reference {
-            return None;
-        }
         if t >= SimTime::ZERO + self.scenario.sim_time {
             return None;
         }
@@ -349,10 +336,6 @@ impl Motion for FleetMotion<'_> {
     /// faster. `None` wherever [`Self::position_at`] is, and while the
     /// fix at either instant is noisy (the test [`gps_fix`] applies).
     fn max_drift(&mut self, from: SimTime, to: SimTime) -> Option<f64> {
-        #[cfg(test)]
-        if self.reference {
-            return None;
-        }
         let noisy = |t| gps_variance(self.scenario, t) > 0.0;
         if to >= SimTime::ZERO + self.scenario.sim_time || noisy(from) || noisy(to) {
             return None;
@@ -536,8 +519,6 @@ impl World {
             ask_at_send,
             always_online,
             deliveries: Deliveries::default(),
-            #[cfg(test)]
-            reference: false,
         }
     }
 
@@ -603,8 +584,8 @@ impl World {
         self.entry_wakeups
     }
 
-    /// Frame deliveries so far, queued, or left out as skipped, applied
-    /// or corrupted.
+    /// Frame deliveries so far, queued, or left out as skipped, applied,
+    /// corrupted or past the horizon.
     pub fn deliveries(&self) -> Deliveries {
         self.deliveries
     }
@@ -847,8 +828,6 @@ impl World {
                 now,
                 truth: None,
                 ahead: None,
-                #[cfg(test)]
-                reference: self.reference,
             },
         };
         f(self.peers[node as usize].as_mut(), &mut ctx)
@@ -871,16 +850,18 @@ impl World {
     }
 
     /// Transmit `msg` from `node` now: the channel decides who hears it,
-    /// the observers see the outcome, and each delivery gets its
-    /// corruption verdict ([`World::verdict`]) if it arrives inside a
-    /// corruption window. A copy the CRC drops is not queued. Where no
-    /// cache can evict, the receiver of an intact copy is asked, with the
-    /// context at the copy's arrival instant, what the copy will do there
+    /// and the observers see the outcome. A copy that arrives at or past
+    /// the horizon, where no callback runs, is counted first and left
+    /// out: it gets no verdict, its receiver is not asked, and no observer
+    /// sees it. Every other copy gets its corruption verdict
+    /// ([`World::verdict`]) if it arrives inside a corruption window, and
+    /// a copy the CRC drops is not queued. Where no cache can evict, the
+    /// receiver of an intact copy is asked, with the context at the
+    /// copy's arrival instant, what the copy will do there
     /// ([`Protocol::on_copy_sent`]): a copy it skips is dropped, and one it
     /// applies has had its effect. Neither is queued, and every copy left
-    /// out is reported now. A copy that escapes the CRC carries what
-    /// it decodes to. A copy that would arrive at or past the horizon is
-    /// not queued either, and nobody sees it arrive.
+    /// out before the horizon is reported now. A copy that escapes the
+    /// CRC carries what it decodes to.
     ///
     /// The first queued copy takes a slot in the in-flight table
     /// ([`Flights`]) for the message, and every queued copy names the
@@ -917,16 +898,19 @@ impl World {
             self.observe(|o| o.on_suppress(now, d.to, &msg, reason));
         }
         self.phase_end(t0, |p| &mut p.observer_ns);
-        #[cfg(test)]
-        let ask = self.ask_at_send && !self.reference;
-        #[cfg(not(test))]
-        let ask = self.ask_at_send;
+        // An intact copy's arrival runs its callback unless the receiver
+        // can go off-line first (the copy arrives before the horizon).
+        let (ask, arrives) = (self.ask_at_send, self.always_online);
         let horizon = SimTime::ZERO + self.scenario.sim_time;
         // Every copy's verdict draws from one key per frame.
         let corruption = self.scenario.faults.corruption;
         let corruption = corruption.map(|c| (c, self.frame_key(&msg, now)));
         let mut tx = None;
         for d in outcome.deliveries.drain(..) {
+            if d.arrival >= horizon {
+                self.deliveries.past_horizon += 1;
+                continue;
+            }
             let verdict = match corruption {
                 Some((c, frame)) if c.active(d.arrival) => self.verdict(c, frame, node, d.to, &msg),
                 _ => Verdict::Intact,
@@ -937,15 +921,9 @@ impl World {
                 distance: d.distance,
             };
             let fate = match verdict {
-                Verdict::Intact if ask => {
-                    // The arrival runs its callback: the receiver cannot
-                    // go off-line first, and it is queued (before the
-                    // horizon).
-                    let arrives = self.always_online && d.arrival < horizon;
-                    self.with_ctx(d.to, d.arrival, |peer, ctx| {
-                        peer.on_copy_sent(ctx, &msg, &meta, arrives)
-                    })
-                }
+                Verdict::Intact if ask => self.with_ctx(d.to, d.arrival, |peer, ctx| {
+                    peer.on_copy_sent(ctx, &msg, &meta, arrives)
+                }),
                 _ => CopyFate::Queue,
             };
             let left_out = match fate {
@@ -962,10 +940,6 @@ impl World {
                 Verdict::Dropped => {
                     self.deliveries.corrupted += 1;
                     self.report_unqueued(now, d.to, &msg, None);
-                    continue;
-                }
-                _ if d.arrival >= horizon => {
-                    self.deliveries.past_horizon += 1;
                     continue;
                 }
                 Verdict::Intact => {
@@ -1516,17 +1490,105 @@ mod tests {
         assert!(holders > 20, "only {holders} holders");
     }
 
-    // ---- the world's shortcuts vs the reference mode ------------------
+    // ---- the world's shortcuts vs per-tick execution ------------------
 
-    /// Run `s` to the horizon, in the reference mode if `reference`.
+    impl Flights {
+        /// Frames with a copy still queued.
+        fn in_flight(&self) -> usize {
+            self.slots.len() - self.free.len()
+        }
+    }
+
+    /// A peer's protocol run per tick, the reference for the world's
+    /// shortcuts: its motion predicts no position and bounds no drift, so
+    /// every entry tick runs, and it keeps the default
+    /// [`Protocol::on_copy_sent`], so every intact copy is queued.
+    struct PerTick(Box<dyn Protocol>);
+
+    /// The motion a [`PerTick`] protocol sees: the fix and the velocity
+    /// now, and nothing ahead.
+    struct Now<'a>(&'a mut dyn Motion);
+
+    impl Motion for Now<'_> {
+        fn position(&mut self) -> Point {
+            self.0.position()
+        }
+
+        fn velocity(&mut self) -> Vector {
+            self.0.velocity()
+        }
+
+        fn position_at(&mut self, _t: SimTime) -> Option<Point> {
+            None
+        }
+    }
+
+    impl PerTick {
+        /// Run `f` on the wrapped protocol, with the context's motion seen
+        /// through [`Now`].
+        fn call<R>(
+            &mut self,
+            ctx: &mut PeerContext<'_>,
+            f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>) -> R,
+        ) -> R {
+            let mut ctx = PeerContext {
+                now: ctx.now,
+                motion: &mut Now(&mut *ctx.motion),
+            };
+            f(self.0.as_mut(), &mut ctx)
+        }
+    }
+
+    impl Protocol for PerTick {
+        fn on_start(&mut self, ctx: &mut PeerContext<'_>, out: &mut ActionSink) {
+            self.call(ctx, |p, ctx| p.on_start(ctx, out));
+        }
+
+        fn on_receive(
+            &mut self,
+            ctx: &mut PeerContext<'_>,
+            msg: &AdMessage,
+            meta: &RxMeta,
+            out: &mut ActionSink,
+        ) {
+            self.call(ctx, |p, ctx| p.on_receive(ctx, msg, meta, out));
+        }
+
+        fn on_entry_timer(
+            &mut self,
+            ctx: &mut PeerContext<'_>,
+            ad: AdId,
+            out: &mut ActionSink,
+        ) -> EntryWake {
+            self.call(ctx, |p, ctx| p.on_entry_timer(ctx, ad, out))
+        }
+
+        fn issue(&mut self, ctx: &mut PeerContext<'_>, ad: Advertisement, out: &mut ActionSink) {
+            self.call(ctx, |p, ctx| p.issue(ctx, ad, out));
+        }
+
+        fn holds(&self, ad: AdId) -> bool {
+            self.0.holds(ad)
+        }
+
+        fn cached_ad(&self, ad: AdId) -> Option<&Advertisement> {
+            self.0.cached_ad(ad)
+        }
+    }
+
+    /// Run `s` to the horizon, with every peer run per tick
+    /// ([`PerTick`]) if `reference`.
     fn run_in(s: Scenario, reference: bool) -> World {
         let mut w = World::new(s);
-        w.reference = reference;
+        if reference {
+            let peers = std::mem::take(&mut w.peers).into_iter();
+            w.peers = peers.map(|p| Box::new(PerTick(p)) as _).collect();
+        }
         w.run();
         w
     }
 
-    /// Run `s` with the world's shortcuts and in the reference mode: both
+    /// Run `s` with the world's shortcuts and per tick ([`run_in`]): both
     /// give the same `RunResult` and `TrafficStats` bytes and leave every
     /// peer the same copy of every ad, and the reference skips and applies
     /// no copy but queues every one the other queued, skipped or applied.
@@ -1565,9 +1627,9 @@ mod tests {
     /// peers at one instant, so their wake-ups share instants), several
     /// ads under cache pressure (evictions and re-admissions), interested
     /// peers (ads grow), corruption windows, Manhattan mobility and round
-    /// times from 20 ms to 9 s, every run gives the bytes of the
-    /// reference mode, which runs every entry tick and queues every
-    /// intact copy. Flooding has nothing to look ahead at; every gossip
+    /// times from 20 ms to 9 s, every run gives the bytes of the same
+    /// run per tick ([`PerTick`]), which runs every entry tick and queues
+    /// every intact copy. Flooding has nothing to look ahead at; every gossip
     /// kind skips ticks, some runs skip copies and drop corrupted ones,
     /// and the postponing kinds apply copies when their frames are sent.
     #[test]
@@ -2069,6 +2131,7 @@ mod tests {
             if in_flight_at_end {
                 let sent = horizon - SimDuration::from_micros(1);
                 w.run_until(sent);
+                let before = (w.medium().stats().receptions, w.deliveries().past_horizon);
                 let ad = w.ad_ids[0];
                 for node in 0..w.scenario.n_nodes() as u32 {
                     let copy = w.peers[node as usize].cached_ad(ad).cloned();
@@ -2076,6 +2139,11 @@ mod tests {
                         w.broadcast(node, sent, AdMessage::gossip(copy));
                     }
                 }
+                // Every copy of these frames arrives past the horizon,
+                // whatever its verdict or its receiver would make of it.
+                let (receptions, d) = (w.medium().stats().receptions, w.deliveries());
+                let late = d.past_horizon - before.1;
+                assert!(late > 0 && late == receptions - before.0, "{d:?}");
             }
             w.run();
             assert_eq!(w.flights.in_flight(), 0, "frames left in flight");

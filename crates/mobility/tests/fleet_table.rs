@@ -248,8 +248,9 @@ proptest! {
 
     /// The cursor's `position`, `estimated_velocity` and `positions_into`,
     /// and a leg walk's `position`, over the table, at monotone instants
-    /// with backward jumps mixed in: each hinted leg index reads the leg
-    /// the reference finds.
+    /// with backward jumps and probes outside every plan (at 0, before a
+    /// plan that starts later, and far past every end) mixed in: each
+    /// hinted leg index reads the leg the reference finds.
     #[test]
     fn cursor_reads_equal_the_source_trajectories(case in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(case);
@@ -273,6 +274,10 @@ proptest! {
                 }
                 _ => t + SimDuration::from_micros(rng.below(120_000_000)),
             };
+            // A third of the probes fall at 0 (before a plan that starts
+            // later) or far past every plan's end, between in-plan ones.
+            let far = SimTime::from_secs(10_000.0);
+            let t = [SimTime::ZERO, far, t, t, t, t][rng.below(6) as usize];
             let dt = SimDuration::from_millis([0, 1_000, 5_000][rng.below(3) as usize]);
             for (node, legs) in sources.iter().enumerate() {
                 let plan = Plan(legs);

@@ -17,7 +17,7 @@
 use instant_ads::core::protocol::Gossip;
 use instant_ads::core::{
     Action, ActionSink, AdId, AdMessage, Advertisement, EntryWake, GossipParams, PeerContext,
-    PeerId, Protocol, RxMeta, UserProfile,
+    PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
 };
 use instant_ads::des::{SimDuration, SimTime};
 use instant_ads::geo::{Point, Vector};
@@ -50,8 +50,10 @@ fn show(step: &str, sink: &mut ActionSink) {
 
 fn main() {
     let params = GossipParams::paper().shared();
-    // This peer is interested in topic 1 — it will rank the ad up.
-    let mut peer = Gossip::optimized(
+    // This peer is interested in topic 1 — it will rank the ad up. One
+    // constructor builds every gossip variant from its `ProtocolKind`.
+    let mut peer = Gossip::new(
+        ProtocolKind::OptGossip,
         Arc::clone(&params),
         RadioConfig::paper().range,
         UserProfile::new(4242, vec![1]),
