@@ -670,7 +670,7 @@ mod tests {
     use super::*;
     use crate::ids::PeerId;
     use crate::protocol::Motion;
-    use ia_des::{SimDuration, SimRng};
+    use ia_des::SimDuration;
     use ia_geo::Vector;
     use proptest::prelude::*;
 
@@ -1150,405 +1150,36 @@ mod tests {
         assert!(!g.holds(msg.ad.id));
     }
 
-    // ---- the entry-tick planner against per-tick execution ----------
-
-    /// A peer moving along a polyline through timed waypoints. Inside
-    /// `blind` its fixes are noisy (callbacks see a shifted position and
-    /// nothing can be predicted), and no callback runs at or past `end`.
-    struct Track {
-        waypoints: Vec<(SimTime, Point)>,
-        blind: (SimTime, SimTime),
-        end: SimTime,
-        /// The top speed over the polyline's segments, m/s.
-        top_speed: f64,
-    }
-
-    impl Track {
-        fn new(waypoints: Vec<(SimTime, Point)>, blind: (SimTime, SimTime), end: SimTime) -> Self {
-            let top_speed = waypoints
-                .windows(2)
-                .map(|w| w[0].1.distance(w[1].1) / w[1].0.since(w[0].0).as_secs())
-                .fold(0.0, f64::max);
-            Track {
-                waypoints,
-                blind,
-                end,
-                top_speed,
-            }
-        }
-
-        fn exact(&self, t: SimTime) -> Point {
-            let i = self.waypoints.partition_point(|&(at, _)| at <= t);
-            if i == 0 {
-                return self.waypoints[0].1;
-            }
-            let Some(&(t1, p1)) = self.waypoints.get(i) else {
-                return self.waypoints[i - 1].1;
-            };
-            let (t0, p0) = self.waypoints[i - 1];
-            p0.lerp(p1, t.since(t0).as_secs() / t1.since(t0).as_secs())
-        }
-
-        fn blind_at(&self, t: SimTime) -> bool {
-            self.blind.0 <= t && t < self.blind.1
-        }
-
-        /// The position a callback at `t` is given.
-        fn observed(&self, t: SimTime) -> Point {
-            let p = self.exact(t);
-            if self.blind_at(t) {
-                Point::new(p.x + 150.0, p.y - 90.0)
-            } else {
-                p
-            }
-        }
-    }
-
-    /// The motion a world would give over a [`Track`] at an instant. It
-    /// counts the ticks the look-ahead decides without a fix: those whose
-    /// drift it bounded and whose fix it never read after.
-    struct TrackMotion<'a> {
-        track: &'a Track,
-        now: SimTime,
-        /// The last instant `max_drift` bounded, until its fix is read.
-        bounded: Option<SimTime>,
-        without_fix: u32,
-    }
-
-    impl<'a> TrackMotion<'a> {
-        fn new(track: &'a Track, now: SimTime) -> Self {
-            TrackMotion {
-                track,
-                now,
-                bounded: None,
-                without_fix: 0,
-            }
-        }
-
-        /// Ticks decided without a fix, once the callback is over.
-        fn decided_without_fix(&self) -> u32 {
-            self.without_fix + u32::from(self.bounded.is_some())
-        }
-
-        fn known(&self, t: SimTime) -> bool {
-            t < self.track.end && !self.track.blind_at(t)
-        }
-    }
-
-    impl Motion for TrackMotion<'_> {
-        fn position(&mut self) -> Point {
-            self.track.observed(self.now)
-        }
-
-        fn velocity(&mut self) -> Vector {
-            Vector::new(3.0, -2.0)
-        }
-
-        fn position_at(&mut self, t: SimTime) -> Option<Point> {
-            if self.bounded == Some(t) {
-                self.bounded = None;
-            }
-            self.known(t).then(|| self.track.exact(t))
-        }
-
-        fn max_drift(&mut self, from: SimTime, to: SimTime) -> Option<f64> {
-            if !(self.known(from) && self.known(to)) {
-                return None;
-            }
-            // A tick bounded earlier whose fix was never read was decided
-            // from the bound.
-            self.without_fix += u32::from(self.bounded.replace(to).is_some());
-            Some(self.track.top_speed * to.since(from).as_secs())
-        }
-    }
-
-    /// What an executed tick did that anything could observe.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Effect {
-        Broadcast(SimTime),
-        Expired(SimTime),
-    }
-
-    /// One peer under test, its queued wake-ups, the effects of the ticks
-    /// it ran and the look-ahead ticks it decided without a fix.
-    struct Driven {
-        g: Gossip,
-        queue: Vec<SimTime>,
-        effects: Vec<Effect>,
-        without_fix: u32,
-    }
-
-    impl Driven {
-        /// A fresh peer of the gossip kind `kind`.
-        fn new(kind: ProtocolKind, p: Arc<SharedParams>, profile: UserProfile, key: u64) -> Self {
-            Driven {
-                g: Gossip::new(kind, p, RANGE, profile, key),
-                queue: Vec::new(),
-                effects: Vec::new(),
-                without_fix: 0,
-            }
-        }
-
-        /// Run one callback at `t` with the track's fix, logging its
-        /// broadcasts and queueing the wake-ups it scheduled.
-        fn call<R>(
-            &mut self,
-            track: &Track,
-            look_ahead: bool,
-            t: SimTime,
-            f: impl FnOnce(&mut Gossip, &mut PeerContext<'_>, &mut ActionSink) -> R,
-        ) -> R {
-            let mut fixed = (track.observed(t), Vector::new(3.0, -2.0));
-            let mut along = TrackMotion::new(track, t);
-            let mut ctx = PeerContext {
-                now: t,
-                motion: if look_ahead { &mut along } else { &mut fixed },
-            };
-            let mut result = None;
-            let actions = ActionSink::collect(|out| result = Some(f(&mut self.g, &mut ctx, out)));
-            self.without_fix += along.decided_without_fix();
-            for a in actions {
-                match a {
-                    Action::Broadcast(_) => self.effects.push(Effect::Broadcast(t)),
-                    Action::ScheduleEntry { at, .. } => self.queue.push(at),
-                    _ => {}
-                }
-            }
-            result.expect("the callback ran")
-        }
-
-        /// Pop one of the peer's wake-ups due at `t`, if any, and run it.
-        fn pop(
-            &mut self,
-            track: &Track,
-            look_ahead: bool,
-            id: AdId,
-            t: SimTime,
-        ) -> Option<EntryWake> {
-            let at = self.queue.iter().position(|&w| w == t)?;
-            self.queue.swap_remove(at);
-            let wake = self.call(track, look_ahead, t, |g, c, o| g.on_entry_timer(c, id, o));
-            if wake == EntryWake::Fire && !self.g.holds(id) {
-                self.effects.push(Effect::Expired(t));
-            }
-            Some(wake)
-        }
-    }
-
-    /// What [`drive_planned_ticks`] checked, summed over its cases.
-    #[derive(Debug, Default)]
-    struct PlanCounts {
-        checked_plans: u32,
-        broadcasts: u32,
-        expiries: u32,
-        restarts: u32,
-        /// Look-ahead ticks decided from the drift bound alone, by kind
-        /// (the index into `kinds`).
-        without_fix: [u32; 2],
-    }
-
-    impl PlanCounts {
-        /// Plans were checked, ticks broadcast and expired ads, and each
-        /// kind decided ticks without a fix, so the oracle is not vacuous.
-        fn assert_not_vacuous(&self) {
-            let c = self;
-            assert!(
-                c.checked_plans > 1000 && c.broadcasts > 1000 && c.expiries > 50 && c.restarts > 50,
-                "{c:?}"
-            );
-            assert!(c.without_fix.iter().all(|&n| n > 0), "{c:?}");
-        }
-    }
-
-    /// The look-ahead plans exactly the ticks per-tick execution needs.
-    /// Two peers of one of `kinds` hold the same ad and hear the same
-    /// duplicates and restarts, and each runs every wake-up it queued:
-    /// one plans every tick of its grid (its motion predicts nothing), the
-    /// other only the ticks its look-ahead must run. Cases draw the round time, the
-    /// kind, the start instant (the peer grid's anchor), the ad (an age
-    /// crossing `OPT1_WARMUP`, expiry within the scan), duplicates that
-    /// enlarge its radius and land on grid ticks, restarts, a noisy-fix
-    /// window and a piecewise-linear track. Both must broadcast at the
-    /// same instants and drop the ad at the same tick; every planned tick
-    /// must be one per-tick execution needs (it broadcasts, expires the ad
-    /// or has a noisy fix) and lie on the peer's grid when it has one, and
-    /// a duplicate or restart must leave both grids equal.
-    fn drive_planned_ticks(kinds: [ProtocolKind; 2], seed: u64, cases: u32) -> PlanCounts {
-        let mut draw = SimRng::from_master(seed);
-        let mut counts = PlanCounts::default();
-        for case in 0..cases {
-            let round = SimDuration::from_micros(draw.range_u64(300_000, 10_000_000));
-            let p = GossipParams::paper().with_round_time(round).shared();
-            let which = draw.range_u64(0, 2) as usize;
-            let kind = kinds[which];
-            let centre = Point::new(2500.0, 2500.0);
-            let issued = SimTime::from_secs(draw.range_f64(0.0, 100.0));
-            let mut ad = Advertisement::new(
-                AdId::new(PeerId(0), 0),
-                centre,
-                issued,
-                draw.range_f64(200.0, 1500.0),
-                SimDuration::from_secs(draw.range_f64(60.0, 1200.0)),
-                vec![1],
-                100,
-                &p,
-            );
-            let end = issued + ad.duration.mul_f64(draw.range_f64(0.5, 2.5));
-            let mut waypoints = Vec::new();
-            let mut t = SimTime::ZERO;
-            while t <= end {
-                let spread = draw.range_f64(100.0, 2500.0);
-                let at = Point::new(
-                    centre.x + draw.range_f64(-spread, spread),
-                    centre.y + draw.range_f64(-spread, spread),
-                );
-                waypoints.push((t, at));
-                t += SimDuration::from_secs(draw.range_f64(5.0, 300.0));
-            }
-            waypoints.push((t, centre));
-            let blind_from = issued + SimDuration::from_secs(draw.range_f64(0.0, 800.0));
-            let blind = (
-                blind_from,
-                blind_from + SimDuration::from_secs(draw.range_f64(0.0, 60.0)),
-            );
-            let track = Track::new(waypoints, blind, end);
-            let key = draw.next_u64();
-            let build = || Driven::new(kind, Arc::clone(&p), UserProfile::new(7, vec![1]), key);
-            let (mut ahead, mut per_tick) = (build(), build());
-            let id = ad.id;
-            let sender = |draw: &mut SimRng, t: SimTime| {
-                let at = track.exact(t);
-                RxMeta {
-                    sender_pos: Point::new(
-                        at.x + draw.range_f64(-240.0, 240.0),
-                        at.y + draw.range_f64(-240.0, 240.0),
-                    ),
-                    from: 9,
-                    distance: 0.0,
-                }
-            };
-            // Both hold the same pending tick (the look-ahead keeps only
-            // the grid's anchor).
-            let same_pending = |ahead: &Driven, per_tick: &Driven, t: SimTime| {
-                let pending = |d: &Driven| d.g.cache.get(id).map(|e| pending_tick(e, t, round));
-                assert_eq!(pending(ahead), pending(per_tick), "case {case} at {t:?}");
-            };
-
-            // Start (anchoring the peer grid, if any), then first receipt.
-            let started = SimTime::from_secs(draw.range_f64(0.0, 100.0));
-            let t0 = issued.max(started) + SimDuration::from_secs(draw.range_f64(0.0, 60.0));
-            ahead.call(&track, true, started, |g, c, o| g.on_start(c, o));
-            per_tick.call(&track, false, started, |g, c, o| g.on_start(c, o));
-            let msg = AdMessage::gossip(ad.clone());
-            let meta = sender(&mut draw, t0);
-            ahead.call(&track, true, t0, |g, c, o| g.on_receive(c, &msg, &meta, o));
-            per_tick.call(&track, false, t0, |g, c, o| g.on_receive(c, &msg, &meta, o));
-            let mut planned = true;
-            let mut next_dup = Some(t0 + round.mul_f64(draw.range_f64(0.2, 6.0)));
-            let mut next_restart = t0 + round.mul_f64(draw.range_f64(0.5, 80.0));
-            loop {
-                let wakes = per_tick.queue.iter().chain(&ahead.queue).min().copied();
-                let Some(t) = [wakes, next_dup, Some(next_restart)]
-                    .into_iter()
-                    .flatten()
-                    .min()
-                else {
-                    break;
-                };
-                if t >= end || !(per_tick.g.holds(id) || ahead.g.holds(id)) {
-                    break;
-                }
-                // Ticks run before a duplicate or restart at the same
-                // instant, as ranked wake-ups do in the world; a tick
-                // queues nothing at its own instant.
-                let before = per_tick.effects.len();
-                while per_tick.pop(&track, false, id, t).is_some() {}
-                while let Some(wake) = ahead.pop(&track, true, id, t) {
-                    if wake != EntryWake::Fire {
-                        continue;
-                    }
-                    if let Some(anchor) = ahead.g.anchor {
-                        let off = t.since(anchor).as_micros();
-                        assert!(
-                            t >= anchor && off % round.as_micros() == 0,
-                            "case {case}: {t:?} is off the grid"
-                        );
-                    }
-                    if planned {
-                        // A planned tick is one per-tick execution needs.
-                        let needed = per_tick.effects.len() > before
-                            || track.blind_at(t)
-                            || !ahead.g.holds(id);
-                        assert!(needed, "case {case}: idle tick {t:?} was planned");
-                        counts.checked_plans += 1;
-                    }
-                    planned = true;
-                }
-                if next_dup == Some(t) {
-                    if per_tick.g.holds(id) {
-                        // Now and then enlarge the radius and duration,
-                        // as a copy that met more interested users would.
-                        if draw.chance(0.2) {
-                            ad.radius *= draw.range_f64(1.0, 1.4);
-                            ad.duration = ad.duration.mul_f64(draw.range_f64(1.0, 1.1));
-                        }
-                        let msg = AdMessage::gossip(ad.clone());
-                        let meta = sender(&mut draw, t);
-                        ahead.call(&track, true, t, |g, c, o| g.on_receive(c, &msg, &meta, o));
-                        per_tick.call(&track, false, t, |g, c, o| g.on_receive(c, &msg, &meta, o));
-                        same_pending(&ahead, &per_tick, t);
-                        // A postponed grid's first tick is not evaluated
-                        // ahead; a re-planned peer-grid entry's is.
-                        planned = ahead.g.anchor.is_some();
-                    }
-                    // The next duplicate: often exactly on a grid tick.
-                    next_dup = per_tick.g.cache.get(id).map(|e| {
-                        let k = draw.range_u64(0, 4) as f64;
-                        if draw.chance(0.5) {
-                            e.next_time + round.mul_f64(k)
-                        } else {
-                            t + round.mul_f64(draw.range_f64(0.1, 8.0))
-                        }
-                    });
-                }
-                if next_restart == t {
-                    // Switched off and on again: the grid re-anchors, and
-                    // wake-ups queued before stay in the queue.
-                    ahead.call(&track, true, t, |g, c, o| g.on_start(c, o));
-                    per_tick.call(&track, false, t, |g, c, o| g.on_start(c, o));
-                    same_pending(&ahead, &per_tick, t);
-                    planned = true;
-                    counts.restarts += 1;
-                    next_restart = t + round.mul_f64(draw.range_f64(0.5, 80.0));
-                }
-            }
-            assert_eq!(ahead.effects, per_tick.effects, "case {case}");
-            counts.without_fix[which] += ahead.without_fix;
-            for e in &ahead.effects {
-                match e {
-                    Effect::Broadcast(_) => counts.broadcasts += 1,
-                    Effect::Expired(_) => counts.expiries += 1,
-                }
-            }
-        }
-        counts
-    }
-
-    /// Optimized Gossiping(-2): every entry keeps its own grid, restarted
-    /// by each postponement.
+    /// A peer-grid entry that hears a duplicate enlarging `R` exactly at
+    /// its planned tick, before that tick's wake-up pops, plans again from
+    /// that tick, which has not run: the wake-up still runs it. A driver
+    /// may deliver a frame before a wake-up due at the same instant.
     #[test]
-    fn planned_ticks_are_the_ticks_per_tick_execution_needs() {
-        let kinds = [ProtocolKind::OptGossip, ProtocolKind::OptGossip2];
-        drive_planned_ticks(kinds, 0x91a2, 300).assert_not_vacuous();
-    }
-
-    /// Gossiping and Optimized Gossiping-1: every entry ticks on the
-    /// peer's one round grid, anchored by a keyed phase at each (re)start;
-    /// a duplicate that enlarges R or D re-plans from the pending tick.
-    #[test]
-    fn planned_ticks_on_the_peer_grid_are_the_ticks_per_tick_execution_needs() {
-        let kinds = [ProtocolKind::Gossip, ProtocolKind::OptGossip1];
-        drive_planned_ticks(kinds, 0x6e1d, 300).assert_not_vacuous();
+    fn a_duplicate_at_the_planned_tick_keeps_the_tick() {
+        let mut env = Env::new();
+        let pos = Point::new(2600.0, 2500.0);
+        let round = params().round_time;
+        let mut g = peer(ProtocolKind::Gossip, 5);
+        ActionSink::collect(|out| g.on_start(&mut env.ctx(0.0, pos), out));
+        let msg = AdMessage::gossip(mk_ad(0));
+        let meta = meta_at(pos);
+        ActionSink::collect(|out| g.on_receive(&mut env.ctx(20.0, pos), &msg, &meta, out));
+        // A fixed motion predicts nothing: the planned tick is the first.
+        let tick = g.cache.get(msg.ad.id).unwrap().wake;
+        let mut richer = msg.clone();
+        richer.ad.radius = 1200.0;
+        let mut c = env.ctx(tick.as_secs(), pos);
+        assert_eq!(c.now, tick);
+        ActionSink::collect(|out| g.on_receive(&mut c, &richer, &meta, out));
+        let pushed = ActionSink::collect(|out| {
+            assert_eq!(g.on_entry_timer(&mut c, msg.ad.id, out), EntryWake::Fire);
+        });
+        let e = g.cache.get(msg.ad.id).unwrap();
+        assert_eq!(
+            (e.ad.radius, e.next_time),
+            (1200.0, tick + round),
+            "{pushed:?}"
+        );
     }
 
     /// A peer parked far outside the area holds an ad that outlives the
@@ -1557,38 +1188,70 @@ mod tests {
     /// first one the motion cannot give ahead, and never later.
     #[test]
     fn a_far_parked_plan_stops_at_the_horizon() {
+        /// A peer parked at `at` until `end`, past which no callback runs:
+        /// it never drifts, and it counts the fixes read ahead.
+        struct Parked {
+            at: Point,
+            end: SimTime,
+            fixes: u32,
+        }
+
+        impl Motion for Parked {
+            fn position(&mut self) -> Point {
+                self.at
+            }
+
+            fn velocity(&mut self) -> Vector {
+                Vector::ZERO
+            }
+
+            fn position_at(&mut self, t: SimTime) -> Option<Point> {
+                self.fixes += 1;
+                (t < self.end).then_some(self.at)
+            }
+
+            fn max_drift(&mut self, _from: SimTime, to: SimTime) -> Option<f64> {
+                (to < self.end).then_some(0.0)
+            }
+        }
+
         let round = params().round_time;
         let end = SimTime::from_secs(1800.0);
         let far = Point::new(2500.0 + 20_000.0, 2500.0);
-        let track = Track::new(
-            vec![(SimTime::ZERO, far)],
-            (SimTime::ZERO, SimTime::ZERO),
-            end,
-        );
         let mut ad = mk_ad(0);
         ad.duration = SimDuration::from_secs(1e6);
         let msg = AdMessage::gossip(ad);
         for (i, kind) in ProtocolKind::ALL[1..].iter().copied().enumerate() {
-            let mut peer = Driven::new(kind, params(), UserProfile::indifferent(1), i as u64);
-            peer.call(&track, true, SimTime::ZERO, |g, c, o| g.on_start(c, o));
-            let admitted = SimTime::from_secs(20.0);
-            let meta = meta_at(far);
-            peer.call(&track, true, admitted, |g, c, o| {
-                g.on_receive(c, &msg, &meta, o)
-            });
-            let wake = peer.g.cache.get(msg.ad.id).expect("admitted").wake;
+            let mut g = peer(kind, i as u64);
+            let mut parked = Parked {
+                at: far,
+                end,
+                fixes: 0,
+            };
+            let mut c = PeerContext {
+                now: SimTime::ZERO,
+                motion: &mut parked,
+            };
+            assert!(ActionSink::collect(|out| g.on_start(&mut c, out)).is_empty());
+            c.now = SimTime::from_secs(20.0);
+            let queued = ActionSink::collect(|out| g.on_receive(&mut c, &msg, &meta_at(far), out));
+            let wake = g.cache.get(msg.ad.id).expect("admitted").wake;
             assert!(
                 wake >= end && wake < end + round,
                 "{kind}: wake-up at {wake:?}"
             );
-            assert_eq!(peer.queue, [wake], "{kind}");
-            // All but the first tick were decided without reading a fix.
-            let ticks = (end.since(admitted).as_secs() / round.as_secs()) as u32;
-            assert!(
-                peer.without_fix + 2 >= ticks,
-                "{kind}: {} of {ticks}",
-                peer.without_fix
+            let schedule = Action::ScheduleEntry {
+                ad: msg.ad.id,
+                at: wake,
+            };
+            assert_eq!(
+                queued,
+                [Action::Accepted { ad: msg.ad.id }, schedule],
+                "{kind}"
             );
+            // Only the first tick and the one at the horizon read a fix:
+            // every tick between was decided from the drift bound.
+            assert_eq!(parked.fixes, 2, "{kind}");
         }
     }
 

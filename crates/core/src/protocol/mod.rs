@@ -268,6 +268,9 @@ pub enum Action {
     Broadcast(AdMessage),
     /// Wake this peer's timer for `ad` at the given absolute time: a
     /// cache entry's next gossip tick, or an issuer's next flooding wave.
+    /// `at` is never before the callback's instant ([`PeerContext::now`]);
+    /// the world queues it as is, and its scheduler panics on a wake-up in
+    /// the past.
     ScheduleEntry { ad: AdId, at: SimTime },
     /// The peer accepted (first stored/displayed) this advertisement —
     /// the delivery-metric hook.

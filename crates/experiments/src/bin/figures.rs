@@ -1,17 +1,18 @@
 //! Regenerates the paper's figures and tables, and the extension
-//! experiments, by name.
-//!
-//! Usage: `cargo run --release -p ia-experiments --bin figures -- <name|all> [--quick] [--seeds N] [--csv DIR] [alpha] [round] [dis]`
-//!
-//! `name` is one of `fig7 fig8 fig9 fig10 beta_sweep popularity
-//! issuer_offline cache_ablation contention churn robustness chaos
-//! tables`; `all` runs each in that order. `alpha`, `round` and `dis`
-//! pick Figure 10's sweeps (all three when none is given). `--seeds N`
-//! averages seeds 1..=N (default 3, or 1 with `--quick`). Bad arguments
-//! print usage and exit with code 2; so does a CSV directory that cannot
-//! be created (checked before any figure runs) or written.
+//! experiments, by name: `figures --help` prints how ([`USAGE`]).
 
 use ia_experiments::figures::{self, emit, Options, NAMES};
+
+/// The help, which the figure names follow. `--help` prints it; bad
+/// input prints it after the problem and exits with code 2, as does a
+/// CSV directory that cannot be created (checked before any figure runs)
+/// or written.
+const USAGE: &str = "\
+usage: figures <name|all> [--quick] [--seeds N] [--csv DIR] [alpha] [round] [dis]
+all runs each name below in turn. alpha, round and dis pick Figure 10's sweeps
+(all three when none is given). --seeds N averages seeds 1..=N (default 3, or 1
+with --quick). --csv DIR also writes each table as CSV.
+names:";
 
 fn fail(problem: &str) -> ! {
     eprintln!("figures: {problem}");
@@ -20,13 +21,16 @@ fn fail(problem: &str) -> ! {
 
 fn usage(problem: &str) -> ! {
     eprintln!("figures: {problem}");
-    eprintln!("usage: figures <name|all> [--quick] [--seeds N] [--csv DIR] [alpha] [round] [dis]");
-    eprintln!("names: {}", NAMES.join(" "));
+    eprintln!("{USAGE} {}", NAMES.join(" "));
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE} {}", NAMES.join(" "));
+        return;
+    }
     let (opts, rest) = Options::from_args(&args).unwrap_or_else(|e| usage(&e));
     let Some((name, selectors)) = rest.split_first() else {
         usage("name a figure or `all`");

@@ -837,7 +837,7 @@ impl World {
         for action in sink.drain() {
             match action {
                 Action::Broadcast(msg) => self.broadcast(node, now, msg),
-                Action::ScheduleEntry { ad, at } => self.schedule_entry(node, ad, at.max(now)),
+                Action::ScheduleEntry { ad, at } => self.schedule_entry(node, ad, at),
                 Action::Accepted { ad } => {
                     self.tracker.record_receipt(node, ad, now);
                     self.observe(|o| o.on_accept(now, node, ad));
@@ -1042,6 +1042,9 @@ impl World {
 mod tests {
     use super::*;
     use ia_core::ProtocolKind;
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::rc::Rc;
 
     fn tiny(protocol: ProtocolKind, n: usize, seed: u64) -> Scenario {
         // Shrink the run so unit tests stay fast: 300 s life cycle.
@@ -1499,49 +1502,134 @@ mod tests {
         }
     }
 
-    /// A peer's protocol run per tick, the reference for the world's
-    /// shortcuts: its motion predicts no position and bounds no drift, so
-    /// every entry tick runs, and it keeps the default
-    /// [`Protocol::on_copy_sent`], so every intact copy is queued.
-    struct PerTick(Box<dyn Protocol>);
+    /// What one callback read of its motion: the fix and the velocity
+    /// now, and the look-ahead ticks it decided from a drift bound whose
+    /// fix it never read (`bounded`: the last instant bounded, until its
+    /// fix is read).
+    #[derive(Debug, Default)]
+    struct Reads {
+        fixes: u32,
+        velocities: u32,
+        bounded: Option<SimTime>,
+        without_fix: u32,
+    }
 
-    /// The motion a [`PerTick`] protocol sees: the fix and the velocity
-    /// now, and nothing ahead.
-    struct Now<'a>(&'a mut dyn Motion);
+    /// The world's motion as a [`Watched`] peer sees it, every read
+    /// counted. Per tick, it predicts no position and bounds no drift, so
+    /// every entry tick runs.
+    struct Counting<'a> {
+        motion: &'a mut dyn Motion,
+        per_tick: bool,
+        reads: Reads,
+    }
 
-    impl Motion for Now<'_> {
+    impl Motion for Counting<'_> {
         fn position(&mut self) -> Point {
-            self.0.position()
+            self.reads.fixes += 1;
+            self.motion.position()
         }
 
         fn velocity(&mut self) -> Vector {
-            self.0.velocity()
+            self.reads.velocities += 1;
+            self.motion.velocity()
         }
 
-        fn position_at(&mut self, _t: SimTime) -> Option<Point> {
-            None
+        fn position_at(&mut self, t: SimTime) -> Option<Point> {
+            if self.reads.bounded == Some(t) {
+                self.reads.bounded = None;
+            }
+            (!self.per_tick).then(|| self.motion.position_at(t))?
+        }
+
+        fn max_drift(&mut self, from: SimTime, to: SimTime) -> Option<f64> {
+            let drift = (!self.per_tick).then(|| self.motion.max_drift(from, to))?;
+            // A tick bounded earlier whose fix was not read since was
+            // decided from the bound.
+            if drift.is_some() && self.reads.bounded.replace(to).is_some() {
+                self.reads.without_fix += 1;
+            }
+            drift
         }
     }
 
-    impl PerTick {
-        /// Run `f` on the wrapped protocol, with the context's motion seen
-        /// through [`Now`].
+    /// What the [`Watched`] peers of one protocol saw, counted by name.
+    type Tally = Rc<RefCell<BTreeMap<&'static str, u64>>>;
+
+    /// A peer's protocol in a checked run. Per tick (`per_tick`) it is
+    /// the reference for the world's shortcuts: its motion predicts
+    /// nothing, so every entry tick runs, and it keeps the default
+    /// [`Protocol::on_copy_sent`], so every intact copy is queued. Either
+    /// way each callback is held to the read contract: only a postponing
+    /// duplicate reads the velocity, no callback reads more than one fix,
+    /// and a dropped or re-armed wake-up, a flooding wave tick, a relayed
+    /// or expired copy, a copy skipped or queued when sent and a
+    /// duplicate that leaves `R` and `D` unchanged without postponing
+    /// read no fix and no velocity. On the look-ahead side no planned tick
+    /// is idle: an entry wake-up that runs its tick broadcasts or drops
+    /// its expired ad, except the first tick after a mechanism-(2)
+    /// postponement, which is not evaluated ahead.
+    struct Watched {
+        inner: Box<dyn Protocol>,
+        per_tick: bool,
+        kind: ProtocolKind,
+        /// Mechanism (2): duplicates postpone.
+        postpones: bool,
+        node: u32,
+        /// Entries whose next tick a postponement left unplanned.
+        unplanned: HashSet<AdId>,
+        /// Restricted Flooding: the newest wave heard of each ad.
+        waves: HashMap<AdId, u32>,
+        tally: Tally,
+    }
+
+    impl Watched {
+        /// Run `f` on the wrapped protocol, its motion seen through
+        /// [`Counting`]: what `f` returned and what it read.
         fn call<R>(
             &mut self,
             ctx: &mut PeerContext<'_>,
             f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>) -> R,
-        ) -> R {
-            let mut ctx = PeerContext {
-                now: ctx.now,
-                motion: &mut Now(&mut *ctx.motion),
+        ) -> (R, Reads) {
+            let mut motion = Counting {
+                motion: &mut *ctx.motion,
+                per_tick: self.per_tick,
+                reads: Reads::default(),
             };
-            f(self.0.as_mut(), &mut ctx)
+            let mut c = PeerContext {
+                now: ctx.now,
+                motion: &mut motion,
+            };
+            let result = f(self.inner.as_mut(), &mut c);
+            let mut reads = motion.reads;
+            reads.without_fix += u32::from(reads.bounded.is_some());
+            (result, reads)
+        }
+
+        /// Check that `what`, at `now`, read nothing if `quiet`, and else
+        /// at most one fix and, only if `postponing`, one velocity; count
+        /// it and its reads.
+        fn check(&self, now: SimTime, what: &'static str, r: Reads, quiet: bool, postponing: bool) {
+            let ok = if quiet {
+                (r.fixes, r.velocities) == (0, 0)
+            } else {
+                r.fixes <= 1 && r.velocities <= u32::from(postponing)
+            };
+            let (kind, node) = (self.kind, self.node);
+            assert!(ok, "{kind}, node {node} at {now:?}: {what} read {r:?}");
+            let mut tally = self.tally.borrow_mut();
+            *tally.entry(what).or_default() += 1;
+            *tally.entry("fixes").or_default() += u64::from(r.fixes);
+            *tally.entry("velocities").or_default() += u64::from(r.velocities);
+            *tally.entry("decided without a fix").or_default() += u64::from(r.without_fix);
         }
     }
 
-    impl Protocol for PerTick {
+    impl Protocol for Watched {
         fn on_start(&mut self, ctx: &mut PeerContext<'_>, out: &mut ActionSink) {
-            self.call(ctx, |p, ctx| p.on_start(ctx, out));
+            // A restart plans every entry.
+            self.unplanned.clear();
+            let ((), reads) = self.call(ctx, |p, c| p.on_start(c, out));
+            self.check(ctx.now, "a restart", reads, false, false);
         }
 
         fn on_receive(
@@ -1551,7 +1639,32 @@ mod tests {
             meta: &RxMeta,
             out: &mut ActionSink,
         ) {
-            self.call(ctx, |p, ctx| p.on_receive(ctx, msg, meta, out));
+            let id = msg.ad.id;
+            let r_and_d = |p: &dyn Protocol| p.cached_ad(id).map(|a| (a.radius, a.duration));
+            let (held, before) = (self.inner.holds(id), r_and_d(self.inner.as_ref()));
+            let ((), reads) = self.call(ctx, |p, c| p.on_receive(c, msg, meta, out));
+            let newest = self.waves.get(&id).copied();
+            let (what, quiet) = match msg.flood {
+                _ if msg.ad.expired(ctx.now) => ("an expired copy", true),
+                Some(f) if newest.is_some_and(|w| f.wave <= w) => ("a relayed wave", true),
+                Some(f) => {
+                    self.waves.insert(id, f.wave);
+                    ("a new wave", false)
+                }
+                None if !held => {
+                    // An admission plans its entry.
+                    self.unplanned.remove(&id);
+                    ("an admission", false)
+                }
+                None if self.postpones => {
+                    self.unplanned.insert(id);
+                    ("a postponing duplicate", false)
+                }
+                None if r_and_d(self.inner.as_ref()) == before => ("an unchanged duplicate", true),
+                None => ("a duplicate that grew", false),
+            };
+            let postponing = what == "a postponing duplicate";
+            self.check(ctx.now, what, reads, quiet, postponing);
         }
 
         fn on_entry_timer(
@@ -1560,41 +1673,100 @@ mod tests {
             ad: AdId,
             out: &mut ActionSink,
         ) -> EntryWake {
-            self.call(ctx, |p, ctx| p.on_entry_timer(ctx, ad, out))
+            let mut actions = Vec::new();
+            let (wake, reads) = self.call(ctx, |p, c| {
+                let mut wake = EntryWake::Drop;
+                actions = ActionSink::collect(|o| wake = p.on_entry_timer(c, ad, o));
+                wake
+            });
+            let broadcast = actions.iter().any(|a| matches!(a, Action::Broadcast(_)));
+            for a in actions {
+                out.push(a);
+            }
+            // Only a tick that runs ends a postponement's unplanned stretch.
+            let unplanned = wake == EntryWake::Fire && self.unplanned.remove(&ad);
+            let (what, quiet) = match wake {
+                EntryWake::Drop | EntryWake::Rearm => ("a stale wake-up", true),
+                EntryWake::Fire if self.kind == ProtocolKind::Flooding => ("a wave tick", true),
+                EntryWake::Fire if unplanned || self.per_tick => ("an unplanned tick", false),
+                EntryWake::Fire => {
+                    let (kind, node, now) = (self.kind, self.node, ctx.now);
+                    let idle = !broadcast && self.inner.holds(ad);
+                    assert!(
+                        !idle,
+                        "{kind}, node {node}: {ad:?}'s planned tick at {now:?} is idle"
+                    );
+                    ("a planned tick", false)
+                }
+            };
+            self.check(ctx.now, what, reads, quiet, false);
+            wake
         }
 
         fn issue(&mut self, ctx: &mut PeerContext<'_>, ad: Advertisement, out: &mut ActionSink) {
-            self.call(ctx, |p, ctx| p.issue(ctx, ad, out));
+            self.unplanned.remove(&ad.id);
+            let ((), reads) = self.call(ctx, |p, c| p.issue(c, ad, out));
+            self.check(ctx.now, "an issue", reads, false, false);
+        }
+
+        fn on_copy_sent(
+            &mut self,
+            ctx: &mut PeerContext<'_>,
+            msg: &AdMessage,
+            meta: &RxMeta,
+            arrives: bool,
+        ) -> CopyFate {
+            if self.per_tick {
+                return CopyFate::Queue;
+            }
+            let (fate, reads) = self.call(ctx, |p, c| p.on_copy_sent(c, msg, meta, arrives));
+            let applied = fate == CopyFate::Applied;
+            if applied {
+                self.unplanned.insert(msg.ad.id);
+            }
+            self.check(ctx.now, "a copy asked about", reads, !applied, applied);
+            fate
         }
 
         fn holds(&self, ad: AdId) -> bool {
-            self.0.holds(ad)
+            self.inner.holds(ad)
         }
 
         fn cached_ad(&self, ad: AdId) -> Option<&Advertisement> {
-            self.0.cached_ad(ad)
+            self.inner.cached_ad(ad)
         }
     }
 
-    /// Run `s` to the horizon, with every peer run per tick
-    /// ([`PerTick`]) if `reference`.
-    fn run_in(s: Scenario, reference: bool) -> World {
+    /// Run `s` to the horizon with every peer [`Watched`], per tick if
+    /// `per_tick`, counting into `tally`.
+    fn run_in(s: Scenario, per_tick: bool, tally: &Tally) -> World {
+        let kind = s.protocol;
         let mut w = World::new(s);
-        if reference {
-            let peers = std::mem::take(&mut w.peers).into_iter();
-            w.peers = peers.map(|p| Box::new(PerTick(p)) as _).collect();
-        }
+        let peers = std::mem::take(&mut w.peers).into_iter().zip(0..);
+        let watched = |(inner, node)| Watched {
+            inner,
+            per_tick,
+            kind,
+            postpones: matches!(kind, ProtocolKind::OptGossip2 | ProtocolKind::OptGossip),
+            node,
+            unplanned: HashSet::new(),
+            waves: HashMap::new(),
+            tally: Rc::clone(tally),
+        };
+        w.peers = peers.map(|p| Box::new(watched(p)) as _).collect();
         w.run();
         w
     }
 
-    /// Run `s` with the world's shortcuts and per tick ([`run_in`]): both
-    /// give the same `RunResult` and `TrafficStats` bytes and leave every
-    /// peer the same copy of every ad, and the reference skips and applies
-    /// no copy but queues every one the other queued, skipped or applied.
-    /// Returns both worlds, the reference second.
-    fn reference_alike(s: &Scenario, what: &str) -> (World, World) {
-        let (w, reference) = (run_in(s.clone(), false), run_in(s.clone(), true));
+    /// Run `s` with the world's shortcuts, counting into `tally`, and per
+    /// tick ([`run_in`]): both give the same `RunResult` and
+    /// `TrafficStats` bytes and leave every peer the same copy of every
+    /// ad, and the reference skips and applies no copy but queues every
+    /// one the other queued, skipped or applied. Returns both worlds, the
+    /// reference second.
+    fn reference_alike(s: &Scenario, what: &str, tally: &Tally) -> (World, World) {
+        let w = run_in(s.clone(), false, tally);
+        let reference = run_in(s.clone(), true, &Tally::default());
         let result = |w: &World| format!("{:?}", crate::RunResult::of(w));
         assert_eq!(result(&w), result(&reference), "{what}");
         assert_eq!(w.medium().stats(), reference.medium().stats(), "{what}");
@@ -1628,15 +1800,18 @@ mod tests {
     /// ads under cache pressure (evictions and re-admissions), interested
     /// peers (ads grow), corruption windows, Manhattan mobility and round
     /// times from 20 ms to 9 s, every run gives the bytes of the same
-    /// run per tick ([`PerTick`]), which runs every entry tick and queues
-    /// every intact copy. Flooding has nothing to look ahead at; every gossip
-    /// kind skips ticks, some runs skip copies and drop corrupted ones,
-    /// and the postponing kinds apply copies when their frames are sent.
+    /// run per tick ([`Watched`]), which runs every entry tick and queues
+    /// every intact copy, and every callback keeps the read contract and
+    /// runs no idle planned tick. Flooding has nothing to look ahead at;
+    /// every gossip kind skips ticks, some runs skip copies and drop
+    /// corrupted ones, and the postponing kinds apply copies when their
+    /// frames are sent.
     #[test]
     fn entry_look_ahead_matches_per_tick_execution() {
         use crate::scenario::ChurnSpec;
         let mut draw = SimRng::from_master(0x10c4_a11e);
         let mut skipped = [0u64; 5];
+        let tallies: [Tally; 5] = Default::default();
         let (mut rearmed, mut covered, mut applied, mut corrupted) = (0, 0, 0, 0);
         for case in 0..80u64 {
             let k = case as usize % 5;
@@ -1705,7 +1880,7 @@ mod tests {
                 ));
             }
             let what = format!("case {case}: {kind}, {peers} peers, round {round:?}");
-            let (w, reference) = reference_alike(&s, &what);
+            let (w, reference) = reference_alike(&s, &what, &tallies[k]);
             let (a, r) = (w.entry_wakeups(), reference.entry_wakeups());
             assert!(a.fired <= r.fired, "{what}: {a:?} vs {r:?}");
             skipped[k] += r.fired - a.fired;
@@ -1726,6 +1901,28 @@ mod tests {
             covered > 0 && applied > 0 && corrupted > 0,
             "{covered} skipped, {applied} applied, {corrupted} corrupted"
         );
+        // The watched rules were not vacuous: every protocol read fixes,
+        // and Flooding heard relayed waves; every gossip kind ran planned
+        // ticks, decided ticks from the drift bound alone and popped
+        // stale wake-ups; the postponing kinds read velocities, and the
+        // peer-grid kinds none, but re-planned after duplicates that grew
+        // and heard unchanged ones.
+        let t = tallies.map(|t| t.take());
+        let n = |k: usize, what: &str| t[k].get(what).copied().unwrap_or(0);
+        let seen = format!("{t:#?}");
+        assert!(
+            (0..5).all(|k| n(k, "fixes") > 0) && n(0, "a relayed wave") > 0,
+            "{seen}"
+        );
+        for k in 1..5 {
+            let checked = n(k, "a planned tick").min(n(k, "decided without a fix"));
+            assert!(checked > 100 && n(k, "a stale wake-up") > 0, "{seen}");
+            // Optimized Gossiping-2 and Optimized Gossiping.
+            let postpones = k >= 3;
+            let grew = n(k, "a duplicate that grew").min(n(k, "an unchanged duplicate"));
+            assert_eq!(n(k, "velocities") > 0, postpones, "{seen}");
+            assert_eq!(grew > 0, !postpones, "{seen}");
+        }
     }
 
     /// The covered skip applies only where no arrival can differ. Dense
@@ -1781,7 +1978,8 @@ mod tests {
             s
         };
         let dense = |kind, capacity| dense_in(kind, capacity, (40.0, 70.0));
-        let deliveries = |s: &Scenario, what: String| reference_alike(s, &what).0.deliveries();
+        let deliveries =
+            |s: &Scenario, what: String| reference_alike(s, &what, &Rc::default()).0.deliveries();
         for kind in [ProtocolKind::Gossip, ProtocolKind::OptGossip1] {
             let d = deliveries(&dense(kind, 2), format!("{kind}, two ads"));
             assert!(d.skipped > 0 && d.queued > 0, "{kind}: {d:?}");
@@ -1857,7 +2055,8 @@ mod tests {
             s.sim_time = SimDuration::from_secs(90.0);
             s
         };
-        let deliveries = |s: &Scenario, what: &str| reference_alike(s, what).0.deliveries();
+        let deliveries =
+            |s: &Scenario, what: &str| reference_alike(s, what, &Rc::default()).0.deliveries();
         for kind in [ProtocolKind::OptGossip2, ProtocolKind::OptGossip] {
             let d = deliveries(&base(kind, 2), &format!("{kind}"));
             assert!(d.applied > 0 && d.queued > 0, "{kind}: {d:?}");

@@ -10,8 +10,8 @@
 //! Each proof warms its path up first (sizing every recycled buffer),
 //! then asserts that a further stretch of steady-state work performs
 //! exactly zero allocations. The proofs cover: scheduler churn, grid
-//! rebuilds and queries, broadcast → dispatch (with and without forced
-//! grid rebuilds), copies applied when their frame is sent, duplicate
+//! rebuilds and queries, broadcast → dispatch (with and without grid
+//! rebuilds), copies applied when their frame is sent, duplicate
 //! receipts, non-forwarding entry ticks, and
 //! the corruption verdict (`codec::FlipVerdict`), and Manhattan
 //! waypoints drawn into a reused buffer. One test checks
@@ -319,13 +319,13 @@ impl RadioChain {
             sink: ActionSink::new(),
         };
         for src in 0..1000 {
-            chain.broadcast_and_dispatch(src);
+            chain.broadcast_and_dispatch(SimTime::from_secs(100.0), src);
         }
         chain
     }
 
-    fn broadcast_and_dispatch(&mut self, src: u32) -> usize {
-        let t = SimTime::from_secs(100.0);
+    /// One broadcast from `src` at `t`, each copy received at once.
+    fn broadcast_and_dispatch(&mut self, t: SimTime, src: u32) -> usize {
         self.medium
             .broadcast_into(&self.fleet, t, src, 300, &mut self.rng, &mut self.out);
         for d in &self.out.deliveries {
@@ -382,7 +382,7 @@ fn radio_broadcast_into_dispatch() {
     let mut chain = RadioChain::warm();
     let (allocated, ()) = allocations_during(|| {
         for src in 0..1000 {
-            chain.broadcast_and_dispatch(src);
+            chain.broadcast_and_dispatch(SimTime::from_secs(100.0), src);
         }
     });
     assert_eq!(
@@ -391,22 +391,38 @@ fn radio_broadcast_into_dispatch() {
     );
 }
 
-/// The same chain with a forced grid rebuild (resample from the leg
-/// table + CSR counting sort) before every broadcast: still zero
-/// allocations, since the index and the leg table rebuild in place and a
-/// fresh grid's candidates fit the warm candidate buffer.
+/// The same chain with the grid rebuilt (resample from the leg table +
+/// CSR counting sort) by the medium's own refresh rule: broadcasts at
+/// instants 3.5 s apart, past its 3 s refresh, with 16 at each, at least
+/// the `max(8, n/64)` = 15 queries a rebuild waits for, so the first
+/// broadcast at each instant rebuilds. The instants lie past the end of
+/// every node's plan, where each node rests at its last waypoint, so
+/// every grid holds the same positions: one warm-up instant with every
+/// source sizes every buffer, and then 16 rebuilds and 256 broadcasts
+/// allocate nothing, since the index and the leg table rebuild in place.
 #[test]
 fn radio_rebuild_broadcast_dispatch() {
     let mut chain = RadioChain::warm();
+    let fleet = &chain.fleet;
+    let rest = (0..1000).map(|id| fleet.trajectory(id).end_time()).max();
+    let rest = rest.expect("a fleet");
+    let instant = |k: u32| rest + SimDuration::from_secs(1.0 + 3.5 * f64::from(k));
+    for src in 0..1000 {
+        chain.broadcast_and_dispatch(instant(0), src);
+    }
+    let rebuilds = chain.medium.grid_rebuilds();
     let (allocated, ()) = allocations_during(|| {
-        for src in 0..256 {
-            chain.medium.invalidate_grid();
-            chain.broadcast_and_dispatch(src);
+        for k in 1..=16 {
+            for src in 0..16 {
+                chain.broadcast_and_dispatch(instant(k), src * 61);
+            }
         }
     });
+    let rebuilt = chain.medium.grid_rebuilds() - rebuilds;
+    assert_eq!(rebuilt, 16, "one rebuild per instant");
     assert_eq!(
         allocated, 0,
-        "rebuild -> broadcast_into -> dispatch allocated {allocated} times over 256 rebuilds"
+        "rebuild -> broadcast_into -> dispatch allocated {allocated} times over {rebuilt} rebuilds"
     );
 }
 

@@ -245,13 +245,6 @@ impl Medium {
         self.fleet_speed_bound = Some(max_speed);
     }
 
-    /// Mark the grid stale so the next query rebuilds it — a hook for
-    /// benchmarks that need to exercise the rebuild path on every
-    /// broadcast (the buffers keep their capacity).
-    pub fn invalidate_grid(&mut self) {
-        self.grid_built_at = None;
-    }
-
     /// Refresh the neighbour grid, adaptively: the base [`GRID_REFRESH`]
     /// cadence only *arms* a rebuild; it actually happens once enough
     /// queries have been served from the stale grid to amortize the O(n)
@@ -910,8 +903,8 @@ mod tests {
         // ... within the refresh window it is reused ...
         send(&mut medium, &fleet, 2.5, 0, 10, &mut rng);
         assert_eq!(medium.grid_rebuilds(), 1);
-        // ... and invalidation forces a resample at the next broadcast.
-        medium.invalidate_grid();
+        // ... and a grid marked stale is resampled at the next broadcast.
+        medium.grid_built_at = None;
         send(&mut medium, &fleet, 2.6, 0, 10, &mut rng);
         assert_eq!(medium.grid_rebuilds(), 2);
         assert_eq!(medium.grid_queries(), 3);
@@ -949,7 +942,7 @@ mod tests {
             let mut log = Vec::new();
             for step in 0..120 {
                 if rebuild_every_time {
-                    medium.invalidate_grid();
+                    medium.grid_built_at = None;
                 }
                 let t = step as f64 * 0.31;
                 let out = send(&mut medium, &fleet, t, 0, 50, &mut rng);

@@ -1,34 +1,5 @@
 //! `instant-ads` — run a custom instant-advertising scenario from the
-//! command line.
-//!
-//! ```text
-//! USAGE: instant-ads [OPTIONS]
-//!
-//!   --protocol KIND     flooding | gossip | opt1 | opt2 | opt   [opt]
-//!   --peers N           mobile peers                            [300]
-//!   --field METRES      square field side                       [5000]
-//!   --radius METRES     advertising radius R                    [1000]
-//!   --duration SECS     advertisement lifetime D                [1800]
-//!   --speed MPS         mean peer speed (delta 5 m/s)           [10]
-//!   --alpha X --beta X  formula (1)/(2) decay parameters        [0.5]
-//!   --round SECS        gossiping round time                    [5]
-//!   --dis METRES        mechanism-1 annulus width               [250]
-//!   --cache K           cache capacity                          [10]
-//!   --range METRES      radio range, also formula (4)'s         [250]
-//!   --loss P            i.i.d. frame loss probability           [0]
-//!   --manhattan         street-grid mobility instead of RWP
-//!   --issuer-offline S  issuer departs S seconds after issuing
-//!   --seeds N           average over N >= 1 seeds               [1]
-//!   --seed X            first seed                              [42]
-//!   --churn UP:DOWN     mean up/down seconds, e.g. 120:60
-//!   --export-trace F    write the fleet as an NS-2 setdest trace
-//! ```
-//!
-//! Example:
-//!
-//! ```sh
-//! cargo run --release -- --protocol opt --peers 500 --loss 0.1 --seeds 3
-//! ```
+//! command line: `instant-ads --help` lists the options ([`USAGE`]).
 
 use instant_ads::core::ProtocolKind;
 use instant_ads::des::SimDuration;
@@ -37,10 +8,36 @@ use instant_ads::experiments::{run_seeds, summarize, Scenario};
 use instant_ads::geo::{Point, Rect};
 use instant_ads::radio::LossModel;
 
+/// `--help` prints this; bad input prints it after its message and
+/// exits with code 2.
+const USAGE: &str = "\
+USAGE: instant-ads [OPTIONS]      run a custom instant-advertising scenario
+
+  --protocol KIND     flooding | gossip | opt1 | opt2 | opt   [opt]
+  --peers N           mobile peers                            [300]
+  --field METRES      square field side                       [5000]
+  --radius METRES     advertising radius R                    [1000]
+  --duration SECS     advertisement lifetime D                [1800]
+  --speed MPS         mean peer speed (delta 5 m/s)           [10]
+  --alpha X --beta X  formula (1)/(2) decay parameters        [0.5]
+  --round SECS        gossiping round time                    [5]
+  --dis METRES        mechanism-1 annulus width               [250]
+  --cache K           cache capacity                          [10]
+  --range METRES      radio range, also formula (4)'s         [250]
+  --loss P            i.i.d. frame loss probability           [0]
+  --manhattan         street-grid mobility instead of RWP
+  --issuer-offline S  issuer departs S seconds after issuing
+  --seeds N           average over N >= 1 seeds               [1]
+  --seed X            first seed                              [42]
+  --churn UP:DOWN     mean up/down seconds, e.g. 120:60
+  --export-trace F    write the fleet as an NS-2 setdest trace
+  -h, --help          print this help
+
+EXAMPLE: instant-ads --protocol opt --peers 500 --loss 0.1 --seeds 3
+";
+
 fn usage() -> ! {
-    // The doc comment above is the authoritative help text.
-    eprintln!("instant-ads: run a custom instant-advertising scenario");
-    eprintln!("see `cargo doc` or src/main.rs for the full option list");
+    eprint!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -150,7 +147,10 @@ fn main() {
                 ));
             }
             "--export-trace" => export_trace = Some(args.value("--export-trace")),
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
             other => {
                 eprintln!("unknown argument '{other}'");
                 usage();

@@ -32,3 +32,23 @@ fn scenario_rules_exit_with_their_message_not_a_panic() {
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
 }
+
+/// `--help` and `-h` print the options to stdout and exit 0; bad input
+/// prints them to stderr and exits 2.
+#[test]
+fn help_goes_to_stdout_and_bad_input_to_stderr() {
+    for (arg, code) in [("--help", 0), ("-h", 0), ("--bogus", 2)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_instant-ads"))
+            .arg(arg)
+            .output()
+            .expect("run instant-ads");
+        let (usage, other) = match code {
+            0 => (&out.stdout, &out.stderr),
+            _ => (&out.stderr, &out.stdout),
+        };
+        let usage = String::from_utf8_lossy(usage);
+        assert_eq!(out.status.code(), Some(code), "{arg}: {usage}");
+        assert!(usage.contains("--protocol KIND"), "{arg}: {usage}");
+        assert!(other.is_empty(), "{arg}");
+    }
+}
