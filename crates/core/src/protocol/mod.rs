@@ -318,10 +318,6 @@ impl ActionSink {
     pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {
         self.actions.drain(..)
     }
-
-    pub fn clear(&mut self) {
-        self.actions.clear();
-    }
 }
 
 /// A protocol instance: one per peer.
@@ -456,9 +452,6 @@ mod tests {
         let drained: Vec<Action> = sink.drain().collect();
         assert_eq!(drained, [wake(1.0), Action::Accepted { ad }]);
         // Draining empties the sink but keeps the allocation for reuse.
-        assert_eq!(sink.drain().count(), 0);
-        sink.push(wake(2.0));
-        sink.clear();
         assert_eq!(sink.drain().count(), 0);
         let collected = ActionSink::collect(|out| out.push(wake(3.0)));
         assert_eq!(collected, [wake(3.0)]);

@@ -99,12 +99,4 @@ mod tests {
         // Churned runs still send messages (the network stays alive).
         assert!(t.cell_f64(4, 4) > 0.0);
     }
-
-    #[test]
-    fn churn_spec_availability() {
-        let c = ChurnSpec::new(SimDuration::from_secs(60.0), SimDuration::from_secs(60.0));
-        assert!((c.availability() - 0.5).abs() < 1e-12);
-        let light = ChurnSpec::new(SimDuration::from_secs(300.0), SimDuration::from_secs(30.0));
-        assert!((light.availability() - 300.0 / 330.0).abs() < 1e-12);
-    }
 }

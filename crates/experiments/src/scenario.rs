@@ -79,12 +79,6 @@ impl ChurnSpec {
             "zero churn period"
         );
     }
-
-    /// Long-run fraction of time a peer is on-line.
-    pub fn availability(&self) -> f64 {
-        let up = self.mean_up.as_secs();
-        up / (up + self.mean_down.as_secs())
-    }
 }
 
 /// A windowed Gilbert–Elliott burst-loss channel applied on top of the

@@ -9,32 +9,32 @@
 //!
 //! Each proof warms its path up first (sizing every recycled buffer),
 //! then asserts that a further stretch of steady-state work performs
-//! exactly zero allocations. The proofs cover: scheduler churn, grid
-//! rebuilds and queries, broadcast → dispatch (with and without grid
-//! rebuilds), copies applied when their frame is sent, duplicate
-//! receipts, non-forwarding entry ticks, and
-//! the corruption verdict (`codec::FlipVerdict`), and Manhattan
-//! waypoints drawn into a reused buffer. One test checks
-//! that attaching a passive observer adds no allocation to a whole
-//! `World::run`. The heap proofs read the thread's live and peak bytes:
-//! a fleet holds exactly its waypoints and offsets, and `World::new` peaks at
-//! the heap it leaves.
+//! exactly zero allocations. The hot paths are proven where they run, in
+//! one World-level matrix: every protocol, each on a clean channel, under
+//! severe faults with churn and Aloha contention, and under the same
+//! faults with a passive observer attached. Each leg also asserts that
+//! its stretch reached the paths it proves: grid rebuilds, queued,
+//! skipped and applied copies, ticks and re-broadcasts, every drop cause
+//! and every observer hook. Below the World stay the scheduler churn,
+//! the flat-grid cycles, the corruption verdict (`codec::FlipVerdict`)
+//! and Manhattan waypoints drawn into a reused buffer. The heap proofs
+//! read the thread's live and peak bytes: a fleet holds exactly its
+//! waypoints and offsets, and `World::new` peaks at the heap it leaves.
 
-use ia_core::{
-    build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, CopyFate, EntryWake,
-    GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, SharedParams, UserProfile,
-};
-use ia_des::{Scheduler, SimDuration, SimRng, SimTime};
+use ia_core::{codec, AdId, AdMessage, ProtocolKind, RxMeta};
+use ia_des::{QueueStats, Scheduler, SimDuration, SimRng, SimTime};
 use ia_experiments::observer::{BroadcastInfo, SuppressReason};
 use ia_experiments::scenario::{AdSpec, MAX_FLIPS};
-use ia_experiments::{ChurnSpec, Scenario, SimObserver, World};
-use ia_geo::{FlatGrid, Point, Vector};
+use ia_experiments::{
+    BurstLossSpec, ChurnSpec, CorruptionSpec, Deliveries, EntryWakeups, FaultPlan, PartitionWave,
+    Scenario, SimObserver, World,
+};
+use ia_geo::{FlatGrid, Point};
 use ia_mobility::{Fleet, Manhattan, MobilityModel, RandomWaypoint, Trajectory, Waypoint};
-use ia_radio::{BroadcastOutcome, Medium, RadioConfig};
+use ia_radio::{Contention, JamZone, TrafficStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// System allocator wrapper that counts the current thread's
 /// allocations and reallocations, and its live and peak heap bytes. A
@@ -177,34 +177,6 @@ fn des_queue_churn_wheel() {
     assert_eq!(delivered, warm_delivered);
 }
 
-/// Steady-state rebuild + query cycles through a warm [`FlatGrid`] must
-/// not touch the allocator at all.
-#[test]
-fn grid_rebuild_query() {
-    let mut rng = SimRng::from_master(1);
-    let positions: Vec<Point> = (0..1000)
-        .map(|_| Point::new(rng.range_f64(0.0, 5000.0), rng.range_f64(0.0, 5000.0)))
-        .collect();
-    let mut flat = FlatGrid::new();
-    let mut out = Vec::with_capacity(1024);
-    let cycle = |flat: &mut FlatGrid, out: &mut Vec<(u32, Point)>| {
-        flat.rebuild(250.0, &positions);
-        for q in 0..64 {
-            let p = Point::new(78.125 * q as f64, 5000.0 - 78.125 * q as f64);
-            flat.query_disk_into(p, 250.0, out);
-            black_box(out.len());
-        }
-    };
-    for _ in 0..4 {
-        cycle(&mut flat, &mut out);
-    }
-    let (allocated, ()) = allocations_during(|| cycle(&mut flat, &mut out));
-    assert_eq!(
-        allocated, 0,
-        "grid_rebuild_query allocated {allocated} times (rebuild + 64 queries)"
-    );
-}
-
 /// A deterministic point cloud at `phase`, bounded so the cell rectangle
 /// (and hence the offset-table size) stays constant across phases.
 fn cloud(n: usize, phase: u64, out: &mut Vec<Point>) {
@@ -262,321 +234,58 @@ fn flat_grid_warm_rebuild_and_query_cycles() {
     );
 }
 
-/// The paper's ad (`R = 1000 m`, topic 1) from issuer 7, issued at 10 s
-/// at the centre of the 5 x 5 km field.
-fn paper_ad(params: &GossipParams, duration: SimDuration) -> Advertisement {
-    Advertisement::new(
-        AdId::new(PeerId(7), 0),
-        Point::new(2500.0, 2500.0),
-        SimTime::from_secs(10.0),
-        1000.0,
-        duration,
-        vec![1],
-        200,
-        params,
-    )
-}
+/// The hooks [`HookCounts`] counts, in the order of its `fired` array;
+/// the last five are `on_suppress`, by [`SuppressReason`] in declaration
+/// order.
+const HOOKS: [&str; 12] = [
+    "broadcast",
+    "deliver",
+    "accept",
+    "cache_evict",
+    "round",
+    "depart",
+    "rejoin",
+    "offline",
+    "loss",
+    "jam",
+    "collision",
+    "corrupt",
+];
 
-fn opt_gossip_peer(params: &Arc<SharedParams>) -> Box<dyn Protocol> {
-    build_protocol(
-        ProtocolKind::OptGossip,
-        Arc::clone(params),
-        RadioConfig::paper().range,
-        UserProfile::indifferent(1),
-        0,
-    )
-}
-
-/// The broadcast → protocol-dispatch chain: `broadcast_into` through a
-/// recycled outcome buffer, every resulting delivery fed into a warm
-/// protocol `on_receive` through a reused sink. The paper radio has no
-/// contention, so nothing in the steady state may allocate.
-struct RadioChain {
-    fleet: Fleet,
-    medium: Medium,
-    peer: Box<dyn Protocol>,
-    msg: AdMessage,
-    rng: SimRng,
-    out: BroadcastOutcome,
-    sink: ActionSink,
-}
-
-impl RadioChain {
-    /// 1000 Random Waypoint nodes on the paper field, after a warm-up
-    /// pass over every source that sizes the grid, the medium's leg table
-    /// and candidate buffer (to the most candidates any of these
-    /// broadcasts scans), the outcome buffer and the peer's ad cache.
-    fn warm() -> Self {
-        let model = RandomWaypoint::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
-        let params = GossipParams::paper().shared();
-        let mut chain = RadioChain {
-            fleet: Fleet::generate(&model, 1000, 3, SimTime::ZERO, SimTime::from_secs(200.0)),
-            medium: Medium::new(RadioConfig::paper()),
-            peer: opt_gossip_peer(&params),
-            msg: AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0))),
-            rng: SimRng::from_master(4),
-            out: BroadcastOutcome::default(),
-            sink: ActionSink::new(),
-        };
-        for src in 0..1000 {
-            chain.broadcast_and_dispatch(SimTime::from_secs(100.0), src);
-        }
-        chain
-    }
-
-    /// One broadcast from `src` at `t`, each copy received at once.
-    fn broadcast_and_dispatch(&mut self, t: SimTime, src: u32) -> usize {
-        self.medium
-            .broadcast_into(&self.fleet, t, src, 300, &mut self.rng, &mut self.out);
-        for d in &self.out.deliveries {
-            let meta = RxMeta {
-                sender_pos: d.sender_pos,
-                from: d.from,
-                distance: d.distance,
-            };
-            let mut ctx = PeerContext {
-                now: t,
-                motion: &mut (d.sender_pos, Vector::new(-10.0, 0.0)),
-            };
-            self.peer
-                .on_receive(&mut ctx, &self.msg, &meta, &mut self.sink);
-            for action in self.sink.drain() {
-                black_box(&action);
-            }
-        }
-        black_box(self.out.deliveries.len())
-    }
-
-    /// One broadcast from `src` whose every copy is asked about when the
-    /// frame is sent, as `World::broadcast` asks, with the context at its
-    /// arrival instant (the receiver's fix and velocity there). Returns
-    /// the copies and how many the peer applied.
-    fn broadcast_and_apply(&mut self, src: u32) -> (usize, usize) {
-        let t = SimTime::from_secs(100.0);
-        self.medium
-            .broadcast_into(&self.fleet, t, src, 300, &mut self.rng, &mut self.out);
-        let mut applied = 0;
-        for d in &self.out.deliveries {
-            let meta = RxMeta {
-                sender_pos: d.sender_pos,
-                from: d.from,
-                distance: d.distance,
-            };
-            let window = SimDuration::from_secs(1.0);
-            let mut ctx = PeerContext {
-                now: d.arrival,
-                motion: &mut (
-                    self.fleet.position(d.to, d.arrival),
-                    self.fleet.estimated_velocity(d.to, d.arrival, window),
-                ),
-            };
-            let fate = self.peer.on_copy_sent(&mut ctx, &self.msg, &meta, true);
-            applied += usize::from(fate == CopyFate::Applied);
-        }
-        (self.out.deliveries.len(), applied)
-    }
-}
-
-#[test]
-fn radio_broadcast_into_dispatch() {
-    let mut chain = RadioChain::warm();
-    let (allocated, ()) = allocations_during(|| {
-        for src in 0..1000 {
-            chain.broadcast_and_dispatch(SimTime::from_secs(100.0), src);
-        }
-    });
-    assert_eq!(
-        allocated, 0,
-        "broadcast_into -> dispatch allocated {allocated} times over 1000 broadcasts"
-    );
-}
-
-/// The same chain with the grid rebuilt (resample from the leg table +
-/// CSR counting sort) by the medium's own refresh rule: broadcasts at
-/// instants 3.5 s apart, past its 3 s refresh, with 16 at each, at least
-/// the `max(8, n/64)` = 15 queries a rebuild waits for, so the first
-/// broadcast at each instant rebuilds. The instants lie past the end of
-/// every node's plan, where each node rests at its last waypoint, so
-/// every grid holds the same positions: one warm-up instant with every
-/// source sizes every buffer, and then 16 rebuilds and 256 broadcasts
-/// allocate nothing, since the index and the leg table rebuild in place.
-#[test]
-fn radio_rebuild_broadcast_dispatch() {
-    let mut chain = RadioChain::warm();
-    let fleet = &chain.fleet;
-    let rest = (0..1000).map(|id| fleet.trajectory(id).end_time()).max();
-    let rest = rest.expect("a fleet");
-    let instant = |k: u32| rest + SimDuration::from_secs(1.0 + 3.5 * f64::from(k));
-    for src in 0..1000 {
-        chain.broadcast_and_dispatch(instant(0), src);
-    }
-    let rebuilds = chain.medium.grid_rebuilds();
-    let (allocated, ()) = allocations_during(|| {
-        for k in 1..=16 {
-            for src in 0..16 {
-                chain.broadcast_and_dispatch(instant(k), src * 61);
-            }
-        }
-    });
-    let rebuilt = chain.medium.grid_rebuilds() - rebuilds;
-    assert_eq!(rebuilt, 16, "one rebuild per instant");
-    assert_eq!(
-        allocated, 0,
-        "rebuild -> broadcast_into -> dispatch allocated {allocated} times over {rebuilt} rebuilds"
-    );
-}
-
-/// A warm broadcast whose copies are applied when its frame is sent:
-/// `broadcast_into`, then each copy's receiver asked with the context at
-/// the copy's arrival instant. The chain's one peer holds the ad, its
-/// wake-up queued at its first tick, after every arrival and no later
-/// than its pending tick, so it applies every copy (absorb + postpone)
-/// through a sink that stays empty, and nothing allocates.
-#[test]
-fn applied_copies_allocate_nothing() {
-    let mut chain = RadioChain::warm();
-    let (allocated, (copies, applied)) = allocations_during(|| {
-        (0..1000).fold((0, 0), |(copies, applied), src| {
-            let (c, a) = chain.broadcast_and_apply(src);
-            (copies + c, applied + a)
-        })
-    });
-    assert!(copies > 1000 && applied == copies, "{applied} of {copies}");
-    assert_eq!(
-        allocated, 0,
-        "applying copies at send time allocated {allocated} times over 1000 broadcasts"
-    );
-}
-
-/// The protocol callback hot path: a duplicate receipt (absorb +
-/// postpone) pushed through a warm, reused [`ActionSink`].
-#[test]
-fn protocol_dispatch_sink_reuse() {
-    let params = GossipParams::paper().shared();
-    let mut peer = opt_gossip_peer(&params);
-    let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0)));
-    let meta = RxMeta {
-        sender_pos: Point::new(2550.0, 2500.0),
-        from: 3,
-        distance: 50.0,
-    };
-    let motion = (Point::new(2520.0, 2500.0), Vector::new(-10.0, 0.0));
-    let mut sink = ActionSink::new();
-    let mut event = |i: u64| {
-        let mut ctx = PeerContext {
-            now: SimTime::from_secs(10.0 + i as f64 * 1e-3),
-            motion: &mut { motion },
-        };
-        peer.on_receive(&mut ctx, &msg, &meta, &mut sink);
-        for action in sink.drain() {
-            black_box(&action);
-        }
-    };
-
-    // Prime the peer (the first receipt caches the ad, which allocates)
-    // and warm the sink's capacity, exactly as the simulation world does.
-    for i in 0..16 {
-        event(i);
-    }
-    const EVENTS: u64 = 10_000;
-    let (allocated, ()) = allocations_during(|| {
-        for i in 0..EVENTS {
-            event(16 + i);
-        }
-    });
-    assert_eq!(
-        allocated, 0,
-        "sink hot path allocated {allocated} times over {EVENTS} events"
-    );
-}
-
-/// The common Optimized Gossiping event: a due entry wake-up at an
-/// interior peer, past the mechanism (1) warm-up, that loses its draw
-/// (formula 3 gives ~1e-9 at the centre). Deciding not to forward must
-/// not allocate: the ad is copied only to be sent.
-#[test]
-fn protocol_entry_tick_no_forward() {
-    let params = GossipParams::paper().shared();
-    let mut peer = opt_gossip_peer(&params);
-    // Long-lived, so the measured ticks never reach expiry.
-    let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1.0e9)));
-    let centre = msg.ad.issue_pos;
-    let mut sink = ActionSink::new();
-    // Tick `k` runs at 20 s + k rounds and counts the broadcasts it
-    // pushed. Tick 0 is the first receipt; it schedules the entry for
-    // tick 1, and every tick after that finds the entry due.
-    let mut tick = |k: u64| {
-        let mut ctx = PeerContext {
-            now: SimTime::from_secs(20.0 + 5.0 * k as f64),
-            motion: &mut (centre, Vector::ZERO),
-        };
-        if k == 0 {
-            let meta = RxMeta {
-                sender_pos: centre,
-                from: 3,
-                distance: 0.0,
-            };
-            peer.on_receive(&mut ctx, &msg, &meta, &mut sink);
-        } else {
-            let wake = peer.on_entry_timer(&mut ctx, msg.ad.id, &mut sink);
-            assert_eq!(wake, EntryWake::Fire, "tick {k} did not run");
-        }
-        sink.drain()
-            .filter(|a| matches!(a, Action::Broadcast(_)))
-            .count()
-    };
-    // Warm-up past the 40 s mechanism (1) warm-up age.
-    for k in 0..10 {
-        tick(k);
-    }
-    const TICKS: u64 = 256;
-    let (allocated, broadcasts) =
-        allocations_during(|| (10..10 + TICKS).map(&mut tick).sum::<usize>());
-    assert_eq!(broadcasts, 0, "an interior entry tick forwarded");
-    assert_eq!(
-        allocated, 0,
-        "non-forwarding entry tick allocated {allocated} times over {TICKS} ticks"
-    );
-}
-
-/// How often each [`SimObserver`] hook fired, in fixed fields: the
-/// observer does no work beyond the count and never allocates.
-#[derive(Default)]
+/// How often each [`SimObserver`] hook fired, and the most receivers one
+/// broadcast had: the observer does no work beyond the count and never
+/// allocates.
+#[derive(Debug, Clone, Default)]
 struct HookCounts {
-    broadcast: u64,
-    deliver: u64,
-    accept: u64,
-    suppress: u64,
-    cache_evict: u64,
-    round: u64,
-    depart: u64,
-    rejoin: u64,
+    fired: [u64; HOOKS.len()],
+    max_receivers: usize,
 }
 
 impl SimObserver for HookCounts {
-    fn on_broadcast(&mut self, _: SimTime, _: u32, _: &AdMessage, _: &BroadcastInfo) {
-        self.broadcast += 1;
+    fn on_broadcast(&mut self, _: SimTime, _: u32, _: &AdMessage, info: &BroadcastInfo) {
+        self.fired[0] += 1;
+        self.max_receivers = self.max_receivers.max(info.receivers);
     }
     fn on_deliver(&mut self, _: SimTime, _: u32, _: &AdMessage, _: &RxMeta) {
-        self.deliver += 1;
+        self.fired[1] += 1;
     }
     fn on_accept(&mut self, _: SimTime, _: u32, _: AdId) {
-        self.accept += 1;
-    }
-    fn on_suppress(&mut self, _: SimTime, _: u32, _: &AdMessage, _: SuppressReason) {
-        self.suppress += 1;
+        self.fired[2] += 1;
     }
     fn on_cache_evict(&mut self, _: SimTime, _: u32, _: AdId) {
-        self.cache_evict += 1;
+        self.fired[3] += 1;
     }
     fn on_round(&mut self, _: SimTime, _: u32) {
-        self.round += 1;
+        self.fired[4] += 1;
     }
     fn on_depart(&mut self, _: SimTime, _: u32) {
-        self.depart += 1;
+        self.fired[5] += 1;
     }
     fn on_rejoin(&mut self, _: SimTime, _: u32) {
-        self.rejoin += 1;
+        self.fired[6] += 1;
+    }
+    fn on_suppress(&mut self, _: SimTime, _: u32, _: &AdMessage, reason: SuppressReason) {
+        self.fired[7 + reason as usize] += 1;
     }
 }
 
@@ -616,142 +325,234 @@ fn corruption_verdict_allocates_nothing() {
     assert_eq!(passed, 1024, "only the cancelling sets pass");
 }
 
-/// Observer fan-out allocates nothing: the same churned Gossip world,
-/// run once with no observer and once with a passive one attached, makes
-/// exactly as many allocations in `World::run`. Two ads and a one-slot
-/// cache make peers evict, and churn makes them depart, rejoin and
-/// suppress off-line receipts, so every hook fires.
-#[test]
-fn observer_fan_out_allocates_nothing() {
-    let scenario = || {
-        let mut s = Scenario::paper(ProtocolKind::Gossip, 40)
-            .with_seed(11)
-            .with_churn(ChurnSpec::new(
-                SimDuration::from_secs(40.0),
-                SimDuration::from_secs(20.0),
-            ));
-        s.area = ia_geo::Rect::with_size(1500.0, 1500.0);
-        s.params.cache_capacity = 1;
-        let paper = AdSpec::paper();
-        s.ads = vec![
-            AdSpec {
-                issue_pos: Point::new(1400.0, 1400.0),
-                ..paper.clone()
-            },
-            AdSpec {
-                issue_pos: Point::new(700.0, 800.0),
-                issue_time: SimTime::from_secs(20.0),
-                radius: 600.0,
-                ..paper
-            },
-        ];
-        s.with_life_cycle(SimDuration::from_secs(120.0))
-    };
+/// Where every leg of the World matrix starts measuring: just after the
+/// last ad's issue at 240 s (a Restricted Flooding issuer's first push
+/// into its `issued` list allocates), so the stretch is that ad's life.
+const MEASURED_FROM: f64 = 241.0;
 
-    let mut bare = World::new(scenario());
-    let (bare_allocs, ()) = allocations_during(|| bare.run());
-
-    let mut observed = World::new(scenario());
-    observed.attach_observer(Box::<HookCounts>::default());
-    let (observed_allocs, ()) = allocations_during(|| observed.run());
-
-    let hooks = observed.observer::<HookCounts>().expect("attached");
-    let fired = [
-        ("broadcast", hooks.broadcast),
-        ("deliver", hooks.deliver),
-        ("accept", hooks.accept),
-        ("suppress", hooks.suppress),
-        ("cache_evict", hooks.cache_evict),
-        ("round", hooks.round),
-        ("depart", hooks.depart),
-        ("rejoin", hooks.rejoin),
-    ];
-    for (hook, n) in fired {
-        assert!(n > 0, "hook {hook} never fired");
-    }
-    assert_eq!(
-        bare.medium().stats(),
-        observed.medium().stats(),
-        "the observer changed the run"
-    );
-    assert_eq!(
-        observed_allocs, bare_allocs,
-        "attaching a passive observer changed World::run's allocation count"
-    );
-}
-
-/// One World-level cycle allocates nothing once warm: an issue, its
-/// broadcast, queued copies delivered, copies applied when their frame
-/// is sent (Optimized Gossiping) or skipped (Gossiping), forwarding
-/// ticks and re-broadcasts. Two ads are issued at the centre of a small
-/// field, each covering all of it, the second after the first has
-/// expired and left every cache. The first ad's life sizes every
-/// buffer: the scheduler's slab, the in-flight table, the medium's, the
-/// sink, and each cache's one slot, which the second ad's admissions
-/// reuse. The second ad's whole life then allocates nothing.
-fn world_cycle_allocates_nothing(kind: ProtocolKind) {
+/// The World matrix's scenario. Clean, it is 60 peers on a 1.2 km field
+/// and two ads at its centre, each covering all of it, the second issued
+/// at 240 s after the first expired: the first ad's life sizes every
+/// buffer (the scheduler's slab, the in-flight table, the medium's, the
+/// sink, each cache's slot) and the second's reuses them.
+///
+/// Faulted, it adds the chaos ladder's severe rung scaled to the field,
+/// every fault active from 100 s on, churn and Aloha contention. Caches
+/// hold one ad, and two long-lived ads near opposite corners overlap the
+/// others: a peer keeps the ad it is farther into, so peers on the move
+/// keep trading one for another. By the stretch every peer has held two
+/// ads at once, the one time its cache grows, and every flooding peer's
+/// hash sets have grown on an insert after their third ad (a full std
+/// set grows on any insert), so the second ad fits. A corrupted copy has
+/// one flipped bit, which the CRC always detects: an escaped copy would
+/// decode its frame, which allocates by design.
+fn matrix_scenario(kind: ProtocolKind, faulted: bool) -> Scenario {
+    let secs = SimTime::from_secs;
     let first = AdSpec {
         issue_pos: Point::new(600.0, 600.0),
-        issue_time: SimTime::from_secs(10.0),
+        issue_time: secs(10.0),
         radius: 900.0,
         duration: SimDuration::from_secs(150.0),
         ..AdSpec::paper()
     };
     let second = AdSpec {
-        issue_time: SimTime::from_secs(240.0),
+        issue_time: secs(240.0),
         duration: SimDuration::from_secs(120.0),
         ..first.clone()
     };
     let mut s = Scenario::paper(kind, 60).with_seed(3);
     s.area = ia_geo::Rect::with_size(1200.0, 1200.0);
-    s.ads = vec![first, second];
     s.sim_time = SimDuration::from_secs(360.0);
-    let mut w = World::new(s);
-    w.run_until(SimTime::from_secs(235.0));
-    assert_eq!(
-        w.holders(w.ad_ids()[0]),
-        0,
-        "{kind}: the first ad is still cached"
-    );
-    let (messages, deliveries, fired) = (
-        w.medium().stats().messages,
-        w.deliveries(),
-        w.entry_wakeups().fired,
-    );
+    if !faulted {
+        s.ads = vec![first, second];
+        return s;
+    }
+    let corner = |xy, issue_time| AdSpec {
+        issue_pos: Point::new(xy, xy),
+        issue_time,
+        duration: secs(355.0) - issue_time,
+        ..first.clone()
+    };
+    let corners = [corner(300.0, secs(20.0)), corner(900.0, secs(40.0))];
+    s.ads = [vec![first], corners.to_vec(), vec![second]].concat();
+    s.params.cache_capacity = 1;
+    s.radio.contention = Contention::Aloha;
+    let (up, down) = (SimDuration::from_secs(120.0), SimDuration::from_secs(10.0));
+    s.churn = Some(ChurnSpec::new(up, down));
+    let (from, until) = (secs(100.0), secs(360.0));
+    let jam = JamZone::stationary(Point::new(300.0, 600.0), 150.0, from, secs(300.0));
+    s.faults = FaultPlan::none()
+        .with_jam_zone(jam)
+        .with_partition_wave(PartitionWave {
+            at: secs(200.0),
+            fraction: 0.3,
+            down_for: SimDuration::from_secs(80.0),
+        })
+        .with_burst_loss(BurstLossSpec {
+            from,
+            until,
+            p_enter_bad: 0.1,
+            p_exit_bad: 0.15,
+            loss_good: 0.05,
+            loss_bad: 0.8,
+        })
+        .with_corruption(CorruptionSpec {
+            from,
+            until,
+            p_corrupt: 0.25,
+            max_flips: 1,
+        });
+    s
+}
 
-    let (allocated, ()) = allocations_during(|| w.run());
+/// Every work counter a world and its medium keep.
+#[derive(Debug, Clone, PartialEq)]
+struct Work {
+    traffic: TrafficStats,
+    deliveries: Deliveries,
+    wakeups: EntryWakeups,
+    queue: QueueStats,
+    grid_rebuilds: u64,
+}
 
-    let d = w.deliveries();
-    let outcomes = w.tracker().outcomes();
-    assert!(outcomes[1].delivered > 50, "{kind}: {:?}", outcomes[1]);
-    assert!(
-        w.medium().stats().messages > messages + 1,
-        "{kind}: no re-broadcast"
-    );
-    assert!(w.entry_wakeups().fired > fired, "{kind}: no tick");
-    assert!(d.queued > deliveries.queued, "{kind}: {d:?}");
-    let (applied, skipped) = (
-        d.applied - deliveries.applied,
-        d.skipped - deliveries.skipped,
-    );
+impl Work {
+    fn of(w: &World) -> Self {
+        Work {
+            traffic: w.medium().stats().clone(),
+            deliveries: w.deliveries(),
+            wakeups: w.entry_wakeups(),
+            queue: w.queue_stats(),
+            grid_rebuilds: w.medium().grid_rebuilds(),
+        }
+    }
+}
+
+/// One leg of the matrix: its world's work and its observer's counts
+/// (none if it has no observer) at `MEASURED_FROM` and at the horizon,
+/// and the allocations between.
+struct Leg {
+    warm: (Work, HookCounts),
+    end: (Work, HookCounts),
+    allocated: u64,
+}
+
+impl Leg {
+    fn run(scenario: Scenario, observed: bool) -> Leg {
+        let mut w = World::new(scenario);
+        if observed {
+            w.attach_observer(Box::<HookCounts>::default());
+        }
+        let read = |w: &World| (Work::of(w), w.observer().cloned().unwrap_or_default());
+        w.run_until(SimTime::from_secs(MEASURED_FROM));
+        let warm = read(&w);
+        let (allocated, ()) = allocations_during(|| w.run());
+        let end = read(&w);
+        Leg {
+            warm,
+            end,
+            allocated,
+        }
+    }
+
+    /// The stretch allocated nothing, and it rebuilt the grid, queued
+    /// copies, ran ticks and re-broadcast.
+    fn assert_busy_and_allocation_free(&self, kind: ProtocolKind, leg: &str) {
+        let (a, b) = (&self.warm.0, &self.end.0);
+        let fired = b.wakeups.fired - a.wakeups.fired;
+        // Every broadcast of the stretch forwards a copy, except a
+        // flooding issuer's waves, one per fired tick.
+        let waves = if kind == ProtocolKind::Flooding {
+            fired
+        } else {
+            0
+        };
+        let sent = b.traffic.messages - a.traffic.messages;
+        for (what, n) in [
+            ("grid rebuild", b.grid_rebuilds - a.grid_rebuilds),
+            ("queued copy", b.deliveries.queued - a.deliveries.queued),
+            ("fired tick", fired),
+            ("re-broadcast", sent.saturating_sub(waves)),
+        ] {
+            assert!(n > 0, "{kind}, {leg}: no {what} in the stretch");
+        }
+        assert_eq!(
+            self.allocated, 0,
+            "{kind}, {leg}: a warm World stretch allocated {} times",
+            self.allocated
+        );
+    }
+}
+
+/// The World matrix for one protocol: a clean leg, a faulted leg, and
+/// the faulted leg with a passive observer, each run to `MEASURED_FROM`
+/// and then to the horizon without one allocation.
+fn world_matrix(kind: ProtocolKind) {
+    let clean = Leg::run(matrix_scenario(kind, false), false);
+    clean.assert_busy_and_allocation_free(kind, "clean");
+    // No cache can evict, so every intact copy's receiver is asked when
+    // its frame is sent: mechanism (2) applies duplicates, every other
+    // kind skips covered copies.
+    let (a, b) = (clean.warm.0.deliveries, clean.end.0.deliveries);
     match kind {
-        ProtocolKind::OptGossip => assert!(applied > 0, "{kind}: {d:?}"),
-        _ => assert!(skipped > 0, "{kind}: {d:?}"),
+        ProtocolKind::OptGossip2 | ProtocolKind::OptGossip => {
+            assert!(b.applied > a.applied, "{kind}: none applied, {b:?}")
+        }
+        _ => assert!(b.skipped > a.skipped, "{kind}: none skipped, {b:?}"),
+    }
+
+    let faulted = Leg::run(matrix_scenario(kind, true), false);
+    faulted.assert_busy_and_allocation_free(kind, "faulted");
+    let observed = Leg::run(matrix_scenario(kind, true), true);
+    assert_eq!(
+        observed.warm.0, faulted.warm.0,
+        "{kind}: the observer changed the warm-up"
+    );
+    assert_eq!(
+        observed.end.0, faulted.end.0,
+        "{kind}: the observer changed the stretch"
+    );
+    assert_eq!(observed.allocated, 0, "{kind}: the observer allocated");
+    // Every hook fires before the stretch and in it, so every fault
+    // (jam, loss, collision, corruption, the off-line peers) is active
+    // in both; Restricted Flooding keeps no cache.
+    let (warm, end) = (&observed.warm.1, &observed.end.1);
+    for (k, hook) in HOOKS.iter().enumerate() {
+        let (before, after) = (warm.fired[k], end.fired[k]);
+        let fires = 0 < before && before < after;
+        assert!(
+            fires || (*hook == "cache_evict" && kind == ProtocolKind::Flooding),
+            "{kind}: hook {hook} fired {before} times by {MEASURED_FROM} s, {after} by the horizon"
+        );
     }
     assert_eq!(
-        allocated, 0,
-        "{kind}: a warm World cycle allocated {allocated} times"
+        end.max_receivers, warm.max_receivers,
+        "{kind}: a broadcast in the stretch outgrew the warm-up's outcome buffer"
     );
 }
 
 #[test]
-fn world_cycle_allocates_nothing_under_optimized_gossiping() {
-    world_cycle_allocates_nothing(ProtocolKind::OptGossip);
+fn world_cycle_allocates_nothing_under_flooding() {
+    world_matrix(ProtocolKind::Flooding);
 }
 
 #[test]
 fn world_cycle_allocates_nothing_under_gossiping() {
-    world_cycle_allocates_nothing(ProtocolKind::Gossip);
+    world_matrix(ProtocolKind::Gossip);
+}
+
+#[test]
+fn world_cycle_allocates_nothing_under_optimized_gossiping_1() {
+    world_matrix(ProtocolKind::OptGossip1);
+}
+
+#[test]
+fn world_cycle_allocates_nothing_under_optimized_gossiping_2() {
+    world_matrix(ProtocolKind::OptGossip2);
+}
+
+#[test]
+fn world_cycle_allocates_nothing_under_optimized_gossiping() {
+    world_matrix(ProtocolKind::OptGossip);
 }
 
 /// A Manhattan model draws its waypoints into a caller's buffer without
@@ -816,7 +617,7 @@ fn a_generated_fleet_holds_exactly_its_waypoints_and_offsets() {
 /// world keeps, and set-up never sets a run's peak heap.
 #[test]
 fn world_setup_peaks_at_the_heap_it_leaves() {
-    for kind in [ProtocolKind::OptGossip, ProtocolKind::Gossip] {
+    for kind in ProtocolKind::ALL {
         let scenario = Scenario::paper(kind, 300).with_seed(1);
         let (heap, world) = heap_during(|| World::new(scenario));
         assert!(heap.peak <= heap.live, "{kind:?}: {heap:?}");
