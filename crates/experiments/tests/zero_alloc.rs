@@ -15,13 +15,20 @@
 //! faults with a passive observer attached. Each leg also asserts that
 //! its stretch reached the paths it proves: grid rebuilds, queued,
 //! skipped and applied copies, ticks and re-broadcasts, every drop cause
-//! and every observer hook. Below the World stay the scheduler churn,
-//! the flat-grid cycles, the corruption verdict (`codec::FlipVerdict`)
-//! and Manhattan waypoints drawn into a reused buffer. The heap proofs
+//! and every observer hook. Beside it stay the component proofs that
+//! drive one path by hand: broadcast → dispatch (with and without grid
+//! rebuilds), copies applied when their frame is sent, duplicate
+//! receipts, non-forwarding entry ticks and observer fan-out over a whole
+//! `World::run`. Below the World stay the scheduler churn, grid rebuilds
+//! and queries, the corruption verdict (`codec::FlipVerdict`) and
+//! Manhattan waypoints drawn into a reused buffer. The heap proofs
 //! read the thread's live and peak bytes: a fleet holds exactly its
 //! waypoints and offsets, and `World::new` peaks at the heap it leaves.
 
-use ia_core::{codec, AdId, AdMessage, ProtocolKind, RxMeta};
+use ia_core::{
+    build_protocol, codec, Action, ActionSink, AdId, AdMessage, Advertisement, CopyFate, EntryWake,
+    GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, SharedParams, UserProfile,
+};
 use ia_des::{QueueStats, Scheduler, SimDuration, SimRng, SimTime};
 use ia_experiments::observer::{BroadcastInfo, SuppressReason};
 use ia_experiments::scenario::{AdSpec, MAX_FLIPS};
@@ -29,12 +36,13 @@ use ia_experiments::{
     BurstLossSpec, ChurnSpec, CorruptionSpec, Deliveries, EntryWakeups, FaultPlan, PartitionWave,
     Scenario, SimObserver, World,
 };
-use ia_geo::{FlatGrid, Point};
+use ia_geo::{FlatGrid, Point, Vector};
 use ia_mobility::{Fleet, Manhattan, MobilityModel, RandomWaypoint, Trajectory, Waypoint};
-use ia_radio::{Contention, JamZone, TrafficStats};
+use ia_radio::{BroadcastOutcome, Contention, JamZone, Medium, RadioConfig, TrafficStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// System allocator wrapper that counts the current thread's
 /// allocations and reallocations, and its live and peak heap bytes. A
@@ -177,6 +185,34 @@ fn des_queue_churn_wheel() {
     assert_eq!(delivered, warm_delivered);
 }
 
+/// Steady-state rebuild + query cycles through a warm [`FlatGrid`] must
+/// not touch the allocator at all.
+#[test]
+fn grid_rebuild_query() {
+    let mut rng = SimRng::from_master(1);
+    let positions: Vec<Point> = (0..1000)
+        .map(|_| Point::new(rng.range_f64(0.0, 5000.0), rng.range_f64(0.0, 5000.0)))
+        .collect();
+    let mut flat = FlatGrid::new();
+    let mut out = Vec::with_capacity(1024);
+    let cycle = |flat: &mut FlatGrid, out: &mut Vec<(u32, Point)>| {
+        flat.rebuild(250.0, &positions);
+        for q in 0..64 {
+            let p = Point::new(78.125 * q as f64, 5000.0 - 78.125 * q as f64);
+            flat.query_disk_into(p, 250.0, out);
+            black_box(out.len());
+        }
+    };
+    for _ in 0..4 {
+        cycle(&mut flat, &mut out);
+    }
+    let (allocated, ()) = allocations_during(|| cycle(&mut flat, &mut out));
+    assert_eq!(
+        allocated, 0,
+        "grid_rebuild_query allocated {allocated} times (rebuild + 64 queries)"
+    );
+}
+
 /// A deterministic point cloud at `phase`, bounded so the cell rectangle
 /// (and hence the offset-table size) stays constant across phases.
 fn cloud(n: usize, phase: u64, out: &mut Vec<Point>) {
@@ -231,6 +267,283 @@ fn flat_grid_warm_rebuild_and_query_cycles() {
     assert_eq!(
         allocated, 0,
         "warm FlatGrid rebuild/query/scan cycles allocated {allocated} times over 32 phases"
+    );
+}
+
+/// The paper's ad (`R = 1000 m`, topic 1) from issuer 7, issued at 10 s
+/// at the centre of the 5 x 5 km field.
+fn paper_ad(params: &GossipParams, duration: SimDuration) -> Advertisement {
+    Advertisement::new(
+        AdId::new(PeerId(7), 0),
+        Point::new(2500.0, 2500.0),
+        SimTime::from_secs(10.0),
+        1000.0,
+        duration,
+        vec![1],
+        200,
+        params,
+    )
+}
+
+fn opt_gossip_peer(params: &Arc<SharedParams>) -> Box<dyn Protocol> {
+    build_protocol(
+        ProtocolKind::OptGossip,
+        Arc::clone(params),
+        RadioConfig::paper().range,
+        UserProfile::indifferent(1),
+        0,
+    )
+}
+
+/// The broadcast → protocol-dispatch chain: `broadcast_into` through a
+/// recycled outcome buffer, every resulting delivery fed into a warm
+/// protocol `on_receive` through a reused sink. The paper radio has no
+/// contention, so nothing in the steady state may allocate.
+struct RadioChain {
+    fleet: Fleet,
+    medium: Medium,
+    peer: Box<dyn Protocol>,
+    msg: AdMessage,
+    rng: SimRng,
+    out: BroadcastOutcome,
+    sink: ActionSink,
+}
+
+impl RadioChain {
+    /// 1000 Random Waypoint nodes on the paper field, after a warm-up
+    /// pass over every source that sizes the grid, the medium's leg table
+    /// and candidate buffer (to the most candidates any of these
+    /// broadcasts scans), the outcome buffer and the peer's ad cache.
+    fn warm() -> Self {
+        let model = RandomWaypoint::paper(ia_geo::Rect::with_size(5000.0, 5000.0), 10.0, 5.0);
+        let params = GossipParams::paper().shared();
+        let mut chain = RadioChain {
+            fleet: Fleet::generate(&model, 1000, 3, SimTime::ZERO, SimTime::from_secs(200.0)),
+            medium: Medium::new(RadioConfig::paper()),
+            peer: opt_gossip_peer(&params),
+            msg: AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0))),
+            rng: SimRng::from_master(4),
+            out: BroadcastOutcome::default(),
+            sink: ActionSink::new(),
+        };
+        for src in 0..1000 {
+            chain.broadcast_and_dispatch(SimTime::from_secs(100.0), src);
+        }
+        chain
+    }
+
+    /// One broadcast from `src` at `t`, each copy received at once.
+    fn broadcast_and_dispatch(&mut self, t: SimTime, src: u32) -> usize {
+        self.medium
+            .broadcast_into(&self.fleet, t, src, 300, &mut self.rng, &mut self.out);
+        for d in &self.out.deliveries {
+            let meta = RxMeta {
+                sender_pos: d.sender_pos,
+                from: d.from,
+                distance: d.distance,
+            };
+            let mut ctx = PeerContext {
+                now: t,
+                motion: &mut (d.sender_pos, Vector::new(-10.0, 0.0)),
+            };
+            self.peer
+                .on_receive(&mut ctx, &self.msg, &meta, &mut self.sink);
+            for action in self.sink.drain() {
+                black_box(&action);
+            }
+        }
+        black_box(self.out.deliveries.len())
+    }
+
+    /// One broadcast from `src` whose every copy is asked about when the
+    /// frame is sent, as `World::broadcast` asks, with the context at its
+    /// arrival instant (the receiver's fix and velocity there). Returns
+    /// the copies and how many the peer applied.
+    fn broadcast_and_apply(&mut self, src: u32) -> (usize, usize) {
+        let t = SimTime::from_secs(100.0);
+        self.medium
+            .broadcast_into(&self.fleet, t, src, 300, &mut self.rng, &mut self.out);
+        let mut applied = 0;
+        for d in &self.out.deliveries {
+            let meta = RxMeta {
+                sender_pos: d.sender_pos,
+                from: d.from,
+                distance: d.distance,
+            };
+            let window = SimDuration::from_secs(1.0);
+            let mut ctx = PeerContext {
+                now: d.arrival,
+                motion: &mut (
+                    self.fleet.position(d.to, d.arrival),
+                    self.fleet.estimated_velocity(d.to, d.arrival, window),
+                ),
+            };
+            let fate = self.peer.on_copy_sent(&mut ctx, &self.msg, &meta, true);
+            applied += usize::from(fate == CopyFate::Applied);
+        }
+        (self.out.deliveries.len(), applied)
+    }
+}
+
+#[test]
+fn radio_broadcast_into_dispatch() {
+    let mut chain = RadioChain::warm();
+    let (allocated, ()) = allocations_during(|| {
+        for src in 0..1000 {
+            chain.broadcast_and_dispatch(SimTime::from_secs(100.0), src);
+        }
+    });
+    assert_eq!(
+        allocated, 0,
+        "broadcast_into -> dispatch allocated {allocated} times over 1000 broadcasts"
+    );
+}
+
+/// The same chain with the grid rebuilt (resample from the leg table +
+/// CSR counting sort) by the medium's own refresh rule: broadcasts at
+/// instants 3.5 s apart, past its 3 s refresh, with 16 at each, at least
+/// the `max(8, n/64)` = 15 queries a rebuild waits for, so the first
+/// broadcast at each instant rebuilds. The instants lie past the end of
+/// every node's plan, where each node rests at its last waypoint, so
+/// every grid holds the same positions: one warm-up instant with every
+/// source sizes every buffer, and then 16 rebuilds and 256 broadcasts
+/// allocate nothing, since the index and the leg table rebuild in place.
+#[test]
+fn radio_rebuild_broadcast_dispatch() {
+    let mut chain = RadioChain::warm();
+    let fleet = &chain.fleet;
+    let rest = (0..1000).map(|id| fleet.trajectory(id).end_time()).max();
+    let rest = rest.expect("a fleet");
+    let instant = |k: u32| rest + SimDuration::from_secs(1.0 + 3.5 * f64::from(k));
+    for src in 0..1000 {
+        chain.broadcast_and_dispatch(instant(0), src);
+    }
+    let rebuilds = chain.medium.grid_rebuilds();
+    let (allocated, ()) = allocations_during(|| {
+        for k in 1..=16 {
+            for src in 0..16 {
+                chain.broadcast_and_dispatch(instant(k), src * 61);
+            }
+        }
+    });
+    let rebuilt = chain.medium.grid_rebuilds() - rebuilds;
+    assert_eq!(rebuilt, 16, "one rebuild per instant");
+    assert_eq!(
+        allocated, 0,
+        "rebuild -> broadcast_into -> dispatch allocated {allocated} times over {rebuilt} rebuilds"
+    );
+}
+
+/// A warm broadcast whose copies are applied when its frame is sent:
+/// `broadcast_into`, then each copy's receiver asked with the context at
+/// the copy's arrival instant. The chain's one peer holds the ad, its
+/// wake-up queued at its first tick, after every arrival and no later
+/// than its pending tick, so it applies every copy (absorb + postpone)
+/// through a sink that stays empty, and nothing allocates.
+#[test]
+fn applied_copies_allocate_nothing() {
+    let mut chain = RadioChain::warm();
+    let (allocated, (copies, applied)) = allocations_during(|| {
+        (0..1000).fold((0, 0), |(copies, applied), src| {
+            let (c, a) = chain.broadcast_and_apply(src);
+            (copies + c, applied + a)
+        })
+    });
+    assert!(copies > 1000 && applied == copies, "{applied} of {copies}");
+    assert_eq!(
+        allocated, 0,
+        "applying copies at send time allocated {allocated} times over 1000 broadcasts"
+    );
+}
+
+/// The protocol callback hot path: a duplicate receipt (absorb +
+/// postpone) pushed through a warm, reused [`ActionSink`].
+#[test]
+fn protocol_dispatch_sink_reuse() {
+    let params = GossipParams::paper().shared();
+    let mut peer = opt_gossip_peer(&params);
+    let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1800.0)));
+    let meta = RxMeta {
+        sender_pos: Point::new(2550.0, 2500.0),
+        from: 3,
+        distance: 50.0,
+    };
+    let motion = (Point::new(2520.0, 2500.0), Vector::new(-10.0, 0.0));
+    let mut sink = ActionSink::new();
+    let mut event = |i: u64| {
+        let mut ctx = PeerContext {
+            now: SimTime::from_secs(10.0 + i as f64 * 1e-3),
+            motion: &mut { motion },
+        };
+        peer.on_receive(&mut ctx, &msg, &meta, &mut sink);
+        for action in sink.drain() {
+            black_box(&action);
+        }
+    };
+
+    // Prime the peer (the first receipt caches the ad, which allocates)
+    // and warm the sink's capacity, exactly as the simulation world does.
+    for i in 0..16 {
+        event(i);
+    }
+    const EVENTS: u64 = 10_000;
+    let (allocated, ()) = allocations_during(|| {
+        for i in 0..EVENTS {
+            event(16 + i);
+        }
+    });
+    assert_eq!(
+        allocated, 0,
+        "sink hot path allocated {allocated} times over {EVENTS} events"
+    );
+}
+
+/// The common Optimized Gossiping event: a due entry wake-up at an
+/// interior peer, past the mechanism (1) warm-up, that loses its draw
+/// (formula 3 gives ~1e-9 at the centre). Deciding not to forward must
+/// not allocate: the ad is copied only to be sent.
+#[test]
+fn protocol_entry_tick_no_forward() {
+    let params = GossipParams::paper().shared();
+    let mut peer = opt_gossip_peer(&params);
+    // Long-lived, so the measured ticks never reach expiry.
+    let msg = AdMessage::gossip(paper_ad(&params, SimDuration::from_secs(1.0e9)));
+    let centre = msg.ad.issue_pos;
+    let mut sink = ActionSink::new();
+    // Tick `k` runs at 20 s + k rounds and counts the broadcasts it
+    // pushed. Tick 0 is the first receipt; it schedules the entry for
+    // tick 1, and every tick after that finds the entry due.
+    let mut tick = |k: u64| {
+        let mut ctx = PeerContext {
+            now: SimTime::from_secs(20.0 + 5.0 * k as f64),
+            motion: &mut (centre, Vector::ZERO),
+        };
+        if k == 0 {
+            let meta = RxMeta {
+                sender_pos: centre,
+                from: 3,
+                distance: 0.0,
+            };
+            peer.on_receive(&mut ctx, &msg, &meta, &mut sink);
+        } else {
+            let wake = peer.on_entry_timer(&mut ctx, msg.ad.id, &mut sink);
+            assert_eq!(wake, EntryWake::Fire, "tick {k} did not run");
+        }
+        sink.drain()
+            .filter(|a| matches!(a, Action::Broadcast(_)))
+            .count()
+    };
+    // Warm-up past the 40 s mechanism (1) warm-up age.
+    for k in 0..10 {
+        tick(k);
+    }
+    const TICKS: u64 = 256;
+    let (allocated, broadcasts) =
+        allocations_during(|| (10..10 + TICKS).map(&mut tick).sum::<usize>());
+    assert_eq!(broadcasts, 0, "an interior entry tick forwarded");
+    assert_eq!(
+        allocated, 0,
+        "non-forwarding entry tick allocated {allocated} times over {TICKS} ticks"
     );
 }
 
@@ -323,6 +636,66 @@ fn corruption_verdict_allocates_nothing() {
     let (allocs, passed) = allocations_during(|| verdicts(4096));
     assert_eq!(allocs, 0, "the corruption verdict allocated");
     assert_eq!(passed, 1024, "only the cancelling sets pass");
+}
+
+/// Observer fan-out allocates nothing: the same churned Gossip world,
+/// run once with no observer and once with a passive one attached, makes
+/// exactly as many allocations in `World::run`. Two ads and a one-slot
+/// cache make peers evict, and churn makes them depart, rejoin and
+/// suppress off-line receipts, so every hook fires.
+#[test]
+fn observer_fan_out_allocates_nothing() {
+    let scenario = || {
+        let mut s = Scenario::paper(ProtocolKind::Gossip, 40)
+            .with_seed(11)
+            .with_churn(ChurnSpec::new(
+                SimDuration::from_secs(40.0),
+                SimDuration::from_secs(20.0),
+            ));
+        s.area = ia_geo::Rect::with_size(1500.0, 1500.0);
+        s.params.cache_capacity = 1;
+        let paper = AdSpec::paper();
+        s.ads = vec![
+            AdSpec {
+                issue_pos: Point::new(1400.0, 1400.0),
+                ..paper.clone()
+            },
+            AdSpec {
+                issue_pos: Point::new(700.0, 800.0),
+                issue_time: SimTime::from_secs(20.0),
+                radius: 600.0,
+                ..paper
+            },
+        ];
+        s.with_life_cycle(SimDuration::from_secs(120.0))
+    };
+
+    let mut bare = World::new(scenario());
+    let (bare_allocs, ()) = allocations_during(|| bare.run());
+
+    let mut observed = World::new(scenario());
+    observed.attach_observer(Box::<HookCounts>::default());
+    let (observed_allocs, ()) = allocations_during(|| observed.run());
+
+    let hooks = observed.observer::<HookCounts>().expect("attached");
+    // Every hook but `on_suppress` by its own count; that one by any reason.
+    let suppressed: u64 = hooks.fired[7..].iter().sum();
+    let fired = HOOKS[..7]
+        .iter()
+        .zip(hooks.fired)
+        .chain([(&"suppress", suppressed)]);
+    for (hook, n) in fired {
+        assert!(n > 0, "hook {hook} never fired");
+    }
+    assert_eq!(
+        bare.medium().stats(),
+        observed.medium().stats(),
+        "the observer changed the run"
+    );
+    assert_eq!(
+        observed_allocs, bare_allocs,
+        "attaching a passive observer changed World::run's allocation count"
+    );
 }
 
 /// Where every leg of the World matrix starts measuring: just after the
